@@ -60,8 +60,8 @@ import sys
 # its full-forward side is memory-bound far beyond cache and too
 # noise-sensitive for a 25% band on shared runners).
 DEFAULT_FILTER = (
-    r"^BM_(DecodeAttnKernel|DecodeStepSweep|LinearGemm|GemmAccumulateTN|"
-    r"Elementwise|ElocBatched|SweepFused|ServeThroughput)\b"
+    r"^BM_(DecodeAttnKernel|AttnTrainKernel|DecodeStepSweep|LinearGemm|"
+    r"GemmAccumulateTN|Elementwise|ElocBatched|SweepFused|ServeThroughput)\b"
     r"|^BM_Evaluate/[01]/(16|32)/2048\b"
     r"|^BM_BackwardTiled/1/32/2048\b"
 )
@@ -74,9 +74,9 @@ DEFAULT_FILTER = (
 # 2x regression behind a 4x thread speedup — so they are skipped (with a
 # notice) until the baseline is refreshed on matching hardware.
 THREAD_SENSITIVE = (
-    r"^BM_(DecodeAttnKernel/2|DecodeStepSweep/2|LinearGemm/2|"
-    r"GemmAccumulateTN/2|Elementwise/[0-9]+/2|Evaluate|BackwardTiled|"
-    r"SweepFused|ElocBatched/[13]|ServeThroughput)\b"
+    r"^BM_(DecodeAttnKernel/2|AttnTrainKernel/2|DecodeStepSweep/2|"
+    r"LinearGemm/2|GemmAccumulateTN/2|Elementwise/[0-9]+/2|Evaluate|"
+    r"BackwardTiled|SweepFused|ElocBatched/[13]|ServeThroughput)\b"
 )
 
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}

@@ -319,6 +319,55 @@ BENCHMARK(BM_DecodeAttnKernel)
     ->Args({0, 256, 8})->Args({1, 256, 8})->Args({2, 256, 8})
     ->Args({0, 1024, 4})->Args({1, 1024, 4})->Args({2, 1024, 4});
 
+// The training-attention kernels (the tape gradient's attention forward +
+// backward) on one 256-sample gradient tile, 4 heads: at the paper net's
+// L = 19, d_model = 16 (head width 4, the train-c2h4o shape) and at L = 32,
+// d_model = 64.  The scalar/simd ratio is the kernel speedup quoted in the
+// README.
+void BM_AttnTrainKernel(benchmark::State& state) {
+  const auto policy = kernelArg(state.range(0));
+  const auto L = static_cast<Index>(state.range(1));
+  const auto dModel = static_cast<Index>(state.range(2));
+  const Index batch = 256, heads = 4;
+  Rng rng(23);
+  std::vector<Real> qkv(static_cast<std::size_t>(batch * L * 3 * dModel));
+  std::vector<Real> dCtx(static_cast<std::size_t>(batch * L * dModel));
+  for (auto& x : qkv) x = rng.normal();
+  for (auto& x : dCtx) x = rng.normal();
+  std::vector<Real> attn(static_cast<std::size_t>(batch * heads * L * L));
+  std::vector<Real> ctx(dCtx.size()), dQkv(qkv.size());
+
+  nn::kernels::AttnTrainArgs a;
+  a.batch = batch;
+  a.window = L;
+  a.heads = heads;
+  a.headDim = dModel / heads;
+  a.dModel = dModel;
+  a.qkv = qkv.data();
+  a.attn = attn.data();
+  a.ctx = ctx.data();
+  a.dCtx = dCtx.data();
+  a.dQkv = dQkv.data();
+  a.scale = 1.0 / std::sqrt(static_cast<Real>(a.headDim));
+  for (auto _ : state) {
+    std::fill(ctx.begin(), ctx.end(), 0.0);
+    std::fill(dQkv.begin(), dQkv.end(), 0.0);
+    nn::kernels::attnTrainForward(a, policy);
+    nn::kernels::attnTrainBackward(a, policy);
+    benchmark::DoNotOptimize(ctx.data());
+    benchmark::DoNotOptimize(dQkv.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+  state.SetLabel(nn::kernels::kernelPolicyName(policy));
+}
+// Args: policy (0 = scalar reference, 1 = SIMD, 2 = SIMD + OpenMP over
+// samples), L, d_model.
+BENCHMARK(BM_AttnTrainKernel)
+    ->Args({0, 19, 16})->Args({1, 19, 16})->Args({2, 19, 16})
+    ->Args({0, 32, 64})->Args({1, 32, 64})->Args({2, 32, 64})
+    ->Unit(benchmark::kMicrosecond);
+
 // The Linear GEMMs of the decode step in isolation: y = x W^T + b at the
 // decode shapes (frontier 256, d_model 64): qkv 64->192, proj 64->64,
 // ff1 64->256, ff2 256->64.  Impl -1 is the historical naive per-row loop
@@ -644,16 +693,18 @@ BENCHMARK(BM_BackwardTiled)
     ->Args({0, 32, 8192})->Args({1, 32, 8192})
     ->Unit(benchmark::kMillisecond);
 
-// The decode elementwise stages in isolation at the decode shapes: GELU over
-// the [256, 4*64] ff activations (op 0) and the fused residual+LayerNorm over
-// [256, 64] rows (op 1).  Impl -1 is the historical code these kernels
-// replaced (scalar std::tanh GELU; separate residual sweep + three-pass
-// LayerNorm), 0/1/2 the kernel policies; the naive/simd ratio is the
-// elementwise speedup quoted in the README.
+// The elementwise stages in isolation: GELU over the decode step's
+// [256, 4*64] ff activations (op 0), the fused residual+LayerNorm over
+// [256, 64] rows (op 1), and the phase MLP's tanh over one [256, 512]
+// hidden tile (op 2).  Impl -1 is the historical code these kernels replaced
+// (scalar std::tanh GELU; separate residual sweep + three-pass LayerNorm;
+// the std::tanh loop), 0/1/2 the kernel policies; the naive/simd ratio is
+// the elementwise speedup quoted in the README.
 void BM_Elementwise(benchmark::State& state) {
   const std::int64_t op = state.range(0);
   const std::int64_t impl = state.range(1);
-  const Index rows = 256, dim = op == 0 ? 256 : 64;
+  const Index rows = 256, dim = op == 0 ? 256 : op == 1 ? 64 : 512;
+  const char* opName = op == 0 ? "gelu/" : op == 1 ? "rln/" : "tanh/";
   const auto n = static_cast<std::size_t>(rows * dim);
   Rng rng(31);
   std::vector<Real> x(n), res(n), y(n), h(n);
@@ -671,6 +722,12 @@ void BM_Elementwise(benchmark::State& state) {
           const Real t = std::tanh(0.7978845608028654 * (v + 0.044715 * v * v * v));
           y[i] = 0.5 * v * (1.0 + t);
         }
+        benchmark::DoNotOptimize(y.data());
+      }
+    } else if (op == 2) {
+      // Historical TanhAct::forward body.
+      for (auto _ : state) {
+        for (std::size_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
         benchmark::DoNotOptimize(y.data());
       }
     } else {
@@ -694,12 +751,17 @@ void BM_Elementwise(benchmark::State& state) {
         benchmark::DoNotOptimize(y.data());
       }
     }
-    state.SetLabel(op == 0 ? "gelu/naive" : "rln/naive");
+    state.SetLabel(std::string(opName) + "naive");
   } else {
     const auto policy = kernelArg(impl);
     if (op == 0) {
       for (auto _ : state) {
         nn::kernels::gelu(x.data(), y.data(), rows * dim, policy);
+        benchmark::DoNotOptimize(y.data());
+      }
+    } else if (op == 2) {
+      for (auto _ : state) {
+        nn::kernels::tanh(x.data(), y.data(), rows * dim, policy);
         benchmark::DoNotOptimize(y.data());
       }
     } else {
@@ -717,16 +779,17 @@ void BM_Elementwise(benchmark::State& state) {
         benchmark::DoNotOptimize(y.data());
       }
     }
-    state.SetLabel(std::string(op == 0 ? "gelu/" : "rln/") +
-                   nn::kernels::kernelPolicyName(policy));
+    state.SetLabel(std::string(opName) + nn::kernels::kernelPolicyName(policy));
   }
   state.SetItemsProcessed(state.iterations() * rows * dim);
 }
-// Args: op (0 = GELU [256, 256], 1 = fused residual+LayerNorm [256, 64]),
-// impl (-1 = historical loops, 0 = scalar reference, 1 = SIMD, 2 = threaded).
+// Args: op (0 = GELU [256, 256], 1 = fused residual+LayerNorm [256, 64],
+// 2 = tanh [256, 512]), impl (-1 = historical loops, 0 = scalar reference,
+// 1 = SIMD, 2 = threaded).
 BENCHMARK(BM_Elementwise)
     ->Args({0, -1})->Args({0, 0})->Args({0, 1})->Args({0, 2})
-    ->Args({1, -1})->Args({1, 0})->Args({1, 1})->Args({1, 2});
+    ->Args({1, -1})->Args({1, 0})->Args({1, 1})->Args({1, 2})
+    ->Args({2, -1})->Args({2, 0})->Args({2, 1})->Args({2, 2});
 
 void BM_LocalEnergySample(benchmark::State& state) {
   const auto& p = c2Pipeline();

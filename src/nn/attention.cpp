@@ -3,10 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include <string>
 
 namespace nnqs::nn {
 
@@ -21,118 +18,44 @@ CausalSelfAttention::CausalSelfAttention(Index dModel, Index nHeads, Index seqLe
 }
 
 namespace {
-/// Causal-softmax attention forward shared by the Tensor and tape paths: one
-/// arithmetic sequence (scores -> softmaxNormalize -> unnormalized context *
-/// rinv -> normalized weights), so the two gradient paths see bit-identical
-/// activations.  attn [B,H,L,L] is fully written (masked entries zeroed);
-/// ctx [B*L, D] must arrive zeroed (the context accumulates).
-void attnForwardCore(const Real* qkv, Real* attn, Real* ctx, Index batch,
-                     Index L, Index d, Index heads, Index headDim,
-                     Real scale) {
-#pragma omp parallel for collapse(2) schedule(static) if (batch * heads > 8)
-  for (Index b = 0; b < batch; ++b)
-    for (Index h = 0; h < heads; ++h) {
-      const Index qOff = h * headDim;
-      const Index kOff = d + h * headDim;
-      const Index vOff = 2 * d + h * headDim;
-      Real* aRow = attn + ((b * heads + h) * L) * L;
-      for (Index i = 0; i < L; ++i) {
-        const Real* qi = qkv + (b * L + i) * 3 * d + qOff;
-        Real* ai = aRow + i * L;
-        Real mx = -1e300;
-        for (Index j = 0; j <= i; ++j) {
-          const Real* kj = qkv + (b * L + j) * 3 * d + kOff;
-          Real s = 0;
-          for (Index t = 0; t < headDim; ++t) s += qi[t] * kj[t];
-          ai[j] = s * scale;
-          mx = std::max(mx, ai[j]);
-        }
-        // Softmax + context follow the decode-kernel arithmetic contract
-        // (src/nn/kernels/attn_row.hpp): the shared softmaxNormalize plus an
-        // unnormalized context scaled once by 1/denom, so full-forward and
-        // every decode backend produce bit-identical activations.
-        const Real rinv = kernels::softmaxNormalize(ai, i + 1, mx);
-        for (Index j = i + 1; j < L; ++j) ai[j] = 0.0;  // causal mask
-        // Context = (sum_j e_ij v_j) * rinv.
-        Real* ci = ctx + (b * L + i) * d + qOff;
-        for (Index j = 0; j <= i; ++j) {
-          const Real e = ai[j];
-          const Real* vj = qkv + (b * L + j) * 3 * d + vOff;
-          for (Index t = 0; t < headDim; ++t) ci[t] += e * vj[t];
-        }
-        for (Index t = 0; t < headDim; ++t) ci[t] *= rinv;
-        // Normalized weights for backward's softmax-gradient cache.
-        for (Index j = 0; j <= i; ++j) ai[j] *= rinv;
-      }
-    }
-}
-
-/// Attention backward core shared by the Tensor and tape paths.  dQkv must
-/// arrive zeroed; dA is per-thread scratch [nThreads * L] (fully rewritten
-/// per query row before use).  Writes of each (b,h) pair touch disjoint
-/// head-sliced columns, so the parallel accumulation is race-free and the
-/// per-element arithmetic order is thread-count independent.
-void attnBackwardCore(const Real* qkv, const Real* attn, const Real* dCtx,
-                      Real* dQkv, Real* dAScratch, Index batch, Index Lc,
-                      Index d, Index heads, Index headDim, Real scale) {
-#pragma omp parallel for collapse(2) schedule(static) if (batch * heads > 8)
-  for (Index b = 0; b < batch; ++b)
-    for (Index h = 0; h < heads; ++h) {
-      const Index qOff = h * headDim;
-      const Index kOff = d + h * headDim;
-      const Index vOff = 2 * d + h * headDim;
-      const Real* aRow = attn + ((b * heads + h) * Lc) * Lc;
-#ifdef _OPENMP
-      Real* dA = dAScratch + static_cast<Index>(omp_get_thread_num()) * Lc;
-#else
-      Real* dA = dAScratch;
-#endif
-      for (Index i = 0; i < Lc; ++i) {
-        const Real* ai = aRow + i * Lc;
-        const Real* dci = dCtx + (b * Lc + i) * d + qOff;
-        // dV_j += a_ij dC_i ; dA_ij = dC_i . V_j
-        for (Index j = 0; j <= i; ++j) {
-          const Real* vj = qkv + (b * Lc + j) * 3 * d + vOff;
-          Real* dvj = dQkv + (b * Lc + j) * 3 * d + vOff;
-          Real da = 0;
-          for (Index t = 0; t < headDim; ++t) {
-            dvj[t] += ai[j] * dci[t];
-            da += dci[t] * vj[t];
-          }
-          dA[j] = da;
-        }
-        // Softmax backward: dS_ij = a_ij (dA_ij - sum_k a_ik dA_ik).
-        Real dot = 0;
-        for (Index j = 0; j <= i; ++j) dot += ai[j] * dA[j];
-        const Real* qi = qkv + (b * Lc + i) * 3 * d + qOff;
-        Real* dqi = dQkv + (b * Lc + i) * 3 * d + qOff;
-        for (Index j = 0; j <= i; ++j) {
-          const Real ds = ai[j] * (dA[j] - dot) * scale;
-          if (ds == 0.0) continue;
-          const Real* kj = qkv + (b * Lc + j) * 3 * d + kOff;
-          Real* dkj = dQkv + (b * Lc + j) * 3 * d + kOff;
-          for (Index t = 0; t < headDim; ++t) {
-            dqi[t] += ds * kj[t];
-            dkj[t] += ds * qi[t];
-          }
-        }
-      }
-    }
+/// The training-attention kernel problem of one forward or backward call
+/// (kernels.hpp AttnTrainArgs); the Tensor and tape paths both run it, so
+/// the two gradient paths see bit-identical activations.
+kernels::AttnTrainArgs trainArgs(Index batch, Index L, Index d, Index heads,
+                                 Index headDim) {
+  kernels::AttnTrainArgs a;
+  a.batch = batch;
+  a.window = L;
+  a.heads = heads;
+  a.headDim = headDim;
+  a.dModel = d;
+  a.scale = 1.0 / std::sqrt(static_cast<Real>(headDim));
+  return a;
 }
 }  // namespace
+
+Index CausalSelfAttention::batchOf(Index rows) const {
+  if (window_ <= 0 || rows % window_ != 0)
+    throw std::invalid_argument(name_ + ": " + std::to_string(rows) +
+                                " rows is not a whole number of attention windows of " +
+                                std::to_string(window_));
+  return rows / window_;
+}
 
 Tensor CausalSelfAttention::forward(const Tensor& x, GradMode mode) {
   const Index L = window_;
   const Index rows = x.numel() / d_;
-  const Index batch = rows / L;
-  const Real scale = 1.0 / std::sqrt(static_cast<Real>(headDim_));
+  const Index batch = batchOf(rows);
 
   Tensor qkv = qkv_.forward(x, mode);  // [B*L, 3D]: q | k | v per row
-  Tensor attn({batch, heads_, L, L});
+  Tensor attn = Tensor::uninit({batch, heads_, L, L});  // fully written
   Tensor ctx({rows, d_});
 
-  attnForwardCore(qkv.data.data(), attn.data.data(), ctx.data.data(), batch,
-                  L, d_, heads_, headDim_, scale);
+  kernels::AttnTrainArgs a = trainArgs(batch, L, d_, heads_, headDim_);
+  a.qkv = qkv.data.data();
+  a.attn = attn.data.data();
+  a.ctx = ctx.data.data();
+  kernels::attnTrainForward(a, kernels::KernelPolicy::kAuto);
 
   if (mode == GradMode::kRecordTape) {
     cachedQkv_ = qkv;
@@ -149,8 +72,7 @@ Tensor CausalSelfAttention::forward(const Tensor& x, GradMode mode) {
 const Real* CausalSelfAttention::forwardTape(Tape& tape, TapeFrame& f,
                                              const Real* x, Index rows) {
   const Index L = window_;
-  const Index batch = rows / L;
-  const Real scale = 1.0 / std::sqrt(static_cast<Real>(headDim_));
+  const Index batch = batchOf(rows);
 
   invalidateBecause(stale::kTapeForward);
   const Real* qkv = qkv_.forwardTape(tape, f.qkv, x, rows);
@@ -158,7 +80,11 @@ const Real* CausalSelfAttention::forwardTape(Tape& tape, TapeFrame& f,
   Real* ctx = tape.alloc(rows * d_);
   // The context accumulates (the Tensor path's zero-filled constructor).
   std::memset(ctx, 0, static_cast<std::size_t>(rows * d_) * sizeof(Real));
-  attnForwardCore(qkv, attn, ctx, batch, L, d_, heads_, headDim_, scale);
+  kernels::AttnTrainArgs a = trainArgs(batch, L, d_, heads_, headDim_);
+  a.qkv = qkv;
+  a.attn = attn;
+  a.ctx = ctx;
+  kernels::attnTrainForward(a, kernels::KernelPolicy::kAuto);
   f.qkvOut = qkv;
   f.attn = attn;
   f.batch = batch;
@@ -240,19 +166,15 @@ Tensor CausalSelfAttention::backward(const Tensor& dy) {
   const Index batch = cachedBatch_;
   const Index Lc = cachedWindow_;
   const Index rows = batch * Lc;
-  const Real scale = 1.0 / std::sqrt(static_cast<Real>(headDim_));
 
   Tensor dCtx = proj_.backward(dy);  // [B*L, D]
   Tensor dQkv({rows, 3 * d_});
-#ifdef _OPENMP
-  const Index nThreads = omp_get_max_threads();
-#else
-  const Index nThreads = 1;
-#endif
-  std::vector<Real> dA(static_cast<std::size_t>(nThreads * Lc));
-  attnBackwardCore(cachedQkv_.data.data(), cachedAttn_.data.data(),
-                   dCtx.data.data(), dQkv.data.data(), dA.data(), batch, Lc,
-                   d_, heads_, headDim_, scale);
+  kernels::AttnTrainArgs a = trainArgs(batch, Lc, d_, heads_, headDim_);
+  a.qkv = cachedQkv_.data.data();
+  a.attn = cachedAttn_.data.data();
+  a.dCtx = dCtx.data.data();
+  a.dQkv = dQkv.data.data();
+  kernels::attnTrainBackward(a, kernels::KernelPolicy::kAuto);
   return qkv_.backward(dQkv);
 }
 
@@ -263,20 +185,16 @@ Real* CausalSelfAttention::backwardTape(Tape& tape, const TapeFrame& f,
   const Index batch = f.batch;
   const Index Lc = f.window;
   const Index rows = batch * Lc;
-  const Real scale = 1.0 / std::sqrt(static_cast<Real>(headDim_));
 
   Real* dCtx = proj_.backwardTape(tape, f.proj, dy);
   Real* dQkv = tape.alloc(rows * 3 * d_);
   std::memset(dQkv, 0, static_cast<std::size_t>(rows * 3 * d_) * sizeof(Real));
-#ifdef _OPENMP
-  const Index nThreads = omp_get_max_threads();
-#else
-  const Index nThreads = 1;
-#endif
-  // Per-thread dA scratch from the tape keeps the warm tile allocation-free.
-  Real* dA = tape.alloc(nThreads * Lc);
-  attnBackwardCore(f.qkvOut, f.attn, dCtx, dQkv, dA, batch, Lc, d_, heads_,
-                   headDim_, scale);
+  kernels::AttnTrainArgs a = trainArgs(batch, Lc, d_, heads_, headDim_);
+  a.qkv = f.qkvOut;
+  a.attn = f.attn;
+  a.dCtx = dCtx;
+  a.dQkv = dQkv;
+  kernels::attnTrainBackward(a, kernels::KernelPolicy::kAuto);
   return qkv_.backwardTape(tape, f.qkv, dQkv);
 }
 

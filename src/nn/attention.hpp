@@ -34,17 +34,19 @@ class CausalSelfAttention : public Module {
 
   /// Sequence length of the next forward call (sampling uses growing
   /// prefix windows; the causal mask keeps shorter windows consistent).
+  /// forward/forwardTape throw std::invalid_argument when their row count is
+  /// not a whole number of windows.
   void setWindow(Index w) { window_ = w; }
 
   /// Tile-recompute record: qkv activations, normalized attention weights
-  /// and the projection input all live on the caller's tape; dQkv / per-
-  /// thread dA scratch are carved from the same tape in backwardTape, so a
-  /// warm tile performs zero heap allocations.
+  /// and the projection input all live on the caller's tape; dQkv is carved
+  /// from the same tape in backwardTape and the kernels' per-thread scratch
+  /// is reused across calls, so a warm tile performs zero heap allocations.
   struct TapeFrame {
     Linear::TapeFrame qkv;
     Linear::TapeFrame proj;
     const Real* qkvOut = nullptr;  ///< [B*L, 3D]: q | k | v per row
-    const Real* attn = nullptr;    ///< [B, heads, L, L] row-softmaxed weights
+    Real* attn = nullptr;          ///< [B, heads, L, L] row-softmaxed weights
     Index batch = 0;
     Index window = 0;
   };
@@ -58,6 +60,8 @@ class CausalSelfAttention : public Module {
 
  private:
   void invalidateBecause(const char* why);
+  /// Samples in `rows` rows of the current window (throws when ragged).
+  [[nodiscard]] Index batchOf(Index rows) const;
 
   std::string name_;
   Index d_, heads_, headDim_, seqLen_;

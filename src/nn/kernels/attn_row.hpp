@@ -1,8 +1,9 @@
 #pragma once
 
-// Internal header of the decode-attention kernel backends: the per-row kernel
+// Internal header of the attention kernel backends: the decode per-row kernel
 // function type plus the scalar reference implementation that defines the
-// arithmetic contract every backend reproduces bit for bit.
+// arithmetic contract every backend reproduces bit for bit, and the training
+// kernels' per-sample function table and scratch layout.
 
 #include <algorithm>
 
@@ -67,5 +68,37 @@ RowFn avx2Row();
 
 /// AVX-512 row kernel (sequential-stream row-level variant), or nullptr.
 RowFn avx512Row();
+
+/// One sample b (all heads) of a training-attention forward or backward
+/// (AttnTrainArgs in kernels.hpp).  Samples write disjoint outputs, so the
+/// threaded driver runs them in parallel; `scratch` is per-thread, at least
+/// trainScratchLen(window, headDim) Reals, and needs no initialization.
+using TrainFn = void (*)(const AttnTrainArgs&, Index b, Real* scratch);
+struct TrainKernels {
+  TrainFn forward;
+  TrainFn backward;
+};
+
+/// The SIMD bodies pad key positions and head features to a multiple of
+/// every lane width, so whole-vector blocks stay inside their scratch rows.
+inline constexpr Index kTrainPad = 8;
+inline Index trainPadded(Index n) {
+  return (n + kTrainPad - 1) / kTrainPad * kTrainPad;
+}
+/// Scratch of every training backend (Lp, Hp = padded window and head
+/// width): a [headDim][Lp] transposed K or V block, [Lp] per-row values,
+/// [window][Lp] exp or dS rows and five [window][Hp] blocks of padded
+/// operand and accumulator rows.
+inline std::size_t trainScratchLen(Index window, Index headDim) {
+  return static_cast<std::size_t>((headDim + 1 + window) * trainPadded(window) +
+                                  5 * window * trainPadded(headDim));
+}
+
+/// The scalar training reference (kernel_scalar.cpp) — ground truth for the
+/// SIMD bodies (attn_train_simd.hpp), whose AVX2 / AVX-512 instantiations
+/// are nullptr when not compiled in or not supported by the CPU.
+const TrainKernels* scalarTrain();
+const TrainKernels* avx2Train();
+const TrainKernels* avx512Train();
 
 }  // namespace nnqs::nn::kernels::detail

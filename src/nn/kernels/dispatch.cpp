@@ -1,5 +1,6 @@
 // Kernel-policy resolution and the serial / OpenMP-threaded drivers over the
-// per-(row, head) decode-attention kernels.
+// per-row decode-attention kernels and the per-sample training-attention
+// kernels.
 
 #include <cassert>
 #include <cstdint>
@@ -21,6 +22,63 @@ namespace {
 /// driver exceeds the tile work (matches the historical `batch * heads > 8`
 /// OpenMP if-clause of the pre-kernel decodeStep).
 constexpr Index kMinTilesForThreads = 8;
+
+/// Per-thread kernel scratch, kept across calls like the GEMM pack buffer:
+/// each thread grows its own buffer once, so warm decode steps and training
+/// tiles (one attention call per layer each) make no heap allocation.  The
+/// span starts on a cache line: the SIMD bodies' scratch rows are whole
+/// multiples of 8 Reals, so their vector accesses then never split a line.
+Real* threadScratch(std::size_t len) {
+  constexpr std::size_t kLineReals = 64 / sizeof(Real);
+  static thread_local std::vector<Real> buf;
+  if (buf.size() < len + kLineReals) buf.resize(len + kLineReals);
+  const auto p = reinterpret_cast<std::uintptr_t>(buf.data());
+  return reinterpret_cast<Real*>((p + 63) & ~std::uintptr_t{63});
+}
+
+/// Run fn(b, scratch) for b in [0, batch): serially, or over the OpenMP
+/// team (rows/samples write disjoint outputs, so the split cannot change a
+/// bit).  The team is the default size: a num_threads clause varying per
+/// call would make the runtime grow/shrink its pool, orphaning the
+/// thread_local scratch.
+template <class Fn>
+void forEachRow(bool threaded, Index batch, std::size_t scratchLen, const Fn& fn) {
+  if (threaded) {
+#pragma omp parallel
+    {
+      Real* scratch = threadScratch(scratchLen);
+#pragma omp for schedule(static)
+      for (Index b = 0; b < batch; ++b) fn(b, scratch);
+    }
+  } else {
+    Real* scratch = threadScratch(scratchLen);
+    for (Index b = 0; b < batch; ++b) fn(b, scratch);
+  }
+}
+
+bool runsThreaded(KernelPolicy resolved, Index batch, Index heads) {
+  return resolved == KernelPolicy::kThreaded && batch * heads > kMinTilesForThreads;
+}
+
+const detail::TrainKernels* trainKernels(KernelPolicy resolved) {
+  const detail::TrainKernels* k = nullptr;
+  if (resolved != KernelPolicy::kScalar) {
+    k = detail::avx512Train();
+    if (k == nullptr) k = detail::avx2Train();
+  }
+  return k != nullptr ? k : detail::scalarTrain();
+}
+
+void runTrain(const AttnTrainArgs& a, KernelPolicy policy,
+              detail::TrainFn detail::TrainKernels::*which) {
+  if (a.batch <= 0) return;
+  assert(a.heads * a.headDim == a.dModel);
+  policy = resolvePolicy(policy, a.batch, a.heads);
+  const detail::TrainFn fn = trainKernels(policy)->*which;
+  forEachRow(runsThreaded(policy, a.batch, a.heads), a.batch,
+             detail::trainScratchLen(a.window, a.headDim),
+             [&](Index b, Real* scratch) { fn(a, b, scratch); });
+}
 }  // namespace
 
 bool simdAvailable() {
@@ -92,25 +150,18 @@ void decodeAttention(const DecodeAttnArgs& a, KernelPolicy policy) {
   if (policy == KernelPolicy::kScalar || row == nullptr) row = &detail::scalarRow;
 
   // Per-head e_j arrays plus one rinv per head (attn_row.hpp scratch layout).
-  // The scratch is thread_local and kept across calls (like the GEMM pack
-  // buffer): the decode path runs one decodeAttention per layer per step, and
-  // a fresh vector each call was a steady-state heap allocation the
-  // zero-allocation decode contract forbids.
   const auto scratchLen =
       static_cast<std::size_t>(a.heads * (a.pos + 1) + a.heads);
-  static thread_local std::vector<Real> scoresScratch;
-  if (policy == KernelPolicy::kThreaded && a.batch * a.heads > kMinTilesForThreads) {
-#pragma omp parallel
-    {
-      // Each worker grows its own thread_local once, then reuses it.
-      if (scoresScratch.size() < scratchLen) scoresScratch.resize(scratchLen);
-#pragma omp for schedule(static)
-      for (Index b = 0; b < a.batch; ++b) row(a, b, scoresScratch.data());
-    }
-  } else {
-    if (scoresScratch.size() < scratchLen) scoresScratch.resize(scratchLen);
-    for (Index b = 0; b < a.batch; ++b) row(a, b, scoresScratch.data());
-  }
+  forEachRow(runsThreaded(policy, a.batch, a.heads), a.batch, scratchLen,
+             [&](Index b, Real* scratch) { row(a, b, scratch); });
+}
+
+void attnTrainForward(const AttnTrainArgs& a, KernelPolicy policy) {
+  runTrain(a, policy, &detail::TrainKernels::forward);
+}
+
+void attnTrainBackward(const AttnTrainArgs& a, KernelPolicy policy) {
+  runTrain(a, policy, &detail::TrainKernels::backward);
 }
 
 }  // namespace nnqs::nn::kernels

@@ -7,9 +7,10 @@
 namespace nnqs::nn::kernels {
 
 /// The elementwise kernel family behind the decode step's non-GEMM stages:
-/// vectorized GELU (forward + backward) and a fused residual + LayerNorm row
-/// kernel (forward + backward).  Third member of the kernel-backend set after
-/// decode attention (attn_row.hpp) and GEMM (gemm.hpp), under the same
+/// vectorized GELU (forward + backward), the phase MLP's tanh, and a fused
+/// residual + LayerNorm row kernel (forward + backward).  Third member of
+/// the kernel-backend set after decode attention (attn_row.hpp) and GEMM
+/// (gemm.hpp), under the same
 /// arithmetic contract style: every output element is produced by one fixed
 /// IEEE-754 operation sequence (defined by the scalar reference in
 /// elementwise_scalar.cpp, FP contraction off), and the AVX2/AVX-512 backends
@@ -66,6 +67,14 @@ inline Real treeSum8(const Real part[8]) {
   return ((part[0] + part[1]) + (part[2] + part[3])) +
          ((part[4] + part[5]) + (part[6] + part[7]));
 }
+
+/// y = kernelTanh(x), elementwise over n values; x == y (in-place) is
+/// allowed.  The phase MLP's activation (TanhAct and PhaseMlp::forwardInto)
+/// runs on it, so its Tensor, tape and raw-buffer paths agree bit for bit.
+/// Within 1e-15 of std::tanh, exactly ±1 once |x| saturates, ±0 at ±0; like
+/// the GELU tanh it maps NaN to ±1.
+void tanh(const Real* x, Real* y, Index n,
+          KernelPolicy policy = KernelPolicy::kAuto);
 
 /// y = gelu(x), elementwise over n values.  x == y (in-place) is allowed.
 void gelu(const Real* x, Real* y, Index n,

@@ -72,6 +72,12 @@ inline __m256d geluGrad4(__m256d v) {
                     _mm256_mul_pd(_mm256_sub_pd(one, _mm256_mul_pd(t, t)), du)));
 }
 
+void tanhAvx2(const Real* x, Real* y, Index n) {
+  Index i = 0;
+  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(y + i, tanh4(_mm256_loadu_pd(x + i)));
+  for (; i < n; ++i) y[i] = kernelTanh(x[i]);
+}
+
 void geluForwardAvx2(const Real* x, Real* y, Index n) {
   Index i = 0;
   for (; i + 4 <= n; i += 4) _mm256_storeu_pd(y + i, gelu4(_mm256_loadu_pd(x + i)));
@@ -229,9 +235,9 @@ void lnParamGradsAvx2(const LayerNormBwdArgs& a) {
   }
 }
 
-constexpr EwBackend kAvx2Backend{&geluForwardAvx2, &geluBackwardAvx2,
-                                 &lnRowForwardAvx2, &lnRowBackwardAvx2,
-                                 &lnParamGradsAvx2};
+constexpr EwBackend kAvx2Backend{&tanhAvx2, &geluForwardAvx2,
+                                 &geluBackwardAvx2, &lnRowForwardAvx2,
+                                 &lnRowBackwardAvx2, &lnParamGradsAvx2};
 
 }  // namespace
 

@@ -60,6 +60,12 @@ inline __m512d geluGrad8(__m512d v) {
                     _mm512_mul_pd(_mm512_sub_pd(one, _mm512_mul_pd(t, t)), du)));
 }
 
+void tanhAvx512(const Real* x, Real* y, Index n) {
+  Index i = 0;
+  for (; i + 8 <= n; i += 8) _mm512_storeu_pd(y + i, tanh8(_mm512_loadu_pd(x + i)));
+  for (; i < n; ++i) y[i] = kernelTanh(x[i]);
+}
+
 void geluForwardAvx512(const Real* x, Real* y, Index n) {
   Index i = 0;
   for (; i + 8 <= n; i += 8) _mm512_storeu_pd(y + i, gelu8(_mm512_loadu_pd(x + i)));
@@ -198,9 +204,9 @@ void lnParamGradsAvx512(const LayerNormBwdArgs& a) {
   }
 }
 
-constexpr EwBackend kAvx512Backend{&geluForwardAvx512, &geluBackwardAvx512,
-                                   &lnRowForwardAvx512, &lnRowBackwardAvx512,
-                                   &lnParamGradsAvx512};
+constexpr EwBackend kAvx512Backend{&tanhAvx512, &geluForwardAvx512,
+                                   &geluBackwardAvx512, &lnRowForwardAvx512,
+                                   &lnRowBackwardAvx512, &lnParamGradsAvx512};
 
 }  // namespace
 

@@ -1,8 +1,8 @@
 // Elementwise-kernel policy resolution and the serial / OpenMP-threaded
-// drivers: disjoint element chunks for the GELU sweeps, disjoint rows for the
-// fused residual + LayerNorm kernels.  Chunk and row boundaries cannot
-// perturb results (every output element's operation sequence is local to its
-// chunk/row), so the threaded backend is trivially bit-identical.
+// drivers: disjoint element chunks for the tanh and GELU sweeps, disjoint
+// rows for the fused residual + LayerNorm kernels.  Chunk and row boundaries
+// cannot perturb results (every output element's operation sequence is local
+// to its chunk/row), so the threaded backend is trivially bit-identical.
 
 #include <algorithm>
 #include <cassert>
@@ -49,6 +49,14 @@ void runChunked(KernelPolicy policy, Index n, const RangeFn& fn) {
 KernelPolicy resolveElementwisePolicy(KernelPolicy policy, Index work) {
   if (policy != KernelPolicy::kAuto) return policy;
   return work > kEwThreadWork ? KernelPolicy::kThreaded : KernelPolicy::kSimd;
+}
+
+void tanh(const Real* x, Real* y, Index n, KernelPolicy policy) {
+  if (n <= 0) return;
+  policy = resolveElementwisePolicy(policy, n);
+  const detail::EwBackend* be = pickBackend(policy);
+  runChunked(policy, n,
+             [&](Index off, Index len) { be->tanhForward(x + off, y + off, len); });
 }
 
 void gelu(const Real* x, Real* y, Index n, KernelPolicy policy) {

@@ -10,7 +10,8 @@
 
 namespace nnqs::nn::kernels::detail {
 
-/// A backend = the elementwise ranges plus the per-row LayerNorm kernels.
+/// A backend = the elementwise ranges (tanh, GELU) plus the per-row LayerNorm
+/// kernels.
 /// Range kernels may be called on any contiguous sub-range (the threaded
 /// driver chunks them; chunk boundaries cannot perturb elementwise results).
 /// Row kernels handle exactly one row r of their problem (rows are
@@ -18,6 +19,7 @@ namespace nnqs::nn::kernels::detail {
 /// lnParamGrads, which owns the whole serial ascending-row accumulation of
 /// dgamma/dbeta.
 struct EwBackend {
+  void (*tanhForward)(const Real* x, Real* y, Index n);
   void (*geluForward)(const Real* x, Real* y, Index n);
   void (*geluBackward)(const Real* x, const Real* dy, Real* dx, Index n);
   void (*lnRowForward)(const ResidualLnArgs& a, Index r);

@@ -1,14 +1,19 @@
 // Scalar reference elementwise backend.  Built with the project's portable
 // flags (no SIMD, FP contraction off), so it is the ground truth the
-// vectorized backends are tested bit-for-bit against.  The per-element GELU
-// sequences live in elementwise.hpp (geluScalar / geluGradScalar); the row
-// kernels here define the LayerNorm contract's pass structure.
+// vectorized backends are tested bit-for-bit against.  The per-element tanh
+// and GELU sequences live in elementwise.hpp (kernelTanh / geluScalar /
+// geluGradScalar); the row kernels here define the LayerNorm contract's pass
+// structure.
 
 #include "nn/kernels/elementwise_impl.hpp"
 
 namespace nnqs::nn::kernels::detail {
 
 namespace {
+
+void tanhScalar(const Real* x, Real* y, Index n) {
+  for (Index i = 0; i < n; ++i) y[i] = kernelTanh(x[i]);
+}
 
 void geluForwardScalar(const Real* x, Real* y, Index n) {
   for (Index i = 0; i < n; ++i) y[i] = geluScalar(x[i]);
@@ -95,9 +100,9 @@ void lnParamGradsScalar(const LayerNormBwdArgs& a) {
   }
 }
 
-constexpr EwBackend kScalarBackend{&geluForwardScalar, &geluBackwardScalar,
-                                   &lnRowForwardScalar, &lnRowBackwardScalar,
-                                   &lnParamGradsScalar};
+constexpr EwBackend kScalarBackend{&tanhScalar, &geluForwardScalar,
+                                   &geluBackwardScalar, &lnRowForwardScalar,
+                                   &lnRowBackwardScalar, &lnParamGradsScalar};
 
 }  // namespace
 

@@ -20,6 +20,9 @@
 //   - context: lanes are 4 distinct model features held in register
 //     accumulators; the j-sum stays sequential, exactly as in the scalar
 //     kernel.
+//
+// The training-attention kernels are the shared lane-templated body
+// (attn_train_simd.hpp) instantiated on 4-lane vectors.
 
 #include "nn/kernels/attn_row.hpp"
 
@@ -27,6 +30,7 @@
 
 #include <immintrin.h>
 
+#include "nn/kernels/attn_train_simd.hpp"
 #include "nn/kernels/simd_exp.hpp"  // exp4: softmaxExp per lane
 
 namespace nnqs::nn::kernels::detail {
@@ -147,6 +151,11 @@ RowFn avx2Row() {
   return ok ? &avx2RowImpl : nullptr;
 }
 
+const TrainKernels* avx2Train() {
+  static const bool ok = __builtin_cpu_supports("avx2") != 0;
+  return ok ? &AttnTrainSimd<Lanes4>::kKernels : nullptr;
+}
+
 }  // namespace nnqs::nn::kernels::detail
 
 #else  // compile-time fallback: non-x86 targets or -DNNQS_ENABLE_AVX2=OFF
@@ -154,6 +163,7 @@ RowFn avx2Row() {
 namespace nnqs::nn::kernels::detail {
 
 RowFn avx2Row() { return nullptr; }
+const TrainKernels* avx2Train() { return nullptr; }
 
 }  // namespace nnqs::nn::kernels::detail
 

@@ -13,6 +13,9 @@
 // strided V traffic.  At paper-scale frontiers decodeStep is as much a
 // memory problem as an ALU problem, and this is what keeps the kernel at
 // L3-stream bandwidth.
+//
+// The training-attention kernels are the shared lane-templated body
+// (attn_train_simd.hpp) instantiated on 8-lane vectors.
 
 #include "nn/kernels/attn_row.hpp"
 
@@ -20,6 +23,7 @@
 
 #include <immintrin.h>
 
+#include "nn/kernels/attn_train_simd.hpp"
 #include "nn/kernels/simd_exp.hpp"  // exp8: softmaxExp per lane
 
 namespace nnqs::nn::kernels::detail {
@@ -173,6 +177,12 @@ RowFn avx512Row() {
   return ok ? &avx512RowImpl : nullptr;
 }
 
+const TrainKernels* avx512Train() {
+  static const bool ok = __builtin_cpu_supports("avx512f") != 0 &&
+                         __builtin_cpu_supports("avx512dq") != 0;
+  return ok ? &AttnTrainSimd<Lanes8>::kKernels : nullptr;
+}
+
 }  // namespace nnqs::nn::kernels::detail
 
 #else  // compile-time fallback: non-x86 targets, old compiler, or AVX2 off
@@ -180,6 +190,7 @@ RowFn avx512Row() {
 namespace nnqs::nn::kernels::detail {
 
 RowFn avx512Row() { return nullptr; }
+const TrainKernels* avx512Train() { return nullptr; }
 
 }  // namespace nnqs::nn::kernels::detail
 

@@ -50,6 +50,47 @@ struct DecodeAttnArgs {
 /// Run the decode-attention kernel under the given policy.
 void decodeAttention(const DecodeAttnArgs& args, KernelPolicy policy);
 
+/// One batched causal self-attention problem of the training path (the
+/// full-window forward and its backward; CausalSelfAttention::forward /
+/// forwardTape / backward / backwardTape).  `batch` samples of `window`
+/// rows each; row r of `qkv` holds q | k | v, head h's slice at h*headDim.
+///
+/// Forward reads qkv and writes `attn` (row-softmaxed weights, causal-masked
+/// entries exactly 0) and accumulates the context into `ctx`, which must
+/// arrive zeroed.  Its arithmetic is the decode contract (attn_row.hpp):
+/// ascending-t scores times scale, softmaxNormalize, context = (ascending-j
+/// sum of e_j v_j) * rinv, weights = e_j * rinv — so the teacher-forced
+/// forward and every decode backend produce the same bits.
+///
+/// Backward reads qkv, attn and dCtx and accumulates into `dQkv`, which must
+/// arrive zeroed:
+///   dV_j += a_ij dC_i and dA_ij = dC_i . V_j (ascending t),
+///   dot_i = sum_j a_ij dA_ij (one sequential ascending-j sum),
+///   dS_ij = (a_ij (dA_ij - dot_i)) * scale, skipped where it is exactly 0,
+///   dQ_i += dS_ij K_j (ascending j) and dK_j += dS_ij Q_i (ascending i).
+/// Every backend keeps these per-element operation orders — SIMD lanes are
+/// key positions for scores, dA and dS, features for the context, dV, dQ
+/// and dK — so every KernelPolicy produces identical bits.
+struct AttnTrainArgs {
+  Index batch = 0;
+  Index window = 0;   ///< rows per sample (L)
+  Index heads = 0;
+  Index headDim = 0;  ///< dModel / heads
+  Index dModel = 0;
+  const Real* qkv = nullptr;   ///< [batch*window, 3*dModel]
+  Real* attn = nullptr;        ///< [batch, heads, window, window]: forward
+                               ///< writes, backward reads
+  Real* ctx = nullptr;         ///< [batch*window, dModel], caller-zeroed
+  const Real* dCtx = nullptr;  ///< [batch*window, dModel]
+  Real* dQkv = nullptr;        ///< [batch*window, 3*dModel], caller-zeroed
+  Real scale = 1.0;            ///< 1/sqrt(headDim)
+};
+
+/// Training-attention forward / backward under the given policy (kThreaded
+/// spreads samples over OpenMP threads; kAuto resolves like resolvePolicy).
+void attnTrainForward(const AttnTrainArgs& args, KernelPolicy policy);
+void attnTrainBackward(const AttnTrainArgs& args, KernelPolicy policy);
+
 /// True when the AVX2/FMA kernel is compiled in *and* the CPU supports it
 /// (cpuid probe); kSimd/kThreaded silently fall back to the scalar row kernel
 /// otherwise, preserving bit-identical output.

@@ -297,8 +297,8 @@ Real* Gelu::backwardTape(Tape& tape, const TapeFrame& f, const Real* dy) {
 // ------------------------------------------------------------------ Tanh ---
 
 Tensor TanhAct::forward(const Tensor& x, GradMode mode) {
-  Tensor y = x;
-  for (auto& v : y.data) v = std::tanh(v);
+  Tensor y = Tensor::uninit(x.shape);
+  kernels::tanh(x.data.data(), y.data.data(), x.numel());
   if (mode == GradMode::kRecordTape) {
     cachedY_ = y;
     hasCache_ = true;
@@ -313,7 +313,7 @@ const Real* TanhAct::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
                                  Index n) {
   invalidateBecause(stale::kTapeForward);
   Real* y = tape.alloc(n);
-  for (Index i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
+  kernels::tanh(x, y, n);
   f.y = y;
   f.n = n;
   return y;

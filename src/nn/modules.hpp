@@ -193,7 +193,8 @@ class Gelu : public Module {
   const char* staleReason_ = stale::kNeverRecorded;
 };
 
-/// Tanh, elementwise (phase network).
+/// Tanh, elementwise (phase network), on the kernels::tanh backends
+/// (elementwise.hpp), which PhaseMlp::forwardInto runs too.
 class TanhAct : public Module {
  public:
   explicit TanhAct(std::string name = "tanh") : name_(std::move(name)) {}

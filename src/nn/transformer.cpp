@@ -296,8 +296,8 @@ void PhaseMlp::forwardInto(Workspace& ws, const Real* x, Index rows, Real* out,
   // The caller owns the carve cycle (x itself may be carved from `ws`, so a
   // reset here would let the first layer's destination overlap its input).
   // Layer list is [Linear, Tanh]* + Linear (see the constructor): Linear
-  // layers carve a fresh destination; tanh layers transform it in place (the
-  // same per-element std::tanh as TanhAct::forward, so the bits match).
+  // layers carve a fresh destination; tanh layers transform it in place with
+  // kernels::tanh, as TanhAct::forward does, so the bits match.
   const Real* cur = x;
   Real* curMut = nullptr;
   Index width = 0;
@@ -308,7 +308,7 @@ void PhaseMlp::forwardInto(Workspace& ws, const Real* x, Index rows, Real* out,
       lin->forwardInto(cur, rows, y, policy);
       cur = curMut = y;
     } else if (dynamic_cast<TanhAct*>(l.get()) != nullptr) {
-      for (Index i = 0; i < rows * width; ++i) curMut[i] = std::tanh(curMut[i]);
+      kernels::tanh(curMut, curMut, rows * width, policy);
     } else {
       throw std::logic_error("PhaseMlp::forwardInto: unsupported layer type");
     }

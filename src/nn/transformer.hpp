@@ -257,7 +257,7 @@ class PhaseMlp {
   /// activation is carved from `ws` inside the *caller's* carve cycle (no
   /// reset here).  Bit-identical to forward(GradMode::kInference) — the
   /// Linear layers run the same kernels::gemm and the tanh layers the same
-  /// per-element std::tanh — but performs zero heap allocations once `ws` is
+  /// kernels::tanh — but performs zero heap allocations once `ws` is
   /// warm and, after invalidate(), never writes shared module state: the
   /// serving layer runs this concurrently from many worker threads.
   void forwardInto(Workspace& ws, const Real* x, Index rows, Real* out,

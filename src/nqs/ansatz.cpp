@@ -223,18 +223,36 @@ void QiankunNet::evaluate(const std::vector<Bits128>& samples,
   if (!record) invalidateEvaluate(nn::stale::kInferenceForward);
 }
 
+void QiankunNet::encodePhaseInput(const std::vector<Bits128>& samples, Index t0,
+                                  Index rows, Real* x) const {
+  for (Index b = 0; b < rows; ++b)
+    for (int q = 0; q < cfg_.nQubits; ++q)
+      x[b * cfg_.nQubits + q] =
+          samples[static_cast<std::size_t>(t0 + b)].get(q) ? 1.0 : -1.0;
+}
+
 void QiankunNet::phaseForward(const std::vector<Bits128>& samples,
                               std::vector<Real>& phase, nn::GradMode mode) {
   const Index batch = static_cast<Index>(samples.size());
-  nn::Tensor xin({batch, cfg_.nQubits});
-  for (Index b = 0; b < batch; ++b)
-    for (int q = 0; q < cfg_.nQubits; ++q)
-      xin.data[static_cast<std::size_t>(b * cfg_.nQubits + q)] =
-          samples[static_cast<std::size_t>(b)].get(q) ? 1.0 : -1.0;
-  nn::Tensor ph = phase_.forward(xin, mode);
   phase.resize(samples.size());
-  for (Index b = 0; b < batch; ++b)
-    phase[static_cast<std::size_t>(b)] = ph.data[static_cast<std::size_t>(b)];
+  if (mode == nn::GradMode::kRecordTape) {
+    nn::Tensor xin = nn::Tensor::uninit({batch, cfg_.nQubits});
+    encodePhaseInput(samples, 0, batch, xin.data.data());
+    nn::Tensor ph = phase_.forward(xin, mode);
+    std::copy(ph.data.begin(), ph.data.end(), phase.begin());
+    return;
+  }
+  // Inference runs in row tiles on the net's workspace.  GEMM rows and tanh
+  // elements do not depend on the rest of the batch, so the tiles give the
+  // whole-batch forward's bits, and a warm call allocates nothing.
+  const Index tile = nn::TransformerAR::kEvalTileRows;
+  for (Index t0 = 0; t0 < batch; t0 += tile) {
+    const Index tb = std::min(tile, batch - t0);
+    phaseWs_.reset();
+    Real* xin = phaseWs_.alloc(tb * cfg_.nQubits);
+    encodePhaseInput(samples, t0, tb, xin);
+    phase_.forwardInto(phaseWs_, xin, tb, phase.data() + t0, evalKernel_);
+  }
 }
 
 void QiankunNet::phases(const std::vector<Bits128>& samples,
@@ -390,10 +408,7 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
     // Phase MLP, tiled the same way (disjoint parameter set, so interleaving
     // amplitude/phase tiles preserves each parameter's ascending-row fold).
     Real* xin = gradTape_.alloc(tb * cfg_.nQubits);
-    for (Index b = 0; b < tb; ++b)
-      for (int q = 0; q < cfg_.nQubits; ++q)
-        xin[b * cfg_.nQubits + q] =
-            samples[static_cast<std::size_t>(t0 + b)].get(q) ? 1.0 : -1.0;
+    encodePhaseInput(samples, t0, tb, xin);
     phase_.forwardTape(gradTape_, phaseFrame_, xin, tb);
     Real* dPh = gradTape_.alloc(tb);
     for (Index b = 0; b < tb; ++b)
@@ -440,10 +455,7 @@ void QiankunNet::evaluateInto(EvalSlot& slot, const std::vector<Bits128>& sample
   // raw workspace path (forwardInto) so no shared tensors are built.
   slot.phaseWs.reset();
   Real* xin = slot.phaseWs.alloc(batch * cfg_.nQubits);
-  for (Index b = 0; b < batch; ++b)
-    for (int q = 0; q < cfg_.nQubits; ++q)
-      xin[b * cfg_.nQubits + q] =
-          samples[static_cast<std::size_t>(b)].get(q) ? 1.0 : -1.0;
+  encodePhaseInput(samples, 0, batch, xin);
   phase.resize(samples.size());
   phase_.forwardInto(slot.phaseWs, xin, batch, phase.data(), kernel);
 }

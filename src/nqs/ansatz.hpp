@@ -262,9 +262,15 @@ class QiankunNet {
                         std::vector<Real>& logAmp);
 
   /// The phase-MLP forward shared by evaluate() and phases(): +-1 encode the
-  /// qubit strings, run the MLP, copy the scalar outputs.
+  /// qubit strings and run the MLP — recording through the Tensor path, or
+  /// for inference in kEvalTileRows-row tiles through PhaseMlp::forwardInto
+  /// on phaseWs_ (allocation-free once warm).
   void phaseForward(const std::vector<Bits128>& samples,
                     std::vector<Real>& phase, nn::GradMode mode);
+  /// The phase MLP's input: samples [t0, t0 + rows) +-1 encoded into
+  /// x [rows, nQubits].
+  void encodePhaseInput(const std::vector<Bits128>& samples, Index t0, Index rows,
+                        Real* x) const;
 
   /// d ln|Psi| / d logits for one (sample, position): dl[4] must arrive
   /// zeroed; pr[4] are that position's masked conditionals.  The single
@@ -301,13 +307,14 @@ class QiankunNet {
   nn::TransformerAR::TapeFrame ampFrame_;
   nn::PhaseMlp::TapeFrame phaseFrame_;
   // Persistent evaluation scratch: the decode state (KV arena + workspace),
-  // the marshalled input tokens, and the per-row (up, down) running counts.
-  // All re-use their capacity, so the warm decode-path *amplitude* sweep of
-  // any batch size allocates nothing (the contract BM_Evaluate asserts); the
-  // phase MLP still builds its input/output tensors per call.
+  // the marshalled input tokens, the per-row (up, down) running counts and
+  // the phase MLP's tile workspace.  All re-use their capacity, so a warm
+  // inference evaluate()/phases() of any batch size allocates nothing
+  // (BM_Evaluate asserts it for the amplitude sweep, test_sweep for phases()).
   nn::DecodeState evalState_;
   std::vector<int> evalTokens_;
   std::vector<int> evalUp_, evalDown_;
+  nn::Workspace phaseWs_;
   // Backward caches.  cachedBatch_ == -1 means "no cached forward"; an empty
   // cached batch (0) makes backward a no-op so ranks that received no samples
   // still participate in the gradient collectives with zero contributions.

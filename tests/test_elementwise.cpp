@@ -1,7 +1,8 @@
-// Elementwise kernel backends (kernels::gelu / residualLayerNorm and their
-// backwards): exact (tolerance-0) agreement between the scalar reference and
-// the vectorized/threaded backends on ragged shapes, the branch-free kernel
-// tanh's accuracy, and the Workspace arena's carve/reuse/grow behaviour.
+// Elementwise kernel backends (kernels::tanh / gelu / residualLayerNorm and
+// their backwards): exact (tolerance-0) agreement between the scalar
+// reference and the vectorized/threaded backends on ragged shapes, the
+// branch-free kernel tanh's accuracy, and the Workspace arena's
+// carve/reuse/grow behaviour.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,9 @@
 
 #include "common/rng.hpp"
 #include "nn/kernels/elementwise.hpp"
+#include "nn/kernels/gemm.hpp"
 #include "nn/modules.hpp"
+#include "nn/transformer.hpp"
 #include "nn/workspace.hpp"
 
 using namespace nnqs;
@@ -50,6 +53,45 @@ TEST(ElementwiseKernels, KernelTanhTracksStdTanh) {
   EXPECT_EQ(kernels::kernelTanh(-400.0), -1.0);
   EXPECT_EQ(kernels::kernelTanh(1e308), 1.0);
   EXPECT_EQ(kernels::kernelTanh(-1e308), -1.0);
+}
+
+TEST(ElementwiseKernels, TanhBackendsBitIdenticalOnRaggedSizes) {
+  // kernels::tanh is kernelTanh per element under every policy, in place
+  // too, on sizes straddling the SIMD widths, the chunk and the thread
+  // threshold, with the saturating and signed-zero inputs planted in the
+  // vector bodies as well as the scalar tails.
+  Rng rng(405);
+  const Real special[] = {0.0, -0.0, 400.0, -400.0, 1e308, -1e308};
+  for (Index n : {Index{1}, Index{3}, Index{7}, Index{9}, Index{33}, Index{255},
+                  Index{4099}, Index{1} << 15}) {
+    auto x = randomVec(rng, static_cast<std::size_t>(n), 4.0);
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] = i % 5 == 0 ? special[i % 6] : x[i];
+    std::vector<Real> ref(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) ref[i] = kernels::kernelTanh(x[i]);
+    for (auto policy : kAllPolicies) {
+      std::vector<Real> y(x.size());
+      kernels::tanh(x.data(), y.data(), n, policy);
+      expectBitIdentical(ref, y, "tanh");
+      std::vector<Real> inplace = x;
+      kernels::tanh(inplace.data(), inplace.data(), n, policy);
+      expectBitIdentical(ref, inplace, "tanh in-place");
+      for (std::size_t i = 0; i < x.size(); ++i) {  // +-0 keep their sign
+        if (x[i] == 0.0) {
+          EXPECT_EQ(std::signbit(y[i]), std::signbit(x[i]));
+        }
+      }
+    }
+  }
+  const Real in[] = {0.0, -0.0, 400.0, -400.0, 1e308, -1e308};
+  const Real want[] = {0.0, -0.0, 1.0, -1.0, 1.0, -1.0};
+  for (auto policy : kAllPolicies) {
+    Real out[6];
+    kernels::tanh(in, out, 6, policy);
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_EQ(out[i], want[i]) << "x = " << in[i];
+      EXPECT_EQ(std::signbit(out[i]), std::signbit(want[i])) << "x = " << in[i];
+    }
+  }
 }
 
 TEST(ElementwiseKernels, GeluKnownValuesAndGradient) {
@@ -231,6 +273,46 @@ TEST(ElementwiseKernels, ModulesRunOnTheKernels) {
                          {ln.beta.value.data.begin(), ln.beta.value.data.end()},
                          KernelPolicy::kScalar, false);
   for (std::size_t i = 0; i < ref.y.size(); ++i) EXPECT_EQ(ly.data[i], ref.y[i]);
+}
+
+TEST(ElementwiseKernels, TanhPathsAgreeBitForBit) {
+  // TanhAct's Tensor and tape forwards and PhaseMlp::forwardInto's in-place
+  // tanh all run kernels::tanh, so the phase MLP's three forwards (Tensor,
+  // tape, raw workspace) give the same bits.
+  Rng rng(409);
+  TanhAct t;
+  Tensor x({5, 9});
+  x.randn(rng, 3.0);
+  const Tensor y = t.forward(x, GradMode::kInference);
+  Tape tape;
+  tape.reset();
+  TanhAct::TapeFrame tf;
+  const Real* yTape = t.forwardTape(tape, tf, x.data.data(), x.numel());
+  for (Index i = 0; i < x.numel(); ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    EXPECT_EQ(y.data[k], kernels::kernelTanh(x.data[k])) << i;
+    EXPECT_EQ(yTape[i], y.data[k]) << i;
+  }
+
+  // The MLP's GEMMs are row-independent only on the in-tree kernels.
+  if (kernels::gemmUsesBlas()) GTEST_SKIP() << "BLAS GEMM route is not bit-identical";
+  PhaseMlp mlp(6, 16, 2, rng);
+  const Index rows = 37;
+  Tensor xin({rows, 6});
+  xin.randn(rng, 1.0);
+  const Tensor ph = mlp.forward(xin, GradMode::kInference);
+  tape.reset();
+  PhaseMlp::TapeFrame pf;
+  const Real* phTape = mlp.forwardTape(tape, pf, xin.data.data(), rows);
+  Workspace ws;
+  ws.reset();
+  std::vector<Real> phInto(static_cast<std::size_t>(rows));
+  mlp.forwardInto(ws, xin.data.data(), rows, phInto.data(), KernelPolicy::kSimd);
+  for (Index r = 0; r < rows; ++r) {
+    const auto k = static_cast<std::size_t>(r);
+    EXPECT_EQ(phTape[r], ph.data[k]) << r;
+    EXPECT_EQ(phInto[k], ph.data[k]) << r;
+  }
 }
 
 // ------------------------------------------------------------- Workspace ---

@@ -1,14 +1,18 @@
-// Decode-attention kernel backends: exact (tolerance-0) agreement between the
-// scalar reference kernel and the vectorized/threaded backends on randomized
-// shapes, the shared softmax exp, and the arena-backed DecodeState gather.
+// Attention kernel backends: exact (tolerance-0) agreement between the scalar
+// reference kernels and the vectorized/threaded backends on randomized
+// shapes — decode attention and the training forward/backward — the shared
+// softmax exp, and the arena-backed DecodeState gather.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -136,6 +140,125 @@ TEST(Kernels, PolicyNamesAndResolution) {
   EXPECT_EQ(kernels::resolvePolicy(KernelPolicy::kAuto, 1, 4), KernelPolicy::kSimd);
   EXPECT_EQ(kernels::resolvePolicy(KernelPolicy::kAuto, 256, 4), KernelPolicy::kThreaded);
   EXPECT_EQ(kernels::resolvePolicy(KernelPolicy::kScalar, 256, 4), KernelPolicy::kScalar);
+}
+
+namespace {
+
+/// A training-attention problem (kernels::AttnTrainArgs): random q|k|v rows
+/// and context gradients for `batch` samples of `window` rows.
+struct TrainProblem {
+  Index batch, window, heads, headDim, dModel;
+  std::vector<Real> qkv, dCtx;
+
+  TrainProblem(Index b, Index L, Index h, Index hd, Rng& rng)
+      : batch(b), window(L), heads(h), headDim(hd), dModel(h * hd),
+        qkv(static_cast<std::size_t>(b * L * 3 * h * hd)),
+        dCtx(static_cast<std::size_t>(b * L * h * hd)) {
+    for (auto& x : qkv) x = rng.normal();
+    for (auto& x : dCtx) x = rng.normal();
+  }
+
+  [[nodiscard]] kernels::AttnTrainArgs args() const {
+    kernels::AttnTrainArgs a;
+    a.batch = batch;
+    a.window = window;
+    a.heads = heads;
+    a.headDim = headDim;
+    a.dModel = dModel;
+    a.qkv = qkv.data();
+    a.dCtx = dCtx.data();
+    a.scale = 1.0 / std::sqrt(static_cast<Real>(headDim));
+    return a;
+  }
+
+  /// Forward: (attn weights, context).  The weights start as NaN so an
+  /// entry a backend forgets to write cannot pass.
+  [[nodiscard]] std::pair<std::vector<Real>, std::vector<Real>> forward(
+      KernelPolicy policy) const {
+    std::vector<Real> attn(static_cast<std::size_t>(batch * heads * window * window),
+                           std::numeric_limits<Real>::quiet_NaN());
+    std::vector<Real> ctx(static_cast<std::size_t>(batch * window * dModel), 0.0);
+    kernels::AttnTrainArgs a = args();
+    a.attn = attn.data();
+    a.ctx = ctx.data();
+    kernels::attnTrainForward(a, policy);
+    return {attn, ctx};
+  }
+
+  [[nodiscard]] std::vector<Real> backward(std::vector<Real> attn,
+                                           KernelPolicy policy) const {
+    std::vector<Real> dQkv(qkv.size(), 0.0);
+    kernels::AttnTrainArgs a = args();
+    a.attn = attn.data();
+    a.dQkv = dQkv.data();
+    kernels::attnTrainBackward(a, policy);
+    return dQkv;
+  }
+};
+
+/// Bitwise equality (tolerance 0; also tells -0.0 from +0.0).
+bool sameBits(const std::vector<Real>& a, const std::vector<Real>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(Real)) == 0);
+}
+
+constexpr KernelPolicy kNonScalarPolicies[] = {
+    KernelPolicy::kSimd, KernelPolicy::kThreaded, KernelPolicy::kAuto};
+
+}  // namespace
+
+TEST(TrainAttention, BackendsBitIdenticalOnRaggedShapes) {
+  // Window lengths straddling both lane widths, head widths below, at and
+  // above a vector, single- and multi-head, empty and ragged batches.
+  Rng rng(77);
+  for (Index L : {1, 7, 8, 9, 19, 33})
+    for (Index hd : {1, 3, 4, 8})
+      for (Index heads : {1, 4})
+        for (Index batch : {0, 1, 5}) {
+          const TrainProblem p(batch, L, heads, hd, rng);
+          const auto ref = p.forward(KernelPolicy::kScalar);
+          const auto refGrad = p.backward(ref.first, KernelPolicy::kScalar);
+          for (auto policy : kNonScalarPolicies) {
+            const auto got = p.forward(policy);
+            const std::string what = std::string(kernels::kernelPolicyName(policy)) +
+                                     " L=" + std::to_string(L) + " hd=" +
+                                     std::to_string(hd) + " heads=" +
+                                     std::to_string(heads) + " batch=" +
+                                     std::to_string(batch);
+            EXPECT_TRUE(sameBits(ref.first, got.first)) << "weights " << what;
+            EXPECT_TRUE(sameBits(ref.second, got.second)) << "context " << what;
+            EXPECT_TRUE(sameBits(refGrad, p.backward(ref.first, policy)))
+                << "dQkv " << what;
+          }
+        }
+}
+
+TEST(TrainAttention, UnderflowedWeightsTakeTheZeroGradientSkip) {
+  // Keys alternate between +-30 along every feature against queries of 30,
+  // so scores differ by thousands: the weights of the negative keys
+  // underflow to exactly 0, and their dS is exactly 0 (the skipped terms).
+  Rng rng(5);
+  TrainProblem p(2, 9, 2, 4, rng);
+  const Index d = p.dModel;
+  for (Index r = 0; r < p.batch * p.window; ++r)
+    for (Index t = 0; t < d; ++t) {
+      p.qkv[static_cast<std::size_t>(r * 3 * d + t)] = 30.0;
+      p.qkv[static_cast<std::size_t>(r * 3 * d + d + t)] = (r % 2 == 0) ? 30.0 : -30.0;
+    }
+  const auto ref = p.forward(KernelPolicy::kScalar);
+  Index zeros = 0;
+  for (Index i = 0; i < p.window; ++i)
+    for (Index j = 0; j <= i; ++j)
+      zeros += ref.first[static_cast<std::size_t>(i * p.window + j)] == 0.0 ? 1 : 0;
+  EXPECT_GT(zeros, 0) << "no in-window weight underflowed";
+  const auto refGrad = p.backward(ref.first, KernelPolicy::kScalar);
+  for (auto policy : kNonScalarPolicies) {
+    const auto got = p.forward(policy);
+    EXPECT_TRUE(sameBits(ref.first, got.first)) << kernels::kernelPolicyName(policy);
+    EXPECT_TRUE(sameBits(ref.second, got.second)) << kernels::kernelPolicyName(policy);
+    EXPECT_TRUE(sameBits(refGrad, p.backward(ref.first, policy)))
+        << kernels::kernelPolicyName(policy);
+  }
 }
 
 namespace {

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
+#include "nn/attention.hpp"
 #include "nn/modules.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/transformer.hpp"
@@ -111,6 +113,37 @@ TEST(TransformerAR, PrefixWindowConsistency) {
     for (int t = 0; t < 4; ++t)
       EXPECT_NEAR(part.data[(w - 1) * 4 + t], all.data[(w - 1) * 4 + t], 1e-10);
   }
+}
+
+TEST(ShapeCheck, AttentionRejectsRaggedWindows) {
+  // 11 rows are not a whole number of 5-row windows: the stray row would be
+  // computed from a zero attention context.  Both attention forwards, and
+  // the transformer through them, must name the module, rows and window.
+  Rng rng(8);
+  const auto expectMessage = [](const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << "no std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(".attn"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("11 rows"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("windows of 5"), std::string::npos) << msg;
+    }
+  };
+  TransformerAR net(5, 16, 4, 2, rng);
+  const std::vector<int> tokens = {4, 0, 3, 1, 2, 4, 1, 1, 0, 3, 2};
+  expectMessage([&] { net.forward(tokens, 5, GradMode::kInference); });
+
+  CausalSelfAttention attn(16, 4, 5, rng, "blk.attn");
+  Tensor x({11, 16});
+  expectMessage([&] { attn.forward(x, GradMode::kInference); });
+  Tape tape;
+  CausalSelfAttention::TapeFrame frame;
+  expectMessage([&] { attn.forwardTape(tape, frame, x.data.data(), 11); });
+  // Whole windows still run.
+  Tensor ok({10, 16});
+  EXPECT_EQ(attn.forward(ok, GradMode::kInference).numel(), 10 * 16);
 }
 
 // ---- stale-cache regression: a cache=false forward invalidates the cache,

@@ -3,6 +3,8 @@
 // fused ln|Psi| equal to a separate evaluate() bit for bit; zero heap
 // allocations on a warm fused sweep; and the cumulative SweepStats invariant
 // (tiling moves zero K/V bytes beyond the untiled sweep's split copies).
+// Plus the sweep's phase complement, QiankunNet::phases(): equal to
+// evaluate()'s phase bit for bit and allocation-free once warm.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +30,19 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
+// The nothrow forms (std::stable_sort's temporary buffer) must come from the
+// same malloc: sanitizers replace any form left undefined with their own
+// allocator, which the free-based deletes below then mismatch.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return ::operator new(n, std::nothrow);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -240,4 +255,55 @@ TEST(Sweep, WarmFusedSweepIsAllocationFree) {
   const std::uint64_t sweepAllocs = allocationCount() - allocs0;
   EXPECT_EQ(s.totalWeight(), opts.nSamples);
   EXPECT_EQ(sweepAllocs, 0u);
+}
+
+namespace {
+
+std::vector<Bits128> randomStrings(std::size_t n, int nQubits, Rng& rng) {
+  std::vector<Bits128> out(n);
+  for (auto& s : out)
+    for (int q = 0; q < nQubits; ++q) s.set(q, rng.below(2) == 1);
+  return out;
+}
+
+}  // namespace
+
+TEST(Sweep, PhasesMatchEvaluateAcrossTileEdges) {
+  // phases() — the complement of the fused sweep's ln|Psi| — runs the phase
+  // MLP in 256-row tiles; rows are independent, so it must equal both
+  // evaluate() paths (the recording whole-batch Tensor forward and the
+  // inference one) bit for bit, on either side of a tile edge and empty.
+  NNQS_SKIP_IF_BLAS();
+  QiankunNet net(smallConfig(12, 3, 3));
+  Rng rng(19);
+  for (std::size_t batch : {0, 1, 255, 256, 257, 3000}) {
+    const auto samples = randomStrings(batch, 12, rng);
+    std::vector<Real> phase, la, phRecord, phInfer;
+    net.phases(samples, phase);
+    net.evaluate(samples, la, phRecord, nn::GradMode::kRecordTape);
+    net.evaluate(samples, la, phInfer, nn::GradMode::kInference);
+    ASSERT_EQ(phase.size(), batch);
+    ASSERT_EQ(phRecord.size(), batch);
+    for (std::size_t i = 0; i < batch; ++i) {
+      EXPECT_EQ(phase[i], phRecord[i]) << "batch " << batch << " row " << i;
+      EXPECT_EQ(phase[i], phInfer[i]) << "batch " << batch << " row " << i;
+    }
+  }
+}
+
+TEST(Sweep, WarmPhasesIsAllocationFree) {
+  // The tile workspace and the output vector keep their capacity, so a warm
+  // phases() call of the same batch performs zero heap allocations (fixed
+  // SIMD kernel: a threaded backend's OpenMP runtime is outside the net).
+  QiankunNet net(smallConfig(12, 3, 3));
+  exec::ExecutionPolicy ex;
+  ex.kernel = nn::kernels::KernelPolicy::kSimd;
+  net.setEvalPolicy(ex);
+  Rng rng(23);
+  const auto samples = randomStrings(3000, 12, rng);
+  std::vector<Real> phase;
+  net.phases(samples, phase);
+  const std::uint64_t allocs0 = allocationCount();
+  net.phases(samples, phase);
+  EXPECT_EQ(allocationCount() - allocs0, 0u);
 }
