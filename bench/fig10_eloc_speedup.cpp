@@ -1,13 +1,13 @@
 // Fig. 10 of the paper: speedup of the local-energy engine as the
 // optimizations are stacked — SA+FUSE, +LUT, +threads ("GPU" in the paper),
-// and the batched merge-join engine (+BAT1 single-thread, +BAT threaded) —
+// and the batched hashed-probe engine (+BAT1 single-thread, +BAT threaded) —
 // against a bare baseline that evaluates psi(x') with a fresh network
 // inference per coupled state and uses no fusion / no lookup table.
 //
 // Per-sample runtimes are measured on BAS-generated unique samples of C2
 // (default) and, with --all, LiCl and C2H4O as in the paper.  The batched
-// engine's observability counters (prefilter rejects, merge-join probes,
-// hits, cross-sample dedup, per-tile term spread) are printed per molecule.
+// engine's observability counters (prefilter rejects, index probes, hits,
+// per-tile term spread) are printed per molecule.
 
 #include <omp.h>
 
@@ -116,12 +116,10 @@ int main(int argc, char** argv) {
                 m.perSampleSec[0] / m.perSampleSec[4],
                 m.perSampleSec[0] / m.perSampleSec[5]);
     std::printf("        eloc stats: terms=%llu rejected=%llu probes=%llu "
-                "dedup=%llu (%.0f%%) hits=%llu tiles=%llu tileTerms=%llu..%llu\n",
+                "hits=%llu tiles=%llu tileTerms=%llu..%llu\n",
                 static_cast<unsigned long long>(m.stats.termsEnumerated),
                 static_cast<unsigned long long>(m.stats.filterRejected),
                 static_cast<unsigned long long>(m.stats.lutProbes),
-                static_cast<unsigned long long>(m.stats.dedupedProbes),
-                100.0 * m.stats.dedupFraction(),
                 static_cast<unsigned long long>(m.stats.lutHits),
                 static_cast<unsigned long long>(m.stats.nTiles),
                 static_cast<unsigned long long>(m.stats.tileTermsMin),

@@ -811,7 +811,7 @@ BENCHMARK(BM_LocalEnergySample);
 
 // The batched local-energy engine vs. the per-sample LUT engines at the
 // fig10 acceptance shape (C2, N_s = 2^14).  Impl 0/1 are the per-sample
-// binary-search engines (serial / OpenMP), 2/3 the batched merge-join engine
+// binary-search engines (serial / OpenMP), 2/3 the batched hashed-probe engine
 // (single-thread / threaded); the 0-vs-2 and 1-vs-3 time ratios are the
 // batched-engine speedups quoted in the README (>= 2x acceptance bar at
 // equal thread budget).  The warm-up run doubles as a correctness gate
@@ -871,7 +871,6 @@ void BM_ElocBatched(benchmark::State& state) {
   }
   if (impl >= 2) {
     state.counters["allocs/run"] = static_cast<double>(lastRunAllocs);
-    state.counters["dedup%"] = 100.0 * stats.dedupFraction();
     state.counters["hit%"] =
         100.0 * static_cast<double>(stats.lutHits) /
         static_cast<double>(stats.termsEnumerated);

@@ -109,7 +109,7 @@ struct Bits128Hash {
   }
 };
 
-/// Batched Bits128 kernels (XOR term application, AND-parity sign streams)
+/// Batched Bits128 kernels (AND-parity sign streams)
 /// over contiguous arrays — the bit-level inner loops of the batched
 /// local-energy engine.  Same backend contract as src/nn/kernels: a scalar
 /// reference is the ground truth, the AVX2/AVX-512 variants (runtime cpuid
@@ -119,17 +119,12 @@ struct Bits128Hash {
 /// survives future fancier kernels.
 namespace batch {
 
-/// out[i] = xs[i] ^ mask for i in [0, n): applies one Hamiltonian-group XY
-/// mask to a block of samples, yielding the coupled configurations.
-void xorMask(const Bits128* xs, std::size_t n, Bits128 mask, Bits128* out);
-
 /// out[i] = parity(popcount(xs[i] & mask)) as a 0/1 byte: the Pauli
 /// sign-stream of one YZ mask over a block of samples.
 void parityAndMask(const Bits128* xs, std::size_t n, Bits128 mask,
                    unsigned char* out);
 
 /// Scalar reference implementations (ground truth of the backend contract).
-void xorMaskScalar(const Bits128* xs, std::size_t n, Bits128 mask, Bits128* out);
 void parityAndMaskScalar(const Bits128* xs, std::size_t n, Bits128 mask,
                          unsigned char* out);
 

@@ -8,11 +8,6 @@
 
 namespace nnqs::batch {
 
-void xorMaskScalar(const Bits128* xs, std::size_t n, Bits128 mask,
-                   Bits128* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = xs[i] ^ mask;
-}
-
 void parityAndMaskScalar(const Bits128* xs, std::size_t n, Bits128 mask,
                          unsigned char* out) {
   for (std::size_t i = 0; i < n; ++i)
@@ -22,9 +17,10 @@ void parityAndMaskScalar(const Bits128* xs, std::size_t n, Bits128 mask,
 namespace {
 
 detail::Backend resolveBackend() {
-  if (const auto b = detail::avx512Backend(); b.xorMask != nullptr) return b;
-  if (const auto b = detail::avx2Backend(); b.xorMask != nullptr) return b;
-  return {&xorMaskScalar, &parityAndMaskScalar, "scalar"};
+  if (const auto b = detail::avx512Backend(); b.parityAndMask != nullptr)
+    return b;
+  if (const auto b = detail::avx2Backend(); b.parityAndMask != nullptr) return b;
+  return {&parityAndMaskScalar, "scalar"};
 }
 
 const detail::Backend& backend() {
@@ -33,10 +29,6 @@ const detail::Backend& backend() {
 }
 
 }  // namespace
-
-void xorMask(const Bits128* xs, std::size_t n, Bits128 mask, Bits128* out) {
-  backend().xorMask(xs, n, mask, out);
-}
 
 void parityAndMask(const Bits128* xs, std::size_t n, Bits128 mask,
                    unsigned char* out) {

@@ -2,7 +2,7 @@
 //
 // Built with -mavx2; nothing here executes unless the cpuid probe in
 // avx2Backend() reports AVX2 support (NNQS_ENABLE_AVX2 off compiles this file
-// to just the empty fallback).  All operations are integer (XOR, AND, shift),
+// to just the empty fallback).  All operations are integer (AND, XOR, shift),
 // so bit-identity with the scalar reference in bits_batch.cpp is structural.
 //
 // The AND-parity kernel folds each 64-bit lane to its parity with the
@@ -18,20 +18,6 @@
 namespace nnqs::batch::detail {
 
 namespace {
-
-void xorMaskAvx2(const Bits128* xs, std::size_t n, Bits128 mask, Bits128* out) {
-  const __m256i m = _mm256_set_epi64x(
-      static_cast<long long>(mask.hi), static_cast<long long>(mask.lo),
-      static_cast<long long>(mask.hi), static_cast<long long>(mask.lo));
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xs + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_xor_si256(v, m));
-  }
-  for (; i < n; ++i) out[i] = xs[i] ^ mask;
-}
 
 /// Per-64-bit-lane parity in bit 0 of each lane.
 inline __m256i laneParity(__m256i v) {
@@ -68,7 +54,7 @@ void parityAndMaskAvx2(const Bits128* xs, std::size_t n, Bits128 mask,
 Backend avx2Backend() {
   static const bool ok = __builtin_cpu_supports("avx2") != 0;
   if (!ok) return {};
-  return {&xorMaskAvx2, &parityAndMaskAvx2, "avx2"};
+  return {&parityAndMaskAvx2, "avx2"};
 }
 
 }  // namespace nnqs::batch::detail

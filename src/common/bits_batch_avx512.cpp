@@ -23,17 +23,6 @@ inline __m512i maskVector(Bits128 mask) {
       static_cast<long long>(mask.hi), static_cast<long long>(mask.lo));
 }
 
-void xorMaskAvx512(const Bits128* xs, std::size_t n, Bits128 mask,
-                   Bits128* out) {
-  const __m512i m = maskVector(mask);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m512i v = _mm512_loadu_si512(xs + i);
-    _mm512_storeu_si512(out + i, _mm512_xor_si512(v, m));
-  }
-  for (; i < n; ++i) out[i] = xs[i] ^ mask;
-}
-
 /// Per-64-bit-lane parity in bit 0 of each lane.
 inline __m512i laneParity(__m512i v) {
   v = _mm512_xor_si512(v, _mm512_srli_epi64(v, 32));
@@ -67,7 +56,7 @@ void parityAndMaskAvx512(const Bits128* xs, std::size_t n, Bits128 mask,
 Backend avx512Backend() {
   static const bool ok = __builtin_cpu_supports("avx512f") != 0;
   if (!ok) return {};
-  return {&xorMaskAvx512, &parityAndMaskAvx512, "avx512"};
+  return {&parityAndMaskAvx512, "avx512"};
 }
 
 }  // namespace nnqs::batch::detail

@@ -2,7 +2,7 @@
 
 // Internal backend table of the batched Bits128 kernels (common/bits.hpp,
 // namespace nnqs::batch).  Each SIMD translation unit exports a probe that
-// returns its kernel pair when both compiled in and supported by the CPU,
+// returns its kernels when both compiled in and supported by the CPU,
 // nullptr otherwise — the same runtime-dispatch pattern as
 // nn/kernels/attn_row.hpp.
 
@@ -12,16 +12,14 @@
 
 namespace nnqs::batch::detail {
 
-using XorFn = void (*)(const Bits128*, std::size_t, Bits128, Bits128*);
 using ParityFn = void (*)(const Bits128*, std::size_t, Bits128, unsigned char*);
 
 struct Backend {
-  XorFn xorMask = nullptr;
   ParityFn parityAndMask = nullptr;
   const char* name = nullptr;
 };
 
-/// AVX2 kernels; {nullptr, nullptr, nullptr} when not compiled in or the CPU
+/// AVX2 kernels; {nullptr, nullptr} when not compiled in or the CPU
 /// lacks AVX2.
 Backend avx2Backend();
 /// AVX-512F kernels; same fallback convention.

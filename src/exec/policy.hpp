@@ -44,10 +44,11 @@ enum class KernelPolicy {
 ///  - kSaFuseLut: + the sorted integer lookup table (binary search).
 ///  - kSaFuseLutParallel: + thread parallelism over samples (Algorithm 2 with
 ///    OpenMP threads standing in for the CUDA kernel).
-///  - kBatched: the batched SIMD engine (vmc/eloc_kernels.hpp) — (sample-tile
-///    x term-block) work shape, batched XOR/parity kernels, sorted merge-join
-///    LUT probes with cross-sample dedup, tiles dynamically scheduled by
-///    realized term work.  Per-sample results identical to kSaFuseLut.
+///  - kBatched: the batched engine (vmc/eloc_kernels.hpp) — sample tiles,
+///    an XOR-linear hash with a blocked Bloom prefilter and a hashed LUT
+///    index (no sort), batched parity kernels for the coefficients, tiles
+///    dynamically scheduled by realized term work.  Per-sample results
+///    identical to kSaFuseLut.
 enum class ElocMode {
   kBaseline,
   kSaFuse,

@@ -1,7 +1,6 @@
 #include "ops/jordan_wigner.hpp"
 
 #include <cmath>
-#include <omp.h>
 #include <unordered_map>
 
 #include "common/logging.hpp"
@@ -19,10 +18,6 @@ void accumulate(TermMap& map, const PauliSum& sum, Complex scale) {
     if (v == Complex{0, 0}) continue;
     map[t.string] += v;
   }
-}
-
-void mergeInto(TermMap& dst, const TermMap& src) {
-  for (const auto& [key, val] : src) dst[key] += val;
 }
 
 }  // namespace
@@ -59,28 +54,23 @@ SpinHamiltonian jordanWigner(const scf::MoIntegrals& mo, Real cutoff) {
   for (int p = 0; p < nso; ++p)
     for (int q = p + 1; q < nso; ++q) pairs.emplace_back(p, q);
 
-  const int nThreads = omp_get_max_threads();
-  std::vector<TermMap> partial(static_cast<std::size_t>(nThreads));
-
-#pragma omp parallel
-  {
-    TermMap& local = partial[static_cast<std::size_t>(omp_get_thread_num())];
-    local.reserve(1 << 14);
-#pragma omp for schedule(dynamic, 8)
-    for (std::size_t ip = 0; ip < pairs.size(); ++ip) {
-      const auto [p, q] = pairs[ip];
-      const PauliSum bra = multiply(jwLadder(p, true), jwLadder(q, true));
-      for (const auto& [r, s] : pairs) {
-        // <pq||rs> with physicist <pq|rs> = (pr|qs) delta-spin.
-        const Real anti = mo.eriSoAnti(p, q, r, s);
-        if (std::abs(anti) < cutoff) continue;
-        // a+_p a+_q a_s a_r  (note operator order: s before r).
-        const PauliSum ket = multiply(jwLadder(s, false), jwLadder(r, false));
-        accumulate(local, multiply(bra, ket), anti);
-      }
+  // Summed serially in ascending pair order into one map, then merged once
+  // into the one-body map: each coefficient's rounding is then fixed, so the
+  // Hamiltonian is bit-identical across runs and thread counts.
+  TermMap twoBody;
+  twoBody.reserve(1 << 14);
+  for (const auto& [p, q] : pairs) {
+    const PauliSum bra = multiply(jwLadder(p, true), jwLadder(q, true));
+    for (const auto& [r, s] : pairs) {
+      // <pq||rs> with physicist <pq|rs> = (pr|qs) delta-spin.
+      const Real anti = mo.eriSoAnti(p, q, r, s);
+      if (std::abs(anti) < cutoff) continue;
+      // a+_p a+_q a_s a_r  (note operator order: s before r).
+      const PauliSum ket = multiply(jwLadder(s, false), jwLadder(r, false));
+      accumulate(twoBody, multiply(bra, ket), anti);
     }
   }
-  for (const auto& part : partial) mergeInto(total, part);
+  for (const auto& [key, val] : twoBody) total[key] += val;
 
   SpinHamiltonian h;
   h.nQubits = nso;

@@ -178,7 +178,20 @@ Index AmplitudeServer::claimBatch(Worker& wk) {
   return rows;
 }
 
+void AmplitudeServer::warmSlot(Worker& wk) {
+  // One maxBatch-row evaluate sizes the slot's token and up/down rows, its
+  // decode state and phase workspace, and this thread's kernel scratch to
+  // the batch ceiling, so no coalesced batch can grow them later.  The rows
+  // are placeholders and the results are discarded.
+  wk.configs.assign(static_cast<std::size_t>(opts_.maxBatch), Bits128{});
+  net_->evaluateInto(wk.slot, wk.configs, wk.logAmp, wk.phase, opts_.kernel,
+                     opts_.tileRows);
+  wk.configs.clear();
+  wk.slot.phaseWs.reset();  // fold the warm-up's overflow into one block
+}
+
 void AmplitudeServer::workerLoop(Worker& wk) {
+  warmSlot(wk);
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
     workCv_.wait(lk, [&] { return stopping_ || (count_ > 0 && !paused_); });

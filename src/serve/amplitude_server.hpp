@@ -11,8 +11,10 @@
 // request has waited `maxDelayUs`, whichever comes first (during shutdown the
 // queue drains immediately).  Each worker evaluates on its own
 // QiankunNet::EvalSlot — the PR 5 per-thread-state isolation pattern — after
-// a single prepareConcurrent() at load time, so the warm serve loop performs
-// zero heap allocations and never writes shared network state.
+// a single prepareConcurrent() at load time.  Each worker sizes its slot for
+// a full maxBatch-row batch when it starts, so the warm serve loop performs
+// zero heap allocations whatever batch sizes arrive, and never writes shared
+// network state.
 //
 // Determinism contract: per-row decode arithmetic is independent of the
 // surrounding batch (each GEMM row is its own ascending-k accumulation;
@@ -175,6 +177,8 @@ class AmplitudeServer {
   };
 
   void start();
+  /// Size wk's buffers for a maxBatch-row batch (on the worker's thread).
+  void warmSlot(Worker& wk);
   void workerLoop(Worker& wk);
   /// Pop queued tickets into wk.batch until the next one would overflow
   /// maxBatch (caller holds the lock).  Returns the claimed row count.

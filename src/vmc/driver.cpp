@@ -336,13 +336,12 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
           if (ex.eloc == ElocMode::kBatched)
             log::info(
                 "vmc it=%4d E=%.8f var=%.3e Nu=%zu Ns=%llu "
-                "eloc[probes=%llu hits=%llu dedup=%.0f%% tileTerms=%llu..%llu] "
+                "eloc[probes=%llu hits=%llu tileTerms=%llu..%llu] "
                 "rankTerms=%llu..%llu",
                 iter, eMean.real(), variance, lut.size(),
                 static_cast<unsigned long long>(sOpts.nSamples),
                 static_cast<unsigned long long>(elocStats.lutProbes),
                 static_cast<unsigned long long>(elocStats.lutHits),
-                100.0 * elocStats.dedupFraction(),
                 static_cast<unsigned long long>(elocStats.tileTermsMin),
                 static_cast<unsigned long long>(elocStats.tileTermsMax),
                 static_cast<unsigned long long>(res.rankTermsMin),

@@ -1,31 +1,33 @@
-// Batched SIMD local-energy engine.  See eloc_kernels.hpp for the contract.
+// Batched local-energy engine.  See eloc_kernels.hpp for the contract.
 //
 // Work decomposition: samples are cut into tiles of `sampleBlock` rows; each
-// tile walks the Hamiltonian's unique-XY groups in blocks of `termBlock`
-// columns.  Per (tile, term-block):
+// tile walks the Hamiltonian's unique-XY groups in ascending order, and per
+// group k the tile's rows in ascending order.  Row r's coupled state is
+// x' = x_r ^ m_k (m_k = PackedHamiltonian::xyUnique[k]), searched in S in
+// two steps:
 //
-//   1. Probe generation — batched XOR of the tile's samples with each group
-//      mask (common/bits.hpp kernels), then a membership prefilter: an
-//      8-bytes-per-key hash bitset built from the LUT keys once per call.
-//      A clear bit is a *guaranteed* miss (no false negatives), so the
-//      sample-aware regime's dominant population — coupled states outside S,
-//      typically >90% of the enumerated terms — is retired with one L1 load
-//      each and never enters the sort.  Survivors (hits plus the bitset's
-//      few-percent false positives) are compacted into the probe buffer.
-//   2. Sorted batched probes — sort the block's (key, slot) pairs, then
-//      merge-join the ascending unique keys against the ascending LUT keys
-//      with a galloping lower bound (both sides monotone, so the LUT cursor
-//      only moves forward; runs of equal keys are probed ONCE — the
-//      cross-sample term dedup).  This replaces termBlock*sampleBlock
-//      independent binary searches (each a dependent-load chain over the
-//      full LUT) with one cache-resident sort and a single forward sweep.
-//   3. Accumulation — for each group, gather the rows whose coupled state
-//      was found, evaluate the group's premultiplied coefficients for those
-//      rows in one batched sign-stream pass (PackedHamiltonian::
-//      groupCoefficients), and accumulate coef * psi(x') / psi(x) per row.
-//      Groups are walked in ascending order, so every sample receives its
-//      surviving terms in exactly the kSaFuseLut order: per-sample E_loc is
-//      bit-identical to the scalar engine.
+//   1. Prefilter — a blocked Bloom filter over S (16 bits per key; each key
+//      sets two bits of one 64-bit word).  A clear bit is a *guaranteed* miss
+//      (no false negatives), so the sample-aware regime's dominant
+//      population — coupled states outside S, typically >95% of the
+//      enumerated terms — is retired with one L1 load each.  The test is
+//      branch-free and compacts the survivors (cand[n] = r; n += pass).
+//   2. Index probe — each survivor (hits plus the filter's ~1-2% false
+//      positives) probes an open-addressing table of LUT positions once
+//      (linear probing, at most half full).  Nothing is sorted.
+//
+// Both steps need a hash of x', and the hash H is linear under XOR: H(k) is
+// the XOR of fixed pseudo-random words, one per set bit of k, so
+// H(x ^ m) = H(x) ^ H(m).  H is computed once per call for every LUT key and
+// group mask and once per tile for every sample, so a term's hash costs one
+// XOR, and its key is formed only when the filter passes.  The filter word,
+// its two bit positions and the index slot come from disjoint fields of H.
+//
+//   3. Accumulation — the group's hit rows run through PackedHamiltonian::
+//      groupCoefficients in one batched sign-stream pass, and each row
+//      accumulates coef * psi(x') / psi(x).  Every sample receives its
+//      surviving terms in exactly the kSaFuseLut order, so per-sample E_loc
+//      is bit-identical to the scalar engine.
 //
 // Scheduling: tiles are an OpenMP loop under schedule(dynamic, 1) — the
 // Fugaku-identified imbalance is *term* work (hits per sample vary wildly
@@ -35,15 +37,11 @@
 // term counts (min/max) to expose residual imbalance; the same measured
 // term counts are what a rank-level repartitioner must balance (ROADMAP,
 // MPI direction).
-//
-// When nQubits + slotBits <= 64 the (key, slot) pair packs into a single
-// uint64 ((key << slotBits) | slot) and the sort runs on plain integers —
-// the common fast path for every molecule up to ~48 spin orbitals; wider
-// systems use the generic Bits128 pair path.
 
 #include "vmc/eloc_kernels.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <limits>
@@ -60,152 +58,132 @@ namespace nnqs::vmc {
 namespace {
 
 constexpr std::size_t kDefaultSampleBlock = 64;
-/// Target (key, slot) pairs sorted per term block: 8192 * 8..24 bytes stays
-/// comfortably L2-resident next to the tile's LUT traffic.
-constexpr std::size_t kProbeBudget = 8192;
+constexpr std::int32_t kEmpty = -1;
+/// Fields of H: bits [0, 6) and [6, 12) pick the filter bits inside a word,
+/// the index slot starts at bit 12, and the filter word is the top field.
+/// The slot and word fields stay disjoint up to ~2^25 LUT keys; beyond that
+/// they overlap, which costs filter selectivity, never correctness.
+constexpr unsigned kSlotShift = 12;
 
-/// (key, slot) probe of the generic (>64-qubit-window) path.
-struct Probe {
-  Bits128 key;
-  std::uint32_t slot = 0;
+/// The XOR-linear hash H, tabulated by byte: table b holds, for every byte
+/// value v, the XOR of the pseudo-random words of the set bits of v at bit
+/// offset 8b (so entry 0 of every table is 0).  Tables 8..15 cover the high
+/// word of keys wider than 64 qubits.
+class XorHash {
+ public:
+  constexpr XorHash() {
+    std::uint64_t state = 0x243F6A8885A308D3ull;
+    for (auto& table : t_) {
+      std::array<std::uint64_t, 8> bitWord{};
+      for (auto& w : bitWord) w = splitmix64(state);
+      for (unsigned v = 1; v < 256; ++v)
+        table[v] = table[v & (v - 1)] ^ bitWord[std::countr_zero(v)];
+    }
+  }
+
+  [[nodiscard]] std::uint64_t operator()(Bits128 k) const {
+    std::uint64_t h = 0;
+    for (unsigned b = 0; b < 8; ++b) h ^= t_[b][(k.lo >> (8 * b)) & 0xFF];
+    if (k.hi != 0)
+      for (unsigned b = 0; b < 8; ++b) h ^= t_[8 + b][(k.hi >> (8 * b)) & 0xFF];
+    return h;
+  }
+
+ private:
+  static constexpr std::uint64_t splitmix64(std::uint64_t& s) {
+    std::uint64_t z = (s += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  }
+
+  std::array<std::array<std::uint64_t, 256>, 16> t_{};
 };
 
-/// Per-thread tile workspace.  All buffer sizes depend only on the block
-/// geometry, so one warm call sizes every vector to its steady state and the
+constexpr XorHash kHash;
+
+/// The search structures over S and the group-mask hashes, built once per
+/// call by the calling thread and read-only inside the parallel region.
+/// Persistent per calling thread, so the warm path stays allocation-free.
+struct LutSearch {
+  std::vector<std::uint64_t> maskHash;  ///< [nGroups] H(xyUnique[k])
+  std::vector<std::uint64_t> filter;    ///< blocked Bloom filter words
+  std::vector<std::int32_t> index;      ///< [slots] LUT position or kEmpty
+  unsigned wordShift = 0;               ///< h >> wordShift = filter word
+  std::size_t slotMask = 0;
+  const Bits128* keys = nullptr;
+
+  void build(const ops::PackedHamiltonian& packed, const WavefunctionLut& lut) {
+    const std::size_t nKeys = lut.size();
+    keys = lut.keys.data();
+    unsigned logBits = 10;
+    while ((std::size_t{1} << logBits) < 16 * nKeys) ++logBits;
+    wordShift = 64 - (logBits - 6);
+    const std::size_t nWords = std::size_t{1} << (logBits - 6);
+    const std::size_t nSlots = std::bit_ceil(std::max<std::size_t>(2 * nKeys, 2));
+    slotMask = nSlots - 1;
+    if (filter.size() < nWords) filter.resize(nWords);
+    if (index.size() < nSlots) index.resize(nSlots);
+    if (maskHash.size() < packed.nGroups()) maskHash.resize(packed.nGroups());
+    std::fill_n(filter.begin(), nWords, 0);
+    std::fill_n(index.begin(), nSlots, kEmpty);
+    for (std::size_t i = 0; i < nKeys; ++i) {
+      const std::uint64_t h = kHash(keys[i]);
+      filter[h >> wordShift] |= (std::uint64_t{1} << (h & 63)) |
+                                (std::uint64_t{1} << ((h >> 6) & 63));
+      std::size_t s = (h >> kSlotShift) & slotMask;
+      while (index[s] != kEmpty) s = (s + 1) & slotMask;
+      index[s] = static_cast<std::int32_t>(i);
+    }
+    for (std::size_t k = 0; k < packed.nGroups(); ++k)
+      maskHash[k] = kHash(packed.xyUnique[k]);
+  }
+
+  /// 0 = `h` is certainly not the hash of a key in S, 1 = maybe.
+  [[nodiscard]] std::size_t mayContain(std::uint64_t h) const {
+    const std::uint64_t w = filter[h >> wordShift];
+    return (w >> (h & 63)) & (w >> ((h >> 6) & 63)) & 1;
+  }
+
+  /// LUT position of `key` (whose hash is `h`), or kEmpty.
+  [[nodiscard]] std::int32_t find(Bits128 key, std::uint64_t h) const {
+    for (std::size_t s = (h >> kSlotShift) & slotMask;; s = (s + 1) & slotMask) {
+      const std::int32_t pos = index[s];
+      if (pos == kEmpty || keys[pos] == key) return pos;
+    }
+  }
+};
+
+/// Per-thread tile workspace.  All buffer sizes depend only on the tile
+/// size, so one warm call sizes every vector to its steady state and the
 /// warm path never allocates (thread_local lifetime, like the kernel scratch
 /// in nn/kernels/dispatch.cpp).
 struct TileWs {
-  std::vector<std::uint64_t> probes64;  ///< packed path: (key<<slotBits)|slot
-  std::vector<Probe> probes;            ///< generic path
-  std::vector<std::int32_t> hitIdx;     ///< [cols*rows] LUT index or -1
-  std::vector<Bits128> xp;              ///< [rows] coupled states of one group
+  std::vector<std::uint64_t> hx;        ///< [rows] H of the tile's samples
+  /// [rows] tile rows of a group's filter survivors, compacted in place to
+  /// the rows of its hits
+  std::vector<std::int32_t> cand;
   std::vector<Bits128> xsHit;           ///< [rows] gathered hit samples
-  std::vector<std::int32_t> rowHit;     ///< [rows] tile row of each hit
   std::vector<std::int32_t> psiIdxHit;  ///< [rows] LUT index of each hit
   std::vector<Real> coefs;              ///< [rows] batched group coefficients
   std::vector<unsigned char> parity;    ///< [rows] sign-stream scratch
   std::vector<Complex> psiX;            ///< [rows] psi of the tile's samples
 
-  void ensure(std::size_t rows, std::size_t cols, bool packedKeys) {
-    const std::size_t nP = rows * cols;
-    if (packedKeys) {
-      if (probes64.size() < nP) probes64.resize(nP);
-    } else {
-      if (probes.size() < nP) probes.resize(nP);
-    }
-    if (hitIdx.size() < nP) hitIdx.resize(nP);
-    if (xp.size() < rows) xp.resize(rows);
-    if (xsHit.size() < rows) xsHit.resize(rows);
-    if (rowHit.size() < rows) rowHit.resize(rows);
-    if (psiIdxHit.size() < rows) psiIdxHit.resize(rows);
-    if (coefs.size() < rows) coefs.resize(rows);
-    if (parity.size() < rows) parity.resize(rows);
-    if (psiX.size() < rows) psiX.resize(rows);
+  void ensure(std::size_t rows) {
+    if (hx.size() >= rows) return;
+    hx.resize(rows);
+    cand.resize(rows);
+    xsHit.resize(rows);
+    psiIdxHit.resize(rows);
+    coefs.resize(rows);
+    parity.resize(rows);
+    psiX.resize(rows);
   }
 };
 
 TileWs& tileWs() {
   static thread_local TileWs ws;
   return ws;
-}
-
-/// Stafford mix13 over both words: the bit index of a key in the prefilter.
-inline std::uint64_t hashKey(Bits128 k) {
-  std::uint64_t h = k.lo * 0x9E3779B97F4A7C15ull +
-                    k.hi * 0xC2B2AE3D27D4EB4Full;
-  h ^= h >> 30;
-  h *= 0xBF58476D1CE4E5B9ull;
-  h ^= h >> 27;
-  h *= 0x94D049BB133111EBull;
-  h ^= h >> 31;
-  return h;
-}
-
-/// Galloping lower bound for `key` in keys[from, n) (keys ascending).  The
-/// merge-join calls this with monotonically nondecreasing keys, so `from`
-/// only moves forward and the exponential probe is O(log gap) per key.
-template <typename KeyLess>
-std::size_t gallopLowerBound(std::size_t from, std::size_t n,
-                             const KeyLess& keyLess) {
-  std::size_t lo = from;
-  if (lo >= n || !keyLess(lo)) return lo;
-  std::size_t step = 1;
-  while (lo + step < n && keyLess(lo + step)) {
-    lo += step;
-    step <<= 1;
-  }
-  std::size_t hi = std::min(lo + step, n);
-  ++lo;  // keys[lo] < key already established
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (keyLess(mid))
-      lo = mid + 1;
-    else
-      hi = mid;
-  }
-  return lo;
-}
-
-struct TileStats {
-  std::uint64_t filterRejected = 0, lutProbes = 0, dedupedProbes = 0,
-                lutHits = 0, coeffTerms = 0;
-};
-
-/// Probe phase on packed uint64 keys.  Returns probe/dedup/hit counts.
-void probePacked(TileWs& ws, std::size_t nP, unsigned slotBits,
-                 const WavefunctionLut& lut, TileStats& st) {
-  std::uint64_t* pr = ws.probes64.data();
-  std::sort(pr, pr + nP);
-  const std::size_t nS = lut.size();
-  const Bits128* keys = lut.keys.data();
-  std::size_t lutPos = 0, p = 0;
-  while (p < nP) {
-    const std::uint64_t key = pr[p] >> slotBits;
-    lutPos = gallopLowerBound(lutPos, nS,
-                              [&](std::size_t i) { return keys[i].lo < key; });
-    const std::int32_t idx = (lutPos < nS && keys[lutPos].lo == key)
-                                 ? static_cast<std::int32_t>(lutPos)
-                                 : -1;
-    const std::uint64_t slotMask = (std::uint64_t{1} << slotBits) - 1;
-    std::size_t run = p;
-    do {
-      ws.hitIdx[pr[run] & slotMask] = idx;
-      ++run;
-    } while (run < nP && (pr[run] >> slotBits) == key);
-    ++st.lutProbes;
-    st.dedupedProbes += run - p - 1;
-    if (idx >= 0) st.lutHits += run - p;
-    p = run;
-  }
-}
-
-/// Probe phase on (Bits128, slot) pairs — systems too wide for packed keys.
-void probeGeneric(TileWs& ws, std::size_t nP, const WavefunctionLut& lut,
-                  TileStats& st) {
-  Probe* pr = ws.probes.data();
-  std::sort(pr, pr + nP, [](const Probe& a, const Probe& b) {
-    return a.key < b.key || (a.key == b.key && a.slot < b.slot);
-  });
-  const std::size_t nS = lut.size();
-  const Bits128* keys = lut.keys.data();
-  std::size_t lutPos = 0, p = 0;
-  while (p < nP) {
-    const Bits128 key = pr[p].key;
-    lutPos = gallopLowerBound(lutPos, nS,
-                              [&](std::size_t i) { return keys[i] < key; });
-    const std::int32_t idx = (lutPos < nS && keys[lutPos] == key)
-                                 ? static_cast<std::int32_t>(lutPos)
-                                 : -1;
-    std::size_t run = p;
-    do {
-      ws.hitIdx[pr[run].slot] = idx;
-      ++run;
-    } while (run < nP && pr[run].key == key);
-    ++st.lutProbes;
-    st.dedupedProbes += run - p - 1;
-    if (idx >= 0) st.lutHits += run - p;
-    p = run;
-  }
 }
 
 }  // namespace
@@ -226,13 +204,6 @@ void localEnergiesBatched(const ops::PackedHamiltonian& packed,
   const std::size_t rowsCap =
       std::max<std::size_t>(1, opts.sampleBlock != 0 ? opts.sampleBlock
                                                      : kDefaultSampleBlock);
-  const std::size_t colsCap = std::max<std::size_t>(
-      1, opts.termBlock != 0 ? opts.termBlock
-                             : kProbeBudget / std::min(rowsCap, kProbeBudget));
-  // Packed-key path: key and slot must share a uint64.
-  const auto slotBits = static_cast<unsigned>(
-      std::bit_width(std::max<std::size_t>(1, rowsCap * colsCap - 1)));
-  const bool packedKeys = packed.nQubits + static_cast<int>(slotBits) <= 64;
   const std::size_t nTiles = (n + rowsCap - 1) / rowsCap;
 
   int nThreads = 1;
@@ -240,21 +211,9 @@ void localEnergiesBatched(const ops::PackedHamiltonian& packed,
   nThreads = opts.maxThreads > 0 ? opts.maxThreads : omp_get_max_threads();
 #endif
 
-  // Membership prefilter over S: one bit per hash slot, sized to ~1/16 fill
-  // (false-positive rate a few percent), built once per call and shared
-  // read-only by the whole team.  Persistent per calling thread so the warm
-  // path stays allocation-free.
-  static thread_local std::vector<std::uint64_t> filterWords;
-  unsigned filterLogBits = 10;
-  while ((std::size_t{1} << filterLogBits) < 16 * lut.size()) ++filterLogBits;
-  const std::size_t nWords = (std::size_t{1} << filterLogBits) / 64;
-  if (filterWords.size() < nWords) filterWords.resize(nWords);
-  std::fill(filterWords.begin(), filterWords.begin() + nWords, 0);
-  for (const Bits128& key : lut.keys) {
-    const std::uint64_t bit = hashKey(key) >> (64 - filterLogBits);
-    filterWords[bit >> 6] |= std::uint64_t{1} << (bit & 63);
-  }
-  const std::uint64_t* filter = filterWords.data();
+  static thread_local LutSearch searchStore;
+  searchStore.build(packed, lut);
+  const LutSearch& search = searchStore;
 
   ElocStats total;
   total.samples = n;
@@ -269,7 +228,7 @@ void localEnergiesBatched(const ops::PackedHamiltonian& packed,
     // workspace on the first call even if dynamic scheduling assigns it no
     // tile — the zero-allocation warm path is then thread-schedule-proof.
     TileWs& ws = tileWs();
-    ws.ensure(rowsCap, colsCap, packedKeys);
+    ws.ensure(rowsCap);
     ElocStats local;
     local.tileTermsMin = std::numeric_limits<std::uint64_t>::max();
 
@@ -284,93 +243,74 @@ void localEnergiesBatched(const ops::PackedHamiltonian& packed,
 
       bool tileOk = true;
       for (std::size_t r = 0; r < rows; ++r) {
-        const Complex* px = lut.find(xs[r]);
-        if (px == nullptr) {
+        const std::uint64_t h = kHash(xs[r]);
+        const std::int32_t pos = search.find(xs[r], h);
+        if (pos == kEmpty) {
           sampleMissing.store(true, std::memory_order_relaxed);
           tileOk = false;
           break;
         }
-        ws.psiX[r] = *px;
+        ws.hx[r] = h;
+        ws.psiX[r] = lut.psi[static_cast<std::size_t>(pos)];
         out[i0 + r] = Complex{packed.constant, 0.0};
         if (termsPerSample != nullptr) termsPerSample[i0 + r] = 0;
       }
       if (!tileOk) continue;
 
-      TileStats tileSt;
-      for (std::size_t k0 = 0; k0 < nGroups; k0 += colsCap) {
-        const std::size_t cols = std::min(colsCap, nGroups - k0);
-
-        // 1. Probe keys, group-major over the tile's sample order.  The
-        //    prefilter retires definite misses on the spot; only survivors
-        //    are compacted into the probe buffer for the sort + join.
-        std::size_t nKept = 0;
-        for (std::size_t c = 0; c < cols; ++c) {
-          batch::xorMask(xs, rows, packed.xyUnique[k0 + c], ws.xp.data());
-          const std::size_t base = c * rows;
-          for (std::size_t r = 0; r < rows; ++r) {
-            const Bits128 key = ws.xp[r];
-            const std::uint64_t bit = hashKey(key) >> (64 - filterLogBits);
-            if (((filter[bit >> 6] >> (bit & 63)) & 1) == 0) {
-              ws.hitIdx[base + r] = -1;  // guaranteed miss, never sorted
-              ++tileSt.filterRejected;
-              continue;
-            }
-            if (packedKeys)
-              ws.probes64[nKept++] = (key.lo << slotBits) | (base + r);
-            else
-              ws.probes[nKept++] = {key,
-                                    static_cast<std::uint32_t>(base + r)};
-          }
+      std::uint64_t probes = 0, hits = 0, coeffTerms = 0;
+      for (std::size_t k = 0; k < nGroups; ++k) {
+        // 1. Prefilter: compact the rows whose coupled state may be in S.
+        const std::uint64_t hm = search.maskHash[k];
+        std::size_t nCand = 0;
+        for (std::size_t r = 0; r < rows; ++r) {
+          ws.cand[nCand] = static_cast<std::int32_t>(r);
+          nCand += search.mayContain(ws.hx[r] ^ hm);
         }
+        probes += nCand;
 
-        // 2. Sort + merge-join against the LUT (dedup: equal keys probe once).
-        if (packedKeys)
-          probePacked(ws, nKept, slotBits, lut, tileSt);
-        else
-          probeGeneric(ws, nKept, lut, tileSt);
+        // 2. One index probe per survivor; the hits keep their row order.
+        const Bits128 mask = packed.xyUnique[k];
+        std::size_t m = 0;
+        for (std::size_t j = 0; j < nCand; ++j) {
+          const auto r = static_cast<std::size_t>(ws.cand[j]);
+          const std::int32_t pos = search.find(xs[r] ^ mask, ws.hx[r] ^ hm);
+          if (pos == kEmpty) continue;
+          ws.cand[m] = ws.cand[j];
+          ws.xsHit[m] = xs[r];
+          ws.psiIdxHit[m] = pos;
+          ++m;
+        }
+        if (m == 0) continue;
+        hits += m;
 
         // 3. Batched coefficients + ascending-group accumulation.
-        for (std::size_t c = 0; c < cols; ++c) {
-          const std::size_t base = c * rows;
-          std::size_t m = 0;
-          for (std::size_t r = 0; r < rows; ++r) {
-            const std::int32_t idx = ws.hitIdx[base + r];
-            if (idx < 0) continue;
-            ws.xsHit[m] = xs[r];
-            ws.rowHit[m] = static_cast<std::int32_t>(r);
-            ws.psiIdxHit[m] = idx;
-            ++m;
-          }
-          if (m == 0) continue;
-          const std::size_t k = k0 + c;
-          packed.groupCoefficients(k, ws.xsHit.data(), m, ws.coefs.data(),
-                                   ws.parity.data());
-          const auto groupTerms =
-              static_cast<std::uint64_t>(packed.idxs[k + 1] - packed.idxs[k]);
-          tileSt.coeffTerms += static_cast<std::uint64_t>(m) * groupTerms;
-          if (termsPerSample != nullptr)
-            for (std::size_t j = 0; j < m; ++j)
-              termsPerSample[i0 + static_cast<std::size_t>(ws.rowHit[j])] +=
-                  groupTerms;
-          for (std::size_t j = 0; j < m; ++j) {
-            const Real coef = ws.coefs[j];
-            if (coef == 0.0) continue;
-            const auto r = static_cast<std::size_t>(ws.rowHit[j]);
-            out[i0 + r] += coef *
-                           lut.psi[static_cast<std::size_t>(ws.psiIdxHit[j])] /
-                           ws.psiX[r];
-          }
+        packed.groupCoefficients(k, ws.xsHit.data(), m, ws.coefs.data(),
+                                 ws.parity.data());
+        const auto groupTerms =
+            static_cast<std::uint64_t>(packed.idxs[k + 1] - packed.idxs[k]);
+        coeffTerms += static_cast<std::uint64_t>(m) * groupTerms;
+        if (termsPerSample != nullptr)
+          for (std::size_t j = 0; j < m; ++j)
+            termsPerSample[i0 + static_cast<std::size_t>(ws.cand[j])] +=
+                groupTerms;
+        for (std::size_t j = 0; j < m; ++j) {
+          const Real coef = ws.coefs[j];
+          if (coef == 0.0) continue;
+          const auto r = static_cast<std::size_t>(ws.cand[j]);
+          out[i0 + r] += coef *
+                         lut.psi[static_cast<std::size_t>(ws.psiIdxHit[j])] /
+                         ws.psiX[r];
         }
       }
 
-      local.termsEnumerated += static_cast<std::uint64_t>(rows) * nGroups;
-      local.filterRejected += tileSt.filterRejected;
-      local.lutProbes += tileSt.lutProbes;
-      local.dedupedProbes += tileSt.dedupedProbes;
-      local.lutHits += tileSt.lutHits;
-      local.coeffTerms += tileSt.coeffTerms;
-      local.tileTermsMin = std::min(local.tileTermsMin, tileSt.coeffTerms);
-      local.tileTermsMax = std::max(local.tileTermsMax, tileSt.coeffTerms);
+      const auto terms = static_cast<std::uint64_t>(rows) * nGroups;
+      local.termsEnumerated += terms;
+      local.filterRejected += terms - probes;
+      local.lutProbes += probes;
+      local.lutHits += hits;
+      local.coeffTerms += coeffTerms;
+      local.tileTermsMin = std::min(local.tileTermsMin, coeffTerms);
+      local.tileTermsMax = std::max(local.tileTermsMax, coeffTerms);
     }
 
 #pragma omp critical(nnqs_eloc_stats)
@@ -378,7 +318,6 @@ void localEnergiesBatched(const ops::PackedHamiltonian& packed,
       total.termsEnumerated += local.termsEnumerated;
       total.filterRejected += local.filterRejected;
       total.lutProbes += local.lutProbes;
-      total.dedupedProbes += local.dedupedProbes;
       total.lutHits += local.lutHits;
       total.coeffTerms += local.coeffTerms;
       total.tileTermsMin = std::min(total.tileTermsMin, local.tileTermsMin);

@@ -1,17 +1,17 @@
 #pragma once
 
-// Batched SIMD local-energy engine (ElocMode::kBatched): the kernels-style
-// backend behind vmc::localEnergies.  Tiles the (sample, Hamiltonian-group)
-// work, applies XY masks with the batched Bits128 kernels, rejects the bulk
-// of the coupled states (definite LUT misses) with an exact-negative hash
-// bitset built from S, replaces the per-coupled-state binary search of the
-// survivors with sorted merge-join probes against the ascending
-// WavefunctionLut keys, and dedups coupled configurations shared across the
-// samples of a tile so each unique x' costs one probe.
+// Batched local-energy engine (ElocMode::kBatched): the kernels-style backend
+// behind vmc::localEnergies.  Tiles the samples, walks the Hamiltonian's
+// unique-XY groups per tile, and searches each coupled state x' = x ^ m_k in
+// S without sorting: a hash that is linear under XOR makes H(x') one XOR of
+// two precomputed hashes, a blocked Bloom filter built from S retires the
+// bulk of the coupled states (definite misses), and each survivor costs one
+// probe of an open-addressing index of the WavefunctionLut positions.  The
+// found terms run through the batched sign-stream coefficients.
 //
 // Numerical contract: per-sample E_loc is *identical* (tolerance 0) to
 // ElocMode::kSaFuseLut — each sample accumulates its surviving terms in the
-// same ascending-group order with the same arithmetic; only the probe
+// same ascending-group order with the same arithmetic; only the search
 // strategy and the loop nesting change.
 
 #include <cstddef>
@@ -28,16 +28,19 @@ struct WavefunctionLut;
 
 /// Observability counters of one localEnergies call on the batched engine.
 /// All counters are deterministic (independent of thread count and tile
-/// scheduling order).
+/// scheduling order), and filterRejected + lutProbes == termsEnumerated.
 struct ElocStats {
   std::uint64_t samples = 0;          ///< samples evaluated
   std::uint64_t termsEnumerated = 0;  ///< (sample, group) pairs enumerated
-  /// Candidate probes rejected by the membership prefilter (definite LUT
-  /// misses — never sorted or joined).  With the sample-aware hit rate of a
-  /// few percent, this is the bulk of the enumerated terms.
+  /// Coupled states rejected by the membership prefilter (definite LUT
+  /// misses — never probed).  With the sample-aware hit rate of a few
+  /// percent, this is the bulk of the enumerated terms.
   std::uint64_t filterRejected = 0;
-  std::uint64_t lutProbes = 0;        ///< unique probe keys merge-joined
-  std::uint64_t dedupedProbes = 0;    ///< probes saved by cross-sample dedup
+  std::uint64_t lutProbes = 0;        ///< prefilter survivors, each probed once
+  /// Always 0: every survivor is probed, none is deduplicated.  Kept only
+  /// because perfbench/train.cpp reads it; drop it with the next revision
+  /// of that benchmark.
+  std::uint64_t dedupedProbes = 0;
   std::uint64_t lutHits = 0;          ///< (sample, group) pairs found in S
   std::uint64_t coeffTerms = 0;       ///< Pauli strings sign-evaluated (hits)
   std::uint64_t nTiles = 0;           ///< sample tiles processed
@@ -47,27 +50,13 @@ struct ElocStats {
   /// rank-level repartitioning must split by term count).
   std::uint64_t tileTermsMin = 0;
   std::uint64_t tileTermsMax = 0;
-
-  /// Fraction of filter-surviving probes avoided by the in-tile dedup.
-  [[nodiscard]] double dedupFraction() const {
-    const std::uint64_t total = lutProbes + dedupedProbes;
-    return total == 0 ? 0.0
-                      : static_cast<double>(dedupedProbes) /
-                            static_cast<double>(total);
-  }
 };
 
-/// Tuning knobs of the batched engine.  Defaults are chosen so a tile's
-/// probe buffer stays L2-resident; tests shrink the blocks to exercise
+/// Tuning knobs of the batched engine.  Tests shrink the tile to exercise
 /// tile-boundary and ragged-tail paths at small sample counts.
 struct ElocBatchedOptions {
-  /// Samples per tile (the OpenMP scheduling unit); 0 = default (64).  The
-  /// tile is the dedup scope: larger blocks find more shared coupled
-  /// configurations at the price of a larger sort.
+  /// Samples per tile (the OpenMP scheduling unit); 0 = default (64).
   std::size_t sampleBlock = 0;
-  /// Hamiltonian groups per probe block; 0 = default (probe-budget /
-  /// sampleBlock, i.e. ~8192 probes sorted per block).
-  std::size_t termBlock = 0;
   /// Cap on the OpenMP team size; 0 = the OpenMP default.  The bench uses 1
   /// to report a single-core median next to the threaded one.
   int maxThreads = 0;
@@ -77,8 +66,8 @@ struct ElocBatchedOptions {
 /// hold samples.size() entries).  Every sample must be present in the LUT
 /// (sample-aware evaluation over a chunk of S, as in the other SA engines);
 /// throws std::invalid_argument otherwise.  After one warm call per thread
-/// with the same block geometry, subsequent calls perform zero heap
-/// allocations (persistent per-thread tile workspaces, in-place sort,
+/// with the same tile size and LUT/Hamiltonian sizes, subsequent calls
+/// perform zero heap allocations (persistent per-thread workspaces,
 /// caller-owned output) — asserted by BM_ElocBatched.
 /// `termsPerSample` (optional, samples.size() entries, caller-owned like
 /// `out`) receives each sample's realized term count (its share of

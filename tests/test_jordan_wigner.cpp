@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
+#include <omp.h>
 
 #include "chem/basis_set.hpp"
 #include "chem/geometry_library.hpp"
@@ -134,5 +136,26 @@ TEST(JordanWigner, SaveLoadRoundTrip) {
   for (std::size_t i = 0; i < h.nTerms(); ++i) {
     EXPECT_EQ(r.strings[i], h.strings[i]);
     EXPECT_NEAR(r.coeffs[i], h.coeffs[i], 1e-14);
+  }
+}
+
+TEST(JordanWigner, CoefficientsIndependentOfThreadCount) {
+  // Every coefficient is summed in one fixed order, so the Hamiltonian is
+  // the same bit for bit whatever OpenMP team the build would get.
+  const auto mo = moFor("H2O");
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const SpinHamiltonian one = jordanWigner(mo);
+  omp_set_num_threads(4);
+  const SpinHamiltonian four = jordanWigner(mo);
+  omp_set_num_threads(saved);
+  ASSERT_EQ(one.nTerms(), four.nTerms());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(one.constant),
+            std::bit_cast<std::uint64_t>(four.constant));
+  for (std::size_t i = 0; i < one.nTerms(); ++i) {
+    ASSERT_EQ(one.strings[i], four.strings[i]) << "i=" << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(one.coeffs[i]),
+              std::bit_cast<std::uint64_t>(four.coeffs[i]))
+        << "i=" << i;
   }
 }

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "chem/basis_set.hpp"
 #include "chem/geometry_library.hpp"
+#include "common/rng.hpp"
 #include "fci/fci.hpp"
 #include "ops/jordan_wigner.hpp"
 #include "scf/rhf.hpp"
@@ -45,6 +47,28 @@ std::vector<Bits128> numberSector(int n, int na, int nb) {
     if (up == na && down == nb) out.push_back(b);
   }
   return out;
+}
+
+/// Runs the batched engine and kSaFuseLut over `samples` and asserts equal
+/// E_loc and term counts at tolerance 0; returns the batched counters.
+ElocStats expectBatchedEqualsLut(const ops::PackedHamiltonian& packed,
+                                 const std::vector<Bits128>& samples,
+                                 const WavefunctionLut& lut,
+                                 const ElocBatchedOptions& opts) {
+  std::vector<std::uint64_t> refTerms(samples.size()), terms(samples.size());
+  const auto ref = localEnergies(packed, samples, lut, ElocMode::kSaFuseLut,
+                                 nullptr, nullptr, nullptr, refTerms.data());
+  std::vector<Complex> out(samples.size());
+  ElocStats stats;
+  localEnergiesBatched(packed, samples, lut, out.data(), opts, &stats,
+                       terms.data());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(ref[i].real(), out[i].real()) << "i=" << i;
+    EXPECT_EQ(ref[i].imag(), out[i].imag()) << "i=" << i;
+    EXPECT_EQ(refTerms[i], terms[i]) << "i=" << i;
+  }
+  EXPECT_EQ(stats.filterRejected + stats.lutProbes, stats.termsEnumerated);
+  return stats;
 }
 
 nqs::QiankunNet netFor(const System& s, std::uint64_t seed = 9) {
@@ -142,33 +166,29 @@ TEST(LocalEnergy, BatchedBitIdenticalAcrossGeometriesAndThreads) {
   for (const std::size_t sampleBlock : {std::size_t{1}, std::size_t{3},
                                         std::size_t{4}, std::size_t{64},
                                         sector.size(), sector.size() + 7}) {
-    for (const std::size_t termBlock : {std::size_t{1}, std::size_t{5},
-                                        std::size_t{0}}) {
-      for (const int maxThreads : {1, 2, 3, 5}) {
-        ElocBatchedOptions opts;
-        opts.sampleBlock = sampleBlock;
-        opts.termBlock = termBlock;
-        opts.maxThreads = maxThreads;
-        ElocStats stats;
-        localEnergiesBatched(s.packed, sector, lut, out.data(), opts, &stats);
-        for (std::size_t i = 0; i < sector.size(); ++i) {
-          ASSERT_EQ(ref[i].real(), out[i].real())
-              << "sampleBlock=" << sampleBlock << " termBlock=" << termBlock
-              << " threads=" << maxThreads << " i=" << i;
-          ASSERT_EQ(ref[i].imag(), out[i].imag());
-        }
-        // Counters are deterministic: independent of threads and tiling
-        // except for the tile-geometry-dependent ones.
-        EXPECT_EQ(stats.samples, sector.size());
-        EXPECT_EQ(stats.termsEnumerated, sector.size() * s.packed.nGroups());
-        EXPECT_GT(stats.lutHits, 0u);
-        EXPECT_LE(stats.lutProbes, stats.termsEnumerated);
+    for (const int maxThreads : {1, 2, 3, 5}) {
+      ElocBatchedOptions opts;
+      opts.sampleBlock = sampleBlock;
+      opts.maxThreads = maxThreads;
+      ElocStats stats;
+      localEnergiesBatched(s.packed, sector, lut, out.data(), opts, &stats);
+      for (std::size_t i = 0; i < sector.size(); ++i) {
+        ASSERT_EQ(ref[i].real(), out[i].real())
+            << "sampleBlock=" << sampleBlock << " threads=" << maxThreads
+            << " i=" << i;
+        ASSERT_EQ(ref[i].imag(), out[i].imag());
       }
+      // Counters are deterministic: independent of threads and tiling
+      // except for the tile-geometry-dependent ones.
+      EXPECT_EQ(stats.samples, sector.size());
+      EXPECT_EQ(stats.termsEnumerated, sector.size() * s.packed.nGroups());
+      EXPECT_GT(stats.lutHits, 0u);
+      EXPECT_LE(stats.lutProbes, stats.termsEnumerated);
     }
   }
 }
 
-TEST(LocalEnergy, BatchedStatsDedupAndDeterminism) {
+TEST(LocalEnergy, BatchedStatsDeterministicWithoutDedup) {
   const System s = buildSystem("LiH");
   nqs::QiankunNet net = netFor(s);
   const auto sector = numberSector(12, 2, 2);
@@ -189,10 +209,13 @@ TEST(LocalEnergy, BatchedStatsDedupAndDeterminism) {
   EXPECT_EQ(one.coeffTerms, two.coeffTerms);
   EXPECT_EQ(one.tileTermsMin, two.tileTermsMin);
   EXPECT_EQ(one.tileTermsMax, two.tileTermsMax);
-  // With 64 samples per tile sharing excitation structure, the in-tile dedup
-  // must fire (same coupled configuration reached from several samples).
-  EXPECT_GT(one.dedupedProbes, 0u);
-  EXPECT_GT(one.dedupFraction(), 0.0);
+  // Every prefilter survivor is probed once: nothing is deduplicated, and
+  // each enumerated term is either rejected by the filter or probed.
+  EXPECT_EQ(one.dedupedProbes, 0u);
+  for (const ElocStats* st : {&one, &two}) {
+    EXPECT_EQ(st->filterRejected + st->lutProbes, st->termsEnumerated);
+    EXPECT_LE(st->lutHits, st->lutProbes);
+  }
   EXPECT_LE(one.tileTermsMin, one.tileTermsMax);
 }
 
@@ -256,6 +279,107 @@ TEST(LocalEnergy, BatchedThrowsOnSampleOutsideS) {
   std::vector<Complex> out(1);
   EXPECT_THROW(localEnergiesBatched(s.packed, {sector.back()}, lut, out.data()),
                std::invalid_argument);
+}
+
+TEST(LocalEnergy, BatchedSmallAndPowerOfTwoLuts) {
+  // LUTs of 1, 2 and 3 keys give the smallest index tables (2, 4 and 8
+  // slots), where probes wrap around the table end; 128 = 2^7 keys fill a
+  // power-of-two table exactly half.  Several windows of the sector vary
+  // which slots the keys land in.
+  const System s = buildSystem("LiH");
+  nqs::QiankunNet net = netFor(s);
+  const auto sector = numberSector(12, 2, 2);
+  const auto psi = net.psi(sector);
+  for (const std::size_t size : {1, 2, 3, 128}) {
+    for (const std::size_t offset : {0, 17, 40, 97}) {
+      const auto first = static_cast<std::ptrdiff_t>(offset);
+      const auto last = static_cast<std::ptrdiff_t>(offset + size);
+      const std::vector<Bits128> keys(sector.begin() + first,
+                                      sector.begin() + last);
+      const std::vector<Complex> vals(psi.begin() + first, psi.begin() + last);
+      const auto lut = WavefunctionLut::build(keys, vals);
+      for (const int maxThreads : {1, 4}) {
+        ElocBatchedOptions opts;
+        opts.sampleBlock = 2;
+        opts.maxThreads = maxThreads;
+        SCOPED_TRACE(testing::Message() << "size=" << size << " offset="
+                                        << offset << " threads=" << maxThreads);
+        const ElocStats st = expectBatchedEqualsLut(s.packed, keys, lut, opts);
+        EXPECT_EQ(st.samples, size);
+      }
+    }
+  }
+}
+
+TEST(LocalEnergy, BatchedWiderThan64Qubits) {
+  // A synthetic 96-qubit system: XY masks, YZ masks and samples use both
+  // words of Bits128 (some masks only the high word), so the keys, the group
+  // masks and their hashes all take the high-word path.  S contains coupled
+  // states of every sample, so the terms hit across both words.
+  constexpr int kQubits = 96;
+  Rng rng(5);
+  auto randomBits = [&](int count, int lo, int hi) {
+    Bits128 b;
+    while (b.popcount() < count)
+      b.set(lo + static_cast<int>(rng.below(static_cast<std::uint64_t>(hi - lo))));
+    return b;
+  };
+  ops::SpinHamiltonian ham;
+  ham.nQubits = kQubits;
+  ham.constant = -1.25;
+  std::vector<Bits128> masks;
+  for (int g = 0; g < 30; ++g) {
+    // Group 0 is diagonal; then low-word, high-word and straddling masks.
+    const Bits128 x = g == 0       ? Bits128{}
+                      : g % 3 == 0 ? randomBits(2 + 2 * (g % 2), 0, 64)
+                      : g % 3 == 1 ? randomBits(2 + 2 * (g % 2), 64, kQubits)
+                                   : randomBits(4, 56, 72);
+    if (std::find(masks.begin(), masks.end(), x) != masks.end()) continue;
+    masks.push_back(x);
+    for (int t = 0; t < 3; ++t) {
+      // Z outside x, plus an even number of Y positions inside x.
+      Bits128 z = randomBits(3, 0, kQubits) & (x ^ Bits128::lowMask(kQubits));
+      if (t == 1 && x.popcount() >= 2) {
+        int placed = 0;
+        for (int q = 0; q < kQubits && placed < 2; ++q)
+          if (x.get(q)) {
+            z.set(q);
+            ++placed;
+          }
+      }
+      ham.strings.push_back({x, z});
+      ham.coeffs.push_back(rng.uniform() - 0.5);
+    }
+  }
+  const auto packed = ops::PackedHamiltonian::fromHamiltonian(ham);
+
+  std::vector<Bits128> keys;
+  for (int i = 0; i < 40; ++i) {
+    const Bits128 x = randomBits(24, 0, kQubits);
+    keys.push_back(x);
+    for (std::size_t g = 1; g < masks.size(); g += 1 + static_cast<std::size_t>(i % 3))
+      keys.push_back(x ^ masks[g]);
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::vector<Complex> vals;
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    vals.emplace_back(0.1 + rng.uniform(), rng.uniform() - 0.5);
+  const auto lut = WavefunctionLut::build(keys, vals);
+
+  for (const std::size_t sampleBlock : {std::size_t{1}, std::size_t{7},
+                                        std::size_t{0}}) {
+    for (const int maxThreads : {1, 4}) {
+      ElocBatchedOptions opts;
+      opts.sampleBlock = sampleBlock;
+      opts.maxThreads = maxThreads;
+      SCOPED_TRACE(testing::Message() << "sampleBlock=" << sampleBlock
+                                      << " threads=" << maxThreads);
+      const ElocStats st = expectBatchedEqualsLut(packed, keys, lut, opts);
+      // Far more hits than the diagonal group alone supplies.
+      EXPECT_GT(st.lutHits, 2 * keys.size());
+    }
+  }
 }
 
 TEST(WavefunctionLut, BuildRejectsDuplicateKeys) {

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <random>
 #include <thread>
 #include <vector>
@@ -9,6 +11,38 @@
 #include "io/checkpoint.hpp"
 #include "nqs/ansatz.hpp"
 #include "serve/amplitude_server.hpp"
+
+// ---- Allocation-counting hook (microbench_kernels.cpp idiom) ---------------
+namespace {
+std::atomic<std::uint64_t> gAllocCount{0};
+std::uint64_t allocationCount() {
+  return gAllocCount.load(std::memory_order_relaxed);
+}
+}  // namespace
+
+void* operator new(std::size_t n) {
+  gAllocCount.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+// The nothrow forms must come from the same malloc: sanitizers replace any
+// form left undefined with their own allocator, which the free-based deletes
+// below then mismatch.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return ::operator new(n, std::nothrow);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace nnqs;
 using namespace nnqs::serve;
@@ -265,6 +299,47 @@ TEST(Serve, StatsAreDeterministicOnAFixedSchedule) {
   // Idempotent shutdown and a second stats read are safe.
   server.shutdown();
   EXPECT_EQ(server.stats().served, 4u);
+}
+
+TEST(Serve, FirstFullBatchAllocatesNothing) {
+  // Workers size their slots for maxBatch rows at start, so a coalesced
+  // batch larger than any seen before (here: 32 rows after 1-row warm-up
+  // queries) must not grow anything — client or worker side.
+  const auto ckpt = makeCheckpoint(47);
+  const auto sector = numberSector(8, 2, 2);
+  std::vector<Real> refLa, refPh;
+  referenceValues(ckpt, sector, refLa, refPh);
+
+  ServeOptions opts;
+  opts.maxBatch = 32;
+  opts.maxDelayUs = 0;
+  AmplitudeServer server(ckpt, opts);
+  Real la1 = 0, ph1 = 0;
+  for (int i = 0; i < 8; ++i)
+    ASSERT_EQ(server.query(sector.data() + i, 1, &la1, &ph1), QueryStatus::kOk);
+
+  constexpr int kRequests = 4;
+  constexpr std::size_t kRows = 8;  // kRequests * kRows == maxBatch
+  std::vector<Real> la(kRequests * kRows), ph(kRequests * kRows);
+  std::vector<AmplitudeServer::Ticket> tickets(kRequests);
+  const ServeStats before = server.stats();
+  server.pause();
+  const std::uint64_t allocs0 = allocationCount();
+  for (std::size_t i = 0; i < kRequests; ++i)
+    ASSERT_EQ(server.submit(sector.data() + i * kRows, kRows, la.data() + i * kRows,
+                            ph.data() + i * kRows, tickets[i]),
+              QueryStatus::kOk);
+  server.resume();
+  for (auto& t : tickets) ASSERT_EQ(server.wait(t), QueryStatus::kOk);
+  EXPECT_EQ(allocationCount() - allocs0, 0u);
+
+  const ServeStats after = server.stats();
+  EXPECT_EQ(after.batches - before.batches, 1u);
+  EXPECT_EQ(after.fullFlushes - before.fullFlushes, 1u);
+  for (std::size_t r = 0; r < la.size(); ++r) {
+    EXPECT_EQ(la[r], refLa[r]) << "row " << r;
+    EXPECT_EQ(ph[r], refPh[r]) << "row " << r;
+  }
 }
 
 TEST(Serve, EmptyQueryAndDestructorShutdown) {
