@@ -5,7 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <malloc.h>
 #include <sys/resource.h>
 
 #include <atomic>
@@ -25,59 +24,25 @@
 // Every global operator new bumps a counter, so BM_DecodeStepSweep can assert
 // the workspace-backed decode path's zero-steady-state-allocation contract
 // (the arena/workspace growth paths use aligned_alloc and are covered by the
-// reuse logic those benches also exercise).  The hook also tracks live and
-// peak-live heap bytes (malloc_usable_size), so BM_BackwardTiled can report
-// the monolithic gradient path's peak activation footprint — those
-// activations live in Tensor std::vectors, which route through operator new.
-// Arena-backed memory (HugeBuffer, aligned_alloc) is invisible here by
-// design; the tiled leg reports its tape arena's own high-water instead.
+// reuse logic those benches also exercise).
 
 namespace {
 std::atomic<std::uint64_t> gAllocCount{0};
-std::atomic<std::uint64_t> gLiveBytes{0};
-std::atomic<std::uint64_t> gPeakLiveBytes{0};
 std::uint64_t allocationCount() {
   return gAllocCount.load(std::memory_order_relaxed);
-}
-std::uint64_t liveHeapBytes() {
-  return gLiveBytes.load(std::memory_order_relaxed);
-}
-std::uint64_t peakLiveHeapBytes() {
-  return gPeakLiveBytes.load(std::memory_order_relaxed);
-}
-/// Restart the peak tracker from the current live level.
-void resetPeakLiveHeapBytes() {
-  gPeakLiveBytes.store(gLiveBytes.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
 }
 }  // namespace
 
 void* operator new(std::size_t n) {
   gAllocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n != 0 ? n : 1)) {
-    const std::uint64_t sz = malloc_usable_size(p);
-    const std::uint64_t live =
-        gLiveBytes.fetch_add(sz, std::memory_order_relaxed) + sz;
-    std::uint64_t peak = gPeakLiveBytes.load(std::memory_order_relaxed);
-    while (live > peak && !gPeakLiveBytes.compare_exchange_weak(
-                              peak, live, std::memory_order_relaxed)) {
-    }
-    return p;
-  }
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-namespace {
-void countingFree(void* p) noexcept {
-  if (p != nullptr)
-    gLiveBytes.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
-  std::free(p);
-}
-}  // namespace
-void operator delete(void* p) noexcept { countingFree(p); }
-void operator delete[](void* p) noexcept { countingFree(p); }
-void operator delete(void* p, std::size_t) noexcept { countingFree(p); }
-void operator delete[](void* p, std::size_t) noexcept { countingFree(p); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace nnqs;
 using namespace nnqs::bench;
@@ -143,7 +108,7 @@ void BM_TransformerForward(benchmark::State& state) {
     samples.push_back(nqs::autoregressiveSampleOne(net, rng));
   std::vector<Real> la, ph;
   for (auto _ : state) {
-    net.evaluate(samples, la, ph, nn::GradMode::kInference);
+    net.evaluate(samples, la, ph);
     benchmark::DoNotOptimize(la.data());
   }
   state.SetItemsProcessed(state.iterations() * batch);
@@ -245,7 +210,7 @@ void BM_SweepFused(benchmark::State& state) {
       logAmp.assign(s.logAmp.begin(), s.logAmp.end());
       net.phases(s.samples, phase);
     } else {
-      net.evaluate(s.samples, logAmp, phase, nn::GradMode::kInference);
+      net.evaluate(s.samples, logAmp, phase);
     }
     nu = s.nUnique();
     benchmark::DoNotOptimize(logAmp.data());
@@ -548,7 +513,7 @@ void BM_Evaluate(benchmark::State& state) {
 
   if (impl == 0) {
     for (auto _ : state) {
-      const nn::Tensor logits = net.forward(tokens, L, nn::GradMode::kInference);
+      const nn::Tensor logits = net.forward(tokens, L);
       benchmark::DoNotOptimize(logits.data.data());
     }
     state.SetLabel("full");
@@ -596,20 +561,16 @@ BENCHMARK(BM_Evaluate)
     ->Args({0, 16, 2048})->Args({1, 16, 2048})
     ->Unit(benchmark::kMillisecond);
 
-// The full training step — recompute-in-tiles evaluateGrad vs. the monolithic
-// cached-activation reference — at the BM_Evaluate architecture (d_model 64,
-// 2 decoders).  Both legs fill bit-identical parameter gradients
-// (tests/test_evaluate.cpp); the interesting column is activationMiB, the
-// peak activation memory of one step:
-//  - monolithic: peak-live heap bytes above the pre-step baseline (the cached
-//    activations are Tensor std::vectors, visible to the operator-new hook);
-//  - tiled: the gradient tape arena's high-water mark (HugeBuffer-backed, so
-//    invisible to the hook; gradTapeStats() reports it exactly).
-// The tiled leg is also the warm zero-allocation assertion of the training
-// step: after the cold step has grown the tape, token scratch, and frames,
-// a same-shape step must perform zero heap allocations.
+// The full training step, evaluateGrad on its tape, at the BM_Evaluate
+// architecture (d_model 64, 2 decoders): untiled (one tile spanning the
+// batch) vs. the default 256-sample tiles.  Both legs fill bit-identical
+// parameter gradients (tests/test_evaluate.cpp); the interesting column is
+// activationMiB, the tape arena's high-water mark — the peak activation
+// memory of one step.  Both legs are also the warm zero-allocation assertion
+// of the training step: after the cold step has grown the tape, token
+// scratch, and frames, a same-shape step must perform zero heap allocations.
 void BM_BackwardTiled(benchmark::State& state) {
-  const bool tiled = state.range(0) == 1;  // 0 = monolithic reference
+  const bool tiled = state.range(0) == 1;  // 0 = one tile spanning the batch
   const int L = static_cast<int>(state.range(1));
   const auto batch = static_cast<std::size_t>(state.range(2));
   nqs::QiankunNetConfig cfg;
@@ -652,14 +613,7 @@ void BM_BackwardTiled(benchmark::State& state) {
     dPh[i] = 0.01 * (static_cast<Real>(i % 9) - 4.0);
   }
 
-  // Cold step: grows the tape / caches, and is where the monolithic leg's
-  // activation tensors are first allocated — its peak above the pre-step
-  // live level IS the monolithic activation footprint (the tensors stay
-  // live between steps, so warm steps would hide it).
-  resetPeakLiveHeapBytes();
-  const std::uint64_t live0 = liveHeapBytes();
-  net.evaluateGrad(samples, dLa, dPh);
-  const std::uint64_t coldPeakBytes = peakLiveHeapBytes() - live0;
+  net.evaluateGrad(samples, dLa, dPh);  // cold step: grows tape and frames
 
   std::uint64_t lastStepAllocs = 0;
   for (auto _ : state) {
@@ -672,21 +626,16 @@ void BM_BackwardTiled(benchmark::State& state) {
   struct rusage ru {};
   getrusage(RUSAGE_SELF, &ru);
   state.counters["peakRssMiB"] = static_cast<double>(ru.ru_maxrss) / 1024.0;
-  if (tiled) {
-    state.SetLabel("tiled");
-    state.counters["activationMiB"] =
-        static_cast<double>(net.gradTapeStats().highWater) * sizeof(Real) / mib;
-    state.counters["allocs/step"] = static_cast<double>(lastStepAllocs);
-    if (lastStepAllocs != 0)
-      state.SkipWithError("warm tiled training step heap-allocated");
-  } else {
-    state.SetLabel("monolithic");
-    state.counters["activationMiB"] = static_cast<double>(coldPeakBytes) / mib;
-  }
+  state.SetLabel(tiled ? "tiled" : "untiled");
+  state.counters["activationMiB"] =
+      static_cast<double>(net.gradTapeStats().highWater) * sizeof(Real) / mib;
+  state.counters["allocs/step"] = static_cast<double>(lastStepAllocs);
+  if (lastStepAllocs != 0)
+    state.SkipWithError("warm training step heap-allocated");
 }
-// Args: impl (0 = monolithic cached-activation reference, 1 = tiled
-// recompute), L, batch.  L=32/batch=8192 is the acceptance shape of the
-// memory claim (>= 4x activation reduction); 2048 is the CI-gated point —
+// Args: impl (0 = untiled tape, 1 = 256-sample tiles), L, batch.
+// L=32/batch=8192 is the acceptance shape of the memory claim (tiled
+// activation memory independent of the batch); 2048 is the CI-gated point —
 // small enough to time cheaply, same per-tile working set.
 BENCHMARK(BM_BackwardTiled)
     ->Args({0, 32, 2048})->Args({1, 32, 2048})

@@ -94,12 +94,12 @@ struct ExecutionPolicy {
   /// decode contract), so this knob only moves cache traffic.  Replaces the
   /// tileRows argument the two-parameter QiankunNet::setEvalPolicy carried.
   int evalTileRows = 0;
-  /// Samples per tile of the recompute-in-tiles gradient path
-  /// (QiankunNet::evaluateGrad): each tile re-runs the recording forward,
+  /// Samples per tile of the recompute-in-tiles tape gradient
+  /// (QiankunNet::evaluateGrad): each tile re-runs the forward onto the tape,
   /// backprops, and releases its activations, bounding peak training
   /// activation memory at O(tile * L * d) independent of the batch size.
   /// 0 selects the engine default (TransformerAR::kEvalTileRows); a negative
-  /// value selects the monolithic full-batch cached-activation reference.
+  /// value disables tiling — one tape tile spanning the whole batch.
   /// Ascending-tile accumulation order makes every geometry produce
   /// bit-identical parameter gradients, so this knob only trades recompute
   /// time against activation memory.

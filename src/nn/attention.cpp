@@ -7,10 +7,9 @@
 
 namespace nnqs::nn {
 
-CausalSelfAttention::CausalSelfAttention(Index dModel, Index nHeads, Index seqLen,
-                                         Rng& rng, std::string name)
+CausalSelfAttention::CausalSelfAttention(Index dModel, Index nHeads, Rng& rng,
+                                         std::string name)
     : name_(name), d_(dModel), heads_(nHeads), headDim_(dModel / nHeads),
-      seqLen_(seqLen), window_(seqLen),
       qkv_(dModel, 3 * dModel, rng, name + ".qkv"),
       proj_(dModel, dModel, rng, name + ".proj") {
   if (dModel % nHeads != 0)
@@ -19,8 +18,8 @@ CausalSelfAttention::CausalSelfAttention(Index dModel, Index nHeads, Index seqLe
 
 namespace {
 /// The training-attention kernel problem of one forward or backward call
-/// (kernels.hpp AttnTrainArgs); the Tensor and tape paths both run it, so
-/// the two gradient paths see bit-identical activations.
+/// (kernels.hpp AttnTrainArgs); the Tensor and tape forwards both run it, so
+/// inference and training see bit-identical activations.
 kernels::AttnTrainArgs trainArgs(Index batch, Index L, Index d, Index heads,
                                  Index headDim) {
   kernels::AttnTrainArgs a;
@@ -34,20 +33,20 @@ kernels::AttnTrainArgs trainArgs(Index batch, Index L, Index d, Index heads,
 }
 }  // namespace
 
-Index CausalSelfAttention::batchOf(Index rows) const {
-  if (window_ <= 0 || rows % window_ != 0)
+Index CausalSelfAttention::batchOf(Index rows, Index window) const {
+  if (window <= 0 || rows % window != 0)
     throw std::invalid_argument(name_ + ": " + std::to_string(rows) +
                                 " rows is not a whole number of attention windows of " +
-                                std::to_string(window_));
-  return rows / window_;
+                                std::to_string(window));
+  return rows / window;
 }
 
-Tensor CausalSelfAttention::forward(const Tensor& x, GradMode mode) {
-  const Index L = window_;
+Tensor CausalSelfAttention::forward(const Tensor& x, Index window) const {
+  const Index L = window;
   const Index rows = x.numel() / d_;
-  const Index batch = batchOf(rows);
+  const Index batch = batchOf(rows, L);
 
-  Tensor qkv = qkv_.forward(x, mode);  // [B*L, 3D]: q | k | v per row
+  Tensor qkv = qkv_.forward(x);  // [B*L, 3D]: q | k | v per row
   Tensor attn = Tensor::uninit({batch, heads_, L, L});  // fully written
   Tensor ctx({rows, d_});
 
@@ -56,29 +55,19 @@ Tensor CausalSelfAttention::forward(const Tensor& x, GradMode mode) {
   a.attn = attn.data.data();
   a.ctx = ctx.data.data();
   kernels::attnTrainForward(a, kernels::KernelPolicy::kAuto);
-
-  if (mode == GradMode::kRecordTape) {
-    cachedQkv_ = qkv;
-    cachedAttn_ = attn;
-    cachedBatch_ = batch;
-    cachedWindow_ = L;
-    hasCache_ = true;
-  } else {
-    invalidateBecause(stale::kInferenceForward);
-  }
-  return proj_.forward(ctx, mode);
+  return proj_.forward(ctx);
 }
 
 const Real* CausalSelfAttention::forwardTape(Tape& tape, TapeFrame& f,
-                                             const Real* x, Index rows) {
-  const Index L = window_;
-  const Index batch = batchOf(rows);
+                                             const Real* x, Index rows,
+                                             Index window) const {
+  const Index L = window;
+  const Index batch = batchOf(rows, L);
 
-  invalidateBecause(stale::kTapeForward);
   const Real* qkv = qkv_.forwardTape(tape, f.qkv, x, rows);
   Real* attn = tape.alloc(batch * heads_ * L * L);
   Real* ctx = tape.alloc(rows * d_);
-  // The context accumulates (the Tensor path's zero-filled constructor).
+  // The context accumulates (the Tensor forward's zero-filled constructor).
   std::memset(ctx, 0, static_cast<std::size_t>(rows * d_) * sizeof(Real));
   kernels::AttnTrainArgs a = trainArgs(batch, L, d_, heads_, headDim_);
   a.qkv = qkv;
@@ -92,31 +81,12 @@ const Real* CausalSelfAttention::forwardTape(Tape& tape, TapeFrame& f,
   return proj_.forwardTape(tape, f.proj, ctx, rows);
 }
 
-void CausalSelfAttention::invalidateBecause(const char* why) {
-  if (hasCache_) {
-    cachedQkv_ = Tensor{};
-    cachedAttn_ = Tensor{};
-    cachedBatch_ = 0;
-    cachedWindow_ = 0;
-    hasCache_ = false;
-    staleReason_ = why;
-  }
-  qkv_.invalidate();
-  proj_.invalidate();
-}
-
-void CausalSelfAttention::invalidate() { invalidateBecause(stale::kExplicit); }
-
 void CausalSelfAttention::decodeStep(const Real* x, Index batch,
                                      DecodeState& state, Index layer,
-                                     Real* out) {
+                                     Real* out) const {
   const Index pos = state.len;
   const Index maxLen = state.maxLen;
   const Real scale = 1.0 / std::sqrt(static_cast<Real>(headDim_));
-
-  // A decode step is an inference forward: invalidate the backward cache
-  // like every other inference path (modules.hpp invariant).
-  invalidateBecause(stale::kDecodeStep);
 
   // [B, 3D]: q | k | v per row, on the GEMM backend of the state's policy,
   // carved from the decode workspace (no per-step tensor churn).
@@ -161,27 +131,9 @@ void CausalSelfAttention::decodeStep(const Real* x, Index batch,
   proj_.forwardInto(ctx, batch, out, state.kernel);
 }
 
-Tensor CausalSelfAttention::backward(const Tensor& dy) {
-  if (!hasCache_) throw StaleTapeError(name_, staleReason_);
-  const Index batch = cachedBatch_;
-  const Index Lc = cachedWindow_;
-  const Index rows = batch * Lc;
-
-  Tensor dCtx = proj_.backward(dy);  // [B*L, D]
-  Tensor dQkv({rows, 3 * d_});
-  kernels::AttnTrainArgs a = trainArgs(batch, Lc, d_, heads_, headDim_);
-  a.qkv = cachedQkv_.data.data();
-  a.attn = cachedAttn_.data.data();
-  a.dCtx = dCtx.data.data();
-  a.dQkv = dQkv.data.data();
-  kernels::attnTrainBackward(a, kernels::KernelPolicy::kAuto);
-  return qkv_.backward(dQkv);
-}
-
 Real* CausalSelfAttention::backwardTape(Tape& tape, const TapeFrame& f,
                                         const Real* dy) {
-  if (f.qkvOut == nullptr && f.batch > 0)
-    throw StaleTapeError(name_, "backwardTape frame was never recorded by forwardTape");
+  if (f.qkvOut == nullptr && f.batch > 0) throw StaleTapeError(name_);
   const Index batch = f.batch;
   const Index Lc = f.window;
   const Index rows = batch * Lc;

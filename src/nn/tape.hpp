@@ -7,56 +7,22 @@
 
 namespace nnqs::nn {
 
-/// What a forward pass records for the subsequent backward.
-///
-///  - kInference: compute outputs only.  Invalidates any previously recorded
-///    activations (module-resident or tape-held): a backward() after an
-///    inference forward throws StaleTapeError instead of silently computing
-///    gradients against stale inputs.
-///  - kRecordTape: additionally store whatever the module needs so that a
-///    single subsequent backward() can return dx and accumulate parameter
-///    gradients.  The Tensor-level forward() records into module-resident
-///    caches (the monolithic gradient path); the raw forwardTape() entry
-///    points record into a caller-owned Tape instead (the tiled-recompute
-///    gradient path), so per-tile activations are released wholesale by
-///    Tape::reset() rather than living until the next forward.
+/// Forwards compute outputs and record nothing; gradients are recorded on a
+/// caller-owned Tape (forwardTape/backwardTape) and nowhere else.  This
+/// one-value enum exists only as the last argument of QiankunNet::evaluate,
+/// which the perfbench harness spells out.
 enum class GradMode {
   kInference,
-  kRecordTape,
 };
 
-/// backward() consumed-or-invalidated activation guard.  Thrown when a
-/// backward runs without a live recording forward; the message names the
-/// module instance and the event that invalidated (or never created) its
-/// activation record, in the typed-error style of io/checkpoint.hpp.
-/// Derives from std::logic_error so pre-existing catch sites keep working.
+/// Thrown by a backwardTape whose frame no forwardTape filled.  Derives from
+/// std::logic_error: it is a caller bug, not a data error.
 class StaleTapeError : public std::logic_error {
  public:
-  StaleTapeError(const std::string& module, const std::string& invalidatedBy)
-      : std::logic_error(module + ": backward without recorded activations (" +
-                         invalidatedBy + ")") {}
+  explicit StaleTapeError(const std::string& module)
+      : std::logic_error(module +
+                         ": backwardTape frame was never recorded by forwardTape") {}
 };
-
-/// Invalidation reasons recorded by the modules for StaleTapeError messages.
-/// String constants (not an enum) so the guarded single-writer update — the
-/// reason is only written while clearing a *live* cache, keeping invalidate()
-/// write-free when already clear, the concurrent-inference precondition — can
-/// stay a single pointer store.
-namespace stale {
-inline constexpr const char* kNeverRecorded =
-    "no GradMode::kRecordTape forward has run";
-inline constexpr const char* kInferenceForward =
-    "invalidated by a GradMode::kInference forward";
-inline constexpr const char* kRawForward =
-    "invalidated by a raw-buffer inference forward (forwardInto)";
-inline constexpr const char* kDecodeStep =
-    "invalidated by an incremental decodeStep";
-inline constexpr const char* kTapeForward =
-    "invalidated by a tape-recording forward onto a caller-owned Tape "
-    "(backward for it goes through backwardTape)";
-inline constexpr const char* kExplicit =
-    "invalidated by an explicit invalidate()";
-}  // namespace stale
 
 /// Caller-owned activation store of the tiled-recompute gradient path: one
 /// bump-carve arena (nn::Workspace) holding a single tile's forward

@@ -38,7 +38,7 @@ struct DefaultInitAllocator : std::allocator<T> {
 using RealBuffer = std::vector<Real, DefaultInitAllocator<Real>>;
 
 /// Minimal dense tensor: row-major data + shape.  The NN engine uses explicit
-/// per-module backprop (forward caches what backward needs), so no autograd
+/// per-module backprop on a caller-owned Tape (nn/tape.hpp), so no autograd
 /// graph machinery is required.
 struct Tensor {
   std::vector<Index> shape;

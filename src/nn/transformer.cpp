@@ -7,31 +7,31 @@ namespace nnqs::nn {
 
 // ---------------------------------------------------------- DecoderBlock ---
 
-DecoderBlock::DecoderBlock(Index dModel, Index nHeads, Index ffDim, Index seqLen,
-                           Rng& rng, std::string name)
+DecoderBlock::DecoderBlock(Index dModel, Index nHeads, Index ffDim, Rng& rng,
+                           std::string name)
     : d_(dModel), ffDim_(ffDim),
       ln1_(dModel, name + ".ln1"), ln2_(dModel, name + ".ln2"),
-      attn_(dModel, nHeads, seqLen, rng, name + ".attn"),
+      attn_(dModel, nHeads, rng, name + ".attn"),
       ff1_(dModel, ffDim, rng, name + ".ff1"),
       ff2_(ffDim, dModel, rng, name + ".ff2"),
       gelu_(name + ".gelu") {}
 
-Tensor DecoderBlock::forward(const Tensor& x, GradMode mode) {
-  Tensor h = attn_.forward(ln1_.forward(x, mode), mode);
+Tensor DecoderBlock::forward(const Tensor& x, Index window) const {
+  Tensor h = attn_.forward(ln1_.forward(x), window);
   for (std::size_t i = 0; i < h.data.size(); ++i) h.data[i] += x.data[i];
-  Tensor f = ff2_.forward(gelu_.forward(ff1_.forward(ln2_.forward(h, mode), mode), mode), mode);
+  Tensor f = ff2_.forward(gelu_.forward(ff1_.forward(ln2_.forward(h))));
   for (std::size_t i = 0; i < f.data.size(); ++i) f.data[i] += h.data[i];
   return f;
 }
 
 const Real* DecoderBlock::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
-                                      Index rows) {
+                                      Index rows, Index window) const {
   const Index n = rows * d_;
   // Same arithmetic sequence as the Tensor forward above — unfused LNs and
-  // explicit residual adds — so the recomputed tile is bit-identical to the
-  // monolithic activations (NOT the fused decodeStep kernels).
+  // explicit residual adds — so the taped tile is bit-identical to the
+  // inference activations (NOT the fused decodeStep kernels).
   const Real* ln1out = ln1_.forwardTape(tape, f.ln1, x, rows);
-  const Real* attnOut = attn_.forwardTape(tape, f.attn, ln1out, rows);
+  const Real* attnOut = attn_.forwardTape(tape, f.attn, ln1out, rows, window);
   Real* h = tape.alloc(n);
   for (Index i = 0; i < n; ++i) h[i] = attnOut[i] + x[i];
   const Real* ln2out = ln2_.forwardTape(tape, f.ln2, h, rows);
@@ -47,14 +47,11 @@ const Real* DecoderBlock::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
 }
 
 void DecoderBlock::decodeStep(const Real* a, const Real* r, DecodeState& state,
-                              Index layer, const Real** aOut, const Real** rOut) {
+                              Index layer, const Real** aOut,
+                              const Real** rOut) const {
   const Index batch = state.batch;
   const Index n = batch * d_;
   Workspace& ws = state.ws;
-  // Kernel calls below are inference forwards (modules.hpp invariant).
-  ln1_.invalidate();
-  ln2_.invalidate();
-  gelu_.invalidate();
 
   // ln1, fused with the previous stage's deferred residual: materializes the
   // block input x = a + r (needed again as the attention residual) while the
@@ -106,19 +103,10 @@ void DecoderBlock::decodeStep(const Real* a, const Real* r, DecodeState& state,
   *rOut = h2;
 }
 
-Tensor DecoderBlock::backward(const Tensor& dy) {
-  Tensor dh = ln2_.backward(ff1_.backward(gelu_.backward(ff2_.backward(dy))));
-  for (std::size_t i = 0; i < dh.data.size(); ++i) dh.data[i] += dy.data[i];
-  Tensor dx = ln1_.backward(attn_.backward(dh));
-  for (std::size_t i = 0; i < dx.data.size(); ++i) dx.data[i] += dh.data[i];
-  return dx;
-}
-
 Real* DecoderBlock::backwardTape(Tape& tape, const TapeFrame& f,
                                  const Real* dy) {
   const Index n = f.rows * d_;
-  // Mirror of backward() above, frame for cache: dh = ln2'(ff1'(gelu'(ff2'(dy))))
-  // + dy; dx = ln1'(attn'(dh)) + dh — identical adds in identical order.
+  // dh = ln2'(ff1'(gelu'(ff2'(dy)))) + dy; dx = ln1'(attn'(dh)) + dh.
   Real* t = ff2_.backwardTape(tape, f.ff2, dy);
   t = gelu_.backwardTape(tape, f.gelu, t);
   t = ff1_.backwardTape(tape, f.ff1, t);
@@ -128,15 +116,6 @@ Real* DecoderBlock::backwardTape(Tape& tape, const TapeFrame& f,
   Real* dx = ln1_.backwardTape(tape, f.ln1, da);
   for (Index i = 0; i < n; ++i) dx[i] += dh[i];
   return dx;
-}
-
-void DecoderBlock::invalidate() {
-  ln1_.invalidate();
-  attn_.invalidate();
-  ln2_.invalidate();
-  ff1_.invalidate();
-  ff2_.invalidate();
-  gelu_.invalidate();
 }
 
 void DecoderBlock::collectParameters(std::vector<Parameter*>& out) {
@@ -155,32 +134,26 @@ TransformerAR::TransformerAR(Index seqLen, Index dModel, Index nHeads,
       embed_(kVocab, seqLen, dModel, rng, "amp.embed"),
       lnFinal_(dModel, "amp.lnf"),
       head_(dModel, kOutcomes, rng, "amp.head") {
+  blocks_.reserve(static_cast<std::size_t>(nLayers));
   for (Index l = 0; l < nLayers; ++l)
-    blocks_.push_back(std::make_unique<DecoderBlock>(
-        dModel, nHeads, 4 * dModel, seqLen, rng, "amp.dec" + std::to_string(l)));
+    blocks_.emplace_back(dModel, nHeads, 4 * dModel, rng,
+                         "amp.dec" + std::to_string(l));
 }
 
-Tensor TransformerAR::forward(const std::vector<int>& tokens, Index window,
-                              GradMode mode) {
-  cachedWindow_ = window;
-  Tensor x = embed_.forward(tokens, window, mode);
-  for (auto& block : blocks_) {
-    block->setWindow(window);
-    x = block->forward(x, mode);
-  }
-  x = lnFinal_.forward(x, mode);
-  return head_.forward(x, mode);
+Tensor TransformerAR::forward(const std::vector<int>& tokens, Index window) const {
+  Tensor x = embed_.forward(tokens, window);
+  for (const auto& block : blocks_) x = block.forward(x, window);
+  x = lnFinal_.forward(x);
+  return head_.forward(x);
 }
 
 const Real* TransformerAR::forwardTape(Tape& tape, TapeFrame& f,
                                        const int* tokens, Index rows,
-                                       Index window) {
+                                       Index window) const {
   f.blocks.resize(blocks_.size());  // no-op reuse on warm tiles
   const Real* x = embed_.forwardTape(tape, tokens, rows, window);
-  for (std::size_t l = 0; l < blocks_.size(); ++l) {
-    blocks_[l]->setWindow(window);
-    x = blocks_[l]->forwardTape(tape, f.blocks[l], x, rows);
-  }
+  for (std::size_t l = 0; l < blocks_.size(); ++l)
+    x = blocks_[l].forwardTape(tape, f.blocks[l], x, rows, window);
   x = lnFinal_.forwardTape(tape, f.lnf, x, rows);
   const Real* logits = head_.forwardTape(tape, f.head, x, rows);
   f.tokens = tokens;
@@ -194,7 +167,7 @@ void TransformerAR::backwardTape(Tape& tape, const TapeFrame& f,
   Real* dx = lnFinal_.backwardTape(tape, f.lnf,
                                    head_.backwardTape(tape, f.head, dLogits));
   for (std::size_t l = blocks_.size(); l-- > 0;)
-    dx = blocks_[l]->backwardTape(tape, f.blocks[l], dx);
+    dx = blocks_[l].backwardTape(tape, f.blocks[l], dx);
   embed_.backwardTape(f.tokens, f.rows, f.window, dx);
 }
 
@@ -204,7 +177,7 @@ void TransformerAR::beginDecode(DecodeState& state, Index batch,
 }
 
 const Tensor& TransformerAR::decodeStep(DecodeState& state,
-                                        const std::vector<int>& tokens) {
+                                        const std::vector<int>& tokens) const {
   if (static_cast<Index>(tokens.size()) != state.batch)
     throw std::invalid_argument("TransformerAR::decodeStep: token/batch mismatch");
   if (state.len >= state.maxLen)
@@ -224,11 +197,10 @@ const Tensor& TransformerAR::decodeStep(DecodeState& state,
   embed_.stepInto(tokens, pos, x);
   const Real* a = x;
   const Real* r = nullptr;  // residual stream split: block input = a (+ r)
-  for (Index l = 0; l < nLayers; ++l) blocks_[l]->decodeStep(a, r, state, l, &a, &r);
+  for (Index l = 0; l < nLayers; ++l) blocks_[l].decodeStep(a, r, state, l, &a, &r);
   ++state.len;
 
   // Final LayerNorm, fused with the last block's deferred residual.
-  lnFinal_.invalidate();
   Real* lnOut = ws.alloc(batch * d_);
   kernels::ResidualLnArgs lnf;
   lnf.rows = batch;
@@ -249,25 +221,9 @@ const Tensor& TransformerAR::decodeStep(DecodeState& state,
   return state.logits;  // [B, 4]
 }
 
-void TransformerAR::invalidateDecodeCaches() {
-  for (auto& b : blocks_) b->invalidate();
-  lnFinal_.invalidate();
-  head_.invalidate();
-  // Embedding::stepInto is const (it never caches), so embed_ needs no
-  // clearing here; its cache only exists after a recording forward, which
-  // the QiankunNet-level guard already pairs with exactly one backward.
-}
-
-void TransformerAR::backward(const Tensor& dLogits) {
-  Tensor dx = lnFinal_.backward(head_.backward(dLogits));
-  for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it)
-    dx = (*it)->backward(dx);
-  embed_.backward(dx);
-}
-
 void TransformerAR::collectParameters(std::vector<Parameter*>& out) {
   embed_.collectParameters(out);
-  for (auto& b : blocks_) b->collectParameters(out);
+  for (auto& b : blocks_) b.collectParameters(out);
   lnFinal_.collectParameters(out);
   head_.collectParameters(out);
 }
@@ -275,102 +231,66 @@ void TransformerAR::collectParameters(std::vector<Parameter*>& out) {
 // -------------------------------------------------------------- PhaseMlp ---
 
 PhaseMlp::PhaseMlp(Index nQubits, Index hidden, Index nHidden, Rng& rng) {
+  linears_.reserve(static_cast<std::size_t>(nHidden) + 1);
+  tanhs_.reserve(static_cast<std::size_t>(nHidden));
   Index in = nQubits;
   for (Index l = 0; l < nHidden; ++l) {
-    layers_.push_back(std::make_unique<Linear>(in, hidden, rng,
-                                               "phase.l" + std::to_string(l)));
-    layers_.push_back(std::make_unique<TanhAct>("phase.tanh" + std::to_string(l)));
+    linears_.emplace_back(in, hidden, rng, "phase.l" + std::to_string(l));
+    tanhs_.emplace_back("phase.tanh" + std::to_string(l));
     in = hidden;
   }
-  layers_.push_back(std::make_unique<Linear>(in, 1, rng, "phase.out"));
+  linears_.emplace_back(in, 1, rng, "phase.out");
 }
 
-Tensor PhaseMlp::forward(const Tensor& x, GradMode mode) {
-  Tensor h = x;
-  for (auto& l : layers_) h = l->forward(h, mode);
+Tensor PhaseMlp::forward(const Tensor& x) const {
+  Tensor h = linears_[0].forward(x);
+  for (std::size_t l = 0; l < tanhs_.size(); ++l)
+    h = linears_[l + 1].forward(tanhs_[l].forward(h));
   return h;  // [B, 1]
 }
 
 void PhaseMlp::forwardInto(Workspace& ws, const Real* x, Index rows, Real* out,
-                           kernels::KernelPolicy policy) {
+                           kernels::KernelPolicy policy) const {
   // The caller owns the carve cycle (x itself may be carved from `ws`, so a
   // reset here would let the first layer's destination overlap its input).
-  // Layer list is [Linear, Tanh]* + Linear (see the constructor): Linear
-  // layers carve a fresh destination; tanh layers transform it in place with
+  // Each Linear carves a fresh destination; its tanh runs in place with
   // kernels::tanh, as TanhAct::forward does, so the bits match.
   const Real* cur = x;
-  Real* curMut = nullptr;
-  Index width = 0;
-  for (auto& l : layers_) {
-    if (auto* lin = dynamic_cast<Linear*>(l.get())) {
-      width = lin->w.value.shape[0];
-      Real* y = ws.alloc(rows * width);
-      lin->forwardInto(cur, rows, y, policy);
-      cur = curMut = y;
-    } else if (dynamic_cast<TanhAct*>(l.get()) != nullptr) {
-      kernels::tanh(curMut, curMut, rows * width, policy);
-    } else {
-      throw std::logic_error("PhaseMlp::forwardInto: unsupported layer type");
-    }
+  for (std::size_t l = 0; l < linears_.size(); ++l) {
+    const Index width = linears_[l].w.value.shape[0];
+    Real* y = ws.alloc(rows * width);
+    linears_[l].forwardInto(cur, rows, y, policy);
+    if (l < tanhs_.size()) kernels::tanh(y, y, rows * width, policy);
+    cur = y;
   }
-  if (width != 1)
-    throw std::logic_error("PhaseMlp::forwardInto: final layer width != 1");
-  for (Index r = 0; r < rows; ++r) out[r] = cur[r];
+  for (Index r = 0; r < rows; ++r) out[r] = cur[r];  // output width 1
 }
 
 const Real* PhaseMlp::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
-                                  Index rows) {
-  std::size_t nLin = 0, nTanh = 0;
-  for (auto& l : layers_)
-    (dynamic_cast<Linear*>(l.get()) != nullptr) ? ++nLin : ++nTanh;
-  f.linear.resize(nLin);  // no-op reuse on warm tiles
-  f.tanh.resize(nTanh);
+                                  Index rows) const {
+  f.linear.resize(linears_.size());  // no-op reuse on warm tiles
+  f.tanh.resize(tanhs_.size());
   const Real* cur = x;
-  Index width = 0;
-  std::size_t li = 0, ti = 0;
-  for (auto& l : layers_) {
-    if (auto* lin = dynamic_cast<Linear*>(l.get())) {
-      cur = lin->forwardTape(tape, f.linear[li++], cur, rows);
-      width = lin->w.value.shape[0];
-    } else if (auto* th = dynamic_cast<TanhAct*>(l.get())) {
-      cur = th->forwardTape(tape, f.tanh[ti++], cur, rows * width);
-    } else {
-      throw std::logic_error("PhaseMlp::forwardTape: unsupported layer type");
-    }
+  for (std::size_t l = 0; l < linears_.size(); ++l) {
+    cur = linears_[l].forwardTape(tape, f.linear[l], cur, rows);
+    if (l < tanhs_.size())
+      cur = tanhs_[l].forwardTape(tape, f.tanh[l], cur,
+                                  rows * linears_[l].w.value.shape[0]);
   }
-  if (width != 1)
-    throw std::logic_error("PhaseMlp::forwardTape: final layer width != 1");
-  f.rows = rows;
   return cur;  // [rows]
 }
 
 void PhaseMlp::backwardTape(Tape& tape, const TapeFrame& f,
                             const Real* dPhase) {
   const Real* d = dPhase;
-  std::size_t li = f.linear.size(), ti = f.tanh.size();
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    if (auto* lin = dynamic_cast<Linear*>(it->get())) {
-      d = lin->backwardTape(tape, f.linear[--li], d);
-    } else if (auto* th = dynamic_cast<TanhAct*>(it->get())) {
-      d = th->backwardTape(tape, f.tanh[--ti], d);
-    } else {
-      throw std::logic_error("PhaseMlp::backwardTape: unsupported layer type");
-    }
+  for (std::size_t l = linears_.size(); l-- > 0;) {
+    if (l < tanhs_.size()) d = tanhs_[l].backwardTape(tape, f.tanh[l], d);
+    d = linears_[l].backwardTape(tape, f.linear[l], d);
   }
 }
 
-void PhaseMlp::invalidate() {
-  for (auto& l : layers_) l->invalidate();
-}
-
-void PhaseMlp::backward(const Tensor& dPhase) {
-  Tensor d = dPhase;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-    d = (*it)->backward(d);
-}
-
 void PhaseMlp::collectParameters(std::vector<Parameter*>& out) {
-  for (auto& l : layers_) l->collectParameters(out);
+  for (auto& l : linears_) l.collectParameters(out);
 }
 
 }  // namespace nnqs::nn

@@ -13,15 +13,12 @@
 namespace nnqs::nn {
 
 /// Pre-LN decoder block: x += MHSA(LN(x)); x += FF(LN(x)).
-class DecoderBlock : public Module {
+class DecoderBlock {
  public:
-  DecoderBlock(Index dModel, Index nHeads, Index ffDim, Index seqLen, Rng& rng,
-               std::string name);
-  using Module::forward;
-  Tensor forward(const Tensor& x, GradMode mode) override;
-  Tensor backward(const Tensor& dy) override;
-  void collectParameters(std::vector<Parameter*>& out) override;
-  void setWindow(Index w) { attn_.setWindow(w); }
+  DecoderBlock(Index dModel, Index nHeads, Index ffDim, Rng& rng, std::string name);
+  /// x = [B*window, d]; see CausalSelfAttention::forward.
+  Tensor forward(const Tensor& x, Index window) const;
+  void collectParameters(std::vector<Parameter*>& out);
 
   /// Incremental decode of one token per row at position `state.len`,
   /// reading/extending layer `layer`'s slice of the KV arena.  The residual
@@ -32,13 +29,13 @@ class DecoderBlock : public Module {
   /// ln1 — so no separate residual sweep ever runs on the decode path.  All
   /// buffers are carved from `state.ws`; a warm step touches no heap.
   void decodeStep(const Real* a, const Real* r, DecodeState& state, Index layer,
-                  const Real** aOut, const Real** rOut);
+                  const Real** aOut, const Real** rOut) const;
 
-  /// Tile-recompute record of one block: submodule frames plus the two
-  /// residual streams (block input x, post-attention h), all tape-resident.
+  /// Tape record of one block: submodule frames plus the two residual
+  /// streams (block input x, post-attention h), all tape-resident.
   /// Arithmetic mirrors the Tensor forward exactly — separate (unfused)
   /// LayerNorms and explicit residual adds, NOT the fused decode kernels —
-  /// so replayed tiles reproduce the monolithic activations bit for bit.
+  /// so taped activations are bit-identical to the inference forward's.
   struct TapeFrame {
     LayerNorm::TapeFrame ln1, ln2;
     CausalSelfAttention::TapeFrame attn;
@@ -48,12 +45,9 @@ class DecoderBlock : public Module {
     const Real* h = nullptr;  ///< post-attention residual stream [rows, d]
     Index rows = 0;
   };
-  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows);
+  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows,
+                          Index window) const;
   Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy);
-
-  /// Invalidate every submodule's backward cache (write-free when already
-  /// clear; see TransformerAR::evaluateDecode's tile-parallel driver).
-  void invalidate();
 
  private:
   Index d_, ffDim_;
@@ -73,17 +67,10 @@ class TransformerAR {
 
   /// tokens is a flattened [B, L'] window (L' <= seqLen); returns logits
   /// [B, L', 4].
-  Tensor forward(const std::vector<int>& tokens, Index window, GradMode mode);
-  [[deprecated("use forward(tokens, window, GradMode)")]]
-  Tensor forward(const std::vector<int>& tokens, Index window, bool cache) {
-    return forward(tokens, window,
-                   cache ? GradMode::kRecordTape : GradMode::kInference);
-  }
-  /// Backprop dLogits [B, L', 4]; accumulates parameter gradients.
-  void backward(const Tensor& dLogits);
+  Tensor forward(const std::vector<int>& tokens, Index window) const;
   void collectParameters(std::vector<Parameter*>& out);
 
-  /// Tile-recompute record of the whole amplitude net for one tile of rows
+  /// Tape record of the whole amplitude net for one tile of rows
   /// (rows = tileBatch * window).  The frame is caller-owned and reused
   /// across tiles (the blocks vector keeps its capacity), so a warm tile
   /// records without heap allocations; every activation lives on `tape` and
@@ -96,12 +83,13 @@ class TransformerAR {
     Index rows = 0;
     Index window = 0;
   };
-  /// Returns the tile's logits [rows, 4] (tape-resident).
+  /// Returns the tile's logits [rows, 4] (tape-resident), bit-identical to
+  /// the same rows of forward().
   const Real* forwardTape(Tape& tape, TapeFrame& f, const int* tokens,
-                          Index rows, Index window);
-  /// Backward through the recorded tile; accumulates parameter gradients in
-  /// the same kernel fold order as backward(), so ascending-tile calls are
-  /// bit-identical to the monolithic backward.
+                          Index rows, Index window) const;
+  /// Backward through the recorded tile.  Every parameter gradient is an
+  /// ascending-row serial fold, so ascending-tile calls are bit-identical to
+  /// one call over the whole batch.
   void backwardTape(Tape& tape, const TapeFrame& f, const Real* dLogits);
 
   /// Start a stateful incremental decode over `batch` rows (KV caches sized
@@ -114,7 +102,7 @@ class TransformerAR {
   /// (state-owned, overwritten by the next step): with every activation
   /// carved from the state's workspace, a warm step performs zero heap
   /// allocations.
-  const Tensor& decodeStep(DecodeState& state, const std::vector<int>& tokens);
+  const Tensor& decodeStep(DecodeState& state, const std::vector<int>& tokens) const;
 
   /// Teacher-forced batched evaluation on the incremental-decode engine:
   /// `tokens` is the flattened [B, L'] input window exactly as forward()
@@ -145,11 +133,12 @@ class TransformerAR {
   /// so the bits stay identical; the sink must tolerate concurrent calls for
   /// *different* tiles (within a tile, calls arrive in ascending s on one
   /// thread).  Disjoint per-row outputs — the natural sink shape — need no
-  /// synchronization.
+  /// synchronization.  The network itself is only read (const), so several
+  /// threads may also run evaluateDecode at once, each on its own state.
   template <typename Sink>
   void evaluateDecode(DecodeState& state, const std::vector<int>& tokens,
                       Index batch, Index window, Index tileRows,
-                      kernels::KernelPolicy kernel, Sink&& sink) {
+                      kernels::KernelPolicy kernel, Sink&& sink) const {
     if (static_cast<Index>(tokens.size()) != batch * window)
       throw std::invalid_argument("evaluateDecode: tokens/batch/window mismatch");
     if (window > seqLen_)
@@ -175,12 +164,6 @@ class TransformerAR {
     if ((kernel == kernels::KernelPolicy::kThreaded ||
          kernel == kernels::KernelPolicy::kAuto) &&
         maxThreads > 1 && batch > tileRows) {
-      // The worker threads share this network's modules.  Their decodeStep
-      // invalidation calls are write-free only once every backward cache is
-      // already clear, so clear them all here, on the calling thread, before
-      // forking — after this the tile sweeps only *read* shared state
-      // (parameters), and all mutation is per-thread (DecodeState).
-      invalidateDecodeCaches();
       // Shrink the tile (not below kMinEvalTileRows, where the per-step
       // GEMMs lose their efficiency) until the tile count covers the thread
       // pool — otherwise a batch of 2 tiles on a 16-thread host would pin 14
@@ -223,66 +206,47 @@ class TransformerAR {
   /// pool: below this the per-step GEMMs are too short to amortize.
   static constexpr Index kMinEvalTileRows = 32;
 
-  /// Clear every amplitude module's backward cache (each write-free when
-  /// already clear), making subsequent decode steps mutation-free on shared
-  /// module state — the precondition of the tile-parallel evaluate sweep,
-  /// and (public since the serving layer) of concurrent evaluateDecode calls
-  /// from multiple threads on distinct DecodeStates
-  /// (QiankunNet::prepareConcurrent).
-  void invalidateDecodeCaches();
-
  private:
   Index seqLen_, d_;
   Embedding embed_;
-  std::vector<std::unique_ptr<DecoderBlock>> blocks_;
+  std::vector<DecoderBlock> blocks_;
   LayerNorm lnFinal_;
   Linear head_;
-  Index cachedWindow_ = 0;
 };
 
-/// Phase sub-network: an MLP phi(x) on the +-1 encoded qubit string.
+/// Phase sub-network: an MLP phi(x) on the +-1 encoded qubit string,
+/// [Linear, tanh] x nHidden + Linear(-> 1).
 class PhaseMlp {
  public:
   PhaseMlp(Index nQubits, Index hidden, Index nHidden, Rng& rng);
 
-  /// x: [B, nQubits] of +-1; returns [B] phases.
-  Tensor forward(const Tensor& x, GradMode mode);
-  [[deprecated("use forward(x, GradMode)")]]
-  Tensor forward(const Tensor& x, bool cache) {
-    return forward(x, cache ? GradMode::kRecordTape : GradMode::kInference);
-  }
+  /// x: [B, nQubits] of +-1; returns [B, 1] phases.
+  Tensor forward(const Tensor& x) const;
 
   /// Raw-buffer inference: x [rows, nQubits] (caller storage, possibly carved
   /// from `ws` itself), phases written to out[rows]; every intermediate
   /// activation is carved from `ws` inside the *caller's* carve cycle (no
-  /// reset here).  Bit-identical to forward(GradMode::kInference) — the
-  /// Linear layers run the same kernels::gemm and the tanh layers the same
-  /// kernels::tanh — but performs zero heap allocations once `ws` is
-  /// warm and, after invalidate(), never writes shared module state: the
-  /// serving layer runs this concurrently from many worker threads.
+  /// reset here).  Bit-identical to forward() — the Linear layers run the
+  /// same kernels::gemm and the tanh layers the same kernels::tanh — and
+  /// performs zero heap allocations once `ws` is warm; the serving layer runs
+  /// it concurrently from many worker threads.
   void forwardInto(Workspace& ws, const Real* x, Index rows, Real* out,
-                   kernels::KernelPolicy policy);
+                   kernels::KernelPolicy policy) const;
 
-  /// Tile-recompute record: one Linear frame per Linear layer, one TanhAct
-  /// frame per activation, caller-owned and reused across tiles.  Returns
-  /// the tile's phases [rows] (tape-resident).
+  /// Tape record: one frame per Linear and per tanh, caller-owned and reused
+  /// across tiles.  Returns the tile's phases [rows] (tape-resident).
   struct TapeFrame {
     std::vector<Linear::TapeFrame> linear;
     std::vector<TanhAct::TapeFrame> tanh;
-    Index rows = 0;
   };
-  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows);
+  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows) const;
   void backwardTape(Tape& tape, const TapeFrame& f, const Real* dPhase);
 
-  /// Clear every layer's backward cache (each write-free when already clear);
-  /// the precondition for concurrent forwardInto calls.
-  void invalidate();
-
-  void backward(const Tensor& dPhase);
   void collectParameters(std::vector<Parameter*>& out);
 
  private:
-  std::vector<std::unique_ptr<Module>> layers_;
+  std::vector<Linear> linears_;  ///< nHidden hidden layers, then the output
+  std::vector<TanhAct> tanhs_;   ///< tanhs_[l] follows linears_[l]
 };
 
 }  // namespace nnqs::nn

@@ -48,7 +48,7 @@ std::array<bool, 4> QiankunNet::outcomeMask(int s, int nUp, int nDown) const {
 
 std::vector<Real> QiankunNet::conditionals(const std::vector<int>& prefixTokens,
                                            int batch, int s,
-                                           const std::vector<std::array<int, 2>>& counts) {
+                                           const std::vector<std::array<int, 2>>& counts) const {
   // Window of length s+1: [BOS, t_0 .. t_{s-1}] per prefix.
   const int window = s + 1;
   std::vector<int> tokens(static_cast<std::size_t>(batch) * window);
@@ -58,7 +58,7 @@ std::vector<Real> QiankunNet::conditionals(const std::vector<int>& prefixTokens,
       tokens[static_cast<std::size_t>(b * window + 1 + j)] =
           prefixTokens[static_cast<std::size_t>(b * s + j)];
   }
-  nn::Tensor logits = amplitude_.forward(tokens, window, nn::GradMode::kInference);
+  nn::Tensor logits = amplitude_.forward(tokens, window);
   // Take the last position of each prefix, mask, softmax.
   std::vector<Real> probs(static_cast<std::size_t>(batch) * 4);
   for (int b = 0; b < batch; ++b) {
@@ -78,7 +78,7 @@ void QiankunNet::beginDecode(nn::DecodeState& state, int batch,
 void QiankunNet::stepConditionals(nn::DecodeState& state,
                                   const std::vector<int>& prevTokens,
                                   const std::vector<std::array<int, 2>>& counts,
-                                  std::vector<Real>& probs) {
+                                  std::vector<Real>& probs) const {
   const int s = static_cast<int>(state.len);
   const auto batch = static_cast<std::size_t>(state.batch);
   if (counts.size() != batch)
@@ -104,26 +104,26 @@ void QiankunNet::stepConditionals(nn::DecodeState& state,
 
 std::vector<Real> QiankunNet::stepConditionals(nn::DecodeState& state,
                                                const std::vector<int>& prevTokens,
-                                               const std::vector<std::array<int, 2>>& counts) {
+                                               const std::vector<std::array<int, 2>>& counts) const {
   std::vector<Real> probs;
   stepConditionals(state, prevTokens, counts, probs);
   return probs;
 }
 
-void QiankunNet::inputTokens(const std::vector<Bits128>& samples,
+void QiankunNet::inputTokens(const Bits128* samples, Index count,
                              std::vector<int>& out) const {
-  const int L = nSteps();
-  out.resize(samples.size() * static_cast<std::size_t>(L));
-  for (std::size_t b = 0; b < samples.size(); ++b) {
-    out[b * static_cast<std::size_t>(L)] = nn::TransformerAR::kBos;
-    for (int s = 0; s + 1 < L; ++s)
-      out[b * static_cast<std::size_t>(L) + 1 + static_cast<std::size_t>(s)] =
-          tokenOf(samples[b], s);
+  const auto L = static_cast<std::size_t>(nSteps());
+  const auto n = static_cast<std::size_t>(count);
+  out.resize(n * L);
+  for (std::size_t b = 0; b < n; ++b) {
+    out[b * L] = nn::TransformerAR::kBos;
+    for (std::size_t s = 0; s + 1 < L; ++s)
+      out[b * L + 1 + s] = tokenOf(samples[b], static_cast<int>(s));
   }
 }
 
 void QiankunNet::stepLogAmp(const Real* lg, Bits128 sample, int s, int& nUp,
-                            int& nDown, Real& la, Real* pr) {
+                            int& nDown, Real& la, Real* pr) const {
   const auto mask = outcomeMask(s, nUp, nDown);
   maskedSoftmax4(lg, mask, pr);
   const int chosen = tokenOf(sample, s);
@@ -137,90 +137,70 @@ void QiankunNet::stepLogAmp(const Real* lg, Bits128 sample, int s, int& nUp,
 }
 
 void QiankunNet::amplitudesFullForward(const std::vector<Bits128>& samples,
-                                       std::vector<Real>& logAmp,
-                                       nn::GradMode mode) {
-  const bool record = mode == nn::GradMode::kRecordTape;
+                                       std::vector<Real>& logAmp) {
   const int L = nSteps();
   const Index batch = static_cast<Index>(samples.size());
-  inputTokens(samples, evalTokens_);
-  nn::Tensor logits = amplitude_.forward(evalTokens_, L, mode);
+  inputTokens(samples.data(), batch, evalSlot_.tokens);
+  nn::Tensor logits = amplitude_.forward(evalSlot_.tokens, L);
 
-  nn::Tensor probs;
-  if (record) probs = nn::Tensor({batch, L, 4});
   logAmp.assign(samples.size(), 0.0);
   for (Index b = 0; b < batch; ++b) {
     int nUp = 0, nDown = 0;
     Real la = 0;
-    Real prLocal[4];
+    Real pr[4];
     for (int s = 0; s < L; ++s) {
-      const Real* lg = logits.data.data() + (b * L + s) * 4;
-      Real* pr = record ? probs.data.data() + (b * L + s) * 4 : prLocal;
-      stepLogAmp(lg, samples[static_cast<std::size_t>(b)], s, nUp, nDown, la, pr);
+      stepLogAmp(logits.data.data() + (b * L + s) * 4,
+                 samples[static_cast<std::size_t>(b)], s, nUp, nDown, la, pr);
       if (la <= kLogZero) break;
     }
     logAmp[static_cast<std::size_t>(b)] = la;
   }
-
-  if (record) {
-    cachedBatch_ = static_cast<long>(samples.size());
-    cachedSamples_ = samples;
-    cachedProbs_ = std::move(probs);
-  }
 }
 
-void QiankunNet::amplitudesDecode(const std::vector<Bits128>& samples,
-                                  std::vector<Real>& logAmp) {
+void QiankunNet::amplitudesDecode(EvalSlot& slot,
+                                  const std::vector<Bits128>& samples,
+                                  std::vector<Real>& logAmp,
+                                  nn::kernels::KernelPolicy kernel,
+                                  Index tileRows) const {
   const int L = nSteps();
   const Index batch = static_cast<Index>(samples.size());
-  inputTokens(samples, evalTokens_);
+  inputTokens(samples.data(), batch, slot.tokens);
   logAmp.assign(samples.size(), 0.0);
   // Teacher-forced sweep: evaluateDecode hands back each row tile's [tb, 4]
   // logits position by position; the per-position log-conditionals are
   // folded into logAmp on the fly — same maskedSoftmax4, same ascending-s
   // accumulation order as the full-forward path, so the bits match — and no
-  // [B, L, 4] buffer ever materializes.  evalUp_/evalDown_ carry every row's
+  // [B, L, 4] buffer ever materializes.  slot.up/down carry every row's
   // running electron counts between steps, indexed by *global* row so the
   // sink only touches its own tile's entries (tiles may run concurrently); a
   // row that leaves the number-conserving support is finished at kLogZero
   // (its remaining teacher-forced steps cost nothing but the shared GEMMs).
-  evalUp_.assign(samples.size(), 0);
-  evalDown_.assign(samples.size(), 0);
+  slot.up.assign(samples.size(), 0);
+  slot.down.assign(samples.size(), 0);
   // ExecutionPolicy::evalTileRows: 0 = engine default (resolved inside
   // evaluateDecode), negative = untiled (one tile spanning the batch).
-  const Index tileRows =
-      evalTileRows_ < 0 ? std::max<Index>(batch, 1) : evalTileRows_;
+  if (tileRows < 0) tileRows = std::max<Index>(batch, 1);
   amplitude_.evaluateDecode(
-      evalState_, evalTokens_, batch, L, tileRows, evalKernel_,
+      slot.state, slot.tokens, batch, L, tileRows, kernel,
       [&](Index t0, Index tb, Index s, const Real* logits) {
         for (Index b = 0; b < tb; ++b) {
           const auto row = static_cast<std::size_t>(t0 + b);
           if (logAmp[row] <= kLogZero) continue;
           Real pr[4];
           stepLogAmp(logits + b * 4, samples[row], static_cast<int>(s),
-                     evalUp_[row], evalDown_[row], logAmp[row], pr);
+                     slot.up[row], slot.down[row], logAmp[row], pr);
         }
       });
 }
 
 void QiankunNet::evaluate(const std::vector<Bits128>& samples,
                           std::vector<Real>& logAmp, std::vector<Real>& phase,
-                          nn::GradMode mode) {
-  const bool record = mode == nn::GradMode::kRecordTape;
-  // Amplitude ln|Psi|.  A recording evaluate must run the full forward
-  // (backward() consumes the activations only it stores); inference follows
-  // the policy.
-  if (record || evalPolicy_ == DecodePolicy::kFullForward)
-    amplitudesFullForward(samples, logAmp, mode);
+                          nn::GradMode /*mode*/) {
+  if (evalPolicy_ == DecodePolicy::kFullForward)
+    amplitudesFullForward(samples, logAmp);
   else
-    amplitudesDecode(samples, logAmp);
-
-  // Phase network on the +-1 encoded qubit string.
-  phaseForward(samples, phase, mode);
-
-  // An inference evaluate invalidates like the modules' inference forwards
-  // (modules.hpp invariant): backward() after it throws instead of mixing
-  // stale cachedProbs_/cachedSamples_ with the fresh activations.
-  if (!record) invalidateEvaluate(nn::stale::kInferenceForward);
+    amplitudesDecode(evalSlot_, samples, logAmp, evalKernel_, evalTileRows_);
+  phases(samples, phase);
 }
 
 void QiankunNet::encodePhaseInput(const std::vector<Bits128>& samples, Index t0,
@@ -231,45 +211,27 @@ void QiankunNet::encodePhaseInput(const std::vector<Bits128>& samples, Index t0,
           samples[static_cast<std::size_t>(t0 + b)].get(q) ? 1.0 : -1.0;
 }
 
-void QiankunNet::phaseForward(const std::vector<Bits128>& samples,
-                              std::vector<Real>& phase, nn::GradMode mode) {
+void QiankunNet::phases(const std::vector<Bits128>& samples,
+                        std::vector<Real>& phase) {
+  phasesInto(evalSlot_, samples, phase, evalKernel_);
+}
+
+void QiankunNet::phasesInto(EvalSlot& slot, const std::vector<Bits128>& samples,
+                            std::vector<Real>& phase,
+                            nn::kernels::KernelPolicy kernel) const {
   const Index batch = static_cast<Index>(samples.size());
   phase.resize(samples.size());
-  if (mode == nn::GradMode::kRecordTape) {
-    nn::Tensor xin = nn::Tensor::uninit({batch, cfg_.nQubits});
-    encodePhaseInput(samples, 0, batch, xin.data.data());
-    nn::Tensor ph = phase_.forward(xin, mode);
-    std::copy(ph.data.begin(), ph.data.end(), phase.begin());
-    return;
-  }
-  // Inference runs in row tiles on the net's workspace.  GEMM rows and tanh
-  // elements do not depend on the rest of the batch, so the tiles give the
-  // whole-batch forward's bits, and a warm call allocates nothing.
+  // Row tiles on the slot's workspace.  GEMM rows and tanh elements do not
+  // depend on the rest of the batch, so the tiles give the whole-batch
+  // forward's bits, and a warm call allocates nothing.
   const Index tile = nn::TransformerAR::kEvalTileRows;
   for (Index t0 = 0; t0 < batch; t0 += tile) {
     const Index tb = std::min(tile, batch - t0);
-    phaseWs_.reset();
-    Real* xin = phaseWs_.alloc(tb * cfg_.nQubits);
+    slot.phaseWs.reset();
+    Real* xin = slot.phaseWs.alloc(tb * cfg_.nQubits);
     encodePhaseInput(samples, t0, tb, xin);
-    phase_.forwardInto(phaseWs_, xin, tb, phase.data() + t0, evalKernel_);
+    phase_.forwardInto(slot.phaseWs, xin, tb, phase.data() + t0, kernel);
   }
-}
-
-void QiankunNet::phases(const std::vector<Bits128>& samples,
-                        std::vector<Real>& phase) {
-  phaseForward(samples, phase, nn::GradMode::kInference);
-  // Same invalidation contract as an inference evaluate: the phase MLP's
-  // activation cache is gone, so a backward() before the next recording
-  // evaluate must throw rather than mix stale activations.
-  invalidateEvaluate(nn::stale::kInferenceForward);
-}
-
-void QiankunNet::invalidateEvaluate(const char* why) {
-  if (cachedBatch_ < 0) return;  // write-free when already clear
-  cachedBatch_ = -1;
-  cachedSamples_.clear();
-  cachedProbs_ = nn::Tensor{};
-  staleReason_ = why;
 }
 
 Complex QiankunNet::psiValue(Real logAmp, Real phase) {
@@ -279,7 +241,7 @@ Complex QiankunNet::psiValue(Real logAmp, Real phase) {
 
 std::vector<Complex> QiankunNet::psi(const std::vector<Bits128>& samples) {
   std::vector<Real> la, ph;
-  evaluate(samples, la, ph, nn::GradMode::kInference);
+  evaluate(samples, la, ph);
   std::vector<Complex> out(samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) out[i] = psiValue(la[i], ph[i]);
   return out;
@@ -296,92 +258,40 @@ void QiankunNet::seedLogitRow(Real seed, Bits128 sample, int s, const Real* pr,
   }
 }
 
-void QiankunNet::backward(const std::vector<Real>& dLogAmp,
-                          const std::vector<Real>& dPhase) {
-  if (cachedBatch_ < 0) throw nn::StaleTapeError("QiankunNet", staleReason_);
-  if (cachedBatch_ == 0) {  // empty chunk: gradients stay zero
-    cachedBatch_ = -1;
-    staleReason_ = "already consumed by a previous backward";
-    return;
-  }
-  const int L = nSteps();
-  const Index batch = static_cast<Index>(cachedSamples_.size());
-
-  nn::Tensor dLogits({batch, L, 4});
-  for (Index b = 0; b < batch; ++b) {
-    const Real seed = dLogAmp[static_cast<std::size_t>(b)];
-    if (seed == 0.0) continue;
-    for (int s = 0; s < L; ++s)
-      seedLogitRow(seed, cachedSamples_[static_cast<std::size_t>(b)], s,
-                   cachedProbs_.data.data() + (b * L + s) * 4,
-                   dLogits.data.data() + (b * L + s) * 4);
-  }
-  amplitude_.backward(dLogits);
-
-  nn::Tensor dPh({batch, 1});
-  for (Index b = 0; b < batch; ++b) dPh.data[static_cast<std::size_t>(b)] = dPhase[static_cast<std::size_t>(b)];
-  phase_.backward(dPh);
-
-  cachedSamples_.clear();
-  cachedProbs_ = nn::Tensor{};
-  cachedBatch_ = -1;
-  staleReason_ = "already consumed by a previous backward";
-}
-
 void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
                               const std::vector<Real>& dLogAmp,
                               const std::vector<Real>& dPhase) {
   if (dLogAmp.size() != samples.size() || dPhase.size() != samples.size())
     throw std::invalid_argument("QiankunNet::evaluateGrad: seed/sample size mismatch");
 
-  // Monolithic cached-activation reference (gradTileRows < 0): one recording
-  // full forward + the Tensor-level backward.
-  if (gradTileRows_ < 0) {
-    std::vector<Real> la, ph;
-    evaluate(samples, la, ph, nn::GradMode::kRecordTape);
-    backward(dLogAmp, dPhase);
-    return;
-  }
-
-  // This call records and consumes its own per-tile activations; any
-  // previously recorded evaluate is stale from here on.
-  invalidateEvaluate(nn::stale::kTapeForward);
-
   const int L = nSteps();
   const Index batch = static_cast<Index>(samples.size());
-  const Index tile =
-      gradTileRows_ > 0 ? gradTileRows_ : nn::TransformerAR::kEvalTileRows;
+  const Index tile = gradTileRows_ > 0    ? gradTileRows_
+                     : gradTileRows_ == 0 ? nn::TransformerAR::kEvalTileRows
+                                          : std::max<Index>(batch, 1);
 
   // Tiles run SEQUENTIALLY in ascending order: every per-parameter
   // accumulation is a strictly sequential ascending-row fold that the tile
   // boundaries merely partition, so this ordering — not any tolerance — is
-  // what makes the result bit-identical to the monolithic backward.
-  // Parallelism stays inside the per-tile kernels.
+  // what makes every tile geometry give the same bits.  Parallelism stays
+  // inside the per-tile kernels.
   for (Index t0 = 0; t0 < batch; t0 += tile) {
     const Index tb = std::min(tile, batch - t0);
     const Index rows = tb * L;
     gradTape_.reset();
 
-    // Tile tokens, marshalled exactly as inputTokens() lays them out.
-    gradTokens_.resize(static_cast<std::size_t>(rows));
-    for (Index b = 0; b < tb; ++b) {
-      const auto row = static_cast<std::size_t>(b) * static_cast<std::size_t>(L);
-      gradTokens_[row] = nn::TransformerAR::kBos;
-      for (int s = 0; s + 1 < L; ++s)
-        gradTokens_[row + 1 + static_cast<std::size_t>(s)] =
-            tokenOf(samples[static_cast<std::size_t>(t0 + b)], s);
-    }
+    inputTokens(samples.data() + t0, tb, gradTokens_);
 
     // Recompute this tile's teacher-forced forward onto the tape: only this
     // tile's activations exist (the previous tile's were released by the
     // reset above).  Per-row activations are batch-composition-independent,
-    // so the logits equal the monolithic forward's rows [t0, t0+tb).
+    // so the logits equal a whole-batch forward's rows [t0, t0+tb).
     const Real* logits =
         amplitude_.forwardTape(gradTape_, ampFrame_, gradTokens_.data(), rows, L);
 
-    // Masked conditionals + loss seeds for the tile, both tape-carved.
-    // Zero-filled like their Tensor counterparts: rows that leave the
-    // number-conserving support keep pr = 0 past the exit (no gradient).
+    // Masked conditionals + loss seeds for the tile, both tape-carved and
+    // zero-filled: rows that leave the number-conserving support keep pr = 0
+    // past the exit (no gradient).
     Real* probs = gradTape_.alloc(rows * 4);
     std::memset(probs, 0, static_cast<std::size_t>(rows * 4) * sizeof(Real));
     for (Index b = 0; b < tb; ++b) {
@@ -417,47 +327,11 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
   }
 }
 
-void QiankunNet::prepareConcurrent() {
-  // Clear every backward cache on this (single) thread.  All the
-  // invalidate() calls the decode sweep and the phase MLP's forwardInto
-  // perform afterwards hit already-clear caches, which the modules guarantee
-  // to be write-free — so concurrent evaluateInto() calls only read shared
-  // network state (parameters), and all mutation lands in per-caller slots.
-  amplitude_.invalidateDecodeCaches();
-  phase_.invalidate();
-  invalidateEvaluate(nn::stale::kExplicit);
-}
-
 void QiankunNet::evaluateInto(EvalSlot& slot, const std::vector<Bits128>& samples,
                               std::vector<Real>& logAmp, std::vector<Real>& phase,
-                              nn::kernels::KernelPolicy kernel, Index tileRows) {
-  const int L = nSteps();
-  const Index batch = static_cast<Index>(samples.size());
-  // Amplitude: the amplitudesDecode sweep verbatim, with every mutable
-  // buffer drawn from the caller's slot instead of the shared eval scratch.
-  inputTokens(samples, slot.tokens);
-  logAmp.assign(samples.size(), 0.0);
-  slot.up.assign(samples.size(), 0);
-  slot.down.assign(samples.size(), 0);
-  amplitude_.evaluateDecode(
-      slot.state, slot.tokens, batch, L, tileRows, kernel,
-      [&](Index t0, Index tb, Index s, const Real* logits) {
-        for (Index b = 0; b < tb; ++b) {
-          const auto row = static_cast<std::size_t>(t0 + b);
-          if (logAmp[row] <= kLogZero) continue;
-          Real pr[4];
-          stepLogAmp(logits + b * 4, samples[row], static_cast<int>(s),
-                     slot.up[row], slot.down[row], logAmp[row], pr);
-        }
-      });
-
-  // Phase: the same +-1 encoding and MLP arithmetic as phaseForward, via the
-  // raw workspace path (forwardInto) so no shared tensors are built.
-  slot.phaseWs.reset();
-  Real* xin = slot.phaseWs.alloc(batch * cfg_.nQubits);
-  encodePhaseInput(samples, 0, batch, xin);
-  phase.resize(samples.size());
-  phase_.forwardInto(slot.phaseWs, xin, batch, phase.data(), kernel);
+                              nn::kernels::KernelPolicy kernel, Index tileRows) const {
+  amplitudesDecode(slot, samples, logAmp, kernel, tileRows);
+  phasesInto(slot, samples, phase, kernel);
 }
 
 std::vector<nn::Parameter*> QiankunNet::parameters() {

@@ -67,7 +67,7 @@ class QiankunNet {
   /// beginDecode/stepConditionals pair below computes the same distributions
   /// bit for bit with O(1) token work per step via per-layer KV caches.
   std::vector<Real> conditionals(const std::vector<int>& prefixTokens, int batch,
-                                 int s, const std::vector<std::array<int, 2>>& counts);
+                                 int s, const std::vector<std::array<int, 2>>& counts) const;
 
   /// Start a stateful incremental decode over `batch` sampling-tree rows.
   /// `kernel` selects the decode-attention backend (src/nn/kernels/): the
@@ -86,11 +86,11 @@ class QiankunNet {
   void stepConditionals(nn::DecodeState& state,
                         const std::vector<int>& prevTokens,
                         const std::vector<std::array<int, 2>>& counts,
-                        std::vector<Real>& probs);
+                        std::vector<Real>& probs) const;
   /// Returning convenience overload.
   std::vector<Real> stepConditionals(nn::DecodeState& state,
                                      const std::vector<int>& prevTokens,
-                                     const std::vector<std::array<int, 2>>& counts);
+                                     const std::vector<std::array<int, 2>>& counts) const;
 
   /// Re-index the decode batch rows after a sampling-tree split/prune: new
   /// row r continues old row rows[r]'s prefix (rows may repeat or drop).
@@ -104,47 +104,30 @@ class QiankunNet {
   /// KV-cached teacher-forced decode sweep by default, or the stateless
   /// full-forward reference — bit-identical, so they only move the wall
   /// clock); evalTileRows bounds the decode KV arena and gradTileRows the
-  /// recompute-gradient tile (both 0 = engine default, negative = untiled).
-  ///
-  /// The inference policy applies to GradMode::kInference evaluations: a
-  /// recording evaluate must run the full forward regardless, because
-  /// backward() consumes the activations only that path stores.
+  /// tape-gradient tile (both 0 = engine default, negative = one tile
+  /// spanning the batch).  evaluateGrad always records with the full forward
+  /// onto its tape, whatever the inference engine.
   void setEvalPolicy(const exec::ExecutionPolicy& exec) {
     evalPolicy_ = exec.decode;
     evalKernel_ = exec.kernel;
     evalTileRows_ = exec.evalTileRows;
     gradTileRows_ = exec.gradTileRows;
   }
-  /// One-release migration shim: the tiling knob moved into the policy
-  /// struct itself (ExecutionPolicy::evalTileRows), so one struct carries
-  /// every tiling knob.
-  [[deprecated("set ExecutionPolicy::evalTileRows and call setEvalPolicy(exec)")]]
-  void setEvalPolicy(const exec::ExecutionPolicy& exec, Index tileRows) {
-    exec::ExecutionPolicy p = exec;
-    p.evalTileRows = static_cast<int>(tileRows);
-    setEvalPolicy(p);
-  }
   [[nodiscard]] DecodePolicy evalPolicy() const { return evalPolicy_; }
 
-  /// ln|Psi| and phase for a batch of samples.  GradMode::kRecordTape stores
-  /// activations for exactly one subsequent backward() (always full-forward);
-  /// GradMode::kInference runs the engine selected by setEvalPolicy() and
-  /// *invalidates* any recorded evaluate, so a stale backward() throws
-  /// (nn::StaleTapeError naming the invalidating event) instead of using old
-  /// activations.
+  /// ln|Psi| and phase for a batch of samples on the engine selected by
+  /// setEvalPolicy().  Records nothing: gradients come from evaluateGrad().
+  /// The GradMode argument has a single value and is kept only so existing
+  /// callers that spell it out still compile.
   void evaluate(const std::vector<Bits128>& samples, std::vector<Real>& logAmp,
-                std::vector<Real>& phase, nn::GradMode mode);
-  [[deprecated("use evaluate(samples, logAmp, phase, GradMode)")]]
-  void evaluate(const std::vector<Bits128>& samples, std::vector<Real>& logAmp,
-                std::vector<Real>& phase, bool cache) {
-    evaluate(samples, logAmp, phase,
-             cache ? nn::GradMode::kRecordTape : nn::GradMode::kInference);
-  }
+                std::vector<Real>& phase,
+                nn::GradMode mode = nn::GradMode::kInference);
 
   /// Phase-only inference: phi(x) per sample via the phase MLP, skipping the
   /// amplitude network entirely.  The complement of the fused BAS sweep,
   /// which produces ln|Psi| as a sampling by-product (SampleSet::logAmp) but
-  /// never touches the phase MLP.  Invalidates like a cache=false evaluate.
+  /// never touches the phase MLP.  Runs in kEvalTileRows-row tiles on a
+  /// persistent workspace, so a warm call allocates nothing.
   void phases(const std::vector<Bits128>& samples, std::vector<Real>& phase);
 
   /// ln|Psi| sentinel for samples outside the number-conserving support
@@ -162,40 +145,33 @@ class QiankunNet {
   /// Complex psi values (convenience; the evaluate() entry point + psiValue).
   std::vector<Complex> psi(const std::vector<Bits128>& samples);
 
-  /// Backprop the VMC loss seeds d/d(ln|Psi|) and d/d(phi) per sample of the
-  /// last recording evaluate().
-  void backward(const std::vector<Real>& dLogAmp, const std::vector<Real>& dPhase);
-
-  /// The recompute-in-tiles training step: forward + backward over `samples`
-  /// with the given per-sample loss seeds, accumulating parameter gradients
-  /// without ever materializing the full batch's activations.  The batch is
-  /// swept in ascending `gradTileRows`-sample tiles (ExecutionPolicy;
-  /// 0 = TransformerAR::kEvalTileRows); each tile re-runs the teacher-forced
-  /// full forward onto the tape — only that tile's activations exist —
-  /// backprops the tile, and releases the tape, bounding peak training
-  /// activation memory at O(tile * L * d) independent of the batch size.
+  /// The training step: forward + backward over `samples` with the given
+  /// per-sample loss seeds d/d(ln|Psi|) and d/d(phi), accumulating parameter
+  /// gradients without ever materializing the full batch's activations.
+  /// The batch is swept in ascending `gradTileRows`-sample tiles
+  /// (ExecutionPolicy; 0 = TransformerAR::kEvalTileRows, negative = one tile
+  /// spanning the batch); each tile re-runs the teacher-forced full forward
+  /// onto the tape — only that tile's activations exist — backprops the
+  /// tile, and releases the tape, bounding peak training activation memory
+  /// at O(tile * L * d) independent of the batch size.
   ///
-  /// Gradients are **bit-identical** to evaluate(kRecordTape) + backward():
-  /// forward activations are per-row batch-composition-independent, every
+  /// Every tile geometry gives **bit-identical** gradients: forward
+  /// activations are per-row batch-composition-independent, every
   /// per-parameter accumulation (GEMM accumulate=true ascending-k fold,
   /// LayerNorm ascending-row fold, embedding/bias ascending-row loops) is a
   /// strictly sequential ascending-row fold that tile boundaries merely
   /// partition, and tiles are swept sequentially in ascending order — the
   /// ordering IS the bit-identity mechanism, so tiles are never parallelized
-  /// (threading stays inside the per-tile kernels).  gradTileRows < 0 runs
-  /// the monolithic cached-activation reference instead.  A warm call (same
-  /// shapes as the last) performs zero heap allocations on the tiled path:
-  /// all per-tile storage lives on the owned Tape arena.
-  ///
-  /// Invalidates any recorded evaluate (this call records and consumes its
-  /// own activations tile by tile).
+  /// (threading stays inside the per-tile kernels).  A warm call (same
+  /// shapes as the last) performs zero heap allocations: all per-tile
+  /// storage lives on the owned Tape arena.
   void evaluateGrad(const std::vector<Bits128>& samples,
                     const std::vector<Real>& dLogAmp,
                     const std::vector<Real>& dPhase);
 
-  /// Arena accounting of the tiled gradient path's tape: highWater is the
-  /// peak Reals live in any one tile — the measured "peak training
-  /// activation memory" BM_BackwardTiled reports and the README quotes.
+  /// Arena accounting of the gradient tape: highWater is the peak Reals live
+  /// in any one tile — the measured "peak training activation memory"
+  /// BM_BackwardTiled reports and the README quotes.
   [[nodiscard]] const nn::Workspace::Stats& gradTapeStats() const {
     return gradTape_.stats();
   }
@@ -223,72 +199,60 @@ class QiankunNet {
     nn::Workspace phaseWs;
   };
 
-  /// Make subsequent evaluateInto() calls safe to run concurrently from many
-  /// threads (each with its own EvalSlot): clears every module's backward
-  /// cache — after which the per-step invalidate() calls inside the decode
-  /// sweep are write-free — and drops any cached evaluate, so inference only
-  /// *reads* shared network state.  Call once after construction/loading and
-  /// after any cache=true evaluate; concurrent callers must not interleave
-  /// with evaluate()/phases()/backward() (which mutate shared scratch).
-  void prepareConcurrent();
+  /// No-op, kept so existing callers compile: inference is const, so
+  /// concurrent evaluateInto() calls need no preparation.
+  void prepareConcurrent() const {}
 
   /// ln|Psi| and phase of `samples` using only `slot` for mutable state —
-  /// bit-identical to a cache=false evaluate() under the kKvCache policy with
-  /// the same kernel, for any batch composition (per-row arithmetic is
-  /// independent of the surrounding batch, the serving layer's coalescing
-  /// contract).  `kernel` should be a non-forking policy (kSimd/kScalar) when
-  /// called from concurrent workers; `tileRows` as in setEvalPolicy.
+  /// bit-identical to evaluate() under the kKvCache policy with the same
+  /// kernel, for any batch composition (per-row arithmetic is independent of
+  /// the surrounding batch, the serving layer's coalescing contract).  Const:
+  /// any number of threads may call it at once, each with its own slot, as
+  /// long as no thread changes the parameters meanwhile.  `kernel` should be
+  /// a non-forking policy (kSimd/kScalar) when called from concurrent
+  /// workers; `tileRows` as in setEvalPolicy.
   void evaluateInto(EvalSlot& slot, const std::vector<Bits128>& samples,
                     std::vector<Real>& logAmp, std::vector<Real>& phase,
                     nn::kernels::KernelPolicy kernel =
                         nn::kernels::KernelPolicy::kSimd,
-                    Index tileRows = 0);
+                    Index tileRows = 0) const;
 
  private:
-  /// Tokens of a full sample in network input order: [BOS, t_0 .. t_{L-2}].
-  /// The single token-marshalling point of full-sample evaluation — both the
-  /// full-forward and the teacher-forced decode path consume its layout.
-  void inputTokens(const std::vector<Bits128>& samples, std::vector<int>& out) const;
+  /// Tokens of `count` full samples in network input order, [BOS, t_0 ..
+  /// t_{L-2}] each.  The single token-marshalling point: the full-forward,
+  /// teacher-forced decode and tape paths all consume its layout.
+  void inputTokens(const Bits128* samples, Index count, std::vector<int>& out) const;
 
-  /// ln|Psi| of `samples` via the stateless full transformer forward;
-  /// kRecordTape additionally stores the masked conditionals into
-  /// cachedProbs_ ([B, L, 4], the layout backward() consumes).
+  /// ln|Psi| of `samples` via the stateless full transformer forward.
   void amplitudesFullForward(const std::vector<Bits128>& samples,
-                             std::vector<Real>& logAmp, nn::GradMode mode);
+                             std::vector<Real>& logAmp);
   /// ln|Psi| via the teacher-forced incremental-decode sweep
-  /// (TransformerAR::evaluateDecode).  Bit-identical to the full-forward
-  /// path; zero heap allocations once warm.
-  void amplitudesDecode(const std::vector<Bits128>& samples,
-                        std::vector<Real>& logAmp);
+  /// (TransformerAR::evaluateDecode) on `slot`'s scratch; tileRows as
+  /// ExecutionPolicy::evalTileRows.  Bit-identical to the full-forward path;
+  /// zero heap allocations once the slot is warm.
+  void amplitudesDecode(EvalSlot& slot, const std::vector<Bits128>& samples,
+                        std::vector<Real>& logAmp, nn::kernels::KernelPolicy kernel,
+                        Index tileRows) const;
 
-  /// The phase-MLP forward shared by evaluate() and phases(): +-1 encode the
-  /// qubit strings and run the MLP — recording through the Tensor path, or
-  /// for inference in kEvalTileRows-row tiles through PhaseMlp::forwardInto
-  /// on phaseWs_ (allocation-free once warm).
-  void phaseForward(const std::vector<Bits128>& samples,
-                    std::vector<Real>& phase, nn::GradMode mode);
+  /// phases() on `slot`'s workspace and the given kernel.
+  void phasesInto(EvalSlot& slot, const std::vector<Bits128>& samples,
+                  std::vector<Real>& phase, nn::kernels::KernelPolicy kernel) const;
   /// The phase MLP's input: samples [t0, t0 + rows) +-1 encoded into
   /// x [rows, nQubits].
   void encodePhaseInput(const std::vector<Bits128>& samples, Index t0, Index rows,
                         Real* x) const;
 
   /// d ln|Psi| / d logits for one (sample, position): dl[4] must arrive
-  /// zeroed; pr[4] are that position's masked conditionals.  The single
-  /// seed-to-logit-gradient point of both the monolithic backward() and the
-  /// tiled evaluateGrad(), so their arithmetic cannot drift apart.
+  /// zeroed; pr[4] are that position's masked conditionals.
   void seedLogitRow(Real seed, Bits128 sample, int s, const Real* pr, Real* dl) const;
-
-  /// Drop any recorded evaluate (write-free when none), recording `why` for
-  /// the StaleTapeError a subsequent backward() raises.
-  void invalidateEvaluate(const char* why);
 
   /// Fold position s's masked log-conditional of `sample` (given its logits
   /// lg[4]) into the running (la, nUp, nDown); pr[4] receives the masked
-  /// conditionals (the cachedProbs_ slot backward() consumes).  The single
-  /// accumulation step of *both* amplitude paths, so their arithmetic — and
-  /// the decode-vs-full bit-identity contract — cannot drift apart.
+  /// conditionals (the gradient's seed input).  The single accumulation step
+  /// of every amplitude path — full forward, decode sweep and tape — so their
+  /// arithmetic, and the bit-identity contract, cannot drift apart.
   void stepLogAmp(const Real* lg, Bits128 sample, int s, int& nUp, int& nDown,
-                  Real& la, Real* pr);
+                  Real& la, Real* pr) const;
 
   QiankunNetConfig cfg_;
   Rng rng_;
@@ -298,30 +262,18 @@ class QiankunNet {
   DecodePolicy evalPolicy_ = DecodePolicy::kKvCache;
   nn::kernels::KernelPolicy evalKernel_ = nn::kernels::KernelPolicy::kAuto;
   Index evalTileRows_ = 0;
-  Index gradTileRows_ = 0;  ///< 0 = default tile; < 0 = monolithic reference
-  // Tiled-gradient scratch (evaluateGrad): the per-tile activation tape, the
+  Index gradTileRows_ = 0;  ///< 0 = default tile; < 0 = one tile spanning the batch
+  // Gradient scratch (evaluateGrad): the per-tile activation tape, the
   // tile's marshalled tokens, and the caller-owned module frames.  All reuse
-  // their capacity, so a warm tiled training step allocates nothing.
+  // their capacity, so a warm training step allocates nothing.
   nn::Tape gradTape_;
   std::vector<int> gradTokens_;
   nn::TransformerAR::TapeFrame ampFrame_;
   nn::PhaseMlp::TapeFrame phaseFrame_;
-  // Persistent evaluation scratch: the decode state (KV arena + workspace),
-  // the marshalled input tokens, the per-row (up, down) running counts and
-  // the phase MLP's tile workspace.  All re-use their capacity, so a warm
-  // inference evaluate()/phases() of any batch size allocates nothing
+  // Persistent evaluation scratch of evaluate()/phases().  Every buffer
+  // re-uses its capacity, so a warm call of any batch size allocates nothing
   // (BM_Evaluate asserts it for the amplitude sweep, test_sweep for phases()).
-  nn::DecodeState evalState_;
-  std::vector<int> evalTokens_;
-  std::vector<int> evalUp_, evalDown_;
-  nn::Workspace phaseWs_;
-  // Backward caches.  cachedBatch_ == -1 means "no cached forward"; an empty
-  // cached batch (0) makes backward a no-op so ranks that received no samples
-  // still participate in the gradient collectives with zero contributions.
-  long cachedBatch_ = -1;
-  std::vector<Bits128> cachedSamples_;
-  nn::Tensor cachedProbs_;  ///< [B, L, 4] masked conditional probabilities
-  const char* staleReason_ = nn::stale::kNeverRecorded;
+  EvalSlot evalSlot_;
   std::vector<nn::Parameter*> paramCache_;
 };
 

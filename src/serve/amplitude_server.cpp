@@ -50,7 +50,6 @@ AmplitudeServer::AmplitudeServer(const io::CheckpointReader& checkpoint,
   if (opts_.queueCapacityRequests < 1 || opts_.queueCapacityRows < 1)
     throw std::invalid_argument("AmplitudeServer: queue capacities must be >= 1");
   net_ = io::makeNet(checkpoint);
-  net_->prepareConcurrent();
   ring_.assign(opts_.queueCapacityRequests, nullptr);
   start();
 }
@@ -71,12 +70,15 @@ void AmplitudeServer::start() {
   }
   for (auto& wk : workers_)
     wk->thread = std::thread([this, w = wk.get()] { workerLoop(*w); });
+  // A worker still warming when the first queries arrive would grow its
+  // buffers while the others serve, so do not return before all are warm.
+  std::unique_lock<std::mutex> lk(mu_);
+  doneCv_.wait(lk, [&] { return warmWorkers_ == opts_.nWorkers; });
 }
 
 QueryStatus AmplitudeServer::submit(const Bits128* configs, std::size_t n,
                                     Real* logAmp, Real* phase, Ticket& t) {
   std::lock_guard<std::mutex> lk(mu_);
-  t.pending = false;
   t.done = true;
   if (stopping_) {
     t.status = QueryStatus::kShutdown;
@@ -103,7 +105,6 @@ QueryStatus AmplitudeServer::submit(const Bits128* configs, std::size_t n,
   t.enqueueTime = std::chrono::steady_clock::now();
   t.status = QueryStatus::kOk;
   t.done = false;
-  t.pending = true;
   ring_[(head_ + count_) % ring_.size()] = &t;
   ++count_;
   queuedRows_ += n;
@@ -121,8 +122,10 @@ QueryStatus AmplitudeServer::wait(Ticket& t) {
 QueryStatus AmplitudeServer::query(const Bits128* configs, std::size_t n,
                                    Real* logAmp, Real* phase) {
   Ticket t;
+  // Always wait() after kOk: the worker publishes the results under mu_, and
+  // wait() is what orders this thread's reads of them after those writes.
   const QueryStatus s = submit(configs, n, logAmp, phase, t);
-  if (s != QueryStatus::kOk || !t.pending) return s;
+  if (s != QueryStatus::kOk) return s;
   return wait(t);
 }
 
@@ -193,6 +196,8 @@ void AmplitudeServer::warmSlot(Worker& wk) {
 void AmplitudeServer::workerLoop(Worker& wk) {
   warmSlot(wk);
   std::unique_lock<std::mutex> lk(mu_);
+  ++warmWorkers_;
+  doneCv_.notify_all();
   for (;;) {
     workCv_.wait(lk, [&] { return stopping_ || (count_ > 0 && !paused_); });
     if (count_ == 0) {
@@ -249,7 +254,6 @@ void AmplitudeServer::workerLoop(Worker& wk) {
       stats_.rowsServed += t->n;
       ++stats_.latencyUs[static_cast<std::size_t>(latencyBucket(t->enqueueTime, now))];
       t->done = true;
-      t->pending = false;
     }
     doneCv_.notify_all();
   }

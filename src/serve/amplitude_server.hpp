@@ -10,11 +10,11 @@
 // flushed as soon as it reaches `maxBatch` rows, or when the *oldest* queued
 // request has waited `maxDelayUs`, whichever comes first (during shutdown the
 // queue drains immediately).  Each worker evaluates on its own
-// QiankunNet::EvalSlot — the PR 5 per-thread-state isolation pattern — after
-// a single prepareConcurrent() at load time.  Each worker sizes its slot for
-// a full maxBatch-row batch when it starts, so the warm serve loop performs
-// zero heap allocations whatever batch sizes arrive, and never writes shared
-// network state.
+// QiankunNet::EvalSlot through the const QiankunNet::evaluateInto, so the
+// shared net is read-only by type.  Each worker sizes its slot for a full
+// maxBatch-row batch when it starts, and the constructor returns only once
+// every worker has, so the serve loop performs zero heap allocations from
+// the first query on, whatever batch sizes arrive.
 //
 // Determinism contract: per-row decode arithmetic is independent of the
 // surrounding batch (each GEMM row is its own ascending-k accumulation;
@@ -130,13 +130,13 @@ class AmplitudeServer {
     std::chrono::steady_clock::time_point enqueueTime;
     QueryStatus status = QueryStatus::kOk;
     bool done = false;
-    bool pending = false;
   };
 
   /// Enqueue `n` configurations; ln|Psi| and phase land in logAmp[n]/phase[n]
-  /// once served.  Returns kOk (enqueued — pair with wait()), or one of the
-  /// immediate refusals (kRejected / kTooLarge / kShutdown), which leave the
-  /// output buffers untouched and need no wait().  Never blocks.
+  /// once served.  Returns kOk (pair with wait(); an empty request is already
+  /// done, so its wait() returns at once), or one of the immediate refusals
+  /// (kRejected / kTooLarge / kShutdown), which leave the output buffers
+  /// untouched and need no wait().  Never blocks.
   QueryStatus submit(const Bits128* configs, std::size_t n, Real* logAmp,
                      Real* phase, Ticket& t);
 
@@ -176,6 +176,7 @@ class AmplitudeServer {
     std::thread thread;
   };
 
+  /// Launch the workers and wait until every one has warmed its slot.
   void start();
   /// Size wk's buffers for a maxBatch-row batch (on the worker's thread).
   void warmSlot(Worker& wk);
@@ -186,11 +187,11 @@ class AmplitudeServer {
   void evaluateBatch(Worker& wk);
 
   ServeOptions opts_;
-  std::unique_ptr<nqs::QiankunNet> net_;
+  std::unique_ptr<const nqs::QiankunNet> net_;
 
   mutable std::mutex mu_;
   std::condition_variable workCv_;   ///< workers: work available / state change
-  std::condition_variable doneCv_;   ///< clients: a batch completed
+  std::condition_variable doneCv_;   ///< clients: a batch completed or a worker warmed
   // Fixed ring of queued tickets (head_ pops, size_ entries live): bounded in
   // requests by the ring size and in rows by queuedRows_, and allocation-free
   // after construction.
@@ -199,6 +200,7 @@ class AmplitudeServer {
   std::size_t queuedRows_ = 0;
   bool paused_ = false;
   bool stopping_ = false;
+  int warmWorkers_ = 0;  ///< workers whose slot is sized for maxBatch rows
   ServeStats stats_;
 
   std::vector<std::unique_ptr<Worker>> workers_;

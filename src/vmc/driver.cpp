@@ -62,7 +62,7 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
     nqs::QiankunNet net(netConfig);
     // Route psi inference (the Eloc LUT evaluation below — the largest batch
     // the network ever sees) through the same decode/kernel policies as
-    // sampling; cache=true gradient evaluates stay full-forward regardless.
+    // sampling; the tape gradient (Stage 5) runs the full forward regardless.
     net.setEvalPolicy(ex);
     // The sweep engine persists across iterations: its decode arena, frontier
     // blocks and output set keep their capacity, so steady-state sampling
@@ -145,7 +145,7 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
         logAmp.assign(local.logAmp.begin(), local.logAmp.end());
         net.phases(local.samples, phase);
       } else {
-        net.evaluate(local.samples, logAmp, phase, nn::GradMode::kInference);
+        net.evaluate(local.samples, logAmp, phase);
       }
       phases.sampling += t0.seconds();
 
@@ -271,10 +271,9 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
       Timer t4;
       // The loss seeds depend only on eloc/eMean/weights, so they are
       // computed up front and the forward+backward runs through the
-      // recompute-in-tiles gradient path (ExecutionPolicy::gradTileRows):
+      // recompute-in-tiles tape gradient (ExecutionPolicy::gradTileRows):
       // peak training activation memory is one tile's, not the chunk's, and
-      // the accumulated gradients are bit-identical to the monolithic
-      // recording-evaluate + backward this replaced.
+      // every tile size gives the same bits.
       std::vector<Real> dLogAmp(local.nUnique()), dPhase(local.nUnique());
       for (std::size_t i = 0; i < local.nUnique(); ++i) {
         const Complex delta = eloc[i] - eMean;

@@ -61,14 +61,14 @@ TEST(Ansatz, ProbabilityNormalizedOverNumberSector) {
   QiankunNet net(smallConfig(n, na, nb));
   const auto sector = numberSector(n, na, nb);
   std::vector<Real> la, ph;
-  net.evaluate(sector, la, ph, nn::GradMode::kInference);
+  net.evaluate(sector, la, ph);
   Real norm = 0;
   for (Real v : la) norm += std::exp(2.0 * v);
   EXPECT_NEAR(norm, 1.0, 1e-10);
 
   // A wrong-sector state has zero amplitude.
   const auto wrong = numberSector(n, na + 1, nb);
-  net.evaluate({wrong[0]}, la, ph, nn::GradMode::kInference);
+  net.evaluate({wrong[0]}, la, ph);
   EXPECT_LT(la[0], -1e20);
 }
 
@@ -102,7 +102,7 @@ TEST(Ansatz, ConditionalsMatchEvaluate) {
   QiankunNet net(smallConfig(n, na, nb));
   const Bits128 x = numberSector(n, na, nb)[5];
   std::vector<Real> la, ph;
-  net.evaluate({x}, la, ph, nn::GradMode::kInference);
+  net.evaluate({x}, la, ph);
 
   Real logProb = 0;
   std::vector<int> prefix;
@@ -131,8 +131,8 @@ TEST(Ansatz, DeterministicAcrossInstancesWithSameSeed) {
   QiankunNet a(smallConfig(8, 2, 2, 99)), b(smallConfig(8, 2, 2, 99));
   const auto sector = numberSector(8, 2, 2);
   std::vector<Real> la1, ph1, la2, ph2;
-  a.evaluate(sector, la1, ph1, nn::GradMode::kInference);
-  b.evaluate(sector, la2, ph2, nn::GradMode::kInference);
+  a.evaluate(sector, la1, ph1);
+  b.evaluate(sector, la2, ph2);
   for (std::size_t i = 0; i < sector.size(); ++i) {
     EXPECT_DOUBLE_EQ(la1[i], la2[i]);
     EXPECT_DOUBLE_EQ(ph1[i], ph2[i]);
@@ -150,8 +150,8 @@ TEST(Ansatz, CheckpointRoundTrip) {
   io::loadNet(r, b);
   const auto sector = numberSector(8, 2, 2);
   std::vector<Real> la1, ph1, la2, ph2;
-  a.evaluate(sector, la1, ph1, nn::GradMode::kInference);
-  b.evaluate(sector, la2, ph2, nn::GradMode::kInference);
+  a.evaluate(sector, la1, ph1);
+  b.evaluate(sector, la2, ph2);
   for (std::size_t i = 0; i < sector.size(); ++i) {
     EXPECT_DOUBLE_EQ(la1[i], la2[i]);  // binary f64 round trip: bit-exact
     EXPECT_DOUBLE_EQ(ph1[i], ph2[i]);

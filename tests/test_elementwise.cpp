@@ -260,13 +260,13 @@ TEST(ElementwiseKernels, ModulesRunOnTheKernels) {
   Gelu g;
   Tensor x({3, 7});
   x.randn(rng, 2.0);
-  const Tensor y = g.forward(x, GradMode::kInference);
+  const Tensor y = g.forward(x);
   for (Index i = 0; i < x.numel(); ++i)
     EXPECT_EQ(y.data[static_cast<std::size_t>(i)],
               kernels::geluScalar(x.data[static_cast<std::size_t>(i)]));
 
   LayerNorm ln(7, "t");
-  const Tensor ly = ln.forward(x, GradMode::kInference);
+  const Tensor ly = ln.forward(x);
   std::vector<Real> xv(x.data.begin(), x.data.end());
   const auto ref = runLn(xv, nullptr, 3, 7,
                          {ln.gamma.value.data.begin(), ln.gamma.value.data.end()},
@@ -283,7 +283,7 @@ TEST(ElementwiseKernels, TanhPathsAgreeBitForBit) {
   TanhAct t;
   Tensor x({5, 9});
   x.randn(rng, 3.0);
-  const Tensor y = t.forward(x, GradMode::kInference);
+  const Tensor y = t.forward(x);
   Tape tape;
   tape.reset();
   TanhAct::TapeFrame tf;
@@ -300,7 +300,7 @@ TEST(ElementwiseKernels, TanhPathsAgreeBitForBit) {
   const Index rows = 37;
   Tensor xin({rows, 6});
   xin.randn(rng, 1.0);
-  const Tensor ph = mlp.forward(xin, GradMode::kInference);
+  const Tensor ph = mlp.forward(xin);
   tape.reset();
   PhaseMlp::TapeFrame pf;
   const Real* phTape = mlp.forwardTape(tape, pf, xin.data.data(), rows);

@@ -1,8 +1,8 @@
 // Teacher-forced batched evaluate() on the incremental-decode engine:
-// bit-identity with the stateless full-forward path for amplitudes, phases,
-// logits, and gradients, across KernelPolicy x DecodePolicy on ragged batch
-// sizes (empty batches, batches larger than one tile), plus the cache
-// invalidation guard of GradMode::kInference evaluates.
+// bit-identity with the stateless full-forward path for amplitudes, phases
+// and logits across KernelPolicy x DecodePolicy on ragged batch sizes (empty
+// batches, batches larger than one tile), and the tape gradient
+// (evaluateGrad) across tile geometries.
 
 #include <gtest/gtest.h>
 
@@ -102,11 +102,11 @@ TEST(Evaluate, DecodeMatchesFullForwardBitIdentical) {
                                        pool.begin() + static_cast<long>(batch));
     net.setEvalPolicy(execFor(DecodePolicy::kFullForward));
     std::vector<Real> laRef, phRef;
-    net.evaluate(samples, laRef, phRef, nn::GradMode::kInference);
+    net.evaluate(samples, laRef, phRef);
     for (auto kernel : kAllKernels) {
       net.setEvalPolicy(execFor(DecodePolicy::kKvCache, kernel, /*evalTileRows=*/4));
       std::vector<Real> la, ph;
-      net.evaluate(samples, la, ph, nn::GradMode::kInference);
+      net.evaluate(samples, la, ph);
       ASSERT_EQ(la.size(), laRef.size());
       ASSERT_EQ(ph.size(), phRef.size());
       for (std::size_t i = 0; i < batch; ++i) {
@@ -132,7 +132,7 @@ TEST(Evaluate, TransformerEvaluateDecodeMatchesForwardLogits) {
     for (Index s = 1; s < L; ++s)
       tokens[static_cast<std::size_t>(b * L + s)] = static_cast<int>(tok.below(4));
   }
-  const nn::Tensor ref = net.forward(tokens, L, nn::GradMode::kInference);
+  const nn::Tensor ref = net.forward(tokens, L);
 
   for (auto kernel : kAllKernels) {
     std::vector<Real> got(static_cast<std::size_t>(batch * L * 4), -1.0);
@@ -187,45 +187,11 @@ TEST(Evaluate, PsiSharesTheEvaluateEntryPoint) {
   EXPECT_EQ(got.back(), (Complex{0.0, 0.0}));  // outside the sector
 }
 
-TEST(Evaluate, GradientsAfterCachedEvaluateMatchAcrossPolicies) {
-  // The VMC gradient stage: evaluate(GradMode::kRecordTape) + backward() must fill
-  // bit-identical gradients whether the net's inference policy is decode or
-  // full-forward (the cached evaluate itself always runs full-forward; the
-  // policy must not leak into the gradient path).
-  NNQS_SKIP_IF_BLAS();
-  const int n = 10, na = 2, nb = 2;
-  const auto samples = [&] {
-    auto s = numberSector(n, na, nb);
-    s.resize(6);
-    return s;
-  }();
-  const std::vector<Real> dLa = {0.7, -1.1, 0.4, 0.3, -0.2, 0.9};
-  const std::vector<Real> dPh = {0.2, 0.9, -0.5, 1.3, 0.8, -0.6};
-
-  auto gradsUnder = [&](DecodePolicy policy) {
-    QiankunNet net(smallConfig(n, na, nb, 77));
-    net.setEvalPolicy(execFor(policy, nn::kernels::KernelPolicy::kAuto, /*evalTileRows=*/2));
-    // An inference evaluate first, as the VMC loop interleaves them; it must
-    // not perturb the subsequent cached evaluate + backward.
-    std::vector<Real> la, ph;
-    net.evaluate(samples, la, ph, nn::GradMode::kInference);
-    net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
-    net.backward(dLa, dPh);
-    std::vector<Real> grads;
-    net.flattenGradients(grads);
-    return grads;
-  };
-  const auto ref = gradsUnder(DecodePolicy::kFullForward);
-  const auto got = gradsUnder(DecodePolicy::kKvCache);
-  ASSERT_EQ(ref.size(), got.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(ref[i], got[i]) << i;
-}
-
 TEST(Evaluate, GradcheckWithDecodePathLoss) {
   // Numeric gradcheck of the VMC loss where every finite-difference forward
   // runs the *decode-path* evaluate (multi-tile: tileRows 2 on batch 3) while
-  // the analytic gradients come from the cached full-forward + backward():
-  // the two paths must describe the same function.
+  // the analytic gradients come from evaluateGrad's full forward on the
+  // tape: the two paths must describe the same function.
   nqs::QiankunNetConfig cfg;
   cfg.nQubits = 8;
   cfg.nAlpha = 2;
@@ -244,17 +210,13 @@ TEST(Evaluate, GradcheckWithDecodePathLoss) {
   const std::vector<Real> cA = {0.7, -1.1, 0.4}, cP = {0.2, 0.9, -0.5};
   auto loss = [&] {
     std::vector<Real> la, ph;
-    net.evaluate(samples, la, ph, nn::GradMode::kInference);
+    net.evaluate(samples, la, ph);
     Real s = 0;
     for (std::size_t i = 0; i < samples.size(); ++i)
       s += cA[i] * la[i] + cP[i] * ph[i];
     return s;
   };
-  {
-    std::vector<Real> la, ph;
-    net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
-    net.backward(cA, cP);
-  }
+  net.evaluateGrad(samples, cA, cP);
   Rng rng(123);
   for (nn::Parameter* p : net.parameters()) {
     const std::size_t nEl = p->value.data.size();
@@ -268,39 +230,13 @@ TEST(Evaluate, GradcheckWithDecodePathLoss) {
   }
 }
 
-TEST(Evaluate, CacheFalseInvalidatesLikeTheModules) {
-  // An inference-mode evaluate — either engine — must invalidate the previously
-  // cached evaluate: a stale backward() throws instead of silently mixing
-  // old cachedProbs_ with fresh (or missing) activations.
-  const int n = 8, na = 2, nb = 2;
-  const auto samples = [&] {
-    auto s = numberSector(n, na, nb);
-    s.resize(3);
-    return s;
-  }();
-  const std::vector<Real> dLa = {0.1, 0.2, 0.3}, dPh = {0.4, 0.5, 0.6};
-  for (DecodePolicy policy : {DecodePolicy::kFullForward, DecodePolicy::kKvCache}) {
-    QiankunNet net(smallConfig(n, na, nb));
-    net.setEvalPolicy(execFor(policy));
-    std::vector<Real> la, ph;
-    net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
-    net.evaluate(samples, la, ph, nn::GradMode::kInference);
-    EXPECT_THROW(net.backward(dLa, dPh), std::logic_error);
-    // A fresh cached evaluate restores the gradient path.
-    net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
-    EXPECT_NO_THROW(net.backward(dLa, dPh));
-    // backward consumed the cache: a second backward throws again.
-    EXPECT_THROW(net.backward(dLa, dPh), std::logic_error);
-  }
-}
-
 TEST(EvaluateGrad, TiledBitIdenticalToMonolithicAcrossTileGeometries) {
   // The recompute-in-tiles training step must fill parameter gradients
-  // bit-identical to the monolithic cached-activation reference
-  // (gradTileRows = -1) at every tile geometry: degenerate single-sample
-  // tiles, a ragged last tile (32 on batch 70 -> 32, 32, 6), one tile
-  // larger than the batch (256 > 70, single ragged tile), an exact-batch
-  // tile, and the engine default (0).
+  // bit-identical to one tape tile spanning the batch (gradTileRows = -1)
+  // at every tile geometry: degenerate single-sample tiles, a ragged last
+  // tile (32 on batch 70 -> 32, 32, 6), one tile larger than the batch
+  // (256 > 70, single ragged tile), an exact-batch tile, and the engine
+  // default (0).
   NNQS_SKIP_IF_BLAS();
   const int n = 12, na = 3, nb = 2;
   const auto samples = [&] {
@@ -323,7 +259,7 @@ TEST(EvaluateGrad, TiledBitIdenticalToMonolithicAcrossTileGeometries) {
     net.flattenGradients(g);
     return g;
   };
-  const auto ref = gradsWithTile(-1);  // monolithic full-batch reference
+  const auto ref = gradsWithTile(-1);  // one tile spanning the batch
   ASSERT_FALSE(ref.empty());
   for (int tile : {1, 32, 256, static_cast<int>(samples.size()), 0}) {
     const auto got = gradsWithTile(tile);
@@ -334,8 +270,8 @@ TEST(EvaluateGrad, TiledBitIdenticalToMonolithicAcrossTileGeometries) {
 }
 
 TEST(EvaluateGrad, EmptyBatchLeavesGradientsZero) {
-  // Ranks that received no samples call the same training step; both the
-  // tiled and the monolithic engines must accept the empty batch.
+  // Ranks that received no samples call the same training step; every tile
+  // setting, untiled included, must accept the empty batch.
   const std::vector<Bits128> none;
   const std::vector<Real> zero;
   for (int tile : {-1, 0, 8}) {
@@ -364,7 +300,7 @@ TEST(EvaluateGrad, RejectsMismatchedSeedLengths) {
 }
 
 TEST(EvaluateGrad, DecodePolicyDoesNotLeakIntoTiledGradients) {
-  // evaluateGrad always re-runs the recording full forward per tile; the
+  // evaluateGrad always re-runs the full forward onto its tape per tile; the
   // inference engine selected for evaluate()/psi() must not perturb it,
   // even with an inference evaluate interleaved (the VMC loop's shape).
   NNQS_SKIP_IF_BLAS();
@@ -383,7 +319,7 @@ TEST(EvaluateGrad, DecodePolicyDoesNotLeakIntoTiledGradients) {
     ex.gradTileRows = 3;  // ragged: 3, 3, 3, 2
     net.setEvalPolicy(ex);
     std::vector<Real> la, ph;
-    net.evaluate(samples, la, ph, nn::GradMode::kInference);
+    net.evaluate(samples, la, ph);
     net.evaluateGrad(samples, dLa, dPh);
     std::vector<Real> g;
     net.flattenGradients(g);
@@ -419,82 +355,3 @@ TEST(EvaluateGrad, WarmStepsReuseTheTapeArena) {
   EXPECT_EQ(warm.highWater, cold.highWater);
   EXPECT_EQ(warm.capacity, cold.capacity);
 }
-
-TEST(EvaluateGrad, StaleBackwardNamesTheModuleAndTheInvalidator) {
-  // The typed stale-tape error must say *which* module refused and *what*
-  // invalidated its recording (checkpoint.hpp typed-error style), so a
-  // misuse report is actionable without a debugger.
-  const int n = 8, na = 2, nb = 2;
-  const auto samples = [&] {
-    auto s = numberSector(n, na, nb);
-    s.resize(3);
-    return s;
-  }();
-  const std::vector<Real> dLa = {0.1, 0.2, 0.3}, dPh = {0.4, 0.5, 0.6};
-  QiankunNet net(smallConfig(n, na, nb));
-  std::vector<Real> la, ph;
-  auto expectBackwardError = [&](const char* expectReason) {
-    try {
-      net.backward(dLa, dPh);
-      FAIL() << "expected StaleTapeError (" << expectReason << ")";
-    } catch (const nn::StaleTapeError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("QiankunNet"), std::string::npos) << what;
-      EXPECT_NE(what.find(expectReason), std::string::npos) << what;
-    }
-  };
-  // Never recorded.
-  expectBackwardError(nn::stale::kNeverRecorded);
-  // Recorded, then invalidated by an inference forward.
-  net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
-  net.evaluate(samples, la, ph, nn::GradMode::kInference);
-  expectBackwardError(nn::stale::kInferenceForward);
-  // Recorded, then invalidated by a tape-recording (evaluateGrad) pass.
-  net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
-  net.evaluateGrad(samples, dLa, dPh);
-  expectBackwardError(nn::stale::kTapeForward);
-  // Recorded, consumed by one backward; the second names the consumption.
-  net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
-  EXPECT_NO_THROW(net.backward(dLa, dPh));
-  expectBackwardError("already consumed by a previous backward");
-}
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(EvaluateGrad, DeprecatedBoolAndTwoArgOverloadsStillWork) {
-  // One-release compatibility shims: the bool-cache evaluate and the
-  // two-argument setEvalPolicy must keep behaving exactly like their
-  // replacements until they are removed.
-  NNQS_SKIP_IF_BLAS();
-  const int n = 10, na = 2, nb = 2;
-  const auto samples = [&] {
-    auto s = numberSector(n, na, nb);
-    s.resize(5);
-    return s;
-  }();
-  const std::vector<Real> dLa = {0.7, -1.1, 0.4, 0.3, -0.2};
-  const std::vector<Real> dPh = {0.2, 0.9, -0.5, 1.3, 0.8};
-  QiankunNet neu(smallConfig(n, na, nb, 9));
-  QiankunNet old(smallConfig(n, na, nb, 9));
-  neu.setEvalPolicy(
-      execFor(DecodePolicy::kKvCache, nn::kernels::KernelPolicy::kAuto, 2));
-  old.setEvalPolicy(execFor(DecodePolicy::kKvCache), /*tileRows=*/2);
-  std::vector<Real> laN, phN, laO, phO;
-  neu.evaluate(samples, laN, phN, nn::GradMode::kInference);
-  old.evaluate(samples, laO, phO, /*cache=*/false);
-  ASSERT_EQ(laN.size(), laO.size());
-  for (std::size_t i = 0; i < laN.size(); ++i) {
-    EXPECT_EQ(laN[i], laO[i]) << i;
-    EXPECT_EQ(phN[i], phO[i]) << i;
-  }
-  neu.evaluate(samples, laN, phN, nn::GradMode::kRecordTape);
-  old.evaluate(samples, laO, phO, /*cache=*/true);
-  neu.backward(dLa, dPh);
-  old.backward(dLa, dPh);
-  std::vector<Real> gN, gO;
-  neu.flattenGradients(gN);
-  old.flattenGradients(gO);
-  ASSERT_EQ(gN.size(), gO.size());
-  for (std::size_t i = 0; i < gN.size(); ++i) EXPECT_EQ(gN[i], gO[i]) << i;
-}
-#pragma GCC diagnostic pop

@@ -163,7 +163,7 @@ TEST(Gemm, LinearForwardMatchesHandLoop) {
   Linear lin(in, out, rng, "t");
   Tensor x({rows, in});
   x.randn(rng, 1.0);
-  const Tensor y = lin.forward(x, GradMode::kInference);
+  const Tensor y = lin.forward(x);
   ASSERT_EQ(y.numel(), rows * out);
   for (Index r = 0; r < rows; ++r)
     for (Index o = 0; o < out; ++o) {
@@ -187,9 +187,9 @@ TEST(Gemm, LinearPoliciesAgree) {
   Linear lin(in, out, rng, "qkv");
   Tensor x({rows, in});
   x.randn(rng, 1.0);
-  const Tensor ref = lin.forward(x, GradMode::kInference, KernelPolicy::kScalar);
+  const Tensor ref = lin.forward(x, KernelPolicy::kScalar);
   for (auto policy : {KernelPolicy::kSimd, KernelPolicy::kThreaded, KernelPolicy::kAuto}) {
-    const Tensor got = lin.forward(x, GradMode::kInference, policy);
+    const Tensor got = lin.forward(x, policy);
     for (std::size_t i = 0; i < ref.data.size(); ++i) {
       if (kernels::gemmUsesBlas())
         EXPECT_NEAR(got.data[i], ref.data[i], 1e-11 * (1.0 + std::abs(ref.data[i])));

@@ -22,13 +22,15 @@ Real numericalGrad(const std::function<Real()>& f, Real& param, Real eps = 1e-5)
   return (fp - fm) / (2 * eps);
 }
 
-/// Scalar loss = sum(weights * output) for a module applied to fixed input.
+/// Scalar loss = sum(weights * output) for a module applied to fixed input;
+/// `backwardSeed` fills the analytic gradients (a forwardTape + backwardTape
+/// pass seeded with the weights, or evaluateGrad).
 template <typename Fwd>
 void gradcheckParams(std::vector<Parameter*> params, const Fwd& forwardLoss,
                      const std::function<void()>& backwardSeed, Real tol,
                      int samplesPerParam = 3) {
   for (Parameter* p : params) p->grad.setZero();
-  backwardSeed();  // run cached forward + backward once, filling grads
+  backwardSeed();
   Rng rng(123);
   for (Parameter* p : params) {
     const std::size_t n = p->value.data.size();
@@ -52,7 +54,7 @@ TEST(GradCheck, Linear) {
   Tensor w({2, 3});
   w.randn(rng, 1.0);
   auto loss = [&] {
-    const Tensor y = lin.forward(x, GradMode::kInference);
+    const Tensor y = lin.forward(x);
     Real s = 0;
     for (std::size_t i = 0; i < y.data.size(); ++i) s += w.data[i] * y.data[i];
     return s;
@@ -60,8 +62,10 @@ TEST(GradCheck, Linear) {
   std::vector<Parameter*> params;
   lin.collectParameters(params);
   gradcheckParams(params, loss, [&] {
-    lin.forward(x, GradMode::kRecordTape);
-    lin.backward(w);
+    Tape tape;
+    Linear::TapeFrame f;
+    lin.forwardTape(tape, f, x.data.data(), 2);
+    lin.backwardTape(tape, f, w.data.data());
   }, 1e-6, 6);
 }
 
@@ -75,7 +79,7 @@ TEST(GradCheck, LayerNorm) {
   Tensor w({3, 6});
   w.randn(rng, 1.0);
   auto loss = [&] {
-    const Tensor y = ln.forward(x, GradMode::kInference);
+    const Tensor y = ln.forward(x);
     Real s = 0;
     for (std::size_t i = 0; i < y.data.size(); ++i) s += w.data[i] * y.data[i];
     return s;
@@ -83,8 +87,10 @@ TEST(GradCheck, LayerNorm) {
   std::vector<Parameter*> params;
   ln.collectParameters(params);
   gradcheckParams(params, loss, [&] {
-    ln.forward(x, GradMode::kRecordTape);
-    ln.backward(w);
+    Tape tape;
+    LayerNorm::TapeFrame f;
+    ln.forwardTape(tape, f, x.data.data(), 3);
+    ln.backwardTape(tape, f, w.data.data());
   }, 1e-5, 4);
 }
 
@@ -95,7 +101,7 @@ TEST(GradCheck, AttentionAndDecoderStack) {
   Tensor w({2 * 4, 4});
   w.randn(rng, 1.0);
   auto loss = [&] {
-    const Tensor y = net.forward(tokens, 4, GradMode::kInference);
+    const Tensor y = net.forward(tokens, 4);
     Real s = 0;
     for (std::size_t i = 0; i < y.data.size(); ++i) s += w.data[i] * y.data[i];
     return s;
@@ -103,8 +109,10 @@ TEST(GradCheck, AttentionAndDecoderStack) {
   std::vector<Parameter*> params;
   net.collectParameters(params);
   gradcheckParams(params, loss, [&] {
-    net.forward(tokens, 4, GradMode::kRecordTape);
-    net.backward(w);
+    Tape tape;
+    TransformerAR::TapeFrame f;
+    net.forwardTape(tape, f, tokens.data(), 2 * 4, 4);
+    net.backwardTape(tape, f, w.data.data());
   }, 2e-5, 2);
 }
 
@@ -116,7 +124,7 @@ TEST(GradCheck, PhaseMlp) {
   Tensor w({3, 1});
   w.randn(rng, 1.0);
   auto loss = [&] {
-    const Tensor y = mlp.forward(x, GradMode::kInference);
+    const Tensor y = mlp.forward(x);
     Real s = 0;
     for (std::size_t i = 0; i < y.data.size(); ++i) s += w.data[i] * y.data[i];
     return s;
@@ -124,14 +132,17 @@ TEST(GradCheck, PhaseMlp) {
   std::vector<Parameter*> params;
   mlp.collectParameters(params);
   gradcheckParams(params, loss, [&] {
-    mlp.forward(x, GradMode::kRecordTape);
-    mlp.backward(w);
+    Tape tape;
+    PhaseMlp::TapeFrame f;
+    mlp.forwardTape(tape, f, x.data.data(), 3);
+    mlp.backwardTape(tape, f, w.data.data());
   }, 1e-6, 3);
 }
 
 TEST(GradCheck, QiankunNetVmcLoss) {
   // End-to-end: L = sum_i [cA_i ln|Psi(x_i)| + cP_i phi(x_i)] — exactly the
-  // seed structure of the VMC gradient (Eq. 7).
+  // seed structure of the VMC gradient (Eq. 7) — with the analytic gradients
+  // from evaluateGrad on one tape tile spanning the batch.
   nqs::QiankunNetConfig cfg;
   cfg.nQubits = 8;
   cfg.nAlpha = 2;
@@ -143,22 +154,23 @@ TEST(GradCheck, QiankunNetVmcLoss) {
   cfg.phaseHiddenLayers = 1;
   cfg.seed = 77;
   nqs::QiankunNet net(cfg);
+  exec::ExecutionPolicy ex;
+  ex.gradTileRows = -1;
+  net.setEvalPolicy(ex);
   const std::vector<Bits128> samples = {fromBitString("00001111"),
                                         fromBitString("00111100"),
                                         fromBitString("11000011")};
   const std::vector<Real> cA = {0.7, -1.1, 0.4}, cP = {0.2, 0.9, -0.5};
   auto loss = [&] {
     std::vector<Real> la, ph;
-    net.evaluate(samples, la, ph, GradMode::kInference);
+    net.evaluate(samples, la, ph);
     Real s = 0;
     for (std::size_t i = 0; i < samples.size(); ++i)
       s += cA[i] * la[i] + cP[i] * ph[i];
     return s;
   };
   gradcheckParams(net.parameters(), loss, [&] {
-    std::vector<Real> la, ph;
-    net.evaluate(samples, la, ph, GradMode::kRecordTape);
-    net.backward(cA, cP);
+    net.evaluateGrad(samples, cA, cP);
   }, 5e-5, 2);
 }
 
@@ -187,7 +199,7 @@ TEST(GradCheck, QiankunNetVmcLossTiledRecompute) {
   const std::vector<Real> cA = {0.7, -1.1, 0.4}, cP = {0.2, 0.9, -0.5};
   auto loss = [&] {
     std::vector<Real> la, ph;
-    net.evaluate(samples, la, ph, GradMode::kInference);
+    net.evaluate(samples, la, ph);
     Real s = 0;
     for (std::size_t i = 0; i < samples.size(); ++i)
       s += cA[i] * la[i] + cP[i] * ph[i];

@@ -18,7 +18,7 @@ TEST(Linear, ForwardShapeAndBias) {
   lin.w.value.setZero();
   lin.b.value.data = {1.5, -0.5};
   Tensor x({2, 3});
-  Tensor y = lin.forward(x, GradMode::kInference);
+  Tensor y = lin.forward(x);
   EXPECT_EQ(y.shape[1], 2);
   EXPECT_DOUBLE_EQ(y.data[0], 1.5);
   EXPECT_DOUBLE_EQ(y.data[1], -0.5);
@@ -32,11 +32,11 @@ TEST(Linear, LinearityProperty) {
   x2.randn(rng, 1.0);
   Tensor sum({1, 4});
   for (int i = 0; i < 4; ++i) sum.data[i] = x1.data[i] + x2.data[i];
-  const Tensor y1 = lin.forward(x1, GradMode::kInference);
-  const Tensor y2 = lin.forward(x2, GradMode::kInference);
-  const Tensor ys = lin.forward(sum, GradMode::kInference);
+  const Tensor y1 = lin.forward(x1);
+  const Tensor y2 = lin.forward(x2);
+  const Tensor ys = lin.forward(sum);
   // f(a+b) = f(a) + f(b) - f(0) for affine maps.
-  const Tensor y0 = lin.forward(Tensor({1, 4}), GradMode::kInference);
+  const Tensor y0 = lin.forward(Tensor({1, 4}));
   for (int i = 0; i < 3; ++i)
     EXPECT_NEAR(ys.data[i], y1.data[i] + y2.data[i] - y0.data[i], 1e-12);
 }
@@ -46,7 +46,7 @@ TEST(LayerNorm, OutputNormalized) {
   LayerNorm ln(8, "t");
   Tensor x({4, 8});
   x.randn(rng, 3.0);
-  const Tensor y = ln.forward(x, GradMode::kInference);
+  const Tensor y = ln.forward(x);
   for (int r = 0; r < 4; ++r) {
     Real mean = 0, var = 0;
     for (int i = 0; i < 8; ++i) mean += y.data[r * 8 + i];
@@ -62,7 +62,7 @@ TEST(Gelu, KnownValues) {
   Gelu g;
   Tensor x({1, 3});
   x.data = {0.0, 100.0, -100.0};
-  const Tensor y = g.forward(x, GradMode::kInference);
+  const Tensor y = g.forward(x);
   EXPECT_NEAR(y.data[0], 0.0, 1e-12);
   EXPECT_NEAR(y.data[1], 100.0, 1e-6);
   EXPECT_NEAR(y.data[2], 0.0, 1e-6);
@@ -72,7 +72,7 @@ TEST(Embedding, LookupAddsPosition) {
   Rng rng(4);
   Embedding emb(5, 3, 2, rng, "t");
   const std::vector<int> tokens = {1, 0, 2};  // one sequence of length 3
-  const Tensor y = emb.forward(tokens, 3, GradMode::kInference);
+  const Tensor y = emb.forward(tokens, 3);
   for (int d = 0; d < 2; ++d) {
     EXPECT_NEAR(y.data[0 * 2 + d],
                 emb.token.value.data[1 * 2 + d] + emb.position.value.data[0 * 2 + d],
@@ -88,9 +88,9 @@ TEST(TransformerAR, CausalityOfLogits) {
   Rng rng(5);
   TransformerAR net(6, 16, 4, 2, rng);
   std::vector<int> tokens = {4, 1, 2, 0, 3, 1};
-  const Tensor base = net.forward(tokens, 6, GradMode::kInference);
+  const Tensor base = net.forward(tokens, 6);
   tokens[5] = 0;  // mutate the last token
-  const Tensor mut = net.forward(tokens, 6, GradMode::kInference);
+  const Tensor mut = net.forward(tokens, 6);
   for (int pos = 0; pos < 5; ++pos)
     for (int t = 0; t < 4; ++t)
       EXPECT_NEAR(base.data[pos * 4 + t], mut.data[pos * 4 + t], 1e-12) << pos;
@@ -106,10 +106,10 @@ TEST(TransformerAR, PrefixWindowConsistency) {
   Rng rng(6);
   TransformerAR net(5, 16, 4, 2, rng);
   const std::vector<int> full = {4, 0, 3, 1, 2};
-  const Tensor all = net.forward(full, 5, GradMode::kInference);
+  const Tensor all = net.forward(full, 5);
   for (int w = 1; w <= 5; ++w) {
     const std::vector<int> prefix(full.begin(), full.begin() + w);
-    const Tensor part = net.forward(prefix, w, GradMode::kInference);
+    const Tensor part = net.forward(prefix, w);
     for (int t = 0; t < 4; ++t)
       EXPECT_NEAR(part.data[(w - 1) * 4 + t], all.data[(w - 1) * 4 + t], 1e-10);
   }
@@ -133,137 +133,17 @@ TEST(ShapeCheck, AttentionRejectsRaggedWindows) {
   };
   TransformerAR net(5, 16, 4, 2, rng);
   const std::vector<int> tokens = {4, 0, 3, 1, 2, 4, 1, 1, 0, 3, 2};
-  expectMessage([&] { net.forward(tokens, 5, GradMode::kInference); });
+  expectMessage([&] { net.forward(tokens, 5); });
 
-  CausalSelfAttention attn(16, 4, 5, rng, "blk.attn");
+  CausalSelfAttention attn(16, 4, rng, "blk.attn");
   Tensor x({11, 16});
-  expectMessage([&] { attn.forward(x, GradMode::kInference); });
+  expectMessage([&] { attn.forward(x, 5); });
   Tape tape;
   CausalSelfAttention::TapeFrame frame;
-  expectMessage([&] { attn.forwardTape(tape, frame, x.data.data(), 11); });
+  expectMessage([&] { attn.forwardTape(tape, frame, x.data.data(), 11, 5); });
   // Whole windows still run.
   Tensor ok({10, 16});
-  EXPECT_EQ(attn.forward(ok, GradMode::kInference).numel(), 10 * 16);
-}
-
-// ---- stale-cache regression: a cache=false forward invalidates the cache,
-// so a subsequent backward throws instead of silently computing gradients
-// against the *previous* cached activations.
-
-TEST(StaleCache, LinearThrowsAfterNonCachingForward) {
-  Rng rng(21);
-  Linear lin(3, 2, rng, "t");
-  Tensor x({2, 3}), dy({2, 2});
-  x.randn(rng, 1.0);
-  dy.randn(rng, 1.0);
-  lin.forward(x, GradMode::kRecordTape);
-  EXPECT_NO_THROW(lin.backward(dy));  // proper cached flow still works
-  lin.forward(x, GradMode::kRecordTape);
-  lin.forward(x, GradMode::kInference);  // invalidates: backward must not use the stale cache
-  EXPECT_THROW(lin.backward(dy), std::logic_error);
-  EXPECT_THROW(lin.backward(dy), std::logic_error);  // stays invalid
-}
-
-TEST(StaleCache, LayerNormThrowsAfterNonCachingForward) {
-  Rng rng(22);
-  LayerNorm ln(4, "t");
-  Tensor x({3, 4}), dy({3, 4});
-  x.randn(rng, 1.0);
-  dy.randn(rng, 1.0);
-  ln.forward(x, GradMode::kRecordTape);
-  EXPECT_NO_THROW(ln.backward(dy));
-  ln.forward(x, GradMode::kRecordTape);
-  ln.forward(x, GradMode::kInference);
-  EXPECT_THROW(ln.backward(dy), std::logic_error);
-}
-
-TEST(StaleCache, GeluThrowsAfterNonCachingForward) {
-  Rng rng(23);
-  Gelu g;
-  Tensor x({2, 5}), dy({2, 5});
-  x.randn(rng, 1.0);
-  dy.randn(rng, 1.0);
-  g.forward(x, GradMode::kRecordTape);
-  EXPECT_NO_THROW(g.backward(dy));
-  g.forward(x, GradMode::kRecordTape);
-  g.forward(x, GradMode::kInference);
-  EXPECT_THROW(g.backward(dy), std::logic_error);
-}
-
-TEST(StaleCache, TanhActThrowsAfterNonCachingForward) {
-  Rng rng(24);
-  TanhAct t;
-  Tensor x({2, 5}), dy({2, 5});
-  x.randn(rng, 1.0);
-  dy.randn(rng, 1.0);
-  t.forward(x, GradMode::kRecordTape);
-  EXPECT_NO_THROW(t.backward(dy));
-  t.forward(x, GradMode::kRecordTape);
-  t.forward(x, GradMode::kInference);
-  EXPECT_THROW(t.backward(dy), std::logic_error);
-}
-
-TEST(StaleCache, EmbeddingThrowsAfterNonCachingForward) {
-  Rng rng(25);
-  Embedding emb(5, 4, 3, rng, "t");
-  Tensor dy({2, 3});
-  dy.randn(rng, 1.0);
-  emb.forward({1, 2}, 2, GradMode::kRecordTape);
-  EXPECT_NO_THROW(emb.backward(dy));
-  emb.forward({1, 2}, 2, GradMode::kRecordTape);
-  emb.forward({1, 2}, 2, GradMode::kInference);
-  EXPECT_THROW(emb.backward(dy), std::logic_error);
-}
-
-TEST(StaleCache, AttentionThrowsAfterNonCachingForward) {
-  Rng rng(26);
-  CausalSelfAttention attn(8, 2, 3, rng, "t");
-  Tensor x({6, 8}), dy({6, 8});
-  x.randn(rng, 1.0);
-  dy.randn(rng, 1.0);
-  attn.forward(x, GradMode::kRecordTape);
-  EXPECT_NO_THROW(attn.backward(dy));
-  attn.forward(x, GradMode::kRecordTape);
-  attn.forward(x, GradMode::kInference);
-  EXPECT_THROW(attn.backward(dy), std::logic_error);
-  // A decode step is an inference forward too: it must invalidate as well.
-  attn.forward(x, GradMode::kRecordTape);
-  DecodeState st;
-  st.begin(2, 3, 8, 1);
-  st.ws.reset();
-  Tensor step({2, 8});
-  step.randn(rng, 1.0);
-  Real* out = st.ws.alloc(2 * 8);
-  attn.decodeStep(step.data.data(), 2, st, 0, out);
-  EXPECT_THROW(attn.backward(dy), std::logic_error);
-}
-
-// ---- empty-batch regression: a *cached* zero-row forward is a valid cache
-// (empty batches occur on ranks with no local samples); backward must be a
-// no-op, not a logic_error — the old cachedTokens_.empty() sentinel conflated
-// the two.
-
-TEST(EmptyBatch, EmbeddingBackwardAfterCachedEmptyForwardIsNoOp) {
-  Rng rng(27);
-  Embedding emb(5, 4, 3, rng, "t");
-  const Tensor y = emb.forward({}, 4, GradMode::kRecordTape);
-  EXPECT_EQ(y.numel(), 0);
-  Tensor dy({0, 3});
-  EXPECT_NO_THROW(emb.backward(dy));
-  for (Real v : emb.token.grad.data) EXPECT_EQ(v, 0.0);
-  // Without any cached forward it still throws.
-  emb.forward({}, 4, GradMode::kInference);
-  EXPECT_THROW(emb.backward(dy), std::logic_error);
-}
-
-TEST(EmptyBatch, LinearCachedEmptyForwardBackwardIsNoOp) {
-  Rng rng(28);
-  Linear lin(3, 2, rng, "t");
-  lin.forward(Tensor({0, 3}), GradMode::kRecordTape);
-  Tensor dx;
-  EXPECT_NO_THROW(dx = lin.backward(Tensor({0, 2})));
-  EXPECT_EQ(dx.numel(), 0);
-  for (Real v : lin.w.grad.data) EXPECT_EQ(v, 0.0);
+  EXPECT_EQ(attn.forward(ok, 5).numel(), 10 * 16);
 }
 
 // ---- shape-mismatch regression: inputs whose numel is not divisible by the
@@ -273,27 +153,30 @@ TEST(ShapeCheck, LinearRejectsIndivisibleInput) {
   Rng rng(29);
   Linear lin(3, 2, rng, "t");
   Tensor bad({2, 4});  // 8 % 3 != 0
-  EXPECT_THROW(lin.forward(bad, GradMode::kInference), std::invalid_argument);
-  // backward: dy not divisible by out, and dy rows != cached rows.
-  Tensor x({2, 3});
-  x.randn(rng, 1.0);
-  lin.forward(x, GradMode::kRecordTape);
-  Tensor badDy({1, 3});  // 3 % 2 != 0
-  EXPECT_THROW(lin.backward(badDy), std::invalid_argument);
-  Tensor wrongRows({3, 2});  // divisible but 3 rows vs 2 cached
-  EXPECT_THROW(lin.backward(wrongRows), std::invalid_argument);
+  EXPECT_THROW(lin.forward(bad), std::invalid_argument);
 }
 
 TEST(ShapeCheck, LayerNormRejectsIndivisibleInput) {
   LayerNorm ln(4, "t");
   Tensor bad({2, 3});  // 6 % 4 != 0
-  EXPECT_THROW(ln.forward(bad, GradMode::kInference), std::invalid_argument);
-  Rng rng(30);
-  Tensor x({2, 4});
-  x.randn(rng, 1.0);
-  ln.forward(x, GradMode::kRecordTape);
-  Tensor badDy({3, 3});
-  EXPECT_THROW(ln.backward(badDy), std::invalid_argument);
+  EXPECT_THROW(ln.forward(bad), std::invalid_argument);
+}
+
+TEST(ShapeCheck, BackwardOfAnUnrecordedTapeFrameNamesTheModule) {
+  // A frame shaped like a record that no forwardTape filled is a caller bug:
+  // backwardTape refuses it with the typed error instead of reading null.
+  Rng rng(31);
+  Linear lin(3, 2, rng, "enc.ff1");
+  Tape tape;
+  Linear::TapeFrame f;
+  f.rows = 2;
+  const Real dy[4] = {};
+  try {
+    lin.backwardTape(tape, f, dy);
+    FAIL() << "expected StaleTapeError";
+  } catch (const StaleTapeError& e) {
+    EXPECT_NE(std::string(e.what()).find("enc.ff1"), std::string::npos) << e.what();
+  }
 }
 
 TEST(AdamW, ConvergesOnQuadratic) {
@@ -320,75 +203,3 @@ TEST(NoamSchedule, WarmupShape) {
   // Peak value = dModel^-0.5 * warmup^-0.5.
   EXPECT_NEAR(sched.lr(100), 0.25 / 10.0, 1e-12);
 }
-
-TEST(StaleCache, ErrorsNameTheModuleAndTheInvalidatingMode) {
-  // StaleTapeError messages must be actionable: they name the module that
-  // refused and the event that invalidated (or never produced) its
-  // recording, in the typed-error style of io/checkpoint.hpp.
-  Rng rng(27);
-  Linear lin(3, 2, rng, "enc.ff1");
-  Tensor x({2, 3}), dy({2, 2});
-  x.randn(rng, 1.0);
-  dy.randn(rng, 1.0);
-  auto expectError = [&](auto& mod, const char* name, const char* reason) {
-    try {
-      mod.backward(dy);
-      FAIL() << "expected StaleTapeError for " << name;
-    } catch (const StaleTapeError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find(name), std::string::npos) << what;
-      EXPECT_NE(what.find(reason), std::string::npos) << what;
-    }
-  };
-  // Fresh module: nothing has been recorded yet.
-  expectError(lin, "enc.ff1", stale::kNeverRecorded);
-  // Recorded, then invalidated by an inference-mode forward.
-  lin.forward(x, GradMode::kRecordTape);
-  lin.forward(x, GradMode::kInference);
-  expectError(lin, "enc.ff1", stale::kInferenceForward);
-  // Recorded, then explicitly invalidated.
-  lin.forward(x, GradMode::kRecordTape);
-  lin.invalidate();
-  expectError(lin, "enc.ff1", stale::kExplicit);
-  // Attention: a decode step names itself as the invalidator.
-  CausalSelfAttention attn(8, 2, 3, rng, "blk0.attn");
-  Tensor xa({6, 8}), dya({6, 8});
-  xa.randn(rng, 1.0);
-  dya.randn(rng, 1.0);
-  attn.forward(xa, GradMode::kRecordTape);
-  DecodeState st;
-  st.begin(2, 3, 8, 1);
-  st.ws.reset();
-  Real* out = st.ws.alloc(2 * 8);
-  attn.decodeStep(xa.data.data(), 2, st, 0, out);
-  try {
-    attn.backward(dya);
-    FAIL() << "expected StaleTapeError after decodeStep";
-  } catch (const StaleTapeError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("blk0.attn"), std::string::npos) << what;
-    EXPECT_NE(what.find(stale::kDecodeStep), std::string::npos) << what;
-  }
-}
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(StaleCache, DeprecatedBoolForwardMapsOntoGradMode) {
-  // The one-release bool overloads must behave exactly like the GradMode
-  // spellings they forward to: true records, false runs inference and
-  // invalidates.
-  Rng rng(28);
-  Linear lin(3, 2, rng, "t");
-  Tensor x({2, 3}), dy({2, 2});
-  x.randn(rng, 1.0);
-  dy.randn(rng, 1.0);
-  const Tensor viaBool = lin.forward(x, true);
-  EXPECT_NO_THROW(lin.backward(dy));
-  const Tensor viaEnum = lin.forward(x, GradMode::kRecordTape);
-  ASSERT_EQ(viaBool.data.size(), viaEnum.data.size());
-  for (std::size_t i = 0; i < viaBool.data.size(); ++i)
-    EXPECT_EQ(viaBool.data[i], viaEnum.data[i]) << i;
-  lin.forward(x, false);  // inference: invalidates the recording above
-  EXPECT_THROW(lin.backward(dy), StaleTapeError);
-}
-#pragma GCC diagnostic pop

@@ -123,7 +123,7 @@ TEST(Bas, FrequenciesMatchBornProbabilities) {
   opts.nSamples = 1 << 20;
   const SampleSet s = batchAutoregressiveSample(net, opts);
   std::vector<Real> la, ph;
-  net.evaluate(s.samples, la, ph, nn::GradMode::kInference);
+  net.evaluate(s.samples, la, ph);
   for (std::size_t i = 0; i < s.nUnique(); ++i) {
     const Real p = std::exp(2.0 * la[i]);
     const Real freq = static_cast<Real>(s.weights[i]) / static_cast<Real>(opts.nSamples);

@@ -88,7 +88,6 @@ void referenceValues(const io::CheckpointReader& ckpt,
                      const std::vector<Bits128>& sector,
                      std::vector<Real>& logAmp, std::vector<Real>& phase) {
   auto net = io::makeNet(ckpt);
-  net->prepareConcurrent();
   nqs::QiankunNet::EvalSlot slot;
   net->evaluateInto(slot, sector, logAmp, phase);
 }

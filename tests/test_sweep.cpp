@@ -126,7 +126,7 @@ TEST(Sweep, FusedLogAmpMatchesSeparateEvaluate) {
       const SampleSet s = sweepCopy(net, opts);
       ASSERT_EQ(s.logAmp.size(), s.nUnique());
       std::vector<Real> la, ph;
-      net.evaluate(s.samples, la, ph, nn::GradMode::kInference);
+      net.evaluate(s.samples, la, ph);
       for (std::size_t i = 0; i < s.nUnique(); ++i)
         EXPECT_EQ(s.logAmp[i], la[i])
             << "tileRows " << tileRows << " decode " << static_cast<int>(decode)
@@ -270,23 +270,20 @@ std::vector<Bits128> randomStrings(std::size_t n, int nQubits, Rng& rng) {
 
 TEST(Sweep, PhasesMatchEvaluateAcrossTileEdges) {
   // phases() — the complement of the fused sweep's ln|Psi| — runs the phase
-  // MLP in 256-row tiles; rows are independent, so it must equal both
-  // evaluate() paths (the recording whole-batch Tensor forward and the
-  // inference one) bit for bit, on either side of a tile edge and empty.
+  // MLP in 256-row tiles; rows are independent, so every row must equal an
+  // evaluate() of that row alone bit for bit, on either side of a tile edge
+  // and for the empty batch.
   NNQS_SKIP_IF_BLAS();
   QiankunNet net(smallConfig(12, 3, 3));
   Rng rng(19);
   for (std::size_t batch : {0, 1, 255, 256, 257, 3000}) {
     const auto samples = randomStrings(batch, 12, rng);
-    std::vector<Real> phase, la, phRecord, phInfer;
+    std::vector<Real> phase, la, alone;
     net.phases(samples, phase);
-    net.evaluate(samples, la, phRecord, nn::GradMode::kRecordTape);
-    net.evaluate(samples, la, phInfer, nn::GradMode::kInference);
     ASSERT_EQ(phase.size(), batch);
-    ASSERT_EQ(phRecord.size(), batch);
     for (std::size_t i = 0; i < batch; ++i) {
-      EXPECT_EQ(phase[i], phRecord[i]) << "batch " << batch << " row " << i;
-      EXPECT_EQ(phase[i], phInfer[i]) << "batch " << batch << " row " << i;
+      net.evaluate({samples[i]}, la, alone);
+      EXPECT_EQ(phase[i], alone[0]) << "batch " << batch << " row " << i;
     }
   }
 }
