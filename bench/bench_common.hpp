@@ -2,11 +2,14 @@
 
 // Shared helpers for the per-table / per-figure benchmark binaries.
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "cc/ccsd.hpp"
 #include "chem/basis_set.hpp"
@@ -64,13 +67,19 @@ inline nqs::QiankunNetConfig paperNetConfig(const Pipeline& p, std::uint64_t see
   return cfg;
 }
 
-/// Tiny argv helper: --key value / --flag.
+/// Tiny argv helper: --key value / --flag.  `known` names every key the
+/// binary reads; any other argument exits with status 2 naming it, so a
+/// stale or misspelt flag cannot silently fall back to a default.
 class Args {
  public:
-  Args(int argc, char** argv) {
+  Args(int argc, char** argv, const std::vector<std::string>& known) {
     for (int i = 1; i < argc; ++i) {
       std::string a = argv[i];
-      if (a.rfind("--", 0) != 0) continue;
+      if (a.rfind("--", 0) != 0 ||
+          std::find(known.begin(), known.end(), a.substr(2)) == known.end()) {
+        std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], a.c_str());
+        std::exit(2);
+      }
       a = a.substr(2);
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0)
         kv_[a] = argv[++i];

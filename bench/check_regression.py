@@ -57,7 +57,7 @@ import sys
 # Only these families gate the build; other entries in either file are
 # informational.  Keep in sync with the perf-smoke filter in ci.yml (the
 # L=32/batch=8192 BM_Evaluate acceptance shape is deliberately not gated:
-# its full-forward side is memory-bound far beyond cache and too
+# its whole-batch tape-forward side is memory-bound far beyond cache and too
 # noise-sensitive for a 25% band on shared runners).
 DEFAULT_FILTER = (
     r"^BM_(DecodeAttnKernel|AttnTrainKernel|DecodeStepSweep|LinearGemm|"
@@ -68,8 +68,8 @@ DEFAULT_FILTER = (
 
 # Benchmarks whose wall time scales with the host's core count: the
 # OpenMP-threaded kernel policy (arg value 2) and the evaluate sweeps (the
-# tile-parallel decode driver and the OpenMP full forward).  When the
-# baseline and the current run report different num_cpus these cannot be
+# tile-parallel decode driver and the tape forward's OpenMP kernels).  When
+# the baseline and the current run report different num_cpus these cannot be
 # compared meaningfully — a baseline recorded serially would hide a genuine
 # 2x regression behind a 4x thread speedup — so they are skipped (with a
 # notice) until the baseline is refreshed on matching hardware.

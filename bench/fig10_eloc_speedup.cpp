@@ -88,7 +88,7 @@ Measurement measure(const std::string& name, std::uint64_t nSamples,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
+  const Args args(argc, argv, {"all", "samples", "baseline-samples", "serial-samples"});
   quietLogs();
   std::vector<std::string> molecules = {"C2"};
   if (args.flag("all")) molecules = {"C2", "LiCl", "C2H4O"};

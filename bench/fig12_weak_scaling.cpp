@@ -11,13 +11,12 @@ using namespace nnqs;
 using namespace nnqs::bench;
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
+  const Args args(argc, argv, scalingFlags({"iters", "samples-per-rank"}));
   quietLogs();
   const int iters = static_cast<int>(args.getInt("iters", 2));
   const std::uint64_t nsPerRank =
       static_cast<std::uint64_t>(args.getInt("samples-per-rank", 1 << 12));
   exec::ExecutionPolicy ex;
-  ex.decode = decodePolicy(args);
   ex.kernel = kernelPolicy(args);
   ex.eloc = elocMode(args);
   ex.comm = commBackend(args);
@@ -31,7 +30,6 @@ int main(int argc, char** argv) {
                 "Ns = %llu x ranks\n",
                 p.mol.formula().c_str(), p.nQubits, p.ham.nTerms(), build.seconds(),
                 static_cast<unsigned long long>(nsPerRank));
-    reportDecodeSpeedup(args, paperNetConfig(p), nsPerRank);
     std::printf("%6s %9s %10s %10s %10s %10s %8s %10s %10s %8s\n", "ranks",
                 "kernel", "sample(s)", "eloc(s)", "grad(s)", "total(s)", "eff",
                 "Nu", "comm MB/it", "imbal");

@@ -11,7 +11,8 @@ using namespace nnqs;
 using namespace nnqs::bench;
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
+  const Args args(argc, argv,
+                  {"points", "vmc-iters", "samples", "aug", "no-vmc", "max-unique"});
   quietLogs();
   const int nPoints = static_cast<int>(args.getInt("points", 3));
   const int vmcIters = static_cast<int>(args.getInt("vmc-iters", 250));

@@ -10,7 +10,7 @@ using namespace nnqs;
 using namespace nnqs::bench;
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
+  const Args args(argc, argv, {"points", "vmc-iters", "samples"});
   quietLogs();
   const int nPoints = static_cast<int>(args.getInt("points", 3));
   const int vmcIters = static_cast<int>(args.getInt("vmc-iters", 250));

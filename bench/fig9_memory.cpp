@@ -11,9 +11,8 @@ using namespace nnqs;
 using namespace nnqs::bench;
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
+  const Args args(argc, argv, {});  // no flags: rejects any argument
   quietLogs();
-  (void)args;
 
   const std::vector<std::string> molecules = {"LiH", "H2O",  "C2",    "N2",
                                               "NH3", "Li2O", "C2H4O", "C3H6"};

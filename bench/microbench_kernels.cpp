@@ -120,23 +120,16 @@ void BM_BasFullSweep(benchmark::State& state) {
   nqs::QiankunNet net(paperNetConfig(p));
   nqs::SamplerOptions opts;
   opts.nSamples = static_cast<std::uint64_t>(state.range(0));
-  opts.exec.decode = state.range(1) == 0 ? nqs::DecodePolicy::kFullForward
-                                           : nqs::DecodePolicy::kKvCache;
   for (auto _ : state) {
     const auto set = nqs::batchAutoregressiveSample(net, opts);
     benchmark::DoNotOptimize(set.nUnique());
   }
 }
-// Second arg: 0 = full re-forward reference, 1 = KV-cached incremental decode.
-BENCHMARK(BM_BasFullSweep)
-    ->Args({1 << 10, 0})
-    ->Args({1 << 10, 1})
-    ->Args({1 << 14, 0})
-    ->Args({1 << 14, 1});
+BENCHMARK(BM_BasFullSweep)->Arg(1 << 10)->Arg(1 << 14);
 
-// Decode-mode ablation at the acceptance scale of the incremental-decode
-// engine: L = 32 sampling steps (64 qubits), d_model 16.  No molecule needed;
-// the sweep cost is purely the transformer + tree bookkeeping.
+// The BAS sweep at the acceptance scale of the incremental-decode engine:
+// L = 32 sampling steps (64 qubits), d_model 16.  No molecule needed; the
+// sweep cost is purely the transformer + tree bookkeeping.
 void BM_BasSweepL32(benchmark::State& state) {
   nqs::QiankunNetConfig cfg;
   cfg.nQubits = 64;  // L = 32 two-qubit sampling steps
@@ -151,8 +144,6 @@ void BM_BasSweepL32(benchmark::State& state) {
   nqs::QiankunNet net(cfg);
   nqs::SamplerOptions opts;
   opts.nSamples = 1 << 12;
-  opts.exec.decode = state.range(0) == 0 ? nqs::DecodePolicy::kFullForward
-                                           : nqs::DecodePolicy::kKvCache;
   std::uint64_t nu = 0;
   for (auto _ : state) {
     const auto set = nqs::batchAutoregressiveSample(net, opts);
@@ -161,9 +152,7 @@ void BM_BasSweepL32(benchmark::State& state) {
   }
   state.counters["Nu"] = static_cast<double>(nu);
 }
-// Arg: 0 = full re-forward, 1 = KV-cached; the ratio of the two times is the
-// BAS sweep speedup quoted in the README.
-BENCHMARK(BM_BasSweepL32)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BasSweepL32)->Unit(benchmark::kMillisecond);
 
 // End-to-end Stage 1 (sampling + ln|Psi| + phase) at the BM_BasSweepL32
 // shape, fused vs separate: Arg 0 runs the pre-fusion pipeline (unfused
@@ -487,17 +476,16 @@ void BM_DecodeStepSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeStepSweep)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
-// Teacher-forced batched evaluate on the decode engine vs. the full-forward
-// reference, at several L/batch shapes (d_model 64, 2 decoders — the
-// BM_DecodeStepSweep acceptance architecture).  Both impls produce the same
-// [B, L, 4] logits bit for bit (tests/test_evaluate.cpp); the decode/full
-// time ratio at L=32 on the large batch is the evaluate() speedup quoted in
-// the README (>= 2x acceptance bar).  The decode variant doubles as the
-// zero-allocation assertion of the warm teacher-forced sweep: after the
-// warm-up call, an evaluateDecode over the full batch must perform zero heap
-// allocations (operator-new hook), tiled KV arena and all.
+// Teacher-forced batched evaluate on the decode engine vs. the full forward
+// onto a warm tape (TransformerAR::forwardTape, no backward — the forward the
+// tests' oracle runs), at several L/batch shapes (d_model 64, 2 decoders —
+// the BM_DecodeStepSweep acceptance architecture).  Both impls produce the
+// same [B, L, 4] logits bit for bit (tests/test_evaluate.cpp).  The decode
+// variant doubles as the zero-allocation assertion of the warm teacher-forced
+// sweep: after the warm-up call, an evaluateDecode over the full batch must
+// perform zero heap allocations (operator-new hook), tiled KV arena and all.
 void BM_Evaluate(benchmark::State& state) {
-  const std::int64_t impl = state.range(0);  // 0 = full forward, 1 = decode
+  const std::int64_t impl = state.range(0);  // 0 = tape forward, 1 = decode
   const auto L = static_cast<Index>(state.range(1));
   const auto batch = static_cast<Index>(state.range(2));
   const Index dModel = 64, heads = 4, layers = 2;
@@ -512,11 +500,18 @@ void BM_Evaluate(benchmark::State& state) {
   }
 
   if (impl == 0) {
-    for (auto _ : state) {
-      const nn::Tensor logits = net.forward(tokens, L);
-      benchmark::DoNotOptimize(logits.data.data());
-    }
-    state.SetLabel("full");
+    nn::Tape tape;
+    nn::TransformerAR::TapeFrame frame;
+    auto forward = [&] {
+      tape.reset();
+      return net.forwardTape(tape, frame, tokens.data(), batch * L, L);
+    };
+    // Warm-up: the first pass overflows into side chunks, the second reset
+    // coalesces them into one block that every timed pass reuses.
+    forward();
+    forward();
+    for (auto _ : state) benchmark::DoNotOptimize(forward());
+    state.SetLabel("tape");
   } else {
     nn::DecodeState ds;
     // Per-tile accumulators: the tile-parallel driver may run tiles on
@@ -550,11 +545,11 @@ void BM_Evaluate(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch * L);
 }
-// Args: impl (0 = full-forward reference, 1 = teacher-forced decode), L,
-// batch.  L=32/batch=8192 is the acceptance shape — a batch big enough that
-// the full forward's B*L-row activations and [B, heads, L, L] attention
-// leave cache (the regime evaluate() actually runs in), while the decode
-// sweep stays tile-resident; the smaller points show the crossover.
+// Args: impl (0 = tape forward, 1 = teacher-forced decode), L, batch.
+// L=32/batch=8192 is the acceptance shape — a batch big enough that the full
+// forward's B*L-row activations and [B, heads, L, L] attention leave cache
+// (the regime evaluate() actually runs in), while the decode sweep stays
+// tile-resident; the smaller points show the crossover.
 BENCHMARK(BM_Evaluate)
     ->Args({0, 32, 8192})->Args({1, 32, 8192})
     ->Args({0, 32, 2048})->Args({1, 32, 2048})

@@ -10,6 +10,14 @@
 
 namespace nnqs::bench {
 
+/// The flags every scaling bench reads (kernelPolicy, elocMode, commBackend,
+/// scalingPipeline, rankSweep), plus the bench's own `extra` ones.
+inline std::vector<std::string> scalingFlags(std::vector<std::string> extra) {
+  for (const char* k : {"kernel", "eloc", "backend", "molecule", "max-ranks"})
+    extra.emplace_back(k);
+  return extra;
+}
+
 struct ScalingPoint {
   int ranks = 0;
   double sampling = 0, localEnergy = 0, gradient = 0, total = 0;
@@ -20,20 +28,8 @@ struct ScalingPoint {
   const char* kernel = "";  ///< decode-kernel backend that produced the row
 };
 
-/// `--decode full` selects the stateless full-forward reference sampler;
-/// the default (`kv`) is the KV-cached incremental-decode engine.  Anything
-/// else aborts rather than silently benchmarking the wrong engine.
-inline nqs::DecodePolicy decodePolicy(const Args& args) {
-  const std::string mode = args.get("decode", "kv");
-  if (mode == "full") return nqs::DecodePolicy::kFullForward;
-  if (mode == "kv") return nqs::DecodePolicy::kKvCache;
-  std::fprintf(stderr, "unknown --decode mode '%s' (expected 'kv' or 'full')\n",
-               mode.c_str());
-  std::exit(2);
-}
-
 /// `--eloc batched|lut` selects the local-energy engine: the batched
-/// merge-join engine (default) or the per-sample binary-search engine.
+/// hashed-probe engine (default) or the per-sample binary-search engine.
 /// Both produce bit-identical per-sample E_loc, so this only moves the
 /// local-energy phase's wall clock.
 inline vmc::ElocMode elocMode(const Args& args) {
@@ -68,7 +64,7 @@ inline exec::CommBackend commBackend(const Args& args) {
 }
 
 /// `--kernel scalar|simd|threaded|auto` selects the decode-attention kernel
-/// backend of the KV engine (src/nn/kernels/); every backend samples
+/// backend of the sampler (src/nn/kernels/); every backend samples
 /// bit-identically, so this column only moves the sampling wall clock.
 inline nn::kernels::KernelPolicy kernelPolicy(const Args& args) {
   const std::string mode = args.get("kernel", "auto");
@@ -81,34 +77,6 @@ inline nn::kernels::KernelPolicy kernelPolicy(const Args& args) {
                "or 'threaded')\n",
                mode.c_str());
   std::exit(2);
-}
-
-/// Time one serial BAS sweep in each decode mode and print the speedup line
-/// the scaling figures quote (sampling is their dominant phase; both modes
-/// draw bit-identical samples, so this isolates the engine difference).
-/// `--no-speedup` skips it — the full-forward sweep is O(L) more expensive
-/// than the table's own sampling, which matters at paper-scale molecules.
-inline void reportDecodeSpeedup(const Args& args, const nqs::QiankunNetConfig& netCfg,
-                                std::uint64_t nSamples) {
-  if (args.flag("no-speedup")) return;
-  nqs::QiankunNet net(netCfg);
-  nqs::SamplerOptions sOpts;
-  sOpts.nSamples = nSamples;
-  sOpts.seed = 17;
-  sOpts.exec.decode = nqs::DecodePolicy::kKvCache;
-  sOpts.exec.kernel = kernelPolicy(args);
-  Timer tKv;
-  const std::size_t nuKv = nqs::batchAutoregressiveSample(net, sOpts).nUnique();
-  const double kv = tKv.seconds();
-  sOpts.exec.decode = nqs::DecodePolicy::kFullForward;
-  Timer tFull;
-  const std::size_t nuFull = nqs::batchAutoregressiveSample(net, sOpts).nUnique();
-  const double full = tFull.seconds();
-  std::printf("BAS sweep (Ns=%llu, Nu=%zu): full re-forward %.3fs, KV-cached "
-              "decode %.3fs, speedup %.1fx\n",
-              static_cast<unsigned long long>(nSamples), nuKv, full, kv,
-              full / kv);
-  if (nuKv != nuFull) std::printf("WARNING: decode modes disagree on Nu!\n");
 }
 
 /// Run a few VMC iterations at the given rank count and report per-phase
@@ -135,9 +103,7 @@ inline ScalingPoint scalingRun(const ops::PackedHamiltonian& packed,
   const vmc::VmcResult res = vmc::runVmc(packed, netCfg, opts);
   ScalingPoint pt;
   pt.ranks = ranks;
-  pt.kernel = ex.decode == nqs::DecodePolicy::kKvCache
-                  ? nn::kernels::effectiveKernelName(ex.kernel)
-                  : "full-fwd";
+  pt.kernel = nn::kernels::effectiveKernelName(ex.kernel);
   pt.sampling = res.secondsPerIteration.sampling;
   pt.localEnergy = res.secondsPerIteration.localEnergy;
   pt.gradient = res.secondsPerIteration.gradient;

@@ -124,7 +124,7 @@ Molecule makeMolecule(const std::string& name) {
   // -> NAQS -> MADE -> this paper), which are compressed relative to the
   // physical equilibria (their coordinate files carry Angstrom-magnitude
   // numbers interpreted as bohr).  r(LiCl) = 2.0207 bohr and r(Li-O) = 1.8912
-  // bohr reproduce the published HF rows of Table 1; see EXPERIMENTS.md.
+  // bohr reproduce the published HF rows of the paper's Table 1.
   if (n == "licl") return diatomic("Li", "Cl", 2.0207 / kBohrPerAngstrom);
   if (n == "li2o") {
     const Real r = 1.8912 / kBohrPerAngstrom;

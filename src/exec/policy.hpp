@@ -5,25 +5,10 @@
 // Every engine-selection knob of the stack lives here, in one dependency-free
 // header, so any layer can name a policy without pulling in the subsystem that
 // implements it.  The subsystems alias these types back into their historical
-// namespaces (nqs::DecodePolicy, nn::kernels::KernelPolicy, vmc::ElocMode,
-// parallel::CommBackend), so existing call sites compile unchanged.
+// namespaces (nn::kernels::KernelPolicy, vmc::ElocMode, parallel::CommBackend),
+// so existing call sites compile unchanged.
 
 namespace nnqs::exec {
-
-/// Which conditional-distribution engine the samplers — and, since the
-/// teacher-forced evaluate path, ln|Psi| inference — run on.
-///
-/// kFullForward is the stateless reference path: every step re-runs a full
-/// transformer forward over the whole prefix window (O(L^2) token work per
-/// sweep).  kKvCache is the stateful incremental-decode engine: per-layer
-/// key/value caches make each step O(1) token work, with cache rows gathered
-/// onto the live frontier as sampling-tree nodes split or are pruned.  Both
-/// produce bit-identical samples (and, via teacher forcing, bit-identical
-/// amplitudes) for a fixed seed.
-enum class DecodePolicy {
-  kFullForward,
-  kKvCache,
-};
 
 /// Decode-attention / GEMM / elementwise kernel backend (src/nn/kernels/).
 /// All backends are bit-identical under the arithmetic contract, so this is
@@ -74,21 +59,20 @@ enum class CommBackend {
 /// (the deprecated per-field option aliases they carried for one release
 /// after the consolidation are gone).
 struct ExecutionPolicy {
-  DecodePolicy decode = DecodePolicy::kKvCache;
   KernelPolicy kernel = KernelPolicy::kAuto;
   ElocMode eloc = ElocMode::kBatched;
   CommBackend comm = CommBackend::kThreads;
 
   /// Rows per cache-resident tile of the BAS sweep engine's depth-first
-  /// frontier descent (kKvCache sampling only).  0 selects the engine
-  /// default (BasSweepEngine::kDefaultTileRows); a negative value disables
-  /// tiling entirely — one breadth-first tile spanning the whole frontier,
+  /// frontier descent.  0 selects the engine default
+  /// (BasSweepEngine::kDefaultTileRows); a negative value disables tiling
+  /// entirely — one breadth-first tile spanning the whole frontier,
   /// the untiled A/B reference.  Every geometry draws bit-identical sample
   /// sets (per-node RNG substreams), so this knob only moves cache traffic.
   int sweepTileRows = 0;
   /// Rows per tile of the teacher-forced evaluate sweep (inference
-  /// amplitudes, kKvCache decode only): bounds the decode KV arena
-  /// independent of the batch size.  0 selects the engine default
+  /// amplitudes): bounds the decode KV arena independent of the batch
+  /// size.  0 selects the engine default
   /// (TransformerAR::kEvalTileRows); a negative value disables tiling — one
   /// tile spanning the whole batch.  Every geometry is bit-identical (the
   /// decode contract), so this knob only moves cache traffic.  Replaces the

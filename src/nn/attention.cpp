@@ -17,9 +17,8 @@ CausalSelfAttention::CausalSelfAttention(Index dModel, Index nHeads, Rng& rng,
 }
 
 namespace {
-/// The training-attention kernel problem of one forward or backward call
-/// (kernels.hpp AttnTrainArgs); the Tensor and tape forwards both run it, so
-/// inference and training see bit-identical activations.
+/// The training-attention kernel problem of one tape forward or backward
+/// call (kernels.hpp AttnTrainArgs).
 kernels::AttnTrainArgs trainArgs(Index batch, Index L, Index d, Index heads,
                                  Index headDim) {
   kernels::AttnTrainArgs a;
@@ -33,41 +32,20 @@ kernels::AttnTrainArgs trainArgs(Index batch, Index L, Index d, Index heads,
 }
 }  // namespace
 
-Index CausalSelfAttention::batchOf(Index rows, Index window) const {
-  if (window <= 0 || rows % window != 0)
-    throw std::invalid_argument(name_ + ": " + std::to_string(rows) +
-                                " rows is not a whole number of attention windows of " +
-                                std::to_string(window));
-  return rows / window;
-}
-
-Tensor CausalSelfAttention::forward(const Tensor& x, Index window) const {
-  const Index L = window;
-  const Index rows = x.numel() / d_;
-  const Index batch = batchOf(rows, L);
-
-  Tensor qkv = qkv_.forward(x);  // [B*L, 3D]: q | k | v per row
-  Tensor attn = Tensor::uninit({batch, heads_, L, L});  // fully written
-  Tensor ctx({rows, d_});
-
-  kernels::AttnTrainArgs a = trainArgs(batch, L, d_, heads_, headDim_);
-  a.qkv = qkv.data.data();
-  a.attn = attn.data.data();
-  a.ctx = ctx.data.data();
-  kernels::attnTrainForward(a, kernels::KernelPolicy::kAuto);
-  return proj_.forward(ctx);
-}
-
 const Real* CausalSelfAttention::forwardTape(Tape& tape, TapeFrame& f,
                                              const Real* x, Index rows,
                                              Index window) const {
   const Index L = window;
-  const Index batch = batchOf(rows, L);
+  if (L <= 0 || rows % L != 0)
+    throw std::invalid_argument(name_ + ": " + std::to_string(rows) +
+                                " rows is not a whole number of attention windows of " +
+                                std::to_string(L));
+  const Index batch = rows / L;
 
   const Real* qkv = qkv_.forwardTape(tape, f.qkv, x, rows);
   Real* attn = tape.alloc(batch * heads_ * L * L);
   Real* ctx = tape.alloc(rows * d_);
-  // The context accumulates (the Tensor forward's zero-filled constructor).
+  // The attention kernel accumulates into the context.
   std::memset(ctx, 0, static_cast<std::size_t>(rows * d_) * sizeof(Real));
   kernels::AttnTrainArgs a = trainArgs(batch, L, d_, heads_, headDim_);
   a.qkv = qkv;
@@ -78,6 +56,7 @@ const Real* CausalSelfAttention::forwardTape(Tape& tape, TapeFrame& f,
   f.attn = attn;
   f.batch = batch;
   f.window = L;
+  f.generation = tape.generation();
   return proj_.forwardTape(tape, f.proj, ctx, rows);
 }
 
@@ -108,8 +87,8 @@ void CausalSelfAttention::decodeStep(const Real* x, Index batch,
     }
   }
 
-  // The attention kernel accumulates into ctx, so the carved span needs the
-  // explicit zero the Tensor constructor used to provide.
+  // The attention kernel accumulates into ctx, so the carved span needs an
+  // explicit zero.
   Real* ctx = state.ws.alloc(batch * d_);
   std::memset(ctx, 0, static_cast<std::size_t>(batch * d_) * sizeof(Real));
   kernels::DecodeAttnArgs args;
@@ -133,7 +112,7 @@ void CausalSelfAttention::decodeStep(const Real* x, Index batch,
 
 Real* CausalSelfAttention::backwardTape(Tape& tape, const TapeFrame& f,
                                         const Real* dy) {
-  if (f.qkvOut == nullptr && f.batch > 0) throw StaleTapeError(name_);
+  if (f.generation != tape.generation()) throw StaleTapeError(name_);
   const Index batch = f.batch;
   const Index Lc = f.window;
   const Index rows = batch * Lc;

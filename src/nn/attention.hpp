@@ -12,11 +12,6 @@ class CausalSelfAttention {
  public:
   CausalSelfAttention(Index dModel, Index nHeads, Rng& rng, std::string name);
 
-  /// x = [B*window, D]: B sequences of `window` positions each (sampling
-  /// runs growing prefix windows; the causal mask keeps shorter windows
-  /// consistent).  forward/forwardTape throw std::invalid_argument when the
-  /// row count is not a whole number of windows.
-  Tensor forward(const Tensor& x, Index window) const;
   void collectParameters(std::vector<Parameter*>& out);
 
   /// Incremental decode: x = [B, D] is one new token per row at position
@@ -24,8 +19,8 @@ class CausalSelfAttention {
   /// slice of the state's KV arena and attends its query against positions
   /// 0..pos, i.e. the single new row of the causal attention matrix — run on
   /// the kernel backend selected by `state.kernel` (src/nn/kernels/).
-  /// Arithmetic mirrors forward() row `pos` exactly under every backend, so
-  /// full-forward and decode paths agree bit for bit.
+  /// Arithmetic mirrors forwardTape() row `pos` exactly under every backend,
+  /// so the tape and decode paths agree bit for bit.
   ///
   /// Zero-allocation contract: `out` [B, D] is caller storage and the qkv /
   /// context scratch is carved from `state.ws`, so a warm step touches no
@@ -33,10 +28,12 @@ class CausalSelfAttention {
   void decodeStep(const Real* x, Index batch, DecodeState& state, Index layer,
                   Real* out) const;
 
-  /// Tape record: qkv activations, normalized attention weights and the
-  /// projection input all live on the caller's tape; dQkv is carved from the
-  /// same tape in backwardTape and the kernels' per-thread scratch is reused
-  /// across calls, so a warm tile performs zero heap allocations.
+  /// Tape record of x = [B*window, D]: B sequences of `window` positions
+  /// each (throws std::invalid_argument when the row count is not a whole
+  /// number of windows).  The qkv activations, normalized attention weights
+  /// and the projection input all live on the caller's tape; dQkv is carved
+  /// from the same tape in backwardTape and the kernels' per-thread scratch
+  /// is reused across calls, so a warm tile performs zero heap allocations.
   struct TapeFrame {
     Linear::TapeFrame qkv;
     Linear::TapeFrame proj;
@@ -44,15 +41,13 @@ class CausalSelfAttention {
     Real* attn = nullptr;          ///< [B, heads, L, L] row-softmaxed weights
     Index batch = 0;
     Index window = 0;
+    std::uint64_t generation = 0;
   };
   const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows,
                           Index window) const;
   Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy);
 
  private:
-  /// Samples in `rows` rows of `window` positions (throws when ragged).
-  [[nodiscard]] Index batchOf(Index rows, Index window) const;
-
   std::string name_;
   Index d_, heads_, headDim_;
   Linear qkv_;   ///< D -> 3D

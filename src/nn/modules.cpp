@@ -1,7 +1,6 @@
 #include "nn/modules.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 namespace nnqs::nn {
 
@@ -11,17 +10,6 @@ Linear::Linear(Index in, Index out, Rng& rng, std::string name)
     : w({out, in}, name + ".w"), b({out}, name + ".b"),
       name_(std::move(name)), in_(in), out_(out) {
   w.value.randn(rng, std::sqrt(2.0 / static_cast<Real>(in + out)));
-}
-
-Tensor Linear::forward(const Tensor& x, kernels::KernelPolicy policy) const {
-  if (x.numel() % in_ != 0)
-    throw std::invalid_argument("Linear::forward: input numel not divisible by in features");
-  const Index rows = x.numel() / in_;
-  // Uninitialized destination: the GEMM's bias init writes every element, so
-  // a zero-filled constructor would be the double-fill the kernels remove.
-  Tensor y = Tensor::uninit({rows, out_});
-  forwardInto(x.data.data(), rows, y.data.data(), policy);
-  return y;
 }
 
 void Linear::forwardInto(const Real* x, Index rows, Real* y,
@@ -49,12 +37,13 @@ const Real* Linear::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
   forwardInto(x, rows, y, policy);
   f.x = x;
   f.rows = rows;
+  f.generation = tape.generation();
   return y;
 }
 
 Real* Linear::backwardTape(Tape& tape, const TapeFrame& f, const Real* dy,
                            kernels::KernelPolicy policy) {
-  if (f.x == nullptr && f.rows > 0) throw StaleTapeError(name_);
+  if (f.generation != tape.generation()) throw StaleTapeError(name_);
   const Index rows = f.rows;
   Real* dx = tape.alloc(rows * in_);
   // dX = dY W (the GEMM's zero init is the single fill of dx).
@@ -107,22 +96,6 @@ LayerNorm::LayerNorm(Index dim, std::string name)
   for (auto& v : gamma.value.data) v = 1.0;
 }
 
-Tensor LayerNorm::forward(const Tensor& x) const {
-  if (x.numel() % dim_ != 0)
-    throw std::invalid_argument("LayerNorm::forward: input numel not divisible by dim");
-  const Index rows = x.numel() / dim_;
-  Tensor y = Tensor::uninit({rows, dim_});
-  kernels::ResidualLnArgs a;
-  a.rows = rows;
-  a.dim = dim_;
-  a.x = x.data.data();
-  a.gamma = gamma.value.data.data();
-  a.beta = beta.value.data.data();
-  a.y = y.data.data();
-  kernels::residualLayerNorm(a);
-  return y;
-}
-
 const Real* LayerNorm::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
                                    Index rows) const {
   Real* y = tape.alloc(rows * dim_);
@@ -141,11 +114,12 @@ const Real* LayerNorm::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
   f.xhat = xhat;
   f.invStd = invStd;
   f.rows = rows;
+  f.generation = tape.generation();
   return y;
 }
 
 Real* LayerNorm::backwardTape(Tape& tape, const TapeFrame& f, const Real* dy) {
-  if (f.xhat == nullptr && f.rows > 0) throw StaleTapeError(name_);
+  if (f.generation != tape.generation()) throw StaleTapeError(name_);
   Real* dx = tape.alloc(f.rows * dim_);
   kernels::LayerNormBwdArgs a;
   a.rows = f.rows;
@@ -168,23 +142,18 @@ void LayerNorm::collectParameters(std::vector<Parameter*>& out) {
 
 // ------------------------------------------------------------------ Gelu ---
 
-Tensor Gelu::forward(const Tensor& x) const {
-  Tensor y = Tensor::uninit(x.shape);
-  kernels::gelu(x.data.data(), y.data.data(), x.numel());
-  return y;
-}
-
 const Real* Gelu::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
                               Index n) const {
   Real* y = tape.alloc(n);
   kernels::gelu(x, y, n);
   f.x = x;
   f.n = n;
+  f.generation = tape.generation();
   return y;
 }
 
 Real* Gelu::backwardTape(Tape& tape, const TapeFrame& f, const Real* dy) const {
-  if (f.x == nullptr && f.n > 0) throw StaleTapeError(name_);
+  if (f.generation != tape.generation()) throw StaleTapeError(name_);
   Real* dx = tape.alloc(f.n);
   kernels::geluBackward(f.x, dy, dx, f.n);
   return dx;
@@ -192,23 +161,18 @@ Real* Gelu::backwardTape(Tape& tape, const TapeFrame& f, const Real* dy) const {
 
 // ------------------------------------------------------------------ Tanh ---
 
-Tensor TanhAct::forward(const Tensor& x) const {
-  Tensor y = Tensor::uninit(x.shape);
-  kernels::tanh(x.data.data(), y.data.data(), x.numel());
-  return y;
-}
-
 const Real* TanhAct::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
                                  Index n) const {
   Real* y = tape.alloc(n);
   kernels::tanh(x, y, n);
   f.y = y;
   f.n = n;
+  f.generation = tape.generation();
   return y;
 }
 
 Real* TanhAct::backwardTape(Tape& tape, const TapeFrame& f, const Real* dy) const {
-  if (f.y == nullptr && f.n > 0) throw StaleTapeError(name_);
+  if (f.generation != tape.generation()) throw StaleTapeError(name_);
   Real* dx = tape.alloc(f.n);
   for (Index i = 0; i < f.n; ++i) dx[i] = dy[i] * (1.0 - f.y[i] * f.y[i]);
   return dx;
@@ -223,26 +187,15 @@ Embedding::Embedding(Index vocab, Index maxLen, Index dim, Rng& rng, std::string
   position.value.randn(rng, 0.02);
 }
 
-void Embedding::lookup(const int* tokens, Index rows, Index seqLen, Real* y) const {
+const Real* Embedding::forwardTape(Tape& tape, const int* tokens, Index rows,
+                                   Index seqLen) const {
+  Real* y = tape.alloc(rows * dim_);
   for (Index r = 0; r < rows; ++r) {
     const Real* te = token.value.data.data() + tokens[r] * dim_;
     const Real* pe = position.value.data.data() + (r % seqLen) * dim_;
     Real* yr = y + r * dim_;
     for (Index i = 0; i < dim_; ++i) yr[i] = te[i] + pe[i];
   }
-}
-
-Tensor Embedding::forward(const std::vector<int>& tokens, Index seqLen) const {
-  const auto rows = static_cast<Index>(tokens.size());
-  Tensor y = Tensor::uninit({rows, dim_});
-  lookup(tokens.data(), rows, seqLen, y.data.data());
-  return y;
-}
-
-const Real* Embedding::forwardTape(Tape& tape, const int* tokens, Index rows,
-                                   Index seqLen) const {
-  Real* y = tape.alloc(rows * dim_);
-  lookup(tokens, rows, seqLen, y);
   return y;
 }
 

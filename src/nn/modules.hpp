@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -10,13 +11,15 @@
 
 namespace nnqs::nn {
 
-// Layer convention.  `forward` (and the raw-buffer `forwardInto` /
-// `decodeStep` paths) is inference: const, it records nothing, so any number
-// of threads may run it on one module at once.  Gradients are recorded only
-// on a caller-owned Tape: `forwardTape` carves the outputs and whatever the
-// backward needs from the tape and stores the span pointers in a caller-held
-// per-module TapeFrame; `backwardTape` consumes the frame, returns dx on the
-// same tape and accumulates the parameter gradients.
+// Layer convention: one forward per purpose.  The raw-buffer `forwardInto` /
+// `decodeStep` paths are inference: const, they record nothing, so any
+// number of threads may run them on one module at once.  Gradients are
+// recorded only on a caller-owned Tape: `forwardTape` carves the outputs and
+// whatever the backward needs from the tape and stores the span pointers in
+// a caller-held per-module TapeFrame; `backwardTape` consumes the frame,
+// returns dx on the same tape and accumulates the parameter gradients.  A
+// leaf frame stamps the tape's generation, so a backward over a frame the
+// tape has since been reset under throws StaleTapeError.
 
 /// Y = X W^T + b with W[out,in].  Forward and both backward GEMMs (dX = dY W,
 /// dW += dY^T X) run on the register-blocked kernels::gemm backend; every
@@ -24,8 +27,6 @@ namespace nnqs::nn {
 class Linear {
  public:
   Linear(Index in, Index out, Rng& rng, std::string name);
-  Tensor forward(const Tensor& x,
-                 kernels::KernelPolicy policy = kernels::KernelPolicy::kAuto) const;
   /// Raw-buffer inference for the zero-allocation decode path: y [rows, out]
   /// is caller storage (workspace-carved), fully overwritten.
   void forwardInto(const Real* x, Index rows, Real* y, kernels::KernelPolicy policy) const;
@@ -37,6 +38,7 @@ class Linear {
   struct TapeFrame {
     const Real* x = nullptr;
     Index rows = 0;
+    std::uint64_t generation = 0;
   };
   const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows,
                           kernels::KernelPolicy policy = kernels::KernelPolicy::kAuto) const;
@@ -55,12 +57,11 @@ class Linear {
 
 /// LayerNorm over the last dimension, on the kernels::residualLayerNorm /
 /// kernels::layerNormBackward backends (elementwise.hpp; the decode path
-/// calls the same kernels directly with its residual fused in, so full-
-/// forward and decode activations stay bit-identical).
+/// calls the same kernels directly with its residual fused in, so tape and
+/// decode activations stay bit-identical).
 class LayerNorm {
  public:
   LayerNorm(Index dim, std::string name);
-  Tensor forward(const Tensor& x) const;
   void collectParameters(std::vector<Parameter*>& out);
 
   /// Tape record: y, xhat [rows, dim_] and invStd [rows] are carved from
@@ -69,6 +70,7 @@ class LayerNorm {
     const Real* xhat = nullptr;
     const Real* invStd = nullptr;
     Index rows = 0;
+    std::uint64_t generation = 0;
   };
   const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows) const;
   /// dgamma/dbeta accumulate in the kernel's ascending-row serial fold, so
@@ -87,13 +89,13 @@ class LayerNorm {
 class Gelu {
  public:
   explicit Gelu(std::string name = "gelu") : name_(std::move(name)) {}
-  Tensor forward(const Tensor& x) const;
 
   /// Tape record: y [n] carved from `tape`; the input span is recorded
   /// zero-copy (it must stay tape-live until backwardTape).
   struct TapeFrame {
     const Real* x = nullptr;
     Index n = 0;
+    std::uint64_t generation = 0;
   };
   const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index n) const;
   Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy) const;
@@ -107,13 +109,13 @@ class Gelu {
 class TanhAct {
  public:
   explicit TanhAct(std::string name = "tanh") : name_(std::move(name)) {}
-  Tensor forward(const Tensor& x) const;
 
   /// Tape record: y [n] carved from `tape` is also what the backward needs
   /// (tanh' = 1 - y²).
   struct TapeFrame {
     const Real* y = nullptr;
     Index n = 0;
+    std::uint64_t generation = 0;
   };
   const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index n) const;
   Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy) const;
@@ -126,14 +128,14 @@ class TanhAct {
 class Embedding {
  public:
   Embedding(Index vocab, Index maxLen, Index dim, Rng& rng, std::string name);
-  Tensor forward(const std::vector<int>& tokens, Index seqLen) const;
   void collectParameters(std::vector<Parameter*>& out);
 
   /// Single-step decode: embed tokens[B], all at sequence position `pos`,
   /// into caller storage y [B, dim] (fully overwritten).
   void stepInto(const std::vector<int>& tokens, Index pos, Real* y) const;
 
-  /// Tape embed: y [rows, dim_] carved from `tape`.  No frame — the caller
+  /// Tape embed: y[r] = token[tokens[r]] + position[r % seqLen] for rows
+  /// [0, rows), carved from `tape`.  No frame — the caller
   /// (TransformerAR::TapeFrame) owns the tile's token span and passes it back
   /// to backwardTape.  Rows must cover whole samples (rows % seqLen == 0) so
   /// position indices match the whole-batch forward.
@@ -147,9 +149,6 @@ class Embedding {
   Parameter token, position;
 
  private:
-  /// y[r] = token[tokens[r]] + position[r % seqLen] for rows [0, rows).
-  void lookup(const int* tokens, Index rows, Index seqLen, Real* y) const;
-
   Index dim_;
 };
 

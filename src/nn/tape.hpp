@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -15,13 +16,16 @@ enum class GradMode {
   kInference,
 };
 
-/// Thrown by a backwardTape whose frame no forwardTape filled.  Derives from
+/// Thrown by a backwardTape whose frame was not recorded on the tape's
+/// current generation: either no forwardTape filled it, or the tape was
+/// reset since, so its spans point into reused arena memory.  Derives from
 /// std::logic_error: it is a caller bug, not a data error.
 class StaleTapeError : public std::logic_error {
  public:
   explicit StaleTapeError(const std::string& module)
       : std::logic_error(module +
-                         ": backwardTape frame was never recorded by forwardTape") {}
+                         ": backwardTape frame was not recorded by forwardTape "
+                         "since the last Tape::reset()") {}
 };
 
 /// Caller-owned activation store of the tiled-recompute gradient path: one
@@ -36,11 +40,19 @@ class StaleTapeError : public std::logic_error {
 /// stores the span pointers in a caller-held per-module frame struct;
 /// backwardTape() consumes the frame.  Spans stay valid until the next
 /// reset() — in particular a module may record its *input* span zero-copy,
-/// because that span is the previous module's tape-carved output.
+/// because that span is the previous module's tape-carved output.  Each leaf
+/// frame also stores the tape's generation (its reset count), and
+/// backwardTape throws StaleTapeError when it no longer matches.
 class Tape {
  public:
   /// Drop every recorded span (start the next tile's carve cycle).
-  void reset() { ws_.reset(); }
+  void reset() {
+    ws_.reset();
+    ++generation_;
+  }
+  /// Reset count, starting at 1 so a default frame (generation 0) never
+  /// matches.
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
   /// Pre-size the arena for `n` more Reals; only valid directly after
   /// reset(), like Workspace::reserve.
   void reserve(Index n) { ws_.reserve(n); }
@@ -52,6 +64,7 @@ class Tape {
 
  private:
   Workspace ws_;
+  std::uint64_t generation_ = 1;
 };
 
 }  // namespace nnqs::nn

@@ -16,20 +16,12 @@ DecoderBlock::DecoderBlock(Index dModel, Index nHeads, Index ffDim, Rng& rng,
       ff2_(ffDim, dModel, rng, name + ".ff2"),
       gelu_(name + ".gelu") {}
 
-Tensor DecoderBlock::forward(const Tensor& x, Index window) const {
-  Tensor h = attn_.forward(ln1_.forward(x), window);
-  for (std::size_t i = 0; i < h.data.size(); ++i) h.data[i] += x.data[i];
-  Tensor f = ff2_.forward(gelu_.forward(ff1_.forward(ln2_.forward(h))));
-  for (std::size_t i = 0; i < f.data.size(); ++i) f.data[i] += h.data[i];
-  return f;
-}
-
 const Real* DecoderBlock::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
                                       Index rows, Index window) const {
   const Index n = rows * d_;
-  // Same arithmetic sequence as the Tensor forward above — unfused LNs and
-  // explicit residual adds — so the taped tile is bit-identical to the
-  // inference activations (NOT the fused decodeStep kernels).
+  // Unfused LNs and explicit residual adds: the same sums the fused
+  // decodeStep kernels compute, so the taped tile equals the decode path's
+  // activations bit for bit.
   const Real* ln1out = ln1_.forwardTape(tape, f.ln1, x, rows);
   const Real* attnOut = attn_.forwardTape(tape, f.attn, ln1out, rows, window);
   Real* h = tape.alloc(n);
@@ -140,13 +132,6 @@ TransformerAR::TransformerAR(Index seqLen, Index dModel, Index nHeads,
                          "amp.dec" + std::to_string(l));
 }
 
-Tensor TransformerAR::forward(const std::vector<int>& tokens, Index window) const {
-  Tensor x = embed_.forward(tokens, window);
-  for (const auto& block : blocks_) x = block.forward(x, window);
-  x = lnFinal_.forward(x);
-  return head_.forward(x);
-}
-
 const Real* TransformerAR::forwardTape(Tape& tape, TapeFrame& f,
                                        const int* tokens, Index rows,
                                        Index window) const {
@@ -242,19 +227,12 @@ PhaseMlp::PhaseMlp(Index nQubits, Index hidden, Index nHidden, Rng& rng) {
   linears_.emplace_back(in, 1, rng, "phase.out");
 }
 
-Tensor PhaseMlp::forward(const Tensor& x) const {
-  Tensor h = linears_[0].forward(x);
-  for (std::size_t l = 0; l < tanhs_.size(); ++l)
-    h = linears_[l + 1].forward(tanhs_[l].forward(h));
-  return h;  // [B, 1]
-}
-
 void PhaseMlp::forwardInto(Workspace& ws, const Real* x, Index rows, Real* out,
                            kernels::KernelPolicy policy) const {
   // The caller owns the carve cycle (x itself may be carved from `ws`, so a
   // reset here would let the first layer's destination overlap its input).
   // Each Linear carves a fresh destination; its tanh runs in place with
-  // kernels::tanh, as TanhAct::forward does, so the bits match.
+  // kernels::tanh, as TanhAct::forwardTape does, so the bits match.
   const Real* cur = x;
   for (std::size_t l = 0; l < linears_.size(); ++l) {
     const Index width = linears_[l].w.value.shape[0];

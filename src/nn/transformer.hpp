@@ -16,8 +16,6 @@ namespace nnqs::nn {
 class DecoderBlock {
  public:
   DecoderBlock(Index dModel, Index nHeads, Index ffDim, Rng& rng, std::string name);
-  /// x = [B*window, d]; see CausalSelfAttention::forward.
-  Tensor forward(const Tensor& x, Index window) const;
   void collectParameters(std::vector<Parameter*>& out);
 
   /// Incremental decode of one token per row at position `state.len`,
@@ -31,11 +29,12 @@ class DecoderBlock {
   void decodeStep(const Real* a, const Real* r, DecodeState& state, Index layer,
                   const Real** aOut, const Real** rOut) const;
 
-  /// Tape record of one block: submodule frames plus the two residual
-  /// streams (block input x, post-attention h), all tape-resident.
-  /// Arithmetic mirrors the Tensor forward exactly — separate (unfused)
-  /// LayerNorms and explicit residual adds, NOT the fused decode kernels —
-  /// so taped activations are bit-identical to the inference forward's.
+  /// Tape record of one block over x = [B*window, d] (see
+  /// CausalSelfAttention::forwardTape): submodule frames plus the two
+  /// residual streams (block input x, post-attention h), all tape-resident.
+  /// Separate LayerNorms and explicit residual adds compute the same sums
+  /// as the fused decode kernels, so the taped activations equal the decode
+  /// path's bit for bit.
   struct TapeFrame {
     LayerNorm::TapeFrame ln1, ln2;
     CausalSelfAttention::TapeFrame attn;
@@ -65,13 +64,11 @@ class TransformerAR {
   TransformerAR(Index seqLen, Index dModel, Index nHeads, Index nLayers,
                 Rng& rng);
 
-  /// tokens is a flattened [B, L'] window (L' <= seqLen); returns logits
-  /// [B, L', 4].
-  Tensor forward(const std::vector<int>& tokens, Index window) const;
   void collectParameters(std::vector<Parameter*>& out);
 
   /// Tape record of the whole amplitude net for one tile of rows
-  /// (rows = tileBatch * window).  The frame is caller-owned and reused
+  /// (rows = tileBatch * window): `tokens` is a flattened [tileBatch, window]
+  /// window (window <= seqLen, BOS first).  The frame is caller-owned and reused
   /// across tiles (the blocks vector keeps its capacity), so a warm tile
   /// records without heap allocations; every activation lives on `tape` and
   /// is released wholesale by the caller's Tape::reset().
@@ -83,8 +80,9 @@ class TransformerAR {
     Index rows = 0;
     Index window = 0;
   };
-  /// Returns the tile's logits [rows, 4] (tape-resident), bit-identical to
-  /// the same rows of forward().
+  /// Returns the tile's logits [rows, 4] (tape-resident).  Rows do not
+  /// depend on the rest of the tile, so any tiling of a batch gives the same
+  /// logits.
   const Real* forwardTape(Tape& tape, TapeFrame& f, const int* tokens,
                           Index rows, Index window) const;
   /// Backward through the recorded tile.  Every parameter gradient is an
@@ -97,21 +95,21 @@ class TransformerAR {
   void beginDecode(DecodeState& state, Index batch,
                    kernels::KernelPolicy kernel = kernels::KernelPolicy::kAuto) const;
   /// Feed tokens[B] at position state.len and return the next-outcome logits
-  /// [B, 4].  Bit-identical to the last position of forward() over the same
-  /// prefixes.  Advances state.len.  The returned tensor is `state.logits`
+  /// [B, 4].  Bit-identical to the last position of forwardTape() over the
+  /// same prefixes.  Advances state.len.  The returned tensor is `state.logits`
   /// (state-owned, overwritten by the next step): with every activation
   /// carved from the state's workspace, a warm step performs zero heap
   /// allocations.
   const Tensor& decodeStep(DecodeState& state, const std::vector<int>& tokens) const;
 
   /// Teacher-forced batched evaluation on the incremental-decode engine:
-  /// `tokens` is the flattened [B, L'] input window exactly as forward()
+  /// `tokens` is the flattened [B, L'] input window exactly as forwardTape()
   /// takes it (BOS first), but instead of one O(B*L'^2)-activation full
   /// forward, each position is produced by decodeStep with the *known* next
   /// token per row.  After every step, `sink(row0, rows, s, logits)` receives
   /// the [rows, 4] logits of global rows [row0, row0+rows) at position s —
-  /// bit-identical to the corresponding positions of forward() (the decode
-  /// contract), consumed in ascending (tile, s) order so callers can stream
+  /// bit-identical to the corresponding positions of forwardTape() (the
+  /// decode contract), consumed in ascending (tile, s) order so callers can stream
   /// per-row reductions without materializing a [B, L', 4] buffer.
   ///
   /// The batch is chunked into `tileRows`-row tiles (<= 0 selects
@@ -220,14 +218,12 @@ class PhaseMlp {
  public:
   PhaseMlp(Index nQubits, Index hidden, Index nHidden, Rng& rng);
 
-  /// x: [B, nQubits] of +-1; returns [B, 1] phases.
-  Tensor forward(const Tensor& x) const;
-
-  /// Raw-buffer inference: x [rows, nQubits] (caller storage, possibly carved
-  /// from `ws` itself), phases written to out[rows]; every intermediate
-  /// activation is carved from `ws` inside the *caller's* carve cycle (no
-  /// reset here).  Bit-identical to forward() — the Linear layers run the
-  /// same kernels::gemm and the tanh layers the same kernels::tanh — and
+  /// Raw-buffer inference: x [rows, nQubits] of +-1 (caller storage,
+  /// possibly carved from `ws` itself), phases written to out[rows]; every
+  /// intermediate activation is carved from `ws` inside the *caller's* carve
+  /// cycle (no reset here).  Bit-identical to forwardTape() — the Linear
+  /// layers run the same kernels::gemm and the tanh layers the same
+  /// kernels::tanh — and
   /// performs zero heap allocations once `ws` is warm; the serving layer runs
   /// it concurrently from many worker threads.
   void forwardInto(Workspace& ws, const Real* x, Index rows, Real* out,

@@ -10,8 +10,8 @@ namespace nnqs::nqs {
 namespace {
 constexpr Real kLogZero = QiankunNet::kLogZeroAmp;
 
-/// Masked softmax over the 4 outcome logits.  Shared by the full-forward and
-/// incremental-decode conditional paths so the two agree bit for bit.
+/// Masked softmax over the 4 outcome logits.  Shared by the decode and tape
+/// paths so the two agree bit for bit.
 void maskedSoftmax4(const Real* lg, const std::array<bool, 4>& mask, Real* out) {
   Real mx = -1e300;
   for (int t = 0; t < 4; ++t)
@@ -44,30 +44,6 @@ std::array<bool, 4> QiankunNet::outcomeMask(int s, int nUp, int nDown) const {
         (cfg_.nAlpha - u) <= stepsLeft && (cfg_.nBeta - d) <= stepsLeft;
   }
   return mask;
-}
-
-std::vector<Real> QiankunNet::conditionals(const std::vector<int>& prefixTokens,
-                                           int batch, int s,
-                                           const std::vector<std::array<int, 2>>& counts) const {
-  // Window of length s+1: [BOS, t_0 .. t_{s-1}] per prefix.
-  const int window = s + 1;
-  std::vector<int> tokens(static_cast<std::size_t>(batch) * window);
-  for (int b = 0; b < batch; ++b) {
-    tokens[static_cast<std::size_t>(b * window)] = nn::TransformerAR::kBos;
-    for (int j = 0; j < s; ++j)
-      tokens[static_cast<std::size_t>(b * window + 1 + j)] =
-          prefixTokens[static_cast<std::size_t>(b * s + j)];
-  }
-  nn::Tensor logits = amplitude_.forward(tokens, window);
-  // Take the last position of each prefix, mask, softmax.
-  std::vector<Real> probs(static_cast<std::size_t>(batch) * 4);
-  for (int b = 0; b < batch; ++b) {
-    const Real* lg = logits.data.data() + (static_cast<Index>(b) * window + s) * 4;
-    const auto mask = outcomeMask(s, counts[static_cast<std::size_t>(b)][0],
-                                  counts[static_cast<std::size_t>(b)][1]);
-    maskedSoftmax4(lg, mask, probs.data() + static_cast<std::size_t>(b) * 4);
-  }
-  return probs;
 }
 
 void QiankunNet::beginDecode(nn::DecodeState& state, int batch,
@@ -136,27 +112,6 @@ void QiankunNet::stepLogAmp(const Real* lg, Bits128 sample, int s, int& nUp,
   nDown += (chosen >> 1) & 1;
 }
 
-void QiankunNet::amplitudesFullForward(const std::vector<Bits128>& samples,
-                                       std::vector<Real>& logAmp) {
-  const int L = nSteps();
-  const Index batch = static_cast<Index>(samples.size());
-  inputTokens(samples.data(), batch, evalSlot_.tokens);
-  nn::Tensor logits = amplitude_.forward(evalSlot_.tokens, L);
-
-  logAmp.assign(samples.size(), 0.0);
-  for (Index b = 0; b < batch; ++b) {
-    int nUp = 0, nDown = 0;
-    Real la = 0;
-    Real pr[4];
-    for (int s = 0; s < L; ++s) {
-      stepLogAmp(logits.data.data() + (b * L + s) * 4,
-                 samples[static_cast<std::size_t>(b)], s, nUp, nDown, la, pr);
-      if (la <= kLogZero) break;
-    }
-    logAmp[static_cast<std::size_t>(b)] = la;
-  }
-}
-
 void QiankunNet::amplitudesDecode(EvalSlot& slot,
                                   const std::vector<Bits128>& samples,
                                   std::vector<Real>& logAmp,
@@ -168,8 +123,8 @@ void QiankunNet::amplitudesDecode(EvalSlot& slot,
   logAmp.assign(samples.size(), 0.0);
   // Teacher-forced sweep: evaluateDecode hands back each row tile's [tb, 4]
   // logits position by position; the per-position log-conditionals are
-  // folded into logAmp on the fly — same maskedSoftmax4, same ascending-s
-  // accumulation order as the full-forward path, so the bits match — and no
+  // folded into logAmp on the fly — same stepLogAmp, same ascending-s
+  // accumulation order as the tape path, so the bits match — and no
   // [B, L, 4] buffer ever materializes.  slot.up/down carry every row's
   // running electron counts between steps, indexed by *global* row so the
   // sink only touches its own tile's entries (tiles may run concurrently); a
@@ -196,10 +151,7 @@ void QiankunNet::amplitudesDecode(EvalSlot& slot,
 void QiankunNet::evaluate(const std::vector<Bits128>& samples,
                           std::vector<Real>& logAmp, std::vector<Real>& phase,
                           nn::GradMode /*mode*/) {
-  if (evalPolicy_ == DecodePolicy::kFullForward)
-    amplitudesFullForward(samples, logAmp);
-  else
-    amplitudesDecode(evalSlot_, samples, logAmp, evalKernel_, evalTileRows_);
+  amplitudesDecode(evalSlot_, samples, logAmp, evalKernel_, evalTileRows_);
   phases(samples, phase);
 }
 

@@ -11,12 +11,6 @@
 
 namespace nnqs::nqs {
 
-/// Which conditional-distribution engine the samplers — and, since the
-/// teacher-forced evaluate path, ln|Psi| inference — run on.  Enumerators
-/// (kFullForward / kKvCache) live in exec/policy.hpp, the consolidated
-/// ExecutionPolicy home; this alias keeps the historical nqs:: spelling.
-using DecodePolicy = exec::DecodePolicy;
-
 /// Configuration of the QiankunNet wave-function ansatz (paper Fig. 2 and
 /// §4.1 defaults: two decoders, d_model 16, 4 heads, 512-wide phase MLP).
 struct QiankunNetConfig {
@@ -39,6 +33,9 @@ class QiankunNet {
   explicit QiankunNet(const QiankunNetConfig& cfg);
 
   [[nodiscard]] const QiankunNetConfig& config() const { return cfg_; }
+  /// The amplitude sub-network, read-only (tests/oracle.hpp runs its tape
+  /// forward as the reference the decode engine is checked against).
+  [[nodiscard]] const nn::TransformerAR& amplitude() const { return amplitude_; }
   [[nodiscard]] int nSteps() const { return cfg_.nQubits / 2; }
   /// Spatial orbital sampled at step s (reverse order).
   [[nodiscard]] int orbitalOfStep(int s) const { return nSteps() - 1 - s; }
@@ -58,17 +55,6 @@ class QiankunNet {
   /// outcome t is allowed at step s given the up/down counts used so far.
   [[nodiscard]] std::array<bool, 4> outcomeMask(int s, int nUpUsed, int nDownUsed) const;
 
-  /// Masked, renormalized conditional distributions pi(x_s | prefix) for a
-  /// batch of B prefixes of length s (tokens flattened [B, s]); counts are
-  /// the per-prefix (up, down) electron counts.  Output [B, 4].
-  ///
-  /// This is the stateless reference path: it re-runs a full transformer
-  /// forward over every prefix (O(s) token work per step).  The stateful
-  /// beginDecode/stepConditionals pair below computes the same distributions
-  /// bit for bit with O(1) token work per step via per-layer KV caches.
-  std::vector<Real> conditionals(const std::vector<int>& prefixTokens, int batch,
-                                 int s, const std::vector<std::array<int, 2>>& counts) const;
-
   /// Start a stateful incremental decode over `batch` sampling-tree rows.
   /// `kernel` selects the decode-attention backend (src/nn/kernels/): the
   /// scalar reference, the AVX2/FMA SIMD kernel, or SIMD + OpenMP over
@@ -77,8 +63,9 @@ class QiankunNet {
                    nn::kernels::KernelPolicy kernel =
                        nn::kernels::KernelPolicy::kAuto) const;
 
-  /// One incremental step of the masked conditionals: writes pi(x_s | prefix)
-  /// [B, 4] into `probs` for step s = state.len.  `prevTokens[b]` is row b's
+  /// One incremental step of the masked, renormalized conditionals: writes
+  /// pi(x_s | prefix) [B, 4] into `probs` for step s = state.len, with O(1)
+  /// token work per step via the per-layer KV caches.  `prevTokens[b]` is row b's
   /// outcome chosen at step s-1 (ignored at s = 0, where BOS is fed); counts
   /// are the per-row (up, down) electron counts over the prefix.  Taking the
   /// output buffer lets the BAS inner loop reuse one vector across the whole
@@ -98,25 +85,20 @@ class QiankunNet {
     state.gather(rows);
   }
 
-  /// Select the amplitude-inference and gradient engines of
-  /// evaluate()/psi()/evaluateGrad() from an ExecutionPolicy
-  /// (exec/policy.hpp): decode/kernel pick the inference engine (the
-  /// KV-cached teacher-forced decode sweep by default, or the stateless
-  /// full-forward reference — bit-identical, so they only move the wall
-  /// clock); evalTileRows bounds the decode KV arena and gradTileRows the
-  /// tape-gradient tile (both 0 = engine default, negative = one tile
-  /// spanning the batch).  evaluateGrad always records with the full forward
-  /// onto its tape, whatever the inference engine.
+  /// Configure evaluate()/psi()/phases() and evaluateGrad() from an
+  /// ExecutionPolicy (exec/policy.hpp): kernel picks the inference kernel
+  /// backend (bit-identical, so it only moves the wall clock); evalTileRows
+  /// bounds the decode KV arena and gradTileRows the tape-gradient tile
+  /// (both 0 = engine default, negative = one tile spanning the batch).
   void setEvalPolicy(const exec::ExecutionPolicy& exec) {
-    evalPolicy_ = exec.decode;
     evalKernel_ = exec.kernel;
     evalTileRows_ = exec.evalTileRows;
     gradTileRows_ = exec.gradTileRows;
   }
-  [[nodiscard]] DecodePolicy evalPolicy() const { return evalPolicy_; }
 
-  /// ln|Psi| and phase for a batch of samples on the engine selected by
-  /// setEvalPolicy().  Records nothing: gradients come from evaluateGrad().
+  /// ln|Psi| and phase for a batch of samples: the teacher-forced decode
+  /// sweep plus the phase MLP, on the kernel selected by setEvalPolicy().
+  /// Records nothing: gradients come from evaluateGrad().
   /// The GradMode argument has a single value and is kept only so existing
   /// callers that spell it out still compile.
   void evaluate(const std::vector<Bits128>& samples, std::vector<Real>& logAmp,
@@ -150,8 +132,8 @@ class QiankunNet {
   /// gradients without ever materializing the full batch's activations.
   /// The batch is swept in ascending `gradTileRows`-sample tiles
   /// (ExecutionPolicy; 0 = TransformerAR::kEvalTileRows, negative = one tile
-  /// spanning the batch); each tile re-runs the teacher-forced full forward
-  /// onto the tape — only that tile's activations exist — backprops the
+  /// spanning the batch); each tile re-runs the teacher-forced forward onto
+  /// the tape — only that tile's activations exist — backprops the
   /// tile, and releases the tape, bounding peak training activation memory
   /// at O(tile * L * d) independent of the batch size.
   ///
@@ -204,8 +186,8 @@ class QiankunNet {
   void prepareConcurrent() const {}
 
   /// ln|Psi| and phase of `samples` using only `slot` for mutable state —
-  /// bit-identical to evaluate() under the kKvCache policy with the same
-  /// kernel, for any batch composition (per-row arithmetic is independent of
+  /// bit-identical to evaluate() with the same kernel, for any batch
+  /// composition (per-row arithmetic is independent of
   /// the surrounding batch, the serving layer's coalescing contract).  Const:
   /// any number of threads may call it at once, each with its own slot, as
   /// long as no thread changes the parameters meanwhile.  `kernel` should be
@@ -219,17 +201,15 @@ class QiankunNet {
 
  private:
   /// Tokens of `count` full samples in network input order, [BOS, t_0 ..
-  /// t_{L-2}] each.  The single token-marshalling point: the full-forward,
-  /// teacher-forced decode and tape paths all consume its layout.
+  /// t_{L-2}] each.  The single token-marshalling point: the teacher-forced
+  /// decode and tape paths both consume its layout.
   void inputTokens(const Bits128* samples, Index count, std::vector<int>& out) const;
 
-  /// ln|Psi| of `samples` via the stateless full transformer forward.
-  void amplitudesFullForward(const std::vector<Bits128>& samples,
-                             std::vector<Real>& logAmp);
   /// ln|Psi| via the teacher-forced incremental-decode sweep
   /// (TransformerAR::evaluateDecode) on `slot`'s scratch; tileRows as
-  /// ExecutionPolicy::evalTileRows.  Bit-identical to the full-forward path;
-  /// zero heap allocations once the slot is warm.
+  /// ExecutionPolicy::evalTileRows.  Bit-identical to the tape forward's
+  /// logits folded the same way; zero heap allocations once the slot is
+  /// warm.
   void amplitudesDecode(EvalSlot& slot, const std::vector<Bits128>& samples,
                         std::vector<Real>& logAmp, nn::kernels::KernelPolicy kernel,
                         Index tileRows) const;
@@ -249,8 +229,8 @@ class QiankunNet {
   /// Fold position s's masked log-conditional of `sample` (given its logits
   /// lg[4]) into the running (la, nUp, nDown); pr[4] receives the masked
   /// conditionals (the gradient's seed input).  The single accumulation step
-  /// of every amplitude path — full forward, decode sweep and tape — so their
-  /// arithmetic, and the bit-identity contract, cannot drift apart.
+  /// of both amplitude paths — decode sweep and tape — so their arithmetic,
+  /// and the bit-identity contract, cannot drift apart.
   void stepLogAmp(const Real* lg, Bits128 sample, int s, int& nUp, int& nDown,
                   Real& la, Real* pr) const;
 
@@ -258,8 +238,7 @@ class QiankunNet {
   Rng rng_;
   nn::TransformerAR amplitude_;
   nn::PhaseMlp phase_;
-  // Inference-engine selection of evaluate()/psi() (setEvalPolicy).
-  DecodePolicy evalPolicy_ = DecodePolicy::kKvCache;
+  // Inference configuration of evaluate()/psi() (setEvalPolicy).
   nn::kernels::KernelPolicy evalKernel_ = nn::kernels::KernelPolicy::kAuto;
   Index evalTileRows_ = 0;
   Index gradTileRows_ = 0;  ///< 0 = default tile; < 0 = one tile spanning the batch

@@ -57,7 +57,7 @@ std::uint64_t mix64(std::uint64_t z) {
 /// the node's token prefix — the bits at step s pin tokens 0..s-1 exactly —
 /// so keys are unique across the whole sampling tree without storing them,
 /// and every node's multinomial draw is independent of traversal order, tile
-/// geometry, prefix representation, decode policy and rank partition.
+/// geometry and rank partition.
 std::uint64_t nodeKey(std::uint64_t seed, Bits128 bits, int step) {
   std::uint64_t h = mix64(seed ^ 0x6A09E667F3BCC909ull);
   h = mix64(h ^ bits.lo);
@@ -84,20 +84,16 @@ std::array<std::uint64_t, 4> multinomialSplit4(Rng& rng, std::uint64_t n,
   return out;
 }
 
-Bits128 autoregressiveSampleOne(QiankunNet& net, Rng& rng, DecodePolicy decode,
+Bits128 autoregressiveSampleOne(QiankunNet& net, Rng& rng,
                                 nn::kernels::KernelPolicy kernel) {
   const int L = net.nSteps();
-  std::vector<int> tokens;
   std::array<int, 2> counts{0, 0};
   Bits128 x;
   nn::DecodeState state;
   std::vector<int> prev;
-  if (decode == DecodePolicy::kKvCache) net.beginDecode(state, 1, kernel);
+  net.beginDecode(state, 1, kernel);
   for (int s = 0; s < L; ++s) {
-    const std::vector<Real> probs =
-        decode == DecodePolicy::kKvCache
-            ? net.stepConditionals(state, prev, {counts})
-            : net.conditionals(tokens, 1, s, {counts});
+    const std::vector<Real> probs = net.stepConditionals(state, prev, {counts});
     const Real u = rng.uniform();
     Real cdf = 0;
     int chosen = 3;
@@ -108,7 +104,6 @@ Bits128 autoregressiveSampleOne(QiankunNet& net, Rng& rng, DecodePolicy decode,
         break;
       }
     }
-    tokens.push_back(chosen);
     prev.assign(1, chosen);
     counts[0] += chosen & 1;
     counts[1] += (chosen >> 1) & 1;
@@ -126,7 +121,6 @@ void BasSweepEngine::NodeBlock::clear() {
   weights.clear();
   counts.clear();
   logp.clear();
-  tokens.clear();
   step = 0;
 }
 
@@ -143,21 +137,16 @@ void BasSweepEngine::armRoot(std::uint64_t nSamples) {
 
 void BasSweepEngine::stepProbs(NodeBlock& cur) {
   const int s = cur.step;
-  if (kv_) {
-    // The step feed is the token each row chose at s-1, recovered from the
-    // incrementally-built bits — no per-node token storage (s = 0 feeds BOS
-    // inside stepConditionals).
-    feed_.clear();
-    if (s > 0) {
-      feed_.resize(cur.nodes());
-      for (std::size_t i = 0; i < cur.nodes(); ++i)
-        feed_[i] = net_.tokenOf(cur.bits[i], s - 1);
-    }
-    net_.stepConditionals(state_, feed_, cur.counts, probs_);
-  } else {
-    probs_ = net_.conditionals(cur.tokens, static_cast<int>(cur.nodes()), s,
-                               cur.counts);
+  // The step feed is the token each row chose at s-1, recovered from the
+  // incrementally-built bits — no per-node token storage (s = 0 feeds BOS
+  // inside stepConditionals).
+  feed_.clear();
+  if (s > 0) {
+    feed_.resize(cur.nodes());
+    for (std::size_t i = 0; i < cur.nodes(); ++i)
+      feed_[i] = net_.tokenOf(cur.bits[i], s - 1);
   }
+  net_.stepConditionals(state_, feed_, cur.counts, probs_);
 }
 
 void BasSweepEngine::expandInto(const NodeBlock& cur, NodeBlock& next) {
@@ -186,12 +175,6 @@ void BasSweepEngine::expandInto(const NodeBlock& cur, NodeBlock& next) {
       next.logp.push_back(parentLp <= QiankunNet::kLogZeroAmp || p <= 0.0
                               ? QiankunNet::kLogZeroAmp
                               : parentLp + 0.5 * std::log(p));
-      if (carry_) {
-        const auto ss = static_cast<std::size_t>(s);
-        for (std::size_t j = 0; j < ss; ++j)
-          next.tokens.push_back(cur.tokens[b * ss + j]);
-        next.tokens.push_back(t);
-      }
       parentRows_.push_back(static_cast<Index>(b));
     }
   }
@@ -207,11 +190,6 @@ void BasSweepEngine::copyRange(const NodeBlock& src, std::size_t lo,
   dst.counts.insert(dst.counts.end(), src.counts.begin() + plo,
                     src.counts.begin() + phi);
   dst.logp.insert(dst.logp.end(), src.logp.begin() + plo, src.logp.begin() + phi);
-  if (!src.tokens.empty()) {
-    const auto s = static_cast<std::ptrdiff_t>(src.step);
-    dst.tokens.insert(dst.tokens.end(), src.tokens.begin() + plo * s,
-                      src.tokens.begin() + phi * s);
-  }
 }
 
 void BasSweepEngine::shrinkBlock(NodeBlock& block, std::size_t keep) {
@@ -219,8 +197,6 @@ void BasSweepEngine::shrinkBlock(NodeBlock& block, std::size_t keep) {
   block.weights.resize(keep);
   block.counts.resize(keep);
   block.logp.resize(keep);
-  if (!block.tokens.empty())
-    block.tokens.resize(keep * static_cast<std::size_t>(block.step));
 }
 
 BasSweepEngine::Frame& BasSweepEngine::pushFrame() {
@@ -258,17 +234,7 @@ void BasSweepEngine::deferExcess() {
 }
 
 void BasSweepEngine::emitLeaf(const NodeBlock& leaves, std::size_t i) {
-  Bits128 x;
-  if (carry_) {
-    // Prefix-carrying modes emit by replaying the materialized tokens — the
-    // A/B check that the incremental bits and the token prefixes agree.
-    const auto L = static_cast<std::size_t>(leaves.step);
-    for (std::size_t j = 0; j < L; ++j)
-      x = net_.applyToken(x, static_cast<int>(j), leaves.tokens[i * L + j]);
-  } else {
-    x = leaves.bits[i];
-  }
-  out_.samples.push_back(x);
+  out_.samples.push_back(leaves.bits[i]);
   out_.weights.push_back(leaves.weights[i]);
   if (fused_) out_.logAmp.push_back(leaves.logp[i]);
 }
@@ -282,15 +248,13 @@ void BasSweepEngine::descend() {
   if (cur_.nodes() == 0) return;  // a rank can own zero subtrees
   while (true) {
     while (cur_.step < L) {
-      if (kv_ && cur_.nodes() > tileCap_) deferExcess();
+      if (cur_.nodes() > tileCap_) deferExcess();
       stepProbs(cur_);
       expandInto(cur_, next_);
-      if (kv_) {
-        if (next_.step < L)
-          net_.gatherDecode(state_, parentRows_);
-        else
-          state_.releaseRows();  // leaves need no rows; parents' data is dead
-      }
+      if (next_.step < L)
+        net_.gatherDecode(state_, parentRows_);
+      else
+        state_.releaseRows();  // leaves need no rows; parents' data is dead
       std::swap(cur_, next_);
     }
     emitLeaves(cur_);
@@ -332,17 +296,15 @@ const SampleSet& BasSweepEngine::sweep(const SamplerOptions& opts, int rank,
                                        std::uint64_t uniqueThreshold) {
   const int L = net_.nSteps();
   seed_ = opts.seed;
-  kv_ = opts.exec.decode == DecodePolicy::kKvCache;
-  carry_ = opts.carryTokenPrefixes || !kv_;
   fused_ = opts.exec.fusedSweep;
-  if (!kv_ || opts.exec.sweepTileRows < 0)
+  if (opts.exec.sweepTileRows < 0)
     tileCap_ = std::numeric_limits<std::size_t>::max();  // one frontier tile
   else
     tileCap_ = opts.exec.sweepTileRows == 0
                    ? static_cast<std::size_t>(kDefaultTileRows)
                    : static_cast<std::size_t>(opts.exec.sweepTileRows);
   armRoot(opts.nSamples);
-  if (kv_) net_.beginDecode(state_, 1, opts.exec.kernel);
+  net_.beginDecode(state_, 1, opts.exec.kernel);
 
   if (nRanks > 1) {
     // Breadth-first shared prefix: identical on every rank (shared seed,
@@ -354,7 +316,7 @@ const SampleSet& BasSweepEngine::sweep(const SamplerOptions& opts, int rank,
       if (cur_.nodes() > uniqueThreshold) break;
       stepProbs(cur_);
       expandInto(cur_, next_);
-      if (kv_ && s + 1 < L) net_.gatherDecode(state_, parentRows_);
+      if (s + 1 < L) net_.gatherDecode(state_, parentRows_);
       std::swap(cur_, next_);
     }
     if (s >= L) {
@@ -365,7 +327,7 @@ const SampleSet& BasSweepEngine::sweep(const SamplerOptions& opts, int rank,
       return out_;
     }
     partitionLayer(rank, nRanks);
-    if (kv_) net_.gatherDecode(state_, ownedRows_);  // drop others' subtrees
+    net_.gatherDecode(state_, ownedRows_);  // drop others' subtrees
   }
   descend();
   return out_;

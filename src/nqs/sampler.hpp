@@ -31,27 +31,16 @@ struct SampleSet {
   }
 };
 
-// DecodePolicy (the kFullForward / kKvCache engine selector shared by the
-// samplers and the teacher-forced evaluate path) lives in nqs/ansatz.hpp.
-
 struct SamplerOptions {
   std::uint64_t nSamples = 1 << 12;  ///< N_s; can be huge (the paper uses 1e12)
   std::uint64_t seed = 7;
   /// Consolidated engine selection (exec/policy.hpp).  The sweep engine
-  /// reads exec.decode (full-forward vs KV-cached engine), exec.kernel (the
-  /// decode-attention backend; bit-identical, purely a performance knob),
-  /// exec.sweepTileRows (cache-resident tile geometry of the depth-first
-  /// descent) and exec.fusedSweep (ln|Psi| as a sampling by-product);
-  /// exec.eloc / exec.comm are carried for callers that forward one policy
-  /// through the whole stack.
+  /// reads exec.kernel (the decode-attention backend; bit-identical, purely
+  /// a performance knob), exec.sweepTileRows (cache-resident tile geometry
+  /// of the depth-first descent) and exec.fusedSweep (ln|Psi| as a sampling
+  /// by-product); exec.eloc / exec.comm are carried for callers that forward
+  /// one policy through the whole stack.
   exec::ExecutionPolicy exec;
-  /// A/B knob of the prefix-representation refactor: carry materialized
-  /// token prefixes through the kKvCache sweep (the pre-refactor O(Nu*L^2)
-  /// layout) and emit samples by replaying them, instead of the
-  /// incrementally-built Bits128 occupations (O(Nu*L)).  Sample sets are
-  /// bit-identical either way; the full-forward reference path always
-  /// carries prefixes because its conditionals() consumes them.
-  bool carryTokenPrefixes = false;
 };
 
 /// Exact multinomial-style draw: split `n` trials over the 4 outcome
@@ -62,7 +51,6 @@ std::array<std::uint64_t, 4> multinomialSplit4(Rng& rng, std::uint64_t n,
 
 /// Fig. 3(a): plain autoregressive sampling, one bitstring per call.
 Bits128 autoregressiveSampleOne(QiankunNet& net, Rng& rng,
-                                DecodePolicy decode = DecodePolicy::kKvCache,
                                 nn::kernels::KernelPolicy kernel =
                                     nn::kernels::KernelPolicy::kAuto);
 
@@ -73,12 +61,11 @@ Bits128 autoregressiveSampleOne(QiankunNet& net, Rng& rng,
 /// each node's weight multinomially over the 4 outcomes and pruning
 /// zero-weight children.  Three structural properties:
 ///
-///  - **Incremental Bits128 prefixes.**  In kKvCache mode a node is its
-///    occupation bitstring (built token by token via applyToken) plus weight,
-///    electron counts and running ln|Psi| — O(Nu*L) storage per sweep.  The
-///    step feed is recovered from the bits (tokenOf at step s-1), so no token
-///    prefix is ever materialized; the full-forward reference path still
-///    carries prefixes because its stateless conditionals consume them.
+///  - **Incremental Bits128 prefixes.**  A node is its occupation bitstring
+///    (built token by token via applyToken) plus weight, electron counts and
+///    running ln|Psi| — O(Nu*L) storage per sweep.  The step feed is
+///    recovered from the bits (tokenOf at step s-1), so no token prefix is
+///    ever materialized.
 ///  - **Cache-resident slot-range tiles.**  The frontier is chunked into
 ///    tiles of at most `tileRows` rows, swept depth-first: a tile descends to
 ///    the final layer before the next tile starts, so its KV slots stay
@@ -91,16 +78,15 @@ Bits128 autoregressiveSampleOne(QiankunNet& net, Rng& rng,
 ///    paths (including the kLogZeroAmp dead-branch sentinel); the final
 ///    layer's leaves emit ln|Psi| into SampleSet::logAmp for free.
 ///
-/// Every tile geometry, prefix representation and rank partition draws
-/// bit-identical sample sets: each node's split consumes a private RNG
+/// Every tile geometry and rank partition draws bit-identical sample sets: each node's split consumes a private RNG
 /// substream keyed by (seed, bits, step) — the (bits, step) pair is
 /// bijective with the token prefix, so keys are unique, need no storage, and
 /// make draws independent of traversal order.  A parallel sweep's per-rank
 /// union therefore equals the serial sweep exactly.
 ///
 /// The engine owns all sweep state (decode arena, frontier blocks, frame
-/// stack, output set) and reuses its capacity, so a warm kKvCache sweep
-/// performs zero heap allocations (asserted by BM_SweepFused).
+/// stack, output set) and reuses its capacity, so a warm sweep performs zero
+/// heap allocations (asserted by BM_SweepFused).
 class BasSweepEngine {
  public:
   explicit BasSweepEngine(QiankunNet& net) : net_(net) {}
@@ -131,14 +117,13 @@ class BasSweepEngine {
     std::vector<std::uint64_t> weights;
     std::vector<std::array<int, 2>> counts;  ///< (up, down) used so far
     std::vector<Real> logp;                  ///< running ln|Psi| of the prefix
-    std::vector<int> tokens;  ///< [nodes, step], only when carrying prefixes
     int step = 0;
 
     [[nodiscard]] std::size_t nodes() const { return weights.size(); }
     void clear();
   };
   /// A deferred tile awaiting its depth-first descent: node data plus the
-  /// detached KV slots backing its decode rows (kKvCache only).
+  /// detached KV slots backing its decode rows.
   struct Frame {
     NodeBlock nodes;
     std::vector<Index> slots;
@@ -186,8 +171,6 @@ class BasSweepEngine {
   // Sweep-wide configuration, set by sweep().
   std::uint64_t seed_ = 0;
   std::size_t tileCap_ = 0;
-  bool kv_ = true;
-  bool carry_ = false;
   bool fused_ = true;
 };
 

@@ -1,0 +1,133 @@
+#pragma once
+
+// Reference oracle of the amplitude network: the stateless full forward that
+// the KV-cached decode engine, the fused sweep and the samplers are checked
+// against at tolerance 0.  Logits come from TransformerAR::forwardTape on a
+// local Tape with no backward (the training kernels, every prefix re-read in
+// full); the masked conditionals, ln|Psi| and the single-sample draw derived
+// from them repeat the arithmetic of nqs/ansatz.cpp and nqs/sampler.cpp.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <vector>
+
+#include "nn/kernels/gemm.hpp"
+#include "nqs/ansatz.hpp"
+
+// The exact comparisons assume every GEMM policy reproduces the naive loop's
+// bits.  A -DNNQS_WITH_BLAS build trades that away for dgemm speed, so those
+// tests are skipped rather than left latently flaky.
+#define NNQS_SKIP_IF_BLAS()                                                  \
+  if (nnqs::nn::kernels::gemmUsesBlas())                                     \
+    GTEST_SKIP() << "BLAS GEMM route is not bit-identical across policies"
+
+namespace nnqs::oracle {
+
+/// Logits [B * window, 4] of B flattened token windows (BOS first).
+inline std::vector<Real> logits(const nn::TransformerAR& net,
+                                const std::vector<int>& tokens, Index window) {
+  // An empty batch never reaches forwardTape: on a fresh tape its empty
+  // spans are null, which the kernels' memset may not be handed.
+  if (tokens.empty()) return {};
+  nn::Tape tape;
+  nn::TransformerAR::TapeFrame frame;
+  const auto rows = static_cast<Index>(tokens.size());
+  const Real* lg = net.forwardTape(tape, frame, tokens.data(), rows, window);
+  return {lg, lg + rows * 4};
+}
+
+/// pi(x_s | prefix) [4] from one position's logits, masked by the electron
+/// counts (nUp, nDown) of the prefix.
+inline std::array<Real, 4> maskedSoftmax(const nqs::QiankunNet& net, const Real* lg,
+                                         int s, int nUp, int nDown) {
+  const auto mask = net.outcomeMask(s, nUp, nDown);
+  Real mx = -1e300, denom = 0;
+  std::array<Real, 4> p{};
+  for (std::size_t t = 0; t < 4; ++t)
+    if (mask[t]) mx = std::max(mx, lg[t]);
+  for (std::size_t t = 0; t < 4; ++t) {
+    p[t] = mask[t] ? std::exp(lg[t] - mx) : 0.0;
+    denom += p[t];
+  }
+  for (auto& v : p) v /= denom;
+  return p;
+}
+
+/// Masked conditionals [B, 4] of B prefixes of length s (tokens flattened
+/// [B, s]) with per-prefix (up, down) electron counts.
+inline std::vector<Real> conditionals(const nqs::QiankunNet& net,
+                                      const std::vector<int>& prefixes, int batch,
+                                      int s,
+                                      const std::vector<std::array<int, 2>>& counts) {
+  const auto w = static_cast<std::size_t>(s) + 1;  // window [BOS, t_0 .. t_{s-1}]
+  std::vector<int> tokens;
+  for (std::size_t b = 0; b < static_cast<std::size_t>(batch); ++b) {
+    tokens.push_back(nn::TransformerAR::kBos);
+    tokens.insert(tokens.end(), prefixes.begin() + static_cast<long>(b * (w - 1)),
+                  prefixes.begin() + static_cast<long>((b + 1) * (w - 1)));
+  }
+  const std::vector<Real> lg = logits(net.amplitude(), tokens, static_cast<Index>(w));
+  std::vector<Real> probs;
+  for (std::size_t b = 0; b < static_cast<std::size_t>(batch); ++b) {
+    const auto p = maskedSoftmax(net, lg.data() + (b * w + w - 1) * 4, s,
+                                 counts[b][0], counts[b][1]);
+    probs.insert(probs.end(), p.begin(), p.end());
+  }
+  return probs;
+}
+
+/// ln|Psi| per sample: its tokens' masked log-conditionals folded in
+/// ascending s, QiankunNet::kLogZeroAmp once it leaves the support.
+inline std::vector<Real> logAmp(const nqs::QiankunNet& net,
+                                const std::vector<Bits128>& samples) {
+  const int L = net.nSteps();
+  std::vector<int> tokens;
+  for (const Bits128& x : samples) {
+    tokens.push_back(nn::TransformerAR::kBos);
+    for (int s = 0; s + 1 < L; ++s) tokens.push_back(net.tokenOf(x, s));
+  }
+  const std::vector<Real> lg = logits(net.amplitude(), tokens, L);
+  std::vector<Real> out;
+  for (std::size_t b = 0; b < samples.size(); ++b) {
+    int nUp = 0, nDown = 0;
+    Real la = 0;
+    for (int s = 0; s < L; ++s) {
+      const auto p = maskedSoftmax(net, lg.data() + (b * L + s) * 4, s, nUp, nDown);
+      const int t = net.tokenOf(samples[b], s);
+      const Real pt = p[static_cast<std::size_t>(t)];  // 0 when masked out
+      if (pt <= 0.0) {
+        la = nqs::QiankunNet::kLogZeroAmp;
+        break;
+      }
+      la += 0.5 * std::log(pt);
+      nUp += t & 1;
+      nDown += (t >> 1) & 1;
+    }
+    out.push_back(la);
+  }
+  return out;
+}
+
+/// Fig. 3(a) on the oracle: one sample drawn token by token, each step's
+/// conditionals from a full forward over the prefix drawn so far.
+inline Bits128 sampleOne(const nqs::QiankunNet& net, Rng& rng) {
+  std::vector<int> prefix;
+  std::array<int, 2> counts{0, 0};
+  Bits128 x;
+  for (int s = 0; s < net.nSteps(); ++s) {
+    const std::vector<Real> p = conditionals(net, prefix, 1, s, {counts});
+    const Real u = rng.uniform();
+    Real cdf = 0;
+    int t = 0;
+    while (t < 3 && !(u < (cdf += p[static_cast<std::size_t>(t)]))) ++t;
+    prefix.push_back(t);
+    counts = {counts[0] + (t & 1), counts[1] + ((t >> 1) & 1)};
+    x = net.applyToken(x, s, t);
+  }
+  return x;
+}
+
+}  // namespace nnqs::oracle

@@ -8,6 +8,7 @@
 #include "io/checkpoint.hpp"
 #include "nn/optimizer.hpp"
 #include "nqs/ansatz.hpp"
+#include "oracle.hpp"
 
 using namespace nnqs;
 using namespace nnqs::io;
@@ -112,21 +113,22 @@ TEST(Checkpoint, SaveLoadPsiBitIdenticalAcrossPolicies) {
   a.evaluate(sector, la1, ph1, nn::GradMode::kInference);
 
   // The reloaded net must reproduce psi bit for bit on every inference
-  // engine/kernel combination (they are bit-identical to each other too).
+  // kernel (they are bit-identical to each other too), and its full-forward
+  // oracle amplitudes must match as well.
   exec::ExecutionPolicy pol;
-  for (const auto decode : {exec::DecodePolicy::kKvCache, exec::DecodePolicy::kFullForward}) {
-    for (const auto kernel : {nn::kernels::KernelPolicy::kScalar,
-                              nn::kernels::KernelPolicy::kSimd}) {
-      pol.decode = decode;
-      pol.kernel = kernel;
-      b->setEvalPolicy(pol);
-      b->evaluate(sector, la2, ph2, nn::GradMode::kInference);
-      for (std::size_t i = 0; i < sector.size(); ++i) {
-        EXPECT_EQ(la1[i], la2[i]) << "sample " << i;
-        EXPECT_EQ(ph1[i], ph2[i]) << "sample " << i;
-      }
+  for (const auto kernel : {nn::kernels::KernelPolicy::kScalar,
+                            nn::kernels::KernelPolicy::kSimd}) {
+    pol.kernel = kernel;
+    b->setEvalPolicy(pol);
+    b->evaluate(sector, la2, ph2, nn::GradMode::kInference);
+    for (std::size_t i = 0; i < sector.size(); ++i) {
+      EXPECT_EQ(la1[i], la2[i]) << "sample " << i;
+      EXPECT_EQ(ph1[i], ph2[i]) << "sample " << i;
     }
   }
+  const std::vector<Real> laOracle = oracle::logAmp(*b, sector);
+  for (std::size_t i = 0; i < sector.size(); ++i)
+    EXPECT_EQ(la1[i], laOracle[i]) << "sample " << i;
 }
 
 TEST(Checkpoint, SaveLoadSaveIsByteIdentical) {

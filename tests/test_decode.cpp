@@ -1,6 +1,6 @@
 // Equivalence of the KV-cached incremental-decode engine with the stateless
-// full-forward reference path, including under the sampling tree's
-// split/prune row gathering.
+// full-forward oracle (tests/oracle.hpp), including under the sampling tree's
+// split/prune row gathering, and of the samplers across kernel backends.
 
 #include <gtest/gtest.h>
 
@@ -8,19 +8,11 @@
 #include <cmath>
 #include <vector>
 
-#include "nn/kernels/gemm.hpp"
 #include "nqs/sampler.hpp"
+#include "oracle.hpp"
 
 using namespace nnqs;
 using namespace nnqs::nqs;
-
-// The bit-identity tests assume every GEMM policy reproduces the naive
-// loop's bits.  A -DNNQS_WITH_BLAS build deliberately trades that away for
-// dgemm speed (only kScalar stays exact there), so the cross-engine
-// sample-set comparisons are skipped rather than left latently flaky.
-#define NNQS_SKIP_IF_BLAS()                                                  \
-  if (nnqs::nn::kernels::gemmUsesBlas())                                     \
-    GTEST_SKIP() << "BLAS GEMM route is not bit-identical across policies"
 
 namespace {
 
@@ -47,13 +39,25 @@ void expectSameSampleSet(const SampleSet& a, const SampleSet& b) {
   }
 }
 
+/// The sweep's fused ln|Psi| must be the oracle's ln|Psi| of the drawn
+/// samples: every split along each sample's path used the conditionals the
+/// oracle recomputes from a full forward.
+void expectOracleLogAmp(const QiankunNet& net, const SampleSet& set) {
+  const std::vector<Real> ref = oracle::logAmp(net, set.samples);
+  ASSERT_EQ(set.logAmp.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    EXPECT_EQ(set.logAmp[i], ref[i]) << "sample " << i;
+}
+
 }  // namespace
 
 TEST(Decode, StepConditionalsMatchesFullForwardUnderRandomGathers) {
   // Drive a random sampling-tree frontier: at every step compare the
-  // incremental conditionals against the full-forward reference, then apply a
+  // incremental conditionals against the full-forward oracle, then apply a
   // random split/prune/permute of the rows (children of different parents
-  // interleaved in random order, parents dropped and duplicated).
+  // interleaved in random order, parents dropped and duplicated).  Exact on
+  // the in-tree kernels; the external-BLAS route only promises closeness.
+  const Real tol = nn::kernels::gemmUsesBlas() ? 1e-12 : 0.0;
   const int n = 16, na = 4, nb = 3;
   QiankunNet net(smallConfig(n, na, nb));
   const int L = net.nSteps();
@@ -70,11 +74,11 @@ TEST(Decode, StepConditionalsMatchesFullForwardUnderRandomGathers) {
       const int batch = static_cast<int>(prefixes.size());
       std::vector<int> flat;
       for (const auto& p : prefixes) flat.insert(flat.end(), p.begin(), p.end());
-      const std::vector<Real> ref = net.conditionals(flat, batch, s, counts);
+      const std::vector<Real> ref = oracle::conditionals(net, flat, batch, s, counts);
       const std::vector<Real> inc = net.stepConditionals(state, lastTokens, counts);
       ASSERT_EQ(ref.size(), inc.size());
       for (std::size_t i = 0; i < ref.size(); ++i)
-        EXPECT_NEAR(ref[i], inc[i], 1e-12) << "step " << s << " entry " << i;
+        EXPECT_NEAR(ref[i], inc[i], tol) << "step " << s << " entry " << i;
 
       if (s + 1 == L) break;
       // Random split/prune: each row spawns 0-2 children among the outcomes
@@ -133,25 +137,23 @@ constexpr nn::kernels::KernelPolicy kAllKernels[] = {
 }  // namespace
 
 TEST(Decode, BatchBasBitIdenticalAcrossPolicies) {
-  // Every KernelPolicy x DecodePolicy combination must draw the very same
-  // sample set: the kernel backends share one arithmetic contract
-  // (src/nn/kernels/attn_row.hpp), so this holds bit for bit, not just
-  // statistically.
+  // Every KernelPolicy must draw the very same sample set: the kernel
+  // backends share one arithmetic contract (src/nn/kernels/attn_row.hpp), so
+  // this holds bit for bit, not just statistically.  Each sweep's fused
+  // ln|Psi| must equal the full-forward oracle's.
   NNQS_SKIP_IF_BLAS();
   QiankunNet net(smallConfig(12, 3, 3));
   SamplerOptions opts;
   opts.nSamples = 1 << 14;
   opts.seed = 41;
-  opts.exec.decode = DecodePolicy::kFullForward;
+  opts.exec.kernel = nn::kernels::KernelPolicy::kScalar;
   const SampleSet ref = batchAutoregressiveSample(net, opts);
   EXPECT_GT(ref.nUnique(), 1u);
-  // The kernel policy is only consulted on the kKvCache path (the reference
-  // full-forward run above covers the kFullForward side of every combo).
-  opts.exec.decode = DecodePolicy::kKvCache;
   for (auto kernel : kAllKernels) {
     opts.exec.kernel = kernel;
     const SampleSet got = batchAutoregressiveSample(net, opts);
     expectSameSampleSet(ref, got);
+    expectOracleLogAmp(net, got);
   }
 }
 
@@ -163,13 +165,13 @@ TEST(Decode, ParallelBasBitIdenticalAcrossPolicies) {
   opts.seed = 23;
   for (int ranks : {2, 3}) {
     for (int r = 0; r < ranks; ++r) {
-      opts.exec.decode = DecodePolicy::kFullForward;
+      opts.exec.kernel = nn::kernels::KernelPolicy::kScalar;
       const SampleSet ref = parallelBatchSample(net, opts, r, ranks, 8);
-      opts.exec.decode = DecodePolicy::kKvCache;
       for (auto kernel : kAllKernels) {
         opts.exec.kernel = kernel;
         const SampleSet inc = parallelBatchSample(net, opts, r, ranks, 8);
         expectSameSampleSet(ref, inc);
+        expectOracleLogAmp(net, inc);
       }
     }
   }
@@ -179,10 +181,12 @@ TEST(Decode, SingleSampleBitIdenticalAcrossPolicies) {
   NNQS_SKIP_IF_BLAS();
   QiankunNet net(smallConfig(10, 2, 3));
   for (std::uint64_t seed : {3u, 17u, 90u}) {
-    Rng rngA(seed), rngB(seed);
-    const Bits128 a = autoregressiveSampleOne(net, rngA, DecodePolicy::kFullForward);
-    const Bits128 b = autoregressiveSampleOne(net, rngB, DecodePolicy::kKvCache);
-    EXPECT_EQ(a, b);
+    Rng rngRef(seed);
+    const Bits128 ref = oracle::sampleOne(net, rngRef);
+    for (auto kernel : kAllKernels) {
+      Rng rng(seed);
+      EXPECT_EQ(autoregressiveSampleOne(net, rng, kernel), ref) << "seed " << seed;
+    }
   }
 }
 
@@ -257,12 +261,10 @@ TEST(Decode, GatherRejectsOutOfRangeRows) {
 
 TEST(Decode, SamplerOptionsExecDefaults) {
   // ExecutionPolicy is the sole engine-selection surface (the deprecated
-  // per-field aliases of the consolidation are gone): defaults decode on the
-  // KV cache with auto kernels and the fused sweep enabled.
+  // per-field aliases of the consolidation are gone): defaults run auto
+  // kernels with default tiles and the fused sweep enabled.
   SamplerOptions opts;
-  EXPECT_EQ(opts.exec.decode, DecodePolicy::kKvCache);
   EXPECT_EQ(opts.exec.kernel, nn::kernels::KernelPolicy::kAuto);
   EXPECT_EQ(opts.exec.sweepTileRows, 0);
   EXPECT_TRUE(opts.exec.fusedSweep);
-  EXPECT_FALSE(opts.carryTokenPrefixes);
 }

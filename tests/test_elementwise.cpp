@@ -253,46 +253,44 @@ TEST(ElementwiseKernels, LayerNormBackwardBackendsBitIdentical) {
 }
 
 TEST(ElementwiseKernels, ModulesRunOnTheKernels) {
-  // The Gelu / LayerNorm modules (full-forward path) must produce exactly the
-  // scalar kernel sequences — that is what keeps full-forward and KV-decode
-  // sampling bit-identical.
+  // The Gelu / LayerNorm modules' tape forwards must produce exactly the
+  // scalar kernel sequences — that is what keeps the tape and KV-decode
+  // activations bit-identical.
   Rng rng(407);
   Gelu g;
   Tensor x({3, 7});
   x.randn(rng, 2.0);
-  const Tensor y = g.forward(x);
+  Tape tape;
+  Gelu::TapeFrame gf;
+  const Real* y = g.forwardTape(tape, gf, x.data.data(), x.numel());
   for (Index i = 0; i < x.numel(); ++i)
-    EXPECT_EQ(y.data[static_cast<std::size_t>(i)],
-              kernels::geluScalar(x.data[static_cast<std::size_t>(i)]));
+    EXPECT_EQ(y[i], kernels::geluScalar(x.data[static_cast<std::size_t>(i)]));
 
   LayerNorm ln(7, "t");
-  const Tensor ly = ln.forward(x);
+  LayerNorm::TapeFrame lf;
+  const Real* ly = ln.forwardTape(tape, lf, x.data.data(), 3);
   std::vector<Real> xv(x.data.begin(), x.data.end());
   const auto ref = runLn(xv, nullptr, 3, 7,
                          {ln.gamma.value.data.begin(), ln.gamma.value.data.end()},
                          {ln.beta.value.data.begin(), ln.beta.value.data.end()},
                          KernelPolicy::kScalar, false);
-  for (std::size_t i = 0; i < ref.y.size(); ++i) EXPECT_EQ(ly.data[i], ref.y[i]);
+  for (std::size_t i = 0; i < ref.y.size(); ++i) EXPECT_EQ(ly[i], ref.y[i]);
 }
 
 TEST(ElementwiseKernels, TanhPathsAgreeBitForBit) {
-  // TanhAct's Tensor and tape forwards and PhaseMlp::forwardInto's in-place
-  // tanh all run kernels::tanh, so the phase MLP's three forwards (Tensor,
-  // tape, raw workspace) give the same bits.
+  // TanhAct's tape forward and PhaseMlp::forwardInto's in-place tanh both
+  // run kernels::tanh, so the phase MLP's two forwards (tape, raw workspace)
+  // give the same bits.
   Rng rng(409);
   TanhAct t;
   Tensor x({5, 9});
   x.randn(rng, 3.0);
-  const Tensor y = t.forward(x);
   Tape tape;
   tape.reset();
   TanhAct::TapeFrame tf;
   const Real* yTape = t.forwardTape(tape, tf, x.data.data(), x.numel());
-  for (Index i = 0; i < x.numel(); ++i) {
-    const auto k = static_cast<std::size_t>(i);
-    EXPECT_EQ(y.data[k], kernels::kernelTanh(x.data[k])) << i;
-    EXPECT_EQ(yTape[i], y.data[k]) << i;
-  }
+  for (Index i = 0; i < x.numel(); ++i)
+    EXPECT_EQ(yTape[i], kernels::kernelTanh(x.data[static_cast<std::size_t>(i)])) << i;
 
   // The MLP's GEMMs are row-independent only on the in-tree kernels.
   if (kernels::gemmUsesBlas()) GTEST_SKIP() << "BLAS GEMM route is not bit-identical";
@@ -300,7 +298,6 @@ TEST(ElementwiseKernels, TanhPathsAgreeBitForBit) {
   const Index rows = 37;
   Tensor xin({rows, 6});
   xin.randn(rng, 1.0);
-  const Tensor ph = mlp.forward(xin);
   tape.reset();
   PhaseMlp::TapeFrame pf;
   const Real* phTape = mlp.forwardTape(tape, pf, xin.data.data(), rows);
@@ -308,11 +305,8 @@ TEST(ElementwiseKernels, TanhPathsAgreeBitForBit) {
   ws.reset();
   std::vector<Real> phInto(static_cast<std::size_t>(rows));
   mlp.forwardInto(ws, xin.data.data(), rows, phInto.data(), KernelPolicy::kSimd);
-  for (Index r = 0; r < rows; ++r) {
-    const auto k = static_cast<std::size_t>(r);
-    EXPECT_EQ(phTape[r], ph.data[k]) << r;
-    EXPECT_EQ(phInto[k], ph.data[k]) << r;
-  }
+  for (Index r = 0; r < rows; ++r)
+    EXPECT_EQ(phInto[static_cast<std::size_t>(r)], phTape[r]) << r;
 }
 
 // ------------------------------------------------------------- Workspace ---

@@ -1,7 +1,7 @@
 // Teacher-forced batched evaluate() on the incremental-decode engine:
-// bit-identity with the stateless full-forward path for amplitudes, phases
-// and logits across KernelPolicy x DecodePolicy on ragged batch sizes (empty
-// batches, batches larger than one tile), and the tape gradient
+// bit-identity with the stateless full-forward oracle (tests/oracle.hpp) for
+// amplitudes and logits, and across KernelPolicy for phases, on ragged batch
+// sizes (empty batches, batches larger than one tile); and the tape gradient
 // (evaluateGrad) across tile geometries.
 
 #include <gtest/gtest.h>
@@ -10,18 +10,11 @@
 #include <functional>
 #include <vector>
 
-#include "nn/kernels/gemm.hpp"
 #include "nqs/ansatz.hpp"
+#include "oracle.hpp"
 
 using namespace nnqs;
 using namespace nnqs::nqs;
-
-// The decode/full-forward bit-identity rests on every GEMM policy
-// reproducing the naive loop's bits; a -DNNQS_WITH_BLAS build trades that
-// away, so the exact comparisons are skipped there (test_decode.cpp idiom).
-#define NNQS_SKIP_IF_BLAS()                                                  \
-  if (nnqs::nn::kernels::gemmUsesBlas())                                     \
-    GTEST_SKIP() << "BLAS GEMM route is not bit-identical across policies"
 
 namespace {
 
@@ -58,13 +51,10 @@ std::vector<Bits128> numberSector(int n, int na, int nb) {
 }
 
 /// ExecutionPolicy with everything default except the eval-engine fields —
-/// the post-alias-removal spelling of "decode policy X, kernel Y, tile Z".
-exec::ExecutionPolicy execFor(DecodePolicy decode,
-                              nn::kernels::KernelPolicy kernel =
-                                  nn::kernels::KernelPolicy::kAuto,
+/// the post-alias-removal spelling of "kernel X, tile Y".
+exec::ExecutionPolicy execFor(nn::kernels::KernelPolicy kernel,
                               int evalTileRows = 0) {
   exec::ExecutionPolicy ex;
-  ex.decode = decode;
   ex.kernel = kernel;
   ex.evalTileRows = evalTileRows;
   return ex;
@@ -83,11 +73,12 @@ Real numericalGrad(const std::function<Real()>& f, Real& param, Real eps = 1e-5)
 }  // namespace
 
 TEST(Evaluate, DecodeMatchesFullForwardBitIdentical) {
-  // Decode-path evaluate() must reproduce the full-forward amplitudes and
-  // phases bit for bit, for every kernel policy, on ragged batch sizes: the
-  // empty batch, sub-tile batches, and batches spanning several tiles with a
-  // ragged final tile (tileRows = 4 below).  Out-of-sector samples must hit
-  // the same zero-amplitude sentinel on both paths.
+  // Decode-path evaluate() must reproduce the oracle's full-forward
+  // amplitudes, and the kScalar phases, bit for bit, for every kernel
+  // policy, on ragged batch sizes: the empty batch, sub-tile batches, and
+  // batches spanning several tiles with a ragged final tile (tileRows = 4
+  // below).  Out-of-sector samples must hit the same zero-amplitude sentinel
+  // on both paths.
   NNQS_SKIP_IF_BLAS();
   const int n = 12, na = 3, nb = 2;
   QiankunNet net(smallConfig(n, na, nb));
@@ -100,11 +91,12 @@ TEST(Evaluate, DecodeMatchesFullForwardBitIdentical) {
     ASSERT_LE(batch, pool.size());
     const std::vector<Bits128> samples(pool.begin(),
                                        pool.begin() + static_cast<long>(batch));
-    net.setEvalPolicy(execFor(DecodePolicy::kFullForward));
-    std::vector<Real> laRef, phRef;
-    net.evaluate(samples, laRef, phRef);
+    const std::vector<Real> laRef = oracle::logAmp(net, samples);
+    net.setEvalPolicy(execFor(nn::kernels::KernelPolicy::kScalar));
+    std::vector<Real> unused, phRef;
+    net.evaluate(samples, unused, phRef);
     for (auto kernel : kAllKernels) {
-      net.setEvalPolicy(execFor(DecodePolicy::kKvCache, kernel, /*evalTileRows=*/4));
+      net.setEvalPolicy(execFor(kernel, /*evalTileRows=*/4));
       std::vector<Real> la, ph;
       net.evaluate(samples, la, ph);
       ASSERT_EQ(la.size(), laRef.size());
@@ -119,8 +111,9 @@ TEST(Evaluate, DecodeMatchesFullForwardBitIdentical) {
 
 TEST(Evaluate, TransformerEvaluateDecodeMatchesForwardLogits) {
   // TransformerAR level: the teacher-forced sweep's per-position logits are
-  // bit-identical to the corresponding positions of forward(), including
-  // across tile boundaries (batch 10, tileRows 3 -> tiles of 3, 3, 3, 1).
+  // bit-identical to the corresponding positions of the oracle's full
+  // forward, including across tile boundaries (batch 10, tileRows 3 ->
+  // tiles of 3, 3, 3, 1).
   NNQS_SKIP_IF_BLAS();
   const Index L = 7, d = 16, heads = 4, layers = 2, batch = 10;
   Rng rng(41);
@@ -132,7 +125,7 @@ TEST(Evaluate, TransformerEvaluateDecodeMatchesForwardLogits) {
     for (Index s = 1; s < L; ++s)
       tokens[static_cast<std::size_t>(b * L + s)] = static_cast<int>(tok.below(4));
   }
-  const nn::Tensor ref = net.forward(tokens, L);
+  const std::vector<Real> ref = oracle::logits(net, tokens, L);
 
   for (auto kernel : kAllKernels) {
     std::vector<Real> got(static_cast<std::size_t>(batch * L * 4), -1.0);
@@ -144,9 +137,9 @@ TEST(Evaluate, TransformerEvaluateDecodeMatchesForwardLogits) {
                              got[static_cast<std::size_t>(((t0 + b) * L + s) * 4 + t)] =
                                  logits[b * 4 + t];
                        });
-    ASSERT_EQ(got.size(), ref.data.size());
+    ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < got.size(); ++i)
-      EXPECT_EQ(got[i], ref.data[i]) << "logit " << i;
+      EXPECT_EQ(got[i], ref[i]) << "logit " << i;
   }
 }
 
@@ -166,8 +159,9 @@ TEST(Evaluate, EvaluateDecodeRejectsBadShapes) {
 }
 
 TEST(Evaluate, PsiSharesTheEvaluateEntryPoint) {
-  // psi() = psiValue over evaluate() output: decode and full-forward give
-  // the same complex values, and out-of-sector samples map to exactly 0.
+  // psi() = psiValue over evaluate() output: the same complex values as the
+  // oracle's full-forward ln|Psi| with evaluate()'s phase, and out-of-sector
+  // samples map to exactly 0.
   NNQS_SKIP_IF_BLAS();
   const int n = 10, na = 2, nb = 2;
   QiankunNet net(smallConfig(n, na, nb, 23));
@@ -175,14 +169,16 @@ TEST(Evaluate, PsiSharesTheEvaluateEntryPoint) {
   samples.resize(9);
   samples.push_back(numberSector(n, na + 1, nb)[0]);
 
-  net.setEvalPolicy(execFor(DecodePolicy::kFullForward));
-  const std::vector<Complex> ref = net.psi(samples);
-  net.setEvalPolicy(execFor(DecodePolicy::kKvCache, nn::kernels::KernelPolicy::kAuto, /*evalTileRows=*/4));
+  net.setEvalPolicy(execFor(nn::kernels::KernelPolicy::kAuto, /*evalTileRows=*/4));
+  const std::vector<Real> laRef = oracle::logAmp(net, samples);
+  std::vector<Real> la, ph;
+  net.evaluate(samples, la, ph);
   const std::vector<Complex> got = net.psi(samples);
-  ASSERT_EQ(ref.size(), got.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_EQ(ref[i].real(), got[i].real()) << i;
-    EXPECT_EQ(ref[i].imag(), got[i].imag()) << i;
+  ASSERT_EQ(laRef.size(), got.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const Complex ref = QiankunNet::psiValue(laRef[i], ph[i]);
+    EXPECT_EQ(ref.real(), got[i].real()) << i;
+    EXPECT_EQ(ref.imag(), got[i].imag()) << i;
   }
   EXPECT_EQ(got.back(), (Complex{0.0, 0.0}));  // outside the sector
 }
@@ -190,8 +186,8 @@ TEST(Evaluate, PsiSharesTheEvaluateEntryPoint) {
 TEST(Evaluate, GradcheckWithDecodePathLoss) {
   // Numeric gradcheck of the VMC loss where every finite-difference forward
   // runs the *decode-path* evaluate (multi-tile: tileRows 2 on batch 3) while
-  // the analytic gradients come from evaluateGrad's full forward on the
-  // tape: the two paths must describe the same function.
+  // the analytic gradients come from evaluateGrad's forward on the tape: the
+  // two paths must describe the same function.
   nqs::QiankunNetConfig cfg;
   cfg.nQubits = 8;
   cfg.nAlpha = 2;
@@ -203,7 +199,7 @@ TEST(Evaluate, GradcheckWithDecodePathLoss) {
   cfg.phaseHiddenLayers = 1;
   cfg.seed = 77;
   QiankunNet net(cfg);
-  net.setEvalPolicy(execFor(DecodePolicy::kKvCache, nn::kernels::KernelPolicy::kAuto, /*evalTileRows=*/2));
+  net.setEvalPolicy(execFor(nn::kernels::KernelPolicy::kAuto, /*evalTileRows=*/2));
   const std::vector<Bits128> samples = {fromBitString("00001111"),
                                         fromBitString("00111100"),
                                         fromBitString("11000011")};
@@ -297,38 +293,6 @@ TEST(EvaluateGrad, RejectsMismatchedSeedLengths) {
   const std::vector<Real> two = {0.1, 0.2}, three = {0.1, 0.2, 0.3};
   EXPECT_THROW(net.evaluateGrad(samples, two, three), std::invalid_argument);
   EXPECT_THROW(net.evaluateGrad(samples, three, two), std::invalid_argument);
-}
-
-TEST(EvaluateGrad, DecodePolicyDoesNotLeakIntoTiledGradients) {
-  // evaluateGrad always re-runs the full forward onto its tape per tile; the
-  // inference engine selected for evaluate()/psi() must not perturb it,
-  // even with an inference evaluate interleaved (the VMC loop's shape).
-  NNQS_SKIP_IF_BLAS();
-  const int n = 10, na = 2, nb = 2;
-  const auto samples = [&] {
-    auto s = numberSector(n, na, nb);
-    s.resize(11);
-    return s;
-  }();
-  const std::vector<Real> dLa = {0.7, -1.1, 0.4, 0.3, -0.2, 0.9, 0.1, -0.8, 0.5, 1.2, -0.3};
-  const std::vector<Real> dPh = {0.2, 0.9, -0.5, 1.3, 0.8, -0.6, 0.4, -1.0, 0.7, -0.1, 0.6};
-  auto gradsUnder = [&](DecodePolicy policy) {
-    QiankunNet net(smallConfig(n, na, nb, 77));
-    exec::ExecutionPolicy ex;
-    ex.decode = policy;
-    ex.gradTileRows = 3;  // ragged: 3, 3, 3, 2
-    net.setEvalPolicy(ex);
-    std::vector<Real> la, ph;
-    net.evaluate(samples, la, ph);
-    net.evaluateGrad(samples, dLa, dPh);
-    std::vector<Real> g;
-    net.flattenGradients(g);
-    return g;
-  };
-  const auto ref = gradsUnder(DecodePolicy::kFullForward);
-  const auto got = gradsUnder(DecodePolicy::kKvCache);
-  ASSERT_EQ(ref.size(), got.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(ref[i], got[i]) << i;
 }
 
 TEST(EvaluateGrad, WarmStepsReuseTheTapeArena) {

@@ -1,0 +1,102 @@
+// Golden bits: a fixed-seed VMC run must reproduce a committed energy
+// history exactly, under policies that all promise the same bits.  A change
+// that moves any energy by one ulp fails here, naming the first iteration
+// that differs.
+//
+// The array depends on the toolchain and libm (std::exp/log round differently
+// across implementations).  To re-bless after a deliberate bit change, paste
+// the array the failure message prints over kGoldenHistory and record the
+// change in CHANGES.md.
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "chem/basis_set.hpp"
+#include "chem/geometry_library.hpp"
+#include "nn/kernels/gemm.hpp"
+#include "ops/jordan_wigner.hpp"
+#include "scf/mo_integrals.hpp"
+#include "scf/rhf.hpp"
+#include "vmc/driver.hpp"
+
+using namespace nnqs;
+
+namespace {
+
+// 12 iterations of H2O/STO-3G (14 qubits) on 4 thread ranks; see the test.
+constexpr Real kGoldenHistory[] = {
+    -0x1.a4415f5a6754ap+5,
+    -0x1.27f568b640399p+6,
+    -0x1.28f14ca183105p+6,
+    -0x1.298f7c0f3aa6ap+6,
+    -0x1.2a8266a63286bp+6,
+    -0x1.2b38f4e008cebp+6,
+    -0x1.2b8665fbbdf1ep+6,
+    -0x1.2bb2ff08699b4p+6,
+    -0x1.2bc94e3e2deefp+6,
+    -0x1.2bd2520677e7bp+6,
+    -0x1.2bd740bc79c03p+6,
+    -0x1.2bd9a27ee13bcp+6,
+};
+
+void expectGolden(const std::vector<Real>& history, const char* what) {
+  const std::vector<Real> golden(std::begin(kGoldenHistory), std::end(kGoldenHistory));
+  if (history == golden) return;
+  std::size_t first = 0;
+  while (first < golden.size() && first < history.size() &&
+         golden[first] == history[first])
+    ++first;
+  std::string array;
+  char buf[64];
+  for (Real e : history) {
+    std::snprintf(buf, sizeof(buf), "    %a,\n", e);
+    array += buf;
+  }
+  ADD_FAILURE() << what << ": energy history leaves the golden bits at iteration "
+                << first << ". If the change is deliberate, replace kGoldenHistory with:\n"
+                << array;
+}
+
+}  // namespace
+
+TEST(Golden, EnergyHistoryMatchesCommittedBits) {
+  if (nn::kernels::gemmUsesBlas())
+    GTEST_SKIP() << "BLAS GEMM route is not bit-identical to the committed history";
+  const auto mol = chem::makeMolecule("H2O");
+  const auto ao = scf::computeAoIntegrals(mol, chem::buildBasis(mol, "sto-3g"));
+  const auto mo = scf::transformToMo(ao, scf::runHartreeFock(ao, mol));
+  const auto ham = ops::jordanWigner(mo);
+  const auto packed = ops::PackedHamiltonian::fromHamiltonian(ham);
+  nqs::QiankunNetConfig net;
+  net.nQubits = ham.nQubits;
+  net.nAlpha = mo.nAlpha;
+  net.nBeta = mo.nBeta;
+  net.phaseHidden = 64;
+  net.seed = 5;
+
+  vmc::VmcOptions opts;
+  opts.iterations = 12;
+  opts.nSamples = 1 << 20;
+  opts.nSamplesInitial = 1 << 20;
+  opts.pretrainIterations = 0;
+  opts.warmupSteps = 10;
+  opts.nRanks = 4;
+  opts.uniqueThresholdPerRank = 4;  // split the sampling tree early
+  opts.rankTileSize = 8;            // give the term-balanced split real work
+  opts.seed = 19;
+  expectGolden(vmc::runVmc(packed, net, opts).energyHistory, "default policy");
+
+  opts.exec.kernel = exec::KernelPolicy::kScalar;
+  expectGolden(vmc::runVmc(packed, net, opts).energyHistory, "kScalar kernels");
+
+  opts.exec = {};
+  opts.exec.sweepTileRows = opts.exec.evalTileRows = opts.exec.gradTileRows = 7;
+  expectGolden(vmc::runVmc(packed, net, opts).energyHistory, "7-row tiles");
+
+  opts.exec = {};
+  opts.exec.fusedSweep = false;
+  expectGolden(vmc::runVmc(packed, net, opts).energyHistory, "unfused sweep");
+}

@@ -22,6 +22,14 @@ Real numericalGrad(const std::function<Real()>& f, Real& param, Real eps = 1e-5)
   return (fp - fm) / (2 * eps);
 }
 
+/// Weighted sum of n outputs: the scalar loss the module checks below take
+/// finite differences of.
+Real weightedSum(const Real* y, const Tensor& w) {
+  Real s = 0;
+  for (std::size_t i = 0; i < w.data.size(); ++i) s += w.data[i] * y[i];
+  return s;
+}
+
 /// Scalar loss = sum(weights * output) for a module applied to fixed input;
 /// `backwardSeed` fills the analytic gradients (a forwardTape + backwardTape
 /// pass seeded with the weights, or evaluateGrad).
@@ -54,10 +62,9 @@ TEST(GradCheck, Linear) {
   Tensor w({2, 3});
   w.randn(rng, 1.0);
   auto loss = [&] {
-    const Tensor y = lin.forward(x);
-    Real s = 0;
-    for (std::size_t i = 0; i < y.data.size(); ++i) s += w.data[i] * y.data[i];
-    return s;
+    Real y[6];
+    lin.forwardInto(x.data.data(), 2, y, kernels::KernelPolicy::kAuto);
+    return weightedSum(y, w);
   };
   std::vector<Parameter*> params;
   lin.collectParameters(params);
@@ -79,10 +86,9 @@ TEST(GradCheck, LayerNorm) {
   Tensor w({3, 6});
   w.randn(rng, 1.0);
   auto loss = [&] {
-    const Tensor y = ln.forward(x);
-    Real s = 0;
-    for (std::size_t i = 0; i < y.data.size(); ++i) s += w.data[i] * y.data[i];
-    return s;
+    Tape tape;
+    LayerNorm::TapeFrame f;
+    return weightedSum(ln.forwardTape(tape, f, x.data.data(), 3), w);
   };
   std::vector<Parameter*> params;
   ln.collectParameters(params);
@@ -101,10 +107,9 @@ TEST(GradCheck, AttentionAndDecoderStack) {
   Tensor w({2 * 4, 4});
   w.randn(rng, 1.0);
   auto loss = [&] {
-    const Tensor y = net.forward(tokens, 4);
-    Real s = 0;
-    for (std::size_t i = 0; i < y.data.size(); ++i) s += w.data[i] * y.data[i];
-    return s;
+    Tape tape;
+    TransformerAR::TapeFrame f;
+    return weightedSum(net.forwardTape(tape, f, tokens.data(), 2 * 4, 4), w);
   };
   std::vector<Parameter*> params;
   net.collectParameters(params);
@@ -124,10 +129,11 @@ TEST(GradCheck, PhaseMlp) {
   Tensor w({3, 1});
   w.randn(rng, 1.0);
   auto loss = [&] {
-    const Tensor y = mlp.forward(x);
-    Real s = 0;
-    for (std::size_t i = 0; i < y.data.size(); ++i) s += w.data[i] * y.data[i];
-    return s;
+    Workspace ws;
+    ws.reset();
+    Real y[3];
+    mlp.forwardInto(ws, x.data.data(), 3, y, kernels::KernelPolicy::kAuto);
+    return weightedSum(y, w);
   };
   std::vector<Parameter*> params;
   mlp.collectParameters(params);

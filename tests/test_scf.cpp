@@ -21,7 +21,8 @@ ScfResult solve(const char* name, const char* basisName = "sto-3g") {
 
 struct HfReference {
   const char* name;
-  double energy;  ///< published STO-3G RHF totals (see EXPERIMENTS.md)
+  double energy;  ///< published STO-3G RHF total (the paper's Table 1 HF
+                  ///< column for the molecules it lists)
   double tol;
 };
 

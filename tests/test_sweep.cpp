@@ -1,6 +1,6 @@
 // BasSweepEngine contracts: bit-identical sample sets across tile geometries,
-// prefix representations, fusion on/off, decode policies and rank partitions;
-// fused ln|Psi| equal to a separate evaluate() bit for bit; zero heap
+// fusion on/off and rank partitions; fused ln|Psi| equal to a separate
+// evaluate() and to the full-forward oracle bit for bit; zero heap
 // allocations on a warm fused sweep; and the cumulative SweepStats invariant
 // (tiling moves zero K/V bytes beyond the untiled sweep's split copies).
 // Plus the sweep's phase complement, QiankunNet::phases(): equal to
@@ -13,8 +13,8 @@
 #include <map>
 #include <new>
 
-#include "nn/kernels/gemm.hpp"
 #include "nqs/sampler.hpp"
+#include "oracle.hpp"
 
 // ---- Allocation-counting hook (microbench_kernels.cpp idiom) ---------------
 namespace {
@@ -50,12 +50,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace nnqs;
 using namespace nnqs::nqs;
-
-// Different tile geometries reshape the decode GEMM batches, so exact
-// comparisons need the row-independent in-tree kernels (test_evaluate idiom).
-#define NNQS_SKIP_IF_BLAS()                                                  \
-  if (nnqs::nn::kernels::gemmUsesBlas())                                     \
-    GTEST_SKIP() << "BLAS GEMM route is not bit-identical across batch shapes"
 
 namespace {
 
@@ -112,25 +106,22 @@ TEST(Sweep, TileGeometryIsBitIdentical) {
 
 TEST(Sweep, FusedLogAmpMatchesSeparateEvaluate) {
   // The fusion contract: SampleSet::logAmp must equal a separate evaluate()
-  // over the same samples bit for bit — on the KV-cached sweep (tiled and
-  // untiled) and on the full-forward reference sweep.
+  // over the same samples, and the full-forward oracle's ln|Psi| of them,
+  // bit for bit — tiled and untiled.
   NNQS_SKIP_IF_BLAS();
   QiankunNet net(smallConfig(12, 3, 3));
   SamplerOptions opts;
   opts.nSamples = 1 << 14;
   for (int tileRows : {0, -1, 3}) {
-    for (DecodePolicy decode :
-         {DecodePolicy::kKvCache, DecodePolicy::kFullForward}) {
-      opts.exec.sweepTileRows = tileRows;
-      opts.exec.decode = decode;
-      const SampleSet s = sweepCopy(net, opts);
-      ASSERT_EQ(s.logAmp.size(), s.nUnique());
-      std::vector<Real> la, ph;
-      net.evaluate(s.samples, la, ph);
-      for (std::size_t i = 0; i < s.nUnique(); ++i)
-        EXPECT_EQ(s.logAmp[i], la[i])
-            << "tileRows " << tileRows << " decode " << static_cast<int>(decode)
-            << " sample " << i;
+    opts.exec.sweepTileRows = tileRows;
+    const SampleSet s = sweepCopy(net, opts);
+    ASSERT_EQ(s.logAmp.size(), s.nUnique());
+    std::vector<Real> la, ph;
+    net.evaluate(s.samples, la, ph);
+    const std::vector<Real> ref = oracle::logAmp(net, s.samples);
+    for (std::size_t i = 0; i < s.nUnique(); ++i) {
+      EXPECT_EQ(s.logAmp[i], la[i]) << "tileRows " << tileRows << " sample " << i;
+      EXPECT_EQ(s.logAmp[i], ref[i]) << "tileRows " << tileRows << " sample " << i;
     }
   }
 }
@@ -150,26 +141,6 @@ TEST(Sweep, UnfusedSweepDrawsTheSameSamples) {
     EXPECT_EQ(fused.samples[i], plain.samples[i]) << i;
     EXPECT_EQ(fused.weights[i], plain.weights[i]) << i;
   }
-}
-
-TEST(Sweep, PrefixFreeMatchesPrefixCarryingSweep) {
-  // The tentpole's O(Nu*L) refactor: the incremental-Bits128 sweep must draw
-  // exactly what the materialized-token-prefix sweep draws (carryTokenPrefixes
-  // replays the pre-refactor representation through the same engine), and the
-  // full-forward reference path (always prefix-carrying) must agree too.
-  NNQS_SKIP_IF_BLAS();
-  QiankunNet net(smallConfig(12, 3, 3));
-  SamplerOptions opts;
-  opts.nSamples = 1 << 14;
-  const SampleSet bits = sweepCopy(net, opts);
-  opts.carryTokenPrefixes = true;
-  const SampleSet prefixes = sweepCopy(net, opts);
-  expectSameSet(bits, prefixes, "prefix-carrying kv");
-
-  opts.carryTokenPrefixes = false;
-  opts.exec.decode = DecodePolicy::kFullForward;
-  const SampleSet ff = sweepCopy(net, opts);
-  expectSameSet(bits, ff, "full-forward");
 }
 
 TEST(Sweep, ParallelUnionEqualsSerialExactly) {
