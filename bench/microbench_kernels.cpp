@@ -274,7 +274,7 @@ BENCHMARK(BM_DecodeAttnKernel)
     ->Args({0, 1024, 4})->Args({1, 1024, 4})->Args({2, 1024, 4});
 
 // The training-attention kernels (the tape gradient's attention forward +
-// backward) on one 256-sample gradient tile, 4 heads: at the paper net's
+// backward) on a 256-sample batch, 4 heads: at the paper net's
 // L = 19, d_model = 16 (head width 4, the train-c2h4o shape) and at L = 32,
 // d_model = 64.  The scalar/simd ratio is the kernel speedup quoted in the
 // README.
@@ -557,13 +557,17 @@ BENCHMARK(BM_Evaluate)
     ->Unit(benchmark::kMillisecond);
 
 // The full training step, evaluateGrad on its tape, at the BM_Evaluate
-// architecture (d_model 64, 2 decoders): untiled (one tile spanning the
-// batch) vs. the default 256-sample tiles.  Both legs fill bit-identical
-// parameter gradients (tests/test_evaluate.cpp); the interesting column is
+// architecture (d_model 64, 2 decoders): untiled (one tile per sub-network
+// spanning the batch) vs. the default tiles, each sized to the tape budget
+// (TransformerAR::kGradTapeBudgetBytes): at L = 32, 6 samples per amplitude
+// tile (1.27 MiB of tape each) and 2,723 per phase tile (3 KB each, so the
+// 2048 batch is one phase tile).  Both legs fill bit-identical parameter
+// gradients (tests/test_evaluate.cpp); the interesting column is
 // activationMiB, the tape arena's high-water mark — the peak activation
-// memory of one step.  Both legs are also the warm zero-allocation assertion
-// of the training step: after the cold step has grown the tape, token
-// scratch, and frames, a same-shape step must perform zero heap allocations.
+// memory of one step — which the tiled leg asserts stays within the budget.
+// Both legs are also the warm zero-allocation assertion of the training
+// step: after the cold step has grown the tape, token scratch, and frames,
+// a same-shape step must perform zero heap allocations.
 void BM_BackwardTiled(benchmark::State& state) {
   const bool tiled = state.range(0) == 1;  // 0 = one tile spanning the batch
   const int L = static_cast<int>(state.range(1));
@@ -580,7 +584,7 @@ void BM_BackwardTiled(benchmark::State& state) {
   cfg.seed = 7;
   nqs::QiankunNet net(cfg);
   exec::ExecutionPolicy ex;
-  ex.gradTileRows = tiled ? 0 : -1;  // 0 = engine default (256-sample tiles)
+  ex.gradTileRows = tiled ? 0 : -1;  // 0 = engine default (budget-sized tiles)
   net.setEvalPolicy(ex);
 
   // Deterministic in-sector samples: nAlpha electrons on even qubits, nBeta
@@ -622,13 +626,16 @@ void BM_BackwardTiled(benchmark::State& state) {
   getrusage(RUSAGE_SELF, &ru);
   state.counters["peakRssMiB"] = static_cast<double>(ru.ru_maxrss) / 1024.0;
   state.SetLabel(tiled ? "tiled" : "untiled");
-  state.counters["activationMiB"] =
-      static_cast<double>(net.gradTapeStats().highWater) * sizeof(Real) / mib;
+  const auto tapeBytes =
+      static_cast<Index>(net.gradTapeStats().highWater * sizeof(Real));
+  state.counters["activationMiB"] = static_cast<double>(tapeBytes) / mib;
   state.counters["allocs/step"] = static_cast<double>(lastStepAllocs);
   if (lastStepAllocs != 0)
     state.SkipWithError("warm training step heap-allocated");
+  else if (tiled && tapeBytes > nn::TransformerAR::kGradTapeBudgetBytes)
+    state.SkipWithError("training tape outgrew the gradient tape budget");
 }
-// Args: impl (0 = untiled tape, 1 = 256-sample tiles), L, batch.
+// Args: impl (0 = untiled tape, 1 = budget-sized tiles), L, batch.
 // L=32/batch=8192 is the acceptance shape of the memory claim (tiled
 // activation memory independent of the batch); 2048 is the CI-gated point —
 // small enough to time cheaply, same per-tile working set.

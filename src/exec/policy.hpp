@@ -79,14 +79,16 @@ struct ExecutionPolicy {
   /// tileRows argument the two-parameter QiankunNet::setEvalPolicy carried.
   int evalTileRows = 0;
   /// Samples per tile of the recompute-in-tiles tape gradient
-  /// (QiankunNet::evaluateGrad): each tile re-runs the forward onto the tape,
-  /// backprops, and releases its activations, bounding peak training
-  /// activation memory at O(tile * L * d) independent of the batch size.
-  /// 0 selects the engine default (TransformerAR::kEvalTileRows); a negative
-  /// value disables tiling — one tape tile spanning the whole batch.
-  /// Ascending-tile accumulation order makes every geometry produce
-  /// bit-identical parameter gradients, so this knob only trades recompute
-  /// time against activation memory.
+  /// (QiankunNet::evaluateGrad), which sweeps the amplitude transformer and
+  /// the phase MLP in two loops of their own tiles: each tile re-runs the
+  /// forward onto the tape, backprops, and releases its activations,
+  /// bounding peak training activation memory independent of the batch
+  /// size.  0 selects the engine default: each loop gets the largest tile
+  /// whose tape fits TransformerAR::kGradTapeBudgetBytes.  A positive value
+  /// forces both tiles; a negative value disables tiling — one tape tile per
+  /// sub-network spanning the whole batch.  Ascending-tile accumulation order
+  /// makes every geometry produce bit-identical parameter gradients, so this
+  /// knob only trades recompute time against activation memory.
   int gradTileRows = 0;
   /// Fuse final-sweep evaluation into the BAS sweep: the per-step masked
   /// conditionals the sampler already computes are accumulated into ln|Psi|

@@ -1,7 +1,7 @@
 #include "nn/attention.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -45,8 +45,9 @@ const Real* CausalSelfAttention::forwardTape(Tape& tape, TapeFrame& f,
   const Real* qkv = qkv_.forwardTape(tape, f.qkv, x, rows);
   Real* attn = tape.alloc(batch * heads_ * L * L);
   Real* ctx = tape.alloc(rows * d_);
-  // The attention kernel accumulates into the context.
-  std::memset(ctx, 0, static_cast<std::size_t>(rows * d_) * sizeof(Real));
+  // The attention kernel accumulates into the context.  (fill_n, not
+  // memset: a zero-row span on a fresh tape is null.)
+  std::fill_n(ctx, rows * d_, Real{0});
   kernels::AttnTrainArgs a = trainArgs(batch, L, d_, heads_, headDim_);
   a.qkv = qkv;
   a.attn = attn;
@@ -90,7 +91,7 @@ void CausalSelfAttention::decodeStep(const Real* x, Index batch,
   // The attention kernel accumulates into ctx, so the carved span needs an
   // explicit zero.
   Real* ctx = state.ws.alloc(batch * d_);
-  std::memset(ctx, 0, static_cast<std::size_t>(batch * d_) * sizeof(Real));
+  std::fill_n(ctx, batch * d_, Real{0});
   kernels::DecodeAttnArgs args;
   args.batch = batch;
   args.heads = heads_;
@@ -119,7 +120,7 @@ Real* CausalSelfAttention::backwardTape(Tape& tape, const TapeFrame& f,
 
   Real* dCtx = proj_.backwardTape(tape, f.proj, dy);
   Real* dQkv = tape.alloc(rows * 3 * d_);
-  std::memset(dQkv, 0, static_cast<std::size_t>(rows * 3 * d_) * sizeof(Real));
+  std::fill_n(dQkv, rows * 3 * d_, Real{0});
   kernels::AttnTrainArgs a = trainArgs(batch, Lc, d_, heads_, headDim_);
   a.qkv = f.qkvOut;
   a.attn = f.attn;

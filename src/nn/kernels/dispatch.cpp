@@ -125,9 +125,8 @@ void HugeBuffer::assignZero(std::size_t count) {
   p_ = nullptr;
   n_ = 0;
   if (count == 0) return;
-  constexpr std::size_t kHuge = std::size_t{2} << 20;
-  const std::size_t bytes = (count * sizeof(Real) + kHuge - 1) & ~(kHuge - 1);
-  p_ = static_cast<Real*>(std::aligned_alloc(kHuge, bytes));
+  const std::size_t bytes = (count * sizeof(Real) + kPageBytes - 1) & ~(kPageBytes - 1);
+  p_ = static_cast<Real*>(std::aligned_alloc(kPageBytes, bytes));
   if (p_ == nullptr) throw std::bad_alloc();
   adviseHugePages(p_, bytes);  // before the memset faults the pages in
   std::memset(p_, 0, bytes);

@@ -139,6 +139,10 @@ class HugeBuffer {
     std::swap(n_, o.n_);
   }
 
+  /// Allocation granule: every buffer is a whole number of these, all of
+  /// it zero-filled (so resident) whatever `count` asked for.
+  static constexpr std::size_t kPageBytes = std::size_t{2} << 20;
+
   /// Reallocate to `count` zeroed elements (previous contents discarded).
   void assignZero(std::size_t count);
 

@@ -122,7 +122,7 @@ void DecoderBlock::collectParameters(std::vector<Parameter*>& out) {
 
 TransformerAR::TransformerAR(Index seqLen, Index dModel, Index nHeads,
                              Index nLayers, Rng& rng)
-    : seqLen_(seqLen), d_(dModel),
+    : seqLen_(seqLen), d_(dModel), heads_(nHeads),
       embed_(kVocab, seqLen, dModel, rng, "amp.embed"),
       lnFinal_(dModel, "amp.lnf"),
       head_(dModel, kOutcomes, rng, "amp.head") {
@@ -154,6 +154,18 @@ void TransformerAR::backwardTape(Tape& tape, const TapeFrame& f,
   for (std::size_t l = blocks_.size(); l-- > 0;)
     dx = blocks_[l].backwardTape(tape, f.blocks[l], dx);
   embed_.backwardTape(f.tokens, f.rows, f.window, dx);
+}
+
+Index TransformerAR::tapeRealsPerSample(Index window) const {
+  // Per row, in carve order.  Forward: embed d; per block ln1 2d+1, qkv 3d,
+  // ctx d, proj d, h d, ln2 2d+1, ff1 f, gelu f, ff2 d, out d; lnFinal 2d+1,
+  // head 4.  Backward: head d, lnFinal d; per block ff2 f, gelu f, ff1 d,
+  // ln2 d, proj d, dQkv 3d, qkv d, ln1 d.  Per sample: each block's
+  // [heads, window, window] attention weights.
+  const Index d = d_, f = 4 * d_;  // ffDim, as the constructor builds it
+  const auto nLayers = static_cast<Index>(blocks_.size());
+  const Index perRow = 5 * d + 5 + nLayers * (20 * d + 4 * f + 2);
+  return window * perRow + nLayers * heads_ * window * window;
 }
 
 void TransformerAR::beginDecode(DecodeState& state, Index batch,
@@ -265,6 +277,15 @@ void PhaseMlp::backwardTape(Tape& tape, const TapeFrame& f,
     if (l < tanhs_.size()) d = tanhs_[l].backwardTape(tape, f.tanh[l], d);
     d = linears_[l].backwardTape(tape, f.linear[l], d);
   }
+}
+
+Index PhaseMlp::tapeRealsPerSample() const {
+  // Each Linear carves y [out] forward and dx [in] backward; each tanh its
+  // output forward and its dx backward.
+  Index n = 0;
+  for (const Linear& l : linears_) n += l.w.value.shape[0] + l.w.value.shape[1];
+  for (std::size_t l = 0; l < tanhs_.size(); ++l) n += 2 * linears_[l].w.value.shape[0];
+  return n;
 }
 
 void PhaseMlp::collectParameters(std::vector<Parameter*>& out) {

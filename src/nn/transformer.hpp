@@ -89,6 +89,11 @@ class TransformerAR {
   /// ascending-row serial fold, so ascending-tile calls are bit-identical to
   /// one call over the whole batch.
   void backwardTape(Tape& tape, const TapeFrame& f, const Real* dLogits);
+  /// Reals one sample of `window` positions carves from the tape over
+  /// forwardTape + backwardTape (64-byte alignment slack aside): a function
+  /// of the shape alone, which sizes the training step's tiles to
+  /// kGradTapeBudgetBytes.
+  [[nodiscard]] Index tapeRealsPerSample(Index window) const;
 
   /// Start a stateful incremental decode over `batch` rows (KV caches sized
   /// for the full sequence length), run on the given kernel backend.
@@ -203,9 +208,16 @@ class TransformerAR {
   /// Floor when the tile-parallel driver shrinks tiles to cover the thread
   /// pool: below this the per-step GEMMs are too short to amortize.
   static constexpr Index kMinEvalTileRows = 32;
+  /// Tape bytes one default training-step tile may carve
+  /// (QiankunNet::evaluateGrad sizes its amplitude and phase tiles to it
+  /// separately).  The amplitude net's forward+backward runs fastest with
+  /// 1–10 MiB of tape per tile, and ~1.5x slower at the ~50 MiB of a
+  /// 256-sample tile; the phase MLP's weight-gradient GEMMs reload dW per
+  /// tile and slow down below ~64 samples.  8 MiB keeps both fast.
+  static constexpr Index kGradTapeBudgetBytes = Index{8} << 20;
 
  private:
-  Index seqLen_, d_;
+  Index seqLen_, d_, heads_;
   Embedding embed_;
   std::vector<DecoderBlock> blocks_;
   LayerNorm lnFinal_;
@@ -237,6 +249,9 @@ class PhaseMlp {
   };
   const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows) const;
   void backwardTape(Tape& tape, const TapeFrame& f, const Real* dPhase);
+  /// Reals one sample carves from the tape over forwardTape + backwardTape
+  /// (alignment slack aside), as TransformerAR::tapeRealsPerSample.
+  [[nodiscard]] Index tapeRealsPerSample() const;
 
   void collectParameters(std::vector<Parameter*>& out);
 

@@ -53,10 +53,13 @@ Real* Workspace::alloc(Index n) {
   }
   // Mid-cycle growth: live spans pin the primary block, so overflow goes to a
   // fresh side chunk (sized like a capacity doubling), coalesced away by the
-  // next reset().
+  // next reset().  The chunk is a whole number of HugeBuffer pages, which
+  // assignZero commits anyway, so later carves of the cycle fill it instead
+  // of committing a page each.
   if (overflow_.empty() || overflowUsed_ + need > overflow_.back().size()) {
-    const std::size_t chunk =
-        std::max(need, std::max(block_.size(), std::size_t{1} << 12));
+    constexpr std::size_t kPageReals = kernels::HugeBuffer::kPageBytes / sizeof(Real);
+    const std::size_t want = std::max(need, block_.size());
+    const std::size_t chunk = (want + kPageReals - 1) / kPageReals * kPageReals;
     overflow_.emplace_back();
     overflow_.back().assignZero(chunk);
     overflowUsed_ = 0;

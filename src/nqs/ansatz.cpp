@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 namespace nnqs::nqs {
@@ -210,6 +209,15 @@ void QiankunNet::seedLogitRow(Real seed, Bits128 sample, int s, const Real* pr,
   }
 }
 
+QiankunNet::GradTapeCost QiankunNet::gradTapeRealsPerSample() const {
+  const int L = nSteps();
+  // On top of the sub-networks' own carves: the amplitude loop's masked
+  // conditionals and logit seeds [L, 4] each, and the phase loop's encoded
+  // input [nQubits].
+  return {amplitude_.tapeRealsPerSample(L) + 2 * L * nn::TransformerAR::kOutcomes,
+          phase_.tapeRealsPerSample() + cfg_.nQubits};
+}
+
 void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
                               const std::vector<Real>& dLogAmp,
                               const std::vector<Real>& dPhase) {
@@ -218,17 +226,25 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
 
   const int L = nSteps();
   const Index batch = static_cast<Index>(samples.size());
-  const Index tile = gradTileRows_ > 0    ? gradTileRows_
-                     : gradTileRows_ == 0 ? nn::TransformerAR::kEvalTileRows
-                                          : std::max<Index>(batch, 1);
+  // Samples per tile of a loop that carves `realsPerSample` tape Reals per
+  // sample (ExecutionPolicy::gradTileRows).
+  auto tileFor = [&](Index realsPerSample) {
+    if (gradTileRows_ > 0) return gradTileRows_;
+    if (gradTileRows_ < 0) return std::max<Index>(batch, 1);
+    const auto bytesPerSample = realsPerSample * static_cast<Index>(sizeof(Real));
+    return std::max<Index>(1, nn::TransformerAR::kGradTapeBudgetBytes / bytesPerSample);
+  };
+  const GradTapeCost cost = gradTapeRealsPerSample();
 
   // Tiles run SEQUENTIALLY in ascending order: every per-parameter
   // accumulation is a strictly sequential ascending-row fold that the tile
   // boundaries merely partition, so this ordering — not any tolerance — is
   // what makes every tile geometry give the same bits.  Parallelism stays
-  // inside the per-tile kernels.
-  for (Index t0 = 0; t0 < batch; t0 += tile) {
-    const Index tb = std::min(tile, batch - t0);
+  // inside the per-tile kernels.  The amplitude and phase parameter sets are
+  // disjoint, so each sub-network gets its own loop and its own tile size.
+  const Index ampTile = tileFor(cost.amplitude);
+  for (Index t0 = 0; t0 < batch; t0 += ampTile) {
+    const Index tb = std::min(ampTile, batch - t0);
     const Index rows = tb * L;
     gradTape_.reset();
 
@@ -245,7 +261,7 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
     // zero-filled: rows that leave the number-conserving support keep pr = 0
     // past the exit (no gradient).
     Real* probs = gradTape_.alloc(rows * 4);
-    std::memset(probs, 0, static_cast<std::size_t>(rows * 4) * sizeof(Real));
+    std::fill_n(probs, rows * 4, Real{0});
     for (Index b = 0; b < tb; ++b) {
       const auto row = static_cast<std::size_t>(t0 + b);
       int nUp = 0, nDown = 0;
@@ -257,7 +273,7 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
       }
     }
     Real* dLogits = gradTape_.alloc(rows * 4);
-    std::memset(dLogits, 0, static_cast<std::size_t>(rows * 4) * sizeof(Real));
+    std::fill_n(dLogits, rows * 4, Real{0});
     for (Index b = 0; b < tb; ++b) {
       const Real seed = dLogAmp[static_cast<std::size_t>(t0 + b)];
       if (seed == 0.0) continue;
@@ -266,17 +282,19 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
                      probs + (b * L + s) * 4, dLogits + (b * L + s) * 4);
     }
     amplitude_.backwardTape(gradTape_, ampFrame_, dLogits);
+  }
 
-    // Phase MLP, tiled the same way (disjoint parameter set, so interleaving
-    // amplitude/phase tiles preserves each parameter's ascending-row fold).
+  const Index phaseTile = tileFor(cost.phase);
+  for (Index t0 = 0; t0 < batch; t0 += phaseTile) {
+    const Index tb = std::min(phaseTile, batch - t0);
+    gradTape_.reset();
     Real* xin = gradTape_.alloc(tb * cfg_.nQubits);
     encodePhaseInput(samples, t0, tb, xin);
     phase_.forwardTape(gradTape_, phaseFrame_, xin, tb);
-    Real* dPh = gradTape_.alloc(tb);
-    for (Index b = 0; b < tb; ++b)
-      dPh[b] = dPhase[static_cast<std::size_t>(t0 + b)];
-    phase_.backwardTape(gradTape_, phaseFrame_, dPh);
+    phase_.backwardTape(gradTape_, phaseFrame_, dPhase.data() + t0);
   }
+  // Close the last tile's carve cycle, so gradTapeStats() covers this step.
+  gradTape_.reset();
 }
 
 void QiankunNet::evaluateInto(EvalSlot& slot, const std::vector<Bits128>& samples,

@@ -88,8 +88,8 @@ class QiankunNet {
   /// Configure evaluate()/psi()/phases() and evaluateGrad() from an
   /// ExecutionPolicy (exec/policy.hpp): kernel picks the inference kernel
   /// backend (bit-identical, so it only moves the wall clock); evalTileRows
-  /// bounds the decode KV arena and gradTileRows the tape-gradient tile
-  /// (both 0 = engine default, negative = one tile spanning the batch).
+  /// bounds the decode KV arena and gradTileRows the tape-gradient tiles
+  /// (0 = engine default, negative = one tile spanning the batch).
   void setEvalPolicy(const exec::ExecutionPolicy& exec) {
     evalKernel_ = exec.kernel;
     evalTileRows_ = exec.evalTileRows;
@@ -130,23 +130,27 @@ class QiankunNet {
   /// The training step: forward + backward over `samples` with the given
   /// per-sample loss seeds d/d(ln|Psi|) and d/d(phi), accumulating parameter
   /// gradients without ever materializing the full batch's activations.
-  /// The batch is swept in ascending `gradTileRows`-sample tiles
-  /// (ExecutionPolicy; 0 = TransformerAR::kEvalTileRows, negative = one tile
-  /// spanning the batch); each tile re-runs the teacher-forced forward onto
-  /// the tape — only that tile's activations exist — backprops the
-  /// tile, and releases the tape, bounding peak training activation memory
-  /// at O(tile * L * d) independent of the batch size.
+  /// Two loops share one tape: the first sweeps the amplitude transformer
+  /// (teacher-forced forward, loss seeds, backward), the second the phase
+  /// MLP, each in ascending tiles of its own size.  Each tile re-runs its
+  /// forward onto the tape — only that tile's activations exist — backprops
+  /// it and releases the tape, bounding peak training activation memory
+  /// independent of the batch size.  Tile sizes (ExecutionPolicy::
+  /// gradTileRows): 0, the default, gives each loop the largest tile whose
+  /// tape fits TransformerAR::kGradTapeBudgetBytes (gradTapeRealsPerSample);
+  /// a positive value forces both tiles; a negative value gives each loop
+  /// one tile spanning the batch.
   ///
   /// Every tile geometry gives **bit-identical** gradients: forward
   /// activations are per-row batch-composition-independent, every
   /// per-parameter accumulation (GEMM accumulate=true ascending-k fold,
   /// LayerNorm ascending-row fold, embedding/bias ascending-row loops) is a
   /// strictly sequential ascending-row fold that tile boundaries merely
-  /// partition, and tiles are swept sequentially in ascending order — the
-  /// ordering IS the bit-identity mechanism, so tiles are never parallelized
-  /// (threading stays inside the per-tile kernels).  A warm call (same
-  /// shapes as the last) performs zero heap allocations: all per-tile
-  /// storage lives on the owned Tape arena.
+  /// partition, tiles are swept sequentially in ascending order, and the two
+  /// loops touch disjoint parameter sets — the ordering IS the bit-identity
+  /// mechanism, so tiles are never parallelized (threading stays inside the
+  /// per-tile kernels).  A warm call (same shapes as the last) performs zero
+  /// heap allocations: all per-tile storage lives on the owned Tape arena.
   void evaluateGrad(const std::vector<Bits128>& samples,
                     const std::vector<Real>& dLogAmp,
                     const std::vector<Real>& dPhase);
@@ -157,6 +161,15 @@ class QiankunNet {
   [[nodiscard]] const nn::Workspace::Stats& gradTapeStats() const {
     return gradTape_.stats();
   }
+
+  /// Tape Reals one sample carves in evaluateGrad's amplitude loop and in
+  /// its phase loop (64-byte alignment slack aside): what the default tiles
+  /// are sized by.
+  struct GradTapeCost {
+    Index amplitude = 0;
+    Index phase = 0;
+  };
+  [[nodiscard]] GradTapeCost gradTapeRealsPerSample() const;
 
   /// Deterministic named-parameter registry (amplitude network first, then
   /// the phase MLP, each in construction order) — the ordering contract the
@@ -241,7 +254,7 @@ class QiankunNet {
   // Inference configuration of evaluate()/psi() (setEvalPolicy).
   nn::kernels::KernelPolicy evalKernel_ = nn::kernels::KernelPolicy::kAuto;
   Index evalTileRows_ = 0;
-  Index gradTileRows_ = 0;  ///< 0 = default tile; < 0 = one tile spanning the batch
+  Index gradTileRows_ = 0;  ///< as ExecutionPolicy::gradTileRows
   // Gradient scratch (evaluateGrad): the per-tile activation tape, the
   // tile's marshalled tokens, and the caller-owned module frames.  All reuse
   // their capacity, so a warm training step allocates nothing.

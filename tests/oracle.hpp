@@ -29,9 +29,6 @@ namespace nnqs::oracle {
 /// Logits [B * window, 4] of B flattened token windows (BOS first).
 inline std::vector<Real> logits(const nn::TransformerAR& net,
                                 const std::vector<int>& tokens, Index window) {
-  // An empty batch never reaches forwardTape: on a fresh tape its empty
-  // spans are null, which the kernels' memset may not be handed.
-  if (tokens.empty()) return {};
   nn::Tape tape;
   nn::TransformerAR::TapeFrame frame;
   const auto rows = static_cast<Index>(tokens.size());

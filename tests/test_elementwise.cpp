@@ -377,6 +377,17 @@ TEST(Workspace, MidCycleOverflowPreservesLiveSpansThenCoalesces) {
   EXPECT_EQ(ws.stats().overflows, overflowsBefore) << "coalesced cycle overflowed";
 }
 
+TEST(Workspace, ColdCarvesFillOneSideChunk) {
+  // A cold arena overflows into side chunks.  HugeBuffer commits whole 2 MiB
+  // pages whatever size it is asked for, so the first chunk must take those
+  // pages and serve the cycle's later carves, not open (and commit) a chunk
+  // every few carves: 100 carves of 1,000 Reals are 0.76 MiB.
+  Workspace ws;
+  ws.reset();
+  for (int i = 0; i < 100; ++i) ws.alloc(1000);
+  EXPECT_LE(ws.stats().overflows, 1);
+}
+
 TEST(Workspace, ReserveAvoidsOverflowChunks) {
   Workspace ws;
   ws.reset();

@@ -60,6 +60,41 @@ exec::ExecutionPolicy execFor(nn::kernels::KernelPolicy kernel,
   return ex;
 }
 
+/// The perfbench train-c2h4o net: 38 qubits (L = 19), 12 + 12 electrons,
+/// d_model 16, a 512 x 2 phase MLP.  One sample carves ~0.2 MiB of tape in
+/// the amplitude loop and ~33 KB in the phase loop, so the default budget
+/// gives the two loops different tiles.
+QiankunNetConfig c2h4oConfig() {
+  QiankunNetConfig cfg;
+  cfg.nQubits = 38;
+  cfg.nAlpha = 12;
+  cfg.nBeta = 12;
+  cfg.seed = 21;
+  return cfg;
+}
+
+/// `count` deterministic in-sector samples: nAlpha electrons on even qubits
+/// and nBeta on odd ones, positions drawn per sample (rejecting collisions).
+std::vector<Bits128> randomInSector(const QiankunNetConfig& cfg, std::size_t count) {
+  const int orbitals = cfg.nQubits / 2;
+  Rng rng(11);
+  std::vector<Bits128> samples(count);
+  for (auto& s : samples) {
+    for (int spin = 0; spin < 2; ++spin) {
+      const int electrons = spin == 0 ? cfg.nAlpha : cfg.nBeta;
+      for (int placed = 0; placed < electrons;) {
+        const int q =
+            2 * static_cast<int>(rng.below(static_cast<std::uint64_t>(orbitals))) + spin;
+        if (!s.get(q)) {
+          s.set(q, true);
+          ++placed;
+        }
+      }
+    }
+  }
+  return samples;
+}
+
 Real numericalGrad(const std::function<Real()>& f, Real& param, Real eps = 1e-5) {
   const Real orig = param;
   param = orig + eps;
@@ -265,6 +300,73 @@ TEST(EvaluateGrad, TiledBitIdenticalToMonolithicAcrossTileGeometries) {
   }
 }
 
+TEST(EvaluateGrad, DefaultSplitBitIdenticalToOneTileAndWithinTheBudget) {
+  // At the perfbench net the default tiles differ per loop: 39 samples per
+  // amplitude tile (300 = 7 x 39 + 27, ragged) and 251 per phase tile
+  // (251 + 49).  The gradients must still equal one tile spanning the batch
+  // at tolerance 0, and the tape must stay within the budget (plus at most
+  // one cache line of alignment per carved span) while using most of it.
+  NNQS_SKIP_IF_BLAS();
+  const QiankunNetConfig cfg = c2h4oConfig();
+  const auto samples = randomInSector(cfg, 300);
+  std::vector<Real> dLa(samples.size()), dPh(samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    dLa[i] = 0.01 * (static_cast<Real>(i % 13) - 6.0);
+    dPh[i] = 0.01 * (static_cast<Real>(i % 9) - 4.0);
+  }
+  auto step = [&](QiankunNet& net, int tile) {
+    exec::ExecutionPolicy ex;
+    ex.gradTileRows = tile;
+    net.setEvalPolicy(ex);
+    net.evaluateGrad(samples, dLa, dPh);
+    std::vector<Real> g;
+    net.flattenGradients(g);
+    return g;
+  };
+  QiankunNet ref(cfg), split(cfg);
+  const auto want = step(ref, -1);
+  const auto got = step(split, 0);
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(want[i], got[i]) << "grad " << i;
+
+  const auto cost = split.gradTapeRealsPerSample();
+  const auto bytesPerSample = cost.amplitude * static_cast<Index>(sizeof(Real));
+  const Index ampTile = nn::TransformerAR::kGradTapeBudgetBytes / bytesPerSample;
+  ASSERT_GT(ampTile, 1);
+  ASSERT_LT(ampTile, static_cast<Index>(samples.size()));
+  const auto tapeBytes =
+      static_cast<Index>(split.gradTapeStats().highWater * sizeof(Real));
+  EXPECT_LE(tapeBytes, nn::TransformerAR::kGradTapeBudgetBytes + 128 * 64);
+  EXPECT_GE(tapeBytes, ampTile * bytesPerSample);
+}
+
+TEST(EvaluateGrad, TapeCostMatchesTheMeasuredCarve) {
+  // 8-sample tiles on 8 samples carve no alignment slack, so the tape's high
+  // water is exactly 8 x the per-sample cost of the larger loop: the
+  // amplitude loop at the perfbench net, the phase loop at a net with a
+  // small transformer and the same wide phase MLP.
+  QiankunNetConfig phaseHeavy = smallConfig(12, 3, 2);
+  phaseHeavy.dModel = 8;
+  phaseHeavy.nHeads = 2;
+  phaseHeavy.nDecoders = 1;
+  phaseHeavy.phaseHidden = 512;
+  phaseHeavy.phaseHiddenLayers = 2;
+  for (const QiankunNetConfig& cfg : {c2h4oConfig(), phaseHeavy}) {
+    QiankunNet net(cfg);
+    exec::ExecutionPolicy ex;
+    ex.gradTileRows = 8;
+    net.setEvalPolicy(ex);
+    const auto samples = randomInSector(cfg, 8);
+    const std::vector<Real> seeds(samples.size(), 0.1);
+    net.evaluateGrad(samples, seeds, seeds);
+    const auto cost = net.gradTapeRealsPerSample();
+    EXPECT_EQ(static_cast<Index>(net.gradTapeStats().highWater),
+              8 * std::max(cost.amplitude, cost.phase))
+        << "nQubits " << cfg.nQubits << ", amplitude " << cost.amplitude
+        << " / phase " << cost.phase << " Reals per sample";
+  }
+}
+
 TEST(EvaluateGrad, EmptyBatchLeavesGradientsZero) {
   // Ranks that received no samples call the same training step; every tile
   // setting, untiled included, must accept the empty batch.
@@ -296,26 +398,26 @@ TEST(EvaluateGrad, RejectsMismatchedSeedLengths) {
 }
 
 TEST(EvaluateGrad, WarmStepsReuseTheTapeArena) {
-  // After the first tiled step has grown the tape to its high water, further
+  // After the first step has grown the tape to its high water, further
   // same-shape steps must not allocate: no primary-block growth, no side
-  // chunks, same high water (the zero-allocation warm-step contract).
-  const int n = 10, na = 2, nb = 2;
-  const auto samples = [&] {
-    auto s = numberSector(n, na, nb);
-    s.resize(12);
-    return s;
-  }();
+  // chunks, same high water (the zero-allocation warm-step contract).  At
+  // the perfbench net the default tiles alternate sizes on the one tape:
+  // amplitude tiles of 39, 39 and 22 samples, then one phase tile of 100.
+  const QiankunNetConfig cfg = c2h4oConfig();
+  const auto samples = randomInSector(cfg, 100);
   std::vector<Real> dLa(samples.size(), 0.3), dPh(samples.size(), -0.2);
-  QiankunNet net(smallConfig(n, na, nb, 5));
-  exec::ExecutionPolicy ex;
-  ex.gradTileRows = 4;
-  net.setEvalPolicy(ex);
-  net.evaluateGrad(samples, dLa, dPh);
-  const nn::Workspace::Stats cold = net.gradTapeStats();  // copy
-  for (int step = 0; step < 3; ++step) net.evaluateGrad(samples, dLa, dPh);
-  const nn::Workspace::Stats& warm = net.gradTapeStats();
-  EXPECT_EQ(warm.grows, cold.grows);
-  EXPECT_EQ(warm.overflows, cold.overflows);
-  EXPECT_EQ(warm.highWater, cold.highWater);
-  EXPECT_EQ(warm.capacity, cold.capacity);
+  for (int tile : {4, 0}) {
+    QiankunNet net(cfg);
+    exec::ExecutionPolicy ex;
+    ex.gradTileRows = tile;
+    net.setEvalPolicy(ex);
+    net.evaluateGrad(samples, dLa, dPh);
+    const nn::Workspace::Stats cold = net.gradTapeStats();  // copy
+    for (int step = 0; step < 3; ++step) net.evaluateGrad(samples, dLa, dPh);
+    const nn::Workspace::Stats& warm = net.gradTapeStats();
+    EXPECT_EQ(warm.grows, cold.grows) << "tile " << tile;
+    EXPECT_EQ(warm.overflows, cold.overflows) << "tile " << tile;
+    EXPECT_EQ(warm.highWater, cold.highWater) << "tile " << tile;
+    EXPECT_EQ(warm.capacity, cold.capacity) << "tile " << tile;
+  }
 }

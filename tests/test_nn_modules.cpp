@@ -221,6 +221,67 @@ TEST(ShapeCheck, BackwardAfterTapeResetNamesTheModule) {
   expectStale([&] { attn.backwardTape(tape, af, dy.data.data()); }, "blk.attn");
 }
 
+TEST(EmptyBatch, ZeroRowsRecordAndBackpropOnAFreshTape) {
+  // A zero-Real carve on a tape that never carved is null, so every fill of
+  // a zero-row span must accept a null pointer (the asan-ubsan leg checks),
+  // and the backward must leave the gradients untouched.
+  Rng rng(41);
+  CausalSelfAttention attn(16, 4, rng, "blk.attn");
+  {
+    Tape tape;
+    CausalSelfAttention::TapeFrame f;
+    const Real* y = attn.forwardTape(tape, f, nullptr, 0, 5);
+    attn.backwardTape(tape, f, y);
+  }
+  TransformerAR net(5, 16, 4, 2, rng);
+  Tape tape;
+  TransformerAR::TapeFrame f;
+  const Real* logits = net.forwardTape(tape, f, nullptr, 0, 5);
+  net.backwardTape(tape, f, logits);
+  std::vector<Parameter*> params;
+  attn.collectParameters(params);
+  net.collectParameters(params);
+  for (const Parameter* p : params)
+    for (Real g : p->grad.data) ASSERT_EQ(g, 0.0) << p->name;
+}
+
+TEST(TapeCost, PerSampleCostMatchesTheMeasuredCarve) {
+  // tapeRealsPerSample sizes the training step's tiles, so it must equal
+  // what forwardTape + backwardTape carve.  With 8 samples every span is a
+  // whole number of cache lines: the carve has no alignment slack.
+  constexpr Index kSamples = 8;
+  Rng rng(43);
+  struct Shape {
+    Index seqLen, dModel, heads, layers, window;
+  };
+  for (const Shape& s : {Shape{7, 16, 4, 2, 7}, Shape{7, 16, 4, 2, 5},
+                         Shape{9, 8, 2, 1, 9}}) {
+    TransformerAR net(s.seqLen, s.dModel, s.heads, s.layers, rng);
+    std::vector<int> tokens(static_cast<std::size_t>(kSamples * s.window), 1);
+    for (Index b = 0; b < kSamples; ++b)
+      tokens[static_cast<std::size_t>(b * s.window)] = TransformerAR::kBos;
+    Tape tape;
+    TransformerAR::TapeFrame f;
+    const Real* logits =
+        net.forwardTape(tape, f, tokens.data(), kSamples * s.window, s.window);
+    net.backwardTape(tape, f, logits);
+    tape.reset();  // folds the cycle into highWater
+    EXPECT_EQ(static_cast<Index>(tape.stats().highWater),
+              kSamples * net.tapeRealsPerSample(s.window))
+        << "d_model " << s.dModel << " window " << s.window;
+  }
+  PhaseMlp mlp(6, 24, 2, rng);
+  Tensor x({kSamples, 6});
+  x.randn(rng, 1.0);
+  Tape tape;
+  PhaseMlp::TapeFrame f;
+  const Real* phase = mlp.forwardTape(tape, f, x.data.data(), kSamples);
+  mlp.backwardTape(tape, f, phase);
+  tape.reset();
+  EXPECT_EQ(static_cast<Index>(tape.stats().highWater),
+            kSamples * mlp.tapeRealsPerSample());
+}
+
 TEST(AdamW, ConvergesOnQuadratic) {
   // Minimize ||x - c||^2 with AdamW (weight decay off).
   Parameter p({4}, "x");
