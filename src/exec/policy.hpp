@@ -16,7 +16,7 @@ namespace nnqs::exec {
 enum class KernelPolicy {
   kAuto,      ///< threaded+SIMD for large frontiers, plain SIMD otherwise
   kScalar,    ///< serial scalar reference kernel (ground truth)
-  kSimd,      ///< single-threaded AVX2/FMA-capable kernel (scalar fallback)
+  kSimd,      ///< single-threaded AVX-512 / AVX2 kernel tier (scalar fallback)
   kThreaded,  ///< SIMD kernel + OpenMP over (row, head) tiles
 };
 

@@ -3,7 +3,7 @@
 // Internal header of the attention kernel backends: the decode per-row kernel
 // function type plus the scalar reference implementation that defines the
 // arithmetic contract every backend reproduces bit for bit, and the training
-// kernels' per-sample function table and scratch layout.
+// kernels' per-sample function type and scratch layout.
 
 #include <algorithm>
 
@@ -62,22 +62,11 @@ inline void attnHeadScalar(const DecodeAttnArgs& a, Index b, Index h, Real* scor
 /// Out-of-line per-row wrapper usable as a RowFn (kernel_scalar.cpp).
 void scalarRow(const DecodeAttnArgs& a, Index b, Real* scores);
 
-/// AVX2 row kernel, or nullptr when not compiled in / not supported by the
-/// CPU (kernel_avx2.cpp performs the cpuid probe).
-RowFn avx2Row();
-
-/// AVX-512 row kernel (sequential-stream row-level variant), or nullptr.
-RowFn avx512Row();
-
 /// One sample b (all heads) of a training-attention forward or backward
 /// (AttnTrainArgs in kernels.hpp).  Samples write disjoint outputs, so the
 /// threaded driver runs them in parallel; `scratch` is per-thread, at least
 /// trainScratchLen(window, headDim) Reals, and needs no initialization.
 using TrainFn = void (*)(const AttnTrainArgs&, Index b, Real* scratch);
-struct TrainKernels {
-  TrainFn forward;
-  TrainFn backward;
-};
 
 /// The SIMD bodies pad key positions and head features to a multiple of
 /// every lane width, so whole-vector blocks stay inside their scratch rows.
@@ -95,10 +84,8 @@ inline std::size_t trainScratchLen(Index window, Index headDim) {
 }
 
 /// The scalar training reference (kernel_scalar.cpp) — ground truth for the
-/// SIMD bodies (attn_train_simd.hpp), whose AVX2 / AVX-512 instantiations
-/// are nullptr when not compiled in or not supported by the CPU.
-const TrainKernels* scalarTrain();
-const TrainKernels* avx2Train();
-const TrainKernels* avx512Train();
+/// SIMD body (attn_train_simd.hpp).
+void trainForwardScalar(const AttnTrainArgs& a, Index b, Real* scratch);
+void trainBackwardScalar(const AttnTrainArgs& a, Index b, Real* dA);
 
 }  // namespace nnqs::nn::kernels::detail

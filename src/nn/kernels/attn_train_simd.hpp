@@ -1,8 +1,8 @@
 #pragma once
 
 // The training-attention SIMD body, written once on a lane type
-// (simd_lanes.hpp) and instantiated per ISA: Lanes4 in kernel_avx2.cpp,
-// Lanes8 in kernel_avx512.cpp.  Include only from those translation units.
+// (simd_lanes.hpp) and instantiated per ISA through simd_kernels.hpp.
+// Include only from the ISA translation units.
 //
 // Bit-identity with the scalar reference (kernel_scalar.cpp, contract in
 // kernels.hpp's AttnTrainArgs): lanes are independent outputs only, and
@@ -14,8 +14,9 @@
 //     accumulates from 0 in ascending t.  Lanes past the causal bound are
 //     computed on padding and masked out (scores to -inf, whose exp is an
 //     exact +0 that leaves the denominator partials unchanged) or never read.
-//   - Softmax: the contract's 8 strided denominator partials are 8 / W
-//     lane accumulators, combined by the same fixed tree.
+//   - Softmax: contractExp is softmaxExp per lane, and the contract's 8
+//     strided denominator partials are 8 / W lane accumulators, combined by
+//     the same fixed tree.
 //   - dot_i = sum_j a_ij dA_ij stays one scalar ascending-j sum.
 //   - Context, dQ, dV and dK: lanes are the head's features.  Each output
 //     row is a sum over the other index, kept in that index's ascending
@@ -44,6 +45,10 @@ struct AttnTrainSimd {
   using V = typename S::V;
   static constexpr Index W = S::kWidth;
   static_assert(kTrainPad % W == 0 && 8 % W == 0, "lane width must divide the padding");
+  static constexpr Real kNegInf = -std::numeric_limits<Real>::infinity();
+
+  /// trainPadded (attn_row.hpp), ISA-local.
+  static Index padded(Index n) { return (n + kTrainPad - 1) / kTrainPad * kTrainPad; }
 
   /// Lanes [0, n) of p (n may exceed W), the rest +0.0.
   static V loadUpTo(const Real* p, Index n) {
@@ -53,7 +58,7 @@ struct AttnTrainSimd {
   /// out[t * Lp + j] = row j's slice at `off`, t < headDim; padded j >= L
   /// are zero so whole-vector blocks compute on finite values.
   static void transposeHead(const AttnTrainArgs& a, Index b, Index off, Real* out) {
-    const Index L = a.window, Lp = trainPadded(L), stride = 3 * a.dModel;
+    const Index L = a.window, Lp = padded(L), stride = 3 * a.dModel;
     const Real* base = a.qkv + b * L * stride + off;
     for (Index j = 0; j < L; ++j)
       for (Index t = 0; t < a.headDim; ++t) out[t * Lp + j] = base[j * stride + t];
@@ -124,9 +129,8 @@ struct AttnTrainSimd {
 
   template <int NV>
   static void forwardBody(const AttnTrainArgs& a, Index b, Real* scratch) {
-    const Index L = a.window, Lp = trainPadded(L), d = a.dModel;
+    const Index L = a.window, Lp = padded(L), d = a.dModel;
     const Index stride = 3 * d, hd = a.headDim, Hp = padFeatures(hd);
-    constexpr Index kAcc = 8 / W;
     Real* kT = scratch;         // [hd][Lp] transposed K
     Real* rinv = kT + hd * Lp;  // [L] row max, then 1/denominator
     Real* E = rinv + Lp;        // [L][Lp] scores, then exp
@@ -145,7 +149,7 @@ struct AttnTrainSimd {
         V vmax = S::set1(-1e300);
         for (Index j0 = 0; j0 <= i; j0 += W) {
           const V s = S::keepFirst(S::mul(dotBlock(qi, kT, Lp, hd, j0), scale),
-                                   i + 1 - j0, -std::numeric_limits<Real>::infinity());
+                                   i + 1 - j0, kNegInf);
           S::store(E + i * Lp + j0, s);
           vmax = S::max(vmax, s);
         }
@@ -155,18 +159,13 @@ struct AttnTrainSimd {
       for (Index i = 0; i < L; ++i) {
         Real* e = E + i * Lp;
         const V mxv = S::set1(rinv[i]);
-        V part[kAcc];
-        for (Index p = 0; p < kAcc; ++p) part[p] = S::zero();
+        Partials8<S> denom;
         for (Index j0 = 0; j0 <= i; j0 += W) {
-          const V ev = S::exp(S::sub(S::load(e + j0), mxv));
+          const V ev = contractExp<S>(S::sub(S::load(e + j0), mxv));
           S::store(e + j0, ev);
-          part[(j0 & 7) / W] = S::add(part[(j0 & 7) / W], ev);
+          denom.add((j0 & 7) / W, ev);
         }
-        alignas(64) Real p8[8];
-        for (Index p = 0; p < kAcc; ++p) S::store(p8 + p * W, part[p]);
-        const Real denom = ((p8[0] + p8[1]) + (p8[2] + p8[3])) +
-                           ((p8[4] + p8[5]) + (p8[6] + p8[7]));
-        rinv[i] = 1.0 / denom;
+        rinv[i] = 1.0 / denom.sum();
       }
       // Normalized weights; masked lanes hold e = +0, so they store 0.
       Real* aRow = a.attn + ((b * a.heads + h) * L) * L;
@@ -193,7 +192,7 @@ struct AttnTrainSimd {
 
   template <int NV>
   static void backwardBody(const AttnTrainArgs& a, Index b, Real* scratch) {
-    const Index L = a.window, Lp = trainPadded(L), d = a.dModel;
+    const Index L = a.window, Lp = padded(L), d = a.dModel;
     const Index stride = 3 * d, hd = a.headDim, Hp = padFeatures(hd);
     Real* vT = scratch;        // [hd][Lp] transposed V
     Real* dS = vT + hd * Lp;   // [L][Lp] dA, then dS
@@ -250,8 +249,6 @@ struct AttnTrainSimd {
       unpadRows(accB, L, hd, dRows + kOff, stride);
     }
   }
-
-  static constexpr TrainKernels kKernels{&forward, &backward};
 };
 
 }  // namespace nnqs::nn::kernels::detail

@@ -1,6 +1,7 @@
-// Kernel-policy resolution and the serial / OpenMP-threaded drivers over the
-// per-row decode-attention kernels and the per-sample training-attention
-// kernels.
+// The kernel tiers (the scalar table and the host's pick among the ISA
+// tables), kernel-policy resolution, and the serial / OpenMP-threaded
+// drivers over the per-row decode-attention kernels and the per-sample
+// training-attention kernels.
 
 #include <cassert>
 #include <cstdint>
@@ -9,7 +10,7 @@
 #include <new>
 #include <vector>
 
-#include "nn/kernels/attn_row.hpp"
+#include "nn/kernels/kernel_table.hpp"
 
 #ifdef __linux__
 #include <sys/mman.h>
@@ -60,30 +61,79 @@ bool runsThreaded(KernelPolicy resolved, Index batch, Index heads) {
   return resolved == KernelPolicy::kThreaded && batch * heads > kMinTilesForThreads;
 }
 
-const detail::TrainKernels* trainKernels(KernelPolicy resolved) {
-  const detail::TrainKernels* k = nullptr;
-  if (resolved != KernelPolicy::kScalar) {
-    k = detail::avx512Train();
-    if (k == nullptr) k = detail::avx2Train();
-  }
-  return k != nullptr ? k : detail::scalarTrain();
-}
-
-void runTrain(const AttnTrainArgs& a, KernelPolicy policy,
-              detail::TrainFn detail::TrainKernels::*which) {
+void runTrain(const AttnTrainArgs& a, KernelPolicy policy, const detail::KernelTable& tier,
+              detail::TrainFn detail::KernelTable::*which) {
   if (a.batch <= 0) return;
   assert(a.heads * a.headDim == a.dModel);
   policy = resolvePolicy(policy, a.batch, a.heads);
-  const detail::TrainFn fn = trainKernels(policy)->*which;
+  const detail::TrainFn fn = detail::tierFor(policy, tier).*which;
   forEachRow(runsThreaded(policy, a.batch, a.heads), a.batch,
              detail::trainScratchLen(a.window, a.headDim),
              [&](Index b, Real* scratch) { fn(a, b, scratch); });
 }
+
+constexpr detail::KernelTable kScalarKernels{
+    "scalar",
+    &detail::scalarRow,
+    &detail::trainForwardScalar,
+    &detail::trainBackwardScalar,
+    detail::kScalarNr,
+    &detail::scalarPanel,
+    &detail::tanhScalar,
+    &detail::geluForwardScalar,
+    &detail::geluBackwardScalar,
+    &detail::lnRowForwardScalar,
+    &detail::lnRowBackwardScalar,
+    &detail::lnParamGradsScalar,
+    &batch::parityAndMaskScalar,
+};
 }  // namespace
 
-bool simdAvailable() {
-  return detail::avx512Row() != nullptr || detail::avx2Row() != nullptr;
+namespace detail {
+
+const KernelTable& scalarKernels() { return kScalarKernels; }
+
+const KernelTable& hostKernels() {
+  static const KernelTable* const tier = [] {
+    if (const KernelTable* t = avx512Kernels()) return t;
+    if (const KernelTable* t = avx2Kernels()) return t;
+    return &kScalarKernels;
+  }();
+  return *tier;
 }
+
+std::vector<const KernelTable*> hostTiers() {
+  std::vector<const KernelTable*> tiers{&kScalarKernels};
+  for (const KernelTable* t : {avx2Kernels(), avx512Kernels()})
+    if (t != nullptr) tiers.push_back(t);
+  return tiers;
+}
+
+void decodeAttention(const DecodeAttnArgs& a, KernelPolicy policy, const KernelTable& tier) {
+  if (a.batch <= 0) return;
+  assert(a.heads * a.headDim == a.dModel);
+  assert(a.pos >= 0 && a.pos < a.maxLen);
+  policy = resolvePolicy(policy, a.batch, a.heads);
+  const RowFn row = tierFor(policy, tier).decodeRow;
+
+  // Per-head e_j arrays plus one rinv per head (attn_row.hpp scratch layout).
+  const auto scratchLen =
+      static_cast<std::size_t>(a.heads * (a.pos + 1) + a.heads);
+  forEachRow(runsThreaded(policy, a.batch, a.heads), a.batch, scratchLen,
+             [&](Index b, Real* scratch) { row(a, b, scratch); });
+}
+
+void attnTrainForward(const AttnTrainArgs& a, KernelPolicy policy, const KernelTable& tier) {
+  runTrain(a, policy, tier, &KernelTable::trainForward);
+}
+
+void attnTrainBackward(const AttnTrainArgs& a, KernelPolicy policy, const KernelTable& tier) {
+  runTrain(a, policy, tier, &KernelTable::trainBackward);
+}
+
+}  // namespace detail
+
+bool simdAvailable() { return &detail::hostKernels() != &kScalarKernels; }
 
 const char* kernelPolicyName(KernelPolicy policy) {
   switch (policy) {
@@ -140,27 +190,15 @@ KernelPolicy resolvePolicy(KernelPolicy policy, Index batch, Index heads) {
 }
 
 void decodeAttention(const DecodeAttnArgs& a, KernelPolicy policy) {
-  if (a.batch <= 0) return;
-  assert(a.heads * a.headDim == a.dModel);
-  assert(a.pos >= 0 && a.pos < a.maxLen);
-  policy = resolvePolicy(policy, a.batch, a.heads);
-  detail::RowFn row = detail::avx512Row();
-  if (row == nullptr) row = detail::avx2Row();
-  if (policy == KernelPolicy::kScalar || row == nullptr) row = &detail::scalarRow;
-
-  // Per-head e_j arrays plus one rinv per head (attn_row.hpp scratch layout).
-  const auto scratchLen =
-      static_cast<std::size_t>(a.heads * (a.pos + 1) + a.heads);
-  forEachRow(runsThreaded(policy, a.batch, a.heads), a.batch, scratchLen,
-             [&](Index b, Real* scratch) { row(a, b, scratch); });
+  detail::decodeAttention(a, policy, detail::hostKernels());
 }
 
 void attnTrainForward(const AttnTrainArgs& a, KernelPolicy policy) {
-  runTrain(a, policy, &detail::TrainKernels::forward);
+  detail::attnTrainForward(a, policy, detail::hostKernels());
 }
 
 void attnTrainBackward(const AttnTrainArgs& a, KernelPolicy policy) {
-  runTrain(a, policy, &detail::TrainKernels::backward);
+  detail::attnTrainBackward(a, policy, detail::hostKernels());
 }
 
 }  // namespace nnqs::nn::kernels

@@ -7,7 +7,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "nn/kernels/elementwise_impl.hpp"
+#include "nn/kernels/kernel_table.hpp"
 
 namespace nnqs::nn::kernels {
 
@@ -21,14 +21,6 @@ constexpr Index kEwThreadWork = Index{1} << 14;
 /// Element chunk of the threaded GELU driver: big enough to amortize the
 /// loop, small enough to load-balance ragged sizes.
 constexpr Index kEwChunk = Index{1} << 12;
-
-const detail::EwBackend* pickBackend(KernelPolicy policy) {
-  if (policy == KernelPolicy::kScalar) return detail::scalarEwBackend();
-  const detail::EwBackend* be = detail::avx512EwBackend();
-  if (be == nullptr) be = detail::avx2EwBackend();
-  if (be == nullptr) be = detail::scalarEwBackend();
-  return be;
-}
 
 template <typename RangeFn>
 void runChunked(KernelPolicy policy, Index n, const RangeFn& fn) {
@@ -52,57 +44,81 @@ KernelPolicy resolveElementwisePolicy(KernelPolicy policy, Index work) {
 }
 
 void tanh(const Real* x, Real* y, Index n, KernelPolicy policy) {
-  if (n <= 0) return;
-  policy = resolveElementwisePolicy(policy, n);
-  const detail::EwBackend* be = pickBackend(policy);
-  runChunked(policy, n,
-             [&](Index off, Index len) { be->tanhForward(x + off, y + off, len); });
+  detail::tanh(x, y, n, policy, detail::hostKernels());
 }
 
 void gelu(const Real* x, Real* y, Index n, KernelPolicy policy) {
-  if (n <= 0) return;
-  policy = resolveElementwisePolicy(policy, n);
-  const detail::EwBackend* be = pickBackend(policy);
-  runChunked(policy, n,
-             [&](Index off, Index len) { be->geluForward(x + off, y + off, len); });
+  detail::gelu(x, y, n, policy, detail::hostKernels());
 }
 
 void geluBackward(const Real* x, const Real* dy, Real* dx, Index n,
                   KernelPolicy policy) {
-  if (n <= 0) return;
-  policy = resolveElementwisePolicy(policy, n);
-  const detail::EwBackend* be = pickBackend(policy);
-  runChunked(policy, n, [&](Index off, Index len) {
-    be->geluBackward(x + off, dy + off, dx + off, len);
-  });
+  detail::geluBackward(x, dy, dx, n, policy, detail::hostKernels());
 }
 
 void residualLayerNorm(const ResidualLnArgs& a, KernelPolicy policy) {
+  detail::residualLayerNorm(a, policy, detail::hostKernels());
+}
+
+void layerNormBackward(const LayerNormBwdArgs& a, KernelPolicy policy) {
+  detail::layerNormBackward(a, policy, detail::hostKernels());
+}
+
+namespace detail {
+
+void tanh(const Real* x, Real* y, Index n, KernelPolicy policy, const KernelTable& tier) {
+  if (n <= 0) return;
+  policy = resolveElementwisePolicy(policy, n);
+  const auto fn = tierFor(policy, tier).tanh;
+  runChunked(policy, n, [&](Index off, Index len) { fn(x + off, y + off, len); });
+}
+
+void gelu(const Real* x, Real* y, Index n, KernelPolicy policy, const KernelTable& tier) {
+  if (n <= 0) return;
+  policy = resolveElementwisePolicy(policy, n);
+  const auto fn = tierFor(policy, tier).gelu;
+  runChunked(policy, n, [&](Index off, Index len) { fn(x + off, y + off, len); });
+}
+
+void geluBackward(const Real* x, const Real* dy, Real* dx, Index n,
+                  KernelPolicy policy, const KernelTable& tier) {
+  if (n <= 0) return;
+  policy = resolveElementwisePolicy(policy, n);
+  const auto fn = tierFor(policy, tier).geluBackward;
+  runChunked(policy, n,
+             [&](Index off, Index len) { fn(x + off, dy + off, dx + off, len); });
+}
+
+void residualLayerNorm(const ResidualLnArgs& a, KernelPolicy policy,
+                       const KernelTable& tier) {
   if (a.rows <= 0 || a.dim <= 0) return;
   assert((a.res == nullptr) == (a.h == nullptr) &&
          "residualLayerNorm: res and h go together");
   policy = resolveElementwisePolicy(policy, a.rows * a.dim);
-  const detail::EwBackend* be = pickBackend(policy);
+  const auto row = tierFor(policy, tier).lnRowForward;
   if (policy == KernelPolicy::kThreaded && a.rows > 1) {
 #pragma omp parallel for schedule(static)
-    for (Index r = 0; r < a.rows; ++r) be->lnRowForward(a, r);
+    for (Index r = 0; r < a.rows; ++r) row(a, r);
   } else {
-    for (Index r = 0; r < a.rows; ++r) be->lnRowForward(a, r);
+    for (Index r = 0; r < a.rows; ++r) row(a, r);
   }
 }
 
-void layerNormBackward(const LayerNormBwdArgs& a, KernelPolicy policy) {
+void layerNormBackward(const LayerNormBwdArgs& a, KernelPolicy policy,
+                       const KernelTable& tier) {
   if (a.rows <= 0 || a.dim <= 0) return;
   policy = resolveElementwisePolicy(policy, a.rows * a.dim);
-  const detail::EwBackend* be = pickBackend(policy);
+  const KernelTable& k = tierFor(policy, tier);
   // Param grads first: shared ascending-row accumulators, serial by contract.
-  be->lnParamGrads(a);
+  k.lnParamGrads(a);
   if (policy == KernelPolicy::kThreaded && a.rows > 1) {
 #pragma omp parallel for schedule(static)
-    for (Index r = 0; r < a.rows; ++r) be->lnRowBackward(a, r);
+    for (Index r = 0; r < a.rows; ++r) k.lnRowBackward(a, r);
   } else {
-    for (Index r = 0; r < a.rows; ++r) be->lnRowBackward(a, r);
+    for (Index r = 0; r < a.rows; ++r) k.lnRowBackward(a, r);
   }
 }
+
+}  // namespace detail
 
 }  // namespace nnqs::nn::kernels

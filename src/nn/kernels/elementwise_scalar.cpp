@@ -5,11 +5,9 @@
 // geluGradScalar); the row kernels here define the LayerNorm contract's pass
 // structure.
 
-#include "nn/kernels/elementwise_impl.hpp"
+#include "nn/kernels/kernel_table.hpp"
 
 namespace nnqs::nn::kernels::detail {
-
-namespace {
 
 void tanhScalar(const Real* x, Real* y, Index n) {
   for (Index i = 0; i < n; ++i) y[i] = kernelTanh(x[i]);
@@ -99,13 +97,5 @@ void lnParamGradsScalar(const LayerNormBwdArgs& a) {
     }
   }
 }
-
-constexpr EwBackend kScalarBackend{&tanhScalar, &geluForwardScalar,
-                                   &geluBackwardScalar, &lnRowForwardScalar,
-                                   &lnRowBackwardScalar, &lnParamGradsScalar};
-
-}  // namespace
-
-const EwBackend* scalarEwBackend() { return &kScalarBackend; }
 
 }  // namespace nnqs::nn::kernels::detail

@@ -9,7 +9,7 @@
 #include <cstring>
 #include <vector>
 
-#include "nn/kernels/gemm_micro.hpp"
+#include "nn/kernels/kernel_table.hpp"
 
 namespace nnqs::nn::kernels {
 
@@ -70,8 +70,8 @@ void blasGemm(const GemmArgs& g) {
 
 /// The blocked path shared by kSimd and kThreaded: pack each k-strip of B
 /// into zero-padded nr-wide panels, then sweep row blocks x panels.
-void gemmBlocked(const GemmArgs& g, const detail::GemmMicro& micro, bool threaded) {
-  const Index nr = micro.nr;
+void gemmBlocked(const GemmArgs& g, const detail::KernelTable& tier, bool threaded) {
+  const Index nr = tier.gemmNr;
   const Index nPanels = (g.n + nr - 1) / nr;
   const Index rowBlocks = (g.m + kMc - 1) / kMc;
   // Per-thread scratch reused across calls: the decode path runs 4+ Linears
@@ -108,8 +108,8 @@ void gemmBlocked(const GemmArgs& g, const detail::GemmMicro& micro, bool threade
       const Index ib = t / nPanels, p = t % nPanels;
       const Index i0 = ib * kMc;
       const Index j0 = p * nr;
-      micro.panel(g, i0, std::min(kMc, g.m - i0), l0, lc,
-                  packed.data() + p * lc * nr, j0, std::min(nr, g.n - j0));
+      tier.gemmPanel(g, i0, std::min(kMc, g.m - i0), l0, lc,
+                     packed.data() + p * lc * nr, j0, std::min(nr, g.n - j0));
     }
   }
 }
@@ -131,6 +131,10 @@ bool gemmUsesBlas() {
 }
 
 void gemm(const GemmArgs& g, KernelPolicy policy) {
+  detail::gemm(g, policy, detail::hostKernels());
+}
+
+void detail::gemm(const GemmArgs& g, KernelPolicy policy, const KernelTable& tier) {
   assert(!(g.bias != nullptr && g.accumulate) &&
          "gemm: bias and accumulate are exclusive init modes");
   if (g.m <= 0 || g.n <= 0) return;
@@ -149,10 +153,7 @@ void gemm(const GemmArgs& g, KernelPolicy policy) {
     detail::gemmScalarRef(g);
     return;
   }
-  const detail::GemmMicro* micro = detail::avx512GemmMicro();
-  if (micro == nullptr) micro = detail::avx2GemmMicro();
-  if (micro == nullptr) micro = detail::scalarGemmMicro();
-  gemmBlocked(g, *micro, policy == KernelPolicy::kThreaded);
+  gemmBlocked(g, tier, policy == KernelPolicy::kThreaded);
 }
 
 }  // namespace nnqs::nn::kernels

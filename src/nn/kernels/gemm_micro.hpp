@@ -1,9 +1,9 @@
 #pragma once
 
 // Internal header of the GEMM kernel backends: operand accessors, the packed
-// B-panel micro-kernel function type, and the backend probes.  The arithmetic
+// B-panel micro-kernel function type and the scalar panels.  The arithmetic
 // contract lives in gemm.hpp; the scalar implementations that define it are
-// in gemm_scalar.cpp.
+// in gemm_scalar.cpp, the SIMD panel in gemm_simd.hpp.
 
 #include "nn/kernels/gemm.hpp"
 
@@ -27,25 +27,15 @@ inline Real gemmB(const GemmArgs& g, Index l, Index j) {
 using GemmPanelFn = void (*)(const GemmArgs& g, Index i0, Index mc, Index l0,
                              Index lc, const Real* bp, Index j0, Index w);
 
-/// A backend = its panel width (the packing granularity) + the panel kernel.
-struct GemmMicro {
-  Index nr;
-  GemmPanelFn panel;
-};
-
 /// Whole-problem naive reference for KernelPolicy::kScalar — the loop the
 /// contract is defined by (C pre-initialized by the driver).
 void gemmScalarRef(const GemmArgs& g);
 
-/// Packed-path scalar panels: the fallback micro-kernel when no SIMD backend
-/// is compiled in / supported, and the ground truth for the packed loop
-/// structure itself.
-const GemmMicro* scalarGemmMicro();
-
-/// AVX2 / AVX-512 register-blocked micro-kernels, or nullptr when not
-/// compiled in or not supported by this CPU (cpuid probe, as for the
-/// decode-attention kernels).
-const GemmMicro* avx2GemmMicro();
-const GemmMicro* avx512GemmMicro();
+/// Packed-path scalar panels, kScalarNr wide: the scalar tier's panel kernel
+/// (no SIMD compiled in or supported), and the ground truth for the packed
+/// loop structure itself.
+inline constexpr Index kScalarNr = 8;
+void scalarPanel(const GemmArgs& g, Index i0, Index mc, Index l0, Index lc,
+                 const Real* bp, Index j0, Index w);
 
 }  // namespace nnqs::nn::kernels::detail

@@ -20,10 +20,6 @@ void gemmScalarRef(const GemmArgs& g) {
   }
 }
 
-namespace {
-
-constexpr Index kScalarNr = 8;
-
 void scalarPanel(const GemmArgs& g, Index i0, Index mc, Index l0, Index lc,
                  const Real* bp, Index j0, Index w) {
   for (Index i = i0; i < i0 + mc; ++i) {
@@ -36,11 +32,5 @@ void scalarPanel(const GemmArgs& g, Index i0, Index mc, Index l0, Index lc,
     }
   }
 }
-
-constexpr GemmMicro kScalarMicro{kScalarNr, &scalarPanel};
-
-}  // namespace
-
-const GemmMicro* scalarGemmMicro() { return &kScalarMicro; }
 
 }  // namespace nnqs::nn::kernels::detail

@@ -11,8 +11,6 @@ void scalarRow(const DecodeAttnArgs& a, Index b, Real* scores) {
   for (Index h = 0; h < a.heads; ++h) attnHeadScalar(a, b, h, scores);
 }
 
-namespace {
-
 void trainForwardScalar(const AttnTrainArgs& a, Index b, Real* /*scratch*/) {
   const Index L = a.window, d = a.dModel, headDim = a.headDim;
   const Real* qkv = a.qkv;
@@ -89,11 +87,5 @@ void trainBackwardScalar(const AttnTrainArgs& a, Index b, Real* dA) {
     }
   }
 }
-
-constexpr TrainKernels kScalarTrain{&trainForwardScalar, &trainBackwardScalar};
-
-}  // namespace
-
-const TrainKernels* scalarTrain() { return &kScalarTrain; }
 
 }  // namespace nnqs::nn::kernels::detail

@@ -91,9 +91,9 @@ struct AttnTrainArgs {
 void attnTrainForward(const AttnTrainArgs& args, KernelPolicy policy);
 void attnTrainBackward(const AttnTrainArgs& args, KernelPolicy policy);
 
-/// True when the AVX2/FMA kernel is compiled in *and* the CPU supports it
-/// (cpuid probe); kSimd/kThreaded silently fall back to the scalar row kernel
-/// otherwise, preserving bit-identical output.
+/// True when an AVX2 or AVX-512 kernel tier is compiled in *and* the CPU
+/// supports it (cpuid probe); kSimd/kThreaded silently fall back to the
+/// scalar kernels otherwise, preserving bit-identical output.
 bool simdAvailable();
 
 /// Resolve kAuto against the problem size (and report the effective backend

@@ -57,7 +57,7 @@ class QiankunNet {
 
   /// Start a stateful incremental decode over `batch` sampling-tree rows.
   /// `kernel` selects the decode-attention backend (src/nn/kernels/): the
-  /// scalar reference, the AVX2/FMA SIMD kernel, or SIMD + OpenMP over
+  /// scalar reference, the AVX-512 / AVX2 SIMD kernel, or SIMD + OpenMP over
   /// (row, head) tiles — all bit-identical, so any choice samples the same.
   void beginDecode(nn::DecodeState& state, int batch,
                    nn::kernels::KernelPolicy kernel =

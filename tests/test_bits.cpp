@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/bits.hpp"
+#include "nn/kernels/kernel_table.hpp"
 
 using nnqs::Bits128;
 
@@ -68,8 +69,9 @@ TEST(Bits128, HashDistinguishes) {
 }
 
 TEST(BitsBatch, DispatchedKernelsMatchScalarReference) {
-  // The dispatched (possibly SIMD) batched kernels must be bit-identical to
-  // the scalar references for every batch size, including the vector tails.
+  // The dispatched (possibly SIMD) batched kernels, and those of every ISA
+  // tier the host runs, must be bit-identical to the scalar references for
+  // every batch size, including the vector tails.
   std::uint64_t state = 0x243F6A8885A308D3ull;  // splitmix64
   auto next = [&state]() {
     state += 0x9E3779B97F4A7C15ull;
@@ -89,6 +91,11 @@ TEST(BitsBatch, DispatchedKernelsMatchScalarReference) {
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(pRef[i], pDisp[i]) << "n=" << n << " i=" << i;
       EXPECT_EQ(static_cast<int>(pRef[i]), nnqs::parityAnd(xs[i], mask));
+    }
+    for (const auto* tier : nnqs::nn::kernels::detail::hostTiers()) {
+      std::vector<unsigned char> pTier(n);
+      tier->parityAndMask(xs.data(), n, mask, pTier.data());
+      EXPECT_EQ(pRef, pTier) << tier->name << " n=" << n;
     }
   }
 }

@@ -1,18 +1,22 @@
 // Elementwise kernel backends (kernels::tanh / gelu / residualLayerNorm and
 // their backwards): exact (tolerance-0) agreement between the scalar
-// reference and the vectorized/threaded backends on ragged shapes, the
+// reference and the vectorized/threaded backends of every ISA tier the host
+// runs on ragged shapes, the
 // branch-free kernel tanh's accuracy, and the Workspace arena's
 // carve/reuse/grow behaviour.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "nn/kernels/elementwise.hpp"
 #include "nn/kernels/gemm.hpp"
+#include "nn/kernels/kernel_table.hpp"
 #include "nn/modules.hpp"
 #include "nn/transformer.hpp"
 #include "nn/workspace.hpp"
@@ -20,17 +24,25 @@
 using namespace nnqs;
 using namespace nnqs::nn;
 using kernels::KernelPolicy;
+using kernels::detail::KernelTable;
 
 namespace {
 
 constexpr KernelPolicy kAllPolicies[] = {KernelPolicy::kScalar, KernelPolicy::kSimd,
                                          KernelPolicy::kThreaded, KernelPolicy::kAuto};
 
+/// Bitwise equality (tolerance 0; also tells -0.0 from +0.0).
 void expectBitIdentical(const std::vector<Real>& ref, const std::vector<Real>& got,
-                        const char* what) {
+                        const std::string& what) {
   ASSERT_EQ(ref.size(), got.size()) << what;
   for (std::size_t i = 0; i < ref.size(); ++i)
-    EXPECT_EQ(ref[i], got[i]) << what << " [" << i << "]";  // tolerance 0
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ref[i]), std::bit_cast<std::uint64_t>(got[i]))
+        << what << " [" << i << "]: " << ref[i] << " vs " << got[i];
+}
+
+/// The label of one tier x policy comparison.
+std::string label(const KernelTable& tier, KernelPolicy policy, const char* what) {
+  return std::string(tier.name) + " " + kernels::kernelPolicyName(policy) + " " + what;
 }
 
 std::vector<Real> randomVec(Rng& rng, std::size_t n, Real scale = 2.0) {
@@ -56,10 +68,10 @@ TEST(ElementwiseKernels, KernelTanhTracksStdTanh) {
 }
 
 TEST(ElementwiseKernels, TanhBackendsBitIdenticalOnRaggedSizes) {
-  // kernels::tanh is kernelTanh per element under every policy, in place
-  // too, on sizes straddling the SIMD widths, the chunk and the thread
-  // threshold, with the saturating and signed-zero inputs planted in the
-  // vector bodies as well as the scalar tails.
+  // kernels::tanh is kernelTanh per element under every policy of every ISA
+  // tier the host runs, in place too, on sizes straddling the SIMD widths,
+  // the chunk and the thread threshold, with the saturating and signed-zero
+  // inputs planted in the vector bodies as well as the ragged tails.
   Rng rng(405);
   const Real special[] = {0.0, -0.0, 400.0, -400.0, 1e308, -1e308};
   for (Index n : {Index{1}, Index{3}, Index{7}, Index{9}, Index{33}, Index{255},
@@ -68,30 +80,33 @@ TEST(ElementwiseKernels, TanhBackendsBitIdenticalOnRaggedSizes) {
     for (std::size_t i = 0; i < x.size(); ++i) x[i] = i % 5 == 0 ? special[i % 6] : x[i];
     std::vector<Real> ref(x.size());
     for (std::size_t i = 0; i < x.size(); ++i) ref[i] = kernels::kernelTanh(x[i]);
-    for (auto policy : kAllPolicies) {
-      std::vector<Real> y(x.size());
-      kernels::tanh(x.data(), y.data(), n, policy);
-      expectBitIdentical(ref, y, "tanh");
-      std::vector<Real> inplace = x;
-      kernels::tanh(inplace.data(), inplace.data(), n, policy);
-      expectBitIdentical(ref, inplace, "tanh in-place");
-      for (std::size_t i = 0; i < x.size(); ++i) {  // +-0 keep their sign
-        if (x[i] == 0.0) {
-          EXPECT_EQ(std::signbit(y[i]), std::signbit(x[i]));
+    for (const KernelTable* tier : kernels::detail::hostTiers())
+      for (auto policy : kAllPolicies) {
+        std::vector<Real> y(x.size());
+        kernels::detail::tanh(x.data(), y.data(), n, policy, *tier);
+        expectBitIdentical(ref, y, label(*tier, policy, "tanh"));
+        std::vector<Real> inplace = x;
+        kernels::detail::tanh(inplace.data(), inplace.data(), n, policy, *tier);
+        expectBitIdentical(ref, inplace, label(*tier, policy, "tanh in-place"));
+        for (std::size_t i = 0; i < x.size(); ++i) {  // +-0 keep their sign
+          if (x[i] == 0.0) {
+            EXPECT_EQ(std::signbit(y[i]), std::signbit(x[i]));
+          }
         }
       }
-    }
   }
   const Real in[] = {0.0, -0.0, 400.0, -400.0, 1e308, -1e308};
   const Real want[] = {0.0, -0.0, 1.0, -1.0, 1.0, -1.0};
-  for (auto policy : kAllPolicies) {
-    Real out[6];
-    kernels::tanh(in, out, 6, policy);
-    for (int i = 0; i < 6; ++i) {
-      EXPECT_EQ(out[i], want[i]) << "x = " << in[i];
-      EXPECT_EQ(std::signbit(out[i]), std::signbit(want[i])) << "x = " << in[i];
+  for (const KernelTable* tier : kernels::detail::hostTiers())
+    for (auto policy : kAllPolicies) {
+      Real out[6];
+      kernels::detail::tanh(in, out, 6, policy, *tier);
+      for (int i = 0; i < 6; ++i) {
+        EXPECT_EQ(out[i], want[i]) << label(*tier, policy, "x = ") << in[i];
+        EXPECT_EQ(std::signbit(out[i]), std::signbit(want[i]))
+            << label(*tier, policy, "x = ") << in[i];
+      }
     }
-  }
 }
 
 TEST(ElementwiseKernels, GeluKnownValuesAndGradient) {
@@ -118,18 +133,19 @@ TEST(ElementwiseKernels, GeluBackendsBitIdenticalOnRaggedSizes) {
     std::vector<Real> ref(x.size()), refDx(x.size());
     kernels::gelu(x.data(), ref.data(), n, KernelPolicy::kScalar);
     kernels::geluBackward(x.data(), dy.data(), refDx.data(), n, KernelPolicy::kScalar);
-    for (auto policy : kAllPolicies) {
-      std::vector<Real> y(x.size()), dx(x.size());
-      kernels::gelu(x.data(), y.data(), n, policy);
-      kernels::geluBackward(x.data(), dy.data(), dx.data(), n, policy);
-      expectBitIdentical(ref, y, "gelu fwd");
-      expectBitIdentical(refDx, dx, "gelu bwd");
-      // In-place aliasing (the decode path runs GELU in place on the ff
-      // activations) must give the same bits.
-      std::vector<Real> inplace = x;
-      kernels::gelu(inplace.data(), inplace.data(), n, policy);
-      expectBitIdentical(ref, inplace, "gelu in-place");
-    }
+    for (const KernelTable* tier : kernels::detail::hostTiers())
+      for (auto policy : kAllPolicies) {
+        std::vector<Real> y(x.size()), dx(x.size());
+        kernels::detail::gelu(x.data(), y.data(), n, policy, *tier);
+        kernels::detail::geluBackward(x.data(), dy.data(), dx.data(), n, policy, *tier);
+        expectBitIdentical(ref, y, label(*tier, policy, "gelu fwd"));
+        expectBitIdentical(refDx, dx, label(*tier, policy, "gelu bwd"));
+        // In-place aliasing (the decode path runs GELU in place on the ff
+        // activations) must give the same bits.
+        std::vector<Real> inplace = x;
+        kernels::detail::gelu(inplace.data(), inplace.data(), n, policy, *tier);
+        expectBitIdentical(ref, inplace, label(*tier, policy, "gelu in-place"));
+      }
   }
 }
 
@@ -142,7 +158,8 @@ struct LnRun {
 
 LnRun runLn(const std::vector<Real>& x, const std::vector<Real>* res, Index rows,
             Index dim, const std::vector<Real>& gamma, const std::vector<Real>& beta,
-            KernelPolicy policy, bool caches) {
+            KernelPolicy policy, bool caches,
+            const KernelTable& tier = kernels::detail::hostKernels()) {
   LnRun out;
   out.y.resize(x.size());
   kernels::ResidualLnArgs a;
@@ -163,7 +180,7 @@ LnRun runLn(const std::vector<Real>& x, const std::vector<Real>* res, Index rows
     a.xhat = out.xhat.data();
     a.invStd = out.invStd.data();
   }
-  kernels::residualLayerNorm(a, policy);
+  kernels::detail::residualLayerNorm(a, policy, tier);
   return out;
 }
 
@@ -190,18 +207,19 @@ TEST(ElementwiseKernels, ResidualLayerNormBackendsBitIdentical) {
       if (withRes)
         for (std::size_t i = 0; i < n; ++i)
           ASSERT_EQ(ref.h[i], x[i] + res[i]) << i;
-      for (auto policy : kAllPolicies) {
-        const auto got = runLn(x, withRes ? &res : nullptr, s.rows, s.dim, gamma,
-                               beta, policy, true);
-        expectBitIdentical(ref.y, got.y, "ln y");
-        expectBitIdentical(ref.xhat, got.xhat, "ln xhat");
-        expectBitIdentical(ref.invStd, got.invStd, "ln invStd");
-        if (withRes) expectBitIdentical(ref.h, got.h, "ln h");
-        // Cache-less variant (the decode path) must produce the same y.
-        const auto noCache = runLn(x, withRes ? &res : nullptr, s.rows, s.dim,
-                                   gamma, beta, policy, false);
-        expectBitIdentical(ref.y, noCache.y, "ln y (no caches)");
-      }
+      for (const KernelTable* tier : kernels::detail::hostTiers())
+        for (auto policy : kAllPolicies) {
+          const auto got = runLn(x, withRes ? &res : nullptr, s.rows, s.dim, gamma,
+                                 beta, policy, true, *tier);
+          expectBitIdentical(ref.y, got.y, label(*tier, policy, "ln y"));
+          expectBitIdentical(ref.xhat, got.xhat, label(*tier, policy, "ln xhat"));
+          expectBitIdentical(ref.invStd, got.invStd, label(*tier, policy, "ln invStd"));
+          if (withRes) expectBitIdentical(ref.h, got.h, label(*tier, policy, "ln h"));
+          // Cache-less variant (the decode path) must produce the same y.
+          const auto noCache = runLn(x, withRes ? &res : nullptr, s.rows, s.dim,
+                                     gamma, beta, policy, false, *tier);
+          expectBitIdentical(ref.y, noCache.y, label(*tier, policy, "ln y (no caches)"));
+        }
     }
   }
 }
@@ -221,7 +239,7 @@ TEST(ElementwiseKernels, LayerNormBackwardBackendsBitIdentical) {
     const auto beta = randomVec(rng, static_cast<std::size_t>(s.dim), 0.3);
     const auto fwd = runLn(x, nullptr, s.rows, s.dim, gamma, beta,
                            KernelPolicy::kScalar, true);
-    auto run = [&](KernelPolicy policy) {
+    auto run = [&](KernelPolicy policy, const KernelTable& tier) {
       struct {
         std::vector<Real> dx, dgamma, dbeta;
       } out;
@@ -239,16 +257,17 @@ TEST(ElementwiseKernels, LayerNormBackwardBackendsBitIdentical) {
       a.dgamma = out.dgamma.data();
       a.dbeta = out.dbeta.data();
       a.dx = out.dx.data();
-      kernels::layerNormBackward(a, policy);
+      kernels::detail::layerNormBackward(a, policy, tier);
       return out;
     };
-    const auto ref = run(KernelPolicy::kScalar);
-    for (auto policy : kAllPolicies) {
-      const auto got = run(policy);
-      expectBitIdentical(ref.dx, got.dx, "ln dx");
-      expectBitIdentical(ref.dgamma, got.dgamma, "ln dgamma");
-      expectBitIdentical(ref.dbeta, got.dbeta, "ln dbeta");
-    }
+    const auto ref = run(KernelPolicy::kScalar, kernels::detail::scalarKernels());
+    for (const KernelTable* tier : kernels::detail::hostTiers())
+      for (auto policy : kAllPolicies) {
+        const auto got = run(policy, *tier);
+        expectBitIdentical(ref.dx, got.dx, label(*tier, policy, "ln dx"));
+        expectBitIdentical(ref.dgamma, got.dgamma, label(*tier, policy, "ln dgamma"));
+        expectBitIdentical(ref.dbeta, got.dbeta, label(*tier, policy, "ln dbeta"));
+      }
   }
 }
 

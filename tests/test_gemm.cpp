@@ -1,6 +1,7 @@
 // GEMM kernel backends: exact (tolerance-0) agreement between the naive
 // reference loop, the scalar packed path, and the SIMD/threaded blocked
-// backends, over ragged/odd shapes, all four operand layouts, bias /
+// backends of every ISA tier the host runs, over ragged/odd shapes, all
+// four operand layouts, bias /
 // accumulate init modes, empty rows, and the linalg::matmul / matmulTN and
 // Linear rewirings.  In a -DNNQS_WITH_BLAS build the non-kScalar policies
 // route to dgemm, which is close but not bit-identical, so the comparisons
@@ -8,18 +9,23 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "linalg/matrix.hpp"
 #include "nn/kernels/gemm.hpp"
+#include "nn/kernels/kernel_table.hpp"
 #include "nn/modules.hpp"
 
 using namespace nnqs;
 using namespace nnqs::nn;
 using kernels::GemmArgs;
 using kernels::KernelPolicy;
+using kernels::detail::KernelTable;
 
 namespace {
 
@@ -40,7 +46,9 @@ struct Problem {
   }
 
   /// mode 0: C = A B; mode 1: C = bias + A B; mode 2: C += A B (from c0).
-  [[nodiscard]] std::vector<Real> run(KernelPolicy policy, int mode) const {
+  [[nodiscard]] std::vector<Real> run(
+      KernelPolicy policy, int mode,
+      const KernelTable& tier = kernels::detail::hostKernels()) const {
     std::vector<Real> c = mode == 2 ? c0 : std::vector<Real>(static_cast<std::size_t>(m * n), -7.0);
     GemmArgs g;
     g.m = m;
@@ -56,7 +64,7 @@ struct Problem {
     g.ldc = n;
     if (mode == 1) g.bias = bias.data();
     if (mode == 2) g.accumulate = true;
-    kernels::gemm(g, policy);
+    kernels::detail::gemm(g, policy, tier);
     return c;
   }
 
@@ -81,13 +89,14 @@ struct Problem {
 };
 
 void expectSame(const std::vector<Real>& ref, const std::vector<Real>& got,
-                const char* what) {
+                const std::string& what) {
   ASSERT_EQ(ref.size(), got.size()) << what;
   for (std::size_t i = 0; i < ref.size(); ++i) {
     if (kernels::gemmUsesBlas())
       EXPECT_NEAR(got[i], ref[i], 1e-11 * (1.0 + std::abs(ref[i]))) << what << " c[" << i << "]";
-    else
-      EXPECT_EQ(ref[i], got[i]) << what << " c[" << i << "]";  // tolerance 0
+    else  // bitwise: tolerance 0, and -0.0 differs from +0.0
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ref[i]), std::bit_cast<std::uint64_t>(got[i]))
+          << what << " c[" << i << "]: " << ref[i] << " vs " << got[i];
   }
 }
 
@@ -95,7 +104,8 @@ void expectSame(const std::vector<Real>& ref, const std::vector<Real>& got,
 
 TEST(Gemm, BackendsBitIdenticalOnRaggedShapes) {
   // Odd everything: panel tails (n mod 16 / mod 8), row-block and MR tails
-  // (m mod 64 / mod 4), multi-strip k (> 384), and single rows/cols.
+  // (m mod 64 / mod 4), multi-strip k (> 384), and single rows/cols, on
+  // every ISA tier the host runs.
   Rng rng(2025);
   struct Shape {
     Index m, n, k;
@@ -116,9 +126,12 @@ TEST(Gemm, BackendsBitIdenticalOnRaggedShapes) {
           const auto naive = p.reference(mode);
           for (std::size_t i = 0; i < ref.size(); ++i)
             ASSERT_EQ(naive[i], ref[i]) << "scalar ref m=" << s.m << " n=" << s.n;
-          expectSame(ref, p.run(KernelPolicy::kSimd, mode), "simd");
-          expectSame(ref, p.run(KernelPolicy::kThreaded, mode), "threaded");
-          expectSame(ref, p.run(KernelPolicy::kAuto, mode), "auto");
+          for (const KernelTable* tier : kernels::detail::hostTiers()) {
+            const std::string name = tier->name;
+            expectSame(ref, p.run(KernelPolicy::kSimd, mode, *tier), name + " simd");
+            expectSame(ref, p.run(KernelPolicy::kThreaded, mode, *tier), name + " threaded");
+            expectSame(ref, p.run(KernelPolicy::kAuto, mode, *tier), name + " auto");
+          }
         }
 }
 

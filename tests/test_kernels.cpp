@@ -1,12 +1,15 @@
 // Attention kernel backends: exact (tolerance-0) agreement between the scalar
-// reference kernels and the vectorized/threaded backends on randomized
-// shapes — decode attention and the training forward/backward — the shared
-// softmax exp, and the arena-backed DecodeState gather.
+// reference kernels and the vectorized/threaded backends of every ISA tier
+// the host runs, on randomized shapes — decode attention and the training
+// forward/backward — the shared softmax exp, and the arena-backed
+// DecodeState gather.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <numeric>
@@ -17,12 +20,14 @@
 
 #include "common/rng.hpp"
 #include "nn/decode_state.hpp"
+#include "nn/kernels/kernel_table.hpp"
 #include "nn/kernels/kernels.hpp"
 
 using namespace nnqs;
 using namespace nnqs::nn;
 using kernels::DecodeAttnArgs;
 using kernels::KernelPolicy;
+using kernels::detail::KernelTable;
 
 namespace {
 
@@ -50,7 +55,9 @@ struct Problem {
                  : r;
   }
 
-  [[nodiscard]] std::vector<Real> run(KernelPolicy policy) const {
+  [[nodiscard]] std::vector<Real> run(
+      KernelPolicy policy,
+      const KernelTable& tier = kernels::detail::hostKernels()) const {
     std::vector<Real> ctx(static_cast<std::size_t>(batch * dModel), 0.0);
     DecodeAttnArgs a;
     a.batch = batch;
@@ -66,16 +73,18 @@ struct Problem {
     a.slots = slots.data();
     a.ctx = ctx.data();
     a.scale = 1.0 / std::sqrt(static_cast<Real>(headDim));
-    kernels::decodeAttention(a, policy);
+    kernels::detail::decodeAttention(a, policy, tier);
     return ctx;
   }
 };
 
+/// Bitwise equality (tolerance 0; also tells -0.0 from +0.0).
 void expectBitIdentical(const std::vector<Real>& ref, const std::vector<Real>& got,
-                        const char* what) {
+                        const std::string& what) {
   ASSERT_EQ(ref.size(), got.size()) << what;
   for (std::size_t i = 0; i < ref.size(); ++i)
-    EXPECT_EQ(ref[i], got[i]) << what << " ctx[" << i << "]";  // tolerance 0
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ref[i]), std::bit_cast<std::uint64_t>(got[i]))
+        << what << " ctx[" << i << "]: " << ref[i] << " vs " << got[i];
 }
 
 }  // namespace
@@ -96,8 +105,9 @@ TEST(Kernels, SoftmaxExpMatchesStdExp) {
 
 TEST(Kernels, BackendsBitIdenticalOnRandomShapes) {
   // Exact agreement (tolerance 0) between the scalar reference and every
-  // other backend, over randomized shapes: ragged slot maps, non-multiple-of-4
-  // head dims and key counts, pos = 0, and len == maxLen.
+  // other backend of every ISA tier the host runs, over randomized shapes:
+  // ragged slot maps, non-multiple-of-4 head dims and key counts, pos = 0,
+  // and len == maxLen.
   Rng rng(2024);
   struct Shape {
     Index batch, heads, headDim, pos, maxLen;
@@ -116,9 +126,12 @@ TEST(Kernels, BackendsBitIdenticalOnRandomShapes) {
     for (int trial = 0; trial < 3; ++trial) {
       Problem p(s.batch, s.heads, s.headDim, s.pos, s.maxLen, rng, s.ragged);
       const auto ref = p.run(KernelPolicy::kScalar);
-      expectBitIdentical(ref, p.run(KernelPolicy::kSimd), "simd");
-      expectBitIdentical(ref, p.run(KernelPolicy::kThreaded), "threaded");
-      expectBitIdentical(ref, p.run(KernelPolicy::kAuto), "auto");
+      for (const KernelTable* tier : kernels::detail::hostTiers()) {
+        const std::string name = tier->name;
+        expectBitIdentical(ref, p.run(KernelPolicy::kSimd, *tier), name + " simd");
+        expectBitIdentical(ref, p.run(KernelPolicy::kThreaded, *tier), name + " threaded");
+        expectBitIdentical(ref, p.run(KernelPolicy::kAuto, *tier), name + " auto");
+      }
     }
   }
 }
@@ -174,24 +187,26 @@ struct TrainProblem {
   /// Forward: (attn weights, context).  The weights start as NaN so an
   /// entry a backend forgets to write cannot pass.
   [[nodiscard]] std::pair<std::vector<Real>, std::vector<Real>> forward(
-      KernelPolicy policy) const {
+      KernelPolicy policy,
+      const KernelTable& tier = kernels::detail::hostKernels()) const {
     std::vector<Real> attn(static_cast<std::size_t>(batch * heads * window * window),
                            std::numeric_limits<Real>::quiet_NaN());
     std::vector<Real> ctx(static_cast<std::size_t>(batch * window * dModel), 0.0);
     kernels::AttnTrainArgs a = args();
     a.attn = attn.data();
     a.ctx = ctx.data();
-    kernels::attnTrainForward(a, policy);
+    kernels::detail::attnTrainForward(a, policy, tier);
     return {attn, ctx};
   }
 
-  [[nodiscard]] std::vector<Real> backward(std::vector<Real> attn,
-                                           KernelPolicy policy) const {
+  [[nodiscard]] std::vector<Real> backward(
+      std::vector<Real> attn, KernelPolicy policy,
+      const KernelTable& tier = kernels::detail::hostKernels()) const {
     std::vector<Real> dQkv(qkv.size(), 0.0);
     kernels::AttnTrainArgs a = args();
     a.attn = attn.data();
     a.dQkv = dQkv.data();
-    kernels::attnTrainBackward(a, policy);
+    kernels::detail::attnTrainBackward(a, policy, tier);
     return dQkv;
   }
 };
@@ -209,7 +224,8 @@ constexpr KernelPolicy kNonScalarPolicies[] = {
 
 TEST(TrainAttention, BackendsBitIdenticalOnRaggedShapes) {
   // Window lengths straddling both lane widths, head widths below, at and
-  // above a vector, single- and multi-head, empty and ragged batches.
+  // above a vector, single- and multi-head, empty and ragged batches, on
+  // every ISA tier the host runs.
   Rng rng(77);
   for (Index L : {1, 7, 8, 9, 19, 33})
     for (Index hd : {1, 3, 4, 8})
@@ -218,18 +234,18 @@ TEST(TrainAttention, BackendsBitIdenticalOnRaggedShapes) {
           const TrainProblem p(batch, L, heads, hd, rng);
           const auto ref = p.forward(KernelPolicy::kScalar);
           const auto refGrad = p.backward(ref.first, KernelPolicy::kScalar);
-          for (auto policy : kNonScalarPolicies) {
-            const auto got = p.forward(policy);
-            const std::string what = std::string(kernels::kernelPolicyName(policy)) +
-                                     " L=" + std::to_string(L) + " hd=" +
-                                     std::to_string(hd) + " heads=" +
-                                     std::to_string(heads) + " batch=" +
-                                     std::to_string(batch);
-            EXPECT_TRUE(sameBits(ref.first, got.first)) << "weights " << what;
-            EXPECT_TRUE(sameBits(ref.second, got.second)) << "context " << what;
-            EXPECT_TRUE(sameBits(refGrad, p.backward(ref.first, policy)))
-                << "dQkv " << what;
-          }
+          for (const KernelTable* tier : kernels::detail::hostTiers())
+            for (auto policy : kNonScalarPolicies) {
+              const auto got = p.forward(policy, *tier);
+              const std::string what =
+                  std::string(tier->name) + " " + kernels::kernelPolicyName(policy) +
+                  " L=" + std::to_string(L) + " hd=" + std::to_string(hd) +
+                  " heads=" + std::to_string(heads) + " batch=" + std::to_string(batch);
+              EXPECT_TRUE(sameBits(ref.first, got.first)) << "weights " << what;
+              EXPECT_TRUE(sameBits(ref.second, got.second)) << "context " << what;
+              EXPECT_TRUE(sameBits(refGrad, p.backward(ref.first, policy, *tier)))
+                  << "dQkv " << what;
+            }
         }
 }
 
