@@ -28,9 +28,9 @@ hides), as does any `error_occurred` entry in the current run (e.g. the
 zero-allocation decode assertion).
 
 Thread-sensitive benchmarks (the OpenMP-threaded kernel variants and the
-evaluate sweeps) are only gated when the baseline was recorded on a host with
-the *same* core count as the current run; otherwise they are skipped with a
-notice.  The best baseline is therefore a green CI run's own
+teacher-forced evaluate legs) are only gated when the baseline was recorded
+on a host with the *same* core count as the current run; otherwise they are
+skipped with a notice.  The best baseline is therefore a green CI run's own
 `BENCH_kernels.json` artifact, committed as bench/BENCH_baseline.json.
 
 Refreshing the baseline after an intentional change (new benchmark, accepted
@@ -67,12 +67,13 @@ DEFAULT_FILTER = (
 )
 
 # Benchmarks whose wall time scales with the host's core count: the
-# OpenMP-threaded kernel policy (arg value 2) and the evaluate sweeps (the
-# tile-parallel decode driver and the tape forward's OpenMP kernels).  When
-# the baseline and the current run report different num_cpus these cannot be
-# compared meaningfully — a baseline recorded serially would hide a genuine
-# 2x regression behind a 4x thread speedup — so they are skipped (with a
-# notice) until the baseline is refreshed on matching hardware.
+# OpenMP-threaded kernel policy (arg value 2) and the evaluate legs (the
+# tile-parallel tape evaluate and the one-tile tape forward's OpenMP
+# kernels).  When the baseline and the current run report different
+# num_cpus these cannot be compared meaningfully — a baseline recorded
+# serially would hide a genuine 2x regression behind a 4x thread speedup —
+# so they are skipped (with a notice) until the baseline is refreshed on
+# matching hardware.
 THREAD_SENSITIVE = (
     r"^BM_(DecodeAttnKernel/2|AttnTrainKernel/2|DecodeStepSweep/2|"
     r"LinearGemm/2|GemmAccumulateTN/2|Elementwise/[0-9]+/2|Evaluate|"

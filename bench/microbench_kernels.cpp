@@ -155,14 +155,15 @@ void BM_BasSweepL32(benchmark::State& state) {
 BENCHMARK(BM_BasSweepL32)->Unit(benchmark::kMillisecond);
 
 // End-to-end Stage 1 (sampling + ln|Psi| + phase) at the BM_BasSweepL32
-// shape, fused vs separate: Arg 0 runs the pre-fusion pipeline (unfused
-// sweep, then a teacher-forced evaluate over the unique samples), Arg 1 the
-// fused sweep (ln|Psi| falls out of the split conditionals) plus the
-// phase-MLP-only pass.  Both produce bit-identical (samples, logAmp, phase)
-// (tests/test_sweep.cpp); the time ratio is the fusion speedup quoted in the
-// README.  The fused variant doubles as the zero-allocation assertion of the
-// warm tiled sweep, and peakRssMiB records the resident high-water mark
-// (process-wide, so comparable only within one bench invocation).
+// shape, fused vs separate: Arg 0 runs the sweep and then a separate
+// teacher-forced evaluate over the unique samples (the pipeline before
+// fusion), Arg 1 takes ln|Psi| from the sweep itself (it falls out of the
+// split conditionals) plus the phase-MLP-only pass.  Both produce
+// bit-identical (samples, logAmp, phase) (tests/test_sweep.cpp); the time
+// ratio is the fusion speedup quoted in the README.  Both legs double as the
+// zero-allocation assertion of the warm tiled sweep, and peakRssMiB records
+// the resident high-water mark (process-wide, so comparable only within one
+// bench invocation).
 void BM_SweepFused(benchmark::State& state) {
   const bool fused = state.range(0) != 0;
   nqs::QiankunNetConfig cfg;
@@ -179,7 +180,6 @@ void BM_SweepFused(benchmark::State& state) {
   nqs::BasSweepEngine engine(net);
   nqs::SamplerOptions opts;
   opts.nSamples = 1 << 12;
-  opts.exec.fusedSweep = fused;
   std::vector<Real> logAmp, phase;
   // Warm-up sweeps: grow the arena/blocks, then let the frame pool's
   // capacities reach their fixpoint (popFrame's pool swaps permute block
@@ -210,8 +210,7 @@ void BM_SweepFused(benchmark::State& state) {
   getrusage(RUSAGE_SELF, &ru);
   state.counters["peakRssMiB"] = static_cast<double>(ru.ru_maxrss) / 1024.0;
   state.SetLabel(fused ? "fused" : "sweep+evaluate");
-  if (fused && lastSweepAllocs != 0)
-    state.SkipWithError("warm fused sweep heap-allocated");
+  if (lastSweepAllocs != 0) state.SkipWithError("warm sweep heap-allocated");
 }
 BENCHMARK(BM_SweepFused)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
@@ -476,16 +475,19 @@ void BM_DecodeStepSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeStepSweep)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
-// Teacher-forced batched evaluate on the decode engine vs. the full forward
-// onto a warm tape (TransformerAR::forwardTape, no backward — the forward the
-// tests' oracle runs), at several L/batch shapes (d_model 64, 2 decoders —
-// the BM_DecodeStepSweep acceptance architecture).  Both impls produce the
-// same [B, L, 4] logits bit for bit (tests/test_evaluate.cpp).  The decode
-// variant doubles as the zero-allocation assertion of the warm teacher-forced
-// sweep: after the warm-up call, an evaluateDecode over the full batch must
-// perform zero heap allocations (operator-new hook), tiled KV arena and all.
+// Teacher-forced batched evaluate: the full forward onto one warm tape
+// spanning the batch (TransformerAR::forwardTape, no backward — the forward
+// the tests' oracle runs) vs. the library's tiled evaluate
+// (TransformerAR::evaluateTiled at the tile QiankunNet::evaluate picks: the
+// largest within kGradTapeBudgetBytes, tile-parallel under kAuto), at
+// several L/batch shapes (d_model 64, 2 decoders — the BM_DecodeStepSweep
+// acceptance architecture).  Both impls produce the same [B, L, 4] logits
+// bit for bit (tests/test_evaluate.cpp).  The tiled variant doubles as the
+// zero-allocation assertion of the warm teacher-forced evaluate: after the
+// warm-up calls, an evaluateTiled over the full batch must perform zero heap
+// allocations (operator-new hook).
 void BM_Evaluate(benchmark::State& state) {
-  const std::int64_t impl = state.range(0);  // 0 = tape forward, 1 = decode
+  const std::int64_t impl = state.range(0);  // 0 = one tape tile, 1 = tiled
   const auto L = static_cast<Index>(state.range(1));
   const auto batch = static_cast<Index>(state.range(2));
   const Index dModel = 64, heads = 4, layers = 2;
@@ -513,24 +515,24 @@ void BM_Evaluate(benchmark::State& state) {
     for (auto _ : state) benchmark::DoNotOptimize(forward());
     state.SetLabel("tape");
   } else {
-    nn::DecodeState ds;
-    // Per-tile accumulators: the tile-parallel driver may run tiles on
-    // different threads (shrinking them down to kMinEvalTileRows to cover
-    // the thread pool), so the sink writes only its own tile's slot — tile
-    // starts are multiples of the (>= kMinEvalTileRows) actual tile, making
-    // t0 / kMinEvalTileRows distinct per tile.
-    const Index minTile = nn::TransformerAR::kMinEvalTileRows;
-    std::vector<Real> acc(
-        static_cast<std::size_t>((batch + minTile - 1) / minTile));
+    const Index tile = std::max<Index>(
+        1, nn::TransformerAR::kGradTapeBudgetBytes /
+               (net.tapeRealsPerSample(L) * static_cast<Index>(sizeof(Real))));
+    std::vector<nn::TransformerAR::EvalTape> tapes;
+    // One accumulator per tile: tiles may run on different threads, so the
+    // sink writes only its own tile's slot.
+    std::vector<Real> acc(static_cast<std::size_t>((batch + tile - 1) / tile));
     auto sweep = [&] {
-      net.evaluateDecode(ds, tokens, batch, L, /*tileRows=*/0,
-                         nn::kernels::KernelPolicy::kAuto,
-                         [&](Index t0, Index tb, Index, const Real* logits) {
-                           acc[static_cast<std::size_t>(t0 / minTile)] +=
-                               logits[(tb - 1) * 4];
-                         });
+      net.evaluateTiled(tapes, tokens, batch, L, tile, nn::kernels::KernelPolicy::kAuto,
+                        [&](Index t0, Index tb, const Real* logits) {
+                          acc[static_cast<std::size_t>(t0 / tile)] +=
+                              logits[(tb * L - 1) * 4];
+                        });
     };
-    sweep();  // warm-up: grows the KV arenas, workspaces, and token scratch
+    // Warm-up: the first pass grows the per-thread tapes, the second's tile
+    // resets coalesce them into one block each that every timed pass reuses.
+    sweep();
+    sweep();
     std::uint64_t lastSweepAllocs = 0;
     for (auto _ : state) {
       const std::uint64_t allocs0 = allocationCount();
@@ -538,18 +540,18 @@ void BM_Evaluate(benchmark::State& state) {
       lastSweepAllocs = allocationCount() - allocs0;
     }
     benchmark::DoNotOptimize(acc.data());
-    state.SetLabel("decode");
+    state.SetLabel("tiled tape");
     state.counters["allocs/sweep"] = static_cast<double>(lastSweepAllocs);
     if (lastSweepAllocs != 0)
-      state.SkipWithError("warm teacher-forced evaluate sweep heap-allocated");
+      state.SkipWithError("warm teacher-forced evaluate heap-allocated");
   }
   state.SetItemsProcessed(state.iterations() * batch * L);
 }
-// Args: impl (0 = tape forward, 1 = teacher-forced decode), L, batch.
-// L=32/batch=8192 is the acceptance shape — a batch big enough that the full
-// forward's B*L-row activations and [B, heads, L, L] attention leave cache
-// (the regime evaluate() actually runs in), while the decode sweep stays
-// tile-resident; the smaller points show the crossover.
+// Args: impl (0 = one tape tile spanning the batch, 1 = tiled evaluate), L,
+// batch.  L=32/batch=8192 is the acceptance shape — a batch big enough that
+// the one-tile forward's B*L-row activations and [B, heads, L, L] attention
+// leave cache, while each of the tiled evaluate's tiles stays within the
+// tape budget; the smaller points show the crossover.
 BENCHMARK(BM_Evaluate)
     ->Args({0, 32, 8192})->Args({1, 32, 8192})
     ->Args({0, 32, 2048})->Args({1, 32, 2048})
@@ -910,8 +912,8 @@ void BM_ServeThroughput(benchmark::State& state) {
     for (auto& t : tickets) server.wait(t);
   };
 
-  // Adaptive warm-up: run windows until one completes allocation-free (KV
-  // arenas, workspaces and coalescing buffers have all reached steady state).
+  // Adaptive warm-up: run windows until one completes allocation-free
+  // (tapes, workspaces and coalescing buffers have all reached steady state).
   for (int attempt = 0; attempt < 8; ++attempt) {
     const std::uint64_t a0 = allocationCount();
     runWindow();

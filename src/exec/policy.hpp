@@ -55,9 +55,7 @@ enum class CommBackend {
 
 /// The consolidated execution policy: every engine-selection knob of a VMC
 /// run (or of a standalone sampler / inference call) in one struct.
-/// VmcOptions, SamplerOptions and QiankunNet::setEvalPolicy all accept it
-/// (the deprecated per-field option aliases they carried for one release
-/// after the consolidation are gone).
+/// VmcOptions, SamplerOptions and QiankunNet::setEvalPolicy all accept it.
 struct ExecutionPolicy {
   KernelPolicy kernel = KernelPolicy::kAuto;
   ElocMode eloc = ElocMode::kBatched;
@@ -70,32 +68,19 @@ struct ExecutionPolicy {
   /// the untiled A/B reference.  Every geometry draws bit-identical sample
   /// sets (per-node RNG substreams), so this knob only moves cache traffic.
   int sweepTileRows = 0;
-  /// Rows per tile of the teacher-forced evaluate sweep (inference
-  /// amplitudes): bounds the decode KV arena independent of the batch
-  /// size.  0 selects the engine default
-  /// (TransformerAR::kEvalTileRows); a negative value disables tiling — one
-  /// tile spanning the whole batch.  Every geometry is bit-identical (the
-  /// decode contract), so this knob only moves cache traffic.  Replaces the
-  /// tileRows argument the two-parameter QiankunNet::setEvalPolicy carried.
-  int evalTileRows = 0;
-  /// Samples per tile of the recompute-in-tiles tape gradient
-  /// (QiankunNet::evaluateGrad), which sweeps the amplitude transformer and
-  /// the phase MLP in two loops of their own tiles: each tile re-runs the
-  /// forward onto the tape, backprops, and releases its activations,
-  /// bounding peak training activation memory independent of the batch
-  /// size.  0 selects the engine default: each loop gets the largest tile
-  /// whose tape fits TransformerAR::kGradTapeBudgetBytes.  A positive value
-  /// forces both tiles; a negative value disables tiling — one tape tile per
-  /// sub-network spanning the whole batch.  Ascending-tile accumulation order
-  /// makes every geometry produce bit-identical parameter gradients, so this
-  /// knob only trades recompute time against activation memory.
+  /// Samples per tape tile of the amplitude transformer's teacher-forced
+  /// forward, in the recompute-in-tiles gradient (QiankunNet::evaluateGrad)
+  /// and in inference (evaluate, evaluateInto, psi), and per tile of the
+  /// gradient's phase-MLP loop.  Each tile re-runs its forward onto the
+  /// tape and releases it, bounding activation memory independent of the
+  /// batch size.  0 selects the engine default: each loop gets the largest
+  /// tile whose tape fits TransformerAR::kGradTapeBudgetBytes.  A positive
+  /// value forces every tile; a negative value disables tiling — one tile
+  /// spanning the whole batch.  Ascending-tile accumulation order makes
+  /// every geometry produce bit-identical gradients, and rows are
+  /// independent in the forward, so this knob only trades recompute time
+  /// against activation memory.
   int gradTileRows = 0;
-  /// Fuse final-sweep evaluation into the BAS sweep: the per-step masked
-  /// conditionals the sampler already computes are accumulated into ln|Psi|
-  /// per leaf (SampleSet::logAmp), so the VMC driver skips its separate
-  /// evaluate-over-the-sample-set pass.  Bit-identical to the separate pass;
-  /// off = the A/B reference that re-derives amplitudes via evaluate().
-  bool fusedSweep = true;
 };
 
 }  // namespace nnqs::exec

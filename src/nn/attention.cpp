@@ -34,7 +34,8 @@ kernels::AttnTrainArgs trainArgs(Index batch, Index L, Index d, Index heads,
 
 const Real* CausalSelfAttention::forwardTape(Tape& tape, TapeFrame& f,
                                              const Real* x, Index rows,
-                                             Index window) const {
+                                             Index window,
+                                             kernels::KernelPolicy policy) const {
   const Index L = window;
   if (L <= 0 || rows % L != 0)
     throw std::invalid_argument(name_ + ": " + std::to_string(rows) +
@@ -42,7 +43,7 @@ const Real* CausalSelfAttention::forwardTape(Tape& tape, TapeFrame& f,
                                 std::to_string(L));
   const Index batch = rows / L;
 
-  const Real* qkv = qkv_.forwardTape(tape, f.qkv, x, rows);
+  const Real* qkv = qkv_.forwardTape(tape, f.qkv, x, rows, policy);
   Real* attn = tape.alloc(batch * heads_ * L * L);
   Real* ctx = tape.alloc(rows * d_);
   // The attention kernel accumulates into the context.  (fill_n, not
@@ -52,13 +53,13 @@ const Real* CausalSelfAttention::forwardTape(Tape& tape, TapeFrame& f,
   a.qkv = qkv;
   a.attn = attn;
   a.ctx = ctx;
-  kernels::attnTrainForward(a, kernels::KernelPolicy::kAuto);
+  kernels::attnTrainForward(a, policy);
   f.qkvOut = qkv;
   f.attn = attn;
   f.batch = batch;
   f.window = L;
   f.generation = tape.generation();
-  return proj_.forwardTape(tape, f.proj, ctx, rows);
+  return proj_.forwardTape(tape, f.proj, ctx, rows, policy);
 }
 
 void CausalSelfAttention::decodeStep(const Real* x, Index batch,

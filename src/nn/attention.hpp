@@ -44,7 +44,8 @@ class CausalSelfAttention {
     std::uint64_t generation = 0;
   };
   const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows,
-                          Index window) const;
+                          Index window,
+                          kernels::KernelPolicy policy = kernels::KernelPolicy::kAuto) const;
   Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy);
 
  private:

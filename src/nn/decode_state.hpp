@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "nn/kernels/kernels.hpp"
@@ -52,15 +51,10 @@ struct DecodeState {
   /// steady-state sweep performs zero heap allocations (workspace.hpp).
   Workspace ws;
   Tensor logits;
-  /// Per-step token feed of the teacher-forced evaluate path
-  /// (TransformerAR::evaluateDecode): persists like ws/logits, so warm
-  /// evaluation sweeps re-use its capacity instead of allocating per tile.
+  /// The BOS token feed of a sweep's first step
+  /// (QiankunNet::stepConditionals): persists like ws/logits, so a warm
+  /// sweep's first step re-uses its capacity instead of allocating.
   std::vector<int> tokenScratch;
-  /// Per-extra-thread states of the tile-parallel evaluate sweep: thread 0
-  /// runs on this state, thread t > 0 on aux[t-1].  Lazily grown to the
-  /// thread count and then persistent, so warm parallel sweeps (same thread
-  /// count, same tile mapping) stay allocation-free like the serial path.
-  std::vector<std::unique_ptr<DecodeState>> aux;
 
   /// Work accounting of the most recent gather(), for regression tests: the
   /// arena path must copy only duplicated rows and only live positions.

@@ -97,7 +97,7 @@ LayerNorm::LayerNorm(Index dim, std::string name)
 }
 
 const Real* LayerNorm::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
-                                   Index rows) const {
+                                   Index rows, kernels::KernelPolicy policy) const {
   Real* y = tape.alloc(rows * dim_);
   Real* xhat = tape.alloc(rows * dim_);
   Real* invStd = tape.alloc(rows);
@@ -110,7 +110,7 @@ const Real* LayerNorm::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
   a.y = y;
   a.xhat = xhat;
   a.invStd = invStd;
-  kernels::residualLayerNorm(a);
+  kernels::residualLayerNorm(a, policy);
   f.xhat = xhat;
   f.invStd = invStd;
   f.rows = rows;
@@ -142,10 +142,10 @@ void LayerNorm::collectParameters(std::vector<Parameter*>& out) {
 
 // ------------------------------------------------------------------ Gelu ---
 
-const Real* Gelu::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
-                              Index n) const {
+const Real* Gelu::forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index n,
+                              kernels::KernelPolicy policy) const {
   Real* y = tape.alloc(n);
-  kernels::gelu(x, y, n);
+  kernels::gelu(x, y, n, policy);
   f.x = x;
   f.n = n;
   f.generation = tape.generation();

@@ -14,12 +14,13 @@ namespace nnqs::nn {
 // Layer convention: one forward per purpose.  The raw-buffer `forwardInto` /
 // `decodeStep` paths are inference: const, they record nothing, so any
 // number of threads may run them on one module at once.  Gradients are
-// recorded only on a caller-owned Tape: `forwardTape` carves the outputs and
-// whatever the backward needs from the tape and stores the span pointers in
-// a caller-held per-module TapeFrame; `backwardTape` consumes the frame,
-// returns dx on the same tape and accumulates the parameter gradients.  A
-// leaf frame stamps the tape's generation, so a backward over a frame the
-// tape has since been reset under throws StaleTapeError.
+// recorded only on a caller-owned Tape: `forwardTape` (const too) carves the
+// outputs and whatever the backward needs from the tape and stores the span
+// pointers in a caller-held per-module TapeFrame; `backwardTape` consumes
+// the frame, returns dx on the same tape and accumulates the parameter
+// gradients.  The teacher-forced evaluate runs `forwardTape` with no
+// backward.  A leaf frame stamps the tape's generation, so a backward over a
+// frame the tape has since been reset under throws StaleTapeError.
 
 /// Y = X W^T + b with W[out,in].  Forward and both backward GEMMs (dX = dY W,
 /// dW += dY^T X) run on the register-blocked kernels::gemm backend; every
@@ -72,7 +73,8 @@ class LayerNorm {
     Index rows = 0;
     std::uint64_t generation = 0;
   };
-  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows) const;
+  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows,
+                          kernels::KernelPolicy policy = kernels::KernelPolicy::kAuto) const;
   /// dgamma/dbeta accumulate in the kernel's ascending-row serial fold, so
   /// ascending-tile calls match one whole-batch call bit for bit.
   Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy);
@@ -97,7 +99,8 @@ class Gelu {
     Index n = 0;
     std::uint64_t generation = 0;
   };
-  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index n) const;
+  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index n,
+                          kernels::KernelPolicy policy = kernels::KernelPolicy::kAuto) const;
   Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy) const;
 
  private:

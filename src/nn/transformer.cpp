@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace nnqs::nn {
 
@@ -17,19 +18,20 @@ DecoderBlock::DecoderBlock(Index dModel, Index nHeads, Index ffDim, Rng& rng,
       gelu_(name + ".gelu") {}
 
 const Real* DecoderBlock::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
-                                      Index rows, Index window) const {
+                                      Index rows, Index window,
+                                      kernels::KernelPolicy policy) const {
   const Index n = rows * d_;
   // Unfused LNs and explicit residual adds: the same sums the fused
   // decodeStep kernels compute, so the taped tile equals the decode path's
   // activations bit for bit.
-  const Real* ln1out = ln1_.forwardTape(tape, f.ln1, x, rows);
-  const Real* attnOut = attn_.forwardTape(tape, f.attn, ln1out, rows, window);
+  const Real* ln1out = ln1_.forwardTape(tape, f.ln1, x, rows, policy);
+  const Real* attnOut = attn_.forwardTape(tape, f.attn, ln1out, rows, window, policy);
   Real* h = tape.alloc(n);
   for (Index i = 0; i < n; ++i) h[i] = attnOut[i] + x[i];
-  const Real* ln2out = ln2_.forwardTape(tape, f.ln2, h, rows);
-  const Real* f1 = ff1_.forwardTape(tape, f.ff1, ln2out, rows);
-  const Real* g = gelu_.forwardTape(tape, f.gelu, f1, rows * ffDim_);
-  const Real* f2 = ff2_.forwardTape(tape, f.ff2, g, rows);
+  const Real* ln2out = ln2_.forwardTape(tape, f.ln2, h, rows, policy);
+  const Real* f1 = ff1_.forwardTape(tape, f.ff1, ln2out, rows, policy);
+  const Real* g = gelu_.forwardTape(tape, f.gelu, f1, rows * ffDim_, policy);
+  const Real* f2 = ff2_.forwardTape(tape, f.ff2, g, rows, policy);
   Real* out = tape.alloc(n);
   for (Index i = 0; i < n; ++i) out[i] = f2[i] + h[i];
   f.x = x;
@@ -132,15 +134,23 @@ TransformerAR::TransformerAR(Index seqLen, Index dModel, Index nHeads,
                          "amp.dec" + std::to_string(l));
 }
 
+void TransformerAR::checkWindow(Index window) const {
+  if (window < 1 || window > seqLen_)
+    throw std::invalid_argument("TransformerAR: window " + std::to_string(window) +
+                                " outside [1, " + std::to_string(seqLen_) + "]");
+}
+
 const Real* TransformerAR::forwardTape(Tape& tape, TapeFrame& f,
                                        const int* tokens, Index rows,
-                                       Index window) const {
+                                       Index window,
+                                       kernels::KernelPolicy policy) const {
+  checkWindow(window);
   f.blocks.resize(blocks_.size());  // no-op reuse on warm tiles
   const Real* x = embed_.forwardTape(tape, tokens, rows, window);
   for (std::size_t l = 0; l < blocks_.size(); ++l)
-    x = blocks_[l].forwardTape(tape, f.blocks[l], x, rows, window);
-  x = lnFinal_.forwardTape(tape, f.lnf, x, rows);
-  const Real* logits = head_.forwardTape(tape, f.head, x, rows);
+    x = blocks_[l].forwardTape(tape, f.blocks[l], x, rows, window, policy);
+  x = lnFinal_.forwardTape(tape, f.lnf, x, rows, policy);
+  const Real* logits = head_.forwardTape(tape, f.head, x, rows, policy);
   f.tokens = tokens;
   f.rows = rows;
   f.window = window;

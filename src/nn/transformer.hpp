@@ -1,8 +1,8 @@
 #pragma once
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
+#include <vector>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -45,7 +45,8 @@ class DecoderBlock {
     Index rows = 0;
   };
   const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows,
-                          Index window) const;
+                          Index window,
+                          kernels::KernelPolicy policy = kernels::KernelPolicy::kAuto) const;
   Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy);
 
  private:
@@ -68,7 +69,7 @@ class TransformerAR {
 
   /// Tape record of the whole amplitude net for one tile of rows
   /// (rows = tileBatch * window): `tokens` is a flattened [tileBatch, window]
-  /// window (window <= seqLen, BOS first).  The frame is caller-owned and reused
+  /// window (BOS first).  The frame is caller-owned and reused
   /// across tiles (the blocks vector keeps its capacity), so a warm tile
   /// records without heap allocations; every activation lives on `tape` and
   /// is released wholesale by the caller's Tape::reset().
@@ -80,11 +81,13 @@ class TransformerAR {
     Index rows = 0;
     Index window = 0;
   };
-  /// Returns the tile's logits [rows, 4] (tape-resident).  Rows do not
-  /// depend on the rest of the tile, so any tiling of a batch gives the same
-  /// logits.
+  /// Returns the tile's logits [rows, 4] (tape-resident), computed on the
+  /// `policy` kernels (all bit-identical).  Rows do not depend on the rest of
+  /// the tile, so any tiling of a batch gives the same logits.  Throws
+  /// std::invalid_argument when `window` is not in [1, seqLen].
   const Real* forwardTape(Tape& tape, TapeFrame& f, const int* tokens,
-                          Index rows, Index window) const;
+                          Index rows, Index window,
+                          kernels::KernelPolicy policy = kernels::KernelPolicy::kAuto) const;
   /// Backward through the recorded tile.  Every parameter gradient is an
   /// ascending-row serial fold, so ascending-tile calls are bit-identical to
   /// one call over the whole batch.
@@ -94,6 +97,68 @@ class TransformerAR {
   /// of the shape alone, which sizes the training step's tiles to
   /// kGradTapeBudgetBytes.
   [[nodiscard]] Index tapeRealsPerSample(Index window) const;
+
+  /// One thread's scratch of evaluateTiled: the tape its tiles carve from
+  /// and the frame they record into.  Both keep their capacity across tiles
+  /// and calls, so a warm evaluation performs zero heap allocations.
+  struct EvalTape {
+    Tape tape;
+    TapeFrame frame;
+  };
+
+  /// Teacher-forced batched evaluation: the logits of `batch` known token
+  /// windows (`tokens` flattened [batch, window], BOS first), computed by
+  /// forwardTape in tiles of `tileRows` samples, each on a freshly reset
+  /// tape.  `sink(t0, tb, logits)` receives the [tb * window, 4] logits of
+  /// samples [t0, t0 + tb), valid until that tape's next reset.  Throws
+  /// std::invalid_argument, before any tile runs, for a token count other
+  /// than batch * window, a window outside [1, seqLen] or tileRows < 1.
+  ///
+  /// Under kThreaded/kAuto (with OpenMP, > 1 thread and > 1 tile) the
+  /// independent tiles run in parallel, one EvalTape per thread (`tapes`
+  /// grows to the thread count once), each on the non-forking kSimd
+  /// kernels; the sink then sees concurrent calls for different tiles.  The
+  /// team is the default size: a num_threads clause varying per call would
+  /// make the runtime resize its pool, orphaning the kernels' thread_local
+  /// scratch.  Other policies run the tiles in order on tapes[0].  Rows are
+  /// independent in the forward, so every tiling and schedule gives the
+  /// same bits.  The network is only read: several threads may run
+  /// evaluateTiled at once, each on its own tapes.
+  template <typename Sink>
+  void evaluateTiled(std::vector<EvalTape>& tapes, const std::vector<int>& tokens,
+                     Index batch, Index window, Index tileRows,
+                     kernels::KernelPolicy kernel, Sink&& sink) const {
+    if (static_cast<Index>(tokens.size()) != batch * window)
+      throw std::invalid_argument("TransformerAR::evaluateTiled: tokens/batch/window mismatch");
+    checkWindow(window);
+    if (tileRows <= 0)
+      throw std::invalid_argument("TransformerAR::evaluateTiled: tileRows must be positive");
+    const Index nTiles = (batch + tileRows - 1) / tileRows;
+    auto runTile = [&](EvalTape& et, Index t, kernels::KernelPolicy tileKernel) {
+      const Index t0 = t * tileRows;
+      const Index tb = std::min(tileRows, batch - t0);
+      et.tape.reset();
+      sink(t0, tb,
+           forwardTape(et.tape, et.frame, tokens.data() + t0 * window, tb * window,
+                       window, tileKernel));
+    };
+    if (tapes.empty()) tapes.resize(1);
+#ifdef _OPENMP
+    const auto maxThreads = static_cast<Index>(omp_get_max_threads());
+    if ((kernel == kernels::KernelPolicy::kThreaded ||
+         kernel == kernels::KernelPolicy::kAuto) &&
+        maxThreads > 1 && nTiles > 1) {
+      if (static_cast<Index>(tapes.size()) < maxThreads)
+        tapes.resize(static_cast<std::size_t>(maxThreads));
+#pragma omp parallel for schedule(static)
+      for (Index t = 0; t < nTiles; ++t)
+        runTile(tapes[static_cast<std::size_t>(omp_get_thread_num())], t,
+                kernels::KernelPolicy::kSimd);
+      return;
+    }
+#endif
+    for (Index t = 0; t < nTiles; ++t) runTile(tapes.front(), t, kernel);
+  }
 
   /// Start a stateful incremental decode over `batch` rows (KV caches sized
   /// for the full sequence length), run on the given kernel backend.
@@ -107,116 +172,26 @@ class TransformerAR {
   /// allocations.
   const Tensor& decodeStep(DecodeState& state, const std::vector<int>& tokens) const;
 
-  /// Teacher-forced batched evaluation on the incremental-decode engine:
-  /// `tokens` is the flattened [B, L'] input window exactly as forwardTape()
-  /// takes it (BOS first), but instead of one O(B*L'^2)-activation full
-  /// forward, each position is produced by decodeStep with the *known* next
-  /// token per row.  After every step, `sink(row0, rows, s, logits)` receives
-  /// the [rows, 4] logits of global rows [row0, row0+rows) at position s —
-  /// bit-identical to the corresponding positions of forwardTape() (the
-  /// decode contract), consumed in ascending (tile, s) order so callers can stream
-  /// per-row reductions without materializing a [B, L', 4] buffer.
-  ///
-  /// The batch is chunked into `tileRows`-row tiles (<= 0 selects
-  /// kEvalTileRows) swept depth-first, so the KV arena and workspace stay
-  /// cache/memory-bounded independent of the batch size — evaluate() batches
-  /// (every unique connected configuration of the local-energy estimator) are
-  /// far larger than any sampling frontier.  nqs::BasSweepEngine applies the
-  /// same depth-first tile pattern to the *sampling* frontier (where tiles
-  /// split/prune as they descend, via DecodeState::detachRows/attachRows,
-  /// instead of marching in lockstep as they do here).  All activations are carved from
-  /// the state's workspace and the token feed lives in state.tokenScratch, so
-  /// a warm evaluation performs zero heap allocations for any batch size.
-  ///
-  /// Tiles are fully independent row ranges, so under kThreaded/kAuto (with
-  /// OpenMP and > 1 hardware thread) the tiles themselves are swept in
-  /// parallel, one DecodeState per thread (state.aux), each running the
-  /// single-threaded SIMD kernels — coarse-grained parallelism instead of
-  /// forking inside every 256-row step.  Per-tile arithmetic is unchanged,
-  /// so the bits stay identical; the sink must tolerate concurrent calls for
-  /// *different* tiles (within a tile, calls arrive in ascending s on one
-  /// thread).  Disjoint per-row outputs — the natural sink shape — need no
-  /// synchronization.  The network itself is only read (const), so several
-  /// threads may also run evaluateDecode at once, each on its own state.
-  template <typename Sink>
-  void evaluateDecode(DecodeState& state, const std::vector<int>& tokens,
-                      Index batch, Index window, Index tileRows,
-                      kernels::KernelPolicy kernel, Sink&& sink) const {
-    if (static_cast<Index>(tokens.size()) != batch * window)
-      throw std::invalid_argument("evaluateDecode: tokens/batch/window mismatch");
-    if (window > seqLen_)
-      throw std::invalid_argument("evaluateDecode: window exceeds sequence length");
-    if (tileRows <= 0) tileRows = kEvalTileRows;
-
-    auto sweepTile = [&](DecodeState& st, Index t0, Index tile,
-                         kernels::KernelPolicy tileKernel) {
-      const Index tb = std::min(tile, batch - t0);
-      beginDecode(st, tb, tileKernel);
-      st.tokenScratch.resize(static_cast<std::size_t>(tb));
-      for (Index s = 0; s < window; ++s) {
-        for (Index b = 0; b < tb; ++b)
-          st.tokenScratch[static_cast<std::size_t>(b)] =
-              tokens[static_cast<std::size_t>((t0 + b) * window + s)];
-        const Tensor& logits = decodeStep(st, st.tokenScratch);
-        sink(t0, tb, s, logits.data.data());
-      }
-    };
-
-#ifdef _OPENMP
-    const auto maxThreads = static_cast<Index>(omp_get_max_threads());
-    if ((kernel == kernels::KernelPolicy::kThreaded ||
-         kernel == kernels::KernelPolicy::kAuto) &&
-        maxThreads > 1 && batch > tileRows) {
-      // Shrink the tile (not below kMinEvalTileRows, where the per-step
-      // GEMMs lose their efficiency) until the tile count covers the thread
-      // pool — otherwise a batch of 2 tiles on a 16-thread host would pin 14
-      // threads idle and evaluate *slower* than one intra-step-threaded
-      // tile.  Deterministic in (batch, tileRows, thread count), so warm
-      // sweeps keep hitting the same per-thread state shapes.
-      const Index want =
-          std::min(maxThreads, std::max<Index>(1, batch / kMinEvalTileRows));
-      const Index tile = std::min(tileRows, (batch + want - 1) / want);
-      const Index nTiles = (batch + tile - 1) / tile;
-      // Default-size team (threads beyond the tile count simply get no
-      // iterations): a num_threads clause varying per call would make the
-      // OpenMP runtime grow/shrink its pool, orphaning the kernels'
-      // thread_local scratch buffers.  aux is sized for any thread id the
-      // schedule might use; states never handed a tile stay empty.
-      while (static_cast<Index>(state.aux.size()) < maxThreads - 1)
-        state.aux.emplace_back(std::make_unique<DecodeState>());
-#pragma omp parallel for schedule(static)
-      for (Index t = 0; t < nTiles; ++t) {
-        const int tid = omp_get_thread_num();
-        DecodeState& st =
-            tid == 0 ? state : *state.aux[static_cast<std::size_t>(tid - 1)];
-        sweepTile(st, t * tile, tile, kernels::KernelPolicy::kSimd);
-      }
-      return;
-    }
-#endif
-    for (Index t0 = 0; t0 < batch; t0 += tileRows)
-      sweepTile(state, t0, tileRows, kernel);
-  }
-
   static constexpr int kVocab = 5;
   static constexpr int kBos = 4;
   static constexpr int kOutcomes = 4;
-  /// Default evaluateDecode tile: big enough that the per-step GEMMs run at
-  /// full micro-kernel efficiency, small enough that a tile's KV arena
-  /// (2 layers * 2 * 256 * L * d) stays inside L2/L3 at the decode shapes.
+  /// Row tile of the phase MLP's inference forward (QiankunNet::phases and
+  /// evaluate): bounds its activation workspace independent of the batch
+  /// size.
   static constexpr Index kEvalTileRows = 256;
-  /// Floor when the tile-parallel driver shrinks tiles to cover the thread
-  /// pool: below this the per-step GEMMs are too short to amortize.
-  static constexpr Index kMinEvalTileRows = 32;
   /// Tape bytes one default training-step tile may carve
   /// (QiankunNet::evaluateGrad sizes its amplitude and phase tiles to it
-  /// separately).  The amplitude net's forward+backward runs fastest with
+  /// separately; QiankunNet::evaluate reuses the amplitude tile).  The amplitude net's forward+backward runs fastest with
   /// 1–10 MiB of tape per tile, and ~1.5x slower at the ~50 MiB of a
   /// 256-sample tile; the phase MLP's weight-gradient GEMMs reload dW per
   /// tile and slow down below ~64 samples.  8 MiB keeps both fast.
   static constexpr Index kGradTapeBudgetBytes = Index{8} << 20;
 
  private:
+  /// Throws std::invalid_argument unless 1 <= window <= seqLen (the position
+  /// table has seqLen rows).
+  void checkWindow(Index window) const;
+
   Index seqLen_, d_, heads_;
   Embedding embed_;
   std::vector<DecoderBlock> blocks_;

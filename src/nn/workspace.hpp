@@ -9,12 +9,11 @@
 namespace nnqs::nn {
 
 /// Reusable scratch arena for the per-step activation buffers of the
-/// incremental-decode path (and the allocation story for the upcoming batched
-/// teacher-forced evaluate()).  A decode step used to allocate and zero-fill
-/// ~10 fresh Tensors per layer; a Workspace instead carves uninitialized,
-/// 64-byte-aligned spans out of one hugepage-advised block (the same backing
-/// store as the DecodeState KV arena), so a warm steady-state sweep performs
-/// zero heap allocations.
+/// incremental-decode path and, inside nn::Tape, for the tape forward and
+/// backward (teacher-forced evaluate() and the training step).  A Workspace
+/// carves uninitialized, 64-byte-aligned spans out of one hugepage-advised
+/// block (the same backing store as the DecodeState KV arena), so a warm
+/// steady-state sweep performs zero heap allocations.
 ///
 /// Lifecycle: reset() starts a carve cycle; alloc() bump-carves spans that
 /// stay valid until the next reset().  Growth is capacity-doubling in spirit

@@ -97,61 +97,34 @@ void QiankunNet::inputTokens(const Bits128* samples, Index count,
   }
 }
 
-void QiankunNet::stepLogAmp(const Real* lg, Bits128 sample, int s, int& nUp,
-                            int& nDown, Real& la, Real* pr) const {
-  const auto mask = outcomeMask(s, nUp, nDown);
-  maskedSoftmax4(lg, mask, pr);
-  const int chosen = tokenOf(sample, s);
-  if (!mask[static_cast<std::size_t>(chosen)] || pr[chosen] <= 0.0) {
-    la = kLogZero;  // outside the number-conserving support
-    return;
+Real QiankunNet::foldLogAmp(const Real* lg, Bits128 sample, Real* pr,
+                            Index prStride) const {
+  int nUp = 0, nDown = 0;
+  Real la = 0;
+  for (int s = 0; s < nSteps(); ++s, lg += 4, pr += prStride) {
+    const auto mask = outcomeMask(s, nUp, nDown);
+    maskedSoftmax4(lg, mask, pr);
+    const int chosen = tokenOf(sample, s);
+    if (!mask[static_cast<std::size_t>(chosen)] || pr[chosen] <= 0.0)
+      return kLogZero;  // outside the number-conserving support
+    la += 0.5 * std::log(pr[chosen]);
+    nUp += chosen & 1;
+    nDown += (chosen >> 1) & 1;
   }
-  la += 0.5 * std::log(pr[chosen]);
-  nUp += chosen & 1;
-  nDown += (chosen >> 1) & 1;
+  return la;
 }
 
-void QiankunNet::amplitudesDecode(EvalSlot& slot,
-                                  const std::vector<Bits128>& samples,
-                                  std::vector<Real>& logAmp,
-                                  nn::kernels::KernelPolicy kernel,
-                                  Index tileRows) const {
-  const int L = nSteps();
-  const Index batch = static_cast<Index>(samples.size());
-  inputTokens(samples.data(), batch, slot.tokens);
-  logAmp.assign(samples.size(), 0.0);
-  // Teacher-forced sweep: evaluateDecode hands back each row tile's [tb, 4]
-  // logits position by position; the per-position log-conditionals are
-  // folded into logAmp on the fly — same stepLogAmp, same ascending-s
-  // accumulation order as the tape path, so the bits match — and no
-  // [B, L, 4] buffer ever materializes.  slot.up/down carry every row's
-  // running electron counts between steps, indexed by *global* row so the
-  // sink only touches its own tile's entries (tiles may run concurrently); a
-  // row that leaves the number-conserving support is finished at kLogZero
-  // (its remaining teacher-forced steps cost nothing but the shared GEMMs).
-  slot.up.assign(samples.size(), 0);
-  slot.down.assign(samples.size(), 0);
-  // ExecutionPolicy::evalTileRows: 0 = engine default (resolved inside
-  // evaluateDecode), negative = untiled (one tile spanning the batch).
-  if (tileRows < 0) tileRows = std::max<Index>(batch, 1);
-  amplitude_.evaluateDecode(
-      slot.state, slot.tokens, batch, L, tileRows, kernel,
-      [&](Index t0, Index tb, Index s, const Real* logits) {
-        for (Index b = 0; b < tb; ++b) {
-          const auto row = static_cast<std::size_t>(t0 + b);
-          if (logAmp[row] <= kLogZero) continue;
-          Real pr[4];
-          stepLogAmp(logits + b * 4, samples[row], static_cast<int>(s),
-                     slot.up[row], slot.down[row], logAmp[row], pr);
-        }
-      });
+Index QiankunNet::tapeTileRows(Index realsPerSample, Index batch) const {
+  if (gradTileRows_ > 0) return gradTileRows_;
+  if (gradTileRows_ < 0) return std::max<Index>(batch, 1);
+  const auto bytesPerSample = realsPerSample * static_cast<Index>(sizeof(Real));
+  return std::max<Index>(1, nn::TransformerAR::kGradTapeBudgetBytes / bytesPerSample);
 }
 
 void QiankunNet::evaluate(const std::vector<Bits128>& samples,
                           std::vector<Real>& logAmp, std::vector<Real>& phase,
                           nn::GradMode /*mode*/) {
-  amplitudesDecode(evalSlot_, samples, logAmp, evalKernel_, evalTileRows_);
-  phases(samples, phase);
+  evaluateInto(evalSlot_, samples, logAmp, phase, evalKernel_);
 }
 
 void QiankunNet::encodePhaseInput(const std::vector<Bits128>& samples, Index t0,
@@ -226,14 +199,6 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
 
   const int L = nSteps();
   const Index batch = static_cast<Index>(samples.size());
-  // Samples per tile of a loop that carves `realsPerSample` tape Reals per
-  // sample (ExecutionPolicy::gradTileRows).
-  auto tileFor = [&](Index realsPerSample) {
-    if (gradTileRows_ > 0) return gradTileRows_;
-    if (gradTileRows_ < 0) return std::max<Index>(batch, 1);
-    const auto bytesPerSample = realsPerSample * static_cast<Index>(sizeof(Real));
-    return std::max<Index>(1, nn::TransformerAR::kGradTapeBudgetBytes / bytesPerSample);
-  };
   const GradTapeCost cost = gradTapeRealsPerSample();
 
   // Tiles run SEQUENTIALLY in ascending order: every per-parameter
@@ -242,7 +207,7 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
   // what makes every tile geometry give the same bits.  Parallelism stays
   // inside the per-tile kernels.  The amplitude and phase parameter sets are
   // disjoint, so each sub-network gets its own loop and its own tile size.
-  const Index ampTile = tileFor(cost.amplitude);
+  const Index ampTile = tapeTileRows(cost.amplitude, batch);
   for (Index t0 = 0; t0 < batch; t0 += ampTile) {
     const Index tb = std::min(ampTile, batch - t0);
     const Index rows = tb * L;
@@ -262,16 +227,9 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
     // past the exit (no gradient).
     Real* probs = gradTape_.alloc(rows * 4);
     std::fill_n(probs, rows * 4, Real{0});
-    for (Index b = 0; b < tb; ++b) {
-      const auto row = static_cast<std::size_t>(t0 + b);
-      int nUp = 0, nDown = 0;
-      Real la = 0;
-      for (int s = 0; s < L; ++s) {
-        stepLogAmp(logits + (b * L + s) * 4, samples[row], s, nUp, nDown, la,
-                   probs + (b * L + s) * 4);
-        if (la <= kLogZero) break;
-      }
-    }
+    for (Index b = 0; b < tb; ++b)
+      foldLogAmp(logits + b * L * 4, samples[static_cast<std::size_t>(t0 + b)],
+                 probs + b * L * 4, 4);
     Real* dLogits = gradTape_.alloc(rows * 4);
     std::fill_n(dLogits, rows * 4, Real{0});
     for (Index b = 0; b < tb; ++b) {
@@ -284,7 +242,7 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
     amplitude_.backwardTape(gradTape_, ampFrame_, dLogits);
   }
 
-  const Index phaseTile = tileFor(cost.phase);
+  const Index phaseTile = tapeTileRows(cost.phase, batch);
   for (Index t0 = 0; t0 < batch; t0 += phaseTile) {
     const Index tb = std::min(phaseTile, batch - t0);
     gradTape_.reset();
@@ -299,8 +257,25 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
 
 void QiankunNet::evaluateInto(EvalSlot& slot, const std::vector<Bits128>& samples,
                               std::vector<Real>& logAmp, std::vector<Real>& phase,
-                              nn::kernels::KernelPolicy kernel, Index tileRows) const {
-  amplitudesDecode(slot, samples, logAmp, kernel, tileRows);
+                              nn::kernels::KernelPolicy kernel) const {
+  const int L = nSteps();
+  const Index batch = static_cast<Index>(samples.size());
+  inputTokens(samples.data(), batch, slot.tokens);
+  logAmp.resize(samples.size());
+  // The amplitude loop's tiles of evaluateGrad, forward only.  Each tile's
+  // logits are folded sample by sample as the tile finishes, so no
+  // [B, L, 4] buffer materializes; tiles write disjoint entries of logAmp,
+  // so tiles running in parallel need no lock.
+  const Index tile = tapeTileRows(gradTapeRealsPerSample().amplitude, batch);
+  amplitude_.evaluateTiled(slot.tapes, slot.tokens, batch, L, tile, kernel,
+                           [&](Index t0, Index tb, const Real* logits) {
+                             Real pr[4];
+                             for (Index b = 0; b < tb; ++b) {
+                               const auto row = static_cast<std::size_t>(t0 + b);
+                               logAmp[row] =
+                                   foldLogAmp(logits + b * L * 4, samples[row], pr, 0);
+                             }
+                           });
   phasesInto(slot, samples, phase, kernel);
 }
 

@@ -34,7 +34,8 @@ class QiankunNet {
 
   [[nodiscard]] const QiankunNetConfig& config() const { return cfg_; }
   /// The amplitude sub-network, read-only (tests/oracle.hpp runs its tape
-  /// forward as the reference the decode engine is checked against).
+  /// forward as the reference the decode engine and evaluate() are checked
+  /// against).
   [[nodiscard]] const nn::TransformerAR& amplitude() const { return amplitude_; }
   [[nodiscard]] int nSteps() const { return cfg_.nQubits / 2; }
   /// Spatial orbital sampled at step s (reverse order).
@@ -87,18 +88,20 @@ class QiankunNet {
 
   /// Configure evaluate()/psi()/phases() and evaluateGrad() from an
   /// ExecutionPolicy (exec/policy.hpp): kernel picks the inference kernel
-  /// backend (bit-identical, so it only moves the wall clock); evalTileRows
-  /// bounds the decode KV arena and gradTileRows the tape-gradient tiles
-  /// (0 = engine default, negative = one tile spanning the batch).
+  /// backend (bit-identical, so it only moves the wall clock); gradTileRows
+  /// sizes the amplitude net's tape tiles, in inference and in the gradient,
+  /// and the gradient's phase tiles (0 = engine default, negative = one tile
+  /// spanning the batch).
   void setEvalPolicy(const exec::ExecutionPolicy& exec) {
     evalKernel_ = exec.kernel;
-    evalTileRows_ = exec.evalTileRows;
     gradTileRows_ = exec.gradTileRows;
   }
 
-  /// ln|Psi| and phase for a batch of samples: the teacher-forced decode
-  /// sweep plus the phase MLP, on the kernel selected by setEvalPolicy().
-  /// Records nothing: gradients come from evaluateGrad().
+  /// ln|Psi| and phase for a batch of samples: the amplitude net's
+  /// teacher-forced tape forward in tiles (TransformerAR::evaluateTiled, the
+  /// tiles evaluateGrad's amplitude loop uses) plus the phase MLP, on the
+  /// kernel selected by setEvalPolicy().  Records nothing: gradients come
+  /// from evaluateGrad().
   /// The GradMode argument has a single value and is kept only so existing
   /// callers that spell it out still compile.
   void evaluate(const std::vector<Bits128>& samples, std::vector<Real>& logAmp,
@@ -183,14 +186,15 @@ class QiankunNet {
 
   // --- Concurrent inference (the amplitude-serving path, src/serve/) --------
 
-  /// Everything one evaluateInto() call mutates: the decode state (KV arena +
-  /// workspace), token/count marshalling scratch, and the phase MLP's
-  /// activation workspace.  One slot per worker thread; all buffers reuse
-  /// their capacity, so a warm evaluateInto performs zero heap allocations.
+  /// Everything one evaluateInto() call mutates: the amplitude net's tape
+  /// and frame per thread of TransformerAR::evaluateTiled (one unless its
+  /// tile-parallel loop runs), the token marshalling scratch, and the phase
+  /// MLP's activation workspace.  One slot per worker thread; all buffers
+  /// reuse their capacity, so a warm evaluateInto performs zero heap
+  /// allocations.
   struct EvalSlot {
-    nn::DecodeState state;
+    std::vector<nn::TransformerAR::EvalTape> tapes;
     std::vector<int> tokens;
-    std::vector<int> up, down;
     nn::Workspace phaseWs;
   };
 
@@ -205,27 +209,21 @@ class QiankunNet {
   /// any number of threads may call it at once, each with its own slot, as
   /// long as no thread changes the parameters meanwhile.  `kernel` should be
   /// a non-forking policy (kSimd/kScalar) when called from concurrent
-  /// workers; `tileRows` as in setEvalPolicy.
+  /// workers.
   void evaluateInto(EvalSlot& slot, const std::vector<Bits128>& samples,
                     std::vector<Real>& logAmp, std::vector<Real>& phase,
                     nn::kernels::KernelPolicy kernel =
-                        nn::kernels::KernelPolicy::kSimd,
-                    Index tileRows = 0) const;
+                        nn::kernels::KernelPolicy::kSimd) const;
 
  private:
   /// Tokens of `count` full samples in network input order, [BOS, t_0 ..
-  /// t_{L-2}] each.  The single token-marshalling point: the teacher-forced
-  /// decode and tape paths both consume its layout.
+  /// t_{L-2}] each.  The single token-marshalling point: evaluate() and
+  /// evaluateGrad() both consume its layout.
   void inputTokens(const Bits128* samples, Index count, std::vector<int>& out) const;
 
-  /// ln|Psi| via the teacher-forced incremental-decode sweep
-  /// (TransformerAR::evaluateDecode) on `slot`'s scratch; tileRows as
-  /// ExecutionPolicy::evalTileRows.  Bit-identical to the tape forward's
-  /// logits folded the same way; zero heap allocations once the slot is
-  /// warm.
-  void amplitudesDecode(EvalSlot& slot, const std::vector<Bits128>& samples,
-                        std::vector<Real>& logAmp, nn::kernels::KernelPolicy kernel,
-                        Index tileRows) const;
+  /// Samples per tile of a loop that carves `realsPerSample` tape Reals per
+  /// sample, as ExecutionPolicy::gradTileRows says.
+  [[nodiscard]] Index tapeTileRows(Index realsPerSample, Index batch) const;
 
   /// phases() on `slot`'s workspace and the given kernel.
   void phasesInto(EvalSlot& slot, const std::vector<Bits128>& samples,
@@ -239,13 +237,14 @@ class QiankunNet {
   /// zeroed; pr[4] are that position's masked conditionals.
   void seedLogitRow(Real seed, Bits128 sample, int s, const Real* pr, Real* dl) const;
 
-  /// Fold position s's masked log-conditional of `sample` (given its logits
-  /// lg[4]) into the running (la, nUp, nDown); pr[4] receives the masked
-  /// conditionals (the gradient's seed input).  The single accumulation step
-  /// of both amplitude paths — decode sweep and tape — so their arithmetic,
-  /// and the bit-identity contract, cannot drift apart.
-  void stepLogAmp(const Real* lg, Bits128 sample, int s, int& nUp, int& nDown,
-                  Real& la, Real* pr) const;
+  /// ln|Psi| of `sample` from its nSteps() positions' logits lg [L, 4]: the
+  /// masked log-conditionals folded in ascending s, kLogZeroAmp once the
+  /// sample leaves the number-conserving support.  Position s's masked
+  /// conditionals land in pr + s * prStride (the gradient's seed input;
+  /// inference passes stride 0 and a [4] scratch).  The single ln|Psi| fold
+  /// of evaluate() and evaluateGrad(), so their arithmetic, and the
+  /// bit-identity contract, cannot drift apart.
+  Real foldLogAmp(const Real* lg, Bits128 sample, Real* pr, Index prStride) const;
 
   QiankunNetConfig cfg_;
   Rng rng_;
@@ -253,7 +252,6 @@ class QiankunNet {
   nn::PhaseMlp phase_;
   // Inference configuration of evaluate()/psi() (setEvalPolicy).
   nn::kernels::KernelPolicy evalKernel_ = nn::kernels::KernelPolicy::kAuto;
-  Index evalTileRows_ = 0;
   Index gradTileRows_ = 0;  ///< as ExecutionPolicy::gradTileRows
   // Gradient scratch (evaluateGrad): the per-tile activation tape, the
   // tile's marshalled tokens, and the caller-owned module frames.  All reuse
@@ -264,7 +262,7 @@ class QiankunNet {
   nn::PhaseMlp::TapeFrame phaseFrame_;
   // Persistent evaluation scratch of evaluate()/phases().  Every buffer
   // re-uses its capacity, so a warm call of any batch size allocates nothing
-  // (BM_Evaluate asserts it for the amplitude sweep, test_sweep for phases()).
+  // (test_evaluate asserts it for evaluateInto, test_sweep for phases()).
   EvalSlot evalSlot_;
   std::vector<nn::Parameter*> paramCache_;
 };

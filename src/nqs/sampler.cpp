@@ -236,7 +236,7 @@ void BasSweepEngine::deferExcess() {
 void BasSweepEngine::emitLeaf(const NodeBlock& leaves, std::size_t i) {
   out_.samples.push_back(leaves.bits[i]);
   out_.weights.push_back(leaves.weights[i]);
-  if (fused_) out_.logAmp.push_back(leaves.logp[i]);
+  out_.logAmp.push_back(leaves.logp[i]);
 }
 
 void BasSweepEngine::emitLeaves(const NodeBlock& leaves) {
@@ -296,7 +296,6 @@ const SampleSet& BasSweepEngine::sweep(const SamplerOptions& opts, int rank,
                                        std::uint64_t uniqueThreshold) {
   const int L = net_.nSteps();
   seed_ = opts.seed;
-  fused_ = opts.exec.fusedSweep;
   if (opts.exec.sweepTileRows < 0)
     tileCap_ = std::numeric_limits<std::size_t>::max();  // one frontier tile
   else

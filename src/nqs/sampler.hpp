@@ -12,10 +12,9 @@ namespace nnqs::nqs {
 struct SampleSet {
   std::vector<Bits128> samples;
   std::vector<std::uint64_t> weights;
-  /// ln|Psi| per unique sample, accumulated by the fused sweep
-  /// (ExecutionPolicy::fusedSweep) from the same masked conditionals the
-  /// split draws used — bit-identical to a separate evaluate() over
-  /// `samples`.  Empty when fusion is off.
+  /// ln|Psi| per unique sample, always filled: the sweep accumulates it from
+  /// the same masked conditionals the split draws used, bit-identical to a
+  /// separate evaluate() over `samples`.
   std::vector<Real> logAmp;
 
   [[nodiscard]] std::size_t nUnique() const { return samples.size(); }
@@ -36,10 +35,9 @@ struct SamplerOptions {
   std::uint64_t seed = 7;
   /// Consolidated engine selection (exec/policy.hpp).  The sweep engine
   /// reads exec.kernel (the decode-attention backend; bit-identical, purely
-  /// a performance knob), exec.sweepTileRows (cache-resident tile geometry
-  /// of the depth-first descent) and exec.fusedSweep (ln|Psi| as a sampling
-  /// by-product); exec.eloc / exec.comm are carried for callers that forward
-  /// one policy through the whole stack.
+  /// a performance knob) and exec.sweepTileRows (cache-resident tile
+  /// geometry of the depth-first descent); the other fields are carried for
+  /// callers that forward one policy through the whole stack.
   exec::ExecutionPolicy exec;
 };
 
@@ -72,16 +70,18 @@ Bits128 autoregressiveSampleOne(QiankunNet& net, Rng& rng,
 ///    cache-resident across all remaining steps.  Deferred sibling chunks
 ///    park their rows via DecodeState::detachRows (index work only; zero K/V
 ///    bytes) and resume via attachRows.  Split/prune gathers are tile-local.
-///  - **Fused final-sweep evaluation.**  Every split already computed the
-///    masked-softmax conditionals, so each child accumulates
-///    logp += 0.5*ln p(token) with exactly the arithmetic of the evaluate()
-///    paths (including the kLogZeroAmp dead-branch sentinel); the final
-///    layer's leaves emit ln|Psi| into SampleSet::logAmp for free.
+///  - **Fused evaluation.**  Every split already computed the masked-softmax
+///    conditionals, so each child accumulates logp += 0.5*ln p(token) with
+///    exactly evaluate()'s arithmetic (including the kLogZeroAmp
+///    dead-branch sentinel); the final layer's leaves emit ln|Psi| into
+///    SampleSet::logAmp for free, so the VMC loop never runs a separate
+///    evaluate() over its samples.
 ///
-/// Every tile geometry and rank partition draws bit-identical sample sets: each node's split consumes a private RNG
-/// substream keyed by (seed, bits, step) — the (bits, step) pair is
-/// bijective with the token prefix, so keys are unique, need no storage, and
-/// make draws independent of traversal order.  A parallel sweep's per-rank
+/// Every tile geometry and rank partition draws bit-identical sample sets:
+/// each node's split consumes a private RNG substream keyed by (seed, bits,
+/// step) — the (bits, step) pair is bijective with the token prefix, so keys
+/// are unique, need no storage, and make draws independent of traversal
+/// order.  A parallel sweep's per-rank
 /// union therefore equals the serial sweep exactly.
 ///
 /// The engine owns all sweep state (decode arena, frontier blocks, frame
@@ -93,7 +93,7 @@ class BasSweepEngine {
 
   /// Default rows per depth-first tile (ExecutionPolicy::sweepTileRows = 0).
   /// Sized so one tile's KV slots and activations sit in L2 at the paper's
-  /// model shapes, matching TransformerAR::kEvalTileRows.
+  /// model shapes.
   static constexpr Index kDefaultTileRows = 256;
 
   /// Run one BAS sweep for `rank` of `nRanks` (serial when nRanks <= 1).
@@ -171,7 +171,6 @@ class BasSweepEngine {
   // Sweep-wide configuration, set by sweep().
   std::uint64_t seed_ = 0;
   std::size_t tileCap_ = 0;
-  bool fused_ = true;
 };
 
 /// Fig. 3(b): batch autoregressive sampling.  Generates N_s samples in one

@@ -182,15 +182,18 @@ Index AmplitudeServer::claimBatch(Worker& wk) {
 }
 
 void AmplitudeServer::warmSlot(Worker& wk) {
-  // One maxBatch-row evaluate sizes the slot's token and up/down rows, its
-  // decode state and phase workspace, and this thread's kernel scratch to
-  // the batch ceiling, so no coalesced batch can grow them later.  The rows
-  // are placeholders and the results are discarded.
+  // One maxBatch-row evaluate sizes the slot's tokens, tapes and phase
+  // workspace, and this thread's kernel scratch to the batch ceiling, so no
+  // coalesced batch can grow them later.  The rows are placeholders and the
+  // results are discarded.
   wk.configs.assign(static_cast<std::size_t>(opts_.maxBatch), Bits128{});
-  net_->evaluateInto(wk.slot, wk.configs, wk.logAmp, wk.phase, opts_.kernel,
-                     opts_.tileRows);
+  net_->evaluateInto(wk.slot, wk.configs, wk.logAmp, wk.phase, opts_.kernel);
   wk.configs.clear();
-  wk.slot.phaseWs.reset();  // fold the warm-up's overflow into one block
+  // Fold the warm-up's overflow into one block.  A batch within one tile
+  // leaves its tape's overflow chunks in place until the next reset, which
+  // would then allocate inside the first query.
+  for (auto& t : wk.slot.tapes) t.tape.reset();
+  wk.slot.phaseWs.reset();
 }
 
 void AmplitudeServer::workerLoop(Worker& wk) {
@@ -263,8 +266,7 @@ void AmplitudeServer::evaluateBatch(Worker& wk) {
   wk.configs.clear();
   for (const Ticket* t : wk.batch)
     wk.configs.insert(wk.configs.end(), t->configs, t->configs + t->n);
-  net_->evaluateInto(wk.slot, wk.configs, wk.logAmp, wk.phase, opts_.kernel,
-                     opts_.tileRows);
+  net_->evaluateInto(wk.slot, wk.configs, wk.logAmp, wk.phase, opts_.kernel);
   std::size_t off = 0;
   for (Ticket* t : wk.batch) {
     std::copy(wk.logAmp.begin() + static_cast<std::ptrdiff_t>(off),

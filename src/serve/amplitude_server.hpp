@@ -1,12 +1,12 @@
 #pragma once
 
 // Multi-tenant batched amplitude serving: the production front end of the
-// zero-allocation decode engine.
+// zero-allocation teacher-forced evaluate (QiankunNet::evaluateInto).
 //
 // An AmplitudeServer owns a QiankunNet (loaded from an io/ checkpoint) and a
 // pool of worker threads.  Clients — any number of concurrent threads —
 // submit configuration-query streams; the workers coalesce queued requests
-// into evaluateDecode batches under a latency-deadline batcher: a batch is
+// into evaluateInto batches under a latency-deadline batcher: a batch is
 // flushed as soon as it reaches `maxBatch` rows, or when the *oldest* queued
 // request has waited `maxDelayUs`, whichever comes first (during shutdown the
 // queue drains immediately).  Each worker evaluates on its own
@@ -16,7 +16,7 @@
 // every worker has, so the serve loop performs zero heap allocations from
 // the first query on, whatever batch sizes arrive.
 //
-// Determinism contract: per-row decode arithmetic is independent of the
+// Determinism contract: per-row arithmetic is independent of the
 // surrounding batch (each GEMM row is its own ascending-k accumulation;
 // LayerNorm/softmax are per-row), so a served amplitude is bit-identical to a
 // direct evaluate of that configuration alone — regardless of how requests
@@ -24,7 +24,7 @@
 //
 // Backpressure: the submission queue is a fixed ring bounded in both requests
 // and rows.  When full, submit() rejects immediately with kRejected — it
-// never blocks the decode workers, and clients learn to back off instead of
+// never blocks the workers, and clients learn to back off instead of
 // queueing unbounded latency.  shutdown() stops admissions, drains in-flight
 // requests, and joins the workers; destruction shuts down implicitly.
 
@@ -57,7 +57,7 @@ enum class QueryStatus {
 };
 
 struct ServeOptions {
-  int nWorkers = 2;          ///< decode worker threads
+  int nWorkers = 2;          ///< evaluate worker threads
   Index maxBatch = 256;      ///< flush threshold: rows per evaluate batch
   long maxDelayUs = 200;     ///< deadline: max coalescing wait of the oldest request
   std::size_t queueCapacityRows = 4096;      ///< bounded queue: max queued rows
@@ -66,7 +66,6 @@ struct ServeOptions {
   /// default is the serial SIMD kernel; kThreaded/kAuto would fork an OpenMP
   /// team inside every worker and oversubscribe the host.
   nn::kernels::KernelPolicy kernel = nn::kernels::KernelPolicy::kSimd;
-  Index tileRows = 0;        ///< evaluateDecode tile (0 = kEvalTileRows)
 };
 
 /// Observability counters, in the spirit of ElocStats/SweepStats.  Counters

@@ -60,9 +60,8 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
     // Identical seed => identical replicated parameters on every rank, the
     // paper's model-replicated / data-distributed layout.
     nqs::QiankunNet net(netConfig);
-    // Route psi inference (the Eloc LUT evaluation below — the largest batch
-    // the network ever sees) through the same decode/kernel policies as
-    // sampling; the tape gradient (Stage 5) runs the full forward regardless.
+    // The phase inference (Stage 1) runs on the run's kernel policy, and the
+    // tape gradient (Stage 5) on its tile policy.
     net.setEvalPolicy(ex);
     // The sweep engine persists across iterations: its decode arena, frontier
     // blocks and output set keep their capacity, so steady-state sampling
@@ -136,17 +135,11 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
           sOpts, rank, nRanks,
           opts.uniqueThresholdPerRank * static_cast<std::uint64_t>(nRanks));
       if (trace) std::fprintf(stderr, "[it %d] sampled Nu=%zu W=%llu\n", iter, local.nUnique(), (unsigned long long)local.totalWeight());
-      // psi of the local chunk (inference).  A fused sweep already produced
-      // ln|Psi| as a sampling by-product, leaving only the phase MLP to run;
-      // otherwise fall back to the separate teacher-forced evaluate pass.
+      // psi of the local chunk (inference).  The sweep already produced
+      // ln|Psi| as a sampling by-product, leaving only the phase MLP to run.
       // (Copy, don't move, local.logAmp: the engine reuses its capacity.)
-      const bool fusedAmp = local.logAmp.size() == local.samples.size();
-      if (fusedAmp) {
-        logAmp.assign(local.logAmp.begin(), local.logAmp.end());
-        net.phases(local.samples, phase);
-      } else {
-        net.evaluate(local.samples, logAmp, phase);
-      }
+      logAmp.assign(local.logAmp.begin(), local.logAmp.end());
+      net.phases(local.samples, phase);
       phases.sampling += t0.seconds();
 
       // --- Stage 2: Allgather unique samples + psi ------------------------

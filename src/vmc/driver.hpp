@@ -109,12 +109,12 @@ struct VmcResult {
 
 /// Run the 6-stage data-centric VMC of the paper on the comm backend selected
 /// by opts.exec.comm (thread ranks by default; real MPI under NNQS_WITH_MPI):
-/// 1) parallel BAS (with exec.fusedSweep the sweep itself yields ln|Psi|, so
-/// only the phase MLP runs separately), 2) Allgather samples+psi, 3)
-/// sample-aware local energies
-/// on a term-balanced chunk of the gathered set (AllgatherV'd back so every
-/// rank sees its own samples' values), 4) Allreduce energy, 5) backward on
-/// the own chunk, 6) Allreduce gradients + identical AdamW step everywhere.
+/// 1) parallel BAS (the sweep itself yields ln|Psi|, so only the phase MLP
+/// runs separately), 2) Allgather samples+psi, 3) sample-aware local
+/// energies on a term-balanced chunk of the gathered set (AllgatherV'd back
+/// so every rank sees its own samples' values), 4) Allreduce energy, 5)
+/// backward on the own chunk, 6) Allreduce gradients + identical AdamW step
+/// everywhere.
 ///
 /// Every rank returns an identical VmcResult (all collectives are
 /// rank-order-deterministic); under MPI each process returns its own copy.

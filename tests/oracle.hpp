@@ -1,11 +1,12 @@
 #pragma once
 
 // Reference oracle of the amplitude network: the stateless full forward that
-// the KV-cached decode engine, the fused sweep and the samplers are checked
-// against at tolerance 0.  Logits come from TransformerAR::forwardTape on a
-// local Tape with no backward (the training kernels, every prefix re-read in
-// full); the masked conditionals, ln|Psi| and the single-sample draw derived
-// from them repeat the arithmetic of nqs/ansatz.cpp and nqs/sampler.cpp.
+// the KV-cached decode engine, the tiled evaluate(), the fused sweep and the
+// samplers are checked against at tolerance 0.  Logits come from
+// TransformerAR::forwardTape on a local Tape with no backward (the training
+// kernels, every prefix re-read in full); the masked conditionals, ln|Psi|
+// and the single-sample draw derived from them repeat the arithmetic of
+// nqs/ansatz.cpp and nqs/sampler.cpp.
 
 #include <gtest/gtest.h>
 

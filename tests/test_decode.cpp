@@ -262,9 +262,8 @@ TEST(Decode, GatherRejectsOutOfRangeRows) {
 TEST(Decode, SamplerOptionsExecDefaults) {
   // ExecutionPolicy is the sole engine-selection surface (the deprecated
   // per-field aliases of the consolidation are gone): defaults run auto
-  // kernels with default tiles and the fused sweep enabled.
+  // kernels with default tiles.
   SamplerOptions opts;
   EXPECT_EQ(opts.exec.kernel, nn::kernels::KernelPolicy::kAuto);
   EXPECT_EQ(opts.exec.sweepTileRows, 0);
-  EXPECT_TRUE(opts.exec.fusedSweep);
 }

@@ -1,8 +1,9 @@
-// Teacher-forced batched evaluate() on the incremental-decode engine:
-// bit-identity with the stateless full-forward oracle (tests/oracle.hpp) for
-// amplitudes and logits, and across KernelPolicy for phases, on ragged batch
-// sizes (empty batches, batches larger than one tile); and the tape gradient
-// (evaluateGrad) across tile geometries.
+// Teacher-forced batched evaluate() on the tiled tape forward: bit-identity
+// with the stateless full-forward oracle (tests/oracle.hpp) for amplitudes
+// and logits, and across KernelPolicy for phases, on ragged batch sizes
+// (empty batches, batches spanning several tiles, the tile-parallel loop);
+// zero heap allocations once warm; and the tape gradient (evaluateGrad)
+// across tile geometries.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,11 @@
 #include <functional>
 #include <vector>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+#include "alloc_count.hpp"
 #include "nqs/ansatz.hpp"
 #include "oracle.hpp"
 
@@ -50,13 +56,12 @@ std::vector<Bits128> numberSector(int n, int na, int nb) {
   return out;
 }
 
-/// ExecutionPolicy with everything default except the eval-engine fields —
-/// the post-alias-removal spelling of "kernel X, tile Y".
-exec::ExecutionPolicy execFor(nn::kernels::KernelPolicy kernel,
-                              int evalTileRows = 0) {
+/// ExecutionPolicy with everything default except the kernel and the tape
+/// tile (gradTileRows, which sizes evaluate()'s tiles too).
+exec::ExecutionPolicy execFor(nn::kernels::KernelPolicy kernel, int tileRows = 0) {
   exec::ExecutionPolicy ex;
   ex.kernel = kernel;
-  ex.evalTileRows = evalTileRows;
+  ex.gradTileRows = tileRows;
   return ex;
 }
 
@@ -107,13 +112,12 @@ Real numericalGrad(const std::function<Real()>& f, Real& param, Real eps = 1e-5)
 
 }  // namespace
 
-TEST(Evaluate, DecodeMatchesFullForwardBitIdentical) {
-  // Decode-path evaluate() must reproduce the oracle's full-forward
-  // amplitudes, and the kScalar phases, bit for bit, for every kernel
-  // policy, on ragged batch sizes: the empty batch, sub-tile batches, and
-  // batches spanning several tiles with a ragged final tile (tileRows = 4
-  // below).  Out-of-sector samples must hit the same zero-amplitude sentinel
-  // on both paths.
+TEST(Evaluate, MatchesFullForwardBitIdentical) {
+  // evaluate() must reproduce the oracle's full-forward amplitudes, and the
+  // kScalar phases, bit for bit, for every kernel policy, on ragged batch
+  // sizes: the empty batch, sub-tile batches, and batches spanning several
+  // tiles with a ragged final tile (4-sample tiles below).  Out-of-sector
+  // samples must hit the same zero-amplitude sentinel on both paths.
   NNQS_SKIP_IF_BLAS();
   const int n = 12, na = 3, nb = 2;
   QiankunNet net(smallConfig(n, na, nb));
@@ -131,7 +135,7 @@ TEST(Evaluate, DecodeMatchesFullForwardBitIdentical) {
     std::vector<Real> unused, phRef;
     net.evaluate(samples, unused, phRef);
     for (auto kernel : kAllKernels) {
-      net.setEvalPolicy(execFor(kernel, /*evalTileRows=*/4));
+      net.setEvalPolicy(execFor(kernel, /*tileRows=*/4));
       std::vector<Real> la, ph;
       net.evaluate(samples, la, ph);
       ASSERT_EQ(la.size(), laRef.size());
@@ -144,11 +148,10 @@ TEST(Evaluate, DecodeMatchesFullForwardBitIdentical) {
   }
 }
 
-TEST(Evaluate, TransformerEvaluateDecodeMatchesForwardLogits) {
-  // TransformerAR level: the teacher-forced sweep's per-position logits are
-  // bit-identical to the corresponding positions of the oracle's full
-  // forward, including across tile boundaries (batch 10, tileRows 3 ->
-  // tiles of 3, 3, 3, 1).
+TEST(Evaluate, TiledEvaluateMatchesForwardLogits) {
+  // TransformerAR level: the tiled teacher-forced evaluate's logits are
+  // bit-identical to the oracle's one-tile forward, including across tile
+  // boundaries (batch 10 in tiles of 3, 3, 3, 1).
   NNQS_SKIP_IF_BLAS();
   const Index L = 7, d = 16, heads = 4, layers = 2, batch = 10;
   Rng rng(41);
@@ -164,33 +167,113 @@ TEST(Evaluate, TransformerEvaluateDecodeMatchesForwardLogits) {
 
   for (auto kernel : kAllKernels) {
     std::vector<Real> got(static_cast<std::size_t>(batch * L * 4), -1.0);
-    nn::DecodeState state;
-    net.evaluateDecode(state, tokens, batch, L, /*tileRows=*/3, kernel,
-                       [&](Index t0, Index tb, Index s, const Real* logits) {
-                         for (Index b = 0; b < tb; ++b)
-                           for (Index t = 0; t < 4; ++t)
-                             got[static_cast<std::size_t>(((t0 + b) * L + s) * 4 + t)] =
-                                 logits[b * 4 + t];
-                       });
+    std::vector<nn::TransformerAR::EvalTape> tapes;
+    net.evaluateTiled(tapes, tokens, batch, L, /*tileRows=*/3, kernel,
+                      [&](Index t0, Index tb, const Real* logits) {
+                        std::copy(logits, logits + tb * L * 4,
+                                  got.begin() + t0 * L * 4);
+                      });
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < got.size(); ++i)
       EXPECT_EQ(got[i], ref[i]) << "logit " << i;
   }
 }
 
-TEST(Evaluate, EvaluateDecodeRejectsBadShapes) {
+TEST(Evaluate, RejectsBadShapes) {
+  // A token count that is not batch x window, a window longer than the
+  // position table and an empty tile throw before any tile runs;
+  // forwardTape itself rejects the long window instead of reading past the
+  // position table.
   const Index L = 4, d = 8, heads = 2, layers = 1;
   Rng rng(3);
   nn::TransformerAR net(L, d, heads, layers, rng);
-  nn::DecodeState state;
-  auto sink = [](Index, Index, Index, const Real*) {};
+  std::vector<nn::TransformerAR::EvalTape> tapes;
+  auto sink = [](Index, Index, const Real*) {};
   std::vector<int> tokens(static_cast<std::size_t>(2 * L), 0);
-  EXPECT_THROW(net.evaluateDecode(state, tokens, 3, L, 0,
-                                  nn::kernels::KernelPolicy::kAuto, sink),
+  EXPECT_THROW(net.evaluateTiled(tapes, tokens, 3, L, 1,
+                                 nn::kernels::KernelPolicy::kAuto, sink),
                std::invalid_argument);
-  EXPECT_THROW(net.evaluateDecode(state, tokens, 1, 2 * L, 0,
-                                  nn::kernels::KernelPolicy::kAuto, sink),
+  EXPECT_THROW(net.evaluateTiled(tapes, tokens, 1, 2 * L, 1,
+                                 nn::kernels::KernelPolicy::kAuto, sink),
                std::invalid_argument);
+  EXPECT_THROW(net.evaluateTiled(tapes, tokens, 2, L, 0,
+                                 nn::kernels::KernelPolicy::kAuto, sink),
+               std::invalid_argument);
+  nn::Tape tape;
+  nn::TransformerAR::TapeFrame frame;
+  EXPECT_THROW(net.forwardTape(tape, frame, tokens.data(), 2 * L, 2 * L),
+               std::invalid_argument);
+}
+
+TEST(Evaluate, PerfbenchNetMatchesOracleUnderEveryKernel) {
+  // At the perfbench net the default tile is the gradient's amplitude tile:
+  // 300 samples run as 8 tiles of at most 39 with a ragged tail.  evaluate,
+  // evaluateInto and psi must equal the oracle at tolerance 0 under every
+  // kernel policy, kAuto and kThreaded on the tile-parallel loop.
+  NNQS_SKIP_IF_BLAS();
+#ifdef _OPENMP
+  if (omp_get_max_threads() < 2) omp_set_num_threads(2);
+#endif
+  const QiankunNetConfig cfg = c2h4oConfig();
+  QiankunNet net(cfg);
+  const auto samples = randomInSector(cfg, 300);
+  const Index bytesPerSample =
+      net.gradTapeRealsPerSample().amplitude * static_cast<Index>(sizeof(Real));
+  const Index tile = nn::TransformerAR::kGradTapeBudgetBytes / bytesPerSample;
+  ASSERT_EQ((300 + tile - 1) / tile, 8) << "tile " << tile;
+  ASSERT_NE(300 % tile, 0) << "tile " << tile;
+
+  const std::vector<Real> ref = oracle::logAmp(net, samples);
+  net.setEvalPolicy(execFor(nn::kernels::KernelPolicy::kScalar));
+  std::vector<Real> unused, phRef;
+  net.evaluate(samples, unused, phRef);
+  for (auto kernel : kAllKernels) {
+    net.setEvalPolicy(execFor(kernel));
+    std::vector<Real> la, ph;
+    net.evaluate(samples, la, ph);
+    QiankunNet::EvalSlot slot;
+    std::vector<Real> laInto, phInto;
+    net.evaluateInto(slot, samples, laInto, phInto, kernel);
+    const std::vector<Complex> psi = net.psi(samples);
+    const char* name = nn::kernels::kernelPolicyName(kernel);
+#ifdef _OPENMP
+    const bool parallel = kernel == nn::kernels::KernelPolicy::kAuto ||
+                          kernel == nn::kernels::KernelPolicy::kThreaded;
+    EXPECT_EQ(slot.tapes.size() > 1, parallel) << name;
+#endif
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      EXPECT_EQ(la[i], ref[i]) << name << " sample " << i;
+      EXPECT_EQ(laInto[i], ref[i]) << name << " sample " << i;
+      EXPECT_EQ(ph[i], phRef[i]) << name << " sample " << i;
+      EXPECT_EQ(phInto[i], phRef[i]) << name << " sample " << i;
+      const Complex want = QiankunNet::psiValue(ref[i], phRef[i]);
+      EXPECT_EQ(psi[i].real(), want.real()) << name << " sample " << i;
+      EXPECT_EQ(psi[i].imag(), want.imag()) << name << " sample " << i;
+    }
+  }
+}
+
+TEST(Evaluate, WarmEvaluateIntoAllocatesNothingWithinTheBudget) {
+  // Once a slot has seen a batch, a same-size evaluateInto on the serial
+  // kSimd kernels performs zero heap allocations and no tape growth, and
+  // one tile's tape stays within the gradient tape budget.
+  const QiankunNetConfig cfg = c2h4oConfig();
+  const QiankunNet net(cfg);
+  const auto samples = randomInSector(cfg, 300);
+  QiankunNet::EvalSlot slot;
+  std::vector<Real> la, ph;
+  net.evaluateInto(slot, samples, la, ph, nn::kernels::KernelPolicy::kSimd);
+  ASSERT_EQ(slot.tapes.size(), 1u);
+  const nn::Workspace::Stats cold = slot.tapes[0].tape.stats();  // copy
+  const std::uint64_t allocs0 = allocationCount();
+  net.evaluateInto(slot, samples, la, ph, nn::kernels::KernelPolicy::kSimd);
+  EXPECT_EQ(allocationCount() - allocs0, 0u);
+  const nn::Workspace::Stats& warm = slot.tapes[0].tape.stats();
+  EXPECT_EQ(warm.grows, cold.grows);
+  EXPECT_EQ(warm.overflows, cold.overflows);
+  EXPECT_GT(warm.highWater, 0u);
+  EXPECT_LE(static_cast<Index>(warm.highWater * sizeof(Real)),
+            nn::TransformerAR::kGradTapeBudgetBytes);
 }
 
 TEST(Evaluate, PsiSharesTheEvaluateEntryPoint) {
@@ -204,7 +287,7 @@ TEST(Evaluate, PsiSharesTheEvaluateEntryPoint) {
   samples.resize(9);
   samples.push_back(numberSector(n, na + 1, nb)[0]);
 
-  net.setEvalPolicy(execFor(nn::kernels::KernelPolicy::kAuto, /*evalTileRows=*/4));
+  net.setEvalPolicy(execFor(nn::kernels::KernelPolicy::kAuto, /*tileRows=*/4));
   const std::vector<Real> laRef = oracle::logAmp(net, samples);
   std::vector<Real> la, ph;
   net.evaluate(samples, la, ph);
@@ -218,11 +301,11 @@ TEST(Evaluate, PsiSharesTheEvaluateEntryPoint) {
   EXPECT_EQ(got.back(), (Complex{0.0, 0.0}));  // outside the sector
 }
 
-TEST(Evaluate, GradcheckWithDecodePathLoss) {
+TEST(Evaluate, GradcheckWithEvaluateLoss) {
   // Numeric gradcheck of the VMC loss where every finite-difference forward
-  // runs the *decode-path* evaluate (multi-tile: tileRows 2 on batch 3) while
-  // the analytic gradients come from evaluateGrad's forward on the tape: the
-  // two paths must describe the same function.
+  // runs evaluate() (multi-tile: 2-sample tiles on batch 3) and the analytic
+  // gradients come from evaluateGrad's forward and backward on the tape: the
+  // two must describe the same function.
   nqs::QiankunNetConfig cfg;
   cfg.nQubits = 8;
   cfg.nAlpha = 2;
@@ -234,7 +317,7 @@ TEST(Evaluate, GradcheckWithDecodePathLoss) {
   cfg.phaseHiddenLayers = 1;
   cfg.seed = 77;
   QiankunNet net(cfg);
-  net.setEvalPolicy(execFor(nn::kernels::KernelPolicy::kAuto, /*evalTileRows=*/2));
+  net.setEvalPolicy(execFor(nn::kernels::KernelPolicy::kAuto, /*tileRows=*/2));
   const std::vector<Bits128> samples = {fromBitString("00001111"),
                                         fromBitString("00111100"),
                                         fromBitString("11000011")};

@@ -93,10 +93,6 @@ TEST(Golden, EnergyHistoryMatchesCommittedBits) {
   expectGolden(vmc::runVmc(packed, net, opts).energyHistory, "kScalar kernels");
 
   opts.exec = {};
-  opts.exec.sweepTileRows = opts.exec.evalTileRows = opts.exec.gradTileRows = 7;
+  opts.exec.sweepTileRows = opts.exec.gradTileRows = 7;
   expectGolden(vmc::runVmc(packed, net, opts).energyHistory, "7-row tiles");
-
-  opts.exec = {};
-  opts.exec.fusedSweep = false;
-  expectGolden(vmc::runVmc(packed, net, opts).energyHistory, "unfused sweep");
 }

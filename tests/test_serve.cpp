@@ -2,47 +2,14 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <random>
 #include <thread>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "io/checkpoint.hpp"
 #include "nqs/ansatz.hpp"
 #include "serve/amplitude_server.hpp"
-
-// ---- Allocation-counting hook (microbench_kernels.cpp idiom) ---------------
-namespace {
-std::atomic<std::uint64_t> gAllocCount{0};
-std::uint64_t allocationCount() {
-  return gAllocCount.load(std::memory_order_relaxed);
-}
-}  // namespace
-
-void* operator new(std::size_t n) {
-  gAllocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-// The nothrow forms must come from the same malloc: sanitizers replace any
-// form left undefined with their own allocator, which the free-based deletes
-// below then mismatch.
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  try {
-    return ::operator new(n);
-  } catch (const std::bad_alloc&) {
-    return nullptr;
-  }
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return ::operator new(n, std::nothrow);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace nnqs;
 using namespace nnqs::serve;

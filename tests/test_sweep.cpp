@@ -1,52 +1,18 @@
-// BasSweepEngine contracts: bit-identical sample sets across tile geometries,
-// fusion on/off and rank partitions; fused ln|Psi| equal to a separate
-// evaluate() and to the full-forward oracle bit for bit; zero heap
-// allocations on a warm fused sweep; and the cumulative SweepStats invariant
-// (tiling moves zero K/V bytes beyond the untiled sweep's split copies).
-// Plus the sweep's phase complement, QiankunNet::phases(): equal to
-// evaluate()'s phase bit for bit and allocation-free once warm.
+// BasSweepEngine contracts: bit-identical sample sets across tile geometries
+// and rank partitions; fused ln|Psi| equal to a separate evaluate() and to
+// the full-forward oracle bit for bit; zero heap allocations on a warm
+// sweep; and the cumulative SweepStats invariant (tiling moves zero K/V
+// bytes beyond the untiled sweep's split copies).  Plus the sweep's phase
+// complement, QiankunNet::phases(): equal to evaluate()'s phase bit for bit
+// and allocation-free once warm.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <map>
-#include <new>
 
+#include "alloc_count.hpp"
 #include "nqs/sampler.hpp"
 #include "oracle.hpp"
-
-// ---- Allocation-counting hook (microbench_kernels.cpp idiom) ---------------
-namespace {
-std::atomic<std::uint64_t> gAllocCount{0};
-std::uint64_t allocationCount() {
-  return gAllocCount.load(std::memory_order_relaxed);
-}
-}  // namespace
-
-void* operator new(std::size_t n) {
-  gAllocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-// The nothrow forms (std::stable_sort's temporary buffer) must come from the
-// same malloc: sanitizers replace any form left undefined with their own
-// allocator, which the free-based deletes below then mismatch.
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  try {
-    return ::operator new(n);
-  } catch (const std::bad_alloc&) {
-    return nullptr;
-  }
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return ::operator new(n, std::nothrow);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace nnqs;
 using namespace nnqs::nqs;
@@ -69,12 +35,12 @@ QiankunNetConfig smallConfig(int nQubits, int nAlpha, int nBeta) {
 
 void expectSameSet(const SampleSet& a, const SampleSet& b, const char* what) {
   ASSERT_EQ(a.nUnique(), b.nUnique()) << what;
-  ASSERT_EQ(a.logAmp.size(), b.logAmp.size()) << what;
+  ASSERT_EQ(a.logAmp.size(), a.nUnique()) << what;
+  ASSERT_EQ(b.logAmp.size(), b.nUnique()) << what;
   for (std::size_t i = 0; i < a.nUnique(); ++i) {
     EXPECT_EQ(a.samples[i], b.samples[i]) << what << " sample " << i;
     EXPECT_EQ(a.weights[i], b.weights[i]) << what << " weight " << i;
-    if (!a.logAmp.empty())
-      EXPECT_EQ(a.logAmp[i], b.logAmp[i]) << what << " logAmp " << i;
+    EXPECT_EQ(a.logAmp[i], b.logAmp[i]) << what << " logAmp " << i;
   }
 }
 
@@ -95,7 +61,7 @@ TEST(Sweep, TileGeometryIsBitIdentical) {
   opts.exec.sweepTileRows = -1;
   const SampleSet ref = sweepCopy(net, opts);
   EXPECT_EQ(ref.totalWeight(), opts.nSamples);
-  EXPECT_EQ(ref.logAmp.size(), ref.samples.size());  // fused by default
+  EXPECT_EQ(ref.logAmp.size(), ref.samples.size());  // always filled
 
   for (int tileRows : {1, 5, 0, 1 << 20}) {
     opts.exec.sweepTileRows = tileRows;
@@ -123,23 +89,6 @@ TEST(Sweep, FusedLogAmpMatchesSeparateEvaluate) {
       EXPECT_EQ(s.logAmp[i], la[i]) << "tileRows " << tileRows << " sample " << i;
       EXPECT_EQ(s.logAmp[i], ref[i]) << "tileRows " << tileRows << " sample " << i;
     }
-  }
-}
-
-TEST(Sweep, UnfusedSweepDrawsTheSameSamples) {
-  // fusedSweep only adds the ln|Psi| by-product; the draws must not move.
-  NNQS_SKIP_IF_BLAS();
-  QiankunNet net(smallConfig(10, 3, 2));
-  SamplerOptions opts;
-  opts.nSamples = 1 << 13;
-  const SampleSet fused = sweepCopy(net, opts);
-  opts.exec.fusedSweep = false;
-  const SampleSet plain = sweepCopy(net, opts);
-  EXPECT_TRUE(plain.logAmp.empty());
-  ASSERT_EQ(fused.nUnique(), plain.nUnique());
-  for (std::size_t i = 0; i < fused.nUnique(); ++i) {
-    EXPECT_EQ(fused.samples[i], plain.samples[i]) << i;
-    EXPECT_EQ(fused.weights[i], plain.weights[i]) << i;
   }
 }
 

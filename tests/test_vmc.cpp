@@ -183,11 +183,10 @@ TEST(Vmc, TermBalancedSplitIsBitIdenticalToEqualSplit) {
 }
 
 TEST(Vmc, FusedSweepAndTileGeometryLeaveTrajectoryBitIdentical) {
-  // The fused sweep replaces Stage 1's separate teacher-forced evaluate with
-  // ln|Psi| accumulated during sampling (same masked conditionals, same FP
-  // sequence), and the tile knob only reorders *when* frontier rows are
-  // decoded, never what they compute — so the whole multi-rank trajectory
-  // must match the unfused / untiled runs bit for bit.
+  // The sweep yields Stage 1's ln|Psi| as a sampling by-product, and the
+  // tile knob only reorders *when* frontier rows are decoded, never what
+  // they compute — so the whole multi-rank trajectory must match the
+  // untiled runs bit for bit.
   if (nn::kernels::gemmUsesBlas())
     GTEST_SKIP() << "BLAS GEMM route is not bit-identical across batch shapes";
   const System s = buildSystem("LiH");
@@ -199,7 +198,7 @@ TEST(Vmc, FusedSweepAndTileGeometryLeaveTrajectoryBitIdentical) {
   opts.nRanks = 3;
   opts.uniqueThresholdPerRank = 1;
   opts.seed = 29;
-  const VmcResult ref = runVmc(s.packed, netCfg(s, 15), opts);  // fused, default tiles
+  const VmcResult ref = runVmc(s.packed, netCfg(s, 15), opts);  // default tiles
 
   auto expectSameTrajectory = [&](const VmcResult& got, const char* what) {
     ASSERT_EQ(ref.energyHistory.size(), got.energyHistory.size()) << what;
@@ -211,9 +210,6 @@ TEST(Vmc, FusedSweepAndTileGeometryLeaveTrajectoryBitIdentical) {
     EXPECT_EQ(ref.nUnique, got.nUnique) << what;
   };
 
-  opts.exec.fusedSweep = false;
-  expectSameTrajectory(runVmc(s.packed, netCfg(s, 15), opts), "unfused");
-  opts.exec.fusedSweep = true;
   opts.exec.sweepTileRows = -1;  // untiled reference descent
   expectSameTrajectory(runVmc(s.packed, netCfg(s, 15), opts), "untiled");
   opts.exec.sweepTileRows = 7;  // ragged tiny tiles
