@@ -102,10 +102,14 @@ void BM_TransformerForward(benchmark::State& state) {
   const auto& p = c2Pipeline();
   nqs::QiankunNet net(paperNetConfig(p));
   const int batch = static_cast<int>(state.range(0));
+  // `batch` draws from |Psi|^2: a sweep's unique samples, each repeated by
+  // its count.
+  nqs::SamplerOptions opts;
+  opts.nSamples = static_cast<std::uint64_t>(batch);
+  const auto set = nqs::batchAutoregressiveSample(net, opts);
   std::vector<Bits128> samples;
-  Rng rng(5);
-  for (int b = 0; b < batch; ++b)
-    samples.push_back(nqs::autoregressiveSampleOne(net, rng));
+  for (std::size_t i = 0; i < set.nUnique(); ++i)
+    samples.insert(samples.end(), static_cast<std::size_t>(set.weights[i]), set.samples[i]);
   std::vector<Real> la, ph;
   for (auto _ : state) {
     net.evaluate(samples, la, ph);

@@ -5,9 +5,12 @@
 // Defaults keep the run to a few minutes: VMC on the smaller systems with a
 // reduced iteration budget, FCI wherever the determinant space fits.  Flags:
 //   --full             VMC for every molecule
-//   --vmc-iters N      VMC iterations per molecule (default 400)
+//   --vmc-iters N      VMC iterations per molecule (default 700)
 //   --licl-fci         run the ~1e6-determinant LiCl FCI
-//   --samples N        VMC N_s (default 16384)
+//   --samples N        VMC N_s cap (default 2^30); N_s starts at 8192 and
+//                      doubles every 3 iterations after the first 10
+//   --max-unique N     N_s stops doubling while the global unique-sample
+//                      count exceeds N/2 (default 60000)
 
 #include "bench_common.hpp"
 

@@ -32,10 +32,6 @@ namespace nnqs::nn::kernels {
 /// resuming from the stored value is exact, so strips preserve the per-element
 /// operation sequence.  Packed B panels are pure copies (zero-padded lanes
 /// are never stored), so packing cannot perturb results either.
-///
-/// The optional BLAS path (-DNNQS_WITH_BLAS) is the one deliberate exception:
-/// it routes every non-kScalar policy to dgemm, which is fast but *not*
-/// bit-identical; kScalar remains the exact reference even in BLAS builds.
 struct GemmArgs {
   Index m = 0, n = 0, k = 0;
   const Real* a = nullptr;
@@ -63,10 +59,5 @@ void gemm(const GemmArgs& args, KernelPolicy policy = KernelPolicy::kAuto);
 /// Resolve kAuto against the problem size (mirrors resolvePolicy for the
 /// decode-attention kernels).
 KernelPolicy resolveGemmPolicy(KernelPolicy policy, Index m, Index n, Index k);
-
-/// True when this build routes non-kScalar GEMMs through an external BLAS
-/// (-DNNQS_WITH_BLAS): results are then close but not bit-identical, and
-/// tolerance-0 tests must degrade to epsilon comparisons.
-bool gemmUsesBlas();
 
 }  // namespace nnqs::nn::kernels

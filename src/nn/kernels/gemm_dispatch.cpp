@@ -2,7 +2,7 @@
 // micro-kernels: C initialization (bias / accumulate / zero), k-strip
 // blocking with per-strip B packing, and the OpenMP tiling loop over row
 // blocks (disjoint C rows, so the threaded backend is trivially
-// bit-identical).  Also hosts the optional -DNNQS_WITH_BLAS route.
+// bit-identical).
 
 #include <algorithm>
 #include <cassert>
@@ -45,28 +45,6 @@ void initC(const GemmArgs& g) {
       std::memset(g.c + i * g.ldc, 0, static_cast<std::size_t>(g.n) * sizeof(Real));
   }
 }
-
-#ifdef NNQS_WITH_BLAS
-extern "C" void dgemm_(const char* transa, const char* transb, const int* m,
-                       const int* n, const int* k, const double* alpha,
-                       const double* a, const int* lda, const double* b,
-                       const int* ldb, const double* beta, double* c,
-                       const int* ldc);
-
-/// Row-major C = A B as column-major C^T = B^T A^T: the col-major view of a
-/// row-major buffer is its transpose, so an untransposed operand passes 'N'.
-/// beta = 1 because initC already wrote init_ij.
-void blasGemm(const GemmArgs& g) {
-  const char ta = g.transB ? 'T' : 'N';
-  const char tb = g.transA ? 'T' : 'N';
-  const int m = static_cast<int>(g.n), n = static_cast<int>(g.m),
-            k = static_cast<int>(g.k);
-  const int lda = static_cast<int>(g.ldb), ldb = static_cast<int>(g.lda),
-            ldc = static_cast<int>(g.ldc);
-  const double one = 1.0;
-  dgemm_(&ta, &tb, &m, &n, &k, &one, g.b, &lda, g.a, &ldb, &one, g.c, &ldc);
-}
-#endif
 
 /// The blocked path shared by kSimd and kThreaded: pack each k-strip of B
 /// into zero-padded nr-wide panels, then sweep row blocks x panels.
@@ -122,14 +100,6 @@ KernelPolicy resolveGemmPolicy(KernelPolicy policy, Index m, Index n, Index k) {
                                      : KernelPolicy::kSimd;
 }
 
-bool gemmUsesBlas() {
-#ifdef NNQS_WITH_BLAS
-  return true;
-#else
-  return false;
-#endif
-}
-
 void gemm(const GemmArgs& g, KernelPolicy policy) {
   detail::gemm(g, policy, detail::hostKernels());
 }
@@ -140,13 +110,6 @@ void detail::gemm(const GemmArgs& g, KernelPolicy policy, const KernelTable& tie
   if (g.m <= 0 || g.n <= 0) return;
   initC(g);
   if (g.k <= 0) return;  // C = init only
-
-#ifdef NNQS_WITH_BLAS
-  if (policy != KernelPolicy::kScalar) {
-    blasGemm(g);
-    return;
-  }
-#endif
 
   policy = resolveGemmPolicy(policy, g.m, g.n, g.k);
   if (policy == KernelPolicy::kScalar) {

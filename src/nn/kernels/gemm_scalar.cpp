@@ -1,8 +1,8 @@
 // Scalar GEMM backends: the naive reference loop that defines the arithmetic
 // contract (gemm.hpp), and the scalar packed-panel micro-kernel used both as
 // the no-SIMD fallback of the blocked driver and as the ground truth for the
-// packed loop structure.  Compiled with -ffp-contract=off like every file
-// that implements contract arithmetic.
+// packed loop structure.  Compiled with -ffp-contract=off like the rest of
+// the library.
 
 #include "nn/kernels/gemm_micro.hpp"
 

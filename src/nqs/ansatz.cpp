@@ -77,14 +77,6 @@ void QiankunNet::stepConditionals(nn::DecodeState& state,
   }
 }
 
-std::vector<Real> QiankunNet::stepConditionals(nn::DecodeState& state,
-                                               const std::vector<int>& prevTokens,
-                                               const std::vector<std::array<int, 2>>& counts) const {
-  std::vector<Real> probs;
-  stepConditionals(state, prevTokens, counts, probs);
-  return probs;
-}
-
 void QiankunNet::inputTokens(const Bits128* samples, Index count,
                              std::vector<int>& out) const {
   const auto L = static_cast<std::size_t>(nSteps());

@@ -75,10 +75,6 @@ class QiankunNet {
                         const std::vector<int>& prevTokens,
                         const std::vector<std::array<int, 2>>& counts,
                         std::vector<Real>& probs) const;
-  /// Returning convenience overload.
-  std::vector<Real> stepConditionals(nn::DecodeState& state,
-                                     const std::vector<int>& prevTokens,
-                                     const std::vector<std::array<int, 2>>& counts) const;
 
   /// Re-index the decode batch rows after a sampling-tree split/prune: new
   /// row r continues old row rows[r]'s prefix (rows may repeat or drop).

@@ -84,34 +84,6 @@ std::array<std::uint64_t, 4> multinomialSplit4(Rng& rng, std::uint64_t n,
   return out;
 }
 
-Bits128 autoregressiveSampleOne(QiankunNet& net, Rng& rng,
-                                nn::kernels::KernelPolicy kernel) {
-  const int L = net.nSteps();
-  std::array<int, 2> counts{0, 0};
-  Bits128 x;
-  nn::DecodeState state;
-  std::vector<int> prev;
-  net.beginDecode(state, 1, kernel);
-  for (int s = 0; s < L; ++s) {
-    const std::vector<Real> probs = net.stepConditionals(state, prev, {counts});
-    const Real u = rng.uniform();
-    Real cdf = 0;
-    int chosen = 3;
-    for (int t = 0; t < 4; ++t) {
-      cdf += probs[static_cast<std::size_t>(t)];
-      if (u < cdf) {
-        chosen = t;
-        break;
-      }
-    }
-    prev.assign(1, chosen);
-    counts[0] += chosen & 1;
-    counts[1] += (chosen >> 1) & 1;
-    x = net.applyToken(x, s, chosen);
-  }
-  return x;
-}
-
 // ---------------------------------------------------------------------------
 // BasSweepEngine
 // ---------------------------------------------------------------------------

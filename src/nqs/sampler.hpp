@@ -47,11 +47,6 @@ struct SamplerOptions {
 std::array<std::uint64_t, 4> multinomialSplit4(Rng& rng, std::uint64_t n,
                                                const Real* probs);
 
-/// Fig. 3(a): plain autoregressive sampling, one bitstring per call.
-Bits128 autoregressiveSampleOne(QiankunNet& net, Rng& rng,
-                                nn::kernels::KernelPolicy kernel =
-                                    nn::kernels::KernelPolicy::kAuto);
-
 /// The unified BAS sweep engine behind batchAutoregressiveSample /
 /// parallelBatchSample (Fig. 3(b) / Fig. 5) and the VMC driver's Stage 1.
 ///

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-
 #include <memory>
 
 #include "common/logging.hpp"
@@ -82,8 +79,6 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
     // iterations, so last iteration's measurement predicts this one's cost).
     TermCostModel costModel;
     std::uint64_t bytesAllIterations = 0;
-    // Set NNQS_TRACE=1 to stream per-stage progress of every iteration.
-    const bool trace = std::getenv("NNQS_TRACE") != nullptr;
     // N_s schedule (paper §4.1): pretrain at the initial value, then double
     // every growEvery iterations — but only while the global unique count
     // stays inside the budget.  All ranks see the same gathered N_u, so the
@@ -125,7 +120,6 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
       // commBytesPerIteration counts exactly the algorithmic collectives.
       comm.resetByteCounter();
       Timer t0;
-      if (trace) std::fprintf(stderr, "[it %d] sampling...\n", iter);
       // --- Stage 1: parallel batch autoregressive sampling ---------------
       nqs::SamplerOptions sOpts;
       sOpts.nSamples = nsCurrent;
@@ -134,7 +128,6 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
       const nqs::SampleSet& local = sampler.sweep(
           sOpts, rank, nRanks,
           opts.uniqueThresholdPerRank * static_cast<std::uint64_t>(nRanks));
-      if (trace) std::fprintf(stderr, "[it %d] sampled Nu=%zu W=%llu\n", iter, local.nUnique(), (unsigned long long)local.totalWeight());
       // psi of the local chunk (inference).  The sweep already produced
       // ln|Psi| as a sampling by-product, leaving only the phase MLP to run.
       // (Copy, don't move, local.logAmp: the engine reuses its capacity.)
@@ -172,7 +165,6 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
           (opts.maxUniqueSamples == 0 || 2 * lut.size() <= opts.maxUniqueSamples))
         nsCurrent = std::min(nsCurrent * 2, opts.nSamples);
 
-      if (trace) std::fprintf(stderr, "[it %d] gathered %zu\n", iter, all.size());
       // --- Stage 3: local energies of a term-balanced chunk ---------------
       // The gathered set is tiled and the tiles are dealt to ranks — by last
       // iteration's measured per-sample term counts (LPT bin-packing) once a
@@ -259,7 +251,6 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
       const Real variance = acc[2] / wTot - std::norm(eMean);
       phases.other += t3.seconds();
 
-      if (trace) std::fprintf(stderr, "[it %d] eloc done E=%f\n", iter, eMean.real());
       // --- Stage 5: backward on the own chunk -----------------------------
       Timer t4;
       // The loss seeds depend only on eloc/eMean/weights, so they are
@@ -277,7 +268,6 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
       net.evaluateGrad(local.samples, dLogAmp, dPhase);
       phases.gradient += t4.seconds();
 
-      if (trace) std::fprintf(stderr, "[it %d] backward done\n", iter);
       // --- Stage 6: Allreduce gradients + identical optimizer step --------
       Timer t5;
       net.flattenGradients(grads);
@@ -317,11 +307,6 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
         w.addU64Array("vmc.costCosts", costModel.costs());
         w.addU64("vmc.costDefault", costModel.defaultCost());
         w.save(opts.checkpointPath);
-      }
-      if (iter == opts.iterations - 1) {
-        // Publish rank 0's engine counters so every rank's result agrees.
-        comm.bcast(&elocStats, 1);
-        res.elocStats = elocStats;
       }
       if (rank == 0) {
         if (opts.logEvery > 0 && iter % opts.logEvery == 0) {

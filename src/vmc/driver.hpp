@@ -89,9 +89,6 @@ struct VmcResult {
   Real energy = 0;                     ///< mean over the last averaging window
   Real variance = 0;                   ///< last-iteration local-energy variance
   std::size_t nUnique = 0;             ///< last-iteration global unique samples
-  /// Rank-0 local-energy engine counters of the last iteration (all-zero
-  /// unless the eloc engine is kBatched).
-  ElocStats elocStats;
   PhaseBreakdown secondsPerIteration;  ///< averaged over iterations, max over ranks
   /// Exact per-iteration communication volume, summed across ranks and
   /// averaged over iterations: the byte counters are reset at the top of

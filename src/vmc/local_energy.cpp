@@ -168,31 +168,4 @@ std::vector<Complex> localEnergies(const ops::PackedHamiltonian& packed,
   throw std::logic_error("localEnergies: unknown mode");
 }
 
-std::vector<Complex> localEnergiesExact(const ops::PackedHamiltonian& packed,
-                                        const std::vector<Bits128>& samples,
-                                        nqs::QiankunNet& net) {
-  std::vector<Complex> eloc(samples.size());
-  const std::vector<Complex> psiX = net.psi(samples);
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const Bits128 x = samples[i];
-    // Gather all coupled states and their fused coefficients, then evaluate
-    // psi in one batch.
-    std::vector<Bits128> coupled;
-    std::vector<Real> coefs;
-    coupled.reserve(packed.nGroups());
-    for (std::size_t k = 0; k < packed.nGroups(); ++k) {
-      const Real coef = packed.groupCoefficient(k, x);
-      if (coef == 0.0) continue;
-      coupled.push_back(x ^ packed.xyUnique[k]);
-      coefs.push_back(coef);
-    }
-    const std::vector<Complex> psiXp = net.psi(coupled);
-    Complex acc{packed.constant, 0.0};
-    for (std::size_t k = 0; k < coupled.size(); ++k)
-      acc += coefs[k] * psiXp[k] / psiX[i];
-    eloc[i] = acc;
-  }
-  return eloc;
-}
-
 }  // namespace nnqs::vmc

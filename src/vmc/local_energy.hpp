@@ -53,11 +53,4 @@ std::vector<Complex> localEnergies(const ops::PackedHamiltonian& packed,
                                    ElocStats* stats = nullptr,
                                    std::uint64_t* termsPerSample = nullptr);
 
-/// Exact (not sample-aware) local energies: every coupled state's psi is
-/// evaluated with the network.  Reference implementation for tests and for
-/// the bias study of the sample-aware scheme.
-std::vector<Complex> localEnergiesExact(const ops::PackedHamiltonian& packed,
-                                        const std::vector<Bits128>& samples,
-                                        nqs::QiankunNet& net);
-
 }  // namespace nnqs::vmc

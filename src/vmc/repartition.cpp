@@ -1,21 +1,10 @@
 #include "vmc/repartition.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 
 namespace nnqs::vmc {
-
-double RankPartition::imbalance() const {
-  std::uint64_t lo = std::numeric_limits<std::uint64_t>::max(), hi = 0;
-  for (std::uint64_t c : plannedCost) {
-    lo = std::min(lo, std::max<std::uint64_t>(c, 1));
-    hi = std::max(hi, std::max<std::uint64_t>(c, 1));
-  }
-  if (plannedCost.empty()) return 1.0;
-  return static_cast<double>(hi) / static_cast<double>(lo);
-}
 
 RankPartition partitionTilesByCost(const std::vector<std::uint64_t>& tileCosts,
                                    int nRanks) {

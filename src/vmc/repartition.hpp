@@ -37,10 +37,6 @@ namespace nnqs::vmc {
 struct RankPartition {
   std::vector<std::vector<std::uint32_t>> tiles;
   std::vector<std::uint64_t> plannedCost;
-
-  /// max/min planned rank cost (the balance figure of merit); ranks with
-  /// zero planned cost count as 1 so the ratio stays finite.
-  [[nodiscard]] double imbalance() const;
 };
 
 /// Greedy bin-packing (longest-processing-time): tiles in descending cost

@@ -1,29 +1,20 @@
 #pragma once
 
 // Reference oracle of the amplitude network: the stateless full forward that
-// the KV-cached decode engine, the tiled evaluate(), the fused sweep and the
-// samplers are checked against at tolerance 0.  Logits come from
-// TransformerAR::forwardTape on a local Tape with no backward (the training
-// kernels, every prefix re-read in full); the masked conditionals, ln|Psi|
-// and the single-sample draw derived from them repeat the arithmetic of
-// nqs/ansatz.cpp and nqs/sampler.cpp.
-
-#include <gtest/gtest.h>
+// the KV-cached decode engine, the tiled evaluate() and the fused sweep are
+// checked against at tolerance 0.  Logits come from TransformerAR::forwardTape
+// on a local Tape with no backward (the training kernels, every prefix re-read
+// in full); the masked conditionals and ln|Psi| derived from them repeat the
+// arithmetic of nqs/ansatz.cpp.  localEnergiesExact is the non-sample-aware
+// E_loc reference for the vmc engines.
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <vector>
 
-#include "nn/kernels/gemm.hpp"
 #include "nqs/ansatz.hpp"
-
-// The exact comparisons assume every GEMM policy reproduces the naive loop's
-// bits.  A -DNNQS_WITH_BLAS build trades that away for dgemm speed, so those
-// tests are skipped rather than left latently flaky.
-#define NNQS_SKIP_IF_BLAS()                                                  \
-  if (nnqs::nn::kernels::gemmUsesBlas())                                     \
-    GTEST_SKIP() << "BLAS GEMM route is not bit-identical across policies"
+#include "ops/packed_hamiltonian.hpp"
 
 namespace nnqs::oracle {
 
@@ -109,23 +100,34 @@ inline std::vector<Real> logAmp(const nqs::QiankunNet& net,
   return out;
 }
 
-/// Fig. 3(a) on the oracle: one sample drawn token by token, each step's
-/// conditionals from a full forward over the prefix drawn so far.
-inline Bits128 sampleOne(const nqs::QiankunNet& net, Rng& rng) {
-  std::vector<int> prefix;
-  std::array<int, 2> counts{0, 0};
-  Bits128 x;
-  for (int s = 0; s < net.nSteps(); ++s) {
-    const std::vector<Real> p = conditionals(net, prefix, 1, s, {counts});
-    const Real u = rng.uniform();
-    Real cdf = 0;
-    int t = 0;
-    while (t < 3 && !(u < (cdf += p[static_cast<std::size_t>(t)]))) ++t;
-    prefix.push_back(t);
-    counts = {counts[0] + (t & 1), counts[1] + ((t >> 1) & 1)};
-    x = net.applyToken(x, s, t);
+/// Exact (not sample-aware) local energies: every coupled state's psi is
+/// evaluated with the network.  Reference implementation for tests and for
+/// the bias study of the sample-aware scheme.
+inline std::vector<Complex> localEnergiesExact(const ops::PackedHamiltonian& packed,
+                                               const std::vector<Bits128>& samples,
+                                               nqs::QiankunNet& net) {
+  std::vector<Complex> eloc(samples.size());
+  const std::vector<Complex> psiX = net.psi(samples);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const Bits128 x = samples[i];
+    // Gather all coupled states and their fused coefficients, then evaluate
+    // psi in one batch.
+    std::vector<Bits128> coupled;
+    std::vector<Real> coefs;
+    coupled.reserve(packed.nGroups());
+    for (std::size_t k = 0; k < packed.nGroups(); ++k) {
+      const Real coef = packed.groupCoefficient(k, x);
+      if (coef == 0.0) continue;
+      coupled.push_back(x ^ packed.xyUnique[k]);
+      coefs.push_back(coef);
+    }
+    const std::vector<Complex> psiXp = net.psi(coupled);
+    Complex acc{packed.constant, 0.0};
+    for (std::size_t k = 0; k < coupled.size(); ++k)
+      acc += coefs[k] * psiXp[k] / psiX[i];
+    eloc[i] = acc;
   }
-  return x;
+  return eloc;
 }
 
 }  // namespace nnqs::oracle

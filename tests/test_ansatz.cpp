@@ -99,9 +99,7 @@ TEST(Ansatz, MaskForcesFillingAtTheEnd) {
 TEST(Ansatz, ConditionalsMatchEvaluate) {
   // Chain rule: product of the oracle's full-forward conditionals of a
   // sample's tokens equals exp(2 ln|Psi|) of the decode-path evaluate.
-  // Halving and doubling are exact, so on the in-tree kernels the sums agree
-  // bit for bit.
-  const Real tol = nn::kernels::gemmUsesBlas() ? 1e-9 : 0.0;
+  // Halving and doubling are exact, so the sums agree bit for bit.
   const int n = 8, na = 2, nb = 2;
   QiankunNet net(smallConfig(n, na, nb));
   const Bits128 x = numberSector(n, na, nb)[5];
@@ -119,7 +117,7 @@ TEST(Ansatz, ConditionalsMatchEvaluate) {
     counts[0] += t & 1;
     counts[1] += (t >> 1) & 1;
   }
-  EXPECT_NEAR(logProb, 2.0 * la[0], tol);
+  EXPECT_EQ(logProb, 2.0 * la[0]);
 }
 
 TEST(Ansatz, ParameterCountMatchesPaperScale) {

@@ -118,7 +118,6 @@ TEST(Evaluate, MatchesFullForwardBitIdentical) {
   // sizes: the empty batch, sub-tile batches, and batches spanning several
   // tiles with a ragged final tile (4-sample tiles below).  Out-of-sector
   // samples must hit the same zero-amplitude sentinel on both paths.
-  NNQS_SKIP_IF_BLAS();
   const int n = 12, na = 3, nb = 2;
   QiankunNet net(smallConfig(n, na, nb));
   std::vector<Bits128> pool = numberSector(n, na, nb);
@@ -152,7 +151,6 @@ TEST(Evaluate, TiledEvaluateMatchesForwardLogits) {
   // TransformerAR level: the tiled teacher-forced evaluate's logits are
   // bit-identical to the oracle's one-tile forward, including across tile
   // boundaries (batch 10 in tiles of 3, 3, 3, 1).
-  NNQS_SKIP_IF_BLAS();
   const Index L = 7, d = 16, heads = 4, layers = 2, batch = 10;
   Rng rng(41);
   nn::TransformerAR net(L, d, heads, layers, rng);
@@ -210,7 +208,6 @@ TEST(Evaluate, PerfbenchNetMatchesOracleUnderEveryKernel) {
   // 300 samples run as 8 tiles of at most 39 with a ragged tail.  evaluate,
   // evaluateInto and psi must equal the oracle at tolerance 0 under every
   // kernel policy, kAuto and kThreaded on the tile-parallel loop.
-  NNQS_SKIP_IF_BLAS();
 #ifdef _OPENMP
   if (omp_get_max_threads() < 2) omp_set_num_threads(2);
 #endif
@@ -280,7 +277,6 @@ TEST(Evaluate, PsiSharesTheEvaluateEntryPoint) {
   // psi() = psiValue over evaluate() output: the same complex values as the
   // oracle's full-forward ln|Psi| with evaluate()'s phase, and out-of-sector
   // samples map to exactly 0.
-  NNQS_SKIP_IF_BLAS();
   const int n = 10, na = 2, nb = 2;
   QiankunNet net(smallConfig(n, na, nb, 23));
   std::vector<Bits128> samples = numberSector(n, na, nb);
@@ -351,7 +347,6 @@ TEST(EvaluateGrad, TiledBitIdenticalToMonolithicAcrossTileGeometries) {
   // tile (32 on batch 70 -> 32, 32, 6), one tile larger than the batch
   // (256 > 70, single ragged tile), an exact-batch tile, and the engine
   // default (0).
-  NNQS_SKIP_IF_BLAS();
   const int n = 12, na = 3, nb = 2;
   const auto samples = [&] {
     auto s = numberSector(n, na, nb);
@@ -389,7 +384,6 @@ TEST(EvaluateGrad, DefaultSplitBitIdenticalToOneTileAndWithinTheBudget) {
   // (251 + 49).  The gradients must still equal one tile spanning the batch
   // at tolerance 0, and the tape must stay within the budget (plus at most
   // one cache line of alignment per carved span) while using most of it.
-  NNQS_SKIP_IF_BLAS();
   const QiankunNetConfig cfg = c2h4oConfig();
   const auto samples = randomInSector(cfg, 300);
   std::vector<Real> dLa(samples.size()), dPh(samples.size());

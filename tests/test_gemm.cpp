@@ -3,9 +3,7 @@
 // backends of every ISA tier the host runs, over ragged/odd shapes, all
 // four operand layouts, bias /
 // accumulate init modes, empty rows, and the linalg::matmul / matmulTN and
-// Linear rewirings.  In a -DNNQS_WITH_BLAS build the non-kScalar policies
-// route to dgemm, which is close but not bit-identical, so the comparisons
-// degrade to epsilon tolerances there (gemmUsesBlas()).
+// Linear rewirings.
 
 #include <gtest/gtest.h>
 
@@ -91,13 +89,9 @@ struct Problem {
 void expectSame(const std::vector<Real>& ref, const std::vector<Real>& got,
                 const std::string& what) {
   ASSERT_EQ(ref.size(), got.size()) << what;
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    if (kernels::gemmUsesBlas())
-      EXPECT_NEAR(got[i], ref[i], 1e-11 * (1.0 + std::abs(ref[i]))) << what << " c[" << i << "]";
-    else  // bitwise: tolerance 0, and -0.0 differs from +0.0
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(ref[i]), std::bit_cast<std::uint64_t>(got[i]))
-          << what << " c[" << i << "]: " << ref[i] << " vs " << got[i];
-  }
+  for (std::size_t i = 0; i < ref.size(); ++i)  // bitwise: -0.0 differs from +0.0
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ref[i]), std::bit_cast<std::uint64_t>(got[i]))
+        << what << " c[" << i << "]: " << ref[i] << " vs " << got[i];
 }
 
 }  // namespace
@@ -121,8 +115,7 @@ TEST(Gemm, BackendsBitIdenticalOnRaggedShapes) {
         for (int mode = 0; mode < 3; ++mode) {
           Problem p(s.m, s.n, s.k, ta, tb, rng);
           const auto ref = p.run(KernelPolicy::kScalar, mode);
-          // kScalar must equal the independent naive loop exactly (including
-          // in BLAS builds: kScalar stays the exact reference there).
+          // kScalar must equal the independent naive loop exactly.
           const auto naive = p.reference(mode);
           for (std::size_t i = 0; i < ref.size(); ++i)
             ASSERT_EQ(naive[i], ref[i]) << "scalar ref m=" << s.m << " n=" << s.n;
@@ -170,7 +163,7 @@ TEST(Gemm, PolicyResolution) {
 
 TEST(Gemm, LinearForwardMatchesHandLoop) {
   // The Linear rewiring end to end: y = x W^T + b, bit-identical to the
-  // naive per-row loop it replaced (epsilon under BLAS).
+  // naive per-row loop it replaced.
   Rng rng(11);
   const Index in = 19, out = 23, rows = 9;
   Linear lin(in, out, rng, "t");
@@ -184,17 +177,14 @@ TEST(Gemm, LinearForwardMatchesHandLoop) {
       for (Index i = 0; i < in; ++i)
         s += lin.w.value[static_cast<std::size_t>(o * in + i)] *
              x.data[static_cast<std::size_t>(r * in + i)];
-      const Real got = y.data[static_cast<std::size_t>(r * out + o)];
-      if (kernels::gemmUsesBlas())
-        EXPECT_NEAR(got, s, 1e-12 * (1.0 + std::abs(s)));
-      else
-        EXPECT_EQ(got, s) << "y[" << r << "," << o << "]";
+      EXPECT_EQ(y.data[static_cast<std::size_t>(r * out + o)], s)
+          << "y[" << r << "," << o << "]";
     }
 }
 
 TEST(Gemm, LinearPoliciesAgree) {
   // The decode path plumbs DecodeState::kernel into Linear: every policy
-  // must produce the same activations (bit-identical without BLAS).
+  // must produce the same activations, bit for bit.
   Rng rng(13);
   const Index in = 64, out = 192, rows = 37;
   Linear lin(in, out, rng, "qkv");
@@ -208,12 +198,8 @@ TEST(Gemm, LinearPoliciesAgree) {
   const Tensor ref = run(KernelPolicy::kScalar);
   for (auto policy : {KernelPolicy::kSimd, KernelPolicy::kThreaded, KernelPolicy::kAuto}) {
     const Tensor got = run(policy);
-    for (std::size_t i = 0; i < ref.data.size(); ++i) {
-      if (kernels::gemmUsesBlas())
-        EXPECT_NEAR(got.data[i], ref.data[i], 1e-11 * (1.0 + std::abs(ref.data[i])));
-      else
-        EXPECT_EQ(ref.data[i], got.data[i]) << i;
-    }
+    for (std::size_t i = 0; i < ref.data.size(); ++i)
+      EXPECT_EQ(ref.data[i], got.data[i]) << i;
   }
 }
 
@@ -229,16 +215,13 @@ TEST(Gemm, MatmulMatchesReferenceLoop) {
     for (Index j = 0; j < 29; ++j) {
       Real s = 0;
       for (Index l = 0; l < 37; ++l) s += a(i, l) * b(l, j);
-      if (kernels::gemmUsesBlas())
-        EXPECT_NEAR(c(i, j), s, 1e-11 * (1.0 + std::abs(s)));
-      else
-        EXPECT_EQ(c(i, j), s) << i << "," << j;
+      EXPECT_EQ(c(i, j), s) << i << "," << j;
     }
 }
 
 TEST(Gemm, MatmulTNMatchesTransposedMatmulExactly) {
   // Both run the same contract with the same k-order, so they agree to the
-  // bit (not just to rounding) without BLAS.
+  // bit, not just to rounding.
   Rng rng(19);
   linalg::Matrix a(31, 14), b(31, 18);
   for (Index i = 0; i < 31; ++i) {
@@ -248,10 +231,5 @@ TEST(Gemm, MatmulTNMatchesTransposedMatmulExactly) {
   const linalg::Matrix c1 = linalg::matmulTN(a, b);
   const linalg::Matrix c2 = linalg::matmul(a.transposed(), b);
   for (Index i = 0; i < 14; ++i)
-    for (Index j = 0; j < 18; ++j) {
-      if (kernels::gemmUsesBlas())
-        EXPECT_NEAR(c1(i, j), c2(i, j), 1e-11 * (1.0 + std::abs(c2(i, j))));
-      else
-        EXPECT_EQ(c1(i, j), c2(i, j)) << i << "," << j;
-    }
+    for (Index j = 0; j < 18; ++j) EXPECT_EQ(c1(i, j), c2(i, j)) << i << "," << j;
 }

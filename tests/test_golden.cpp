@@ -3,10 +3,11 @@
 // that moves any energy by one ulp fails here, naming the first iteration
 // that differs.
 //
-// The array depends on the toolchain and libm (std::exp/log round differently
-// across implementations).  To re-bless after a deliberate bit change, paste
-// the array the failure message prints over kGoldenHistory and record the
-// change in CHANGES.md.
+// The array depends on the compiler and libm (std::exp/log round differently
+// across implementations), not on build flags: the library and the tests are
+// built with FP contraction off, so -march and the build type leave it as is.
+// To re-bless after a deliberate bit change, paste the array the failure
+// message prints over kGoldenHistory and record the change in CHANGES.md.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +17,6 @@
 
 #include "chem/basis_set.hpp"
 #include "chem/geometry_library.hpp"
-#include "nn/kernels/gemm.hpp"
 #include "ops/jordan_wigner.hpp"
 #include "scf/mo_integrals.hpp"
 #include "scf/rhf.hpp"
@@ -63,8 +63,6 @@ void expectGolden(const std::vector<Real>& history, const char* what) {
 }  // namespace
 
 TEST(Golden, EnergyHistoryMatchesCommittedBits) {
-  if (nn::kernels::gemmUsesBlas())
-    GTEST_SKIP() << "BLAS GEMM route is not bit-identical to the committed history";
   const auto mol = chem::makeMolecule("H2O");
   const auto ao = scf::computeAoIntegrals(mol, chem::buildBasis(mol, "sto-3g"));
   const auto mo = scf::transformToMo(ao, scf::runHartreeFock(ao, mol));

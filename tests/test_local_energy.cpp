@@ -10,6 +10,7 @@
 #include "fci/fci.hpp"
 #include "ops/jordan_wigner.hpp"
 #include "scf/rhf.hpp"
+#include "oracle.hpp"
 #include "vmc/local_energy.hpp"
 
 using namespace nnqs;
@@ -137,7 +138,7 @@ TEST(LocalEnergy, AllEnginesAgreeOnFullSupport) {
   const auto b = localEnergies(s.packed, probe, lut, ElocMode::kSaFuseLut);
   const auto c = localEnergies(s.packed, probe, lut, ElocMode::kSaFuseLutParallel);
   const auto d = localEnergies(s.packed, probe, lut, ElocMode::kBaseline, &s.made, &net);
-  const auto e = localEnergiesExact(s.packed, probe, net);
+  const auto e = oracle::localEnergiesExact(s.packed, probe, net);
   const auto f = localEnergies(s.packed, probe, lut, ElocMode::kBatched);
   for (std::size_t i = 0; i < probe.size(); ++i) {
     EXPECT_NEAR(std::abs(a[i] - b[i]), 0.0, 1e-10);

@@ -118,9 +118,8 @@ TEST(TransformerAR, CausalityOfLogits) {
 
 TEST(TransformerAR, PrefixWindowConsistency) {
   // Logits at position s computed from a window of length s+1 must equal the
-  // same positions computed from the full window (the sampler relies on it):
-  // bit for bit on the in-tree kernels.
-  const Real tol = kernels::gemmUsesBlas() ? 1e-10 : 0.0;
+  // same positions computed from the full window (the sampler relies on it),
+  // bit for bit.
   Rng rng(6);
   TransformerAR net(5, 16, 4, 2, rng);
   const std::vector<int> full = {4, 0, 3, 1, 2};
@@ -129,7 +128,7 @@ TEST(TransformerAR, PrefixWindowConsistency) {
     const std::vector<int> prefix(full.begin(), full.begin() + static_cast<long>(w));
     const std::vector<Real> part = oracle::logits(net, prefix, static_cast<Index>(w));
     for (std::size_t t = 0; t < 4; ++t)
-      EXPECT_NEAR(part[(w - 1) * 4 + t], all[(w - 1) * 4 + t], tol);
+      EXPECT_EQ(part[(w - 1) * 4 + t], all[(w - 1) * 4 + t]);
   }
 }
 

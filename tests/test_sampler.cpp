@@ -133,13 +133,6 @@ TEST(Bas, FrequenciesMatchBornProbabilities) {
   }
 }
 
-TEST(Bas, SingleSampleAutoregressiveConservesNumber) {
-  QiankunNet net(smallConfig(8, 2, 2));
-  Rng rng(17);
-  for (int i = 0; i < 20; ++i)
-    EXPECT_TRUE(conservesNumber(autoregressiveSampleOne(net, rng), 8, 2, 2));
-}
-
 TEST(ParallelBas, UnionEqualsSerialTotals) {
   // The rank-partitioned sampler must conserve the total sample count and
   // produce disjoint unique samples across ranks.

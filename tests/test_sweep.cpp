@@ -54,7 +54,6 @@ SampleSet sweepCopy(QiankunNet& net, const SamplerOptions& opts) {
 TEST(Sweep, TileGeometryIsBitIdentical) {
   // Untiled reference vs ragged tiny tiles, the default, one huge tile, and
   // tile == 1 (maximal deferral): identical sample sets, weights, ln|Psi|.
-  NNQS_SKIP_IF_BLAS();
   QiankunNet net(smallConfig(12, 3, 3));
   SamplerOptions opts;
   opts.nSamples = 1 << 14;
@@ -74,7 +73,6 @@ TEST(Sweep, FusedLogAmpMatchesSeparateEvaluate) {
   // The fusion contract: SampleSet::logAmp must equal a separate evaluate()
   // over the same samples, and the full-forward oracle's ln|Psi| of them,
   // bit for bit — tiled and untiled.
-  NNQS_SKIP_IF_BLAS();
   QiankunNet net(smallConfig(12, 3, 3));
   SamplerOptions opts;
   opts.nSamples = 1 << 14;
@@ -96,7 +94,6 @@ TEST(Sweep, ParallelUnionEqualsSerialExactly) {
   // Per-node RNG substreams make rank partitioning draw-invariant: the union
   // of the per-rank sets is the serial sweep *exactly* — same samples, same
   // weights, same fused ln|Psi| — not just in totals.
-  NNQS_SKIP_IF_BLAS();
   const int ranks = 4;
   QiankunNet net(smallConfig(12, 3, 3));
   SamplerOptions opts;
@@ -193,7 +190,6 @@ TEST(Sweep, PhasesMatchEvaluateAcrossTileEdges) {
   // MLP in 256-row tiles; rows are independent, so every row must equal an
   // evaluate() of that row alone bit for bit, on either side of a tile edge
   // and for the empty batch.
-  NNQS_SKIP_IF_BLAS();
   QiankunNet net(smallConfig(12, 3, 3));
   Rng rng(19);
   for (std::size_t batch : {0, 1, 255, 256, 257, 3000}) {

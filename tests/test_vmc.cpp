@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "chem/basis_set.hpp"
-#include "nn/kernels/gemm.hpp"
 #include "chem/geometry_library.hpp"
 #include "fci/fci.hpp"
 #include "io/checkpoint.hpp"
@@ -187,8 +186,6 @@ TEST(Vmc, FusedSweepAndTileGeometryLeaveTrajectoryBitIdentical) {
   // tile knob only reorders *when* frontier rows are decoded, never what
   // they compute — so the whole multi-rank trajectory must match the
   // untiled runs bit for bit.
-  if (nn::kernels::gemmUsesBlas())
-    GTEST_SKIP() << "BLAS GEMM route is not bit-identical across batch shapes";
   const System s = buildSystem("LiH");
   VmcOptions opts;
   opts.iterations = 8;
