@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the performance-critical kernels:
 // Pauli algebra, packed-Hamiltonian group coefficients, LUT search, the
-// transformer forward and a BAS expansion step.  These are the ablation-level
+// transformer forward, a BAS expansion step, and the gradient allreduce and
+// optimizer step of the training iteration.  These are the ablation-level
 // numbers behind Figs. 10-12.
 
 #include <benchmark/benchmark.h>
@@ -8,6 +9,7 @@
 #include <sys/resource.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
 
@@ -16,7 +18,9 @@
 #include "nn/kernels/elementwise.hpp"
 #include "nn/kernels/gemm.hpp"
 #include "nn/kernels/kernels.hpp"
+#include "nn/optimizer.hpp"
 #include "nqs/sampler.hpp"
+#include "parallel/comm.hpp"
 #include "serve/amplitude_server.hpp"
 #include "vmc/local_energy.hpp"
 
@@ -747,6 +751,111 @@ BENCHMARK(BM_Elementwise)
     ->Args({0, -1})->Args({0, 0})->Args({0, 1})->Args({0, 2})
     ->Args({1, -1})->Args({1, 0})->Args({1, 1})->Args({1, 2})
     ->Args({2, -1})->Args({2, 0})->Args({2, 1})->Args({2, 2});
+
+// Stage 6 of the VMC iteration (gradient allreduce, then the optimizer step)
+// at train-c2h4o's model size: the paper architecture at 38 qubits and
+// 12 + 12 electrons, 290,181 parameters.
+nqs::QiankunNetConfig stage6NetConfig() {
+  Pipeline p;  // paperNetConfig reads only the shape
+  p.nQubits = 38;
+  p.mo.nAlpha = 12;
+  p.mo.nBeta = 12;
+  return paperNetConfig(p);
+}
+constexpr std::size_t kStage6Params = 290181;
+
+// The gradient allreduce on 4 thread ranks over 290,181 doubles.  Each
+// benchmark iteration runs one ThreadWorld and times kCalls successive
+// allReduceSum calls inside it on rank 0 (manual time, per call), so thread
+// start-up stays out of the figure.
+void BM_AllReduceThreads(benchmark::State& state) {
+  constexpr int kRanks = 4, kCalls = 8;
+  parallel::ThreadWorld world(kRanks);
+  std::vector<std::vector<Real>> bufs(kRanks, std::vector<Real>(kStage6Params));
+  for (auto _ : state) {
+    double seconds = 0;
+    world.run([&](parallel::Comm& comm) {
+      auto& b = bufs[static_cast<std::size_t>(comm.rank())];
+      std::fill(b.begin(), b.end(), 1e-3 * static_cast<Real>(comm.rank() + 1));
+      comm.barrier();
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int c = 0; c < kCalls; ++c) comm.allReduceSum(b.data(), b.size());
+      // The last call ends in a barrier, so every rank has finished here.
+      if (comm.rank() == 0)
+        seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                      .count();
+    });
+    benchmark::DoNotOptimize(bufs[0].data());
+    benchmark::ClobberMemory();
+    state.SetIterationTime(seconds / kCalls);
+  }
+  state.SetLabel("4 thread ranks");
+}
+BENCHMARK(BM_AllReduceThreads)->UseManualTime()->Unit(benchmark::kMillisecond);
+
+// The optimizer step over the 290,181-parameter list: kernels::adamw once
+// per parameter tensor, as AdamW::step runs it, under kScalar (/0) or kSimd
+// (/1).  The step zeroes the gradients, so fresh ones are copied in before
+// each step, outside the timed region (manual time).  The warm step must
+// make no heap allocation.
+void BM_AdamWStep(benchmark::State& state) {
+  const auto policy = kernelArg(state.range(0));
+  nqs::QiankunNet net(stage6NetConfig());
+  const auto params = net.parameters();
+  const nn::AdamWOptions o;
+  std::vector<std::vector<Real>> grads, m, v;
+  Rng rng(41);
+  for (const auto* p : params) {
+    std::vector<Real> g(p->grad.data.size());
+    for (auto& x : g) x = 1e-2 * rng.normal();
+    grads.push_back(std::move(g));
+    m.emplace_back(p->grad.data.size(), 0.0);
+    v.emplace_back(p->grad.data.size(), 0.0);
+  }
+  nn::kernels::AdamWArgs a;
+  a.lr = o.lr;
+  a.beta1 = o.beta1;
+  a.beta2 = o.beta2;
+  a.eps = o.eps;
+  a.weightDecay = o.weightDecay;
+  long t = 0;
+  const auto step = [&] {
+    for (std::size_t k = 0; k < params.size(); ++k)
+      std::copy(grads[k].begin(), grads[k].end(), params[k]->grad.data.begin());
+    const auto t0 = std::chrono::steady_clock::now();
+    ++t;
+    a.bc1 = 1.0 - std::pow(o.beta1, static_cast<Real>(t));
+    a.bc2 = 1.0 - std::pow(o.beta2, static_cast<Real>(t));
+    for (std::size_t k = 0; k < params.size(); ++k) {
+      a.n = params[k]->numel();
+      a.value = params[k]->value.data.data();
+      a.grad = params[k]->grad.data.data();
+      a.m = m[k].data();
+      a.v = v[k].data();
+      nn::kernels::adamw(a, policy);
+    }
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  };
+  step();  // cold
+  std::uint64_t lastStepAllocs = 0;
+  for (auto _ : state) {
+    const std::uint64_t allocs0 = allocationCount();
+    const double seconds = step();
+    lastStepAllocs = allocationCount() - allocs0;
+    benchmark::DoNotOptimize(params[0]->value.data.data());
+    benchmark::ClobberMemory();
+    state.SetIterationTime(seconds);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kStage6Params));
+  state.SetLabel(std::string("adamw/") + nn::kernels::kernelPolicyName(policy));
+  state.counters["allocs/step"] = static_cast<double>(lastStepAllocs);
+  if (net.parameterCount() != static_cast<Index>(kStage6Params))
+    state.SkipWithError("parameter list is not train-c2h4o's size");
+  else if (lastStepAllocs != 0)
+    state.SkipWithError("warm optimizer step heap-allocated");
+}
+// Arg: policy (0 = scalar reference, 1 = SIMD).
+BENCHMARK(BM_AdamWStep)->Arg(0)->Arg(1)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 void BM_LocalEnergySample(benchmark::State& state) {
   const auto& p = c2Pipeline();

@@ -85,6 +85,7 @@ constexpr detail::KernelTable kScalarKernels{
     &detail::lnRowForwardScalar,
     &detail::lnRowBackwardScalar,
     &detail::lnParamGradsScalar,
+    &detail::adamwScalar,
     &batch::parityAndMaskScalar,
 };
 }  // namespace

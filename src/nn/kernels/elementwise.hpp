@@ -8,9 +8,9 @@ namespace nnqs::nn::kernels {
 
 /// The elementwise kernel family behind the decode step's non-GEMM stages:
 /// vectorized GELU (forward + backward), the phase MLP's tanh, and a fused
-/// residual + LayerNorm row kernel (forward + backward).  Third member of
-/// the kernel-backend set after decode attention (attn_row.hpp) and GEMM
-/// (gemm.hpp), under the same
+/// residual + LayerNorm row kernel (forward + backward); plus the optimizer
+/// step's AdamW update.  Third member of the kernel-backend set after decode
+/// attention (attn_row.hpp) and GEMM (gemm.hpp), under the same
 /// arithmetic contract style: every output element is produced by one fixed
 /// IEEE-754 operation sequence (defined by the scalar reference in
 /// elementwise_scalar.cpp, FP contraction off), and the AVX2/AVX-512 backends
@@ -136,6 +136,28 @@ struct LayerNormBwdArgs {
 };
 void layerNormBackward(const LayerNormBwdArgs& args,
                        KernelPolicy policy = KernelPolicy::kAuto);
+
+/// One AdamW update of n parameters in place (nn::AdamW::step runs it once
+/// per parameter tensor).  Element i, with g = grad[i]:
+///
+///   m_i = beta1 * m_i + (1 - beta1) * g
+///   v_i = beta2 * v_i + ((1 - beta2) * g) * g
+///   w_i = w_i - lr * ((m_i / bc1) / (sqrt(v_i / bc2) + eps) + weightDecay * w_i)
+///   grad_i = 0
+///
+/// bc1 = 1 - beta1^t and bc2 = 1 - beta2^t are the bias corrections of step
+/// t.  Every operation is one correctly rounded IEEE operation, so every
+/// KernelPolicy produces identical bits.
+struct AdamWArgs {
+  Index n = 0;
+  Real* value = nullptr;  ///< [n] parameters, updated
+  Real* grad = nullptr;   ///< [n] gradients, read, then zeroed
+  Real* m = nullptr;      ///< [n] first moments, updated
+  Real* v = nullptr;      ///< [n] second moments, updated
+  Real lr = 0, beta1 = 0, beta2 = 0, eps = 0, weightDecay = 0;
+  Real bc1 = 1, bc2 = 1;
+};
+void adamw(const AdamWArgs& args, KernelPolicy policy = KernelPolicy::kAuto);
 
 /// Resolve kAuto against the element count (mirrors resolvePolicy /
 /// resolveGemmPolicy for the other kernel families).

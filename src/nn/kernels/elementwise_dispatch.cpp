@@ -1,8 +1,9 @@
 // Elementwise-kernel policy resolution and the serial / OpenMP-threaded
-// drivers: disjoint element chunks for the tanh and GELU sweeps, disjoint
-// rows for the fused residual + LayerNorm kernels.  Chunk and row boundaries
-// cannot perturb results (every output element's operation sequence is local
-// to its chunk/row), so the threaded backend is trivially bit-identical.
+// drivers: disjoint element chunks for the tanh, GELU and AdamW sweeps,
+// disjoint rows for the fused residual + LayerNorm kernels.  Chunk and row
+// boundaries cannot perturb results (every output element's operation
+// sequence is local to its chunk/row), so the threaded backend is trivially
+// bit-identical.
 
 #include <algorithm>
 #include <cassert>
@@ -64,6 +65,10 @@ void layerNormBackward(const LayerNormBwdArgs& a, KernelPolicy policy) {
   detail::layerNormBackward(a, policy, detail::hostKernels());
 }
 
+void adamw(const AdamWArgs& a, KernelPolicy policy) {
+  detail::adamw(a, policy, detail::hostKernels());
+}
+
 namespace detail {
 
 void tanh(const Real* x, Real* y, Index n, KernelPolicy policy, const KernelTable& tier) {
@@ -117,6 +122,13 @@ void layerNormBackward(const LayerNormBwdArgs& a, KernelPolicy policy,
   } else {
     for (Index r = 0; r < a.rows; ++r) k.lnRowBackward(a, r);
   }
+}
+
+void adamw(const AdamWArgs& a, KernelPolicy policy, const KernelTable& tier) {
+  if (a.n <= 0) return;
+  policy = resolveElementwisePolicy(policy, a.n);
+  const auto fn = tierFor(policy, tier).adamw;
+  runChunked(policy, a.n, [&](Index off, Index len) { fn(a, off, len); });
 }
 
 }  // namespace detail

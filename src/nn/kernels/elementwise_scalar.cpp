@@ -3,7 +3,7 @@
 // vectorized backends are tested bit-for-bit against.  The per-element tanh
 // and GELU sequences live in elementwise.hpp (kernelTanh / geluScalar /
 // geluGradScalar); the row kernels here define the LayerNorm contract's pass
-// structure.
+// structure, and adamwScalar the AdamW update's operation sequence.
 
 #include "nn/kernels/kernel_table.hpp"
 
@@ -95,6 +95,19 @@ void lnParamGradsScalar(const LayerNormBwdArgs& a) {
       a.dgamma[i] += dy[i] * xh[i];
       a.dbeta[i] += dy[i];
     }
+  }
+}
+
+void adamwScalar(const AdamWArgs& a, Index off, Index len) {
+  for (Index i = off; i < off + len; ++i) {
+    const Real g = a.grad[i];
+    a.m[i] = a.beta1 * a.m[i] + (1.0 - a.beta1) * g;
+    a.v[i] = a.beta2 * a.v[i] + (1.0 - a.beta2) * g * g;
+    const Real mhat = a.m[i] / a.bc1;
+    const Real vhat = a.v[i] / a.bc2;
+    a.value[i] -= a.lr * (mhat / (std::sqrt(vhat) + a.eps) +
+                          a.weightDecay * a.value[i]);
+    a.grad[i] = 0.0;
   }
 }
 

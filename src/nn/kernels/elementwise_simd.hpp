@@ -1,9 +1,10 @@
 #pragma once
 
-// The elementwise kernels — tanh, GELU, GELU', and the fused residual +
-// LayerNorm forward, backward and parameter gradients — written once on a
-// lane type (simd_lanes.hpp) and instantiated per ISA through
-// simd_kernels.hpp.  Include only from the ISA translation units.
+// The elementwise kernels — tanh, GELU, GELU', the fused residual +
+// LayerNorm forward, backward and parameter gradients, and the AdamW
+// update — written once on a lane type (simd_lanes.hpp) and instantiated
+// per ISA through simd_kernels.hpp.  Include only from the ISA translation
+// units.
 //
 // Bit-identity with the scalar reference (contract in elementwise.hpp):
 //   - tanh and GELU: lanes are independent elements; tanhV() is kernelTanh()'s
@@ -17,7 +18,9 @@
 //     tail block adds +0.0 to the partials it does not cover, which leaves
 //     them unchanged (a partial that starts at +0.0 is never -0.0);
 //   - parameter gradients: lanes are columns; each column's sum stays
-//     ascending in the row.
+//     ascending in the row;
+//   - AdamW: lanes are independent parameters; division and sqrt are
+//     correctly rounded per lane.
 
 #include <cmath>
 
@@ -134,6 +137,28 @@ struct ElementwiseSimd {
       const V dxh = S::mul(blk.load(dy + i), blk.load(a.gamma + i));
       blk.store(dx + i,
                 S::mul(is, S::sub(S::sub(dxh, s1), S::mul(blk.load(xh + i), s2))));
+    });
+  }
+
+  /// adamwScalar() per lane; the lanes past a ragged end read +0.0 and
+  /// store nothing.
+  static void adamw(const AdamWArgs& a, Index off, Index len) {
+    const V beta1 = S::set1(a.beta1), c1 = S::set1(1.0 - a.beta1);
+    const V beta2 = S::set1(a.beta2), c2 = S::set1(1.0 - a.beta2);
+    const V bc1 = S::set1(a.bc1), bc2 = S::set1(a.bc2), eps = S::set1(a.eps);
+    const V lr = S::set1(a.lr), wd = S::set1(a.weightDecay);
+    forEachBlock<S>(len, [&](Index j, auto blk) {
+      const Index i = off + j;
+      const V g = blk.load(a.grad + i);
+      const V m = S::add(S::mul(beta1, blk.load(a.m + i)), S::mul(c1, g));
+      const V v = S::add(S::mul(beta2, blk.load(a.v + i)), S::mul(S::mul(c2, g), g));
+      blk.store(a.m + i, m);
+      blk.store(a.v + i, v);
+      const V w = blk.load(a.value + i);
+      const V step = S::add(S::div(S::div(m, bc1), S::add(S::sqrt(S::div(v, bc2)), eps)),
+                            S::mul(wd, w));
+      blk.store(a.value + i, S::sub(w, S::mul(lr, step)));
+      blk.store(a.grad + i, S::zero());
     });
   }
 

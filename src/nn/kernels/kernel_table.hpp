@@ -37,6 +37,9 @@ struct KernelTable {
   void (*lnRowForward)(const ResidualLnArgs& a, Index r);
   void (*lnRowBackward)(const LayerNormBwdArgs& a, Index r);
   void (*lnParamGrads)(const LayerNormBwdArgs& a);
+  /// Elements [off, off + len) of the AdamW update (any sub-range, like the
+  /// elementwise ranges above).
+  void (*adamw)(const AdamWArgs& a, Index off, Index len);
   void (*parityAndMask)(const Bits128* xs, std::size_t n, Bits128 mask,
                         unsigned char* out);
 };
@@ -80,6 +83,7 @@ void residualLayerNorm(const ResidualLnArgs& args, KernelPolicy policy,
                        const KernelTable& tier);
 void layerNormBackward(const LayerNormBwdArgs& args, KernelPolicy policy,
                        const KernelTable& tier);
+void adamw(const AdamWArgs& args, KernelPolicy policy, const KernelTable& tier);
 
 /// The scalar elementwise references (elementwise_scalar.cpp).
 void tanhScalar(const Real* x, Real* y, Index n);
@@ -88,5 +92,6 @@ void geluBackwardScalar(const Real* x, const Real* dy, Real* dx, Index n);
 void lnRowForwardScalar(const ResidualLnArgs& a, Index r);
 void lnRowBackwardScalar(const LayerNormBwdArgs& a, Index r);
 void lnParamGradsScalar(const LayerNormBwdArgs& a);
+void adamwScalar(const AdamWArgs& a, Index off, Index len);
 
 }  // namespace nnqs::nn::kernels::detail

@@ -29,6 +29,7 @@ constexpr KernelTable kSimdKernels{
     &ElementwiseSimd<S>::lnRowForward,
     &ElementwiseSimd<S>::lnRowBackward,
     &ElementwiseSimd<S>::lnParamGrads,
+    &ElementwiseSimd<S>::adamw,
     &batch::detail::parityAndMaskSimd<S>,
 };
 

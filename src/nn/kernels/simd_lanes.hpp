@@ -5,8 +5,8 @@
 // __m256i (AVX2, simd_avx2.cpp) and Lanes8 over __m512d / __m512i
 // (AVX-512F+DQ, simd_avx512.cpp).  Both expose the same static operations:
 //   - doubles: zero, set1, load/store (whole, or the first n lanes), add,
-//     sub, mul, div, max, abs, copysign, the lane selects keepFirst and
-//     keepGreater, a max reduction, round-to-nearest and 2^n;
+//     sub, mul, div, sqrt, max, abs, copysign, the lane selects keepFirst
+//     and keepGreater, a max reduction, round-to-nearest and 2^n;
 //   - 64-bit integers (the batched parity kernel): load, store, and, xor
 //     and a logical right shift;
 // and contractExp<S> below builds the kernel exp from them.  Every
@@ -54,6 +54,7 @@ struct Lanes4 {
   static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
   static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
   static V div(V a, V b) { return _mm256_div_pd(a, b); }
+  static V sqrt(V v) { return _mm256_sqrt_pd(v); }
   static V max(V a, V b) { return _mm256_max_pd(a, b); }
   static V abs(V v) { return _mm256_andnot_pd(_mm256_set1_pd(-0.0), v); }
   /// |mag| with the sign bit of sgn.
@@ -117,6 +118,7 @@ struct Lanes8 {
   static V sub(V a, V b) { return _mm512_sub_pd(a, b); }
   static V mul(V a, V b) { return _mm512_mul_pd(a, b); }
   static V div(V a, V b) { return _mm512_div_pd(a, b); }
+  static V sqrt(V v) { return _mm512_sqrt_pd(v); }
   static V max(V a, V b) { return _mm512_max_pd(a, b); }
   static V abs(V v) { return _mm512_andnot_pd(_mm512_set1_pd(-0.0), v); }
   static V copysign(V mag, V sgn) {

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/kernels/elementwise.hpp"
+
 namespace nnqs::nn {
 
 AdamW::AdamW(std::vector<Parameter*> params, AdamWOptions opts)
@@ -17,28 +19,23 @@ AdamW::AdamW(std::vector<Parameter*> params, AdamWOptions opts)
 
 void AdamW::step(Real lrScale) {
   ++t_;
-  const Real lr = opts_.lr * lrScale;
-  const Real bc1 = 1.0 - std::pow(opts_.beta1, static_cast<Real>(t_));
-  const Real bc2 = 1.0 - std::pow(opts_.beta2, static_cast<Real>(t_));
+  kernels::AdamWArgs a;
+  a.lr = opts_.lr * lrScale;
+  a.beta1 = opts_.beta1;
+  a.beta2 = opts_.beta2;
+  a.eps = opts_.eps;
+  a.weightDecay = opts_.weightDecay;
+  a.bc1 = 1.0 - std::pow(opts_.beta1, static_cast<Real>(t_));
+  a.bc2 = 1.0 - std::pow(opts_.beta2, static_cast<Real>(t_));
   for (std::size_t k = 0; k < params_.size(); ++k) {
     Parameter& p = *params_[k];
-    Tensor& m = m_[k];
-    Tensor& v = v_[k];
-    for (std::size_t i = 0; i < p.value.data.size(); ++i) {
-      const Real g = p.grad.data[i];
-      m.data[i] = opts_.beta1 * m.data[i] + (1.0 - opts_.beta1) * g;
-      v.data[i] = opts_.beta2 * v.data[i] + (1.0 - opts_.beta2) * g * g;
-      const Real mhat = m.data[i] / bc1;
-      const Real vhat = v.data[i] / bc2;
-      p.value.data[i] -= lr * (mhat / (std::sqrt(vhat) + opts_.eps) +
-                               opts_.weightDecay * p.value.data[i]);
-    }
+    a.n = p.numel();
+    a.value = p.value.data.data();
+    a.grad = p.grad.data.data();
+    a.m = m_[k].data.data();
+    a.v = v_[k].data.data();
+    kernels::adamw(a);
   }
-  zeroGrad();
-}
-
-void AdamW::zeroGrad() {
-  for (Parameter* p : params_) p->grad.setZero();
 }
 
 void AdamW::restoreState(std::vector<Tensor> m, std::vector<Tensor> v, long t) {

@@ -20,9 +20,11 @@ class AdamW {
   AdamW(std::vector<Parameter*> params, AdamWOptions opts = {});
 
   /// One update using the gradients currently stored in the parameters,
-  /// then zeroes the gradients.  `lrScale` multiplies opts.lr (the schedule).
+  /// zeroing each gradient in the same pass.  `lrScale` multiplies opts.lr
+  /// (the schedule).  Runs kernels::adamw once per parameter tensor (the
+  /// elementwise kernel family, elementwise.hpp), so every kernel tier gives
+  /// the same bits.
   void step(Real lrScale = 1.0);
-  void zeroGrad();
   [[nodiscard]] Index parameterCount() const;
   [[nodiscard]] const AdamWOptions& options() const { return opts_; }
 

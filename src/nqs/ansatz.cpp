@@ -292,6 +292,10 @@ void QiankunNet::flattenGradients(std::vector<Real>& out) {
 }
 
 void QiankunNet::loadGradients(const std::vector<Real>& in) {
+  if (static_cast<Index>(in.size()) != parameterCount())
+    throw std::invalid_argument(
+        "QiankunNet::loadGradients: input length differs from the parameter "
+        "count");
   std::size_t off = 0;
   for (auto* p : parameters()) {
     std::copy(in.begin() + static_cast<std::ptrdiff_t>(off),

@@ -177,7 +177,10 @@ class QiankunNet {
   std::vector<nn::Parameter*> parameters();
   [[nodiscard]] Index parameterCount();
 
+  /// Every parameter's gradient, concatenated in parameters() order.
   void flattenGradients(std::vector<Real>& out);
+  /// The inverse of flattenGradients; throws std::invalid_argument unless
+  /// in.size() == parameterCount().
   void loadGradients(const std::vector<Real>& in);
 
   // --- Concurrent inference (the amplitude-serving path, src/serve/) --------

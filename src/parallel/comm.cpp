@@ -2,6 +2,7 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -50,21 +51,36 @@ void ThreadComm::allGatherFill(const void* data, std::size_t myBytes, void* out,
 
 void ThreadComm::allReduceSumReal(Real* data, std::size_t n) {
   auto& st = *state_;
-  st.contrib[static_cast<std::size_t>(rank_)] = {data, n * sizeof(Real)};
-  barrier();
-  if (rank_ == 0) {
-    // Rank-ordered deterministic sum (the Comm contract): rank 0 reduces the
-    // contributions in rank order, everyone copies the result.
-    st.reduceBuf.assign(n * sizeof(Real), 0);
-    Real* acc = reinterpret_cast<Real*>(st.reduceBuf.data());
-    for (const auto& c : st.contrib) {
-      const Real* src = static_cast<const Real*>(c.first);
-      for (std::size_t i = 0; i < n; ++i) acc[i] += src[i];
+  st.reduceSlots[static_cast<std::size_t>(rank_)] = {data, n};
+  barrier();  // all buffers posted
+  // Every rank reads the same posted lengths, so on a mismatch every rank
+  // throws here and none waits at the barrier below.
+  for (const auto& slot : st.reduceSlots)
+    if (slot.second != n)
+      throw std::invalid_argument(
+          "allReduceSum: ranks posted different lengths");
+  // Rank q owns elements [n q / P, n (q + 1) / P) of every posted buffer
+  // (floor(n q / P), computed without forming n q): it sums each element over
+  // the ranks in rank order starting from +0.0 (the Comm contract) and
+  // writes the sum back into every rank's buffer.  The slices are disjoint,
+  // so no other rank touches them until the barrier below.
+  const std::size_t p = st.size, q = static_cast<std::size_t>(rank_);
+  const auto bound = [&](std::size_t k) { return n / p * k + n % p * k / p; };
+  const std::size_t end = bound(q + 1);
+  constexpr std::size_t kBlock = 512;  // the partial sums stay in L1
+  Real acc[kBlock] = {};
+  for (std::size_t lo = bound(q); lo < end; lo += kBlock) {
+    const std::size_t len = std::min(kBlock, end - lo);
+    const Real* src0 = st.reduceSlots[0].first + lo;
+    for (std::size_t i = 0; i < len; ++i) acc[i] = 0.0 + src0[i];
+    for (std::size_t r = 1; r < p; ++r) {
+      const Real* src = st.reduceSlots[r].first + lo;
+      for (std::size_t i = 0; i < len; ++i) acc[i] += src[i];
     }
+    for (const auto& slot : st.reduceSlots)
+      std::memcpy(slot.first + lo, acc, len * sizeof(Real));
   }
-  barrier();
-  std::memcpy(data, st.reduceBuf.data(), n * sizeof(Real));
-  barrier();
+  barrier();  // every slice written back
 }
 
 void ThreadComm::bcastBytes(void* data, std::size_t nBytes, int root) {
@@ -87,6 +103,7 @@ void ThreadWorld::run(const std::function<void(Comm&)>& fn) {
   state->size = static_cast<std::size_t>(size_);
   state->barrier = std::make_unique<std::barrier<>>(size_);
   state->contrib.resize(state->size);
+  state->reduceSlots.resize(state->size);
 
   std::vector<std::thread> threads;
   std::exception_ptr firstError;

@@ -29,11 +29,14 @@ using CommBackend = exec::CommBackend;
 ///    MPI_COMM_WORLD — the real multi-node scale-out path.
 ///
 /// Both transports implement the same *rank-ordered deterministic reduction*
-/// contract: allReduceSum produces the rank-0-order sequential IEEE sum of
-/// the per-rank contributions, bit-identically on every rank (MpiComm gathers
-/// to rank 0, reduces in rank order and broadcasts — never MPI_SUM, whose
-/// reduction tree is implementation-defined).  allGatherV concatenates the
-/// contributions in rank order.  A run is therefore bit-identical across
+/// contract: element i of allReduceSum's result is the sequential IEEE sum
+/// ((+0.0 + x_0[i]) + x_1[i]) + ... + x_{P-1}[i] of the per-rank
+/// contributions, bit-identically on every rank — never MPI_SUM, whose
+/// reduction tree is implementation-defined.  ThreadComm splits the elements
+/// into P contiguous slices; each rank sums its slice of all P buffers in
+/// place and writes the sums back into every buffer.  MpiComm gathers to
+/// rank 0, reduces in rank order and broadcasts.  allGatherV concatenates
+/// the contributions in rank order.  A run is therefore bit-identical across
 /// backends at a fixed rank count.
 ///
 /// Byte accounting (the paper reports communication volume, §3.2): every
@@ -93,7 +96,9 @@ class Comm {
   }
 
   /// In-place sum-All-reduce with bit-identical results on every rank: the
-  /// rank-ordered sequential sum of the per-rank contributions.
+  /// rank-ordered sequential sum of the per-rank contributions.  Every rank
+  /// must pass the same n; ThreadComm throws std::invalid_argument on every
+  /// rank when they differ.
   void allReduceSum(Real* data, std::size_t n) {
     allReduceSumReal(data, n);
     bytes_ += 2 * n * sizeof(Real);
@@ -175,7 +180,8 @@ class ThreadComm final : public Comm {
     std::size_t size;
     std::unique_ptr<std::barrier<>> barrier;
     std::vector<std::pair<const void*, std::size_t>> contrib;
-    std::vector<unsigned char> reduceBuf;
+    /// Each rank's allReduceSum buffer and length, summed in place.
+    std::vector<std::pair<Real*, std::size_t>> reduceSlots;
     const void* bcastSrc = nullptr;
   };
   ThreadComm(int rank, std::shared_ptr<WorldState> state)

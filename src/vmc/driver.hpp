@@ -110,8 +110,10 @@ struct VmcResult {
 /// runs separately), 2) Allgather samples+psi, 3) sample-aware local
 /// energies on a term-balanced chunk of the gathered set (AllgatherV'd back
 /// so every rank sees its own samples' values), 4) Allreduce energy, 5)
-/// backward on the own chunk, 6) Allreduce gradients + identical AdamW step
-/// everywhere.
+/// backward on the own chunk, 6) Allreduce gradients (each rank sums one
+/// slice of every rank's buffer in place under the thread backend) + the
+/// identical AdamW step everywhere (kernels::adamw on the SIMD tier, one
+/// call per parameter tensor, zeroing the gradients in the same pass).
 ///
 /// Every rank returns an identical VmcResult (all collectives are
 /// rank-order-deterministic); under MPI each process returns its own copy.

@@ -35,10 +35,11 @@ using ElocMode = exec::ElocMode;
 
 /// Sample-aware local energies for `samples` (a chunk of S) given the full
 /// lookup table.  `made` is only needed for kBaseline; `net` for kBaseline's
-/// psi inference.  All network psi values go through `QiankunNet::psi` /
-/// `evaluate`, i.e. the engine picked by `QiankunNet::setEvalPolicy` (the
-/// VMC driver routes the LUT evaluation through the teacher-forced decode
-/// path by default).  `stats` (optional) receives the batched engine's
+/// psi inference, which goes through `QiankunNet::psi` (the tiled tape
+/// forward on the kernel picked by `QiankunNet::setEvalPolicy`).  The
+/// sample-aware modes read every psi from the LUT; the VMC driver fills it
+/// from the BAS sweep's ln|Psi| and `QiankunNet::phases`, so no amplitude
+/// forward runs in Stage 3.  `stats` (optional) receives the batched engine's
 /// observability counters; it is reset to zero for the other modes.
 /// `termsPerSample` (optional, samples.size() entries) receives each sample's
 /// realized term count — the number of Pauli strings whose coupled state was

@@ -6,13 +6,14 @@
 // on a local Tape with no backward (the training kernels, every prefix re-read
 // in full); the masked conditionals and ln|Psi| derived from them repeat the
 // arithmetic of nqs/ansatz.cpp.  localEnergiesExact is the non-sample-aware
-// E_loc reference for the vmc engines.
+// E_loc reference for the vmc engines, and adamwStep the optimizer update's.
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <vector>
 
+#include "nn/optimizer.hpp"
 #include "nqs/ansatz.hpp"
 #include "ops/packed_hamiltonian.hpp"
 
@@ -128,6 +129,23 @@ inline std::vector<Complex> localEnergiesExact(const ops::PackedHamiltonian& pac
     eloc[i] = acc;
   }
   return eloc;
+}
+
+/// AdamW step t over n parameters as one plain loop at learning rate lr,
+/// zeroing the gradients: the tolerance-0 reference of kernels::adamw and
+/// AdamW::step.
+inline void adamwStep(const nn::AdamWOptions& o, Real lr, long t, std::size_t n,
+                      Real* w, Real* g, Real* m, Real* v) {
+  const Real bc1 = 1.0 - std::pow(o.beta1, static_cast<Real>(t));
+  const Real bc2 = 1.0 - std::pow(o.beta2, static_cast<Real>(t));
+  for (std::size_t i = 0; i < n; ++i) {
+    m[i] = o.beta1 * m[i] + (1.0 - o.beta1) * g[i];
+    v[i] = o.beta2 * v[i] + (1.0 - o.beta2) * g[i] * g[i];
+    const Real mhat = m[i] / bc1;
+    const Real vhat = v[i] / bc2;
+    w[i] -= lr * (mhat / (std::sqrt(vhat) + o.eps) + o.weightDecay * w[i]);
+    g[i] = 0.0;
+  }
 }
 
 }  // namespace nnqs::oracle

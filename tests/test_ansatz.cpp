@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 
 #include "io/checkpoint.hpp"
 #include "nqs/ansatz.hpp"
@@ -179,4 +182,61 @@ TEST(Ansatz, GradientFlattenRoundTrip) {
   net.flattenGradients(flat2);
   for (std::size_t i = 0; i < flat.size(); ++i)
     EXPECT_DOUBLE_EQ(flat2[i], 2.0 * flat[i]);
+}
+
+TEST(Ansatz, LoadGradientsRejectsWrongLength) {
+  QiankunNet net(smallConfig(8, 2, 2));
+  const auto n = static_cast<std::size_t>(net.parameterCount());
+  EXPECT_THROW(net.loadGradients(std::vector<Real>(n - 1, 1.0)), std::invalid_argument);
+  EXPECT_THROW(net.loadGradients(std::vector<Real>(n + 1, 1.0)), std::invalid_argument);
+  EXPECT_THROW(net.loadGradients({}), std::invalid_argument);
+  // A rejected load leaves the gradients untouched.
+  std::vector<Real> flat;
+  net.flattenGradients(flat);
+  for (Real g : flat) EXPECT_EQ(g, 0.0);
+  EXPECT_NO_THROW(net.loadGradients(std::vector<Real>(n, 1.0)));
+}
+
+TEST(Ansatz, AdamWStepMatchesPlainLoopBitForBit) {
+  // AdamW::step over the network's parameter list is the plain AdamW loop
+  // (oracle::adamwStep) per tensor, bit for bit, with the moments carried
+  // over several steps and every gradient zeroed after each.
+  QiankunNet net(smallConfig(8, 2, 2));
+  const auto params = net.parameters();
+  nn::AdamWOptions o;
+  o.lr = 2e-3;
+  nn::AdamW opt(params, o);
+  std::vector<std::vector<Real>> w, m, v;
+  for (const auto* p : params) {
+    w.emplace_back(p->value.data.begin(), p->value.data.end());
+    m.emplace_back(p->value.data.size(), 0.0);
+    v.emplace_back(p->value.data.size(), 0.0);
+  }
+  Rng rng(23);
+  for (long t = 1; t <= 4; ++t) {
+    const Real lrScale = 0.25 * static_cast<Real>(t);
+    for (std::size_t k = 0; k < params.size(); ++k) {
+      for (auto& g : params[k]->grad.data) g = 1e-2 * rng.normal();
+      std::vector<Real> g(params[k]->grad.data.begin(), params[k]->grad.data.end());
+      oracle::adamwStep(o, o.lr * lrScale, t, g.size(), w[k].data(), g.data(),
+                        m[k].data(), v[k].data());
+    }
+    opt.step(lrScale);
+    for (std::size_t k = 0; k < params.size(); ++k) {
+      const auto& p = *params[k];
+      for (std::size_t i = 0; i < w[k].size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(p.value.data[i]),
+                  std::bit_cast<std::uint64_t>(w[k][i]))
+            << p.name << "[" << i << "] step " << t;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(opt.moments1()[k].data[i]),
+                  std::bit_cast<std::uint64_t>(m[k][i]))
+            << p.name << "[" << i << "] step " << t;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(opt.moments2()[k].data[i]),
+                  std::bit_cast<std::uint64_t>(v[k][i]))
+            << p.name << "[" << i << "] step " << t;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(p.grad.data[i]), 0u)
+            << p.name << "[" << i << "] step " << t;
+      }
+    }
+  }
 }

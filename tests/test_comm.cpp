@@ -2,8 +2,12 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "parallel/comm.hpp"
 
@@ -87,23 +91,40 @@ TEST_P(CommBackendTest, AllReduceSumIdenticalOnAllRanks) {
 
 TEST_P(CommBackendTest, AllReduceIsRankOrderDeterministic) {
   // The cross-backend determinism contract (parallel/comm.hpp): the reduced
-  // value is the *rank-ordered sequential* IEEE sum, bit for bit — never a
-  // backend-defined reduction tree.  The magnitudes differ per rank so the
-  // sum is order-sensitive; every rank can reconstruct the expected bits.
+  // value is the *rank-ordered sequential* IEEE sum from +0.0, bit for bit —
+  // never a backend-defined reduction tree.  The magnitudes differ per rank
+  // so the sum is order-sensitive; every rank can reconstruct the expected
+  // bits.  The lengths cover fewer elements than ranks (empty slices), an
+  // even split and a ragged one, so a slice boundary that leaves a gap or an
+  // overlap shows as a wrong element.  In the last case every contribution
+  // is -0.0: the sum from +0.0 is +0.0, a sum seeded with the first
+  // contribution would be -0.0.
   const auto world = makeTestWorld();
   world->run([](Comm& comm) {
-    const auto contribution = [](int rank, std::size_t i) {
-      return std::ldexp(1.0, -((rank * 11 + static_cast<int>(i) * 3) % 40)) +
-             1e-13 * static_cast<Real>(rank);
+    struct Case {
+      std::size_t n;
+      bool negativeZeros;
     };
-    std::vector<Real> v(16);
-    for (std::size_t i = 0; i < v.size(); ++i)
-      v[i] = contribution(comm.rank(), i);
-    comm.allReduceSum(v.data(), v.size());
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      Real expect = 0.0;
-      for (int r = 0; r < comm.size(); ++r) expect += contribution(r, i);
-      EXPECT_EQ(v[i], expect) << "element " << i << " is not the rank-ordered sum";
+    for (const Case c : {Case{1, false}, Case{3, false}, Case{16, false},
+                         Case{100003, false}, Case{16, true}}) {
+      const auto contribution = [&](int rank, std::size_t i) {
+        if (c.negativeZeros) return -0.0;
+        return std::ldexp(1.0, -((rank * 11 + static_cast<int>(i % 1000) * 3) % 40)) +
+               1e-13 * static_cast<Real>(rank);
+      };
+      std::vector<Real> v(c.n);
+      for (std::size_t i = 0; i < c.n; ++i) v[i] = contribution(comm.rank(), i);
+      comm.allReduceSum(v.data(), c.n);
+      std::size_t wrong = 0;
+      for (std::size_t i = 0; i < c.n; ++i) {
+        Real expect = 0.0;
+        for (int r = 0; r < comm.size(); ++r) expect += contribution(r, i);
+        if (std::bit_cast<std::uint64_t>(v[i]) != std::bit_cast<std::uint64_t>(expect) &&
+            wrong++ == 0)
+          ADD_FAILURE() << "n = " << c.n << ": element " << i << " is " << v[i]
+                        << ", not the rank-ordered sum " << expect;
+      }
+      EXPECT_EQ(wrong, 0u) << "n = " << c.n;
     }
   });
 }
@@ -206,6 +227,29 @@ TEST(ThreadComm, PropagatesExceptions) {
     comm.barrier();
   }),
                std::runtime_error);
+}
+
+TEST(ThreadComm, AllReduceRejectsMismatchedLengths) {
+  // A rank that posts a shorter buffer would otherwise have its neighbours
+  // read past its end.  Every rank sees the same posted lengths, so every
+  // rank throws (none is left waiting in a barrier) and no buffer changes.
+  ThreadWorld world(4);
+  std::atomic<int> rejected{0};
+  std::array<std::vector<Real>, 4> bufs;
+  EXPECT_THROW(world.run([&](Comm& comm) {
+    auto& v = bufs[static_cast<std::size_t>(comm.rank())];
+    v.assign(comm.rank() == 2 ? 5u : 8u, 1.0);
+    try {
+      comm.allReduceSum(v.data(), v.size());
+    } catch (const std::invalid_argument&) {
+      rejected.fetch_add(1);
+      throw;
+    }
+  }),
+               std::invalid_argument);
+  EXPECT_EQ(rejected.load(), 4);
+  for (const auto& v : bufs)
+    for (Real x : v) EXPECT_EQ(x, 1.0);
 }
 
 TEST(ThreadComm, ThisProcessHostsRankZero) {

@@ -1,7 +1,7 @@
 // Elementwise kernel backends (kernels::tanh / gelu / residualLayerNorm and
-// their backwards): exact (tolerance-0) agreement between the scalar
-// reference and the vectorized/threaded backends of every ISA tier the host
-// runs on ragged shapes, the
+// their backwards, kernels::adamw): exact (tolerance-0) agreement between the
+// scalar reference and the vectorized/threaded backends of every ISA tier the
+// host runs on ragged shapes, the
 // branch-free kernel tanh's accuracy, and the Workspace arena's
 // carve/reuse/grow behaviour.
 
@@ -19,6 +19,7 @@
 #include "nn/modules.hpp"
 #include "nn/transformer.hpp"
 #include "nn/workspace.hpp"
+#include "oracle.hpp"
 
 using namespace nnqs;
 using namespace nnqs::nn;
@@ -324,6 +325,60 @@ TEST(ElementwiseKernels, TanhPathsAgreeBitForBit) {
   mlp.forwardInto(ws, xin.data.data(), rows, phInto.data(), KernelPolicy::kSimd);
   for (Index r = 0; r < rows; ++r)
     EXPECT_EQ(phInto[static_cast<std::size_t>(r)], phTape[r]) << r;
+}
+
+TEST(ElementwiseKernels, AdamWBackendsBitIdenticalOverSteps) {
+  // kernels::adamw is the plain AdamW loop (oracle::adamwStep) bit for bit
+  // under every policy of every tier, over three successive steps (moments
+  // carried), on lengths straddling the SIMD widths, the chunk and the
+  // thread threshold; it leaves every gradient +0.0.
+  nn::AdamWOptions o;
+  o.lr = 3e-3;
+  o.weightDecay = 1e-2;
+  constexpr KernelPolicy kPolicies[] = {KernelPolicy::kScalar, KernelPolicy::kSimd,
+                                        KernelPolicy::kThreaded};
+  for (Index n : {Index{0}, Index{1}, Index{7}, Index{8}, Index{9}, Index{17},
+                  Index{4097}, Index{100003}}) {
+    const auto len = static_cast<std::size_t>(n);
+    Rng rng(407 + static_cast<std::uint64_t>(n));
+    const auto w0 = randomVec(rng, len, 0.1);
+    std::vector<std::vector<Real>> grads;
+    for (int t = 0; t < 3; ++t) {
+      auto g = randomVec(rng, len, 1e-2);
+      for (std::size_t i = 0; i < len; i += 5) g[i] = i % 10 == 0 ? 0.0 : -0.0;
+      grads.push_back(std::move(g));
+    }
+    for (const KernelTable* tier : kernels::detail::hostTiers())
+      for (auto policy : kPolicies) {
+        std::vector<Real> w = w0, m(len), v(len), rw = w0, rm(len), rv(len);
+        for (int t = 1; t <= 3; ++t) {
+          std::vector<Real> g = grads[static_cast<std::size_t>(t - 1)];
+          std::vector<Real> rg = g;
+          const Real lr = o.lr * (0.5 + t);
+          oracle::adamwStep(o, lr, t, len, rw.data(), rg.data(), rm.data(), rv.data());
+          kernels::AdamWArgs a;
+          a.n = n;
+          a.value = w.data();
+          a.grad = g.data();
+          a.m = m.data();
+          a.v = v.data();
+          a.lr = lr;
+          a.beta1 = o.beta1;
+          a.beta2 = o.beta2;
+          a.eps = o.eps;
+          a.weightDecay = o.weightDecay;
+          a.bc1 = 1.0 - std::pow(o.beta1, static_cast<Real>(t));
+          a.bc2 = 1.0 - std::pow(o.beta2, static_cast<Real>(t));
+          kernels::detail::adamw(a, policy, *tier);
+          const std::string step = " step " + std::to_string(t) + " n " + std::to_string(n);
+          expectBitIdentical(rw, w, label(*tier, policy, "adamw w") + step);
+          expectBitIdentical(rm, m, label(*tier, policy, "adamw m") + step);
+          expectBitIdentical(rv, v, label(*tier, policy, "adamw v") + step);
+          expectBitIdentical(std::vector<Real>(len, 0.0), g,
+                             label(*tier, policy, "adamw grad") + step);
+        }
+      }
+  }
 }
 
 // ------------------------------------------------------------- Workspace ---
