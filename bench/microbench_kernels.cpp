@@ -570,7 +570,7 @@ BENCHMARK(BM_Evaluate)
 // architecture (d_model 64, 2 decoders): untiled (one tile per sub-network
 // spanning the batch) vs. the default tiles, each sized to the tape budget
 // (TransformerAR::kGradTapeBudgetBytes): at L = 32, 6 samples per amplitude
-// tile (1.27 MiB of tape each) and 2,723 per phase tile (3 KB each, so the
+// tile (1.27 MiB of tape each) and 4,080 per phase tile (2 KB each, so the
 // 2048 batch is one phase tile).  Both legs fill bit-identical parameter
 // gradients (tests/test_evaluate.cpp); the interesting column is
 // activationMiB, the tape arena's high-water mark — the peak activation

@@ -68,15 +68,16 @@ struct ExecutionPolicy {
   /// the untiled A/B reference.  Every geometry draws bit-identical sample
   /// sets (per-node RNG substreams), so this knob only moves cache traffic.
   int sweepTileRows = 0;
-  /// Samples per tape tile of the amplitude transformer's teacher-forced
-  /// forward, in the recompute-in-tiles gradient (QiankunNet::evaluateGrad)
-  /// and in inference (evaluate, evaluateInto, psi), and per tile of the
-  /// gradient's phase-MLP loop.  Each tile re-runs its forward onto the
-  /// tape and releases it, bounding activation memory independent of the
-  /// batch size.  0 selects the engine default: each loop gets the largest
-  /// tile whose tape fits TransformerAR::kGradTapeBudgetBytes.  A positive
-  /// value forces every tile; a negative value disables tiling — one tile
-  /// spanning the whole batch.  Ascending-tile accumulation order makes
+  /// Samples per tape tile of both sub-networks' forwards, in the
+  /// recompute-in-tiles gradient (QiankunNet::evaluateGrad) and in
+  /// inference: the amplitude transformer's in evaluate, evaluateInto and
+  /// psi, the phase MLP's in phases and in those three too.  Each tile
+  /// re-runs its forward onto the tape and releases it, bounding activation
+  /// memory independent of the batch size.  0 selects the engine default:
+  /// each sub-network gets the largest tile whose gradient tape fits
+  /// TransformerAR::kGradTapeBudgetBytes, and its inference reuses that
+  /// tile.  A positive value forces every tile; a negative value disables
+  /// tiling — one tile spanning the whole batch.  Ascending-tile accumulation order makes
   /// every geometry produce bit-identical gradients, and rows are
   /// independent in the forward, so this knob only trades recompute time
   /// against activation memory.

@@ -69,8 +69,8 @@ inline Real treeSum8(const Real part[8]) {
 }
 
 /// y = kernelTanh(x), elementwise over n values; x == y (in-place) is
-/// allowed.  The phase MLP's activation (TanhAct and PhaseMlp::forwardInto)
-/// runs on it, so its Tensor, tape and raw-buffer paths agree bit for bit.
+/// allowed.  The phase MLP's activation: PhaseMlp::forwardTape runs it in
+/// place on each hidden Linear's tape output, in training and inference.
 /// Within 1e-15 of std::tanh, exactly ±1 once |x| saturates, ±0 at ±0; like
 /// the GELU tanh it maps NaN to ±1.
 void tanh(const Real* x, Real* y, Index n,

@@ -31,8 +31,8 @@ void Linear::forwardInto(const Real* x, Index rows, Real* y,
   kernels::gemm(g, policy);
 }
 
-const Real* Linear::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
-                                Index rows, kernels::KernelPolicy policy) const {
+Real* Linear::forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows,
+                          kernels::KernelPolicy policy) const {
   Real* y = tape.alloc(rows * out_);
   forwardInto(x, rows, y, policy);
   f.x = x;
@@ -156,25 +156,6 @@ Real* Gelu::backwardTape(Tape& tape, const TapeFrame& f, const Real* dy) const {
   if (f.generation != tape.generation()) throw StaleTapeError(name_);
   Real* dx = tape.alloc(f.n);
   kernels::geluBackward(f.x, dy, dx, f.n);
-  return dx;
-}
-
-// ------------------------------------------------------------------ Tanh ---
-
-const Real* TanhAct::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
-                                 Index n) const {
-  Real* y = tape.alloc(n);
-  kernels::tanh(x, y, n);
-  f.y = y;
-  f.n = n;
-  f.generation = tape.generation();
-  return y;
-}
-
-Real* TanhAct::backwardTape(Tape& tape, const TapeFrame& f, const Real* dy) const {
-  if (f.generation != tape.generation()) throw StaleTapeError(name_);
-  Real* dx = tape.alloc(f.n);
-  for (Index i = 0; i < f.n; ++i) dx[i] = dy[i] * (1.0 - f.y[i] * f.y[i]);
   return dx;
 }
 

@@ -12,15 +12,16 @@
 namespace nnqs::nn {
 
 // Layer convention: one forward per purpose.  The raw-buffer `forwardInto` /
-// `decodeStep` paths are inference: const, they record nothing, so any
-// number of threads may run them on one module at once.  Gradients are
-// recorded only on a caller-owned Tape: `forwardTape` (const too) carves the
-// outputs and whatever the backward needs from the tape and stores the span
-// pointers in a caller-held per-module TapeFrame; `backwardTape` consumes
-// the frame, returns dx on the same tape and accumulates the parameter
-// gradients.  The teacher-forced evaluate runs `forwardTape` with no
-// backward.  A leaf frame stamps the tape's generation, so a backward over a
-// frame the tape has since been reset under throws StaleTapeError.
+// `decodeStep` / `stepInto` paths serve only the decode engine: const, they
+// record nothing, so any number of threads may run them on one module at
+// once.  Every other forward is `forwardTape` (const too): it carves the
+// outputs and whatever the backward needs from a caller-owned Tape and
+// stores the span pointers in a caller-held per-module TapeFrame;
+// `backwardTape` consumes the frame, returns dx on the same tape and
+// accumulates the parameter gradients.  Inference that is not decoding (the
+// teacher-forced evaluate, the phase MLP's phases) runs `forwardTape` with
+// no backward.  A leaf frame stamps the tape's generation, so a backward
+// over a frame the tape has since been reset under throws StaleTapeError.
 
 /// Y = X W^T + b with W[out,in].  Forward and both backward GEMMs (dX = dY W,
 /// dW += dY^T X) run on the register-blocked kernels::gemm backend; every
@@ -35,14 +36,15 @@ class Linear {
 
   /// Tape record: y [rows, out_] is carved from `tape`; the input span (which
   /// must stay live until backwardTape — tape-resident upstream outputs
-  /// qualify) is recorded zero-copy in `f`.
+  /// qualify) is recorded zero-copy in `f`.  y is returned writable, so an
+  /// elementwise activation may run in place on it (PhaseMlp's tanh).
   struct TapeFrame {
     const Real* x = nullptr;
     Index rows = 0;
     std::uint64_t generation = 0;
   };
-  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows,
-                          kernels::KernelPolicy policy = kernels::KernelPolicy::kAuto) const;
+  Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows,
+                    kernels::KernelPolicy policy = kernels::KernelPolicy::kAuto) const;
   /// dx [rows, in_] carved from `tape`; dW (accumulate-GEMM, ascending k) and
   /// db (ascending rows) are serial folds, so ascending-tile calls give the
   /// bits of one call over the whole batch.
@@ -101,26 +103,6 @@ class Gelu {
   };
   const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index n,
                           kernels::KernelPolicy policy = kernels::KernelPolicy::kAuto) const;
-  Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy) const;
-
- private:
-  std::string name_;
-};
-
-/// Tanh, elementwise (phase network), on the kernels::tanh backends
-/// (elementwise.hpp), which PhaseMlp::forwardInto runs too.
-class TanhAct {
- public:
-  explicit TanhAct(std::string name = "tanh") : name_(std::move(name)) {}
-
-  /// Tape record: y [n] carved from `tape` is also what the backward needs
-  /// (tanh' = 1 - y²).
-  struct TapeFrame {
-    const Real* y = nullptr;
-    Index n = 0;
-    std::uint64_t generation = 0;
-  };
-  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index n) const;
   Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy) const;
 
  private:

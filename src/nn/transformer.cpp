@@ -239,43 +239,23 @@ void TransformerAR::collectParameters(std::vector<Parameter*>& out) {
 
 PhaseMlp::PhaseMlp(Index nQubits, Index hidden, Index nHidden, Rng& rng) {
   linears_.reserve(static_cast<std::size_t>(nHidden) + 1);
-  tanhs_.reserve(static_cast<std::size_t>(nHidden));
   Index in = nQubits;
   for (Index l = 0; l < nHidden; ++l) {
     linears_.emplace_back(in, hidden, rng, "phase.l" + std::to_string(l));
-    tanhs_.emplace_back("phase.tanh" + std::to_string(l));
     in = hidden;
   }
   linears_.emplace_back(in, 1, rng, "phase.out");
 }
 
-void PhaseMlp::forwardInto(Workspace& ws, const Real* x, Index rows, Real* out,
-                           kernels::KernelPolicy policy) const {
-  // The caller owns the carve cycle (x itself may be carved from `ws`, so a
-  // reset here would let the first layer's destination overlap its input).
-  // Each Linear carves a fresh destination; its tanh runs in place with
-  // kernels::tanh, as TanhAct::forwardTape does, so the bits match.
-  const Real* cur = x;
-  for (std::size_t l = 0; l < linears_.size(); ++l) {
-    const Index width = linears_[l].w.value.shape[0];
-    Real* y = ws.alloc(rows * width);
-    linears_[l].forwardInto(cur, rows, y, policy);
-    if (l < tanhs_.size()) kernels::tanh(y, y, rows * width, policy);
-    cur = y;
-  }
-  for (Index r = 0; r < rows; ++r) out[r] = cur[r];  // output width 1
-}
-
 const Real* PhaseMlp::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
-                                  Index rows) const {
+                                  Index rows, kernels::KernelPolicy policy) const {
   f.linear.resize(linears_.size());  // no-op reuse on warm tiles
-  f.tanh.resize(tanhs_.size());
   const Real* cur = x;
   for (std::size_t l = 0; l < linears_.size(); ++l) {
-    cur = linears_[l].forwardTape(tape, f.linear[l], cur, rows);
-    if (l < tanhs_.size())
-      cur = tanhs_[l].forwardTape(tape, f.tanh[l], cur,
-                                  rows * linears_[l].w.value.shape[0]);
+    Real* y = linears_[l].forwardTape(tape, f.linear[l], cur, rows, policy);
+    if (l + 1 < linears_.size())  // a hidden layer: tanh in place
+      kernels::tanh(y, y, rows * linears_[l].w.value.shape[0], policy);
+    cur = y;
   }
   return cur;  // [rows]
 }
@@ -284,17 +264,22 @@ void PhaseMlp::backwardTape(Tape& tape, const TapeFrame& f,
                             const Real* dPhase) {
   const Real* d = dPhase;
   for (std::size_t l = linears_.size(); l-- > 0;) {
-    if (l < tanhs_.size()) d = tanhs_[l].backwardTape(tape, f.tanh[l], d);
-    d = linears_[l].backwardTape(tape, f.linear[l], d);
+    Real* dx = linears_[l].backwardTape(tape, f.linear[l], d);
+    if (l > 0) {
+      // Linear l's input is layer l-1's tanh output a: dx *= tanh' = 1 - a².
+      const Real* a = f.linear[l].x;
+      const Index n = f.linear[l].rows * linears_[l].w.value.shape[1];
+      for (Index i = 0; i < n; ++i) dx[i] = dx[i] * (1.0 - a[i] * a[i]);
+    }
+    d = dx;
   }
 }
 
 Index PhaseMlp::tapeRealsPerSample() const {
-  // Each Linear carves y [out] forward and dx [in] backward; each tanh its
-  // output forward and its dx backward.
+  // Each Linear carves y [out] forward (its tanh runs in place) and dx [in]
+  // backward (tanh' is applied in place).
   Index n = 0;
   for (const Linear& l : linears_) n += l.w.value.shape[0] + l.w.value.shape[1];
-  for (std::size_t l = 0; l < tanhs_.size(); ++l) n += 2 * linears_[l].w.value.shape[0];
   return n;
 }
 

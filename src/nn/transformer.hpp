@@ -175,16 +175,13 @@ class TransformerAR {
   static constexpr int kVocab = 5;
   static constexpr int kBos = 4;
   static constexpr int kOutcomes = 4;
-  /// Row tile of the phase MLP's inference forward (QiankunNet::phases and
-  /// evaluate): bounds its activation workspace independent of the batch
-  /// size.
-  static constexpr Index kEvalTileRows = 256;
   /// Tape bytes one default training-step tile may carve
   /// (QiankunNet::evaluateGrad sizes its amplitude and phase tiles to it
-  /// separately; QiankunNet::evaluate reuses the amplitude tile).  The amplitude net's forward+backward runs fastest with
-  /// 1–10 MiB of tape per tile, and ~1.5x slower at the ~50 MiB of a
-  /// 256-sample tile; the phase MLP's weight-gradient GEMMs reload dW per
-  /// tile and slow down below ~64 samples.  8 MiB keeps both fast.
+  /// separately; inference reuses them: evaluate the amplitude tile,
+  /// phases the phase tile).  The amplitude net's forward+backward runs
+  /// fastest with 1–10 MiB of tape per tile, and ~1.5x slower at the ~50 MiB
+  /// of a 256-sample tile; the phase MLP's weight-gradient GEMMs reload dW
+  /// per tile and slow down below ~64 samples.  8 MiB keeps both fast.
   static constexpr Index kGradTapeBudgetBytes = Index{8} << 20;
 
  private:
@@ -200,29 +197,25 @@ class TransformerAR {
 };
 
 /// Phase sub-network: an MLP phi(x) on the +-1 encoded qubit string,
-/// [Linear, tanh] x nHidden + Linear(-> 1).
+/// [Linear, tanh] x nHidden + Linear(-> 1).  It has one forward, the tape
+/// forward: training records it for the backward, inference (QiankunNet::
+/// phases, evaluate and the serving slots) runs it alone.
 class PhaseMlp {
  public:
   PhaseMlp(Index nQubits, Index hidden, Index nHidden, Rng& rng);
 
-  /// Raw-buffer inference: x [rows, nQubits] of +-1 (caller storage,
-  /// possibly carved from `ws` itself), phases written to out[rows]; every
-  /// intermediate activation is carved from `ws` inside the *caller's* carve
-  /// cycle (no reset here).  Bit-identical to forwardTape() — the Linear
-  /// layers run the same kernels::gemm and the tanh layers the same
-  /// kernels::tanh — and
-  /// performs zero heap allocations once `ws` is warm; the serving layer runs
-  /// it concurrently from many worker threads.
-  void forwardInto(Workspace& ws, const Real* x, Index rows, Real* out,
-                   kernels::KernelPolicy policy) const;
-
-  /// Tape record: one frame per Linear and per tanh, caller-owned and reused
-  /// across tiles.  Returns the tile's phases [rows] (tape-resident).
+  /// Tape record: one frame per Linear, caller-owned and reused across tiles
+  /// (a warm tile records without heap allocations).  Each hidden layer's
+  /// tanh runs in place on its Linear's tape output with kernels::tanh, so
+  /// the next Linear records the tanh output as its input, which is all the
+  /// backward needs (tanh' = 1 - a²).  Rows are independent, so any tiling
+  /// gives the same phases, and every policy gives the same bits.  Returns
+  /// the tile's phases [rows] (tape-resident).
   struct TapeFrame {
     std::vector<Linear::TapeFrame> linear;
-    std::vector<TanhAct::TapeFrame> tanh;
   };
-  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows) const;
+  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows,
+                          kernels::KernelPolicy policy = kernels::KernelPolicy::kAuto) const;
   void backwardTape(Tape& tape, const TapeFrame& f, const Real* dPhase);
   /// Reals one sample carves from the tape over forwardTape + backwardTape
   /// (alignment slack aside), as TransformerAR::tapeRealsPerSample.
@@ -231,8 +224,7 @@ class PhaseMlp {
   void collectParameters(std::vector<Parameter*>& out);
 
  private:
-  std::vector<Linear> linears_;  ///< nHidden hidden layers, then the output
-  std::vector<TanhAct> tanhs_;   ///< tanhs_[l] follows linears_[l]
+  std::vector<Linear> linears_;  ///< nHidden tanh layers, then the output
 };
 
 }  // namespace nnqs::nn

@@ -119,12 +119,17 @@ void QiankunNet::evaluate(const std::vector<Bits128>& samples,
   evaluateInto(evalSlot_, samples, logAmp, phase, evalKernel_);
 }
 
-void QiankunNet::encodePhaseInput(const std::vector<Bits128>& samples, Index t0,
-                                  Index rows, Real* x) const {
+const Real* QiankunNet::phaseForward(EvalSlot& slot,
+                                     const std::vector<Bits128>& samples, Index t0,
+                                     Index rows, nn::kernels::KernelPolicy kernel) const {
+  nn::Tape& tape = slot.tapes.front().tape;
+  tape.reset();
+  Real* x = tape.alloc(rows * cfg_.nQubits);
   for (Index b = 0; b < rows; ++b)
     for (int q = 0; q < cfg_.nQubits; ++q)
       x[b * cfg_.nQubits + q] =
           samples[static_cast<std::size_t>(t0 + b)].get(q) ? 1.0 : -1.0;
+  return phase_.forwardTape(tape, slot.phaseFrame, x, rows, kernel);
 }
 
 void QiankunNet::phases(const std::vector<Bits128>& samples,
@@ -137,17 +142,18 @@ void QiankunNet::phasesInto(EvalSlot& slot, const std::vector<Bits128>& samples,
                             nn::kernels::KernelPolicy kernel) const {
   const Index batch = static_cast<Index>(samples.size());
   phase.resize(samples.size());
-  // Row tiles on the slot's workspace.  GEMM rows and tanh elements do not
-  // depend on the rest of the batch, so the tiles give the whole-batch
-  // forward's bits, and a warm call allocates nothing.
-  const Index tile = nn::TransformerAR::kEvalTileRows;
+  // The gradient's phase tiles, forward only, so no tile carves more than
+  // evaluateGrad's.  GEMM rows and tanh elements do not depend on the rest
+  // of the batch, so the tiles give the whole-batch forward's bits.
+  const Index tile = tapeTileRows(gradTapeRealsPerSample().phase, batch);
   for (Index t0 = 0; t0 < batch; t0 += tile) {
     const Index tb = std::min(tile, batch - t0);
-    slot.phaseWs.reset();
-    Real* xin = slot.phaseWs.alloc(tb * cfg_.nQubits);
-    encodePhaseInput(samples, t0, tb, xin);
-    phase_.forwardInto(slot.phaseWs, xin, tb, phase.data() + t0, kernel);
+    const Real* ph = phaseForward(slot, samples, t0, tb, kernel);
+    std::copy_n(ph, tb, phase.data() + t0);
   }
+  // Close the last tile's carve cycle: a cold call's overflow chunks
+  // coalesce now, so the next call of the same size allocates nothing.
+  slot.tapes.front().tape.reset();
 }
 
 Complex QiankunNet::psiValue(Real logAmp, Real phase) {
@@ -192,6 +198,8 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
   const int L = nSteps();
   const Index batch = static_cast<Index>(samples.size());
   const GradTapeCost cost = gradTapeRealsPerSample();
+  nn::TransformerAR::EvalTape& et = evalSlot_.tapes.front();
+  std::vector<int>& tokens = evalSlot_.tokens;
 
   // Tiles run SEQUENTIALLY in ascending order: every per-parameter
   // accumulation is a strictly sequential ascending-row fold that the tile
@@ -203,26 +211,26 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
   for (Index t0 = 0; t0 < batch; t0 += ampTile) {
     const Index tb = std::min(ampTile, batch - t0);
     const Index rows = tb * L;
-    gradTape_.reset();
+    et.tape.reset();
 
-    inputTokens(samples.data() + t0, tb, gradTokens_);
+    inputTokens(samples.data() + t0, tb, tokens);
 
     // Recompute this tile's teacher-forced forward onto the tape: only this
     // tile's activations exist (the previous tile's were released by the
     // reset above).  Per-row activations are batch-composition-independent,
     // so the logits equal a whole-batch forward's rows [t0, t0+tb).
     const Real* logits =
-        amplitude_.forwardTape(gradTape_, ampFrame_, gradTokens_.data(), rows, L);
+        amplitude_.forwardTape(et.tape, et.frame, tokens.data(), rows, L);
 
     // Masked conditionals + loss seeds for the tile, both tape-carved and
     // zero-filled: rows that leave the number-conserving support keep pr = 0
     // past the exit (no gradient).
-    Real* probs = gradTape_.alloc(rows * 4);
+    Real* probs = et.tape.alloc(rows * 4);
     std::fill_n(probs, rows * 4, Real{0});
     for (Index b = 0; b < tb; ++b)
       foldLogAmp(logits + b * L * 4, samples[static_cast<std::size_t>(t0 + b)],
                  probs + b * L * 4, 4);
-    Real* dLogits = gradTape_.alloc(rows * 4);
+    Real* dLogits = et.tape.alloc(rows * 4);
     std::fill_n(dLogits, rows * 4, Real{0});
     for (Index b = 0; b < tb; ++b) {
       const Real seed = dLogAmp[static_cast<std::size_t>(t0 + b)];
@@ -231,20 +239,17 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
         seedLogitRow(seed, samples[static_cast<std::size_t>(t0 + b)], s,
                      probs + (b * L + s) * 4, dLogits + (b * L + s) * 4);
     }
-    amplitude_.backwardTape(gradTape_, ampFrame_, dLogits);
+    amplitude_.backwardTape(et.tape, et.frame, dLogits);
   }
 
   const Index phaseTile = tapeTileRows(cost.phase, batch);
   for (Index t0 = 0; t0 < batch; t0 += phaseTile) {
     const Index tb = std::min(phaseTile, batch - t0);
-    gradTape_.reset();
-    Real* xin = gradTape_.alloc(tb * cfg_.nQubits);
-    encodePhaseInput(samples, t0, tb, xin);
-    phase_.forwardTape(gradTape_, phaseFrame_, xin, tb);
-    phase_.backwardTape(gradTape_, phaseFrame_, dPhase.data() + t0);
+    phaseForward(evalSlot_, samples, t0, tb, nn::kernels::KernelPolicy::kAuto);
+    phase_.backwardTape(et.tape, evalSlot_.phaseFrame, dPhase.data() + t0);
   }
   // Close the last tile's carve cycle, so gradTapeStats() covers this step.
-  gradTape_.reset();
+  et.tape.reset();
 }
 
 void QiankunNet::evaluateInto(EvalSlot& slot, const std::vector<Bits128>& samples,

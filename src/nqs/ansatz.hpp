@@ -85,9 +85,8 @@ class QiankunNet {
   /// Configure evaluate()/psi()/phases() and evaluateGrad() from an
   /// ExecutionPolicy (exec/policy.hpp): kernel picks the inference kernel
   /// backend (bit-identical, so it only moves the wall clock); gradTileRows
-  /// sizes the amplitude net's tape tiles, in inference and in the gradient,
-  /// and the gradient's phase tiles (0 = engine default, negative = one tile
-  /// spanning the batch).
+  /// sizes both sub-networks' tape tiles, in inference and in the gradient
+  /// (0 = engine default, negative = one tile spanning the batch).
   void setEvalPolicy(const exec::ExecutionPolicy& exec) {
     evalKernel_ = exec.kernel;
     gradTileRows_ = exec.gradTileRows;
@@ -107,8 +106,9 @@ class QiankunNet {
   /// Phase-only inference: phi(x) per sample via the phase MLP, skipping the
   /// amplitude network entirely.  The complement of the fused BAS sweep,
   /// which produces ln|Psi| as a sampling by-product (SampleSet::logAmp) but
-  /// never touches the phase MLP.  Runs in kEvalTileRows-row tiles on a
-  /// persistent workspace, so a warm call allocates nothing.
+  /// never touches the phase MLP.  Runs the phase MLP's tape forward in
+  /// evaluateGrad's phase tiles, on the tape evaluateGrad uses, so a warm
+  /// call allocates nothing.
   void phases(const std::vector<Bits128>& samples, std::vector<Real>& phase);
 
   /// ln|Psi| sentinel for samples outside the number-conserving support
@@ -129,12 +129,13 @@ class QiankunNet {
   /// The training step: forward + backward over `samples` with the given
   /// per-sample loss seeds d/d(ln|Psi|) and d/d(phi), accumulating parameter
   /// gradients without ever materializing the full batch's activations.
-  /// Two loops share one tape: the first sweeps the amplitude transformer
-  /// (teacher-forced forward, loss seeds, backward), the second the phase
-  /// MLP, each in ascending tiles of its own size.  Each tile re-runs its
-  /// forward onto the tape — only that tile's activations exist — backprops
-  /// it and releases the tape, bounding peak training activation memory
-  /// independent of the batch size.  Tile sizes (ExecutionPolicy::
+  /// Two loops share one tape, the first tape of the net's own EvalSlot
+  /// (evaluate() and phases() run on it too): one sweeps the amplitude
+  /// transformer (teacher-forced forward, loss seeds, backward), then one
+  /// the phase MLP, each in ascending tiles of its own size.  Each tile
+  /// re-runs its forward onto the tape — only that tile's activations exist
+  /// — backprops it and releases the tape, bounding peak training activation
+  /// memory independent of the batch size.  Tile sizes (ExecutionPolicy::
   /// gradTileRows): 0, the default, gives each loop the largest tile whose
   /// tape fits TransformerAR::kGradTapeBudgetBytes (gradTapeRealsPerSample);
   /// a positive value forces both tiles; a negative value gives each loop
@@ -149,16 +150,19 @@ class QiankunNet {
   /// loops touch disjoint parameter sets — the ordering IS the bit-identity
   /// mechanism, so tiles are never parallelized (threading stays inside the
   /// per-tile kernels).  A warm call (same shapes as the last) performs zero
-  /// heap allocations: all per-tile storage lives on the owned Tape arena.
+  /// heap allocations: all per-tile storage lives on the slot's Tape arena,
+  /// and inference between steps carves less than a gradient tile does.
   void evaluateGrad(const std::vector<Bits128>& samples,
                     const std::vector<Real>& dLogAmp,
                     const std::vector<Real>& dPhase);
 
-  /// Arena accounting of the gradient tape: highWater is the peak Reals live
-  /// in any one tile — the measured "peak training activation memory"
-  /// BM_BackwardTiled reports and the README quotes.
+  /// Arena accounting of the gradient tape (the net's EvalSlot's first
+  /// tape, which phases() and evaluate() carve too): highWater is the peak
+  /// Reals live in any one tile — after a training step the measured "peak
+  /// training activation memory" BM_BackwardTiled reports and the README
+  /// quotes, since no inference tile carves more than a gradient tile.
   [[nodiscard]] const nn::Workspace::Stats& gradTapeStats() const {
-    return gradTape_.stats();
+    return evalSlot_.tapes.front().tape.stats();
   }
 
   /// Tape Reals one sample carves in evaluateGrad's amplitude loop and in
@@ -187,14 +191,16 @@ class QiankunNet {
 
   /// Everything one evaluateInto() call mutates: the amplitude net's tape
   /// and frame per thread of TransformerAR::evaluateTiled (one unless its
-  /// tile-parallel loop runs), the token marshalling scratch, and the phase
-  /// MLP's activation workspace.  One slot per worker thread; all buffers
-  /// reuse their capacity, so a warm evaluateInto performs zero heap
-  /// allocations.
+  /// tile-parallel loop runs; never empty), the token marshalling scratch,
+  /// and the phase MLP's frame, whose tiles run on the first tape.  One slot
+  /// per worker thread; all buffers reuse their capacity, so a warm
+  /// evaluateInto performs zero heap allocations.  The net's own slot also
+  /// carries evaluateGrad's two loops.
   struct EvalSlot {
-    std::vector<nn::TransformerAR::EvalTape> tapes;
+    std::vector<nn::TransformerAR::EvalTape> tapes =
+        std::vector<nn::TransformerAR::EvalTape>(1);
     std::vector<int> tokens;
-    nn::Workspace phaseWs;
+    nn::PhaseMlp::TapeFrame phaseFrame;
   };
 
   /// No-op, kept so existing callers compile: inference is const, so
@@ -224,13 +230,15 @@ class QiankunNet {
   /// sample, as ExecutionPolicy::gradTileRows says.
   [[nodiscard]] Index tapeTileRows(Index realsPerSample, Index batch) const;
 
-  /// phases() on `slot`'s workspace and the given kernel.
+  /// phases() on `slot` and the given kernel.
   void phasesInto(EvalSlot& slot, const std::vector<Bits128>& samples,
                   std::vector<Real>& phase, nn::kernels::KernelPolicy kernel) const;
-  /// The phase MLP's input: samples [t0, t0 + rows) +-1 encoded into
-  /// x [rows, nQubits].
-  void encodePhaseInput(const std::vector<Bits128>& samples, Index t0, Index rows,
-                        Real* x) const;
+  /// One phase tile, the single phase forward of phases() and evaluateGrad():
+  /// resets `slot`'s first tape, encodes samples [t0, t0 + rows) as +-1 into
+  /// x [rows, nQubits] on it and records the phase MLP's forward into
+  /// slot.phaseFrame.  Returns the tile's phases [rows] (tape-resident).
+  const Real* phaseForward(EvalSlot& slot, const std::vector<Bits128>& samples,
+                           Index t0, Index rows, nn::kernels::KernelPolicy kernel) const;
 
   /// d ln|Psi| / d logits for one (sample, position): dl[4] must arrive
   /// zeroed; pr[4] are that position's masked conditionals.
@@ -252,16 +260,10 @@ class QiankunNet {
   // Inference configuration of evaluate()/psi() (setEvalPolicy).
   nn::kernels::KernelPolicy evalKernel_ = nn::kernels::KernelPolicy::kAuto;
   Index gradTileRows_ = 0;  ///< as ExecutionPolicy::gradTileRows
-  // Gradient scratch (evaluateGrad): the per-tile activation tape, the
-  // tile's marshalled tokens, and the caller-owned module frames.  All reuse
-  // their capacity, so a warm training step allocates nothing.
-  nn::Tape gradTape_;
-  std::vector<int> gradTokens_;
-  nn::TransformerAR::TapeFrame ampFrame_;
-  nn::PhaseMlp::TapeFrame phaseFrame_;
-  // Persistent evaluation scratch of evaluate()/phases().  Every buffer
-  // re-uses its capacity, so a warm call of any batch size allocates nothing
-  // (test_evaluate asserts it for evaluateInto, test_sweep for phases()).
+  // The one scratch slot of evaluate()/phases() and evaluateGrad(), which
+  // never run at once.  Every buffer re-uses its capacity, so a warm call
+  // allocates nothing (test_evaluate asserts it for evaluateInto and the
+  // training step, test_sweep for phases()).
   EvalSlot evalSlot_;
   std::vector<nn::Parameter*> paramCache_;
 };

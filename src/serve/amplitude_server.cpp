@@ -182,10 +182,10 @@ Index AmplitudeServer::claimBatch(Worker& wk) {
 }
 
 void AmplitudeServer::warmSlot(Worker& wk) {
-  // One maxBatch-row evaluate sizes the slot's tokens, tapes and phase
-  // workspace, and this thread's kernel scratch to the batch ceiling, so no
-  // coalesced batch can grow them later.  The rows are placeholders and the
-  // results are discarded.
+  // One maxBatch-row evaluate sizes the slot's tokens, tapes and frames, and
+  // this thread's kernel scratch to the batch ceiling, so no coalesced batch
+  // can grow them later.  The rows are placeholders and the results are
+  // discarded.
   wk.configs.assign(static_cast<std::size_t>(opts_.maxBatch), Bits128{});
   net_->evaluateInto(wk.slot, wk.configs, wk.logAmp, wk.phase, opts_.kernel);
   wk.configs.clear();
@@ -193,7 +193,6 @@ void AmplitudeServer::warmSlot(Worker& wk) {
   // leaves its tape's overflow chunks in place until the next reset, which
   // would then allocate inside the first query.
   for (auto& t : wk.slot.tapes) t.tape.reset();
-  wk.slot.phaseWs.reset();
 }
 
 void AmplitudeServer::workerLoop(Worker& wk) {

@@ -9,6 +9,8 @@ namespace nnqs::vmc {
 
 WavefunctionLut WavefunctionLut::build(const std::vector<Bits128>& samples,
                                        const std::vector<Complex>& psiValues) {
+  if (samples.size() != psiValues.size())
+    throw std::invalid_argument("WavefunctionLut::build: size mismatch");
   std::vector<std::size_t> order(samples.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),

@@ -20,7 +20,8 @@ struct WavefunctionLut {
 
   /// Sorts (sample, psi) pairs by sample.  The samples must be unique —
   /// duplicate keys would make find() results (and hence E_loc) depend on
-  /// sort-order ties; throws std::invalid_argument on a duplicate.
+  /// sort-order ties; throws std::invalid_argument on a duplicate, and when
+  /// the two vectors differ in length.
   static WavefunctionLut build(const std::vector<Bits128>& samples,
                                const std::vector<Complex>& psiValues);
   /// Binary search; nullptr when x is not in S.

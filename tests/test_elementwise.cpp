@@ -297,34 +297,40 @@ TEST(ElementwiseKernels, ModulesRunOnTheKernels) {
 }
 
 TEST(ElementwiseKernels, TanhPathsAgreeBitForBit) {
-  // TanhAct's tape forward and PhaseMlp::forwardInto's in-place tanh both
-  // run kernels::tanh, so the phase MLP's two forwards (tape, raw workspace)
-  // give the same bits.
+  // PhaseMlp::forwardTape runs kernels::tanh in place on each hidden
+  // Linear's tape output.  Its phases must be the same bits under every
+  // policy, and equal a plain loop of Linear::forwardInto plus kernelTanh
+  // per element over the same weights.
   Rng rng(409);
-  TanhAct t;
-  Tensor x({5, 9});
-  x.randn(rng, 3.0);
-  Tape tape;
-  tape.reset();
-  TanhAct::TapeFrame tf;
-  const Real* yTape = t.forwardTape(tape, tf, x.data.data(), x.numel());
-  for (Index i = 0; i < x.numel(); ++i)
-    EXPECT_EQ(yTape[i], kernels::kernelTanh(x.data[static_cast<std::size_t>(i)])) << i;
-
-  // The MLP's GEMMs are row-independent, so the tape and raw forwards agree.
   PhaseMlp mlp(6, 16, 2, rng);
+  std::vector<Parameter*> params;
+  mlp.collectParameters(params);
+  ASSERT_EQ(params.size(), 6u);  // (w, b) of l0, l1 and out
   const Index rows = 37;
   Tensor xin({rows, 6});
-  xin.randn(rng, 1.0);
-  tape.reset();
-  PhaseMlp::TapeFrame pf;
-  const Real* phTape = mlp.forwardTape(tape, pf, xin.data.data(), rows);
-  Workspace ws;
-  ws.reset();
-  std::vector<Real> phInto(static_cast<std::size_t>(rows));
-  mlp.forwardInto(ws, xin.data.data(), rows, phInto.data(), KernelPolicy::kSimd);
-  for (Index r = 0; r < rows; ++r)
-    EXPECT_EQ(phInto[static_cast<std::size_t>(r)], phTape[r]) << r;
+  xin.randn(rng, 3.0);
+
+  std::vector<Real> ref(xin.data.begin(), xin.data.end());
+  for (std::size_t l = 0; l < 3; ++l) {
+    const Tensor& w = params[2 * l]->value;
+    Linear lin(w.shape[1], w.shape[0], rng, "ref");
+    lin.w.value.data = w.data;
+    lin.b.value.data = params[2 * l + 1]->value.data;
+    std::vector<Real> y(static_cast<std::size_t>(rows * w.shape[0]));
+    lin.forwardInto(ref.data(), rows, y.data(), KernelPolicy::kScalar);
+    if (l < 2)
+      for (Real& v : y) v = kernels::kernelTanh(v);
+    ref = std::move(y);
+  }
+
+  for (KernelPolicy policy :
+       {KernelPolicy::kScalar, KernelPolicy::kSimd, KernelPolicy::kAuto}) {
+    Tape tape;
+    PhaseMlp::TapeFrame f;
+    const Real* ph = mlp.forwardTape(tape, f, xin.data.data(), rows, policy);
+    expectBitIdentical(ref, std::vector<Real>(ph, ph + rows),
+                       std::string(kernels::kernelPolicyName(policy)) + " phases");
+  }
 }
 
 TEST(ElementwiseKernels, AdamWBackendsBitIdenticalOverSteps) {

@@ -380,12 +380,13 @@ TEST(EvaluateGrad, TiledBitIdenticalToMonolithicAcrossTileGeometries) {
 
 TEST(EvaluateGrad, DefaultSplitBitIdenticalToOneTileAndWithinTheBudget) {
   // At the perfbench net the default tiles differ per loop: 39 samples per
-  // amplitude tile (300 = 7 x 39 + 27, ragged) and 251 per phase tile
-  // (251 + 49).  The gradients must still equal one tile spanning the batch
-  // at tolerance 0, and the tape must stay within the budget (plus at most
-  // one cache line of alignment per carved span) while using most of it.
+  // amplitude tile (600 = 15 x 39 + 15, ragged) and 493 per phase tile
+  // (493 + 107, ragged).  The gradients must still equal one tile spanning
+  // the batch at tolerance 0, and the tape must stay within the budget (plus
+  // at most one cache line of alignment per carved span) while using most
+  // of it.
   const QiankunNetConfig cfg = c2h4oConfig();
-  const auto samples = randomInSector(cfg, 300);
+  const auto samples = randomInSector(cfg, 600);
   std::vector<Real> dLa(samples.size()), dPh(samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) {
     dLa[i] = 0.01 * (static_cast<Real>(i % 13) - 6.0);
@@ -409,8 +410,14 @@ TEST(EvaluateGrad, DefaultSplitBitIdenticalToOneTileAndWithinTheBudget) {
   const auto cost = split.gradTapeRealsPerSample();
   const auto bytesPerSample = cost.amplitude * static_cast<Index>(sizeof(Real));
   const Index ampTile = nn::TransformerAR::kGradTapeBudgetBytes / bytesPerSample;
+  const Index phaseTile = nn::TransformerAR::kGradTapeBudgetBytes /
+                          (cost.phase * static_cast<Index>(sizeof(Real)));
+  const auto batch = static_cast<Index>(samples.size());
   ASSERT_GT(ampTile, 1);
-  ASSERT_LT(ampTile, static_cast<Index>(samples.size()));
+  ASSERT_LT(ampTile, batch);
+  ASSERT_LT(phaseTile, batch);
+  ASSERT_NE(batch % ampTile, 0) << "amplitude tile " << ampTile;
+  ASSERT_NE(batch % phaseTile, 0) << "phase tile " << phaseTile;
   const auto tapeBytes =
       static_cast<Index>(split.gradTapeStats().highWater * sizeof(Real));
   EXPECT_LE(tapeBytes, nn::TransformerAR::kGradTapeBudgetBytes + 128 * 64);
@@ -480,17 +487,36 @@ TEST(EvaluateGrad, WarmStepsReuseTheTapeArena) {
   // chunks, same high water (the zero-allocation warm-step contract).  At
   // the perfbench net the default tiles alternate sizes on the one tape:
   // amplitude tiles of 39, 39 and 22 samples, then one phase tile of 100.
+  // phases() and evaluate() run on the same tape between the steps, on a
+  // larger batch than the step's; their tiles carve less than the
+  // gradient's, so they must not grow it either, and every step's gradients
+  // must equal those of a net that ran no inference, bit for bit.
   const QiankunNetConfig cfg = c2h4oConfig();
   const auto samples = randomInSector(cfg, 100);
+  const auto queries = randomInSector(cfg, 300);
   std::vector<Real> dLa(samples.size(), 0.3), dPh(samples.size(), -0.2);
   for (int tile : {4, 0}) {
-    QiankunNet net(cfg);
+    QiankunNet net(cfg), plain(cfg);
     exec::ExecutionPolicy ex;
     ex.gradTileRows = tile;
     net.setEvalPolicy(ex);
+    plain.setEvalPolicy(ex);
     net.evaluateGrad(samples, dLa, dPh);
+    plain.evaluateGrad(samples, dLa, dPh);
     const nn::Workspace::Stats cold = net.gradTapeStats();  // copy
-    for (int step = 0; step < 3; ++step) net.evaluateGrad(samples, dLa, dPh);
+    for (int step = 0; step < 3; ++step) {
+      std::vector<Real> la, ph;
+      net.phases(queries, ph);
+      net.evaluate(queries, la, ph);
+      net.evaluateGrad(samples, dLa, dPh);
+      plain.evaluateGrad(samples, dLa, dPh);
+      std::vector<Real> got, want;
+      net.flattenGradients(got);
+      plain.flattenGradients(want);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(got[i], want[i]) << "tile " << tile << " step " << step << " grad " << i;
+    }
     const nn::Workspace::Stats& warm = net.gradTapeStats();
     EXPECT_EQ(warm.grows, cold.grows) << "tile " << tile;
     EXPECT_EQ(warm.overflows, cold.overflows) << "tile " << tile;

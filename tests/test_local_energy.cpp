@@ -99,6 +99,16 @@ TEST(WavefunctionLut, BuildAndFind) {
   EXPECT_EQ(lut.find(Bits128{2, 0}), nullptr);
 }
 
+TEST(Lut, BuildRejectsMismatchedLengths) {
+  // One psi per sample: a shorter psi vector would be read past its end, a
+  // longer one would silently drop values.
+  const std::vector<Bits128> keys = {Bits128{5, 0}, Bits128{1, 0}, Bits128{9, 0}};
+  const std::vector<Complex> two = {{0.5, 0}, {0.1, 0}};
+  const std::vector<Complex> four = {{0.5, 0}, {0.1, 0}, {0.9, 0}, {0.3, 0}};
+  EXPECT_THROW(WavefunctionLut::build(keys, two), std::invalid_argument);
+  EXPECT_THROW(WavefunctionLut::build(keys, four), std::invalid_argument);
+}
+
 TEST(LocalEnergy, FullSupportAverageEqualsVariationalEnergy) {
   // Over the complete number sector, sum_x p(x) Eloc(x) = <H> exactly.
   const System s = buildSystem("H2");

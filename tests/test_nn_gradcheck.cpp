@@ -129,11 +129,9 @@ TEST(GradCheck, PhaseMlp) {
   Tensor w({3, 1});
   w.randn(rng, 1.0);
   auto loss = [&] {
-    Workspace ws;
-    ws.reset();
-    Real y[3];
-    mlp.forwardInto(ws, x.data.data(), 3, y, kernels::KernelPolicy::kAuto);
-    return weightedSum(y, w);
+    Tape tape;
+    PhaseMlp::TapeFrame f;
+    return weightedSum(mlp.forwardTape(tape, f, x.data.data(), 3), w);
   };
   std::vector<Parameter*> params;
   mlp.collectParameters(params);

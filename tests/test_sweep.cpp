@@ -187,12 +187,16 @@ std::vector<Bits128> randomStrings(std::size_t n, int nQubits, Rng& rng) {
 
 TEST(Sweep, PhasesMatchEvaluateAcrossTileEdges) {
   // phases() — the complement of the fused sweep's ln|Psi| — runs the phase
-  // MLP in 256-row tiles; rows are independent, so every row must equal an
-  // evaluate() of that row alone bit for bit, on either side of a tile edge
-  // and for the empty batch.
+  // MLP in the gradient's phase tiles; rows are independent, so every row
+  // must equal an evaluate() of that row alone bit for bit, on either side
+  // of a tile edge and for the empty batch.
   QiankunNet net(smallConfig(12, 3, 3));
+  const auto tile = static_cast<std::size_t>(
+      nn::TransformerAR::kGradTapeBudgetBytes /
+      (net.gradTapeRealsPerSample().phase * static_cast<Index>(sizeof(Real))));
   Rng rng(19);
-  for (std::size_t batch : {0, 1, 255, 256, 257, 3000}) {
+  for (std::size_t batch : {std::size_t{0}, std::size_t{1}, tile - 1, tile, tile + 1,
+                            2 * tile + 7}) {
     const auto samples = randomStrings(batch, 12, rng);
     std::vector<Real> phase, la, alone;
     net.phases(samples, phase);
@@ -205,9 +209,11 @@ TEST(Sweep, PhasesMatchEvaluateAcrossTileEdges) {
 }
 
 TEST(Sweep, WarmPhasesIsAllocationFree) {
-  // The tile workspace and the output vector keep their capacity, so a warm
-  // phases() call of the same batch performs zero heap allocations (fixed
-  // SIMD kernel: a threaded backend's OpenMP runtime is outside the net).
+  // The tape, the phase frame and the output vector keep their capacity, so
+  // a warm phases() call of the same batch performs zero heap allocations
+  // and neither grows the tape nor overflows it, even when the batch is one
+  // tile (fixed SIMD kernel: a threaded backend's OpenMP runtime is outside
+  // the net).
   QiankunNet net(smallConfig(12, 3, 3));
   exec::ExecutionPolicy ex;
   ex.kernel = nn::kernels::KernelPolicy::kSimd;
@@ -216,7 +222,10 @@ TEST(Sweep, WarmPhasesIsAllocationFree) {
   const auto samples = randomStrings(3000, 12, rng);
   std::vector<Real> phase;
   net.phases(samples, phase);
+  const nn::Workspace::Stats cold = net.gradTapeStats();  // copy
   const std::uint64_t allocs0 = allocationCount();
   net.phases(samples, phase);
   EXPECT_EQ(allocationCount() - allocs0, 0u);
+  EXPECT_EQ(net.gradTapeStats().grows, cold.grows);
+  EXPECT_EQ(net.gradTapeStats().overflows, cold.overflows);
 }
