@@ -36,7 +36,8 @@ Measurement measure(const std::string& name, std::uint64_t nSamples,
   nqs::SamplerOptions sOpts;
   sOpts.nSamples = nSamples;
   sOpts.seed = 29;
-  const nqs::SampleSet set = nqs::batchAutoregressiveSample(net, sOpts);
+  nqs::BasSweepEngine sampler(net);
+  const nqs::SampleSet& set = sampler.sweep(sOpts);
   const auto psi = net.psi(set.samples);
   const auto lut = WavefunctionLut::build(set.samples, psi);
 

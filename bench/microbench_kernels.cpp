@@ -110,7 +110,8 @@ void BM_TransformerForward(benchmark::State& state) {
   // its count.
   nqs::SamplerOptions opts;
   opts.nSamples = static_cast<std::uint64_t>(batch);
-  const auto set = nqs::batchAutoregressiveSample(net, opts);
+  nqs::BasSweepEngine sampler(net);
+  const nqs::SampleSet& set = sampler.sweep(opts);
   std::vector<Bits128> samples;
   for (std::size_t i = 0; i < set.nUnique(); ++i)
     samples.insert(samples.end(), static_cast<std::size_t>(set.weights[i]), set.samples[i]);
@@ -128,8 +129,9 @@ void BM_BasFullSweep(benchmark::State& state) {
   nqs::QiankunNet net(paperNetConfig(p));
   nqs::SamplerOptions opts;
   opts.nSamples = static_cast<std::uint64_t>(state.range(0));
+  nqs::BasSweepEngine sampler(net);
   for (auto _ : state) {
-    const auto set = nqs::batchAutoregressiveSample(net, opts);
+    const nqs::SampleSet& set = sampler.sweep(opts);
     benchmark::DoNotOptimize(set.nUnique());
   }
 }
@@ -137,7 +139,8 @@ BENCHMARK(BM_BasFullSweep)->Arg(1 << 10)->Arg(1 << 14);
 
 // The BAS sweep at the acceptance scale of the incremental-decode engine:
 // L = 32 sampling steps (64 qubits), d_model 16.  No molecule needed; the
-// sweep cost is purely the transformer + tree bookkeeping.
+// sweep cost is purely the transformer + tree bookkeeping.  One engine serves
+// every iteration, so each timed sweep is warm, as in the VMC loop.
 void BM_BasSweepL32(benchmark::State& state) {
   nqs::QiankunNetConfig cfg;
   cfg.nQubits = 64;  // L = 32 two-qubit sampling steps
@@ -153,8 +156,9 @@ void BM_BasSweepL32(benchmark::State& state) {
   nqs::SamplerOptions opts;
   opts.nSamples = 1 << 12;
   std::uint64_t nu = 0;
+  nqs::BasSweepEngine sampler(net);
   for (auto _ : state) {
-    const auto set = nqs::batchAutoregressiveSample(net, opts);
+    const nqs::SampleSet& set = sampler.sweep(opts);
     nu = set.nUnique();
     benchmark::DoNotOptimize(nu);
   }
@@ -863,7 +867,8 @@ void BM_LocalEnergySample(benchmark::State& state) {
   nqs::QiankunNet net(paperNetConfig(p));
   nqs::SamplerOptions opts;
   opts.nSamples = 1 << 14;
-  const auto set = nqs::batchAutoregressiveSample(net, opts);
+  nqs::BasSweepEngine sampler(net);
+  const nqs::SampleSet& set = sampler.sweep(opts);
   const auto psi = net.psi(set.samples);
   const auto lut = vmc::WavefunctionLut::build(set.samples, psi);
   for (auto _ : state) {
@@ -890,7 +895,8 @@ void BM_ElocBatched(benchmark::State& state) {
   nqs::QiankunNet net(paperNetConfig(p));
   nqs::SamplerOptions opts;
   opts.nSamples = 1 << 14;
-  const auto set = nqs::batchAutoregressiveSample(net, opts);
+  nqs::BasSweepEngine sampler(net);
+  const nqs::SampleSet& set = sampler.sweep(opts);
   const auto psi = net.psi(set.samples);
   const auto lut = vmc::WavefunctionLut::build(set.samples, psi);
 

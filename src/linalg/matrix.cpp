@@ -14,12 +14,6 @@ Matrix& Matrix::operator+=(const Matrix& o) {
   return *this;
 }
 
-Matrix& Matrix::operator-=(const Matrix& o) {
-  assert(rows_ == o.rows_ && cols_ == o.cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= o.data_[i];
-  return *this;
-}
-
 Matrix& Matrix::operator*=(Real s) {
   for (auto& v : data_) v *= s;
   return *this;
@@ -32,12 +26,6 @@ Matrix Matrix::transposed() const {
   return t;
 }
 
-Real Matrix::frobeniusNorm() const {
-  Real s = 0;
-  for (Real v : data_) s += v * v;
-  return std::sqrt(s);
-}
-
 Real Matrix::maxAbs() const {
   Real m = 0;
   for (Real v : data_) m = std::max(m, std::abs(v));
@@ -45,8 +33,11 @@ Real Matrix::maxAbs() const {
 }
 
 Matrix operator+(Matrix a, const Matrix& b) { return a += b; }
-Matrix operator-(Matrix a, const Matrix& b) { return a -= b; }
-Matrix operator*(Matrix a, Real s) { return a *= s; }
+Matrix operator-(Matrix a, const Matrix& b) {
+  assert(a.rows() == b.rows() && a.cols() == b.cols());
+  for (Index i = 0; i < a.rows() * a.cols(); ++i) a.data()[i] -= b.data()[i];
+  return a;
+}
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.rows());

@@ -41,11 +41,9 @@ class Matrix {
   const Real* data() const { return data_.data(); }
 
   Matrix& operator+=(const Matrix& o);
-  Matrix& operator-=(const Matrix& o);
   Matrix& operator*=(Real s);
 
   [[nodiscard]] Matrix transposed() const;
-  [[nodiscard]] Real frobeniusNorm() const;
   [[nodiscard]] Real maxAbs() const;
   void setZero() { std::fill(data_.begin(), data_.end(), 0.0); }
 
@@ -56,7 +54,6 @@ class Matrix {
 
 Matrix operator+(Matrix a, const Matrix& b);
 Matrix operator-(Matrix a, const Matrix& b);
-Matrix operator*(Matrix a, Real s);
 
 /// C = A * B (OpenMP-parallel over rows of A).
 Matrix matmul(const Matrix& a, const Matrix& b);

@@ -52,10 +52,4 @@ void AdamW::restoreState(std::vector<Tensor> m, std::vector<Tensor> v, long t) {
   t_ = t;
 }
 
-Index AdamW::parameterCount() const {
-  Index n = 0;
-  for (const Parameter* p : params_) n += p->numel();
-  return n;
-}
-
 }  // namespace nnqs::nn

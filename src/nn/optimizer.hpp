@@ -25,7 +25,6 @@ class AdamW {
   /// elementwise kernel family, elementwise.hpp), so every kernel tier gives
   /// the same bits.
   void step(Real lrScale = 1.0);
-  [[nodiscard]] Index parameterCount() const;
   [[nodiscard]] const AdamWOptions& options() const { return opts_; }
 
   // Checkpoint access (io/checkpoint.cpp): the optimizer's full resumable

@@ -304,16 +304,4 @@ const SampleSet& BasSweepEngine::sweep(const SamplerOptions& opts, int rank,
   return out_;
 }
 
-SampleSet batchAutoregressiveSample(QiankunNet& net, const SamplerOptions& opts) {
-  BasSweepEngine engine(net);
-  return engine.sweep(opts);
-}
-
-SampleSet parallelBatchSample(QiankunNet& net, const SamplerOptions& opts,
-                              int rank, int nRanks, std::uint64_t uniqueThreshold) {
-  if (nRanks <= 1) return batchAutoregressiveSample(net, opts);
-  BasSweepEngine engine(net);
-  return engine.sweep(opts, rank, nRanks, uniqueThreshold);
-}
-
 }  // namespace nnqs::nqs

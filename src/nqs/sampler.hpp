@@ -47,8 +47,8 @@ struct SamplerOptions {
 std::array<std::uint64_t, 4> multinomialSplit4(Rng& rng, std::uint64_t n,
                                                const Real* probs);
 
-/// The unified BAS sweep engine behind batchAutoregressiveSample /
-/// parallelBatchSample (Fig. 3(b) / Fig. 5) and the VMC driver's Stage 1.
+/// The batch autoregressive sampler (BAS, Fig. 3(b) / Fig. 5) and the VMC
+/// driver's Stage 1.  Hold one engine across sweeps: it reuses its arena.
 ///
 /// One sweep walks the sampling quadtree (two qubits per step), splitting
 /// each node's weight multinomially over the 4 outcomes and pruning
@@ -91,12 +91,20 @@ class BasSweepEngine {
   /// model shapes.
   static constexpr Index kDefaultTileRows = 256;
 
-  /// Run one BAS sweep for `rank` of `nRanks` (serial when nRanks <= 1).
-  /// Multi-rank sweeps replay a shared breadth-first prefix until the
-  /// frontier exceeds `uniqueThreshold`, partition that layer by weight
-  /// (greedy largest-first, deterministic), then each rank descends its own
-  /// subtrees.  Returns the engine-owned sample set, valid until the next
-  /// sweep; its vectors' capacity is reused across sweeps.
+  /// Run one BAS sweep for `rank` of `nRanks`.  Returns the engine-owned
+  /// sample set, valid until the next sweep; its vectors' capacity is reused
+  /// across sweeps.
+  ///
+  /// Serial (nRanks <= 1), this is Fig. 3(b)'s batch autoregressive
+  /// sampling: N_s samples in one sweep over the quadtree (two qubits per
+  /// step), pruning zero-weight and constraint-violating branches.
+  /// Multi-rank, it is Fig. 5's parallel BAS: every rank replays the shared
+  /// breadth-first prefix with the shared seed until the frontier exceeds
+  /// `uniqueThreshold` (the paper's N*_u), partitions that layer so each rank
+  /// gets approximately equal total weight (greedy largest-first,
+  /// deterministic), then descends its own subtrees.  Per-node RNG
+  /// substreams make the union of the per-rank sets equal the serial sweep
+  /// exactly.
   const SampleSet& sweep(const SamplerOptions& opts, int rank = 0,
                          int nRanks = 1, std::uint64_t uniqueThreshold = 0);
 
@@ -167,20 +175,5 @@ class BasSweepEngine {
   std::uint64_t seed_ = 0;
   std::size_t tileCap_ = 0;
 };
-
-/// Fig. 3(b): batch autoregressive sampling.  Generates N_s samples in one
-/// sweep over the quadtree (two qubits per step), pruning zero-weight and
-/// constraint-violating branches.  Convenience wrapper over a one-shot
-/// BasSweepEngine; hold an engine instead to reuse its arena across sweeps.
-SampleSet batchAutoregressiveSample(QiankunNet& net, const SamplerOptions& opts);
-
-/// Fig. 5: parallel BAS.  Every rank replays the serial BAS with the shared
-/// seed until the layer where the unique-sample count first exceeds
-/// `uniqueThreshold` (the paper's N*_u), then the nodes of that layer are
-/// partitioned so each rank gets approximately equal total weight and each
-/// rank finishes its own subtree independently.  Per-node RNG substreams
-/// make the union of the per-rank sets equal the serial sweep exactly.
-SampleSet parallelBatchSample(QiankunNet& net, const SamplerOptions& opts,
-                              int rank, int nRanks, std::uint64_t uniqueThreshold);
 
 }  // namespace nnqs::nqs

@@ -10,6 +10,11 @@ namespace nnqs::serve {
 
 namespace {
 
+// Kernel backend of every worker.  Workers are the parallelism axis, so each
+// runs the serial SIMD kernel; kThreaded/kAuto would fork an OpenMP team
+// inside every worker and oversubscribe the host.
+constexpr nn::kernels::KernelPolicy kWorkerKernel = nn::kernels::KernelPolicy::kSimd;
+
 int latencyBucket(std::chrono::steady_clock::time_point from,
                   std::chrono::steady_clock::time_point to) {
   const auto us = std::chrono::duration_cast<std::chrono::microseconds>(to - from)
@@ -187,7 +192,7 @@ void AmplitudeServer::warmSlot(Worker& wk) {
   // can grow them later.  The rows are placeholders and the results are
   // discarded.
   wk.configs.assign(static_cast<std::size_t>(opts_.maxBatch), Bits128{});
-  net_->evaluateInto(wk.slot, wk.configs, wk.logAmp, wk.phase, opts_.kernel);
+  net_->evaluateInto(wk.slot, wk.configs, wk.logAmp, wk.phase, kWorkerKernel);
   wk.configs.clear();
   // Fold the warm-up's overflow into one block.  A batch within one tile
   // leaves its tape's overflow chunks in place until the next reset, which
@@ -265,7 +270,7 @@ void AmplitudeServer::evaluateBatch(Worker& wk) {
   wk.configs.clear();
   for (const Ticket* t : wk.batch)
     wk.configs.insert(wk.configs.end(), t->configs, t->configs + t->n);
-  net_->evaluateInto(wk.slot, wk.configs, wk.logAmp, wk.phase, opts_.kernel);
+  net_->evaluateInto(wk.slot, wk.configs, wk.logAmp, wk.phase, kWorkerKernel);
   std::size_t off = 0;
   for (Ticket* t : wk.batch) {
     std::copy(wk.logAmp.begin() + static_cast<std::ptrdiff_t>(off),

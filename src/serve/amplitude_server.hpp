@@ -62,10 +62,6 @@ struct ServeOptions {
   long maxDelayUs = 200;     ///< deadline: max coalescing wait of the oldest request
   std::size_t queueCapacityRows = 4096;      ///< bounded queue: max queued rows
   std::size_t queueCapacityRequests = 1024;  ///< bounded queue: max queued requests
-  /// Kernel backend per worker.  Workers are the parallelism axis, so the
-  /// default is the serial SIMD kernel; kThreaded/kAuto would fork an OpenMP
-  /// team inside every worker and oversubscribe the host.
-  nn::kernels::KernelPolicy kernel = nn::kernels::KernelPolicy::kSimd;
 };
 
 /// Observability counters, in the spirit of ElocStats/SweepStats.  Counters

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <memory>
+#include <numeric>
 
 #include "common/logging.hpp"
 #include "common/timer.hpp"
@@ -23,15 +24,269 @@ struct GatherRecord {
   Real psiRe, psiIm;
 };
 
+/// One sample's Stage-3 result: its local energy and its measured term count
+/// (the cost model's signal), routed back to every rank in one exchange.
+struct ElocRecord {
+  Complex eloc;
+  std::uint64_t terms;
+};
+static_assert(sizeof(ElocRecord) == 24, "Stage 3 sends 16 + 8 bytes per sample");
+
+/// One rank's side of the data-centric VMC loop (paper Fig. 4, §3.2): the
+/// replicated model and optimizer, the loop state a checkpoint carries, and
+/// every buffer the stages reuse, so their capacity survives from one
+/// iteration to the next.  One member function per stage; runVmc calls them
+/// in order.  Every rank computes identical loop state.
+struct RankLoop {
+  RankLoop(parallel::Comm& c, const ops::PackedHamiltonian& h,
+           const nqs::QiankunNetConfig& netConfig, const VmcOptions& o)
+      : comm(c), hamiltonian(h), opts(o), net(netConfig), sampler(net),
+        optimizer(net.parameters(), {.lr = o.learningRate, .weightDecay = o.weightDecay}),
+        schedule(netConfig.dModel, o.warmupSteps), nsCurrent(o.nSamplesInitial) {
+    // The phase inference (Stage 1) runs on the run's kernel policy, and the
+    // tape gradient (Stage 5) on its tile policy.
+    net.setEvalPolicy(o.exec);
+    sOpts.exec = o.exec;
+    res.energyHistory.assign(static_cast<std::size_t>(o.iterations), 0.0);
+    res.parameterCount = net.parameterCount();
+  }
+
+  /// Resume: restore every piece of loop state a checkpoint carries, the
+  /// energy-history prefix included; returns the iteration to continue from.
+  /// The per-iteration sampler streams are keyed on (opts.seed, iter) alone,
+  /// so the continued trajectory is bit-identical to the uninterrupted run.
+  int restore(const io::CheckpointReader& ckpt) {
+    io::loadNet(ckpt, net);
+    io::loadOptimizer(ckpt, optimizer);
+    if (ckpt.getU64("vmc.seed") != opts.seed)
+      throw io::SchemaError("vmc.seed", "checkpoint seed differs from VmcOptions::seed");
+    const std::uint64_t iterNext = ckpt.getU64("vmc.iterNext");
+    if (iterNext > static_cast<std::uint64_t>(opts.iterations))
+      throw io::SchemaError("vmc.iterNext", "checkpoint iteration beyond opts.iterations");
+    nsCurrent = ckpt.getU64("vmc.nsCurrent");
+    bytesAllIterations = ckpt.getU64("vmc.commBytes");
+    const std::vector<Real> hist = ckpt.getRealArray("vmc.energyHistory");
+    if (hist.size() != iterNext)
+      throw io::SchemaError("vmc.energyHistory", "length differs from vmc.iterNext");
+    std::copy(hist.begin(), hist.end(), res.energyHistory.begin());
+    costModel.restore(ckpt.getBitsArray("vmc.costKeys"), ckpt.getU64Array("vmc.costCosts"),
+                      ckpt.getU64("vmc.costDefault"));
+    return static_cast<int>(iterNext);
+  }
+
+  /// Checkpoint exactly the state iteration `iterNext` starts from (after
+  /// the optimizer step, N_s update and byte bookkeeping of iterNext - 1).
+  void save(int iterNext) {
+    io::CheckpointWriter w;
+    io::addNet(w, net);
+    io::addOptimizer(w, optimizer);
+    w.addU64("vmc.seed", opts.seed);
+    w.addU64("vmc.iterNext", static_cast<std::uint64_t>(iterNext));
+    w.addU64("vmc.nsCurrent", nsCurrent);
+    w.addU64("vmc.commBytes", bytesAllIterations);
+    w.addRealArray("vmc.energyHistory", res.energyHistory.data(),
+                   static_cast<std::size_t>(iterNext));
+    w.addBitsArray("vmc.costKeys", costModel.keys());
+    w.addU64Array("vmc.costCosts", costModel.costs());
+    w.addU64("vmc.costDefault", costModel.defaultCost());
+    w.save(opts.checkpointPath);
+  }
+
+  /// Stage 1: this rank's share of the parallel BAS.  The sweep yields
+  /// ln|Psi| as a sampling by-product, leaving only the phase MLP to run.
+  void sample(int iter) {
+    const Timer t;
+    sOpts.nSamples = nsCurrent;
+    sOpts.seed = opts.seed + static_cast<std::uint64_t>(iter) * 0x9E37u;
+    local = &sampler.sweep(sOpts, comm.rank(), comm.size(),
+                           opts.uniqueThresholdPerRank * static_cast<std::uint64_t>(comm.size()));
+    net.phases(local->samples, phase);
+    phases.sampling += t.seconds();
+  }
+
+  /// Stage 2: allgather the unique samples with their psi, then build the
+  /// lookup table of the gathered set S.
+  void gather() {
+    const Timer t;
+    records.resize(local->nUnique());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const Complex p = nqs::QiankunNet::psiValue(local->logAmp[i], phase[i]);
+      records[i] = {local->samples[i], local->weights[i], p.real(), p.imag()};
+    }
+    const std::vector<GatherRecord> all =
+        comm.allGatherV(records.data(), records.size(), &gatherCounts);
+    // This rank's samples occupy a contiguous span of the rank-ordered
+    // gathered set; Stages 4 and 5 read their local energies from there.
+    ownOffset = std::accumulate(gatherCounts.begin(), gatherCounts.begin() + comm.rank(),
+                                std::size_t{0});
+    allSamples.resize(all.size());
+    allPsi.resize(all.size());
+    std::uint64_t totalWeight = 0;
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      allSamples[i] = all[i].sample;
+      allPsi[i] = Complex{all[i].psiRe, all[i].psiIm};
+      totalWeight += all[i].weight;
+    }
+    wTot = static_cast<Real>(totalWeight);
+    lut = WavefunctionLut::build(allSamples, allPsi);
+    phases.other += t.seconds();
+  }
+
+  /// Stage 3: local energies of a term-balanced chunk.  The gathered set is
+  /// tiled and the tiles are dealt to ranks — by last iteration's measured
+  /// per-sample term counts (LPT bin-packing) once a measurement exists, by
+  /// equal counts before that.  Every rank computes the same partition from
+  /// the same gathered data, so no coordination is needed; one AllgatherV
+  /// routes every sample's (E_loc, terms) back, re-ordered into the gathered
+  /// order.  Per-sample local energies are chunk-independent, so the
+  /// trajectory is bit-identical regardless of the split.
+  void localEnergies() {
+    const Timer t;
+    const std::size_t nAll = allSamples.size();
+    const std::size_t tileSz = std::max<std::size_t>(1, opts.rankTileSize);
+    const std::size_t nTiles = (nAll + tileSz - 1) / tileSz;
+    if (opts.rankSplit == RankSplit::kTermBalanced && !costModel.empty()) {
+      tileCosts.assign(nTiles, 0);
+      for (std::size_t i = 0; i < nAll; ++i)
+        tileCosts[i / tileSz] += costModel.estimate(allSamples[i]);
+      part = partitionTilesByCost(tileCosts, comm.size());
+    } else {
+      part = partitionTilesEqual(nTiles, comm.size());
+    }
+    chunk.clear();
+    for (const std::uint32_t tile : part.tiles[static_cast<std::size_t>(comm.rank())])
+      chunk.insert(chunk.end(), allSamples.data() + tile * tileSz,
+                   allSamples.data() + std::min(nAll, (tile + 1) * tileSz));
+    chunkTerms.assign(chunk.size(), 0);
+    const std::vector<Complex> eloc =
+        vmc::localEnergies(hamiltonian, chunk, lut, opts.exec.eloc, /*made=*/nullptr,
+                           /*net=*/nullptr, &elocStats, chunkTerms.data());
+    elocRecords.resize(chunk.size());
+    for (std::size_t i = 0; i < chunk.size(); ++i) elocRecords[i] = {eloc[i], chunkTerms[i]};
+    const std::vector<ElocRecord> gathered =
+        comm.allGatherV(elocRecords.data(), elocRecords.size());
+    globalEloc.resize(nAll);
+    globalTerms.resize(nAll);
+    std::size_t pos = 0;
+    for (const std::vector<std::uint32_t>& tiles : part.tiles)
+      for (const std::uint32_t tile : tiles)
+        for (std::size_t i = tile * tileSz; i < std::min(nAll, (tile + 1) * tileSz); ++i) {
+          globalEloc[i] = gathered[pos].eloc;
+          globalTerms[i] = gathered[pos++].terms;
+        }
+    costModel.update(allSamples, globalTerms);
+    // Realized per-rank term work and its spread (the imbalance the
+    // repartitioner minimizes); identical on every rank.
+    tileCosts.assign(nTiles, 0);
+    for (std::size_t i = 0; i < nAll; ++i) tileCosts[i / tileSz] += globalTerms[i];
+    const std::vector<std::uint64_t> rankTerms = realizedRankCosts(part, tileCosts);
+    res.rankTermsMin = *std::min_element(rankTerms.begin(), rankTerms.end());
+    res.rankTermsMax = *std::max_element(rankTerms.begin(), rankTerms.end());
+    phases.localEnergy += t.seconds();
+  }
+
+  /// Stage 4: allreduce the weighted energy moments of the own samples.
+  /// Reading them from the routed global array keeps the summation order
+  /// the per-rank local order.
+  void reduceEnergy() {
+    const Timer t;
+    const Complex* eloc = globalEloc.data() + ownOffset;
+    std::array<Real, 3> acc{0, 0, 0};  // sum w*Re(E), sum w*Im(E), sum w*|E|^2
+    for (std::size_t i = 0; i < local->nUnique(); ++i) {
+      const Real w = static_cast<Real>(local->weights[i]);
+      acc[0] += w * eloc[i].real();
+      acc[1] += w * eloc[i].imag();
+      acc[2] += w * std::norm(eloc[i]);
+    }
+    comm.allReduceSum(std::span<Real>(acc));
+    eMean = {acc[0] / wTot, acc[1] / wTot};
+    res.variance = acc[2] / wTot - std::norm(eMean);
+    phases.other += t.seconds();
+  }
+
+  /// Stage 5: backward on the own samples.  The loss seeds depend only on
+  /// E_loc, eMean and the weights, so they are computed up front and the
+  /// forward+backward runs through the recompute-in-tiles tape gradient
+  /// (ExecutionPolicy::gradTileRows): peak training activation memory is one
+  /// tile's, and every tile size gives the same bits.
+  void backward() {
+    const Timer t;
+    dLogAmp.resize(local->nUnique());
+    dPhase.resize(local->nUnique());
+    for (std::size_t i = 0; i < local->nUnique(); ++i) {
+      const Complex delta = globalEloc[ownOffset + i] - eMean;
+      const Real w = static_cast<Real>(local->weights[i]) / wTot;
+      dLogAmp[i] = 2.0 * w * delta.real();
+      dPhase[i] = 2.0 * w * delta.imag();
+    }
+    net.evaluateGrad(local->samples, dLogAmp, dPhase);
+    phases.gradient += t.seconds();
+  }
+
+  /// Stage 6: allreduce the gradients, then the identical AdamW step.
+  void step(int iter) {
+    const Timer t;
+    net.flattenGradients(grads);
+    comm.allReduceSum(grads.data(), grads.size());
+    net.loadGradients(grads);
+    optimizer.step(schedule.lr(iter + 1));
+    phases.gradient += t.seconds();
+  }
+
+  parallel::Comm& comm;
+  const ops::PackedHamiltonian& hamiltonian;
+  const VmcOptions& opts;
+  // Identical seed => identical replicated parameters on every rank, the
+  // paper's model-replicated / data-distributed layout.
+  nqs::QiankunNet net;
+  // The sweep engine persists across iterations: its decode arena, frontier
+  // blocks and output set keep their capacity.
+  nqs::BasSweepEngine sampler;
+  nn::AdamW optimizer;
+  const nn::NoamSchedule schedule;
+  // N_s schedule position (paper §4.1); runVmc grows it from the gathered
+  // N_u, which every rank sees alike.
+  std::uint64_t nsCurrent;
+  // Measured per-sample term counts of past iterations, the signal behind
+  // the term-balanced Stage-3 split (sample sets overlap heavily across
+  // iterations, so last iteration's measurement predicts this one's cost).
+  TermCostModel costModel;
+  std::uint64_t bytesAllIterations = 0;
+  PhaseBreakdown phases;
+  VmcResult res;  ///< this rank's result, filled as the iterations run
+
+  // This iteration's values.
+  nqs::SamplerOptions sOpts;              ///< sOpts.nSamples: this sweep's N_s
+  const nqs::SampleSet* local = nullptr;  ///< the engine's set, until the next sweep
+  std::size_t ownOffset = 0;  ///< this rank's first sample in the gathered set
+  Real wTot = 0;              ///< total sample weight N_s of the gathered set
+  WavefunctionLut lut;
+  ElocStats elocStats;
+  Complex eMean;
+
+  // Reused buffers.
+  std::vector<Real> phase, dLogAmp, dPhase, grads;
+  std::vector<GatherRecord> records;
+  std::vector<std::size_t> gatherCounts;
+  std::vector<Bits128> allSamples, chunk;
+  std::vector<Complex> allPsi, globalEloc;
+  std::vector<std::uint64_t> tileCosts, chunkTerms, globalTerms;
+  RankPartition part;
+  std::vector<ElocRecord> elocRecords;
+};
+
 }  // namespace
 
 VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
                  const nqs::QiankunNetConfig& netConfig, const VmcOptions& opts) {
-  const exec::ExecutionPolicy ex = opts.exec;
-  if (ex.eloc == ElocMode::kBaseline)
+  if (opts.exec.eloc == ElocMode::kBaseline)
     throw std::invalid_argument(
         "runVmc: the baseline local-energy engine exists for Fig. 10 "
         "benchmarking only; use a sample-aware mode");
+  // An empty run has no energy to report (an empty averaging window, or
+  // sweeps of zero total weight), so it is an error, not NaN.
+  if (opts.iterations < 1 || opts.nSamplesInitial < 1)
+    throw std::invalid_argument("runVmc: iterations and nSamplesInitial must be >= 1");
   if (opts.checkpointEvery > 0 && opts.checkpointPath.empty())
     throw std::invalid_argument("runVmc: checkpointEvery needs a checkpointPath");
   // Parse + CRC-validate the resume checkpoint once, on the calling thread;
@@ -42,76 +297,16 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
   if (!opts.resumeFrom.empty())
     resume = std::make_shared<io::CheckpointReader>(opts.resumeFrom);
 
-  const auto world = parallel::makeWorld(ex.comm, opts.nRanks, opts.threadsPerRank);
-  const int nRanks = world->size();
-
+  const auto world = parallel::makeWorld(opts.exec.comm, opts.nRanks, opts.threadsPerRank);
   // Every rank assembles an *identical* result (all collectives are
   // rank-order-deterministic), so under MPI each process can return its own
   // copy; under threads we just hand back rank 0's slot.
-  std::vector<VmcResult> perRank(static_cast<std::size_t>(nRanks));
+  std::vector<VmcResult> perRank(static_cast<std::size_t>(world->size()));
 
   world->run([&](parallel::Comm& comm) {
-    const int rank = comm.rank();
-    VmcResult res;
-    res.energyHistory.assign(static_cast<std::size_t>(opts.iterations), 0.0);
-    // Identical seed => identical replicated parameters on every rank, the
-    // paper's model-replicated / data-distributed layout.
-    nqs::QiankunNet net(netConfig);
-    // The phase inference (Stage 1) runs on the run's kernel policy, and the
-    // tape gradient (Stage 5) on its tile policy.
-    net.setEvalPolicy(ex);
-    // The sweep engine persists across iterations: its decode arena, frontier
-    // blocks and output set keep their capacity, so steady-state sampling
-    // allocates nothing.
-    nqs::BasSweepEngine sampler(net);
-    nn::AdamWOptions adamOpts;
-    adamOpts.lr = opts.learningRate;
-    adamOpts.weightDecay = opts.weightDecay;
-    nn::AdamW optimizer(net.parameters(), adamOpts);
-    const nn::NoamSchedule schedule(netConfig.dModel, opts.warmupSteps);
-    res.parameterCount = net.parameterCount();
-
-    PhaseBreakdown phases;
-    std::vector<Real> grads;
-    std::vector<Real> logAmp, phase;
-    // Measured per-sample term counts of past iterations, the signal behind
-    // the term-balanced Stage-3 split (sample sets overlap heavily across
-    // iterations, so last iteration's measurement predicts this one's cost).
-    TermCostModel costModel;
-    std::uint64_t bytesAllIterations = 0;
-    // N_s schedule (paper §4.1): pretrain at the initial value, then double
-    // every growEvery iterations — but only while the global unique count
-    // stays inside the budget.  All ranks see the same gathered N_u, so the
-    // schedule evolves identically everywhere.
-    std::uint64_t nsCurrent = opts.nSamplesInitial;
-
-    // Resume: restore every piece of loop state a checkpoint carries.  The
-    // per-iteration sampler streams are keyed on (opts.seed, iter) alone, so
-    // with parameters/optimizer/N_s/iteration restored, the continued
-    // trajectory is bit-identical to the uninterrupted run.
-    int iterStart = 0;
-    if (resume) {
-      io::loadNet(*resume, net);
-      io::loadOptimizer(*resume, optimizer);
-      if (resume->getU64("vmc.seed") != opts.seed)
-        throw io::SchemaError("vmc.seed",
-                              "checkpoint seed differs from VmcOptions::seed");
-      const std::uint64_t iterNext = resume->getU64("vmc.iterNext");
-      if (iterNext > static_cast<std::uint64_t>(opts.iterations))
-        throw io::SchemaError("vmc.iterNext",
-                              "checkpoint iteration beyond opts.iterations");
-      iterStart = static_cast<int>(iterNext);
-      nsCurrent = resume->getU64("vmc.nsCurrent");
-      bytesAllIterations = resume->getU64("vmc.commBytes");
-      const std::vector<Real> hist = resume->getRealArray("vmc.energyHistory");
-      if (hist.size() != static_cast<std::size_t>(iterStart))
-        throw io::SchemaError("vmc.energyHistory",
-                              "length differs from the stored iteration count");
-      std::copy(hist.begin(), hist.end(), res.energyHistory.begin());
-      costModel.restore(resume->getBitsArray("vmc.costKeys"),
-                        resume->getU64Array("vmc.costCosts"),
-                        resume->getU64("vmc.costDefault"));
-    }
+    RankLoop loop(comm, hamiltonian, netConfig, opts);
+    VmcResult& res = loop.res;
+    const int iterStart = resume ? loop.restore(*resume) : 0;
 
     for (int iter = iterStart; iter < opts.iterations; ++iter) {
       // Per-iteration byte accounting: everything Stages 1-6 communicate
@@ -119,250 +314,67 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
       // is snapshot *after* reading the counter and wiped by this reset, so
       // commBytesPerIteration counts exactly the algorithmic collectives.
       comm.resetByteCounter();
-      Timer t0;
-      // --- Stage 1: parallel batch autoregressive sampling ---------------
-      nqs::SamplerOptions sOpts;
-      sOpts.nSamples = nsCurrent;
-      sOpts.seed = opts.seed + static_cast<std::uint64_t>(iter) * 0x9E37u;
-      sOpts.exec = ex;
-      const nqs::SampleSet& local = sampler.sweep(
-          sOpts, rank, nRanks,
-          opts.uniqueThresholdPerRank * static_cast<std::uint64_t>(nRanks));
-      // psi of the local chunk (inference).  The sweep already produced
-      // ln|Psi| as a sampling by-product, leaving only the phase MLP to run.
-      // (Copy, don't move, local.logAmp: the engine reuses its capacity.)
-      logAmp.assign(local.logAmp.begin(), local.logAmp.end());
-      net.phases(local.samples, phase);
-      phases.sampling += t0.seconds();
+      loop.sample(iter);
+      loop.gather();
+      loop.localEnergies();
+      loop.reduceEnergy();
+      loop.backward();
+      loop.step(iter);
 
-      // --- Stage 2: Allgather unique samples + psi ------------------------
-      Timer t1;
-      std::vector<GatherRecord> records(local.nUnique());
-      for (std::size_t i = 0; i < local.nUnique(); ++i) {
-        const Complex p = nqs::QiankunNet::psiValue(logAmp[i], phase[i]);
-        records[i] = {local.samples[i], local.weights[i], p.real(), p.imag()};
-      }
-      std::vector<std::size_t> gatherCounts;
-      const std::vector<GatherRecord> all =
-          comm.allGatherV(records.data(), records.size(), &gatherCounts);
-      // This rank's samples occupy a contiguous span of the rank-ordered
-      // gathered set; Stage 4/5 read their local energies back from there.
-      std::size_t ownOffset = 0;
-      for (int r = 0; r < rank; ++r)
-        ownOffset += gatherCounts[static_cast<std::size_t>(r)];
-      std::vector<Bits128> allSamples(all.size());
-      std::vector<Complex> allPsi(all.size());
-      std::uint64_t totalWeight = 0;
-      for (std::size_t i = 0; i < all.size(); ++i) {
-        allSamples[i] = all[i].sample;
-        allPsi[i] = Complex{all[i].psiRe, all[i].psiIm};
-        totalWeight += all[i].weight;
-      }
-      const WavefunctionLut lut = WavefunctionLut::build(allSamples, allPsi);
-      phases.other += t1.seconds();
-      if (iter + 1 > opts.pretrainIterations && nsCurrent < opts.nSamples &&
+      // N_s schedule (paper §4.1): pretrain at the initial value, then double
+      // every growEvery iterations — but only while the global unique count
+      // stays inside the budget.
+      if (iter + 1 > opts.pretrainIterations && loop.nsCurrent < opts.nSamples &&
           (iter + 1 - opts.pretrainIterations) % std::max(1, opts.growEvery) == 0 &&
-          (opts.maxUniqueSamples == 0 || 2 * lut.size() <= opts.maxUniqueSamples))
-        nsCurrent = std::min(nsCurrent * 2, opts.nSamples);
-
-      // --- Stage 3: local energies of a term-balanced chunk ---------------
-      // The gathered set is tiled and the tiles are dealt to ranks — by last
-      // iteration's measured per-sample term counts (LPT bin-packing) once a
-      // measurement exists, by equal counts before that.  Every rank computes
-      // the same partition from the same gathered data, so no coordination
-      // is needed; the results are AllgatherV'd back and re-ordered into the
-      // gathered order.  Per-sample local energies are chunk-independent, so
-      // the trajectory is bit-identical regardless of the split.
-      Timer t2;
-      const std::size_t nAll = allSamples.size();
-      const std::size_t tileSz = std::max<std::size_t>(1, opts.rankTileSize);
-      const std::size_t nTiles = (nAll + tileSz - 1) / tileSz;
-      RankPartition part;
-      if (opts.rankSplit == RankSplit::kTermBalanced && !costModel.empty()) {
-        std::vector<std::uint64_t> tileCosts(nTiles, 0);
-        for (std::size_t i = 0; i < nAll; ++i)
-          tileCosts[i / tileSz] += costModel.estimate(allSamples[i]);
-        part = partitionTilesByCost(tileCosts, nRanks);
-      } else {
-        part = partitionTilesEqual(nTiles, nRanks);
-      }
-      const auto& myTiles = part.tiles[static_cast<std::size_t>(rank)];
-      std::vector<Bits128> chunk;
-      for (const std::uint32_t t : myTiles) {
-        const std::size_t lo = static_cast<std::size_t>(t) * tileSz;
-        const std::size_t hi = std::min(nAll, lo + tileSz);
-        chunk.insert(chunk.end(), allSamples.begin() + static_cast<std::ptrdiff_t>(lo),
-                     allSamples.begin() + static_cast<std::ptrdiff_t>(hi));
-      }
-      ElocStats elocStats;
-      std::vector<std::uint64_t> chunkTerms(chunk.size(), 0);
-      const std::vector<Complex> chunkEloc =
-          localEnergies(hamiltonian, chunk, lut, ex.eloc,
-                        /*made=*/nullptr, /*net=*/nullptr, &elocStats,
-                        chunkTerms.data());
-      // Route every sample's (eloc, measured terms) back to all ranks and
-      // restore the gathered order via the (identical) partition.
-      const std::vector<Complex> gatheredEloc =
-          comm.allGatherV(chunkEloc.data(), chunkEloc.size());
-      const std::vector<std::uint64_t> gatheredTerms =
-          comm.allGatherV(chunkTerms.data(), chunkTerms.size());
-      std::vector<Complex> globalEloc(nAll);
-      std::vector<std::uint64_t> globalTerms(nAll);
-      {
-        std::size_t pos = 0;
-        for (int r = 0; r < nRanks; ++r)
-          for (const std::uint32_t t : part.tiles[static_cast<std::size_t>(r)]) {
-            const std::size_t lo = static_cast<std::size_t>(t) * tileSz;
-            const std::size_t hi = std::min(nAll, lo + tileSz);
-            for (std::size_t i = lo; i < hi; ++i, ++pos) {
-              globalEloc[i] = gatheredEloc[pos];
-              globalTerms[i] = gatheredTerms[pos];
-            }
-          }
-      }
-      costModel.update(allSamples, globalTerms);
-      // Realized per-rank term work + its spread (the imbalance the
-      // repartitioner minimizes); identical on every rank.
-      std::vector<std::uint64_t> realizedTile(nTiles, 0);
-      for (std::size_t i = 0; i < nAll; ++i)
-        realizedTile[i / tileSz] += globalTerms[i];
-      const std::vector<std::uint64_t> rankTerms =
-          realizedRankCosts(part, realizedTile);
-      res.rankTermsMin = *std::min_element(rankTerms.begin(), rankTerms.end());
-      res.rankTermsMax = *std::max_element(rankTerms.begin(), rankTerms.end());
-      // This rank's own samples' local energies, for Stages 4 and 5.  Using
-      // the routed global array keeps the Stage-4 summation order exactly the
-      // per-rank local order of the pre-repartition design.
-      const Complex* eloc = globalEloc.data() + ownOffset;
-      phases.localEnergy += t2.seconds();
-
-      // --- Stage 4: Allreduce the energy estimate -------------------------
-      Timer t3;
-      std::array<Real, 3> acc{0, 0, 0};  // sum w*Re(E), sum w*Im(E), sum w*|E|^2
-      for (std::size_t i = 0; i < local.nUnique(); ++i) {
-        const Real w = static_cast<Real>(local.weights[i]);
-        acc[0] += w * eloc[i].real();
-        acc[1] += w * eloc[i].imag();
-        acc[2] += w * std::norm(eloc[i]);
-      }
-      comm.allReduceSum(std::span<Real>(acc));
-      const Real wTot = static_cast<Real>(totalWeight);
-      const Complex eMean{acc[0] / wTot, acc[1] / wTot};
-      const Real variance = acc[2] / wTot - std::norm(eMean);
-      phases.other += t3.seconds();
-
-      // --- Stage 5: backward on the own chunk -----------------------------
-      Timer t4;
-      // The loss seeds depend only on eloc/eMean/weights, so they are
-      // computed up front and the forward+backward runs through the
-      // recompute-in-tiles tape gradient (ExecutionPolicy::gradTileRows):
-      // peak training activation memory is one tile's, not the chunk's, and
-      // every tile size gives the same bits.
-      std::vector<Real> dLogAmp(local.nUnique()), dPhase(local.nUnique());
-      for (std::size_t i = 0; i < local.nUnique(); ++i) {
-        const Complex delta = eloc[i] - eMean;
-        const Real w = static_cast<Real>(local.weights[i]) / wTot;
-        dLogAmp[i] = 2.0 * w * delta.real();
-        dPhase[i] = 2.0 * w * delta.imag();
-      }
-      net.evaluateGrad(local.samples, dLogAmp, dPhase);
-      phases.gradient += t4.seconds();
-
-      // --- Stage 6: Allreduce gradients + identical optimizer step --------
-      Timer t5;
-      net.flattenGradients(grads);
-      comm.allReduceSum(grads.data(), grads.size());
-      net.loadGradients(grads);
-      optimizer.step(schedule.lr(iter + 1));
-      phases.gradient += t5.seconds();
-
-      // Per-iteration bookkeeping, identical on every rank.  The byte gather
-      // reads the counters *then* exchanges them, and the exchange is wiped
-      // by next iteration's reset — so it never pollutes the accounting.
+          (opts.maxUniqueSamples == 0 || 2 * loop.lut.size() <= opts.maxUniqueSamples))
+        loop.nsCurrent = std::min(loop.nsCurrent * 2, opts.nSamples);
+      // The byte gather reads the counters *then* exchanges them, and the
+      // exchange is wiped by next iteration's reset.
       const std::uint64_t myBytes = comm.bytesCommunicated();
-      const std::vector<std::uint64_t> rankBytes = comm.allGather(&myBytes, 1);
-      std::uint64_t iterBytes = 0;
-      for (const std::uint64_t b : rankBytes) iterBytes += b;
-      bytesAllIterations += iterBytes;
+      for (const std::uint64_t b : comm.allGather(&myBytes, 1)) loop.bytesAllIterations += b;
 
-      res.energyHistory[static_cast<std::size_t>(iter)] = eMean.real();
-      res.variance = variance;
-      res.nUnique = lut.size();
+      res.energyHistory[static_cast<std::size_t>(iter)] = loop.eMean.real();
+      res.nUnique = loop.lut.size();
       // Periodic checkpoint (rank 0; every rank holds identical state, so one
-      // writer suffices).  Captured *after* the optimizer step, N_s update
-      // and byte bookkeeping, i.e. exactly the state iteration iter+1 starts
-      // from; the atomic save keeps the previous file intact on a crash.
-      if (opts.checkpointEvery > 0 && rank == 0 &&
-          (iter + 1) % opts.checkpointEvery == 0) {
-        io::CheckpointWriter w;
-        io::addNet(w, net);
-        io::addOptimizer(w, optimizer);
-        w.addU64("vmc.seed", opts.seed);
-        w.addU64("vmc.iterNext", static_cast<std::uint64_t>(iter) + 1);
-        w.addU64("vmc.nsCurrent", nsCurrent);
-        w.addU64("vmc.commBytes", bytesAllIterations);
-        w.addRealArray("vmc.energyHistory", res.energyHistory.data(),
-                       static_cast<std::size_t>(iter) + 1);
-        w.addBitsArray("vmc.costKeys", costModel.keys());
-        w.addU64Array("vmc.costCosts", costModel.costs());
-        w.addU64("vmc.costDefault", costModel.defaultCost());
-        w.save(opts.checkpointPath);
-      }
-      if (rank == 0) {
-        if (opts.logEvery > 0 && iter % opts.logEvery == 0) {
-          if (ex.eloc == ElocMode::kBatched)
-            log::info(
-                "vmc it=%4d E=%.8f var=%.3e Nu=%zu Ns=%llu "
-                "eloc[probes=%llu hits=%llu tileTerms=%llu..%llu] "
-                "rankTerms=%llu..%llu",
-                iter, eMean.real(), variance, lut.size(),
-                static_cast<unsigned long long>(sOpts.nSamples),
-                static_cast<unsigned long long>(elocStats.lutProbes),
-                static_cast<unsigned long long>(elocStats.lutHits),
-                static_cast<unsigned long long>(elocStats.tileTermsMin),
-                static_cast<unsigned long long>(elocStats.tileTermsMax),
-                static_cast<unsigned long long>(res.rankTermsMin),
-                static_cast<unsigned long long>(res.rankTermsMax));
-          else
-            log::info("vmc it=%4d E=%.8f var=%.3e Nu=%zu Ns=%llu "
-                      "rankTerms=%llu..%llu",
-                      iter, eMean.real(), variance, lut.size(),
-                      static_cast<unsigned long long>(sOpts.nSamples),
-                      static_cast<unsigned long long>(res.rankTermsMin),
-                      static_cast<unsigned long long>(res.rankTermsMax));
-        }
-        if (opts.observer) opts.observer(iter, eMean.real(), lut.size());
-      }
+      // writer suffices); the atomic save keeps the previous file intact on a
+      // crash.
+      if (opts.checkpointEvery > 0 && comm.rank() == 0 &&
+          (iter + 1) % opts.checkpointEvery == 0)
+        loop.save(iter + 1);
+      // The non-batched engines zero ElocStats, so their fields print 0.
+      if (comm.rank() == 0 && opts.logEvery > 0 && iter % opts.logEvery == 0)
+        log::info("vmc it=%4d E=%.8f var=%.3e Nu=%zu Ns=%llu "
+                  "eloc[probes=%llu hits=%llu tileTerms=%llu..%llu] rankTerms=%llu..%llu",
+                  iter, loop.eMean.real(), res.variance, res.nUnique,
+                  static_cast<unsigned long long>(loop.sOpts.nSamples),
+                  static_cast<unsigned long long>(loop.elocStats.lutProbes),
+                  static_cast<unsigned long long>(loop.elocStats.lutHits),
+                  static_cast<unsigned long long>(loop.elocStats.tileTermsMin),
+                  static_cast<unsigned long long>(loop.elocStats.tileTermsMax),
+                  static_cast<unsigned long long>(res.rankTermsMin),
+                  static_cast<unsigned long long>(res.rankTermsMax));
+      if (comm.rank() == 0 && opts.observer) opts.observer(iter, loop.eMean.real(), res.nUnique);
     }
 
     // End-of-run reductions (outside the per-iteration byte windows): the
     // cross-rank phase maxima and the summed byte volume, so every rank's
     // VmcResult is bit-identical.
-    const std::array<double, 4> myPhases{phases.sampling, phases.localEnergy,
-                                         phases.gradient, phases.other};
+    const PhaseBreakdown& p = loop.phases;
+    const std::array<double, 4> myPhases{p.sampling, p.localEnergy, p.gradient, p.other};
     const std::vector<double> allPhases = comm.allGather(myPhases.data(), 4);
-    PhaseBreakdown maxPhases;
-    for (int r = 0; r < nRanks; ++r) {
-      const double* p = allPhases.data() + 4 * static_cast<std::size_t>(r);
-      maxPhases.sampling = std::max(maxPhases.sampling, p[0]);
-      maxPhases.localEnergy = std::max(maxPhases.localEnergy, p[1]);
-      maxPhases.gradient = std::max(maxPhases.gradient, p[2]);
-      maxPhases.other = std::max(maxPhases.other, p[3]);
-    }
-    const Real n = static_cast<Real>(std::max(1, opts.iterations));
-    res.secondsPerIteration = {maxPhases.sampling / n, maxPhases.localEnergy / n,
-                               maxPhases.gradient / n, maxPhases.other / n};
+    std::array<double, 4> mx{};
+    for (std::size_t k = 0; k < allPhases.size(); ++k)
+      mx[k % 4] = std::max(mx[k % 4], allPhases[k]);
+    const Real n = static_cast<Real>(opts.iterations);
+    res.secondsPerIteration = {mx[0] / n, mx[1] / n, mx[2] / n, mx[3] / n};
     res.commBytesPerIteration =
-        bytesAllIterations / static_cast<std::uint64_t>(std::max(1, opts.iterations));
+        loop.bytesAllIterations / static_cast<std::uint64_t>(opts.iterations);
 
     // Final energy: average of the last window (reduces MC noise).
-    const int window = std::min(opts.iterations, std::max(1, opts.iterations / 10));
-    Real sum = 0;
-    for (int i = opts.iterations - window; i < opts.iterations; ++i)
-      sum += res.energyHistory[static_cast<std::size_t>(i)];
-    res.energy = sum / static_cast<Real>(window);
-
-    perRank[static_cast<std::size_t>(rank)] = std::move(res);
+    const int window = std::max(1, opts.iterations / 10);
+    const auto& hist = res.energyHistory;
+    res.energy = std::accumulate(hist.end() - window, hist.end(), 0.0) / window;
+    perRank[static_cast<std::size_t>(comm.rank())] = std::move(res);
   });
 
   return std::move(perRank[static_cast<std::size_t>(world->thisProcessRank())]);

@@ -108,15 +108,20 @@ struct VmcResult {
 /// by opts.exec.comm (thread ranks by default; real MPI under NNQS_WITH_MPI):
 /// 1) parallel BAS (the sweep itself yields ln|Psi|, so only the phase MLP
 /// runs separately), 2) Allgather samples+psi, 3) sample-aware local
-/// energies on a term-balanced chunk of the gathered set (AllgatherV'd back
-/// so every rank sees its own samples' values), 4) Allreduce energy, 5)
-/// backward on the own chunk, 6) Allreduce gradients (each rank sums one
-/// slice of every rank's buffer in place under the thread backend) + the
-/// identical AdamW step everywhere (kernels::adamw on the SIMD tier, one
-/// call per parameter tensor, zeroing the gradients in the same pass).
+/// energies on a term-balanced chunk of the gathered set (one AllgatherV of
+/// (E_loc, term count) records routes every sample's values back, so every
+/// rank sees its own samples' energies and the cost model every sample's
+/// terms), 4) Allreduce energy, 5) backward on the own chunk, 6) Allreduce
+/// gradients (each rank sums one slice of every rank's buffer in place under
+/// the thread backend) + the identical AdamW step everywhere (kernels::adamw
+/// on the SIMD tier, one call per parameter tensor, zeroing the gradients in
+/// the same pass).  Each rank runs the stages as functions over buffers it
+/// keeps across iterations.
 ///
 /// Every rank returns an identical VmcResult (all collectives are
 /// rank-order-deterministic); under MPI each process returns its own copy.
+/// Throws std::invalid_argument for an empty run (iterations < 1 or
+/// nSamplesInitial < 1), which has no energy to report.
 VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
                  const nqs::QiankunNetConfig& netConfig, const VmcOptions& opts);
 

@@ -145,11 +145,12 @@ TEST(Decode, BatchBasBitIdenticalAcrossPolicies) {
   opts.nSamples = 1 << 14;
   opts.seed = 41;
   opts.exec.kernel = nn::kernels::KernelPolicy::kScalar;
-  const SampleSet ref = batchAutoregressiveSample(net, opts);
+  BasSweepEngine sampler(net);
+  const SampleSet ref = sampler.sweep(opts);
   EXPECT_GT(ref.nUnique(), 1u);
   for (auto kernel : kAllKernels) {
     opts.exec.kernel = kernel;
-    const SampleSet got = batchAutoregressiveSample(net, opts);
+    const SampleSet& got = sampler.sweep(opts);
     expectSameSampleSet(ref, got);
     expectOracleLogAmp(net, got);
   }
@@ -160,13 +161,14 @@ TEST(Decode, ParallelBasBitIdenticalAcrossPolicies) {
   SamplerOptions opts;
   opts.nSamples = 1 << 13;
   opts.seed = 23;
+  BasSweepEngine sampler(net);
   for (int ranks : {2, 3}) {
     for (int r = 0; r < ranks; ++r) {
       opts.exec.kernel = nn::kernels::KernelPolicy::kScalar;
-      const SampleSet ref = parallelBatchSample(net, opts, r, ranks, 8);
+      const SampleSet ref = sampler.sweep(opts, r, ranks, 8);
       for (auto kernel : kAllKernels) {
         opts.exec.kernel = kernel;
-        const SampleSet inc = parallelBatchSample(net, opts, r, ranks, 8);
+        const SampleSet& inc = sampler.sweep(opts, r, ranks, 8);
         expectSameSampleSet(ref, inc);
         expectOracleLogAmp(net, inc);
       }

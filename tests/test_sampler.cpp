@@ -77,7 +77,8 @@ TEST(Bas, WeightsSumToNs) {
   QiankunNet net(smallConfig(8, 2, 2));
   SamplerOptions opts;
   opts.nSamples = 4096;
-  const SampleSet s = batchAutoregressiveSample(net, opts);
+  BasSweepEngine sampler(net);
+  const SampleSet& s = sampler.sweep(opts);
   EXPECT_EQ(s.totalWeight(), 4096u);
   EXPECT_GT(s.nUnique(), 0u);
 }
@@ -87,7 +88,8 @@ TEST(Bas, AllSamplesConserveParticleNumber) {
   QiankunNet net(smallConfig(n, na, nb));
   SamplerOptions opts;
   opts.nSamples = 1 << 14;
-  const SampleSet s = batchAutoregressiveSample(net, opts);
+  BasSweepEngine sampler(net);
+  const SampleSet& s = sampler.sweep(opts);
   for (const auto& x : s.samples) EXPECT_TRUE(conservesNumber(x, n, na, nb));
 }
 
@@ -95,7 +97,8 @@ TEST(Bas, SamplesAreUnique) {
   QiankunNet net(smallConfig(8, 2, 2));
   SamplerOptions opts;
   opts.nSamples = 1 << 14;
-  const SampleSet s = batchAutoregressiveSample(net, opts);
+  BasSweepEngine sampler(net);
+  const SampleSet& s = sampler.sweep(opts);
   std::map<std::pair<std::uint64_t, std::uint64_t>, int> seen;
   for (const auto& x : s.samples) seen[{x.lo, x.hi}]++;
   for (const auto& [k, count] : seen) EXPECT_EQ(count, 1);
@@ -106,8 +109,9 @@ TEST(Bas, DeterministicGivenSeed) {
   SamplerOptions opts;
   opts.nSamples = 1 << 12;
   opts.seed = 31;
-  const SampleSet a = batchAutoregressiveSample(net, opts);
-  const SampleSet b = batchAutoregressiveSample(net, opts);
+  BasSweepEngine sampler(net);
+  const SampleSet a = sampler.sweep(opts);
+  const SampleSet& b = sampler.sweep(opts);
   ASSERT_EQ(a.nUnique(), b.nUnique());
   for (std::size_t i = 0; i < a.nUnique(); ++i) {
     EXPECT_EQ(a.samples[i], b.samples[i]);
@@ -121,7 +125,8 @@ TEST(Bas, FrequenciesMatchBornProbabilities) {
   QiankunNet net(smallConfig(n, na, nb));
   SamplerOptions opts;
   opts.nSamples = 1 << 20;
-  const SampleSet s = batchAutoregressiveSample(net, opts);
+  BasSweepEngine sampler(net);
+  const SampleSet& s = sampler.sweep(opts);
   std::vector<Real> la, ph;
   net.evaluate(s.samples, la, ph);
   for (std::size_t i = 0; i < s.nUnique(); ++i) {
@@ -142,8 +147,9 @@ TEST(ParallelBas, UnionEqualsSerialTotals) {
   opts.nSamples = 1 << 14;
   std::uint64_t total = 0;
   std::map<std::pair<std::uint64_t, std::uint64_t>, int> seen;
+  BasSweepEngine sampler(net);
   for (int r = 0; r < ranks; ++r) {
-    const SampleSet s = parallelBatchSample(net, opts, r, ranks, 8);
+    const SampleSet& s = sampler.sweep(opts, r, ranks, 8);
     total += s.totalWeight();
     for (const auto& x : s.samples) {
       seen[{x.lo, x.hi}]++;
@@ -160,8 +166,9 @@ TEST(ParallelBas, LoadRoughlyBalanced) {
   SamplerOptions opts;
   opts.nSamples = 1 << 16;
   std::vector<std::uint64_t> loads;
+  BasSweepEngine sampler(net);
   for (int r = 0; r < ranks; ++r)
-    loads.push_back(parallelBatchSample(net, opts, r, ranks, 16).totalWeight());
+    loads.push_back(sampler.sweep(opts, r, ranks, 16).totalWeight());
   const auto [mn, mx] = std::minmax_element(loads.begin(), loads.end());
   EXPECT_LT(static_cast<double>(*mx), 2.5 * static_cast<double>(std::max<std::uint64_t>(*mn, 1)));
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "chem/basis_set.hpp"
 #include "chem/geometry_library.hpp"
 #include "fci/fci.hpp"
@@ -127,6 +129,37 @@ TEST_P(VmcBackendTest, CommunicationBytesAreCounted) {
             static_cast<std::uint64_t>(res.parameterCount) * 8);
 }
 
+TEST_P(VmcBackendTest, CommunicationBytesFollowTheStageFormula) {
+  // Per iteration every rank receives the whole gathered set twice: 40 bytes
+  // per sample in Stage 2 (sample, weight, psi) and 16 + 8 in Stage 3
+  // (E_loc, term count).  Then come 2 * 3 * 8 bytes of the Stage-4 energy
+  // reduce and 2 * 8 * M of the Stage-6 gradient reduce.  N_s doubles every
+  // iteration, so N_u varies and the average must follow each iteration's.
+  if (GetParam() != exec::CommBackend::kThreads)
+    GTEST_SKIP() << "the observer reports N_u on process rank 0 only";
+  const System s = buildSystem("H2");
+  VmcOptions opts = backendOptions();
+  opts.iterations = 6;
+  opts.nSamplesInitial = 2;
+  opts.nSamples = 1 << 10;
+  opts.pretrainIterations = 0;
+  opts.growEvery = 1;
+  std::vector<std::uint64_t> nu;
+  opts.observer = [&](int, Real, std::size_t n) { nu.push_back(n); };
+  for (const std::uint64_t p : {1, 3}) {
+    opts.nRanks = static_cast<int>(p);
+    nu.clear();
+    const VmcResult res = runVmc(s.packed, netCfg(s), opts);
+    ASSERT_EQ(nu.size(), 6u);
+    EXPECT_LT(*std::min_element(nu.begin(), nu.end()),
+              *std::max_element(nu.begin(), nu.end()));
+    const auto m = static_cast<std::uint64_t>(res.parameterCount);
+    std::uint64_t total = 0;
+    for (const std::uint64_t n : nu) total += p * (64 * n + 48 + 16 * m);
+    EXPECT_EQ(res.commBytesPerIteration, total / 6) << p << " ranks";
+  }
+}
+
 TEST_P(VmcBackendTest, ShortRunConvergesAndReportsRankTerms) {
   const System s = buildSystem("H2");
   VmcOptions opts = backendOptions();
@@ -229,6 +262,18 @@ TEST(Vmc, RejectsBaselineEngine) {
   const System s = buildSystem("H2");
   VmcOptions opts;
   opts.exec.eloc = ElocMode::kBaseline;
+  EXPECT_THROW(runVmc(s.packed, netCfg(s), opts), std::invalid_argument);
+}
+
+TEST(Vmc, RejectsEmptyRuns) {
+  // An empty run has no energy: zero iterations average an empty window and
+  // zero samples give every sweep zero total weight, so both would be NaN.
+  const System s = buildSystem("H2");
+  VmcOptions opts;
+  opts.iterations = 0;
+  EXPECT_THROW(runVmc(s.packed, netCfg(s), opts), std::invalid_argument);
+  opts.iterations = 2;
+  opts.nSamplesInitial = 0;
   EXPECT_THROW(runVmc(s.packed, netCfg(s), opts), std::invalid_argument);
 }
 
