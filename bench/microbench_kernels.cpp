@@ -26,8 +26,8 @@
 
 // ---- Allocation-counting hook ----------------------------------------------
 // Every global operator new bumps a counter, so BM_DecodeStepSweep can assert
-// the workspace-backed decode path's zero-steady-state-allocation contract
-// (the arena/workspace growth paths use aligned_alloc and are covered by the
+// the tape-backed decode path's zero-steady-state-allocation contract
+// (the arena/tape growth paths use aligned_alloc and are covered by the
 // reuse logic those benches also exercise).
 
 namespace {
@@ -440,8 +440,8 @@ BENCHMARK(BM_GemmAccumulateTN)->Arg(0)->Arg(1)->Arg(2);
 // End-to-end incremental decode: a full 32-step TransformerAR sweep at the
 // acceptance shape (includes the qkv/ff matmuls around the attention kernel
 // and the fused elementwise stages).  The DecodeState persists across
-// iterations, so after the first (warm-up) sweep the KV arena, workspace, and
-// logits tensor are all reused — the hook-counted allocations of the final
+// iterations, so after the first (warm-up) sweep the KV arena and the step
+// tape are reused — the hook-counted allocations of the final
 // sweep must be exactly zero, and a regression in the zero-allocation decode
 // contract fails the bench (and with it the CI perf smoke).
 void BM_DecodeStepSweep(benchmark::State& state) {
@@ -451,8 +451,8 @@ void BM_DecodeStepSweep(benchmark::State& state) {
   nn::TransformerAR net(L, dModel, heads, layers, rng);
   nn::DecodeState ds;
   std::vector<int> tokens(static_cast<std::size_t>(batch));
-  // Explicit warm-up sweep: grows the KV arena, workspace, logits tensor and
-  // the per-thread kernel scratch to steady state, so every timed iteration
+  // Explicit warm-up sweep: grows the KV arena, the step tape and the
+  // per-thread kernel scratch to steady state, so every timed iteration
   // (benchmark calls this function afresh for its estimation runs, sometimes
   // with a single iteration) exercises — and asserts — the warm path.
   {
@@ -461,7 +461,7 @@ void BM_DecodeStepSweep(benchmark::State& state) {
     for (Index s = 0; s < L; ++s) {
       for (auto& t : tokens)
         t = s == 0 ? nn::TransformerAR::kBos : static_cast<int>(step.below(4));
-      benchmark::DoNotOptimize(net.decodeStep(ds, tokens).data.data());
+      benchmark::DoNotOptimize(net.decodeStep(ds, tokens));
     }
   }
   std::uint64_t lastSweepAllocs = 0;
@@ -472,7 +472,7 @@ void BM_DecodeStepSweep(benchmark::State& state) {
     for (Index s = 0; s < L; ++s) {
       for (auto& t : tokens)
         t = s == 0 ? nn::TransformerAR::kBos : static_cast<int>(step.below(4));
-      benchmark::DoNotOptimize(net.decodeStep(ds, tokens).data.data());
+      benchmark::DoNotOptimize(net.decodeStep(ds, tokens));
     }
     lastSweepAllocs = allocationCount() - allocs0;
   }

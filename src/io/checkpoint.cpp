@@ -6,6 +6,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <type_traits>
 
 #include "nn/optimizer.hpp"
 #include "nqs/ansatz.hpp"
@@ -277,15 +278,20 @@ nn::Tensor CheckpointReader::getTensor(const std::string& name) const {
   const Section& s = find(name, SectionKind::kTensor);
   Cursor c{s.payload.data(), s.payload.size()};
   const std::uint32_t rank = c.u32(name + ".rank");
+  // The header is untrusted: size nothing by it before the payload is seen
+  // to hold it, and multiply the dims with an overflow check in every build.
+  if (rank > c.remaining / 8) throw SchemaError(name, "tensor rank exceeds its payload");
   std::vector<Index> shape(rank);
+  Index numel = rank == 0 ? 0 : 1;  // as Tensor::numel: an empty shape has none
   for (std::uint32_t d = 0; d < rank; ++d) {
     const std::uint64_t dim = c.u64(name + ".dims");
     if (dim > static_cast<std::uint64_t>(std::numeric_limits<Index>::max()))
       throw SchemaError(name, "tensor dimension overflows Index");
     shape[d] = static_cast<Index>(dim);
+    if (__builtin_mul_overflow(numel, shape[d], &numel))
+      throw SchemaError(name, "tensor element count overflows Index");
   }
-  const Index numel = nn::Tensor::numel(shape);
-  if (c.remaining != static_cast<std::size_t>(numel) * 8)
+  if (c.remaining % 8 != 0 || c.remaining / 8 != static_cast<std::size_t>(numel))
     throw SchemaError(name, "tensor payload size does not match its shape");
   nn::Tensor t = nn::Tensor::uninit(std::move(shape));
   for (std::size_t i = 0; i < t.data.size(); ++i)
@@ -298,40 +304,33 @@ nn::Tensor CheckpointReader::getTensor(const std::string& name) const {
 namespace {
 
 /// The "net.cfg.*" scalar fields, one place so save and load cannot drift.
+/// `max` is the largest stored value the field's type holds.
 struct CfgField {
   const char* name;
   std::uint64_t (*get)(const nqs::QiankunNetConfig&);
   void (*set)(nqs::QiankunNetConfig&, std::uint64_t);
+  std::uint64_t max;
 };
 
+template <auto Member>
+CfgField cfgField(const char* name) {
+  using T = std::remove_reference_t<decltype(nqs::QiankunNetConfig{}.*Member)>;
+  return {name,
+          [](const nqs::QiankunNetConfig& c) { return static_cast<std::uint64_t>(c.*Member); },
+          [](nqs::QiankunNetConfig& c, std::uint64_t v) { c.*Member = static_cast<T>(v); },
+          static_cast<std::uint64_t>(std::numeric_limits<T>::max())};
+}
+
 const CfgField kCfgFields[] = {
-    {"net.cfg.nQubits",
-     [](const nqs::QiankunNetConfig& c) { return static_cast<std::uint64_t>(c.nQubits); },
-     [](nqs::QiankunNetConfig& c, std::uint64_t v) { c.nQubits = static_cast<int>(v); }},
-    {"net.cfg.nAlpha",
-     [](const nqs::QiankunNetConfig& c) { return static_cast<std::uint64_t>(c.nAlpha); },
-     [](nqs::QiankunNetConfig& c, std::uint64_t v) { c.nAlpha = static_cast<int>(v); }},
-    {"net.cfg.nBeta",
-     [](const nqs::QiankunNetConfig& c) { return static_cast<std::uint64_t>(c.nBeta); },
-     [](nqs::QiankunNetConfig& c, std::uint64_t v) { c.nBeta = static_cast<int>(v); }},
-    {"net.cfg.dModel",
-     [](const nqs::QiankunNetConfig& c) { return static_cast<std::uint64_t>(c.dModel); },
-     [](nqs::QiankunNetConfig& c, std::uint64_t v) { c.dModel = static_cast<Index>(v); }},
-    {"net.cfg.nHeads",
-     [](const nqs::QiankunNetConfig& c) { return static_cast<std::uint64_t>(c.nHeads); },
-     [](nqs::QiankunNetConfig& c, std::uint64_t v) { c.nHeads = static_cast<Index>(v); }},
-    {"net.cfg.nDecoders",
-     [](const nqs::QiankunNetConfig& c) { return static_cast<std::uint64_t>(c.nDecoders); },
-     [](nqs::QiankunNetConfig& c, std::uint64_t v) { c.nDecoders = static_cast<Index>(v); }},
-    {"net.cfg.phaseHidden",
-     [](const nqs::QiankunNetConfig& c) { return static_cast<std::uint64_t>(c.phaseHidden); },
-     [](nqs::QiankunNetConfig& c, std::uint64_t v) { c.phaseHidden = static_cast<Index>(v); }},
-    {"net.cfg.phaseHiddenLayers",
-     [](const nqs::QiankunNetConfig& c) { return static_cast<std::uint64_t>(c.phaseHiddenLayers); },
-     [](nqs::QiankunNetConfig& c, std::uint64_t v) { c.phaseHiddenLayers = static_cast<Index>(v); }},
-    {"net.cfg.seed",
-     [](const nqs::QiankunNetConfig& c) { return c.seed; },
-     [](nqs::QiankunNetConfig& c, std::uint64_t v) { c.seed = v; }},
+    cfgField<&nqs::QiankunNetConfig::nQubits>("net.cfg.nQubits"),
+    cfgField<&nqs::QiankunNetConfig::nAlpha>("net.cfg.nAlpha"),
+    cfgField<&nqs::QiankunNetConfig::nBeta>("net.cfg.nBeta"),
+    cfgField<&nqs::QiankunNetConfig::dModel>("net.cfg.dModel"),
+    cfgField<&nqs::QiankunNetConfig::nHeads>("net.cfg.nHeads"),
+    cfgField<&nqs::QiankunNetConfig::nDecoders>("net.cfg.nDecoders"),
+    cfgField<&nqs::QiankunNetConfig::phaseHidden>("net.cfg.phaseHidden"),
+    cfgField<&nqs::QiankunNetConfig::phaseHiddenLayers>("net.cfg.phaseHiddenLayers"),
+    cfgField<&nqs::QiankunNetConfig::seed>("net.cfg.seed"),
 };
 
 void checkTensorShape(const std::string& section, const nn::Tensor& got,
@@ -344,14 +343,22 @@ void checkTensorShape(const std::string& section, const nn::Tensor& got,
 
 void addNet(CheckpointWriter& w, nqs::QiankunNet& net) {
   for (const CfgField& f : kCfgFields) w.addU64(f.name, f.get(net.config()));
-  const auto params = net.parameters();
+  const auto& params = net.parameters();
   w.addU64("net.paramCount", params.size());
   for (const nn::Parameter* p : params) w.addTensor("param." + p->name, p->value);
 }
 
 nqs::QiankunNetConfig readNetConfig(const CheckpointReader& r) {
   nqs::QiankunNetConfig cfg;
-  for (const CfgField& f : kCfgFields) f.set(cfg, r.getU64(f.name));
+  for (const CfgField& f : kCfgFields) {
+    const std::uint64_t v = r.getU64(f.name);
+    if (v > f.max)
+      throw SchemaError(f.name, std::to_string(v) + " does not fit the field's type");
+    f.set(cfg, v);
+  }
+  if (const char* field = nqs::unrepresentableField(cfg))
+    throw SchemaError(std::string("net.cfg.") + field,
+                      "outside what the engine represents");
   return cfg;
 }
 
@@ -365,7 +372,7 @@ void loadNet(const CheckpointReader& r, nqs::QiankunNet& net) {
     if (r.getU64(f.name) != f.get(net.config()))
       throw SchemaError(f.name, "stored architecture differs from the live net");
   }
-  const auto params = net.parameters();
+  const auto& params = net.parameters();
   if (r.getU64("net.paramCount") != params.size())
     throw SchemaError("net.paramCount", "parameter-list size mismatch");
   std::vector<nn::Tensor> loaded;

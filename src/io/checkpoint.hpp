@@ -206,10 +206,13 @@ void addNet(CheckpointWriter& w, nqs::QiankunNet& net);
 /// value is copied (no partial-load side effects).
 void loadNet(const CheckpointReader& r, nqs::QiankunNet& net);
 
-/// The architecture stored by addNet.
+/// The architecture stored by addNet.  Throws SchemaError naming the first
+/// net.cfg.* field whose stored value its type cannot hold or the engine
+/// cannot represent (nqs::unrepresentableField).
 [[nodiscard]] nqs::QiankunNetConfig readNetConfig(const CheckpointReader& r);
 
-/// Construct a net with the stored architecture and load its parameters.
+/// Construct a net with the stored architecture (validated as readNetConfig
+/// does, before anything is built) and load its parameters.
 /// Returned by pointer: QiankunNet's parameter registry holds addresses into
 /// its own submodules, so the object must never be moved once built.
 [[nodiscard]] std::unique_ptr<nqs::QiankunNet> makeNet(const CheckpointReader& r);

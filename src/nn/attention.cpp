@@ -70,7 +70,7 @@ void CausalSelfAttention::decodeStep(const Real* x, Index batch,
   const Real scale = 1.0 / std::sqrt(static_cast<Real>(headDim_));
 
   // [B, 3D]: q | k | v per row, on the GEMM backend of the state's policy,
-  // carved from the decode workspace (no per-step tensor churn).
+  // carved from the decode step's tape (no per-step tensor churn).
   Real* qkv = state.ws.alloc(batch * 3 * d_);
   qkv_.forwardInto(x, batch, qkv, state.kernel);
   // Append this position's keys/values to the arena: K position-transposed

@@ -30,7 +30,6 @@ void DecodeState::begin(Index b, Index L, Index d, Index layers,
   freeSlots.clear();
   for (Index s = b; s < capacity; ++s) freeSlots.push_back(s);
   slotDetachedLen_.assign(static_cast<std::size_t>(capacity), 0);
-  lastGather = GatherStats{};
   sweepStats = SweepStats{};
 }
 
@@ -82,7 +81,6 @@ void DecodeState::growArena(Index neededFree, const std::vector<Index>& refs) {
   arena.swap(next);
   capacity = newCap;
   slotDetachedLen_.resize(static_cast<std::size_t>(capacity), 0);
-  ++lastGather.grows;
   ++sweepStats.grows;
 }
 
@@ -91,9 +89,6 @@ void DecodeState::gather(const std::vector<Index>& rows) {
   for (Index r : rows)
     if (r < 0 || r >= batch)
       throw std::out_of_range("DecodeState::gather: row index out of range");
-
-  lastGather = GatherStats{};
-  lastGather.rows = newBatch;
 
   gatherRefs_.assign(static_cast<std::size_t>(batch), 0);
   for (Index r : rows) ++gatherRefs_[static_cast<std::size_t>(r)];
@@ -109,6 +104,7 @@ void DecodeState::gather(const std::vector<Index>& rows) {
 
   gatherSlots_.resize(static_cast<std::size_t>(newBatch));
   gatherTaken_.assign(static_cast<std::size_t>(batch), 0);
+  Index rowsCopied = 0, realsCopied = 0;
   for (Index r = 0; r < newBatch; ++r) {
     const Index old = rows[static_cast<std::size_t>(r)];
     if (!gatherTaken_[static_cast<std::size_t>(old)]) {
@@ -117,8 +113,8 @@ void DecodeState::gather(const std::vector<Index>& rows) {
     } else {
       const Index s = freeSlots.back();
       freeSlots.pop_back();
-      lastGather.realsCopied += copySlot(s, rowSlot[static_cast<std::size_t>(old)]);
-      ++lastGather.rowsCopied;
+      realsCopied += copySlot(s, rowSlot[static_cast<std::size_t>(old)]);
+      ++rowsCopied;
       gatherSlots_[static_cast<std::size_t>(r)] = s;
     }
   }
@@ -126,13 +122,13 @@ void DecodeState::gather(const std::vector<Index>& rows) {
   batch = newBatch;
 
   ++sweepStats.gathers;
-  sweepStats.rowsCopied += lastGather.rowsCopied;
-  sweepStats.realsCopied += lastGather.realsCopied;
+  sweepStats.rowsCopied += rowsCopied;
+  sweepStats.realsCopied += realsCopied;
 
   // Regression guard (ROADMAP "single-allocation KV cache"): the arena path
   // copies only duplicated rows, and only their live positions — a reworked
   // copy that touches maxLen-sized blocks again would trip this.
-  assert(lastGather.realsCopied == lastGather.rowsCopied * 2 * nLayers * len * dModel);
+  assert(realsCopied == rowsCopied * 2 * nLayers * len * dModel);
 }
 
 void DecodeState::detachRows(Index lo, Index hi, std::vector<Index>& slotsOut) {

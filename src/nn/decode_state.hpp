@@ -3,8 +3,7 @@
 #include <vector>
 
 #include "nn/kernels/kernels.hpp"
-#include "nn/tensor.hpp"
-#include "nn/workspace.hpp"
+#include "nn/tape.hpp"
 
 namespace nnqs::nn {
 
@@ -45,34 +44,23 @@ struct DecodeState {
   std::vector<Index> rowSlot;   ///< [batch] live row -> arena slot (distinct)
   std::vector<Index> freeSlots; ///< unassigned slot ids
 
-  /// Scratch arena all per-step activation buffers are carved from, and the
-  /// state-owned logits tensor decodeStep writes its [batch, 4] output into —
-  /// both persist across steps *and* across begin() calls, so a warm
-  /// steady-state sweep performs zero heap allocations (workspace.hpp).
-  Workspace ws;
-  Tensor logits;
+  /// The tape every per-step activation buffer, the logits included, is
+  /// carved from: reset by each step, it persists across steps *and* across
+  /// begin() calls, so a warm steady-state sweep performs zero heap
+  /// allocations (tape.hpp).
+  Tape ws;
   /// The BOS token feed of a sweep's first step
-  /// (QiankunNet::stepConditionals): persists like ws/logits, so a warm
-  /// sweep's first step re-uses its capacity instead of allocating.
+  /// (QiankunNet::stepConditionals): persists like ws, so a warm sweep's
+  /// first step re-uses its capacity instead of allocating.
   std::vector<int> tokenScratch;
 
-  /// Work accounting of the most recent gather(), for regression tests: the
-  /// arena path must copy only duplicated rows and only live positions.
-  struct GatherStats {
-    Index rows = 0;        ///< new batch size
-    Index rowsCopied = 0;  ///< duplicated rows that required a slot copy
-    Index realsCopied = 0; ///< Real elements copied (== rowsCopied * 2 * nLayers * len * dModel)
-    Index grows = 0;       ///< capacity doublings triggered
-  };
-  GatherStats lastGather;
-
   /// Cumulative since begin(): gather/detach/attach accounting of one whole
-  /// sweep.  Under the tiled sweep engine, each tile performs its own
-  /// (tile-local) gathers, so the per-call `lastGather` no longer tells the
-  /// full story — these counters separate split-copy traffic (gathers,
-  /// rowsCopied, realsCopied: identical to the untiled sweep by construction)
-  /// from tile bookkeeping (detaches/attaches: index moves only, zero K/V
-  /// bytes), keeping the arena-copy invariant testable under any tiling.
+  /// sweep, for regression tests (the difference across one gather() is that
+  /// gather's work).  Split-copy traffic (gathers, rowsCopied, realsCopied:
+  /// the arena path copies only duplicated rows and only their live
+  /// positions, identical to the untiled sweep under any tiling) is kept
+  /// apart from tile bookkeeping (detaches/attaches: index moves only, zero
+  /// K/V bytes).
   struct SweepStats {
     Index gathers = 0;       ///< gather() calls
     Index rowsCopied = 0;    ///< summed duplicated-row slot copies

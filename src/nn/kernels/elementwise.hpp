@@ -20,9 +20,9 @@ namespace nnqs::nn::kernels {
 /// every KernelPolicy produces identical bits.  The threaded driver
 /// parallelizes over disjoint element chunks / rows.
 ///
-/// Both the full-forward modules (Gelu / LayerNorm in modules.cpp) and the
-/// incremental decode path run on these kernels, so the two inference paths
-/// keep drawing bit-identical samples.
+/// The tape forward and the incremental decode step both run on these
+/// kernels (GELU as a call of DecoderBlock, LayerNorm through the module's
+/// forwardTape and forwardInto), so the two paths give the same bits.
 
 /// tanh for the GELU kernels: branch-free on top of the shared softmaxExp
 /// machinery.  tanh(u) = sign(u) * (1 - e) / (1 + e) with e =

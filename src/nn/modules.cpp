@@ -41,9 +41,8 @@ Real* Linear::forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows,
   return y;
 }
 
-Real* Linear::backwardTape(Tape& tape, const TapeFrame& f, const Real* dy,
-                           kernels::KernelPolicy policy) {
-  if (f.generation != tape.generation()) throw StaleTapeError(name_);
+Real* Linear::backwardTape(Tape& tape, const TapeFrame& f, const Real* dy) {
+  accumulateGrads(tape, f, dy);
   const Index rows = f.rows;
   Real* dx = tape.alloc(rows * in_);
   // dX = dY W (the GEMM's zero init is the single fill of dx).
@@ -57,7 +56,13 @@ Real* Linear::backwardTape(Tape& tape, const TapeFrame& f, const Real* dy,
   gx.ldb = in_;  // B[l,j] = W[l,j]
   gx.c = dx;
   gx.ldc = in_;
-  kernels::gemm(gx, policy);
+  kernels::gemm(gx);
+  return dx;
+}
+
+void Linear::accumulateGrads(const Tape& tape, const TapeFrame& f, const Real* dy) {
+  if (f.generation != tape.generation()) throw StaleTapeError(name_);
+  const Index rows = f.rows;
   // dW += dY^T X (threaded rows of dW are disjoint, so accumulating into the
   // shared parameter is race-free; the ascending-r sum per element matches
   // the serial loop bit for bit).
@@ -73,14 +78,13 @@ Real* Linear::backwardTape(Tape& tape, const TapeFrame& f, const Real* dy,
   gw.c = w.grad.data.data();
   gw.ldc = in_;
   gw.accumulate = true;
-  kernels::gemm(gw, policy);
+  kernels::gemm(gw);
   // db += colsum(dY): ascending-r per output.
   Real* bGrad = b.grad.data.data();
   for (Index r = 0; r < rows; ++r) {
     const Real* dyr = dy + r * out_;
     for (Index o = 0; o < out_; ++o) bGrad[o] += dyr[o];
   }
-  return dx;
 }
 
 void Linear::collectParameters(std::vector<Parameter*>& out) {
@@ -96,21 +100,24 @@ LayerNorm::LayerNorm(Index dim, std::string name)
   for (auto& v : gamma.value.data) v = 1.0;
 }
 
+void LayerNorm::forwardInto(const Real* x, const Real* res, Real* h, Index rows,
+                            Real* y, kernels::KernelPolicy policy) const {
+  kernels::residualLayerNorm({.rows = rows, .dim = dim_, .x = x, .res = res,
+                              .gamma = gamma.value.data.data(),
+                              .beta = beta.value.data.data(), .h = h, .y = y},
+                             policy);
+}
+
 const Real* LayerNorm::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
                                    Index rows, kernels::KernelPolicy policy) const {
   Real* y = tape.alloc(rows * dim_);
   Real* xhat = tape.alloc(rows * dim_);
   Real* invStd = tape.alloc(rows);
-  kernels::ResidualLnArgs a;
-  a.rows = rows;
-  a.dim = dim_;
-  a.x = x;
-  a.gamma = gamma.value.data.data();
-  a.beta = beta.value.data.data();
-  a.y = y;
-  a.xhat = xhat;
-  a.invStd = invStd;
-  kernels::residualLayerNorm(a, policy);
+  kernels::residualLayerNorm({.rows = rows, .dim = dim_, .x = x,
+                              .gamma = gamma.value.data.data(),
+                              .beta = beta.value.data.data(), .y = y,
+                              .xhat = xhat, .invStd = invStd},
+                             policy);
   f.xhat = xhat;
   f.invStd = invStd;
   f.rows = rows;
@@ -138,25 +145,6 @@ Real* LayerNorm::backwardTape(Tape& tape, const TapeFrame& f, const Real* dy) {
 void LayerNorm::collectParameters(std::vector<Parameter*>& out) {
   out.push_back(&gamma);
   out.push_back(&beta);
-}
-
-// ------------------------------------------------------------------ Gelu ---
-
-const Real* Gelu::forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index n,
-                              kernels::KernelPolicy policy) const {
-  Real* y = tape.alloc(n);
-  kernels::gelu(x, y, n, policy);
-  f.x = x;
-  f.n = n;
-  f.generation = tape.generation();
-  return y;
-}
-
-Real* Gelu::backwardTape(Tape& tape, const TapeFrame& f, const Real* dy) const {
-  if (f.generation != tape.generation()) throw StaleTapeError(name_);
-  Real* dx = tape.alloc(f.n);
-  kernels::geluBackward(f.x, dy, dx, f.n);
-  return dx;
 }
 
 // ------------------------------------------------------------- Embedding ---

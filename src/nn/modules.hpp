@@ -11,9 +11,12 @@
 
 namespace nnqs::nn {
 
-// Layer convention: one forward per purpose.  The raw-buffer `forwardInto` /
+// Module convention: a module owns parameters (an activation without any is
+// a kernel call, kernels::gelu / kernels::tanh, made by the module that
+// uses it), and has one forward per purpose.  The raw-buffer `forwardInto` /
 // `decodeStep` / `stepInto` paths serve only the decode engine: const, they
-// record nothing, so any number of threads may run them on one module at
+// record nothing and write into caller storage (carved from the decode
+// step's Tape), so any number of threads may run them on one module at
 // once.  Every other forward is `forwardTape` (const too): it carves the
 // outputs and whatever the backward needs from a caller-owned Tape and
 // stores the span pointers in a caller-held per-module TapeFrame;
@@ -30,7 +33,7 @@ class Linear {
  public:
   Linear(Index in, Index out, Rng& rng, std::string name);
   /// Raw-buffer inference for the zero-allocation decode path: y [rows, out]
-  /// is caller storage (workspace-carved), fully overwritten.
+  /// is caller storage (tape-carved), fully overwritten.
   void forwardInto(const Real* x, Index rows, Real* y, kernels::KernelPolicy policy) const;
   void collectParameters(std::vector<Parameter*>& out);
 
@@ -48,24 +51,37 @@ class Linear {
   /// dx [rows, in_] carved from `tape`; dW (accumulate-GEMM, ascending k) and
   /// db (ascending rows) are serial folds, so ascending-tile calls give the
   /// bits of one call over the whole batch.
-  Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy,
-                     kernels::KernelPolicy policy = kernels::KernelPolicy::kAuto);
+  Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy);
 
   Parameter w, b;
 
  private:
+  /// The parameter half of backwardTape: dW += dY^T X, db += colsum(dY).
+  /// PhaseMlp's first layer runs only this half, since its input (the +-1
+  /// encoding) needs no gradient.
+  void accumulateGrads(const Tape& tape, const TapeFrame& f, const Real* dy);
+  friend class PhaseMlp;
+
   std::string name_;
   Index in_, out_;
 };
 
 /// LayerNorm over the last dimension, on the kernels::residualLayerNorm /
-/// kernels::layerNormBackward backends (elementwise.hpp; the decode path
-/// calls the same kernels directly with its residual fused in, so tape and
-/// decode activations stay bit-identical).
+/// kernels::layerNormBackward backends (elementwise.hpp).  The decode path
+/// runs the same kernel through forwardInto with its residual fused in, so
+/// tape and decode activations stay bit-identical.
 class LayerNorm {
  public:
   LayerNorm(Index dim, std::string name);
   void collectParameters(std::vector<Parameter*>& out);
+
+  /// Raw-buffer inference for the zero-allocation decode path, with the
+  /// previous stage's residual fused in: y = LN(x + res) [rows, dim], and
+  /// h = x + res when `res` is given (h is then required: the residual
+  /// stream the next stage reads).  y and h are caller storage (tape-carved),
+  /// fully overwritten.
+  void forwardInto(const Real* x, const Real* res, Real* h, Index rows, Real* y,
+                   kernels::KernelPolicy policy) const;
 
   /// Tape record: y, xhat [rows, dim_] and invStd [rows] are carved from
   /// `tape` (xhat/invStd are what the backward needs).
@@ -86,27 +102,6 @@ class LayerNorm {
  private:
   std::string name_;
   Index dim_;
-};
-
-/// GELU (tanh approximation), elementwise, on the kernels::gelu backends
-/// (vectorized branch-free tanh; elementwise.hpp).
-class Gelu {
- public:
-  explicit Gelu(std::string name = "gelu") : name_(std::move(name)) {}
-
-  /// Tape record: y [n] carved from `tape`; the input span is recorded
-  /// zero-copy (it must stay tape-live until backwardTape).
-  struct TapeFrame {
-    const Real* x = nullptr;
-    Index n = 0;
-    std::uint64_t generation = 0;
-  };
-  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index n,
-                          kernels::KernelPolicy policy = kernels::KernelPolicy::kAuto) const;
-  Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy) const;
-
- private:
-  std::string name_;
 };
 
 /// Token + learned positional embedding: tokens[R] (R = B*L) -> [R, d].

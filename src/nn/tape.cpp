@@ -1,4 +1,4 @@
-#include "nn/workspace.hpp"
+#include "nn/tape.hpp"
 
 #include <algorithm>
 #include <cassert>
@@ -15,7 +15,8 @@ std::size_t alignUp(std::size_t n) {
 }
 }  // namespace
 
-void Workspace::reset() {
+void Tape::reset() {
+  ++generation_;
   stats_.highWater = std::max(stats_.highWater, cycle_);
   // Coalesce: if the last cycle overflowed (or reserve history outgrew the
   // block), re-size the primary block to the high-water mark so the next
@@ -31,9 +32,9 @@ void Workspace::reset() {
   cycle_ = 0;
 }
 
-void Workspace::reserve(Index n) {
+void Tape::reserve(Index n) {
   assert(used_ == 0 && cycle_ == 0 && overflow_.empty() &&
-         "Workspace::reserve: only valid directly after reset()");
+         "Tape::reserve: only valid directly after reset()");
   const auto need = alignUp(static_cast<std::size_t>(n));
   if (block_.size() < need) {
     block_.assignZero(need);
@@ -42,7 +43,7 @@ void Workspace::reserve(Index n) {
   }
 }
 
-Real* Workspace::alloc(Index n) {
+Real* Tape::alloc(Index n) {
   assert(n >= 0);
   const std::size_t need = alignUp(static_cast<std::size_t>(n));
   cycle_ += need;

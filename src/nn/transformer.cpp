@@ -14,8 +14,7 @@ DecoderBlock::DecoderBlock(Index dModel, Index nHeads, Index ffDim, Rng& rng,
       ln1_(dModel, name + ".ln1"), ln2_(dModel, name + ".ln2"),
       attn_(dModel, nHeads, rng, name + ".attn"),
       ff1_(dModel, ffDim, rng, name + ".ff1"),
-      ff2_(ffDim, dModel, rng, name + ".ff2"),
-      gelu_(name + ".gelu") {}
+      ff2_(ffDim, dModel, rng, name + ".ff2") {}
 
 const Real* DecoderBlock::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
                                       Index rows, Index window,
@@ -30,12 +29,14 @@ const Real* DecoderBlock::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
   for (Index i = 0; i < n; ++i) h[i] = attnOut[i] + x[i];
   const Real* ln2out = ln2_.forwardTape(tape, f.ln2, h, rows, policy);
   const Real* f1 = ff1_.forwardTape(tape, f.ff1, ln2out, rows, policy);
-  const Real* g = gelu_.forwardTape(tape, f.gelu, f1, rows * ffDim_, policy);
+  Real* g = tape.alloc(rows * ffDim_);
+  kernels::gelu(f1, g, rows * ffDim_, policy);
   const Real* f2 = ff2_.forwardTape(tape, f.ff2, g, rows, policy);
   Real* out = tape.alloc(n);
   for (Index i = 0; i < n; ++i) out[i] = f2[i] + h[i];
   f.x = x;
   f.h = h;
+  f.f1 = f1;
   f.rows = rows;
   return out;
 }
@@ -45,27 +46,15 @@ void DecoderBlock::decodeStep(const Real* a, const Real* r, DecodeState& state,
                               const Real** rOut) const {
   const Index batch = state.batch;
   const Index n = batch * d_;
-  Workspace& ws = state.ws;
+  Tape& ws = state.ws;
 
   // ln1, fused with the previous stage's deferred residual: materializes the
   // block input x = a + r (needed again as the attention residual) while the
   // mean partials accumulate.
   Real* pre = ws.alloc(n);
-  const Real* xMat = a;  // block input; a itself when there is no residual
-  kernels::ResidualLnArgs ln1;
-  ln1.rows = batch;
-  ln1.dim = d_;
-  ln1.x = a;
-  ln1.res = r;
-  ln1.gamma = ln1_.gamma.value.data.data();
-  ln1.beta = ln1_.beta.value.data.data();
-  ln1.y = pre;
-  if (r != nullptr) {
-    Real* h = ws.alloc(n);
-    ln1.h = h;
-    xMat = h;
-  }
-  kernels::residualLayerNorm(ln1, state.kernel);
+  Real* h = r != nullptr ? ws.alloc(n) : nullptr;
+  ln1_.forwardInto(a, r, h, batch, pre, state.kernel);
+  const Real* x = r != nullptr ? h : a;  // block input
 
   Real* attnOut = ws.alloc(n);
   attn_.decodeStep(pre, batch, state, layer, attnOut);
@@ -73,16 +62,7 @@ void DecoderBlock::decodeStep(const Real* a, const Real* r, DecodeState& state,
   // ln2, fused with the attention residual: h2 = attnOut + x.
   Real* h2 = ws.alloc(n);
   Real* ln2out = ws.alloc(n);
-  kernels::ResidualLnArgs ln2;
-  ln2.rows = batch;
-  ln2.dim = d_;
-  ln2.x = attnOut;
-  ln2.res = xMat;
-  ln2.gamma = ln2_.gamma.value.data.data();
-  ln2.beta = ln2_.beta.value.data.data();
-  ln2.h = h2;
-  ln2.y = ln2out;
-  kernels::residualLayerNorm(ln2, state.kernel);
+  ln2_.forwardInto(attnOut, x, h2, batch, ln2out, state.kernel);
 
   // FF on the state's kernel policy, like the qkv/proj GEMMs; GELU runs
   // in place on the [B, ffDim] activations (elementwise, aliasing-safe).
@@ -101,8 +81,9 @@ Real* DecoderBlock::backwardTape(Tape& tape, const TapeFrame& f,
                                  const Real* dy) {
   const Index n = f.rows * d_;
   // dh = ln2'(ff1'(gelu'(ff2'(dy)))) + dy; dx = ln1'(attn'(dh)) + dh.
+  // GELU' multiplies ff2's dx in place.
   Real* t = ff2_.backwardTape(tape, f.ff2, dy);
-  t = gelu_.backwardTape(tape, f.gelu, t);
+  kernels::geluBackward(f.f1, t, t, f.rows * ffDim_);
   t = ff1_.backwardTape(tape, f.ff1, t);
   Real* dh = ln2_.backwardTape(tape, f.ln2, t);
   for (Index i = 0; i < n; ++i) dh[i] += dy[i];
@@ -169,12 +150,12 @@ void TransformerAR::backwardTape(Tape& tape, const TapeFrame& f,
 Index TransformerAR::tapeRealsPerSample(Index window) const {
   // Per row, in carve order.  Forward: embed d; per block ln1 2d+1, qkv 3d,
   // ctx d, proj d, h d, ln2 2d+1, ff1 f, gelu f, ff2 d, out d; lnFinal 2d+1,
-  // head 4.  Backward: head d, lnFinal d; per block ff2 f, gelu f, ff1 d,
-  // ln2 d, proj d, dQkv 3d, qkv d, ln1 d.  Per sample: each block's
+  // head 4.  Backward: head d, lnFinal d; per block ff2 f (GELU' in place),
+  // ff1 d, ln2 d, proj d, dQkv 3d, qkv d, ln1 d.  Per sample: each block's
   // [heads, window, window] attention weights.
   const Index d = d_, f = 4 * d_;  // ffDim, as the constructor builds it
   const auto nLayers = static_cast<Index>(blocks_.size());
-  const Index perRow = 5 * d + 5 + nLayers * (20 * d + 4 * f + 2);
+  const Index perRow = 5 * d + 5 + nLayers * (20 * d + 3 * f + 2);
   return window * perRow + nLayers * heads_ * window * window;
 }
 
@@ -183,8 +164,8 @@ void TransformerAR::beginDecode(DecodeState& state, Index batch,
   state.begin(batch, seqLen_, d_, static_cast<Index>(blocks_.size()), kernel);
 }
 
-const Tensor& TransformerAR::decodeStep(DecodeState& state,
-                                        const std::vector<int>& tokens) const {
+const Real* TransformerAR::decodeStep(DecodeState& state,
+                                      const std::vector<int>& tokens) const {
   if (static_cast<Index>(tokens.size()) != state.batch)
     throw std::invalid_argument("TransformerAR::decodeStep: token/batch mismatch");
   if (state.len >= state.maxLen)
@@ -192,13 +173,13 @@ const Tensor& TransformerAR::decodeStep(DecodeState& state,
   const Index pos = state.len;
   const Index batch = state.batch;
   const Index nLayers = static_cast<Index>(blocks_.size());
-  Workspace& ws = state.ws;
+  Tape& ws = state.ws;
   ws.reset();
   // Upper bound on this step's carve total (embed + per block: pre, h, qkv,
   // ctx, attnOut, h2, ln2out, f1 = 4d, f2 — 14d rows — + lnFinal h and out,
-  // + one cache line of alignment per span), so the first step of a sweep
-  // grows the block once instead of overflowing span by span.
-  ws.reserve(batch * d_ * (3 + 14 * nLayers) + 8 * (10 * nLayers + 4));
+  // + the logits, + one cache line of alignment per span), so the first
+  // step of a sweep grows the block once instead of overflowing span by span.
+  ws.reserve(batch * (d_ * (3 + 14 * nLayers) + kOutcomes) + 8 * (10 * nLayers + 5));
 
   Real* x = ws.alloc(batch * d_);
   embed_.stepInto(tokens, pos, x);
@@ -207,25 +188,14 @@ const Tensor& TransformerAR::decodeStep(DecodeState& state,
   for (Index l = 0; l < nLayers; ++l) blocks_[l].decodeStep(a, r, state, l, &a, &r);
   ++state.len;
 
-  // Final LayerNorm, fused with the last block's deferred residual.
+  // Final LayerNorm, fused with the last block's deferred residual, then the
+  // head.
   Real* lnOut = ws.alloc(batch * d_);
-  kernels::ResidualLnArgs lnf;
-  lnf.rows = batch;
-  lnf.dim = d_;
-  lnf.x = a;
-  lnf.res = r;
-  lnf.gamma = lnFinal_.gamma.value.data.data();
-  lnf.beta = lnFinal_.beta.value.data.data();
-  lnf.y = lnOut;
-  if (r != nullptr) lnf.h = ws.alloc(batch * d_);
-  kernels::residualLayerNorm(lnf, state.kernel);
-
-  // Head logits into the state-owned output tensor (resize reuses capacity:
-  // shrinks are free, growth only up to the sweep's high-water batch).
-  state.logits.shape.assign({batch, Index{kOutcomes}});
-  state.logits.data.resize(static_cast<std::size_t>(batch * kOutcomes));
-  head_.forwardInto(lnOut, batch, state.logits.data.data(), state.kernel);
-  return state.logits;  // [B, 4]
+  lnFinal_.forwardInto(a, r, r != nullptr ? ws.alloc(batch * d_) : nullptr, batch,
+                       lnOut, state.kernel);
+  Real* logits = ws.alloc(batch * kOutcomes);
+  head_.forwardInto(lnOut, batch, logits, state.kernel);
+  return logits;  // [B, 4]
 }
 
 void TransformerAR::collectParameters(std::vector<Parameter*>& out) {
@@ -263,22 +233,22 @@ const Real* PhaseMlp::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
 void PhaseMlp::backwardTape(Tape& tape, const TapeFrame& f,
                             const Real* dPhase) {
   const Real* d = dPhase;
-  for (std::size_t l = linears_.size(); l-- > 0;) {
+  for (std::size_t l = linears_.size(); l-- > 1;) {
     Real* dx = linears_[l].backwardTape(tape, f.linear[l], d);
-    if (l > 0) {
-      // Linear l's input is layer l-1's tanh output a: dx *= tanh' = 1 - a².
-      const Real* a = f.linear[l].x;
-      const Index n = f.linear[l].rows * linears_[l].w.value.shape[1];
-      for (Index i = 0; i < n; ++i) dx[i] = dx[i] * (1.0 - a[i] * a[i]);
-    }
+    // Linear l's input is layer l-1's tanh output a: dx *= tanh' = 1 - a².
+    const Real* a = f.linear[l].x;
+    const Index n = f.linear[l].rows * linears_[l].w.value.shape[1];
+    for (Index i = 0; i < n; ++i) dx[i] = dx[i] * (1.0 - a[i] * a[i]);
     d = dx;
   }
+  // Layer 0's input is the +-1 encoding: nothing reads its gradient.
+  linears_.front().accumulateGrads(tape, f.linear.front(), d);
 }
 
 Index PhaseMlp::tapeRealsPerSample() const {
-  // Each Linear carves y [out] forward (its tanh runs in place) and dx [in]
-  // backward (tanh' is applied in place).
-  Index n = 0;
+  // Each Linear carves y [out] forward (its tanh runs in place) and, but for
+  // layer 0, dx [in] backward (tanh' is applied in place).
+  Index n = -linears_.front().w.value.shape[1];
   for (const Linear& l : linears_) n += l.w.value.shape[0] + l.w.value.shape[1];
   return n;
 }

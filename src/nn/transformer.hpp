@@ -24,24 +24,26 @@ class DecoderBlock {
   /// residual add is deferred into this block's fused residual+LayerNorm
   /// kernel (ln1), and the block's own output leaves split the same way
   /// (*aOut = ff2 out, *rOut = post-attention residual) for the next block's
-  /// ln1 — so no separate residual sweep ever runs on the decode path.  All
-  /// buffers are carved from `state.ws`; a warm step touches no heap.
+  /// ln1 — so no separate residual sweep ever runs on the decode path.  It
+  /// makes the module calls forwardTape makes, on their raw-buffer forms,
+  /// with every buffer carved from `state.ws`; a warm step touches no heap.
   void decodeStep(const Real* a, const Real* r, DecodeState& state, Index layer,
                   const Real** aOut, const Real** rOut) const;
 
   /// Tape record of one block over x = [B*window, d] (see
   /// CausalSelfAttention::forwardTape): submodule frames plus the two
-  /// residual streams (block input x, post-attention h), all tape-resident.
-  /// Separate LayerNorms and explicit residual adds compute the same sums
-  /// as the fused decode kernels, so the taped activations equal the decode
-  /// path's bit for bit.
+  /// residual streams (block input x, post-attention h) and ff1's output,
+  /// all tape-resident.  GELU is a kernels::gelu call onto a tape carve, and
+  /// its backward runs in place on ff2's dx.  Separate LayerNorms and
+  /// explicit residual adds compute the same sums as the fused decode
+  /// kernels, so the taped activations equal the decode path's bit for bit.
   struct TapeFrame {
     LayerNorm::TapeFrame ln1, ln2;
     CausalSelfAttention::TapeFrame attn;
     Linear::TapeFrame ff1, ff2;
-    Gelu::TapeFrame gelu;
-    const Real* x = nullptr;  ///< block input [rows, d]
-    const Real* h = nullptr;  ///< post-attention residual stream [rows, d]
+    const Real* x = nullptr;   ///< block input [rows, d]
+    const Real* h = nullptr;   ///< post-attention residual stream [rows, d]
+    const Real* f1 = nullptr;  ///< ff1 output, the GELU input [rows, ffDim]
     Index rows = 0;
   };
   const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows,
@@ -54,7 +56,6 @@ class DecoderBlock {
   LayerNorm ln1_, ln2_;
   CausalSelfAttention attn_;
   Linear ff1_, ff2_;
-  Gelu gelu_;
 };
 
 /// Stacked-decoder autoregressive amplitude network (paper Fig. 2, the
@@ -166,11 +167,10 @@ class TransformerAR {
                    kernels::KernelPolicy kernel = kernels::KernelPolicy::kAuto) const;
   /// Feed tokens[B] at position state.len and return the next-outcome logits
   /// [B, 4].  Bit-identical to the last position of forwardTape() over the
-  /// same prefixes.  Advances state.len.  The returned tensor is `state.logits`
-  /// (state-owned, overwritten by the next step): with every activation
-  /// carved from the state's workspace, a warm step performs zero heap
-  /// allocations.
-  const Tensor& decodeStep(DecodeState& state, const std::vector<int>& tokens) const;
+  /// same prefixes.  Advances state.len.  The logits, like every activation
+  /// of the step, are carved from the state's tape (`state.ws`), valid until
+  /// the next step: a warm step performs zero heap allocations.
+  const Real* decodeStep(DecodeState& state, const std::vector<int>& tokens) const;
 
   static constexpr int kVocab = 5;
   static constexpr int kBos = 4;

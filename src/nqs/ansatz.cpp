@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace nnqs::nqs {
 
@@ -25,13 +26,27 @@ void maskedSoftmax4(const Real* lg, const std::array<bool, 4>& mask, Real* out) 
 }
 }  // namespace
 
-QiankunNet::QiankunNet(const QiankunNetConfig& cfg)
-    : cfg_(cfg), rng_(cfg.seed),
-      amplitude_(cfg.nQubits / 2, cfg.dModel, cfg.nHeads, cfg.nDecoders, rng_),
-      phase_(cfg.nQubits, cfg.phaseHidden, cfg.phaseHiddenLayers, rng_) {
-  if (cfg.nQubits % 2 != 0)
-    throw std::invalid_argument("QiankunNet: nQubits must be even (orbital pairs)");
+const char* unrepresentableField(const QiankunNetConfig& cfg) {
+  if (cfg.nQubits < 2 || cfg.nQubits > 128 || cfg.nQubits % 2 != 0) return "nQubits";
+  if (cfg.nAlpha < 0 || cfg.nAlpha > cfg.nQubits / 2) return "nAlpha";
+  if (cfg.nBeta < 0 || cfg.nBeta > cfg.nQubits / 2) return "nBeta";
+  return nullptr;
 }
+
+namespace {
+const QiankunNetConfig& checked(const QiankunNetConfig& cfg) {
+  if (const char* field = unrepresentableField(cfg))
+    throw std::invalid_argument(std::string("QiankunNet: ") + field +
+                                " outside what the engine represents (nQubits even "
+                                "in [2, 128], nAlpha and nBeta in [0, nQubits / 2])");
+  return cfg;
+}
+}  // namespace
+
+QiankunNet::QiankunNet(const QiankunNetConfig& cfg)
+    : cfg_(checked(cfg)), rng_(cfg.seed),
+      amplitude_(cfg.nQubits / 2, cfg.dModel, cfg.nHeads, cfg.nDecoders, rng_),
+      phase_(cfg.nQubits, cfg.phaseHidden, cfg.phaseHiddenLayers, rng_) {}
 
 std::array<bool, 4> QiankunNet::outcomeMask(int s, int nUp, int nDown) const {
   std::array<bool, 4> mask{};
@@ -68,12 +83,12 @@ void QiankunNet::stepConditionals(nn::DecodeState& state,
   } else if (prevTokens.size() != batch) {
     throw std::invalid_argument("stepConditionals: prevTokens/batch mismatch");
   }
-  // [B, 4], state-owned storage (zero-allocation decode path).
-  const nn::Tensor& logits = amplitude_.decodeStep(state, *feed);
+  // [B, 4], carved from the state's tape (zero-allocation decode path).
+  const Real* logits = amplitude_.decodeStep(state, *feed);
   probs.resize(batch * 4);
   for (std::size_t b = 0; b < batch; ++b) {
     const auto mask = outcomeMask(s, counts[b][0], counts[b][1]);
-    maskedSoftmax4(logits.data.data() + b * 4, mask, probs.data() + b * 4);
+    maskedSoftmax4(logits + b * 4, mask, probs.data() + b * 4);
   }
 }
 
@@ -276,7 +291,7 @@ void QiankunNet::evaluateInto(EvalSlot& slot, const std::vector<Bits128>& sample
   phasesInto(slot, samples, phase, kernel);
 }
 
-std::vector<nn::Parameter*> QiankunNet::parameters() {
+const std::vector<nn::Parameter*>& QiankunNet::parameters() {
   if (paramCache_.empty()) {
     amplitude_.collectParameters(paramCache_);
     phase_.collectParameters(paramCache_);

@@ -25,11 +25,20 @@ struct QiankunNetConfig {
   std::uint64_t seed = 1234;
 };
 
+/// The first field of `cfg` the engine cannot represent, or nullptr when
+/// there is none: nQubits must be even and in [2, 128] (one Bits128 holds a
+/// configuration), nAlpha and nBeta in [0, nQubits / 2] (more electrons than
+/// orbitals mask every outcome of the first step).  QiankunNet's constructor
+/// throws std::invalid_argument on such a config.
+[[nodiscard]] const char* unrepresentableField(const QiankunNetConfig& cfg);
+
 /// QiankunNet: Psi(x) = |Psi(x)| e^{i phi(x)} with an autoregressive
 /// transformer amplitude (two qubits = one spatial orbital per step, sampled
 /// in reverse JW qubit order as in the paper) and an MLP phase.
 class QiankunNet {
  public:
+  /// Throws std::invalid_argument when unrepresentableField(cfg) names a
+  /// field.
   explicit QiankunNet(const QiankunNetConfig& cfg);
 
   [[nodiscard]] const QiankunNetConfig& config() const { return cfg_; }
@@ -161,7 +170,7 @@ class QiankunNet {
   /// Reals live in any one tile — after a training step the measured "peak
   /// training activation memory" BM_BackwardTiled reports and the README
   /// quotes, since no inference tile carves more than a gradient tile.
-  [[nodiscard]] const nn::Workspace::Stats& gradTapeStats() const {
+  [[nodiscard]] const nn::Tape::Stats& gradTapeStats() const {
     return evalSlot_.tapes.front().tape.stats();
   }
 
@@ -177,8 +186,8 @@ class QiankunNet {
   /// Deterministic named-parameter registry (amplitude network first, then
   /// the phase MLP, each in construction order) — the ordering contract the
   /// binary checkpoint format (io/checkpoint.hpp) relies on for byte-identical
-  /// re-saves.
-  std::vector<nn::Parameter*> parameters();
+  /// re-saves.  Built on first use and cached.
+  const std::vector<nn::Parameter*>& parameters();
   [[nodiscard]] Index parameterCount();
 
   /// Every parameter's gradient, concatenated in parameters() order.

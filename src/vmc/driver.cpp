@@ -64,6 +64,8 @@ struct RankLoop {
     if (iterNext > static_cast<std::uint64_t>(opts.iterations))
       throw io::SchemaError("vmc.iterNext", "checkpoint iteration beyond opts.iterations");
     nsCurrent = ckpt.getU64("vmc.nsCurrent");
+    if (nsCurrent < 1)  // every sweep would be empty, every energy NaN
+      throw io::SchemaError("vmc.nsCurrent", "the sample count must be >= 1");
     bytesAllIterations = ckpt.getU64("vmc.commBytes");
     const std::vector<Real> hist = ckpt.getRealArray("vmc.energyHistory");
     if (hist.size() != iterNext)

@@ -71,7 +71,8 @@ struct VmcOptions {
   /// sampler streams are keyed on (seed, iteration) alone — the sampler holds
   /// no cross-iteration state — so the resumed trajectory is bit-identical to
   /// the uninterrupted run (tests/test_vmc.cpp).  The stored seed must match
-  /// opts.seed and the stored iteration must not exceed opts.iterations.
+  /// opts.seed, the stored iteration must not exceed opts.iterations and the
+  /// stored N_s must be at least 1.
   std::string resumeFrom;
 
   int logEvery = 0;  ///< 0 = silent
@@ -121,7 +122,8 @@ struct VmcResult {
 /// Every rank returns an identical VmcResult (all collectives are
 /// rank-order-deterministic); under MPI each process returns its own copy.
 /// Throws std::invalid_argument for an empty run (iterations < 1 or
-/// nSamplesInitial < 1), which has no energy to report.
+/// nSamplesInitial < 1), which has no energy to report, and io::SchemaError
+/// for a resume checkpoint that would continue one (vmc.nsCurrent of 0).
 VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
                  const nqs::QiankunNetConfig& netConfig, const VmcOptions& opts);
 

@@ -43,6 +43,25 @@ std::vector<Bits128> numberSector(int n, int na, int nb) {
 }
 }  // namespace
 
+TEST(Ansatz, RejectsQubitCountsTheEngineCannotRepresent) {
+  // One Bits128 holds a configuration, and sampling runs over orbital
+  // pairs: above 128 qubits Bits128::set(128) would write qubit 64 and
+  // get(128) shift a word by 64.  128 itself is the largest valid count.
+  for (const int n : {130, 256, 0, -2, 7}) {
+    EXPECT_THROW(QiankunNet{smallConfig(n, 0, 0)}, std::invalid_argument) << n;
+  }
+  EXPECT_NO_THROW(QiankunNet{smallConfig(128, 1, 1)});
+}
+
+TEST(Ansatz, RejectsElectronCountsOutsideTheOrbitals) {
+  // More electrons of a spin than spatial orbitals mask every outcome of
+  // the first step, so the masked softmax would divide 0 by 0.
+  EXPECT_THROW(QiankunNet{smallConfig(8, 5, 2)}, std::invalid_argument);
+  EXPECT_THROW(QiankunNet{smallConfig(8, 2, 5)}, std::invalid_argument);
+  EXPECT_THROW(QiankunNet{smallConfig(8, -1, 2)}, std::invalid_argument);
+  EXPECT_NO_THROW(QiankunNet{smallConfig(8, 4, 0)});
+}
+
 TEST(Ansatz, TokenMappingRoundTrip) {
   QiankunNet net(smallConfig(8, 2, 2));
   const Bits128 x = fromBitString("10011100");

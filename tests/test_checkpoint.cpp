@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -50,6 +51,39 @@ std::vector<std::uint8_t> netImage(nqs::QiankunNet& net) {
 std::vector<std::uint8_t> readFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void putLe(std::vector<std::uint8_t>& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+/// A one-section image whose tensor section `name` holds `payload` as is: a
+/// header no writer produces.
+std::vector<std::uint8_t> tensorImage(const std::string& name,
+                                      const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> out(kMagic, kMagic + sizeof(kMagic));
+  putLe(out, kFormatVersion, 4);
+  putLe(out, 1, 4);  // section count
+  out.push_back(static_cast<std::uint8_t>(SectionKind::kTensor));
+  putLe(out, name.size(), 4);
+  out.insert(out.end(), name.begin(), name.end());
+  putLe(out, payload.size(), 8);
+  out.insert(out.end(), payload.begin(), payload.end());
+  putLe(out, crc32(payload.data(), payload.size()), 4);
+  return out;
+}
+
+/// Store `value` in the u64 section `name` of `image`, re-stamping its CRC.
+void patchU64(std::vector<std::uint8_t>& image, const std::string& name,
+              std::uint64_t value) {
+  const auto at = std::search(image.begin(), image.end(), name.begin(), name.end());
+  ASSERT_NE(at, image.end()) << name;
+  // The payload follows the name and the 8-byte payload length.
+  const auto payload = at + static_cast<std::ptrdiff_t>(name.size()) + 8;
+  std::vector<std::uint8_t> bytes;
+  putLe(bytes, value, 8);
+  putLe(bytes, crc32(bytes.data(), 8), 4);
+  std::copy(bytes.begin(), bytes.end(), payload);
 }
 
 /// Byte offset of the first section's payload: header (8 magic + 4 version +
@@ -264,6 +298,57 @@ TEST(Checkpoint, SchemaErrorsNameTheField) {
   CheckpointWriter w;
   w.addU64("x", 1);
   EXPECT_THROW(w.addU64("x", 2), SchemaError);
+}
+
+TEST(Checkpoint, CorruptTensorHeaderNamesTheSection) {
+  // A tensor header is untrusted: a rank its payload cannot hold, or dims
+  // whose product overflows Index, must throw a SchemaError naming the
+  // section, not size a vector by the header (rank 2^32 - 1 asks for
+  // 32 GiB) or wrap the element count to 0 and load an empty tensor.
+  const auto expectSchemaError = [](const std::vector<std::uint8_t>& payload,
+                                    const char* what) {
+    const CheckpointReader r(tensorImage("param.w", payload));
+    try {
+      (void)r.getTensor("param.w");
+      ADD_FAILURE() << what << ": expected SchemaError";
+    } catch (const SchemaError& e) {
+      EXPECT_NE(std::string(e.what()).find("param.w"), std::string::npos) << e.what();
+    }
+  };
+  std::vector<std::uint8_t> rank;
+  putLe(rank, 0xFFFFFFFFu, 4);
+  expectSchemaError(rank, "rank 2^32 - 1 in a 4-byte payload");
+  std::vector<std::uint8_t> dims;
+  putLe(dims, 2, 4);
+  putLe(dims, std::uint64_t{1} << 62, 8);
+  putLe(dims, 4, 8);
+  expectSchemaError(dims, "dims {2^62, 4} and no data");
+}
+
+TEST(Checkpoint, MakeNetRejectsAStoredConfigTheEngineCannotRepresent) {
+  // A stored net.cfg.* value the engine cannot represent, or one its field's
+  // type cannot hold, is a SchemaError naming that field, thrown before a
+  // net is built.
+  nqs::QiankunNet a(smallConfig());
+  const auto good = netImage(a);
+  const std::pair<const char*, std::uint64_t> bad[] = {
+      {"net.cfg.nQubits", 130},                     // beyond one Bits128
+      {"net.cfg.nAlpha", 5},                        // 8 qubits hold 4 per spin
+      {"net.cfg.nQubits", std::uint64_t{1} << 31},  // not an int
+      {"net.cfg.nHeads", std::uint64_t{1} << 63},   // not an Index
+  };
+  for (const auto& [field, value] : bad) {
+    auto image = good;
+    patchU64(image, field, value);
+    const CheckpointReader r(image);
+    try {
+      (void)makeNet(r);
+      ADD_FAILURE() << field << " = " << value << ": expected SchemaError";
+    } catch (const SchemaError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << field << " = " << value << ": " << e.what();
+    }
+  }
 }
 
 TEST(Checkpoint, FailedLoadHasNoPartialSideEffects) {

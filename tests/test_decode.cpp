@@ -177,10 +177,10 @@ TEST(Decode, ParallelBasBitIdenticalAcrossPolicies) {
 }
 
 TEST(Decode, StateReuseAcrossSweepsIsBitIdentical) {
-  // A DecodeState (KV arena + workspace + logits tensor) is reusable across
-  // sweeps without re-allocation or re-zeroing; a reused state must produce
-  // exactly the bits of a fresh one — no stale K/V, workspace, or logits
-  // contents may leak into the next sweep.
+  // A DecodeState (KV arena + step tape) is reusable across sweeps without
+  // re-allocation or re-zeroing; a reused state must produce exactly the
+  // bits of a fresh one — no stale K/V or tape contents (the logits
+  // included) may leak into the next sweep.
   const Index L = 6, d = 16, heads = 4, layers = 2;
   Rng rng(31);
   nn::TransformerAR net(L, d, heads, layers, rng);
@@ -193,8 +193,8 @@ TEST(Decode, StateReuseAcrossSweepsIsBitIdentical) {
     for (Index s = 0; s < L; ++s) {
       for (auto& t : tokens)
         t = s == 0 ? nn::TransformerAR::kBos : static_cast<int>(step.below(4));
-      const nn::Tensor& logits = net.decodeStep(state, tokens);
-      flat.insert(flat.end(), logits.data.begin(), logits.data.end());
+      const Real* logits = net.decodeStep(state, tokens);
+      flat.insert(flat.end(), logits, logits + batch * nn::TransformerAR::kOutcomes);
     }
     return flat;
   };

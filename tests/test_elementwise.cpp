@@ -2,7 +2,7 @@
 // their backwards, kernels::adamw): exact (tolerance-0) agreement between the
 // scalar reference and the vectorized/threaded backends of every ISA tier the
 // host runs on ragged shapes, the
-// branch-free kernel tanh's accuracy, and the Workspace arena's
+// branch-free kernel tanh's accuracy, and the Tape arena's
 // carve/reuse/grow behaviour.
 
 #include <gtest/gtest.h>
@@ -17,8 +17,8 @@
 #include "nn/kernels/elementwise.hpp"
 #include "nn/kernels/kernel_table.hpp"
 #include "nn/modules.hpp"
+#include "nn/tape.hpp"
 #include "nn/transformer.hpp"
-#include "nn/workspace.hpp"
 #include "oracle.hpp"
 
 using namespace nnqs;
@@ -272,28 +272,28 @@ TEST(ElementwiseKernels, LayerNormBackwardBackendsBitIdentical) {
 }
 
 TEST(ElementwiseKernels, ModulesRunOnTheKernels) {
-  // The Gelu / LayerNorm modules' tape forwards must produce exactly the
-  // scalar kernel sequences — that is what keeps the tape and KV-decode
-  // activations bit-identical.
+  // LayerNorm's tape forward and its fused-residual decode forward must
+  // produce exactly the scalar kernel sequences — that is what keeps the
+  // tape and KV-decode activations bit-identical.
   Rng rng(407);
-  Gelu g;
   Tensor x({3, 7});
   x.randn(rng, 2.0);
   Tape tape;
-  Gelu::TapeFrame gf;
-  const Real* y = g.forwardTape(tape, gf, x.data.data(), x.numel());
-  for (Index i = 0; i < x.numel(); ++i)
-    EXPECT_EQ(y[i], kernels::geluScalar(x.data[static_cast<std::size_t>(i)]));
-
   LayerNorm ln(7, "t");
   LayerNorm::TapeFrame lf;
   const Real* ly = ln.forwardTape(tape, lf, x.data.data(), 3);
   std::vector<Real> xv(x.data.begin(), x.data.end());
-  const auto ref = runLn(xv, nullptr, 3, 7,
-                         {ln.gamma.value.data.begin(), ln.gamma.value.data.end()},
-                         {ln.beta.value.data.begin(), ln.beta.value.data.end()},
-                         KernelPolicy::kScalar, false);
+  const std::vector<Real> gamma(ln.gamma.value.data.begin(), ln.gamma.value.data.end());
+  const std::vector<Real> beta(ln.beta.value.data.begin(), ln.beta.value.data.end());
+  const auto ref = runLn(xv, nullptr, 3, 7, gamma, beta, KernelPolicy::kScalar, false);
   for (std::size_t i = 0; i < ref.y.size(); ++i) EXPECT_EQ(ly[i], ref.y[i]);
+
+  const auto res = randomVec(rng, xv.size());
+  const auto refRes = runLn(xv, &res, 3, 7, gamma, beta, KernelPolicy::kScalar, false);
+  std::vector<Real> y(xv.size()), h(xv.size());
+  ln.forwardInto(xv.data(), res.data(), h.data(), 3, y.data(), KernelPolicy::kSimd);
+  expectBitIdentical(refRes.y, y, "forwardInto y");
+  expectBitIdentical(refRes.h, h, "forwardInto h");
 }
 
 TEST(ElementwiseKernels, TanhPathsAgreeBitForBit) {
@@ -387,14 +387,14 @@ TEST(ElementwiseKernels, AdamWBackendsBitIdenticalOverSteps) {
   }
 }
 
-// ------------------------------------------------------------- Workspace ---
+// ------------------------------------------------------------------ Tape ---
 
-TEST(Workspace, CarvesAlignedDisjointSpans) {
-  Workspace ws;
-  ws.reset();
-  Real* a = ws.alloc(13);
-  Real* b = ws.alloc(64);
-  Real* c = ws.alloc(1);
+TEST(Tape, CarvesAlignedDisjointSpans) {
+  Tape tape;
+  tape.reset();
+  Real* a = tape.alloc(13);
+  Real* b = tape.alloc(64);
+  Real* c = tape.alloc(1);
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 64, 0u);
@@ -407,72 +407,72 @@ TEST(Workspace, CarvesAlignedDisjointSpans) {
   c[0] = 3.0;
 }
 
-TEST(Workspace, SteadyStateReusesOneBlockWithoutGrowth) {
-  Workspace ws;
+TEST(Tape, SteadyStateReusesOneBlockWithoutGrowth) {
+  Tape tape;
   // Cycle 1 at the working-set size: grows (possibly overflowing).
-  ws.reset();
-  for (int i = 0; i < 10; ++i) ws.alloc(1000);
-  ws.reset();  // coalesce
-  const auto grows = ws.stats().grows;
-  const auto capacity = ws.stats().capacity;
-  EXPECT_GE(ws.stats().highWater, std::size_t{10 * 1000});
-  EXPECT_GE(capacity, ws.stats().highWater);
+  tape.reset();
+  for (int i = 0; i < 10; ++i) tape.alloc(1000);
+  tape.reset();  // coalesce
+  const auto grows = tape.stats().grows;
+  const auto capacity = tape.stats().capacity;
+  EXPECT_GE(tape.stats().highWater, std::size_t{10 * 1000});
+  EXPECT_GE(capacity, tape.stats().highWater);
   // Steady state: same-shaped cycles never allocate or grow again, and the
   // primary block stays put.
   Real* first = nullptr;
   for (int cycle = 0; cycle < 5; ++cycle) {
-    Real* p = ws.alloc(1000);
+    Real* p = tape.alloc(1000);
     if (first == nullptr) first = p;
     EXPECT_EQ(p, first) << "primary block moved between cycles";
-    for (int i = 0; i < 9; ++i) ws.alloc(1000);
-    ws.reset();
-    EXPECT_EQ(ws.stats().grows, grows) << "steady-state cycle grew";
-    EXPECT_EQ(ws.stats().capacity, capacity);
+    for (int i = 0; i < 9; ++i) tape.alloc(1000);
+    tape.reset();
+    EXPECT_EQ(tape.stats().grows, grows) << "steady-state cycle grew";
+    EXPECT_EQ(tape.stats().capacity, capacity);
   }
 }
 
-TEST(Workspace, MidCycleOverflowPreservesLiveSpansThenCoalesces) {
-  Workspace ws;
-  ws.reset();
-  ws.reserve(64);
-  Real* a = ws.alloc(64);
+TEST(Tape, MidCycleOverflowPreservesLiveSpansThenCoalesces) {
+  Tape tape;
+  tape.reset();
+  tape.reserve(64);
+  Real* a = tape.alloc(64);
   for (Index i = 0; i < 64; ++i) a[i] = static_cast<Real>(i);
   // Overflows the reserved block: must come from a side chunk, leaving the
   // live span `a` intact.
-  Real* b = ws.alloc(1 << 16);
+  Real* b = tape.alloc(1 << 16);
   ASSERT_NE(b, nullptr);
-  EXPECT_GE(ws.stats().overflows, 1);
+  EXPECT_GE(tape.stats().overflows, 1);
   b[0] = -1.0;
   b[(1 << 16) - 1] = -2.0;
   for (Index i = 0; i < 64; ++i)
     ASSERT_EQ(a[i], static_cast<Real>(i)) << "overflow clobbered a live span";
   // The next reset coalesces: one block big enough for the whole cycle.
-  ws.reset();
-  EXPECT_GE(ws.stats().capacity, ws.stats().highWater);
-  const auto overflowsBefore = ws.stats().overflows;
-  ws.alloc(64);
-  ws.alloc(1 << 16);
-  EXPECT_EQ(ws.stats().overflows, overflowsBefore) << "coalesced cycle overflowed";
+  tape.reset();
+  EXPECT_GE(tape.stats().capacity, tape.stats().highWater);
+  const auto overflowsBefore = tape.stats().overflows;
+  tape.alloc(64);
+  tape.alloc(1 << 16);
+  EXPECT_EQ(tape.stats().overflows, overflowsBefore) << "coalesced cycle overflowed";
 }
 
-TEST(Workspace, ColdCarvesFillOneSideChunk) {
+TEST(Tape, ColdCarvesFillOneSideChunk) {
   // A cold arena overflows into side chunks.  HugeBuffer commits whole 2 MiB
   // pages whatever size it is asked for, so the first chunk must take those
   // pages and serve the cycle's later carves, not open (and commit) a chunk
   // every few carves: 100 carves of 1,000 Reals are 0.76 MiB.
-  Workspace ws;
-  ws.reset();
-  for (int i = 0; i < 100; ++i) ws.alloc(1000);
-  EXPECT_LE(ws.stats().overflows, 1);
+  Tape tape;
+  tape.reset();
+  for (int i = 0; i < 100; ++i) tape.alloc(1000);
+  EXPECT_LE(tape.stats().overflows, 1);
 }
 
-TEST(Workspace, ReserveAvoidsOverflowChunks) {
-  Workspace ws;
-  ws.reset();
-  ws.reserve(4096);
-  for (int i = 0; i < 4; ++i) ws.alloc(1024);
-  EXPECT_EQ(ws.stats().overflows, 0);
-  EXPECT_GE(ws.stats().capacity, std::size_t{4096});
+TEST(Tape, ReserveAvoidsOverflowChunks) {
+  Tape tape;
+  tape.reset();
+  tape.reserve(4096);
+  for (int i = 0; i < 4; ++i) tape.alloc(1024);
+  EXPECT_EQ(tape.stats().overflows, 0);
+  EXPECT_GE(tape.stats().capacity, std::size_t{4096});
 }
 
 TEST(Tensor, UninitHasShapeButNoFillGuarantee) {

@@ -205,7 +205,7 @@ TEST(Evaluate, RejectsBadShapes) {
 
 TEST(Evaluate, PerfbenchNetMatchesOracleUnderEveryKernel) {
   // At the perfbench net the default tile is the gradient's amplitude tile:
-  // 300 samples run as 8 tiles of at most 39 with a ragged tail.  evaluate,
+  // 300 samples run as 7 tiles of at most 43 with a ragged tail.  evaluate,
   // evaluateInto and psi must equal the oracle at tolerance 0 under every
   // kernel policy, kAuto and kThreaded on the tile-parallel loop.
 #ifdef _OPENMP
@@ -217,7 +217,7 @@ TEST(Evaluate, PerfbenchNetMatchesOracleUnderEveryKernel) {
   const Index bytesPerSample =
       net.gradTapeRealsPerSample().amplitude * static_cast<Index>(sizeof(Real));
   const Index tile = nn::TransformerAR::kGradTapeBudgetBytes / bytesPerSample;
-  ASSERT_EQ((300 + tile - 1) / tile, 8) << "tile " << tile;
+  ASSERT_EQ((300 + tile - 1) / tile, 7) << "tile " << tile;
   ASSERT_NE(300 % tile, 0) << "tile " << tile;
 
   const std::vector<Real> ref = oracle::logAmp(net, samples);
@@ -261,11 +261,11 @@ TEST(Evaluate, WarmEvaluateIntoAllocatesNothingWithinTheBudget) {
   std::vector<Real> la, ph;
   net.evaluateInto(slot, samples, la, ph, nn::kernels::KernelPolicy::kSimd);
   ASSERT_EQ(slot.tapes.size(), 1u);
-  const nn::Workspace::Stats cold = slot.tapes[0].tape.stats();  // copy
+  const nn::Tape::Stats cold = slot.tapes[0].tape.stats();  // copy
   const std::uint64_t allocs0 = allocationCount();
   net.evaluateInto(slot, samples, la, ph, nn::kernels::KernelPolicy::kSimd);
   EXPECT_EQ(allocationCount() - allocs0, 0u);
-  const nn::Workspace::Stats& warm = slot.tapes[0].tape.stats();
+  const nn::Tape::Stats& warm = slot.tapes[0].tape.stats();
   EXPECT_EQ(warm.grows, cold.grows);
   EXPECT_EQ(warm.overflows, cold.overflows);
   EXPECT_GT(warm.highWater, 0u);
@@ -379,9 +379,9 @@ TEST(EvaluateGrad, TiledBitIdenticalToMonolithicAcrossTileGeometries) {
 }
 
 TEST(EvaluateGrad, DefaultSplitBitIdenticalToOneTileAndWithinTheBudget) {
-  // At the perfbench net the default tiles differ per loop: 39 samples per
-  // amplitude tile (600 = 15 x 39 + 15, ragged) and 493 per phase tile
-  // (493 + 107, ragged).  The gradients must still equal one tile spanning
+  // At the perfbench net the default tiles differ per loop: 43 samples per
+  // amplitude tile (600 = 13 x 43 + 41, ragged) and 502 per phase tile
+  // (502 + 98, ragged).  The gradients must still equal one tile spanning
   // the batch at tolerance 0, and the tape must stay within the budget (plus
   // at most one cache line of alignment per carved span) while using most
   // of it.
@@ -486,7 +486,7 @@ TEST(EvaluateGrad, WarmStepsReuseTheTapeArena) {
   // same-shape steps must not allocate: no primary-block growth, no side
   // chunks, same high water (the zero-allocation warm-step contract).  At
   // the perfbench net the default tiles alternate sizes on the one tape:
-  // amplitude tiles of 39, 39 and 22 samples, then one phase tile of 100.
+  // amplitude tiles of 43, 43 and 14 samples, then one phase tile of 100.
   // phases() and evaluate() run on the same tape between the steps, on a
   // larger batch than the step's; their tiles carve less than the
   // gradient's, so they must not grow it either, and every step's gradients
@@ -503,7 +503,7 @@ TEST(EvaluateGrad, WarmStepsReuseTheTapeArena) {
     plain.setEvalPolicy(ex);
     net.evaluateGrad(samples, dLa, dPh);
     plain.evaluateGrad(samples, dLa, dPh);
-    const nn::Workspace::Stats cold = net.gradTapeStats();  // copy
+    const nn::Tape::Stats cold = net.gradTapeStats();  // copy
     for (int step = 0; step < 3; ++step) {
       std::vector<Real> la, ph;
       net.phases(queries, ph);
@@ -517,7 +517,7 @@ TEST(EvaluateGrad, WarmStepsReuseTheTapeArena) {
       for (std::size_t i = 0; i < want.size(); ++i)
         ASSERT_EQ(got[i], want[i]) << "tile " << tile << " step " << step << " grad " << i;
     }
-    const nn::Workspace::Stats& warm = net.gradTapeStats();
+    const nn::Tape::Stats& warm = net.gradTapeStats();
     EXPECT_EQ(warm.grows, cold.grows) << "tile " << tile;
     EXPECT_EQ(warm.overflows, cold.overflows) << "tile " << tile;
     EXPECT_EQ(warm.highWater, cold.highWater) << "tile " << tile;

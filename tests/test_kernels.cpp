@@ -334,14 +334,15 @@ TEST(DecodeStateArena, PermutationGatherMovesNoData) {
   fillState(st, tags, 5);
 
   st.gather({5, 3, 0, 1, 4, 2});  // pure permutation: remap only
-  EXPECT_EQ(st.lastGather.rows, 6);
-  EXPECT_EQ(st.lastGather.rowsCopied, 0);
-  EXPECT_EQ(st.lastGather.realsCopied, 0);
-  EXPECT_EQ(st.lastGather.grows, 0);
+  EXPECT_EQ(st.batch, 6);
+  EXPECT_EQ(st.sweepStats.gathers, 1);
+  EXPECT_EQ(st.sweepStats.rowsCopied, 0);
+  EXPECT_EQ(st.sweepStats.realsCopied, 0);
+  EXPECT_EQ(st.sweepStats.grows, 0);
   expectRows(st, {5, 3, 0, 1, 4, 2});
 
   st.gather({1, 3});  // prune: still no bytes moved
-  EXPECT_EQ(st.lastGather.realsCopied, 0);
+  EXPECT_EQ(st.sweepStats.realsCopied, 0);
   expectRows(st, {3, 1});
 }
 
@@ -353,10 +354,10 @@ TEST(DecodeStateArena, SplitGatherCopiesOnlyLivePositionsOfDuplicates) {
 
   // Rows 0 and 2 split in two, row 1 pruned: 2 duplicates to copy.
   st.gather({0, 0, 2, 2});
-  EXPECT_EQ(st.lastGather.rowsCopied, 2);
+  EXPECT_EQ(st.sweepStats.rowsCopied, 2);
   // The regression guard of the arena path: only len (not maxLen) positions
   // of the duplicated rows move — K and V, every layer.
-  EXPECT_EQ(st.lastGather.realsCopied, 2 * 2 * layers * len * d);
+  EXPECT_EQ(st.sweepStats.realsCopied, 2 * 2 * layers * len * d);
   expectRows(st, {0, 0, 2, 2});
 
   // Duplicated rows own distinct slots so later appends cannot collide.
@@ -379,9 +380,10 @@ TEST(DecodeStateArena, CapacityDoublesUnderFrontierGrowth) {
       rows.push_back(b);
       rows.push_back(b);
     }
+    const Index grows0 = st.sweepStats.grows;
     st.gather(rows);
     tags.assign(static_cast<std::size_t>(st.batch), 0);
-    EXPECT_GE(st.lastGather.grows, 1) << "round " << round;
+    EXPECT_GE(st.sweepStats.grows - grows0, 1) << "round " << round;
     expectRows(st, tags);
   }
   EXPECT_EQ(st.batch, 8);
@@ -399,8 +401,8 @@ TEST(DecodeStateArena, LenEqualsMaxLenGatherCopiesWholeRows) {
   st.begin(2, maxLen, d, layers);
   fillState(st, {0, 1}, maxLen);  // cache completely full
   st.gather({1, 1, 0});
-  EXPECT_EQ(st.lastGather.rowsCopied, 1);
-  EXPECT_EQ(st.lastGather.realsCopied, 2 * layers * maxLen * d);
+  EXPECT_EQ(st.sweepStats.rowsCopied, 1);
+  EXPECT_EQ(st.sweepStats.realsCopied, 2 * layers * maxLen * d);
   expectRows(st, {1, 1, 0});
 }
 

@@ -72,11 +72,10 @@ TEST(LayerNorm, OutputNormalized) {
 }
 
 TEST(Gelu, KnownValues) {
-  Gelu g;
+  // GELU is a kernel call of the decoder block, not a module.
   const Real x[3] = {0.0, 100.0, -100.0};
-  Tape tape;
-  Gelu::TapeFrame f;
-  const Real* y = g.forwardTape(tape, f, x, 3);
+  Real y[3];
+  kernels::gelu(x, y, 3);
   EXPECT_NEAR(y[0], 0.0, 1e-12);
   EXPECT_NEAR(y[1], 100.0, 1e-6);
   EXPECT_NEAR(y[2], 0.0, 1e-6);
@@ -203,9 +202,6 @@ TEST(ShapeCheck, BackwardAfterTapeResetNamesTheModule) {
   LayerNorm ln(16, "blk.ln1");
   LayerNorm::TapeFrame nf;
   ln.forwardTape(tape, nf, x.data.data(), 10);
-  Gelu gelu("blk.gelu");
-  Gelu::TapeFrame gf;
-  gelu.forwardTape(tape, gf, x.data.data(), x.numel());
   PhaseMlp mlp(16, 24, 2, rng);
   PhaseMlp::TapeFrame pf;
   mlp.forwardTape(tape, pf, x.data.data(), 10);
@@ -216,7 +212,6 @@ TEST(ShapeCheck, BackwardAfterTapeResetNamesTheModule) {
   tape.reset();
   expectStale([&] { lin.backwardTape(tape, lf, dy.data.data()); }, "blk.ff1");
   expectStale([&] { ln.backwardTape(tape, nf, dy.data.data()); }, "blk.ln1");
-  expectStale([&] { gelu.backwardTape(tape, gf, dy.data.data()); }, "blk.gelu");
   expectStale([&] { mlp.backwardTape(tape, pf, dy.data.data()); }, "phase.out");
   expectStale([&] { attn.backwardTape(tape, af, dy.data.data()); }, "blk.attn");
 }

@@ -122,10 +122,9 @@ TEST(Sweep, ParallelUnionEqualsSerialExactly) {
 }
 
 TEST(Sweep, TilingMovesNoExtraArenaBytes) {
-  // The GatherStats-under-tiling satellite: the cumulative per-sweep copy
-  // counters must be *equal* tiled and untiled — detach/attach are index
-  // bookkeeping, so the only K/V bytes that ever move are the untiled
-  // sweep's own duplicate-row split copies.
+  // The cumulative per-sweep copy counters must be *equal* tiled and
+  // untiled — detach/attach are index bookkeeping, so the only K/V bytes
+  // that ever move are the untiled sweep's own duplicate-row split copies.
   QiankunNet net(smallConfig(12, 3, 3));
   BasSweepEngine engine(net);
   SamplerOptions opts;
@@ -148,7 +147,7 @@ TEST(Sweep, TilingMovesNoExtraArenaBytes) {
 
 TEST(Sweep, WarmFusedSweepIsAllocationFree) {
   // The engine owns and reuses every buffer (frontier blocks, frame stack,
-  // decode arena + workspace, output set), so once warm a fused tiled sweep
+  // decode arena + step tape, output set), so once warm a fused tiled sweep
   // must perform zero heap allocations.  Fixed SIMD kernel: the threaded
   // backend's OpenMP runtime may allocate outside the engine's control.
   QiankunNet net(smallConfig(12, 3, 3));
@@ -222,7 +221,7 @@ TEST(Sweep, WarmPhasesIsAllocationFree) {
   const auto samples = randomStrings(3000, 12, rng);
   std::vector<Real> phase;
   net.phases(samples, phase);
-  const nn::Workspace::Stats cold = net.gradTapeStats();  // copy
+  const nn::Tape::Stats cold = net.gradTapeStats();  // copy
   const std::uint64_t allocs0 = allocationCount();
   net.phases(samples, phase);
   EXPECT_EQ(allocationCount() - allocs0, 0u);

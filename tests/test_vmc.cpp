@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
 
 #include "chem/basis_set.hpp"
 #include "chem/geometry_library.hpp"
@@ -339,6 +341,45 @@ TEST(Vmc, CheckpointOptionValidation) {
   opts.seed = 17;
   opts.iterations = 1;
   EXPECT_THROW(runVmc(s.packed, netCfg(s), opts), io::SchemaError);
+}
+
+TEST(Vmc, ResumeRejectsAnEmptySampleCount) {
+  // A stored N_s of 0 would make every sweep empty and every energy NaN,
+  // as nSamplesInitial = 0 would: resume rejects it as a schema error.
+  const System s = buildSystem("H2");
+  const std::string path = ::testing::TempDir() + "/vmc_nscheck.ckpt";
+  VmcOptions opts;
+  opts.iterations = 2;
+  opts.nSamples = 1 << 10;
+  opts.pretrainIterations = 0;
+  opts.checkpointEvery = 1;
+  opts.checkpointPath = path;
+  runVmc(s.packed, netCfg(s), opts);
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::vector<std::uint8_t> image{std::istreambuf_iterator<char>(in), {}};
+    // vmc.nsCurrent's u64 payload follows its name and its 8-byte length.
+    const std::string name = "vmc.nsCurrent";
+    const auto at = std::search(image.begin(), image.end(), name.begin(), name.end());
+    ASSERT_NE(at, image.end());
+    const auto payload = at + static_cast<std::ptrdiff_t>(name.size()) + 8;
+    std::fill(payload, payload + 8, std::uint8_t{0});
+    const std::uint32_t crc = io::crc32(&*payload, 8);
+    for (int i = 0; i < 4; ++i) payload[8 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(image.data()),
+              static_cast<std::streamsize>(image.size()));
+  }
+  opts.checkpointEvery = 0;
+  opts.checkpointPath.clear();
+  opts.resumeFrom = path;
+  opts.iterations = 3;
+  try {
+    runVmc(s.packed, netCfg(s), opts);
+    ADD_FAILURE() << "expected SchemaError";
+  } catch (const io::SchemaError& e) {
+    EXPECT_NE(std::string(e.what()).find("vmc.nsCurrent"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Vmc, ObserverSeesEveryIteration) {
