@@ -797,26 +797,26 @@ void BM_AllReduceThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_AllReduceThreads)->UseManualTime()->Unit(benchmark::kMillisecond);
 
-// The optimizer step over the 290,181-parameter list: kernels::adamw once
-// per parameter tensor, as AdamW::step runs it, under kScalar (/0) or kSimd
-// (/1).  The step zeroes the gradients, so fresh ones are copied in before
-// each step, outside the timed region (manual time).  The warm step must
-// make no heap allocation.
+// The optimizer step over the 290,181-parameter list as AdamW::step runs
+// it: one kernels::adamw call over the net's flat value and gradient
+// buffers, under kScalar (/0) or kSimd (/1).  The step zeroes the
+// gradients, so fresh ones are copied into net.gradients() before each
+// step, outside the timed region (manual time).  The warm step must make no
+// heap allocation.
 void BM_AdamWStep(benchmark::State& state) {
   const auto policy = kernelArg(state.range(0));
   nqs::QiankunNet net(stage6NetConfig());
-  const auto params = net.parameters();
+  const std::span<Real> grad = net.gradients();
   const nn::AdamWOptions o;
-  std::vector<std::vector<Real>> grads, m, v;
+  std::vector<Real> fresh(grad.size()), m(grad.size(), 0.0), v(grad.size(), 0.0);
   Rng rng(41);
-  for (const auto* p : params) {
-    std::vector<Real> g(p->grad.data.size());
-    for (auto& x : g) x = 1e-2 * rng.normal();
-    grads.push_back(std::move(g));
-    m.emplace_back(p->grad.data.size(), 0.0);
-    v.emplace_back(p->grad.data.size(), 0.0);
-  }
+  for (auto& x : fresh) x = 1e-2 * rng.normal();
   nn::kernels::AdamWArgs a;
+  a.n = static_cast<Index>(grad.size());
+  a.value = net.parameters().front()->value;
+  a.grad = grad.data();
+  a.m = m.data();
+  a.v = v.data();
   a.lr = o.lr;
   a.beta1 = o.beta1;
   a.beta2 = o.beta2;
@@ -824,20 +824,12 @@ void BM_AdamWStep(benchmark::State& state) {
   a.weightDecay = o.weightDecay;
   long t = 0;
   const auto step = [&] {
-    for (std::size_t k = 0; k < params.size(); ++k)
-      std::copy(grads[k].begin(), grads[k].end(), params[k]->grad.data.begin());
+    std::copy(fresh.begin(), fresh.end(), grad.begin());
     const auto t0 = std::chrono::steady_clock::now();
     ++t;
     a.bc1 = 1.0 - std::pow(o.beta1, static_cast<Real>(t));
     a.bc2 = 1.0 - std::pow(o.beta2, static_cast<Real>(t));
-    for (std::size_t k = 0; k < params.size(); ++k) {
-      a.n = params[k]->numel();
-      a.value = params[k]->value.data.data();
-      a.grad = params[k]->grad.data.data();
-      a.m = m[k].data();
-      a.v = v[k].data();
-      nn::kernels::adamw(a, policy);
-    }
+    nn::kernels::adamw(a, policy);
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   };
   step();  // cold
@@ -846,7 +838,7 @@ void BM_AdamWStep(benchmark::State& state) {
     const std::uint64_t allocs0 = allocationCount();
     const double seconds = step();
     lastStepAllocs = allocationCount() - allocs0;
-    benchmark::DoNotOptimize(params[0]->value.data.data());
+    benchmark::DoNotOptimize(a.value);
     benchmark::ClobberMemory();
     state.SetIterationTime(seconds);
   }

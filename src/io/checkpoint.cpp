@@ -1,5 +1,6 @@
 #include "io/checkpoint.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdio>
@@ -127,18 +128,20 @@ void CheckpointWriter::addBitsArray(const std::string& name,
   add(SectionKind::kBitsArray, name, std::move(payload));
 }
 
-void CheckpointWriter::addTensor(const std::string& name, const nn::Tensor& t) {
+void CheckpointWriter::addTensor(const std::string& name, const std::vector<Index>& shape,
+                                 const Real* data) {
+  Index numel = 1;
+  for (const Index d : shape) numel *= d;
   std::vector<std::uint8_t> payload;
-  payload.reserve(4 + 8 * t.shape.size() + 8 * t.data.size());
-  putU32(payload, static_cast<std::uint32_t>(t.shape.size()));
-  for (const Index d : t.shape) putU64(payload, static_cast<std::uint64_t>(d));
-  for (const Real v : t.data) putF64(payload, v);
+  payload.reserve(4 + 8 * shape.size() + 8 * static_cast<std::size_t>(numel));
+  putU32(payload, static_cast<std::uint32_t>(shape.size()));
+  for (const Index d : shape) putU64(payload, static_cast<std::uint64_t>(d));
+  for (Index i = 0; i < numel; ++i) putF64(payload, data[i]);
   add(SectionKind::kTensor, name, std::move(payload));
 }
 
 std::vector<std::uint8_t> CheckpointWriter::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
+  std::vector<std::uint8_t> out(kMagic, kMagic + sizeof(kMagic));
   putU32(out, kFormatVersion);
   putU32(out, static_cast<std::uint32_t>(sections_.size()));
   for (const Section& s : sections_) {
@@ -274,29 +277,22 @@ std::vector<Bits128> CheckpointReader::getBitsArray(const std::string& name) con
   return out;
 }
 
-nn::Tensor CheckpointReader::getTensor(const std::string& name) const {
+void CheckpointReader::getTensor(const std::string& name, const std::vector<Index>& shape,
+                                 Real* out) const {
   const Section& s = find(name, SectionKind::kTensor);
   Cursor c{s.payload.data(), s.payload.size()};
-  const std::uint32_t rank = c.u32(name + ".rank");
-  // The header is untrusted: size nothing by it before the payload is seen
-  // to hold it, and multiply the dims with an overflow check in every build.
-  if (rank > c.remaining / 8) throw SchemaError(name, "tensor rank exceeds its payload");
-  std::vector<Index> shape(rank);
-  Index numel = rank == 0 ? 0 : 1;  // as Tensor::numel: an empty shape has none
-  for (std::uint32_t d = 0; d < rank; ++d) {
-    const std::uint64_t dim = c.u64(name + ".dims");
-    if (dim > static_cast<std::uint64_t>(std::numeric_limits<Index>::max()))
-      throw SchemaError(name, "tensor dimension overflows Index");
-    shape[d] = static_cast<Index>(dim);
-    if (__builtin_mul_overflow(numel, shape[d], &numel))
-      throw SchemaError(name, "tensor element count overflows Index");
+  // The header is untrusted: it is compared with the wanted shape, never
+  // used to size anything.
+  bool same = c.u32(name + ".rank") == shape.size();
+  Index numel = 1;
+  for (std::size_t d = 0; same && d < shape.size(); ++d) {
+    same = c.u64(name + ".dims") == static_cast<std::uint64_t>(shape[d]);
+    numel *= shape[d];
   }
-  if (c.remaining % 8 != 0 || c.remaining / 8 != static_cast<std::size_t>(numel))
+  if (!same) throw SchemaError(name, "stored tensor shape differs from the live one");
+  if (c.remaining != 8 * static_cast<std::size_t>(numel))
     throw SchemaError(name, "tensor payload size does not match its shape");
-  nn::Tensor t = nn::Tensor::uninit(std::move(shape));
-  for (std::size_t i = 0; i < t.data.size(); ++i)
-    t.data[i] = readF64(c.take(8, name + ".data"));
-  return t;
+  for (Index i = 0; i < numel; ++i) out[i] = readF64(c.p + 8 * i);
 }
 
 // ------------------------------------------------- net / optimizer adapters ---
@@ -333,19 +329,13 @@ const CfgField kCfgFields[] = {
     cfgField<&nqs::QiankunNetConfig::seed>("net.cfg.seed"),
 };
 
-void checkTensorShape(const std::string& section, const nn::Tensor& got,
-                      const std::vector<Index>& want) {
-  if (got.shape != want)
-    throw SchemaError(section, "tensor shape mismatch against the live net");
-}
-
 }  // namespace
 
 void addNet(CheckpointWriter& w, nqs::QiankunNet& net) {
   for (const CfgField& f : kCfgFields) w.addU64(f.name, f.get(net.config()));
   const auto& params = net.parameters();
   w.addU64("net.paramCount", params.size());
-  for (const nn::Parameter* p : params) w.addTensor("param." + p->name, p->value);
+  for (const nn::Parameter* p : params) w.addTensor("param." + p->name, p->shape, p->value);
 }
 
 nqs::QiankunNetConfig readNetConfig(const CheckpointReader& r) {
@@ -375,15 +365,14 @@ void loadNet(const CheckpointReader& r, nqs::QiankunNet& net) {
   const auto& params = net.parameters();
   if (r.getU64("net.paramCount") != params.size())
     throw SchemaError("net.paramCount", "parameter-list size mismatch");
-  std::vector<nn::Tensor> loaded;
-  loaded.reserve(params.size());
+  std::vector<Real> staged(static_cast<std::size_t>(net.parameterCount()));
+  Real* at = staged.data();
   for (const nn::Parameter* p : params) {
-    const std::string section = "param." + p->name;
-    loaded.push_back(r.getTensor(section));
-    checkTensorShape(section, loaded.back(), p->value.shape);
+    r.getTensor("param." + p->name, p->shape, at);
+    at += p->numel();
   }
-  for (std::size_t k = 0; k < params.size(); ++k)
-    params[k]->value.data = std::move(loaded[k].data);
+  // The net's value buffer starts at its first parameter.
+  std::copy(staged.begin(), staged.end(), params.front()->value);
 }
 
 std::unique_ptr<nqs::QiankunNet> makeNet(const CheckpointReader& r) {
@@ -396,9 +385,11 @@ void addOptimizer(CheckpointWriter& w, const nn::AdamW& opt) {
   const auto& params = opt.parameters();
   w.addU64("opt.step", static_cast<std::uint64_t>(opt.stepCount()));
   w.addU64("opt.paramCount", params.size());
-  for (std::size_t k = 0; k < params.size(); ++k) {
-    w.addTensor("opt.m." + params[k]->name, opt.moments1()[k]);
-    w.addTensor("opt.v." + params[k]->name, opt.moments2()[k]);
+  std::size_t off = 0;
+  for (const nn::Parameter* p : params) {
+    w.addTensor("opt.m." + p->name, p->shape, opt.moments1().data() + off);
+    w.addTensor("opt.v." + p->name, p->shape, opt.moments2().data() + off);
+    off += static_cast<std::size_t>(p->numel());
   }
 }
 
@@ -407,16 +398,12 @@ void loadOptimizer(const CheckpointReader& r, nn::AdamW& opt) {
   const std::uint64_t step = r.getU64("opt.step");
   if (r.getU64("opt.paramCount") != params.size())
     throw SchemaError("opt.paramCount", "parameter-list size mismatch");
-  std::vector<nn::Tensor> m, v;
-  m.reserve(params.size());
-  v.reserve(params.size());
+  std::vector<Real> m(opt.moments1().size()), v(opt.moments2().size());
+  std::size_t off = 0;
   for (const nn::Parameter* p : params) {
-    const std::string mName = "opt.m." + p->name;
-    const std::string vName = "opt.v." + p->name;
-    m.push_back(r.getTensor(mName));
-    checkTensorShape(mName, m.back(), p->value.shape);
-    v.push_back(r.getTensor(vName));
-    checkTensorShape(vName, v.back(), p->value.shape);
+    r.getTensor("opt.m." + p->name, p->shape, m.data() + off);
+    r.getTensor("opt.v." + p->name, p->shape, v.data() + off);
+    off += static_cast<std::size_t>(p->numel());
   }
   opt.restoreState(std::move(m), std::move(v), static_cast<long>(step));
 }

@@ -21,8 +21,9 @@
 //   kU64Array   8 bytes per element.
 //   kRealArray  8 bytes per element (IEEE-754 binary64 bit patterns).
 //   kBitsArray  16 bytes per element (Bits128 as lo u64, hi u64).
-//   kTensor     u32 rank, rank * i64 dims, then numel * f64 data — the
-//               Tensor dump/load primitive (shape header + payload + CRC).
+//   kTensor     u32 rank, rank * i64 dims, then numel * f64 data — one
+//               parameter (or moment) tensor: shape header + row-major
+//               payload, written and read straight from the flat store.
 //
 // Contracts:
 //  - Writers emit sections in insertion order and loaders never reorder, so
@@ -39,13 +40,13 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/bits.hpp"
 #include "common/types.hpp"
-#include "nn/tensor.hpp"
 
 namespace nnqs::nqs {
 class QiankunNet;
@@ -138,7 +139,9 @@ class CheckpointWriter {
     addRealArray(name, v.data(), v.size());
   }
   void addBitsArray(const std::string& name, const std::vector<Bits128>& v);
-  void addTensor(const std::string& name, const nn::Tensor& t);
+  /// A kTensor section: `shape`, then its product-of-dims values from `data`.
+  void addTensor(const std::string& name, const std::vector<Index>& shape,
+                 const Real* data);
 
   /// The full file image (magic + version + sections, each CRC-stamped).
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
@@ -176,7 +179,9 @@ class CheckpointReader {
   [[nodiscard]] std::vector<std::uint64_t> getU64Array(const std::string& name) const;
   [[nodiscard]] std::vector<Real> getRealArray(const std::string& name) const;
   [[nodiscard]] std::vector<Bits128> getBitsArray(const std::string& name) const;
-  [[nodiscard]] nn::Tensor getTensor(const std::string& name) const;
+  /// Read kTensor section `name` into out[0, product of dims).  Throws
+  /// SchemaError naming the section unless its stored shape is `shape`.
+  void getTensor(const std::string& name, const std::vector<Index>& shape, Real* out) const;
 
   /// Section names in file order.
   [[nodiscard]] const std::vector<std::string>& names() const { return names_; }

@@ -7,14 +7,20 @@
 
 namespace nnqs::nn {
 
+namespace {
+/// dModel / nHeads, checked before it divides.
+Index headDim(Index dModel, Index nHeads) {
+  if (nHeads < 1 || dModel % nHeads != 0)
+    throw std::invalid_argument("attention: nHeads must be >= 1 and divide dModel");
+  return dModel / nHeads;
+}
+}  // namespace
+
 CausalSelfAttention::CausalSelfAttention(Index dModel, Index nHeads, Rng& rng,
                                          std::string name)
-    : name_(name), d_(dModel), heads_(nHeads), headDim_(dModel / nHeads),
+    : name_(name), d_(dModel), heads_(nHeads), headDim_(headDim(dModel, nHeads)),
       qkv_(dModel, 3 * dModel, rng, name + ".qkv"),
-      proj_(dModel, dModel, rng, name + ".proj") {
-  if (dModel % nHeads != 0)
-    throw std::invalid_argument("attention: dModel must be divisible by nHeads");
-}
+      proj_(dModel, dModel, rng, name + ".proj") {}
 
 namespace {
 /// The training-attention kernel problem of one tape forward or backward

@@ -3,18 +3,15 @@
 // drivers over the per-row decode-attention kernels and the per-sample
 // training-attention kernels.
 
+#include <sys/mman.h>
+
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <new>
 #include <vector>
 
 #include "nn/kernels/kernel_table.hpp"
-
-#ifdef __linux__
-#include <sys/mman.h>
-#endif
 
 namespace nnqs::nn::kernels {
 
@@ -169,16 +166,32 @@ void adviseHugePages([[maybe_unused]] const void* p,
 #endif
 }
 
-HugeBuffer::~HugeBuffer() { std::free(p_); }
+namespace {
+/// The whole HugeBuffer pages that hold `count` Reals.
+std::size_t mappedBytes(std::size_t count) {
+  return (count * sizeof(Real) + HugeBuffer::kPageBytes - 1) & ~(HugeBuffer::kPageBytes - 1);
+}
+}  // namespace
+
+HugeBuffer::~HugeBuffer() {
+  if (p_ != nullptr) munmap(p_, mappedBytes(n_));
+}
 
 void HugeBuffer::assignZero(std::size_t count) {
-  std::free(p_);
-  p_ = nullptr;
-  n_ = 0;
+  HugeBuffer().swap(*this);  // unmaps the previous pages
   if (count == 0) return;
-  const std::size_t bytes = (count * sizeof(Real) + kPageBytes - 1) & ~(kPageBytes - 1);
-  p_ = static_cast<Real*>(std::aligned_alloc(kPageBytes, bytes));
-  if (p_ == nullptr) throw std::bad_alloc();
+  // The buffer maps its own pages rather than take them from malloc, whose
+  // mmap threshold moves with what was freed before: map one page more than
+  // needed, then unmap the head and tail around the aligned range.
+  const std::size_t bytes = mappedBytes(count);
+  void* raw = mmap(nullptr, bytes + kPageBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  const auto lo = reinterpret_cast<std::uintptr_t>(raw);
+  const std::uintptr_t aligned = (lo + kPageBytes - 1) & ~(kPageBytes - 1);
+  if (aligned > lo) munmap(raw, aligned - lo);
+  munmap(reinterpret_cast<void*>(aligned + bytes), lo + kPageBytes - aligned);
+  p_ = reinterpret_cast<Real*>(aligned);
   adviseHugePages(p_, bytes);  // before the memset faults the pages in
   std::memset(p_, 0, bytes);
   n_ = count;

@@ -137,8 +137,8 @@ struct LayerNormBwdArgs {
 void layerNormBackward(const LayerNormBwdArgs& args,
                        KernelPolicy policy = KernelPolicy::kAuto);
 
-/// One AdamW update of n parameters in place (nn::AdamW::step runs it once
-/// per parameter tensor).  Element i, with g = grad[i]:
+/// One AdamW update of n parameters in place (nn::AdamW::step runs it once,
+/// over a network's whole flat parameter store).  Element i, with g = grad[i]:
 ///
 ///   m_i = beta1 * m_i + (1 - beta1) * g
 ///   v_i = beta2 * v_i + ((1 - beta2) * g) * g

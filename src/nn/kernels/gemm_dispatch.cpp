@@ -34,8 +34,8 @@ constexpr Index kMc = 64;
 
 /// C[i,j] = init_ij: bias row, untouched accumulator, or zero.  cZeroed
 /// callers already hold a value-initialized C, so re-zeroing it here was a
-/// pure double fill (the uninitialized Tensor path covers the bias mode,
-/// where the destination needs no fill at all).
+/// pure double fill (and a bias-mode destination, such as an uninitialized
+/// tape carve, needs no fill at all).
 void initC(const GemmArgs& g) {
   if (g.bias != nullptr) {
     for (Index i = 0; i < g.m; ++i)

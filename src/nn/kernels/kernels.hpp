@@ -119,10 +119,11 @@ const char* effectiveKernelName(KernelPolicy policy);
 /// faulted *after* the advice are affected, so advise before first touch.
 void adviseHugePages(const void* p, std::size_t bytes);
 
-/// A 2 MB-aligned, hugepage-advised zeroed buffer: the backing store of the
-/// decode KV arena (and of the kernel microbench's synthetic arenas, so they
-/// stream at the same bandwidth).  Alignment matters: transparent huge pages
-/// only collapse naturally aligned 2 MB ranges.
+/// A 2 MB-aligned, hugepage-advised zeroed buffer on its own anonymous
+/// mapping: the backing store of the decode KV arena and of the tape's
+/// blocks (and of the kernel microbench's synthetic arenas, so they stream
+/// at the same bandwidth).  Alignment matters: transparent huge pages only
+/// collapse naturally aligned 2 MB ranges.
 class HugeBuffer {
  public:
   HugeBuffer() = default;

@@ -1,15 +1,23 @@
 #include "nn/modules.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace nnqs::nn {
+
+namespace {
+/// Gaussian init of every value of `p` with the given std-dev.
+void randn(Parameter& p, Rng& rng, Real stddev) {
+  for (Index i = 0; i < p.numel(); ++i) p.value[i] = stddev * rng.normal();
+}
+}  // namespace
 
 // ---------------------------------------------------------------- Linear ---
 
 Linear::Linear(Index in, Index out, Rng& rng, std::string name)
     : w({out, in}, name + ".w"), b({out}, name + ".b"),
       name_(std::move(name)), in_(in), out_(out) {
-  w.value.randn(rng, std::sqrt(2.0 / static_cast<Real>(in + out)));
+  randn(w, rng, std::sqrt(2.0 / static_cast<Real>(in + out)));
 }
 
 void Linear::forwardInto(const Real* x, Index rows, Real* y,
@@ -22,12 +30,12 @@ void Linear::forwardInto(const Real* x, Index rows, Real* y,
   g.k = in_;
   g.a = x;
   g.lda = in_;
-  g.b = w.value.data.data();
+  g.b = w.value;
   g.ldb = in_;
   g.transB = true;  // W is [out, in]: B[l,j] = W[j,l]
   g.c = y;
   g.ldc = out_;
-  g.bias = b.value.data.data();
+  g.bias = b.value;
   kernels::gemm(g, policy);
 }
 
@@ -52,7 +60,7 @@ Real* Linear::backwardTape(Tape& tape, const TapeFrame& f, const Real* dy) {
   gx.k = out_;
   gx.a = dy;
   gx.lda = out_;
-  gx.b = w.value.data.data();
+  gx.b = w.value;
   gx.ldb = in_;  // B[l,j] = W[l,j]
   gx.c = dx;
   gx.ldc = in_;
@@ -75,12 +83,12 @@ void Linear::accumulateGrads(const Tape& tape, const TapeFrame& f, const Real* d
   gw.transA = true;  // A[o,r] = dY[r,o]
   gw.b = f.x;
   gw.ldb = in_;
-  gw.c = w.grad.data.data();
+  gw.c = w.grad;
   gw.ldc = in_;
   gw.accumulate = true;
   kernels::gemm(gw);
   // db += colsum(dY): ascending-r per output.
-  Real* bGrad = b.grad.data.data();
+  Real* bGrad = b.grad;
   for (Index r = 0; r < rows; ++r) {
     const Real* dyr = dy + r * out_;
     for (Index o = 0; o < out_; ++o) bGrad[o] += dyr[o];
@@ -97,14 +105,14 @@ void Linear::collectParameters(std::vector<Parameter*>& out) {
 LayerNorm::LayerNorm(Index dim, std::string name)
     : gamma({dim}, name + ".gamma"), beta({dim}, name + ".beta"),
       name_(std::move(name)), dim_(dim) {
-  for (auto& v : gamma.value.data) v = 1.0;
+  std::fill_n(gamma.value, dim, 1.0);
 }
 
 void LayerNorm::forwardInto(const Real* x, const Real* res, Real* h, Index rows,
                             Real* y, kernels::KernelPolicy policy) const {
   kernels::residualLayerNorm({.rows = rows, .dim = dim_, .x = x, .res = res,
-                              .gamma = gamma.value.data.data(),
-                              .beta = beta.value.data.data(), .h = h, .y = y},
+                              .gamma = gamma.value,
+                              .beta = beta.value, .h = h, .y = y},
                              policy);
 }
 
@@ -114,8 +122,8 @@ const Real* LayerNorm::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
   Real* xhat = tape.alloc(rows * dim_);
   Real* invStd = tape.alloc(rows);
   kernels::residualLayerNorm({.rows = rows, .dim = dim_, .x = x,
-                              .gamma = gamma.value.data.data(),
-                              .beta = beta.value.data.data(), .y = y,
+                              .gamma = gamma.value,
+                              .beta = beta.value, .y = y,
                               .xhat = xhat, .invStd = invStd},
                              policy);
   f.xhat = xhat;
@@ -134,9 +142,9 @@ Real* LayerNorm::backwardTape(Tape& tape, const TapeFrame& f, const Real* dy) {
   a.dy = dy;
   a.xhat = f.xhat;
   a.invStd = f.invStd;
-  a.gamma = gamma.value.data.data();
-  a.dgamma = gamma.grad.data.data();
-  a.dbeta = beta.grad.data.data();
+  a.gamma = gamma.value;
+  a.dgamma = gamma.grad;
+  a.dbeta = beta.grad;
   a.dx = dx;
   kernels::layerNormBackward(a);
   return dx;
@@ -152,16 +160,16 @@ void LayerNorm::collectParameters(std::vector<Parameter*>& out) {
 Embedding::Embedding(Index vocab, Index maxLen, Index dim, Rng& rng, std::string name)
     : token({vocab, dim}, name + ".tok"), position({maxLen, dim}, name + ".pos"),
       dim_(dim) {
-  token.value.randn(rng, 0.02);
-  position.value.randn(rng, 0.02);
+  randn(token, rng, 0.02);
+  randn(position, rng, 0.02);
 }
 
 const Real* Embedding::forwardTape(Tape& tape, const int* tokens, Index rows,
                                    Index seqLen) const {
   Real* y = tape.alloc(rows * dim_);
   for (Index r = 0; r < rows; ++r) {
-    const Real* te = token.value.data.data() + tokens[r] * dim_;
-    const Real* pe = position.value.data.data() + (r % seqLen) * dim_;
+    const Real* te = token.value + tokens[r] * dim_;
+    const Real* pe = position.value + (r % seqLen) * dim_;
     Real* yr = y + r * dim_;
     for (Index i = 0; i < dim_; ++i) yr[i] = te[i] + pe[i];
   }
@@ -174,8 +182,8 @@ void Embedding::backwardTape(const int* tokens, Index rows, Index seqLen,
     const Index t = tokens[r];
     const Index pos = r % seqLen;
     const Real* dyr = dy + r * dim_;
-    Real* tg = token.grad.data.data() + t * dim_;
-    Real* pg = position.grad.data.data() + pos * dim_;
+    Real* tg = token.grad + t * dim_;
+    Real* pg = position.grad + pos * dim_;
     for (Index i = 0; i < dim_; ++i) {
       tg[i] += dyr[i];
       pg[i] += dyr[i];
@@ -185,10 +193,10 @@ void Embedding::backwardTape(const int* tokens, Index rows, Index seqLen,
 
 void Embedding::stepInto(const std::vector<int>& tokens, Index pos, Real* y) const {
   const Index rows = static_cast<Index>(tokens.size());
-  const Real* pe = position.value.data.data() + pos * dim_;
+  const Real* pe = position.value + pos * dim_;
   for (Index r = 0; r < rows; ++r) {
     const Index t = tokens[static_cast<std::size_t>(r)];
-    const Real* te = token.value.data.data() + t * dim_;
+    const Real* te = token.value + t * dim_;
     Real* yr = y + r * dim_;
     for (Index i = 0; i < dim_; ++i) yr[i] = te[i] + pe[i];
   }

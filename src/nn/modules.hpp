@@ -4,10 +4,11 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "nn/kernels/elementwise.hpp"
 #include "nn/kernels/gemm.hpp"
+#include "nn/parameter.hpp"
 #include "nn/tape.hpp"
-#include "nn/tensor.hpp"
 
 namespace nnqs::nn {
 

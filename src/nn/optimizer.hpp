@@ -1,8 +1,9 @@
 #pragma once
 
+#include <cmath>
 #include <vector>
 
-#include "nn/tensor.hpp"
+#include "nn/parameter.hpp"
 
 namespace nnqs::nn {
 
@@ -14,34 +15,40 @@ struct AdamWOptions {
   Real weightDecay = 1e-4;
 };
 
-/// AdamW over a fixed parameter list (the paper's training optimizer).
+/// AdamW over a fixed parameter list (the paper's training optimizer).  The
+/// list must lie back to back, in list order, in one value buffer and in one
+/// gradient buffer (QiankunNet::parameters(), or a single parameter), so the
+/// whole step is one kernels::adamw call over flat moments.
 class AdamW {
  public:
+  /// Throws std::invalid_argument unless `params` is one contiguous run in
+  /// both value and gradient.
   AdamW(std::vector<Parameter*> params, AdamWOptions opts = {});
 
   /// One update using the gradients currently stored in the parameters,
-  /// zeroing each gradient in the same pass.  `lrScale` multiplies opts.lr
-  /// (the schedule).  Runs kernels::adamw once per parameter tensor (the
-  /// elementwise kernel family, elementwise.hpp), so every kernel tier gives
-  /// the same bits.
+  /// zeroing them in the same pass.  `lrScale` multiplies opts.lr (the
+  /// schedule).  One kernels::adamw call (the elementwise kernel family,
+  /// elementwise.hpp), so every kernel tier gives the same bits.
   void step(Real lrScale = 1.0);
   [[nodiscard]] const AdamWOptions& options() const { return opts_; }
 
   // Checkpoint access (io/checkpoint.cpp): the optimizer's full resumable
   // state is (m, v, t) over the fixed parameter list.
   [[nodiscard]] const std::vector<Parameter*>& parameters() const { return params_; }
-  [[nodiscard]] const std::vector<Tensor>& moments1() const { return m_; }
-  [[nodiscard]] const std::vector<Tensor>& moments2() const { return v_; }
+  /// First and second moments, flat in parameter order: parameter k's sit at
+  /// its offset in the value buffer.
+  [[nodiscard]] const std::vector<Real>& moments1() const { return m_; }
+  [[nodiscard]] const std::vector<Real>& moments2() const { return v_; }
   [[nodiscard]] long stepCount() const { return t_; }
   /// Replace the moment estimates and step counter (checkpoint resume).
-  /// Shapes must match the parameter list exactly; validated before any
-  /// member is touched, so a throw leaves the optimizer unchanged.
-  void restoreState(std::vector<Tensor> m, std::vector<Tensor> v, long t);
+  /// Lengths must equal the parameter count; validated before any member is
+  /// touched, so a throw leaves the optimizer unchanged.
+  void restoreState(std::vector<Real> m, std::vector<Real> v, long t);
 
  private:
   std::vector<Parameter*> params_;
   AdamWOptions opts_;
-  std::vector<Tensor> m_, v_;
+  std::vector<Real> m_, v_;
   long t_ = 0;
 };
 

@@ -224,7 +224,7 @@ const Real* PhaseMlp::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
   for (std::size_t l = 0; l < linears_.size(); ++l) {
     Real* y = linears_[l].forwardTape(tape, f.linear[l], cur, rows, policy);
     if (l + 1 < linears_.size())  // a hidden layer: tanh in place
-      kernels::tanh(y, y, rows * linears_[l].w.value.shape[0], policy);
+      kernels::tanh(y, y, rows * linears_[l].w.shape[0], policy);
     cur = y;
   }
   return cur;  // [rows]
@@ -237,7 +237,7 @@ void PhaseMlp::backwardTape(Tape& tape, const TapeFrame& f,
     Real* dx = linears_[l].backwardTape(tape, f.linear[l], d);
     // Linear l's input is layer l-1's tanh output a: dx *= tanh' = 1 - a².
     const Real* a = f.linear[l].x;
-    const Index n = f.linear[l].rows * linears_[l].w.value.shape[1];
+    const Index n = f.linear[l].rows * linears_[l].w.shape[1];
     for (Index i = 0; i < n; ++i) dx[i] = dx[i] * (1.0 - a[i] * a[i]);
     d = dx;
   }
@@ -248,8 +248,8 @@ void PhaseMlp::backwardTape(Tape& tape, const TapeFrame& f,
 Index PhaseMlp::tapeRealsPerSample() const {
   // Each Linear carves y [out] forward (its tanh runs in place) and, but for
   // layer 0, dx [in] backward (tanh' is applied in place).
-  Index n = -linears_.front().w.value.shape[1];
-  for (const Linear& l : linears_) n += l.w.value.shape[0] + l.w.value.shape[1];
+  Index n = -linears_.front().w.shape[1];
+  for (const Linear& l : linears_) n += l.w.shape[0] + l.w.shape[1];
   return n;
 }
 

@@ -30,6 +30,12 @@ const char* unrepresentableField(const QiankunNetConfig& cfg) {
   if (cfg.nQubits < 2 || cfg.nQubits > 128 || cfg.nQubits % 2 != 0) return "nQubits";
   if (cfg.nAlpha < 0 || cfg.nAlpha > cfg.nQubits / 2) return "nAlpha";
   if (cfg.nBeta < 0 || cfg.nBeta > cfg.nQubits / 2) return "nBeta";
+  if (cfg.dModel < 1 || cfg.dModel > (Index{1} << 12)) return "dModel";
+  if (cfg.nHeads < 1 || cfg.dModel % cfg.nHeads != 0) return "nHeads";
+  if (cfg.nDecoders < 0 || cfg.nDecoders > (Index{1} << 10)) return "nDecoders";
+  if (cfg.phaseHidden < 1 || cfg.phaseHidden > (Index{1} << 14)) return "phaseHidden";
+  if (cfg.phaseHiddenLayers < 0 || cfg.phaseHiddenLayers > (Index{1} << 10))
+    return "phaseHiddenLayers";
   return nullptr;
 }
 
@@ -37,8 +43,8 @@ namespace {
 const QiankunNetConfig& checked(const QiankunNetConfig& cfg) {
   if (const char* field = unrepresentableField(cfg))
     throw std::invalid_argument(std::string("QiankunNet: ") + field +
-                                " outside what the engine represents (nQubits even "
-                                "in [2, 128], nAlpha and nBeta in [0, nQubits / 2])");
+                                " outside what the engine represents "
+                                "(nqs::unrepresentableField)");
   return cfg;
 }
 }  // namespace
@@ -46,7 +52,11 @@ const QiankunNetConfig& checked(const QiankunNetConfig& cfg) {
 QiankunNet::QiankunNet(const QiankunNetConfig& cfg)
     : cfg_(checked(cfg)), rng_(cfg.seed),
       amplitude_(cfg.nQubits / 2, cfg.dModel, cfg.nHeads, cfg.nDecoders, rng_),
-      phase_(cfg.nQubits, cfg.phaseHidden, cfg.phaseHiddenLayers, rng_) {}
+      phase_(cfg.nQubits, cfg.phaseHidden, cfg.phaseHiddenLayers, rng_) {
+  amplitude_.collectParameters(params_);
+  phase_.collectParameters(params_);
+  nn::packParameters(params_, values_, grads_);
+}
 
 std::array<bool, 4> QiankunNet::outcomeMask(int s, int nUp, int nDown) const {
   std::array<bool, 4> mask{};
@@ -291,38 +301,16 @@ void QiankunNet::evaluateInto(EvalSlot& slot, const std::vector<Bits128>& sample
   phasesInto(slot, samples, phase, kernel);
 }
 
-const std::vector<nn::Parameter*>& QiankunNet::parameters() {
-  if (paramCache_.empty()) {
-    amplitude_.collectParameters(paramCache_);
-    phase_.collectParameters(paramCache_);
-  }
-  return paramCache_;
-}
-
-Index QiankunNet::parameterCount() {
-  Index n = 0;
-  for (auto* p : parameters()) n += p->numel();
-  return n;
-}
-
-void QiankunNet::flattenGradients(std::vector<Real>& out) {
-  out.clear();
-  for (auto* p : parameters())
-    out.insert(out.end(), p->grad.data.begin(), p->grad.data.end());
+void QiankunNet::flattenGradients(std::vector<Real>& out) const {
+  out.assign(grads_.begin(), grads_.end());
 }
 
 void QiankunNet::loadGradients(const std::vector<Real>& in) {
-  if (static_cast<Index>(in.size()) != parameterCount())
+  if (in.size() != grads_.size())
     throw std::invalid_argument(
         "QiankunNet::loadGradients: input length differs from the parameter "
         "count");
-  std::size_t off = 0;
-  for (auto* p : parameters()) {
-    std::copy(in.begin() + static_cast<std::ptrdiff_t>(off),
-              in.begin() + static_cast<std::ptrdiff_t>(off + p->grad.data.size()),
-              p->grad.data.begin());
-    off += p->grad.data.size();
-  }
+  std::copy(in.begin(), in.end(), grads_.begin());
 }
 
 }  // namespace nnqs::nqs

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -26,10 +27,18 @@ struct QiankunNetConfig {
 };
 
 /// The first field of `cfg` the engine cannot represent, or nullptr when
-/// there is none: nQubits must be even and in [2, 128] (one Bits128 holds a
-/// configuration), nAlpha and nBeta in [0, nQubits / 2] (more electrons than
-/// orbitals mask every outcome of the first step).  QiankunNet's constructor
-/// throws std::invalid_argument on such a config.
+/// there is none:
+///  - nQubits even and in [2, 128] (one Bits128 holds a configuration);
+///  - nAlpha and nBeta in [0, nQubits / 2] (more electrons than orbitals
+///    mask every outcome of the first step);
+///  - dModel in [1, 2^12], and nHeads >= 1 dividing it;
+///  - nDecoders in [0, 2^10];
+///  - phaseHidden in [1, 2^14] and phaseHiddenLayers in [0, 2^10].
+/// The caps keep every weight's element count and the flat parameter store's
+/// total far inside Index: a decoder block holds 12 dModel^2 + 13 dModel
+/// parameters and a hidden phase layer phaseHidden^2 + phaseHidden, so the
+/// total stays below 2^39.  QiankunNet's constructor throws
+/// std::invalid_argument on such a config.
 [[nodiscard]] const char* unrepresentableField(const QiankunNetConfig& cfg);
 
 /// QiankunNet: Psi(x) = |Psi(x)| e^{i phi(x)} with an autoregressive
@@ -38,8 +47,13 @@ struct QiankunNetConfig {
 class QiankunNet {
  public:
   /// Throws std::invalid_argument when unrepresentableField(cfg) names a
-  /// field.
+  /// field.  The modules draw their initial weights in construction order;
+  /// the constructor then packs every parameter into the net's one value
+  /// buffer and one gradient buffer, in parameters() order.
   explicit QiankunNet(const QiankunNetConfig& cfg);
+  // The parameters point into the net's own buffers.
+  QiankunNet(const QiankunNet&) = delete;
+  QiankunNet& operator=(const QiankunNet&) = delete;
 
   [[nodiscard]] const QiankunNetConfig& config() const { return cfg_; }
   /// The amplitude sub-network, read-only (tests/oracle.hpp runs its tape
@@ -186,14 +200,18 @@ class QiankunNet {
   /// Deterministic named-parameter registry (amplitude network first, then
   /// the phase MLP, each in construction order) — the ordering contract the
   /// binary checkpoint format (io/checkpoint.hpp) relies on for byte-identical
-  /// re-saves.  Built on first use and cached.
-  const std::vector<nn::Parameter*>& parameters();
-  [[nodiscard]] Index parameterCount();
+  /// re-saves.  Parameter k is the slice at the running offset of the net's
+  /// one value buffer and one gradient buffer.
+  const std::vector<nn::Parameter*>& parameters() { return params_; }
+  [[nodiscard]] Index parameterCount() const { return static_cast<Index>(grads_.size()); }
+  /// The one gradient buffer, every parameter's gradient in parameters()
+  /// order: what Stage 6 allreduces in place.
+  [[nodiscard]] std::span<Real> gradients() { return grads_; }
 
-  /// Every parameter's gradient, concatenated in parameters() order.
-  void flattenGradients(std::vector<Real>& out);
-  /// The inverse of flattenGradients; throws std::invalid_argument unless
+  /// Copies of gradients(), out and in (perfbench's Stage-6 replica spells
+  /// them); loadGradients throws std::invalid_argument unless
   /// in.size() == parameterCount().
+  void flattenGradients(std::vector<Real>& out) const;
   void loadGradients(const std::vector<Real>& in);
 
   // --- Concurrent inference (the amplitude-serving path, src/serve/) --------
@@ -274,7 +292,8 @@ class QiankunNet {
   // allocates nothing (test_evaluate asserts it for evaluateInto and the
   // training step, test_sweep for phases()).
   EvalSlot evalSlot_;
-  std::vector<nn::Parameter*> paramCache_;
+  std::vector<nn::Parameter*> params_;
+  std::vector<Real> values_, grads_;  ///< the flat store params_ view
 };
 
 }  // namespace nnqs::nqs

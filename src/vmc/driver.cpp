@@ -225,12 +225,11 @@ struct RankLoop {
     phases.gradient += t.seconds();
   }
 
-  /// Stage 6: allreduce the gradients, then the identical AdamW step.
+  /// Stage 6: allreduce the net's gradient buffer in place, then the
+  /// identical AdamW step over it.
   void step(int iter) {
     const Timer t;
-    net.flattenGradients(grads);
-    comm.allReduceSum(grads.data(), grads.size());
-    net.loadGradients(grads);
+    comm.allReduceSum(net.gradients());
     optimizer.step(schedule.lr(iter + 1));
     phases.gradient += t.seconds();
   }
@@ -267,7 +266,7 @@ struct RankLoop {
   Complex eMean;
 
   // Reused buffers.
-  std::vector<Real> phase, dLogAmp, dPhase, grads;
+  std::vector<Real> phase, dLogAmp, dPhase;
   std::vector<GatherRecord> records;
   std::vector<std::size_t> gatherCounts;
   std::vector<Bits128> allSamples, chunk;

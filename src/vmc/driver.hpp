@@ -113,11 +113,11 @@ struct VmcResult {
 /// (E_loc, term count) records routes every sample's values back, so every
 /// rank sees its own samples' energies and the cost model every sample's
 /// terms), 4) Allreduce energy, 5) backward on the own chunk, 6) Allreduce
-/// gradients (each rank sums one slice of every rank's buffer in place under
-/// the thread backend) + the identical AdamW step everywhere (kernels::adamw
-/// on the SIMD tier, one call per parameter tensor, zeroing the gradients in
-/// the same pass).  Each rank runs the stages as functions over buffers it
-/// keeps across iterations.
+/// the net's one gradient buffer in place (under the thread backend each
+/// rank sums one slice of every rank's buffer) + the identical AdamW step
+/// everywhere (one kernels::adamw call over the flat parameter store,
+/// zeroing the gradients in the same pass).  Each rank runs the stages as
+/// functions over buffers it keeps across iterations.
 ///
 /// Every rank returns an identical VmcResult (all collectives are
 /// rank-order-deterministic); under MPI each process returns its own copy.

@@ -3,7 +3,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
+#include <type_traits>
 
 #include "io/checkpoint.hpp"
 #include "nqs/ansatz.hpp"
@@ -61,6 +63,94 @@ TEST(Ansatz, RejectsElectronCountsOutsideTheOrbitals) {
   EXPECT_THROW(QiankunNet{smallConfig(8, -1, 2)}, std::invalid_argument);
   EXPECT_NO_THROW(QiankunNet{smallConfig(8, 4, 0)});
 }
+
+namespace {
+/// `cfg` must be refused naming `field`: by unrepresentableField and, unless
+/// `construct` is false (a cap, whose net would not fit in memory if the
+/// check were missing), by the constructor.
+void expectRefused(const QiankunNetConfig& cfg, const char* field, bool construct = true) {
+  const char* got = unrepresentableField(cfg);
+  EXPECT_STREQ(got == nullptr ? "(none)" : got, field);
+  if (construct) {
+    EXPECT_THROW(QiankunNet{cfg}, std::invalid_argument) << field;
+  }
+}
+}  // namespace
+
+TEST(Ansatz, RejectsDModelOutsideItsRange) {
+  // dModel 0 would build empty weights, and a negative one negative sizes.
+  QiankunNetConfig cfg = smallConfig(8, 2, 2);
+  for (const Index d : {Index{0}, Index{-16}}) {
+    cfg.dModel = d;
+    expectRefused(cfg, "dModel");
+  }
+  cfg.dModel = (Index{1} << 12) + 4;
+  expectRefused(cfg, "dModel", false);
+  cfg.dModel = Index{1} << 12;
+  EXPECT_EQ(unrepresentableField(cfg), nullptr);
+}
+
+TEST(Ansatz, RejectsHeadCountsThatDoNotDivideDModel) {
+  // nHeads 0 would reach the attention's dModel / nHeads (SIGFPE), and -4
+  // give a negative head width.
+  QiankunNetConfig cfg = smallConfig(8, 2, 2);
+  for (const Index h : {Index{0}, Index{-4}, Index{3}}) {
+    cfg.nHeads = h;
+    expectRefused(cfg, "nHeads");
+  }
+}
+
+TEST(Ansatz, RejectsDecoderCountsOutsideTheirRange) {
+  QiankunNetConfig cfg = smallConfig(8, 2, 2);
+  cfg.nDecoders = -1;
+  expectRefused(cfg, "nDecoders");
+  cfg.nDecoders = (Index{1} << 10) + 1;
+  expectRefused(cfg, "nDecoders", false);
+  cfg.nDecoders = 0;  // the embedding feeds the head directly
+  EXPECT_NO_THROW(QiankunNet{cfg});
+}
+
+TEST(Ansatz, RejectsPhaseWidthsOutsideTheirRange) {
+  // phaseHidden 0 would build hidden layers with no units.
+  QiankunNetConfig cfg = smallConfig(8, 2, 2);
+  for (const Index h : {Index{0}, Index{-1}}) {
+    cfg.phaseHidden = h;
+    expectRefused(cfg, "phaseHidden");
+  }
+  cfg.phaseHidden = (Index{1} << 14) + 1;
+  expectRefused(cfg, "phaseHidden", false);
+}
+
+TEST(Ansatz, RejectsPhaseLayerCountsOutsideTheirRange) {
+  QiankunNetConfig cfg = smallConfig(8, 2, 2);
+  cfg.phaseHiddenLayers = -1;
+  expectRefused(cfg, "phaseHiddenLayers");
+  cfg.phaseHiddenLayers = (Index{1} << 10) + 1;
+  expectRefused(cfg, "phaseHiddenLayers", false);
+  cfg.phaseHiddenLayers = 0;  // a linear phase
+  EXPECT_NO_THROW(QiankunNet{cfg});
+}
+
+TEST(Ansatz, ParametersAreSlicesOfOneFlatStore) {
+  // Parameter k is the slice at the running offset of one value buffer and
+  // one gradient buffer, and gradients() spans exactly the parameter count:
+  // what Stage 6 allreduces in place and AdamW steps in one call.
+  QiankunNet net(smallConfig(8, 2, 2));
+  const auto& params = net.parameters();
+  const std::span<Real> grads = net.gradients();
+  ASSERT_EQ(static_cast<Index>(grads.size()), net.parameterCount());
+  Index off = 0;
+  for (const nn::Parameter* p : params) {
+    EXPECT_EQ(p->value, params.front()->value + off) << p->name;
+    EXPECT_EQ(p->grad, grads.data() + off) << p->name;
+    off += p->numel();
+  }
+  EXPECT_EQ(off, net.parameterCount());
+}
+
+// The parameters point into the net's own buffers, so a copy would alias them.
+static_assert(!std::is_copy_constructible_v<QiankunNet>);
+static_assert(!std::is_copy_assignable_v<QiankunNet>);
 
 TEST(Ansatz, TokenMappingRoundTrip) {
   QiankunNet net(smallConfig(8, 2, 2));
@@ -190,7 +280,7 @@ TEST(Ansatz, GradientFlattenRoundTrip) {
   auto params = net.parameters();
   Rng rng(21);
   for (auto* p : params)
-    for (auto& g : p->grad.data) g = rng.normal();
+    for (Index i = 0; i < p->numel(); ++i) p->grad[i] = rng.normal();
   std::vector<Real> flat;
   net.flattenGradients(flat);
   EXPECT_EQ(static_cast<Index>(flat.size()), net.parameterCount());
@@ -227,35 +317,37 @@ TEST(Ansatz, AdamWStepMatchesPlainLoopBitForBit) {
   nn::AdamW opt(params, o);
   std::vector<std::vector<Real>> w, m, v;
   for (const auto* p : params) {
-    w.emplace_back(p->value.data.begin(), p->value.data.end());
-    m.emplace_back(p->value.data.size(), 0.0);
-    v.emplace_back(p->value.data.size(), 0.0);
+    w.emplace_back(p->value, p->value + p->numel());
+    m.emplace_back(p->numel(), 0.0);
+    v.emplace_back(p->numel(), 0.0);
   }
   Rng rng(23);
   for (long t = 1; t <= 4; ++t) {
     const Real lrScale = 0.25 * static_cast<Real>(t);
     for (std::size_t k = 0; k < params.size(); ++k) {
-      for (auto& g : params[k]->grad.data) g = 1e-2 * rng.normal();
-      std::vector<Real> g(params[k]->grad.data.begin(), params[k]->grad.data.end());
+      for (Index i = 0; i < params[k]->numel(); ++i) params[k]->grad[i] = 1e-2 * rng.normal();
+      std::vector<Real> g(params[k]->grad, params[k]->grad + params[k]->numel());
       oracle::adamwStep(o, o.lr * lrScale, t, g.size(), w[k].data(), g.data(),
                         m[k].data(), v[k].data());
     }
     opt.step(lrScale);
+    std::size_t off = 0;  // parameter k's offset in the flat moments
     for (std::size_t k = 0; k < params.size(); ++k) {
       const auto& p = *params[k];
       for (std::size_t i = 0; i < w[k].size(); ++i) {
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(p.value.data[i]),
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(p.value[i]),
                   std::bit_cast<std::uint64_t>(w[k][i]))
             << p.name << "[" << i << "] step " << t;
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(opt.moments1()[k].data[i]),
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(opt.moments1()[off + i]),
                   std::bit_cast<std::uint64_t>(m[k][i]))
             << p.name << "[" << i << "] step " << t;
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(opt.moments2()[k].data[i]),
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(opt.moments2()[off + i]),
                   std::bit_cast<std::uint64_t>(v[k][i]))
             << p.name << "[" << i << "] step " << t;
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(p.grad.data[i]), 0u)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(p.grad[i]), 0u)
             << p.name << "[" << i << "] step " << t;
       }
+      off += w[k].size();
     }
   }
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -276,15 +277,13 @@ TEST(ElementwiseKernels, ModulesRunOnTheKernels) {
   // produce exactly the scalar kernel sequences — that is what keeps the
   // tape and KV-decode activations bit-identical.
   Rng rng(407);
-  Tensor x({3, 7});
-  x.randn(rng, 2.0);
+  const std::vector<Real> xv = randomVec(rng, 3 * 7, 2.0);
   Tape tape;
   LayerNorm ln(7, "t");
   LayerNorm::TapeFrame lf;
-  const Real* ly = ln.forwardTape(tape, lf, x.data.data(), 3);
-  std::vector<Real> xv(x.data.begin(), x.data.end());
-  const std::vector<Real> gamma(ln.gamma.value.data.begin(), ln.gamma.value.data.end());
-  const std::vector<Real> beta(ln.beta.value.data.begin(), ln.beta.value.data.end());
+  const Real* ly = ln.forwardTape(tape, lf, xv.data(), 3);
+  const std::vector<Real> gamma(ln.gamma.value, ln.gamma.value + 7);
+  const std::vector<Real> beta(ln.beta.value, ln.beta.value + 7);
   const auto ref = runLn(xv, nullptr, 3, 7, gamma, beta, KernelPolicy::kScalar, false);
   for (std::size_t i = 0; i < ref.y.size(); ++i) EXPECT_EQ(ly[i], ref.y[i]);
 
@@ -307,15 +306,14 @@ TEST(ElementwiseKernels, TanhPathsAgreeBitForBit) {
   mlp.collectParameters(params);
   ASSERT_EQ(params.size(), 6u);  // (w, b) of l0, l1 and out
   const Index rows = 37;
-  Tensor xin({rows, 6});
-  xin.randn(rng, 3.0);
+  const std::vector<Real> xin = randomVec(rng, static_cast<std::size_t>(rows * 6), 3.0);
 
-  std::vector<Real> ref(xin.data.begin(), xin.data.end());
+  std::vector<Real> ref = xin;
   for (std::size_t l = 0; l < 3; ++l) {
-    const Tensor& w = params[2 * l]->value;
+    const Parameter& w = *params[2 * l];
     Linear lin(w.shape[1], w.shape[0], rng, "ref");
-    lin.w.value.data = w.data;
-    lin.b.value.data = params[2 * l + 1]->value.data;
+    std::copy_n(w.value, w.numel(), lin.w.value);
+    std::copy_n(params[2 * l + 1]->value, w.shape[0], lin.b.value);
     std::vector<Real> y(static_cast<std::size_t>(rows * w.shape[0]));
     lin.forwardInto(ref.data(), rows, y.data(), KernelPolicy::kScalar);
     if (l < 2)
@@ -327,7 +325,7 @@ TEST(ElementwiseKernels, TanhPathsAgreeBitForBit) {
        {KernelPolicy::kScalar, KernelPolicy::kSimd, KernelPolicy::kAuto}) {
     Tape tape;
     PhaseMlp::TapeFrame f;
-    const Real* ph = mlp.forwardTape(tape, f, xin.data.data(), rows, policy);
+    const Real* ph = mlp.forwardTape(tape, f, xin.data(), rows, policy);
     expectBitIdentical(ref, std::vector<Real>(ph, ph + rows),
                        std::string(kernels::kernelPolicyName(policy)) + " phases");
   }
@@ -473,18 +471,4 @@ TEST(Tape, ReserveAvoidsOverflowChunks) {
   for (int i = 0; i < 4; ++i) tape.alloc(1024);
   EXPECT_EQ(tape.stats().overflows, 0);
   EXPECT_GE(tape.stats().capacity, std::size_t{4096});
-}
-
-TEST(Tensor, UninitHasShapeButNoFillGuarantee) {
-  // The uninit path must size the buffer exactly like the zeroing constructor.
-  const Tensor z({3, 4});
-  Tensor u = Tensor::uninit({3, 4});
-  EXPECT_EQ(u.numel(), z.numel());
-  ASSERT_EQ(u.shape.size(), 2u);
-  EXPECT_EQ(u.shape[0], 3);
-  EXPECT_EQ(u.shape[1], 4);
-  // Writable end to end (the only guarantee uninit makes).
-  for (auto& v : u.data) v = 7.0;
-  for (Real v : u.data) EXPECT_EQ(v, 7.0);
-  EXPECT_EQ(Tensor::uninit({}).numel(), 0);
 }

@@ -329,11 +329,11 @@ TEST(Evaluate, GradcheckWithEvaluateLoss) {
   net.evaluateGrad(samples, cA, cP);
   Rng rng(123);
   for (nn::Parameter* p : net.parameters()) {
-    const std::size_t nEl = p->value.data.size();
+    const auto nEl = static_cast<std::size_t>(p->numel());
     for (int s = 0; s < 2; ++s) {
       const std::size_t i = rng.below(nEl);
-      const Real analytic = p->grad.data[i];
-      const Real numeric = numericalGrad(loss, p->value.data[i]);
+      const Real analytic = p->grad[i];
+      const Real numeric = numericalGrad(loss, p->value[i]);
       EXPECT_NEAR(analytic, numeric, 5e-5 * std::max(1.0, std::abs(numeric)))
           << p->name << "[" << i << "]";
     }

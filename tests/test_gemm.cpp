@@ -167,17 +167,17 @@ TEST(Gemm, LinearForwardMatchesHandLoop) {
   Rng rng(11);
   const Index in = 19, out = 23, rows = 9;
   Linear lin(in, out, rng, "t");
-  Tensor x({rows, in});
-  x.randn(rng, 1.0);
-  Tensor y = Tensor::uninit({rows, out});
-  lin.forwardInto(x.data.data(), rows, y.data.data(), KernelPolicy::kAuto);
+  std::vector<Real> x(static_cast<std::size_t>(rows * in));
+  for (auto& v : x) v = rng.normal();
+  std::vector<Real> y(static_cast<std::size_t>(rows * out));
+  lin.forwardInto(x.data(), rows, y.data(), KernelPolicy::kAuto);
   for (Index r = 0; r < rows; ++r)
     for (Index o = 0; o < out; ++o) {
       Real s = lin.b.value[static_cast<std::size_t>(o)];
       for (Index i = 0; i < in; ++i)
         s += lin.w.value[static_cast<std::size_t>(o * in + i)] *
-             x.data[static_cast<std::size_t>(r * in + i)];
-      EXPECT_EQ(y.data[static_cast<std::size_t>(r * out + o)], s)
+             x[static_cast<std::size_t>(r * in + i)];
+      EXPECT_EQ(y[static_cast<std::size_t>(r * out + o)], s)
           << "y[" << r << "," << o << "]";
     }
 }
@@ -188,18 +188,17 @@ TEST(Gemm, LinearPoliciesAgree) {
   Rng rng(13);
   const Index in = 64, out = 192, rows = 37;
   Linear lin(in, out, rng, "qkv");
-  Tensor x({rows, in});
-  x.randn(rng, 1.0);
+  std::vector<Real> x(static_cast<std::size_t>(rows * in));
+  for (auto& v : x) v = rng.normal();
   const auto run = [&](KernelPolicy policy) {
-    Tensor y = Tensor::uninit({rows, out});
-    lin.forwardInto(x.data.data(), rows, y.data.data(), policy);
+    std::vector<Real> y(static_cast<std::size_t>(rows * out));
+    lin.forwardInto(x.data(), rows, y.data(), policy);
     return y;
   };
-  const Tensor ref = run(KernelPolicy::kScalar);
+  const std::vector<Real> ref = run(KernelPolicy::kScalar);
   for (auto policy : {KernelPolicy::kSimd, KernelPolicy::kThreaded, KernelPolicy::kAuto}) {
-    const Tensor got = run(policy);
-    for (std::size_t i = 0; i < ref.data.size(); ++i)
-      EXPECT_EQ(ref.data[i], got.data[i]) << i;
+    const std::vector<Real> got = run(policy);
+    for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(ref[i], got[i]) << i;
   }
 }
 

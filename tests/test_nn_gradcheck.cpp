@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 
@@ -22,11 +23,18 @@ Real numericalGrad(const std::function<Real()>& f, Real& param, Real eps = 1e-5)
   return (fp - fm) / (2 * eps);
 }
 
-/// Weighted sum of n outputs: the scalar loss the module checks below take
-/// finite differences of.
-Real weightedSum(const Real* y, const Tensor& w) {
+/// n Gaussian values of the given std-dev.
+std::vector<Real> randn(Rng& rng, Index n, Real stddev) {
+  std::vector<Real> v(static_cast<std::size_t>(n));
+  for (auto& x : v) x = stddev * rng.normal();
+  return v;
+}
+
+/// Weighted sum of w.size() outputs: the scalar loss the module checks below
+/// take finite differences of.
+Real weightedSum(const Real* y, const std::vector<Real>& w) {
   Real s = 0;
-  for (std::size_t i = 0; i < w.data.size(); ++i) s += w.data[i] * y[i];
+  for (std::size_t i = 0; i < w.size(); ++i) s += w[i] * y[i];
   return s;
 }
 
@@ -37,15 +45,15 @@ template <typename Fwd>
 void gradcheckParams(std::vector<Parameter*> params, const Fwd& forwardLoss,
                      const std::function<void()>& backwardSeed, Real tol,
                      int samplesPerParam = 3) {
-  for (Parameter* p : params) p->grad.setZero();
+  for (Parameter* p : params) std::fill_n(p->grad, p->numel(), 0.0);
   backwardSeed();
   Rng rng(123);
   for (Parameter* p : params) {
-    const std::size_t n = p->value.data.size();
+    const auto n = static_cast<std::size_t>(p->numel());
     for (int s = 0; s < samplesPerParam; ++s) {
       const std::size_t i = rng.below(n);
-      const Real analytic = p->grad.data[i];
-      const Real numeric = numericalGrad(forwardLoss, p->value.data[i]);
+      const Real analytic = p->grad[i];
+      const Real numeric = numericalGrad(forwardLoss, p->value[i]);
       EXPECT_NEAR(analytic, numeric, tol * std::max(1.0, std::abs(numeric)))
           << p->name << "[" << i << "]";
     }
@@ -57,13 +65,11 @@ void gradcheckParams(std::vector<Parameter*> params, const Fwd& forwardLoss,
 TEST(GradCheck, Linear) {
   Rng rng(7);
   Linear lin(5, 3, rng, "lin");
-  Tensor x({2, 5});
-  x.randn(rng, 1.0);
-  Tensor w({2, 3});
-  w.randn(rng, 1.0);
+  const std::vector<Real> x = randn(rng, 2 * 5, 1.0);
+  const std::vector<Real> w = randn(rng, 2 * 3, 1.0);
   auto loss = [&] {
     Real y[6];
-    lin.forwardInto(x.data.data(), 2, y, kernels::KernelPolicy::kAuto);
+    lin.forwardInto(x.data(), 2, y, kernels::KernelPolicy::kAuto);
     return weightedSum(y, w);
   };
   std::vector<Parameter*> params;
@@ -71,32 +77,29 @@ TEST(GradCheck, Linear) {
   gradcheckParams(params, loss, [&] {
     Tape tape;
     Linear::TapeFrame f;
-    lin.forwardTape(tape, f, x.data.data(), 2);
-    lin.backwardTape(tape, f, w.data.data());
+    lin.forwardTape(tape, f, x.data(), 2);
+    lin.backwardTape(tape, f, w.data());
   }, 1e-6, 6);
 }
 
 TEST(GradCheck, LayerNorm) {
   Rng rng(8);
   LayerNorm ln(6, "ln");
-  ln.gamma.value.randn(rng, 0.3);
-  for (auto& g : ln.gamma.value.data) g += 1.0;
-  Tensor x({3, 6});
-  x.randn(rng, 2.0);
-  Tensor w({3, 6});
-  w.randn(rng, 1.0);
+  for (Index i = 0; i < ln.gamma.numel(); ++i) ln.gamma.value[i] = 0.3 * rng.normal() + 1.0;
+  const std::vector<Real> x = randn(rng, 3 * 6, 2.0);
+  const std::vector<Real> w = randn(rng, 3 * 6, 1.0);
   auto loss = [&] {
     Tape tape;
     LayerNorm::TapeFrame f;
-    return weightedSum(ln.forwardTape(tape, f, x.data.data(), 3), w);
+    return weightedSum(ln.forwardTape(tape, f, x.data(), 3), w);
   };
   std::vector<Parameter*> params;
   ln.collectParameters(params);
   gradcheckParams(params, loss, [&] {
     Tape tape;
     LayerNorm::TapeFrame f;
-    ln.forwardTape(tape, f, x.data.data(), 3);
-    ln.backwardTape(tape, f, w.data.data());
+    ln.forwardTape(tape, f, x.data(), 3);
+    ln.backwardTape(tape, f, w.data());
   }, 1e-5, 4);
 }
 
@@ -104,8 +107,7 @@ TEST(GradCheck, AttentionAndDecoderStack) {
   Rng rng(9);
   TransformerAR net(4, 8, 2, 2, rng);
   const std::vector<int> tokens = {4, 1, 3, 0, 4, 2, 0, 1};  // batch of 2
-  Tensor w({2 * 4, 4});
-  w.randn(rng, 1.0);
+  const std::vector<Real> w = randn(rng, 2 * 4 * 4, 1.0);
   auto loss = [&] {
     Tape tape;
     TransformerAR::TapeFrame f;
@@ -117,29 +119,27 @@ TEST(GradCheck, AttentionAndDecoderStack) {
     Tape tape;
     TransformerAR::TapeFrame f;
     net.forwardTape(tape, f, tokens.data(), 2 * 4, 4);
-    net.backwardTape(tape, f, w.data.data());
+    net.backwardTape(tape, f, w.data());
   }, 2e-5, 2);
 }
 
 TEST(GradCheck, PhaseMlp) {
   Rng rng(10);
   PhaseMlp mlp(6, 16, 2, rng);
-  Tensor x({3, 6});
-  x.randn(rng, 1.0);
-  Tensor w({3, 1});
-  w.randn(rng, 1.0);
+  const std::vector<Real> x = randn(rng, 3 * 6, 1.0);
+  const std::vector<Real> w = randn(rng, 3 * 1, 1.0);
   auto loss = [&] {
     Tape tape;
     PhaseMlp::TapeFrame f;
-    return weightedSum(mlp.forwardTape(tape, f, x.data.data(), 3), w);
+    return weightedSum(mlp.forwardTape(tape, f, x.data(), 3), w);
   };
   std::vector<Parameter*> params;
   mlp.collectParameters(params);
   gradcheckParams(params, loss, [&] {
     Tape tape;
     PhaseMlp::TapeFrame f;
-    mlp.forwardTape(tape, f, x.data.data(), 3);
-    mlp.backwardTape(tape, f, w.data.data());
+    mlp.forwardTape(tape, f, x.data(), 3);
+    mlp.backwardTape(tape, f, w.data());
   }, 1e-6, 3);
 }
 

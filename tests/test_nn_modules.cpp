@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -14,22 +15,29 @@ using namespace nnqs;
 using namespace nnqs::nn;
 
 namespace {
-/// Linear inference of a Tensor input ([rows, in] -> [rows, out]).
-std::vector<Real> linearOf(const Linear& lin, const Tensor& x) {
-  const Index rows = x.shape[0];
-  std::vector<Real> y(static_cast<std::size_t>(rows * lin.w.value.shape[0]));
-  lin.forwardInto(x.data.data(), rows, y.data(), kernels::KernelPolicy::kAuto);
+/// Linear inference of x [rows, in] -> [rows, out].
+std::vector<Real> linearOf(const Linear& lin, const std::vector<Real>& x) {
+  const Index rows = static_cast<Index>(x.size()) / lin.w.shape[1];
+  std::vector<Real> y(static_cast<std::size_t>(rows * lin.w.shape[0]));
+  lin.forwardInto(x.data(), rows, y.data(), kernels::KernelPolicy::kAuto);
   return y;
+}
+
+/// n Gaussian values of the given std-dev.
+std::vector<Real> randn(Rng& rng, Index n, Real stddev) {
+  std::vector<Real> v(static_cast<std::size_t>(n));
+  for (auto& x : v) x = stddev * rng.normal();
+  return v;
 }
 }  // namespace
 
 TEST(Linear, ForwardShapeAndBias) {
   Rng rng(1);
   Linear lin(3, 2, rng, "t");
-  lin.w.value.setZero();
-  lin.b.value.data = {1.5, -0.5};
-  Tensor x({2, 3});
-  const std::vector<Real> y = linearOf(lin, x);
+  std::fill_n(lin.w.value, lin.w.numel(), 0.0);
+  lin.b.value[0] = 1.5;
+  lin.b.value[1] = -0.5;
+  const std::vector<Real> y = linearOf(lin, std::vector<Real>(2 * 3));
   ASSERT_EQ(y.size(), 4u);
   EXPECT_DOUBLE_EQ(y[0], 1.5);
   EXPECT_DOUBLE_EQ(y[1], -0.5);
@@ -38,16 +46,15 @@ TEST(Linear, ForwardShapeAndBias) {
 TEST(Linear, LinearityProperty) {
   Rng rng(2);
   Linear lin(4, 3, rng, "t");
-  Tensor x1({1, 4}), x2({1, 4});
-  x1.randn(rng, 1.0);
-  x2.randn(rng, 1.0);
-  Tensor sum({1, 4});
-  for (int i = 0; i < 4; ++i) sum.data[i] = x1.data[i] + x2.data[i];
+  const std::vector<Real> x1 = randn(rng, 4, 1.0);
+  const std::vector<Real> x2 = randn(rng, 4, 1.0);
+  std::vector<Real> sum(4);
+  for (int i = 0; i < 4; ++i) sum[i] = x1[i] + x2[i];
   const std::vector<Real> y1 = linearOf(lin, x1);
   const std::vector<Real> y2 = linearOf(lin, x2);
   const std::vector<Real> ys = linearOf(lin, sum);
   // f(a+b) = f(a) + f(b) - f(0) for affine maps.
-  const std::vector<Real> y0 = linearOf(lin, Tensor({1, 4}));
+  const std::vector<Real> y0 = linearOf(lin, std::vector<Real>(4));
   for (std::size_t i = 0; i < 3; ++i)
     EXPECT_NEAR(ys[i], y1[i] + y2[i] - y0[i], 1e-12);
 }
@@ -55,11 +62,10 @@ TEST(Linear, LinearityProperty) {
 TEST(LayerNorm, OutputNormalized) {
   Rng rng(3);
   LayerNorm ln(8, "t");
-  Tensor x({4, 8});
-  x.randn(rng, 3.0);
+  const std::vector<Real> x = randn(rng, 4 * 8, 3.0);
   Tape tape;
   LayerNorm::TapeFrame f;
-  const Real* y = ln.forwardTape(tape, f, x.data.data(), 4);
+  const Real* y = ln.forwardTape(tape, f, x.data(), 4);
   for (int r = 0; r < 4; ++r) {
     Real mean = 0, var = 0;
     for (int i = 0; i < 8; ++i) mean += y[r * 8 + i];
@@ -89,10 +95,10 @@ TEST(Embedding, LookupAddsPosition) {
   const Real* y = emb.forwardTape(tape, tokens.data(), 3, 3);
   for (int d = 0; d < 2; ++d) {
     EXPECT_NEAR(y[0 * 2 + d],
-                emb.token.value.data[1 * 2 + d] + emb.position.value.data[0 * 2 + d],
+                emb.token.value[1 * 2 + d] + emb.position.value[0 * 2 + d],
                 1e-14);
     EXPECT_NEAR(y[2 * 2 + d],
-                emb.token.value.data[2 * 2 + d] + emb.position.value.data[2 * 2 + d],
+                emb.token.value[2 * 2 + d] + emb.position.value[2 * 2 + d],
                 1e-14);
   }
 }
@@ -154,11 +160,11 @@ TEST(ShapeCheck, AttentionRejectsRaggedWindows) {
   expectMessage([&] { net.forwardTape(tape, netFrame, tokens.data(), 11, 5); });
 
   CausalSelfAttention attn(16, 4, rng, "blk.attn");
-  Tensor x({11, 16});
+  const std::vector<Real> x(11 * 16);
   CausalSelfAttention::TapeFrame frame;
-  expectMessage([&] { attn.forwardTape(tape, frame, x.data.data(), 11, 5); });
+  expectMessage([&] { attn.forwardTape(tape, frame, x.data(), 11, 5); });
   // Whole windows still run.
-  EXPECT_NO_THROW(attn.forwardTape(tape, frame, x.data.data(), 10, 5));
+  EXPECT_NO_THROW(attn.forwardTape(tape, frame, x.data(), 10, 5));
 }
 
 TEST(ShapeCheck, BackwardOfAnUnrecordedTapeFrameNamesTheModule) {
@@ -184,9 +190,8 @@ TEST(ShapeCheck, BackwardAfterTapeResetNamesTheModule) {
   // by generation, naming the module, instead of reading reused spans.  The
   // phase MLP's backward starts at its output Linear, which refuses first.
   Rng rng(37);
-  Tensor x({10, 16});
-  x.randn(rng, 1.0);
-  const Tensor dy({10, 48});
+  const std::vector<Real> x = randn(rng, 10 * 16, 1.0);
+  const std::vector<Real> dy(10 * 48);
   const auto expectStale = [](const auto& call, const char* module) {
     try {
       call();
@@ -198,22 +203,22 @@ TEST(ShapeCheck, BackwardAfterTapeResetNamesTheModule) {
   Tape tape;
   Linear lin(16, 48, rng, "blk.ff1");
   Linear::TapeFrame lf;
-  lin.forwardTape(tape, lf, x.data.data(), 10);
+  lin.forwardTape(tape, lf, x.data(), 10);
   LayerNorm ln(16, "blk.ln1");
   LayerNorm::TapeFrame nf;
-  ln.forwardTape(tape, nf, x.data.data(), 10);
+  ln.forwardTape(tape, nf, x.data(), 10);
   PhaseMlp mlp(16, 24, 2, rng);
   PhaseMlp::TapeFrame pf;
-  mlp.forwardTape(tape, pf, x.data.data(), 10);
+  mlp.forwardTape(tape, pf, x.data(), 10);
   CausalSelfAttention attn(16, 4, rng, "blk.attn");
   CausalSelfAttention::TapeFrame af;
-  attn.forwardTape(tape, af, x.data.data(), 10, 5);
+  attn.forwardTape(tape, af, x.data(), 10, 5);
 
   tape.reset();
-  expectStale([&] { lin.backwardTape(tape, lf, dy.data.data()); }, "blk.ff1");
-  expectStale([&] { ln.backwardTape(tape, nf, dy.data.data()); }, "blk.ln1");
-  expectStale([&] { mlp.backwardTape(tape, pf, dy.data.data()); }, "phase.out");
-  expectStale([&] { attn.backwardTape(tape, af, dy.data.data()); }, "blk.attn");
+  expectStale([&] { lin.backwardTape(tape, lf, dy.data()); }, "blk.ff1");
+  expectStale([&] { ln.backwardTape(tape, nf, dy.data()); }, "blk.ln1");
+  expectStale([&] { mlp.backwardTape(tape, pf, dy.data()); }, "phase.out");
+  expectStale([&] { attn.backwardTape(tape, af, dy.data()); }, "blk.attn");
 }
 
 TEST(EmptyBatch, ZeroRowsRecordAndBackpropOnAFreshTape) {
@@ -237,7 +242,7 @@ TEST(EmptyBatch, ZeroRowsRecordAndBackpropOnAFreshTape) {
   attn.collectParameters(params);
   net.collectParameters(params);
   for (const Parameter* p : params)
-    for (Real g : p->grad.data) ASSERT_EQ(g, 0.0) << p->name;
+    for (Index i = 0; i < p->numel(); ++i) ASSERT_EQ(p->grad[i], 0.0) << p->name;
 }
 
 TEST(TapeCost, PerSampleCostMatchesTheMeasuredCarve) {
@@ -266,11 +271,10 @@ TEST(TapeCost, PerSampleCostMatchesTheMeasuredCarve) {
         << "d_model " << s.dModel << " window " << s.window;
   }
   PhaseMlp mlp(6, 24, 2, rng);
-  Tensor x({kSamples, 6});
-  x.randn(rng, 1.0);
+  const std::vector<Real> x = randn(rng, kSamples * 6, 1.0);
   Tape tape;
   PhaseMlp::TapeFrame f;
-  const Real* phase = mlp.forwardTape(tape, f, x.data.data(), kSamples);
+  const Real* phase = mlp.forwardTape(tape, f, x.data(), kSamples);
   mlp.backwardTape(tape, f, phase);
   tape.reset();
   EXPECT_EQ(static_cast<Index>(tape.stats().highWater),
@@ -286,10 +290,23 @@ TEST(AdamW, ConvergesOnQuadratic) {
   opts.weightDecay = 0.0;
   AdamW opt({&p}, opts);
   for (int it = 0; it < 2000; ++it) {
-    for (int i = 0; i < 4; ++i) p.grad.data[i] = 2.0 * (p.value.data[i] - target[i]);
+    for (int i = 0; i < 4; ++i) p.grad[i] = 2.0 * (p.value[i] - target[i]);
     opt.step();
   }
-  for (int i = 0; i < 4; ++i) EXPECT_NEAR(p.value.data[i], target[i], 1e-3);
+  for (int i = 0; i < 4; ++i) EXPECT_NEAR(p.value[i], target[i], 1e-3);
+}
+
+TEST(AdamW, RejectsParametersOutsideOneFlatStore) {
+  // AdamW steps its list in one kernel call, so the list must lie back to
+  // back in one value and one gradient buffer; two standalone modules' own
+  // storage does not.
+  Rng rng(5);
+  Linear a(3, 2, rng, "a");
+  Linear b(2, 1, rng, "b");
+  std::vector<Parameter*> params;
+  a.collectParameters(params);
+  b.collectParameters(params);
+  EXPECT_THROW(AdamW{params}, std::invalid_argument);
 }
 
 TEST(NoamSchedule, WarmupShape) {
