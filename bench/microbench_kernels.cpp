@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the performance-critical kernels:
 // Pauli algebra, packed-Hamiltonian group coefficients, LUT search, the
-// transformer forward, a BAS expansion step, and the gradient allreduce and
+// transformer forward, a BAS expansion step, and the gradient reduction and
 // optimizer step of the training iteration.  These are the ablation-level
 // numbers behind Figs. 10-12.
 
@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <new>
+#include <optional>
 
 #include "bench_common.hpp"
 #include "io/checkpoint.hpp"
@@ -756,9 +757,9 @@ BENCHMARK(BM_Elementwise)
     ->Args({1, -1})->Args({1, 0})->Args({1, 1})->Args({1, 2})
     ->Args({2, -1})->Args({2, 0})->Args({2, 1})->Args({2, 2});
 
-// Stage 6 of the VMC iteration (gradient allreduce, then the optimizer step)
-// at train-c2h4o's model size: the paper architecture at 38 qubits and
-// 12 + 12 electrons, 290,181 parameters.
+// Stage 6 of the VMC iteration (gradient reduction, optimizer step and, when
+// sharded, the parameter allgather) at train-c2h4o's model size: the paper
+// architecture at 38 qubits and 12 + 12 electrons, 290,181 parameters.
 nqs::QiankunNetConfig stage6NetConfig() {
   Pipeline p;  // paperNetConfig reads only the shape
   p.nQubits = 38;
@@ -852,6 +853,77 @@ void BM_AdamWStep(benchmark::State& state) {
 }
 // Arg: policy (0 = scalar reference, 1 = SIMD).
 BENCHMARK(BM_AdamWStep)->Arg(0)->Arg(1)->UseManualTime()->Unit(benchmark::kMillisecond);
+
+// The whole of Stage 6 on 4 thread ranks at the same size, each rank with
+// its own copy of the store: /0 the replicated step (allReduceSum of the
+// gradients, then AdamW over the whole store on every rank), /1 the sharded
+// step runVmc takes (reduceScatterSum, AdamW over the rank's Comm::slice,
+// allGatherSlices of the values).  Each benchmark iteration runs one
+// ThreadWorld of kCalls steps.  Every rank copies fresh gradients in before
+// a step, outside the timed region, and rank 0 times each step from a
+// barrier to the barrier after every rank finished it (manual time, per
+// step).  The warm steps must make no heap allocation on any rank.
+void BM_Stage6Threads(benchmark::State& state) {
+  constexpr int kRanks = 4, kCalls = 8;
+  const bool sharded = state.range(0) == 1;
+  std::vector<Real> fresh(kStage6Params);
+  Rng rng(43);
+  for (auto& x : fresh) x = 1e-2 * rng.normal();
+  std::vector<nn::Parameter> stores;
+  std::vector<nn::AdamW> optimizers;
+  stores.reserve(kRanks);  // the optimizers point at the stores
+  for (int r = 0; r < kRanks; ++r) {
+    nn::Parameter& store =
+        stores.emplace_back(std::vector<Index>{static_cast<Index>(kStage6Params)}, "store");
+    std::fill(store.value, store.value + kStage6Params, 0.1);
+    const parallel::Comm::Slice s = parallel::Comm::slice(kStage6Params, kRanks, r);
+    optimizers.emplace_back(std::vector<nn::Parameter*>{&store}, nn::AdamWOptions{},
+                            sharded ? std::optional<nn::AdamW::Slice>(
+                                          {static_cast<Index>(s.lo), static_cast<Index>(s.hi)})
+                                    : std::nullopt);
+  }
+  parallel::ThreadWorld world(kRanks);
+  std::uint64_t warmAllocs = 0;
+  for (auto _ : state) {
+    double seconds = 0;
+    world.run([&](parallel::Comm& comm) {
+      const auto r = static_cast<std::size_t>(comm.rank());
+      nn::Parameter& store = stores[r];
+      for (int c = 0; c < kCalls; ++c) {
+        std::copy(fresh.begin(), fresh.end(), store.grad);
+        // Read before the barrier, so every rank's step falls in the window.
+        const std::uint64_t allocs0 = allocationCount();
+        comm.barrier();
+        const auto t0 = std::chrono::steady_clock::now();
+        if (sharded) {
+          comm.reduceScatterSum(store.grad, kStage6Params);
+          optimizers[r].step();
+          comm.allGatherSlices(store.value, kStage6Params);
+        } else {
+          comm.allReduceSum(store.grad, kStage6Params);
+          optimizers[r].step();
+        }
+        comm.barrier();
+        if (comm.rank() == 0) {
+          seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                         .count();
+          if (c > 0) warmAllocs += allocationCount() - allocs0;
+        }
+      }
+    });
+    benchmark::DoNotOptimize(stores[0].value);
+    benchmark::ClobberMemory();
+    state.SetIterationTime(seconds / kCalls);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kStage6Params));
+  state.SetLabel(sharded ? "4 thread ranks, reduce-scatter + slice adamw + allgather"
+                         : "4 thread ranks, allreduce + whole-store adamw");
+  state.counters["allocs/step"] =
+      static_cast<double>(warmAllocs) / static_cast<double>(state.iterations() * (kCalls - 1));
+  if (warmAllocs != 0) state.SkipWithError("warm Stage 6 step heap-allocated");
+}
+// Arg: 0 = replicated step, 1 = sharded step.
+BENCHMARK(BM_Stage6Threads)->Arg(0)->Arg(1)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 void BM_LocalEnergySample(benchmark::State& state) {
   const auto& p = c2Pipeline();

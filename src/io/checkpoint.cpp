@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <type_traits>
 
 #include "nn/optimizer.hpp"
@@ -70,19 +71,28 @@ struct Cursor {
 // ------------------------------------------------------------------- crc32 ---
 
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed) {
-  // Table computed once (reflected polynomial 0xEDB88320, IEEE 802.3).
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slicing-by-8 (reflected polynomial 0xEDB88320, IEEE 802.3): t[0] is the
+  // byte-at-a-time table and t[k][i] the CRC of byte i followed by k zero
+  // bytes, so eight table lookups fold eight bytes at once.
+  static const auto t = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
+      t[0][i] = c;
     }
+    for (std::uint32_t i = 0; i < 256; ++i)
+      for (int k = 1; k < 8; ++k) t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
     return t;
   }();
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = c ^ readU32(p), hi = readU32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+        t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -177,20 +187,23 @@ void CheckpointWriter::save(const std::string& path) const {
 // ------------------------------------------------------------------ reader ---
 
 CheckpointReader::CheckpointReader(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw CheckpointError("checkpoint load: cannot open " + path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  parse(bytes, path);
+  const std::streamoff size = in.tellg();
+  if (size < 0) throw CheckpointError("checkpoint load: cannot size " + path);
+  bytes_.resize(static_cast<std::size_t>(size));
+  in.seekg(0);
+  if (!in.read(reinterpret_cast<char*>(bytes_.data()), size))
+    throw CheckpointError("checkpoint load: short read of " + path);
+  parse(path);
 }
 
-CheckpointReader::CheckpointReader(const std::vector<std::uint8_t>& bytes) {
-  parse(bytes, "<memory>");
+CheckpointReader::CheckpointReader(std::vector<std::uint8_t> bytes) : bytes_(std::move(bytes)) {
+  parse("<memory>");
 }
 
-void CheckpointReader::parse(const std::vector<std::uint8_t>& bytes,
-                             const std::string& origin) {
-  Cursor c{bytes.data(), bytes.size()};
+void CheckpointReader::parse(const std::string& origin) {
+  Cursor c{bytes_.data(), bytes_.size()};
   const std::uint8_t* magic = c.take(sizeof(kMagic), "magic");
   for (std::size_t i = 0; i < sizeof(kMagic); ++i)
     if (magic[i] != static_cast<std::uint8_t>(kMagic[i]))
@@ -219,7 +232,8 @@ void CheckpointReader::parse(const std::vector<std::uint8_t>& bytes,
       throw SchemaError(name, "duplicate section name");
     names_.push_back(name);
     sections_[name] = {static_cast<SectionKind>(kindByte),
-                       std::vector<std::uint8_t>(payload, payload + payloadLen)};
+                       static_cast<std::size_t>(payload - bytes_.data()),
+                       static_cast<std::size_t>(payloadLen)};
   }
   if (c.remaining != 0)
     throw SchemaError("trailer", std::to_string(c.remaining) +
@@ -241,46 +255,43 @@ const CheckpointReader::Section& CheckpointReader::find(const std::string& name,
 
 std::uint64_t CheckpointReader::getU64(const std::string& name) const {
   const Section& s = find(name, SectionKind::kU64);
-  if (s.payload.size() != 8) throw SchemaError(name, "u64 payload size != 8");
-  return readU64(s.payload.data());
+  if (s.size != 8) throw SchemaError(name, "u64 payload size != 8");
+  return readU64(payload(s));
 }
 
 std::vector<std::uint64_t> CheckpointReader::getU64Array(
     const std::string& name) const {
   const Section& s = find(name, SectionKind::kU64Array);
-  if (s.payload.size() % 8 != 0)
+  if (s.size % 8 != 0)
     throw SchemaError(name, "u64-array payload not a multiple of 8 bytes");
-  std::vector<std::uint64_t> out(s.payload.size() / 8);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = readU64(s.payload.data() + 8 * i);
+  std::vector<std::uint64_t> out(s.size / 8);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = readU64(payload(s) + 8 * i);
   return out;
 }
 
 std::vector<Real> CheckpointReader::getRealArray(const std::string& name) const {
   const Section& s = find(name, SectionKind::kRealArray);
-  if (s.payload.size() % 8 != 0)
+  if (s.size % 8 != 0)
     throw SchemaError(name, "real-array payload not a multiple of 8 bytes");
-  std::vector<Real> out(s.payload.size() / 8);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = readF64(s.payload.data() + 8 * i);
+  std::vector<Real> out(s.size / 8);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = readF64(payload(s) + 8 * i);
   return out;
 }
 
 std::vector<Bits128> CheckpointReader::getBitsArray(const std::string& name) const {
   const Section& s = find(name, SectionKind::kBitsArray);
-  if (s.payload.size() % 16 != 0)
+  if (s.size % 16 != 0)
     throw SchemaError(name, "bits-array payload not a multiple of 16 bytes");
-  std::vector<Bits128> out(s.payload.size() / 16);
+  std::vector<Bits128> out(s.size / 16);
   for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = Bits128(readU64(s.payload.data() + 16 * i),
-                     readU64(s.payload.data() + 16 * i + 8));
+    out[i] = Bits128(readU64(payload(s) + 16 * i), readU64(payload(s) + 16 * i + 8));
   return out;
 }
 
 void CheckpointReader::getTensor(const std::string& name, const std::vector<Index>& shape,
                                  Real* out) const {
   const Section& s = find(name, SectionKind::kTensor);
-  Cursor c{s.payload.data(), s.payload.size()};
+  Cursor c{payload(s), s.size};
   // The header is untrusted: it is compared with the wanted shape, never
   // used to size anything.
   bool same = c.u32(name + ".rank") == shape.size();
@@ -371,8 +382,7 @@ void loadNet(const CheckpointReader& r, nqs::QiankunNet& net) {
     r.getTensor("param." + p->name, p->shape, at);
     at += p->numel();
   }
-  // The net's value buffer starts at its first parameter.
-  std::copy(staged.begin(), staged.end(), params.front()->value);
+  std::copy(staged.begin(), staged.end(), net.values().begin());
 }
 
 std::unique_ptr<nqs::QiankunNet> makeNet(const CheckpointReader& r) {
@@ -382,13 +392,25 @@ std::unique_ptr<nqs::QiankunNet> makeNet(const CheckpointReader& r) {
 }
 
 void addOptimizer(CheckpointWriter& w, const nn::AdamW& opt) {
+  if (opt.sliced())
+    throw std::invalid_argument(
+        "addOptimizer: the optimizer holds the moments of one slice of its store; gather "
+        "every slice and pass the whole moments");
+  addOptimizer(w, opt, opt.moments1(), opt.moments2());
+}
+
+void addOptimizer(CheckpointWriter& w, const nn::AdamW& opt, std::span<const Real> m,
+                  std::span<const Real> v) {
+  const auto n = static_cast<std::size_t>(opt.storeSize());
+  if (m.size() != n || v.size() != n)
+    throw std::invalid_argument("addOptimizer: moments must cover the optimizer's store");
   const auto& params = opt.parameters();
   w.addU64("opt.step", static_cast<std::uint64_t>(opt.stepCount()));
   w.addU64("opt.paramCount", params.size());
   std::size_t off = 0;
   for (const nn::Parameter* p : params) {
-    w.addTensor("opt.m." + p->name, p->shape, opt.moments1().data() + off);
-    w.addTensor("opt.v." + p->name, p->shape, opt.moments2().data() + off);
+    w.addTensor("opt.m." + p->name, p->shape, m.data() + off);
+    w.addTensor("opt.v." + p->name, p->shape, v.data() + off);
     off += static_cast<std::size_t>(p->numel());
   }
 }
@@ -398,12 +420,19 @@ void loadOptimizer(const CheckpointReader& r, nn::AdamW& opt) {
   const std::uint64_t step = r.getU64("opt.step");
   if (r.getU64("opt.paramCount") != params.size())
     throw SchemaError("opt.paramCount", "parameter-list size mismatch");
-  std::vector<Real> m(opt.moments1().size()), v(opt.moments2().size());
+  const auto n = static_cast<std::size_t>(opt.storeSize());
+  std::vector<Real> m(n), v(n);
   std::size_t off = 0;
   for (const nn::Parameter* p : params) {
     r.getTensor("opt.m." + p->name, p->shape, m.data() + off);
     r.getTensor("opt.v." + p->name, p->shape, v.data() + off);
     off += static_cast<std::size_t>(p->numel());
+  }
+  // Keep this optimizer's slice of the whole moments.
+  const nn::AdamW::Slice own = opt.slice();
+  for (std::vector<Real>* x : {&m, &v}) {
+    x->erase(x->begin() + own.hi, x->end());
+    x->erase(x->begin(), x->begin() + own.lo);
   }
   opt.restoreState(std::move(m), std::move(v), static_cast<long>(step));
 }

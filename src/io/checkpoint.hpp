@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -167,12 +168,15 @@ class CheckpointWriter {
 /// Parses and fully validates a checkpoint image up front (bounds-checked
 /// cursor, per-section CRC); the typed getters then throw SchemaError on
 /// missing names or kind mismatches.  Section order is preserved in names().
+/// The reader keeps the image in one buffer, and each section is an offset
+/// and a length into it.
 class CheckpointReader {
  public:
-  /// Load and validate from a file.  Throws the typed errors above.
+  /// Load (one read of the whole file) and validate.  Throws the typed
+  /// errors above.
   explicit CheckpointReader(const std::string& path);
   /// Parse an in-memory image (the serialize() format).
-  explicit CheckpointReader(const std::vector<std::uint8_t>& bytes);
+  explicit CheckpointReader(std::vector<std::uint8_t> bytes);
 
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::uint64_t getU64(const std::string& name) const;
@@ -189,11 +193,16 @@ class CheckpointReader {
  private:
   struct Section {
     SectionKind kind;
-    std::vector<std::uint8_t> payload;
+    std::size_t offset, size;  ///< the payload's bytes in bytes_
   };
-  void parse(const std::vector<std::uint8_t>& bytes, const std::string& origin);
+  /// Parse bytes_; `origin` names the image in BadMagicError.
+  void parse(const std::string& origin);
   const Section& find(const std::string& name, SectionKind kind) const;
+  [[nodiscard]] const std::uint8_t* payload(const Section& s) const {
+    return bytes_.data() + s.offset;
+  }
 
+  std::vector<std::uint8_t> bytes_;
   std::vector<std::string> names_;
   std::map<std::string, Section> sections_;
 };
@@ -223,11 +232,22 @@ void loadNet(const CheckpointReader& r, nqs::QiankunNet& net);
 [[nodiscard]] std::unique_ptr<nqs::QiankunNet> makeNet(const CheckpointReader& r);
 
 /// Optimizer state: "opt.step" plus first/second moments ("opt.m.<name>",
-/// "opt.v.<name>") per parameter, in the optimizer's parameter order.
+/// "opt.v.<name>") per parameter, in the optimizer's parameter order.  The
+/// moments are stored whole, whatever slice of the store each rank stepped,
+/// so an image written at any rank count loads at any other.  Throws
+/// std::invalid_argument for an optimizer that holds the moments of a slice
+/// only (AdamW::sliced()): writing them would give a partial image.
 void addOptimizer(CheckpointWriter& w, const nn::AdamW& opt);
+/// The same sections with the whole store's moments `m` and `v` given by the
+/// caller: the slices of every rank, gathered (vmc::runVmc's checkpoint).
+/// Throws std::invalid_argument unless both hold opt.storeSize() values.
+void addOptimizer(CheckpointWriter& w, const nn::AdamW& opt, std::span<const Real> m,
+                  std::span<const Real> v);
 
-/// Restore moments and step count; validates every tensor against the
-/// optimizer's parameter list before mutating anything.
+/// Restore step count and moments: reads the whole store's moments and keeps
+/// the optimizer's slice of them, so the image may come from any rank
+/// count.  Validates every tensor against the optimizer's parameter list
+/// before mutating anything.
 void loadOptimizer(const CheckpointReader& r, nn::AdamW& opt);
 
 }  // namespace nnqs::io

@@ -204,8 +204,9 @@ class QiankunNet {
   /// one value buffer and one gradient buffer.
   const std::vector<nn::Parameter*>& parameters() { return params_; }
   [[nodiscard]] Index parameterCount() const { return static_cast<Index>(grads_.size()); }
-  /// The one gradient buffer, every parameter's gradient in parameters()
-  /// order: what Stage 6 allreduces in place.
+  /// The one value buffer and the one gradient buffer, every parameter's
+  /// slice in parameters() order: what Stage 6 reduces and steps in place.
+  [[nodiscard]] std::span<Real> values() { return values_; }
   [[nodiscard]] std::span<Real> gradients() { return grads_; }
 
   /// Copies of gradients(), out and in (perfbench's Stage-6 replica spells

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #ifdef NNQS_WITH_MPI
@@ -49,38 +50,76 @@ void ThreadComm::allGatherFill(const void* data, std::size_t myBytes, void* out,
   barrier();  // contributors may reuse their buffers after this
 }
 
-void ThreadComm::allReduceSumReal(Real* data, std::size_t n) {
+Comm::Slice ThreadComm::postSlot(Real* data, std::size_t n, const char* collective) {
   auto& st = *state_;
   st.reduceSlots[static_cast<std::size_t>(rank_)] = {data, n};
   barrier();  // all buffers posted
   // Every rank reads the same posted lengths, so on a mismatch every rank
-  // throws here and none waits at the barrier below.
+  // throws here and none waits at the caller's closing barrier.
   for (const auto& slot : st.reduceSlots)
     if (slot.second != n)
-      throw std::invalid_argument(
-          "allReduceSum: ranks posted different lengths");
-  // Rank q owns elements [n q / P, n (q + 1) / P) of every posted buffer
-  // (floor(n q / P), computed without forming n q): it sums each element over
-  // the ranks in rank order starting from +0.0 (the Comm contract) and
-  // writes the sum back into every rank's buffer.  The slices are disjoint,
-  // so no other rank touches them until the barrier below.
-  const std::size_t p = st.size, q = static_cast<std::size_t>(rank_);
-  const auto bound = [&](std::size_t k) { return n / p * k + n % p * k / p; };
-  const std::size_t end = bound(q + 1);
-  constexpr std::size_t kBlock = 512;  // the partial sums stay in L1
+      throw std::invalid_argument(std::string(collective) +
+                                  ": ranks posted different lengths");
+  return slice(n);
+}
+
+namespace {
+
+/// Sums `own` over every posted buffer, element by element in rank order
+/// starting from +0.0 (the Comm contract), one L1-sized block at a time, and
+/// hands each block's sums to write(first element, sums, length).
+template <typename Write>
+void sumSlice(const std::vector<std::pair<Real*, std::size_t>>& slots, Comm::Slice own,
+              Write&& write) {
+  constexpr std::size_t kBlock = 512;
   Real acc[kBlock] = {};
-  for (std::size_t lo = bound(q); lo < end; lo += kBlock) {
-    const std::size_t len = std::min(kBlock, end - lo);
-    const Real* src0 = st.reduceSlots[0].first + lo;
+  for (std::size_t lo = own.lo; lo < own.hi; lo += kBlock) {
+    const std::size_t len = std::min(kBlock, own.hi - lo);
+    const Real* src0 = slots[0].first + lo;
     for (std::size_t i = 0; i < len; ++i) acc[i] = 0.0 + src0[i];
-    for (std::size_t r = 1; r < p; ++r) {
-      const Real* src = st.reduceSlots[r].first + lo;
+    for (std::size_t r = 1; r < slots.size(); ++r) {
+      const Real* src = slots[r].first + lo;
       for (std::size_t i = 0; i < len; ++i) acc[i] += src[i];
     }
-    for (const auto& slot : st.reduceSlots)
-      std::memcpy(slot.first + lo, acc, len * sizeof(Real));
+    write(lo, acc, len);
   }
+}
+
+}  // namespace
+
+// Rank q reads and writes slice q of every posted buffer and nothing else,
+// so the three collectives below need no lock between their two barriers.
+
+void ThreadComm::allReduceSumReal(Real* data, std::size_t n) {
+  const Slice own = postSlot(data, n, "allReduceSum");
+  sumSlice(state_->reduceSlots, own, [&](std::size_t lo, const Real* sums, std::size_t len) {
+    for (const auto& slot : state_->reduceSlots)
+      std::memcpy(slot.first + lo, sums, len * sizeof(Real));
+  });
   barrier();  // every slice written back
+}
+
+void ThreadComm::reduceScatterSumReal(Real* data, std::size_t n) {
+  // The other ranks' buffers get +0.0 in this slice, as they get this rank's
+  // sums in allReduceSum; their owners zero the rest of this buffer.
+  const Slice own = postSlot(data, n, "reduceScatterSum");
+  sumSlice(state_->reduceSlots, own, [&](std::size_t lo, const Real* sums, std::size_t len) {
+    for (const auto& slot : state_->reduceSlots)
+      if (slot.first == data)
+        std::memcpy(data + lo, sums, len * sizeof(Real));
+      else
+        std::fill(slot.first + lo, slot.first + lo + len, 0.0);
+  });
+  barrier();  // every slice written back
+}
+
+void ThreadComm::allGatherSlicesReal(Real* data, std::size_t n) {
+  const Slice own = postSlot(data, n, "allGatherSlices");
+  if (own.hi > own.lo)
+    for (const auto& slot : state_->reduceSlots)
+      if (slot.first != data)
+        std::memcpy(slot.first + own.lo, data + own.lo, (own.hi - own.lo) * sizeof(Real));
+  barrier();  // every slice copied out
 }
 
 void ThreadComm::bcastBytes(void* data, std::size_t nBytes, int root) {

@@ -32,18 +32,31 @@ using CommBackend = exec::CommBackend;
 /// contract: element i of allReduceSum's result is the sequential IEEE sum
 /// ((+0.0 + x_0[i]) + x_1[i]) + ... + x_{P-1}[i] of the per-rank
 /// contributions, bit-identically on every rank — never MPI_SUM, whose
-/// reduction tree is implementation-defined.  ThreadComm splits the elements
-/// into P contiguous slices; each rank sums its slice of all P buffers in
-/// place and writes the sums back into every buffer.  MpiComm gathers to
-/// rank 0, reduces in rank order and broadcasts.  allGatherV concatenates
-/// the contributions in rank order.  A run is therefore bit-identical across
-/// backends at a fixed rank count.
+/// reduction tree is implementation-defined.  An allreduce has two legs, and
+/// the sharded optimizer step (vmc/driver.cpp, Stage 6) calls them apart:
+///
+///  - reduceScatterSum: rank q sums its slice(n), [n·q/P, n·(q+1)/P), of
+///    every rank's buffer in rank order from +0.0 and writes the sums into
+///    its own buffer, +0.0 everywhere else;
+///  - allGatherSlices: every rank's slice(n) of its own buffer is copied
+///    into every rank's buffer.
+///
+/// ThreadComm runs all three on the posted buffers in place: rank q reads
+/// and writes slice q of every buffer, so no staging buffer exists and no
+/// rank waits while another sums.  MpiComm runs reduceScatterSum as an
+/// MPI_Alltoallv of the slices and a rank-ordered sum, allGatherSlices as
+/// MPI_Allgatherv in place, and allReduceSum as the one followed by the
+/// other.  allGatherV concatenates the contributions in rank order.  A run
+/// is therefore bit-identical across backends at a fixed rank count.
 ///
 /// Byte accounting (the paper reports communication volume, §3.2): every
 /// collective charges the wire bytes this rank *receives*, matching the
 /// paper's counting, regardless of transport:
 ///   - allGatherV of n_r elements per rank: sum_r n_r * sizeof(T);
 ///   - allReduceSum of n elements: 2 * n * sizeof(T) (reduce + bcast legs);
+///   - reduceScatterSum and allGatherSlices of n elements: n * sizeof(T)
+///     each, one leg of the allreduce apiece, so the pair charges what one
+///     allReduceSum does;
 ///   - bcast of n elements: n * sizeof(T);
 ///   - barrier: 0.
 /// The counter is cumulative per rank; callers that want per-phase or
@@ -115,6 +128,40 @@ class Comm {
     return v;
   }
 
+  /// The half-open element range [lo, hi) of a flat buffer.
+  struct Slice {
+    std::size_t lo, hi;
+  };
+  /// Rank q's slice of an n-element buffer shared by p ranks:
+  /// [floor(n q / p), floor(n (q + 1) / p)), computed without forming n q.
+  /// The slices tile [0, n) in rank order; some are empty when n < p.
+  [[nodiscard]] static Slice slice(std::size_t n, int p, int q) {
+    const auto bound = [n, up = static_cast<std::size_t>(p)](std::size_t k) {
+      return n / up * k + n % up * k / up;
+    };
+    return {bound(static_cast<std::size_t>(q)), bound(static_cast<std::size_t>(q) + 1)};
+  }
+  /// This rank's slice, the elements it owns in reduceScatterSum and
+  /// allGatherSlices.
+  [[nodiscard]] Slice slice(std::size_t n) const { return slice(n, size(), rank()); }
+
+  /// The reduce leg of allReduceSum: slice(n) of this rank's buffer receives
+  /// the rank-ordered sum from +0.0 of that slice over every rank's buffer;
+  /// every other element becomes +0.0.  Every rank must pass the same n;
+  /// ThreadComm throws std::invalid_argument on every rank when they differ.
+  void reduceScatterSum(Real* data, std::size_t n) {
+    reduceScatterSumReal(data, n);
+    bytes_ += n * sizeof(Real);
+  }
+
+  /// The broadcast leg of allReduceSum: slice(n) of every rank's buffer is
+  /// copied into the same slice of every other rank's buffer.  Same length
+  /// rule as reduceScatterSum.
+  void allGatherSlices(Real* data, std::size_t n) {
+    allGatherSlicesReal(data, n);
+    bytes_ += n * sizeof(Real);
+  }
+
   /// Broadcast from `root` (every rank must pass the same root).
   template <typename T>
   void bcast(T* data, std::size_t n, int root = 0) {
@@ -138,6 +185,8 @@ class Comm {
   virtual void allGatherFill(const void* data, std::size_t myBytes, void* out,
                              const std::vector<std::size_t>& byteCounts) = 0;
   virtual void allReduceSumReal(Real* data, std::size_t n) = 0;
+  virtual void reduceScatterSumReal(Real* data, std::size_t n) = 0;
+  virtual void allGatherSlicesReal(Real* data, std::size_t n) = 0;
   virtual void bcastBytes(void* data, std::size_t nBytes, int root) = 0;
 
   std::uint64_t bytes_ = 0;
@@ -172,6 +221,8 @@ class ThreadComm final : public Comm {
   void allGatherFill(const void* data, std::size_t myBytes, void* out,
                      const std::vector<std::size_t>& byteCounts) override;
   void allReduceSumReal(Real* data, std::size_t n) override;
+  void reduceScatterSumReal(Real* data, std::size_t n) override;
+  void allGatherSlicesReal(Real* data, std::size_t n) override;
   void bcastBytes(void* data, std::size_t nBytes, int root) override;
 
  private:
@@ -180,12 +231,17 @@ class ThreadComm final : public Comm {
     std::size_t size;
     std::unique_ptr<std::barrier<>> barrier;
     std::vector<std::pair<const void*, std::size_t>> contrib;
-    /// Each rank's allReduceSum buffer and length, summed in place.
+    /// Each rank's buffer and length in allReduceSum, reduceScatterSum and
+    /// allGatherSlices, which work on them in place.
     std::vector<std::pair<Real*, std::size_t>> reduceSlots;
     const void* bcastSrc = nullptr;
   };
   ThreadComm(int rank, std::shared_ptr<WorldState> state)
       : rank_(rank), state_(std::move(state)) {}
+  /// Posts this rank's buffer and waits for every rank's; returns this
+  /// rank's slice.  Throws std::invalid_argument, naming `collective`, on
+  /// every rank when the posted lengths differ.
+  Slice postSlot(Real* data, std::size_t n, const char* collective);
   int rank_;
   std::shared_ptr<WorldState> state_;
 };

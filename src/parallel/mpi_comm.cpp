@@ -8,6 +8,7 @@
 #include <mpi.h>
 #include <omp.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
@@ -98,23 +99,42 @@ class MpiComm final : public Comm {
   }
 
   void allReduceSumReal(Real* data, std::size_t n) override {
+    // The rank-ordered sum of every slice on its owner, then every owned
+    // slice to every rank: ThreadComm's bits, and no rank receives more than
+    // n elements per leg.
+    reduceScatterSumReal(data, n);
+    allGatherSlicesReal(data, n);
+  }
+
+  void reduceScatterSumReal(Real* data, std::size_t n) override {
     if (n == 0) return;
-    // Rank-ordered deterministic sum: gather to rank 0, reduce sequentially
-    // in rank order, broadcast.  MPI_Allreduce(MPI_SUM) would be faster but
-    // its association order is implementation-defined — it would break the
-    // bit-identity contract with the threads backend.
-    const int count = checkedInt(n, "allReduceSum length");
-    if (rank_ == 0) gatherBuf_.resize(n * static_cast<std::size_t>(size_));
-    MPI_Gather(data, count, MPI_DOUBLE, gatherBuf_.data(), count, MPI_DOUBLE,
-               0, MPI_COMM_WORLD);
-    if (rank_ == 0) {
-      for (std::size_t i = 0; i < n; ++i) data[i] = 0.0;
-      for (int r = 0; r < size_; ++r) {
-        const Real* src = gatherBuf_.data() + static_cast<std::size_t>(r) * n;
-        for (std::size_t i = 0; i < n; ++i) data[i] += src[i];
-      }
+    // Every rank sends slice q of its buffer to rank q, which then sums the
+    // P pieces in rank order from +0.0.  MPI_Reduce_scatter(MPI_SUM) would
+    // associate in an implementation-defined order.
+    const Slice own = slice(n);
+    const std::size_t len = own.hi - own.lo;
+    const auto p = static_cast<std::size_t>(size_);
+    sliceLayout(n);
+    recvCounts_.assign(p, checkedInt(len, "reduceScatterSum slice"));
+    displs_.resize(p);
+    for (std::size_t r = 0; r < p; ++r) displs_[r] = checkedInt(r * len, "reduceScatterSum staging");
+    gatherBuf_.resize(p * len);
+    MPI_Alltoallv(data, sliceCounts_.data(), sliceDispls_.data(), MPI_DOUBLE, gatherBuf_.data(),
+                  recvCounts_.data(), displs_.data(), MPI_DOUBLE, MPI_COMM_WORLD);
+    for (std::size_t i = 0; i < len; ++i) {
+      Real acc = 0.0;
+      for (std::size_t r = 0; r < p; ++r) acc += gatherBuf_[r * len + i];
+      data[own.lo + i] = acc;
     }
-    MPI_Bcast(data, count, MPI_DOUBLE, 0, MPI_COMM_WORLD);
+    std::fill(data, data + own.lo, 0.0);
+    std::fill(data + own.hi, data + n, 0.0);
+  }
+
+  void allGatherSlicesReal(Real* data, std::size_t n) override {
+    if (n == 0) return;
+    sliceLayout(n);
+    MPI_Allgatherv(MPI_IN_PLACE, 0, MPI_DATATYPE_NULL, data, sliceCounts_.data(),
+                   sliceDispls_.data(), MPI_DOUBLE, MPI_COMM_WORLD);
   }
 
   void bcastBytes(void* data, std::size_t nBytes, int root) override {
@@ -124,8 +144,21 @@ class MpiComm final : public Comm {
   }
 
  private:
+  /// Every rank's slice(n) as MPI counts and displacements (in elements).
+  void sliceLayout(std::size_t n) {
+    sliceCounts_.resize(static_cast<std::size_t>(size_));
+    sliceDispls_.resize(static_cast<std::size_t>(size_));
+    for (int r = 0; r < size_; ++r) {
+      const Slice s = slice(n, size_, r);
+      sliceCounts_[static_cast<std::size_t>(r)] = checkedInt(s.hi - s.lo, "slice length");
+      sliceDispls_[static_cast<std::size_t>(r)] = checkedInt(s.lo, "slice offset");
+    }
+  }
+
   int rank_, size_;
-  std::vector<int> recvCounts_, displs_;
+  std::vector<int> recvCounts_, displs_, sliceCounts_, sliceDispls_;
+  /// The P pieces of this rank's slice in reduceScatterSum, reused from
+  /// call to call.
   std::vector<Real> gatherBuf_;
 };
 

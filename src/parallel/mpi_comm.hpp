@@ -5,10 +5,12 @@
 // parallel::makeWorld(CommBackend::kMpi, ...) / parallel::processRank(),
 // which comm.cpp routes here when the backend is compiled in.
 //
-// Determinism contract (same as ThreadComm): allReduceSum is the rank-ordered
-// sequential sum — contributions are gathered to rank 0, reduced in rank
-// order, and broadcast — never MPI_SUM, whose reduction-tree association is
-// implementation-defined and would break bit-identity across backends.
+// Determinism contract (same as ThreadComm): reduceScatterSum exchanges the
+// slices with MPI_Alltoallv and sums each in rank order from +0.0 on its
+// owner, allGatherSlices is MPI_Allgatherv in place, and allReduceSum is the
+// one followed by the other — never MPI_SUM, whose reduction-tree
+// association is implementation-defined and would break bit-identity across
+// backends.
 
 #ifdef NNQS_WITH_MPI
 

@@ -33,15 +33,17 @@ struct ElocRecord {
 static_assert(sizeof(ElocRecord) == 24, "Stage 3 sends 16 + 8 bytes per sample");
 
 /// One rank's side of the data-centric VMC loop (paper Fig. 4, §3.2): the
-/// replicated model and optimizer, the loop state a checkpoint carries, and
-/// every buffer the stages reuse, so their capacity survives from one
-/// iteration to the next.  One member function per stage; runVmc calls them
-/// in order.  Every rank computes identical loop state.
+/// replicated model, the optimizer of this rank's slice of the parameter
+/// store, the loop state a checkpoint carries, and every buffer the stages
+/// reuse, so their capacity survives from one iteration to the next.  One
+/// member function per stage; runVmc calls them in order.  Every rank
+/// computes identical parameters and loop state.
 struct RankLoop {
   RankLoop(parallel::Comm& c, const ops::PackedHamiltonian& h,
            const nqs::QiankunNetConfig& netConfig, const VmcOptions& o)
       : comm(c), hamiltonian(h), opts(o), net(netConfig), sampler(net),
-        optimizer(net.parameters(), {.lr = o.learningRate, .weightDecay = o.weightDecay}),
+        optimizer(net.parameters(), {.lr = o.learningRate, .weightDecay = o.weightDecay},
+                  ownSlice(c, net)),
         schedule(netConfig.dModel, o.warmupSteps), nsCurrent(o.nSamplesInitial) {
     // The phase inference (Stage 1) runs on the run's kernel policy, and the
     // tape gradient (Stage 5) on its tile policy.
@@ -51,10 +53,18 @@ struct RankLoop {
     res.parameterCount = net.parameterCount();
   }
 
+  /// This rank's slice of the net's parameter store (Comm::slice).
+  static nn::AdamW::Slice ownSlice(const parallel::Comm& c, nqs::QiankunNet& net) {
+    const parallel::Comm::Slice s = c.slice(net.values().size());
+    return {static_cast<Index>(s.lo), static_cast<Index>(s.hi)};
+  }
+
   /// Resume: restore every piece of loop state a checkpoint carries, the
   /// energy-history prefix included; returns the iteration to continue from.
-  /// The per-iteration sampler streams are keyed on (opts.seed, iter) alone,
-  /// so the continued trajectory is bit-identical to the uninterrupted run.
+  /// The moments are stored whole, so this rank keeps its slice whatever
+  /// rank count wrote the image.  The per-iteration sampler streams are
+  /// keyed on (opts.seed, iter) alone, so the continued trajectory is
+  /// bit-identical to the uninterrupted run.
   int restore(const io::CheckpointReader& ckpt) {
     io::loadNet(ckpt, net);
     io::loadOptimizer(ckpt, optimizer);
@@ -78,10 +88,20 @@ struct RankLoop {
 
   /// Checkpoint exactly the state iteration `iterNext` starts from (after
   /// the optimizer step, N_s update and byte bookkeeping of iterNext - 1).
+  /// Collective: every rank allgathers its moment slices into whole moments,
+  /// and rank 0 writes them.
   void save(int iterNext) {
+    const std::size_t n = net.values().size();
+    const nn::AdamW::Slice own = optimizer.slice();
+    std::vector<Real> m(n), v(n);
+    std::copy(optimizer.moments1().begin(), optimizer.moments1().end(), m.begin() + own.lo);
+    std::copy(optimizer.moments2().begin(), optimizer.moments2().end(), v.begin() + own.lo);
+    comm.allGatherSlices(m.data(), n);
+    comm.allGatherSlices(v.data(), n);
+    if (comm.rank() != 0) return;
     io::CheckpointWriter w;
     io::addNet(w, net);
-    io::addOptimizer(w, optimizer);
+    io::addOptimizer(w, optimizer, m, v);
     w.addU64("vmc.seed", opts.seed);
     w.addU64("vmc.iterNext", static_cast<std::uint64_t>(iterNext));
     w.addU64("vmc.nsCurrent", nsCurrent);
@@ -225,12 +245,17 @@ struct RankLoop {
     phases.gradient += t.seconds();
   }
 
-  /// Stage 6: allreduce the net's gradient buffer in place, then the
-  /// identical AdamW step over it.
+  /// Stage 6, sharded: reduce-scatter the net's gradient buffer (this
+  /// rank's slice gets the rank-ordered sums, the rest +0.0, so Stage 5
+  /// accumulates from zero next iteration), step AdamW on this rank's slice,
+  /// then allgather every rank's new slice of the value buffer.  AdamW is
+  /// elementwise, so every rank holds the bits one whole-store step gives.
   void step(int iter) {
     const Timer t;
-    comm.allReduceSum(net.gradients());
+    const std::span<Real> grads = net.gradients(), values = net.values();
+    comm.reduceScatterSum(grads.data(), grads.size());
     optimizer.step(schedule.lr(iter + 1));
+    comm.allGatherSlices(values.data(), values.size());
     phases.gradient += t.seconds();
   }
 
@@ -243,6 +268,8 @@ struct RankLoop {
   // The sweep engine persists across iterations: its decode arena, frontier
   // blocks and output set keep their capacity.
   nqs::BasSweepEngine sampler;
+  // Steps and holds moments for this rank's slice of the store only
+  // (optimizer-state partitioning, Rajbhandari et al., arXiv:1910.02054).
   nn::AdamW optimizer;
   const nn::NoamSchedule schedule;
   // N_s schedule position (paper §4.1); runVmc grows it from the gathered
@@ -336,11 +363,10 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
 
       res.energyHistory[static_cast<std::size_t>(iter)] = loop.eMean.real();
       res.nUnique = loop.lut.size();
-      // Periodic checkpoint (rank 0; every rank holds identical state, so one
-      // writer suffices); the atomic save keeps the previous file intact on a
+      // Periodic checkpoint: every rank contributes its moment slices, and
+      // rank 0 writes; the atomic save keeps the previous file intact on a
       // crash.
-      if (opts.checkpointEvery > 0 && comm.rank() == 0 &&
-          (iter + 1) % opts.checkpointEvery == 0)
+      if (opts.checkpointEvery > 0 && (iter + 1) % opts.checkpointEvery == 0)
         loop.save(iter + 1);
       // The non-batched engines zero ElocStats, so their fields print 0.
       if (comm.rank() == 0 && opts.logEvery > 0 && iter % opts.logEvery == 0)

@@ -59,9 +59,11 @@ struct VmcOptions {
   std::size_t rankTileSize = 64;
 
   // --- Checkpointing (io/checkpoint.hpp) ------------------------------------
-  /// Write a checkpoint after every k-th iteration (0 = never).  Rank 0
-  /// writes; the atomic tmp+rename publish means a crash mid-write leaves the
-  /// previous checkpoint intact.  Requires a non-empty checkpointPath.
+  /// Write a checkpoint after every k-th iteration (0 = never).  Every rank
+  /// contributes its slice of the optimizer moments and rank 0 writes them
+  /// whole, so the image resumes at any rank count; the atomic tmp+rename
+  /// publish means a crash mid-write leaves the previous checkpoint intact.
+  /// Requires a non-empty checkpointPath.
   int checkpointEvery = 0;
   /// Destination file of periodic checkpoints (overwritten in place).
   std::string checkpointPath;
@@ -112,12 +114,16 @@ struct VmcResult {
 /// energies on a term-balanced chunk of the gathered set (one AllgatherV of
 /// (E_loc, term count) records routes every sample's values back, so every
 /// rank sees its own samples' energies and the cost model every sample's
-/// terms), 4) Allreduce energy, 5) backward on the own chunk, 6) Allreduce
-/// the net's one gradient buffer in place (under the thread backend each
-/// rank sums one slice of every rank's buffer) + the identical AdamW step
-/// everywhere (one kernels::adamw call over the flat parameter store,
-/// zeroing the gradients in the same pass).  Each rank runs the stages as
-/// functions over buffers it keeps across iterations.
+/// terms), 4) Allreduce energy, 5) backward on the own chunk, 6) the sharded
+/// optimizer step: a reduce-scatter of the net's one gradient buffer in
+/// place (rank q gets the rank-ordered sums of its Comm::slice, +0.0
+/// elsewhere), one kernels::adamw call over that slice alone (its moments
+/// are the only ones the rank holds; the gradients are zeroed in the same
+/// pass), then an allgather of every rank's new slice of the value buffer.
+/// AdamW is elementwise, so every rank ends with the bits of one whole-store
+/// step, and Stage 6 receives 2 * 8 * M bytes per rank as an allreduce
+/// would.  Each rank runs the stages as functions over buffers it keeps
+/// across iterations.
 ///
 /// Every rank returns an identical VmcResult (all collectives are
 /// rank-order-deterministic); under MPI each process returns its own copy.

@@ -351,3 +351,59 @@ TEST(Ansatz, AdamWStepMatchesPlainLoopBitForBit) {
     }
   }
 }
+
+TEST(Ansatz, AdamWSlicesMatchOneWholeStoreStep) {
+  // Stage 6's sharded step: three optimizers stepping the slices [0, a),
+  // [a, b) and [b, n) of one net's store, which cut through parameters, give
+  // the values and moments of one whole-store optimizer on a twin net, bit
+  // for bit, over several steps.  Each slice's step zeroes exactly its own
+  // gradients and leaves every other element of the store alone.
+  QiankunNet whole(smallConfig(8, 2, 2)), sharded(smallConfig(8, 2, 2));
+  const auto n = static_cast<std::size_t>(whole.parameterCount());
+  const std::size_t a = n / 3 + 7, b = 2 * n / 3 - 5;
+  nn::AdamWOptions o;
+  o.lr = 2e-3;
+  nn::AdamW wholeOpt(whole.parameters(), o);
+  std::vector<nn::AdamW> sliceOpts;
+  const std::size_t bounds[] = {0, a, b, n};
+  for (int k = 0; k < 3; ++k)
+    sliceOpts.emplace_back(sharded.parameters(), o,
+                           nn::AdamW::Slice{static_cast<Index>(bounds[k]),
+                                            static_cast<Index>(bounds[k + 1])});
+  const auto bits = [](Real x) { return std::bit_cast<std::uint64_t>(x); };
+  Rng rng(29);
+  for (long t = 1; t <= 4; ++t) {
+    const Real lrScale = 0.25 * static_cast<Real>(t);
+    for (std::size_t i = 0; i < n; ++i)
+      whole.gradients()[i] = sharded.gradients()[i] = 1e-2 * rng.normal();
+    wholeOpt.step(lrScale);
+    for (int k = 0; k < 3; ++k) {
+      const std::vector<Real> valuesBefore(sharded.values().begin(), sharded.values().end());
+      const std::vector<Real> gradsBefore(sharded.gradients().begin(),
+                                          sharded.gradients().end());
+      sliceOpts[static_cast<std::size_t>(k)].step(lrScale);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i >= bounds[k] && i < bounds[k + 1]) {
+          ASSERT_EQ(bits(sharded.gradients()[i]), 0u) << "slice " << k << ", element " << i;
+        } else {
+          ASSERT_EQ(bits(sharded.gradients()[i]), bits(gradsBefore[i]))
+              << "slice " << k << " touched gradient " << i;
+          ASSERT_EQ(bits(sharded.values()[i]), bits(valuesBefore[i]))
+              << "slice " << k << " touched value " << i;
+        }
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(bits(sharded.values()[i]), bits(whole.values()[i])) << i << " step " << t;
+    for (int k = 0; k < 3; ++k) {
+      const nn::AdamW& sliceOpt = sliceOpts[static_cast<std::size_t>(k)];
+      ASSERT_EQ(sliceOpt.moments1().size(), bounds[k + 1] - bounds[k]);
+      for (std::size_t i = 0; i < sliceOpt.moments1().size(); ++i) {
+        ASSERT_EQ(bits(sliceOpt.moments1()[i]), bits(wholeOpt.moments1()[bounds[k] + i]))
+            << "slice " << k << ", element " << i << " step " << t;
+        ASSERT_EQ(bits(sliceOpt.moments2()[i]), bits(wholeOpt.moments2()[bounds[k] + i]))
+            << "slice " << k << ", element " << i << " step " << t;
+      }
+    }
+  }
+}

@@ -222,6 +222,53 @@ TEST(Checkpoint, OptimizerStateRoundTrips) {
     EXPECT_TRUE(bitIdentical(values(*pb[k]), values(*pa[k]))) << pa[k]->name;
 }
 
+TEST(Checkpoint, OptimizerMomentsAreStoredWholeAndLoadIntoAnySlice) {
+  // A sliced optimizer's image is written from the whole store's moments
+  // (its ranks' slices, gathered) and reads back into any slicing: at P = 2
+  // and P = 3 each rank's optimizer keeps exactly its slice of the whole
+  // moments, and the gathered slices re-save the image byte for byte.
+  nqs::QiankunNet net(smallConfig(53));
+  nn::AdamW whole(net.parameters());
+  Rng rng(4);
+  for (int it = 0; it < 3; ++it) {
+    for (Real& g : net.gradients()) g = rng.normal();
+    whole.step();
+  }
+  CheckpointWriter w;
+  addOptimizer(w, whole);
+  const std::vector<std::uint8_t> image = w.serialize();
+  const CheckpointReader r(image);
+  const auto n = static_cast<std::size_t>(whole.storeSize());
+  for (const std::size_t p : {2u, 3u}) {
+    std::vector<Real> m(n), v(n);
+    for (std::size_t q = 0; q < p; ++q) {
+      const nn::AdamW::Slice s{static_cast<Index>(n * q / p), static_cast<Index>(n * (q + 1) / p)};
+      nn::AdamW part(net.parameters(), {}, s);
+      loadOptimizer(r, part);
+      EXPECT_EQ(part.stepCount(), whole.stepCount());
+      const std::vector<Real> wantM(whole.moments1().begin() + s.lo,
+                                    whole.moments1().begin() + s.hi);
+      const std::vector<Real> wantV(whole.moments2().begin() + s.lo,
+                                    whole.moments2().begin() + s.hi);
+      EXPECT_TRUE(bitIdentical(part.moments1(), wantM)) << "P " << p << ", rank " << q;
+      EXPECT_TRUE(bitIdentical(part.moments2(), wantV)) << "P " << p << ", rank " << q;
+      std::copy(part.moments1().begin(), part.moments1().end(), m.begin() + s.lo);
+      std::copy(part.moments2().begin(), part.moments2().end(), v.begin() + s.lo);
+      if (q == 0) {
+        CheckpointWriter sliced;
+        EXPECT_THROW(addOptimizer(sliced, part), std::invalid_argument);
+        EXPECT_THROW(addOptimizer(sliced, part, part.moments1(), part.moments2()),
+                     std::invalid_argument);
+      }
+    }
+    nn::AdamW rank0(net.parameters(), {}, nn::AdamW::Slice{0, static_cast<Index>(n / p)});
+    loadOptimizer(r, rank0);
+    CheckpointWriter gathered;
+    addOptimizer(gathered, rank0, m, v);
+    EXPECT_EQ(gathered.serialize(), image) << "P " << p;
+  }
+}
+
 TEST(Checkpoint, AtomicSaveSurvivesSimulatedCrash) {
   nqs::QiankunNet a(smallConfig(61));
   const std::string path = ::testing::TempDir() + "/ckpt_atomic.bin";

@@ -129,6 +129,114 @@ TEST_P(CommBackendTest, AllReduceIsRankOrderDeterministic) {
   });
 }
 
+namespace {
+
+/// Rank `rank`'s contribution to element i: magnitudes that differ per rank,
+/// so the sum depends on its order.
+Real contribution(int rank, std::size_t i) {
+  return std::ldexp(1.0, -((rank * 11 + static_cast<int>(i % 1000) * 3) % 40)) +
+         1e-13 * static_cast<Real>(rank);
+}
+
+/// The lengths the slice collectives are checked at: empty, one element,
+/// one fewer than the ranks (so some ranks own an empty slice), an even and
+/// a ragged split.
+std::vector<std::size_t> sliceLengths(int ranks) {
+  return {0, 1, static_cast<std::size_t>(ranks - 1), 16, 100003};
+}
+
+std::uint64_t bits(Real x) { return std::bit_cast<std::uint64_t>(x); }
+
+}  // namespace
+
+TEST(CommSlice, SlicesTileTheBufferInRankOrder) {
+  for (const std::size_t n : {0u, 1u, 3u, 16u, 11317u, 100003u})
+    for (const int p : {1, 2, 3, 4, 7}) {
+      std::size_t next = 0;
+      for (int q = 0; q < p; ++q) {
+        const Comm::Slice s = Comm::slice(n, p, q);
+        EXPECT_EQ(s.lo, next) << "n " << n << ", p " << p << ", rank " << q;
+        EXPECT_EQ(s.hi, n * static_cast<std::size_t>(q + 1) / static_cast<std::size_t>(p));
+        next = s.hi;
+      }
+      EXPECT_EQ(next, n) << "n " << n << ", p " << p;
+    }
+}
+
+TEST_P(CommBackendTest, ReduceScatterSumsTheOwnSliceInRankOrder) {
+  // Inside its slice a rank reads the rank-ordered sum from +0.0, bit for
+  // bit (allReduceSum's contract); outside it reads +0.0, so the next
+  // gradient accumulates from zero.  Each call charges n * 8 bytes.
+  const auto world = makeTestWorld();
+  world->run([](Comm& comm) {
+    for (const std::size_t n : sliceLengths(comm.size())) {
+      std::vector<Real> v(n);
+      for (std::size_t i = 0; i < n; ++i) v[i] = contribution(comm.rank(), i);
+      comm.resetByteCounter();
+      comm.reduceScatterSum(v.data(), n);
+      EXPECT_EQ(comm.bytesCommunicated(), n * 8) << "n = " << n;
+      const Comm::Slice own = comm.slice(n);
+      std::size_t wrong = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        Real expect = 0.0;
+        if (i >= own.lo && i < own.hi)
+          for (int r = 0; r < comm.size(); ++r) expect += contribution(r, i);
+        if (bits(v[i]) != bits(expect) && wrong++ == 0)
+          ADD_FAILURE() << "n = " << n << ": element " << i << " is " << v[i] << ", not "
+                        << expect << " (slice [" << own.lo << ", " << own.hi << "))";
+      }
+      EXPECT_EQ(wrong, 0u) << "n = " << n;
+    }
+    // Every contribution -0.0: the sum from +0.0 is +0.0 (a sum seeded with
+    // the first contribution would be -0.0), and so is every other element.
+    std::vector<Real> zeros(16, -0.0);
+    comm.reduceScatterSum(zeros.data(), zeros.size());
+    for (const Real x : zeros) EXPECT_EQ(bits(x), 0u);
+  });
+}
+
+TEST_P(CommBackendTest, AllGatherSlicesCopiesEachOwnersSlice) {
+  // Every rank fills its whole buffer with its own values; afterwards
+  // element i holds the value of the rank whose slice holds i, on every rank.
+  const auto world = makeTestWorld();
+  world->run([](Comm& comm) {
+    for (const std::size_t n : sliceLengths(comm.size())) {
+      std::vector<Real> v(n);
+      for (std::size_t i = 0; i < n; ++i) v[i] = contribution(comm.rank(), i);
+      comm.resetByteCounter();
+      comm.allGatherSlices(v.data(), n);
+      EXPECT_EQ(comm.bytesCommunicated(), n * 8) << "n = " << n;
+      std::size_t wrong = 0;
+      for (int owner = 0; owner < comm.size(); ++owner) {
+        const Comm::Slice s = Comm::slice(n, comm.size(), owner);
+        for (std::size_t i = s.lo; i < s.hi; ++i)
+          if (bits(v[i]) != bits(contribution(owner, i)) && wrong++ == 0)
+            ADD_FAILURE() << "n = " << n << ": element " << i << " is not rank " << owner
+                          << "'s value";
+      }
+      EXPECT_EQ(wrong, 0u) << "n = " << n;
+    }
+  });
+}
+
+TEST_P(CommBackendTest, ReduceScatterThenAllGatherIsTheAllReduce) {
+  // The two legs in sequence give allReduceSum's bits and bytes.
+  const auto world = makeTestWorld();
+  world->run([](Comm& comm) {
+    const std::size_t n = 1001;
+    std::vector<Real> legs(n), whole(n);
+    for (std::size_t i = 0; i < n; ++i) legs[i] = whole[i] = contribution(comm.rank(), i);
+    comm.resetByteCounter();
+    comm.reduceScatterSum(legs.data(), n);
+    comm.allGatherSlices(legs.data(), n);
+    const std::uint64_t legBytes = comm.bytesCommunicated();
+    comm.resetByteCounter();
+    comm.allReduceSum(whole.data(), n);
+    EXPECT_EQ(legBytes, comm.bytesCommunicated());
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(bits(legs[i]), bits(whole[i])) << i;
+  });
+}
+
 TEST_P(CommBackendTest, ScalarAndSpanAllReduce) {
   const auto world = makeTestWorld();
   world->run([](Comm& comm) {
@@ -250,6 +358,31 @@ TEST(ThreadComm, AllReduceRejectsMismatchedLengths) {
   EXPECT_EQ(rejected.load(), 4);
   for (const auto& v : bufs)
     for (Real x : v) EXPECT_EQ(x, 1.0);
+}
+
+TEST(ThreadComm, SliceCollectivesRejectMismatchedLengths) {
+  // As allReduceSum: every rank throws, none waits in a barrier, and no
+  // buffer changes.
+  using Collective = void (Comm::*)(Real*, std::size_t);
+  for (const Collective collective : {&Comm::reduceScatterSum, &Comm::allGatherSlices}) {
+    ThreadWorld world(4);
+    std::atomic<int> rejected{0};
+    std::array<std::vector<Real>, 4> bufs;
+    EXPECT_THROW(world.run([&](Comm& comm) {
+      auto& v = bufs[static_cast<std::size_t>(comm.rank())];
+      v.assign(comm.rank() == 1 ? 9u : 8u, 1.0 + comm.rank());
+      try {
+        (comm.*collective)(v.data(), v.size());
+      } catch (const std::invalid_argument&) {
+        rejected.fetch_add(1);
+        throw;
+      }
+    }),
+                 std::invalid_argument);
+    EXPECT_EQ(rejected.load(), 4);
+    for (std::size_t r = 0; r < bufs.size(); ++r)
+      for (Real x : bufs[r]) EXPECT_EQ(x, 1.0 + static_cast<Real>(r));
+  }
 }
 
 TEST(ThreadComm, ThisProcessHostsRankZero) {

@@ -309,6 +309,31 @@ TEST(AdamW, RejectsParametersOutsideOneFlatStore) {
   EXPECT_THROW(AdamW{params}, std::invalid_argument);
 }
 
+TEST(AdamW, ASliceHoldsOnlyItsOwnMoments) {
+  // A slice [lo, hi) of the store holds hi - lo moments, and restoreState
+  // takes exactly that many; slices outside the store are rejected.
+  Parameter p({10}, "x");
+  const AdamW whole({&p});
+  EXPECT_FALSE(whole.sliced());
+  EXPECT_EQ(whole.moments1().size(), 10u);
+  AdamW opt({&p}, {}, AdamW::Slice{3, 7});
+  EXPECT_TRUE(opt.sliced());
+  EXPECT_EQ(opt.storeSize(), 10);
+  EXPECT_EQ(opt.moments1().size(), 4u);
+  EXPECT_EQ(opt.moments2().size(), 4u);
+  EXPECT_THROW(opt.restoreState(std::vector<Real>(10), std::vector<Real>(10), 1),
+               std::invalid_argument);
+  EXPECT_THROW(opt.restoreState(std::vector<Real>(4), std::vector<Real>(3), 1),
+               std::invalid_argument);
+  EXPECT_NO_THROW(opt.restoreState(std::vector<Real>(4, 0.5), std::vector<Real>(4, 0.25), 2));
+  EXPECT_EQ(opt.moments1()[3], 0.5);
+  EXPECT_EQ(opt.stepCount(), 2);
+  EXPECT_FALSE((AdamW{{&p}, {}, AdamW::Slice{0, 10}}.sliced()));
+  EXPECT_EQ((AdamW{{&p}, {}, AdamW::Slice{4, 4}}.moments1().size()), 0u);
+  for (const AdamW::Slice bad : {AdamW::Slice{-1, 3}, AdamW::Slice{5, 3}, AdamW::Slice{3, 11}})
+    EXPECT_THROW((AdamW{{&p}, {}, bad}), std::invalid_argument) << bad.lo << ", " << bad.hi;
+}
+
 TEST(NoamSchedule, WarmupShape) {
   NoamSchedule sched(16, 100);
   // Rises during warmup, falls after.
