@@ -393,13 +393,49 @@ void BM_LinearGemm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * rows * in * out);
 }
 // Args: impl (-1 = historical naive loop, 0 = scalar reference, 1 = SIMD,
-// 2 = SIMD + OpenMP row blocks), rows, in, out.
+// 2 = SIMD + OpenMP row blocks), rows, in, out.  The decode shapes, then the
+// phase MLP's 512 -> 512 layer at the few rows of late training (N_u per
+// rank) up to a training tile: both sides of the GEMM's pack-free row cutoff.
 BENCHMARK(BM_LinearGemm)
     ->Args({-1, 256, 64, 192})->Args({0, 256, 64, 192})->Args({1, 256, 64, 192})->Args({2, 256, 64, 192})
     ->Args({-1, 256, 64, 64})->Args({1, 256, 64, 64})
     ->Args({-1, 256, 64, 256})->Args({1, 256, 64, 256})
     ->Args({-1, 256, 256, 64})->Args({1, 256, 256, 64})
-    ->Args({-1, 4096, 64, 192})->Args({1, 4096, 64, 192})->Args({2, 4096, 64, 192});
+    ->Args({-1, 4096, 64, 192})->Args({1, 4096, 64, 192})->Args({2, 4096, 64, 192})
+    ->ArgsProduct({{1}, {1, 3, 8, 16, 64}, {512}, {512}});
+
+// Linear's input gradient dX = dY W (plain B: W [out, in] read row by row)
+// at the phase layer's shapes.  Args: impl (as BM_LinearGemm), rows, in, out.
+void BM_LinearGemmDx(benchmark::State& state) {
+  const auto policy = kernelArg(state.range(0));
+  const auto rows = static_cast<Index>(state.range(1));
+  const auto in = static_cast<Index>(state.range(2));
+  const auto out = static_cast<Index>(state.range(3));
+  Rng rng(31);
+  std::vector<Real> dy(static_cast<std::size_t>(rows * out));
+  std::vector<Real> w(static_cast<std::size_t>(out * in));
+  std::vector<Real> dx(static_cast<std::size_t>(rows * in));
+  for (auto& v : dy) v = rng.normal();
+  for (auto& v : w) v = rng.normal();
+  nn::kernels::GemmArgs g;
+  g.m = rows;
+  g.n = in;
+  g.k = out;
+  g.a = dy.data();
+  g.lda = out;
+  g.b = w.data();
+  g.ldb = in;
+  g.c = dx.data();
+  g.ldc = in;
+  for (auto _ : state) {
+    nn::kernels::gemm(g, policy);
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * rows * in * out);
+  state.SetLabel(nn::kernels::kernelPolicyName(policy));
+}
+BENCHMARK(BM_LinearGemmDx)->ArgsProduct({{1}, {1, 3, 8, 16, 64}, {512}, {512}});
 
 // Training-side GEMM: the dW += dY^T X accumulation (transA, accumulate),
 // which used to be a serial loop in Linear::backward.

@@ -30,8 +30,9 @@ namespace nnqs::nn::kernels {
 /// so every KernelPolicy backend produces exactly the naive loop's bits.
 /// k-strip blocking is allowed: flushing a register accumulator to C and
 /// resuming from the stored value is exact, so strips preserve the per-element
-/// operation sequence.  Packed B panels are pure copies (zero-padded lanes
-/// are never stored), so packing cannot perturb results either.
+/// operation sequence.  B is either packed into panels (pure copies) or,
+/// for few-row problems, read in place, and both are pure reads of the same
+/// elements B[l,j], so the choice cannot perturb results either.
 struct GemmArgs {
   Index m = 0, n = 0, k = 0;
   const Real* a = nullptr;

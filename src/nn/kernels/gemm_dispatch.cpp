@@ -1,8 +1,8 @@
-// GEMM policy resolution and the blocked driver over the packed-panel
-// micro-kernels: C initialization (bias / accumulate / zero), k-strip
-// blocking with per-strip B packing, and the OpenMP tiling loop over row
-// blocks (disjoint C rows, so the threaded backend is trivially
-// bit-identical).
+// GEMM policy resolution and the blocked driver over the panel micro-
+// kernels: C initialization (bias / accumulate / zero), k-strip blocking,
+// B packed per strip or, for few-row problems, read in place, and the OpenMP
+// tiling loop over (row block, panel) tiles (disjoint C sub-blocks, so the
+// threaded backend is trivially bit-identical).
 
 #include <algorithm>
 #include <cassert>
@@ -32,6 +32,15 @@ constexpr Index kKc = 384;
 /// block re-reads its packed panel from L2 while the A rows stay hot.
 constexpr Index kMc = 64;
 
+/// At or below this many rows, B is read in place instead of packed.  The
+/// sweep reads each B element once per MR = 4 row block, so for one or two
+/// blocks packing (a full copy of B, on the calling thread, every call)
+/// costs more than the strided loads or gathers it saves.  BM_LinearGemm
+/// and BM_LinearGemmDx at the phase MLP's 512 x 512 layer set the value:
+/// in place wins both at 1-8 rows, ties the gathered forward at 16 and
+/// loses it 1.9x at 64.
+constexpr Index kInPlaceRows = 8;
+
 /// C[i,j] = init_ij: bias row, untouched accumulator, or zero.  cZeroed
 /// callers already hold a value-initialized C, so re-zeroing it here was a
 /// pure double fill (and a bias-mode destination, such as an uninitialized
@@ -46,36 +55,36 @@ void initC(const GemmArgs& g) {
   }
 }
 
-/// The blocked path shared by kSimd and kThreaded: pack each k-strip of B
-/// into zero-padded nr-wide panels, then sweep row blocks x panels.
+/// The blocked path shared by kSimd and kThreaded: per k-strip, pack B into
+/// nr-wide panels (or, for few rows, view it in place), then sweep row
+/// blocks x panels.
 void gemmBlocked(const GemmArgs& g, const detail::KernelTable& tier, bool threaded) {
   const Index nr = tier.gemmNr;
   const Index nPanels = (g.n + nr - 1) / nr;
   const Index rowBlocks = (g.m + kMc - 1) / kMc;
+  const bool inPlace = g.m <= kInPlaceRows;
   // Per-thread scratch reused across calls: the decode path runs 4+ Linears
   // per layer per step, and a fresh zero-filled allocation each time would be
-  // exactly the per-step churn this backend exists to remove.  The pack loop
-  // below overwrites every element it uses (valid lanes and padding alike),
-  // so stale contents are harmless.  OpenMP workers only *read* the packed
-  // panels; packing happens on the calling thread.
+  // exactly the per-step churn this backend exists to remove.  Kernels read
+  // only the lanes the pack loop below wrote, so stale contents are
+  // harmless.  OpenMP workers only *read* the packed panels; packing happens
+  // on the calling thread.
   static thread_local std::vector<Real> packedScratch;
   const auto need = static_cast<std::size_t>(nPanels * nr * std::min(kKc, g.k));
-  if (packedScratch.size() < need) packedScratch.resize(need);
-  std::vector<Real>& packed = packedScratch;
+  if (!inPlace && packedScratch.size() < need) packedScratch.resize(need);
+  Real* const packed = packedScratch.data();  // the calling thread's scratch
 
   for (Index l0 = 0; l0 < g.k; l0 += kKc) {
     const Index lc = std::min(kKc, g.k - l0);
-    // Pack: pure copies into [lc][nr] panels, lanes >= w zero-padded.
-    for (Index p = 0; p < nPanels; ++p) {
-      const Index j0 = p * nr;
-      const Index w = std::min(nr, g.n - j0);
-      Real* bp = packed.data() + p * lc * nr;
-      for (Index l = 0; l < lc; ++l) {
-        Real* row = bp + l * nr;
-        for (Index jj = 0; jj < w; ++jj) row[jj] = detail::gemmB(g, l0 + l, j0 + jj);
-        for (Index jj = w; jj < nr; ++jj) row[jj] = 0.0;
+    // Pack: pure copies into [lc][nr] panels; lanes >= w stay unwritten.
+    if (!inPlace)
+      for (Index p = 0; p < nPanels; ++p) {
+        const Index j0 = p * nr;
+        const Index w = std::min(nr, g.n - j0);
+        Real* bp = packed + p * lc * nr;
+        for (Index l = 0; l < lc; ++l)
+          for (Index jj = 0; jj < w; ++jj) bp[l * nr + jj] = detail::gemmB(g, l0 + l, j0 + jj);
       }
-    }
     // Sweep: a tile = (row block, panel) owns a disjoint C sub-block, so
     // tiles parallelize freely; flattening both dimensions keeps tall-skinny
     // problems (few row blocks, many panels — the matmulTN Gram shapes) and
@@ -86,8 +95,10 @@ void gemmBlocked(const GemmArgs& g, const detail::KernelTable& tier, bool thread
       const Index ib = t / nPanels, p = t % nPanels;
       const Index i0 = ib * kMc;
       const Index j0 = p * nr;
-      tier.gemmPanel(g, i0, std::min(kMc, g.m - i0), l0, lc,
-                     packed.data() + p * lc * nr, j0, std::min(nr, g.n - j0));
+      const detail::PanelB b = !inPlace ? detail::PanelB{packed + p * lc * nr, nr, 1}
+                               : g.transB ? detail::PanelB{g.b + j0 * g.ldb + l0, 1, g.ldb}
+                                          : detail::PanelB{g.b + l0 * g.ldb + j0, g.ldb, 1};
+      tier.gemmPanel(g, i0, std::min(kMc, g.m - i0), l0, lc, b, j0, std::min(nr, g.n - j0));
     }
   }
 }

@@ -1,7 +1,7 @@
 // Scalar GEMM backends: the naive reference loop that defines the arithmetic
-// contract (gemm.hpp), and the scalar packed-panel micro-kernel used both as
-// the no-SIMD fallback of the blocked driver and as the ground truth for the
-// packed loop structure.  Compiled with -ffp-contract=off like the rest of
+// contract (gemm.hpp), and the scalar panel micro-kernel used both as the
+// no-SIMD fallback of the blocked driver and as the ground truth for its
+// loop structure.  Compiled with -ffp-contract=off like the rest of
 // the library.
 
 #include "nn/kernels/gemm_micro.hpp"
@@ -21,13 +21,13 @@ void gemmScalarRef(const GemmArgs& g) {
 }
 
 void scalarPanel(const GemmArgs& g, Index i0, Index mc, Index l0, Index lc,
-                 const Real* bp, Index j0, Index w) {
+                 PanelB b, Index j0, Index w) {
   for (Index i = i0; i < i0 + mc; ++i) {
     Real* ci = g.c + i * g.ldc + j0;
     for (Index jj = 0; jj < w; ++jj) {
       Real s = ci[jj];
       for (Index l = 0; l < lc; ++l)
-        s += gemmA(g, i, l0 + l) * bp[l * kScalarNr + jj];
+        s += gemmA(g, i, l0 + l) * b.p[l * b.kStride + jj * b.laneStride];
       ci[jj] = s;
     }
   }

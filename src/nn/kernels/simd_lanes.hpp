@@ -4,9 +4,10 @@
 // as a template on the lane type and built per ISA: Lanes4 over __m256d /
 // __m256i (AVX2, simd_avx2.cpp) and Lanes8 over __m512d / __m512i
 // (AVX-512F+DQ, simd_avx512.cpp).  Both expose the same static operations:
-//   - doubles: zero, set1, load/store (whole, or the first n lanes), add,
-//     sub, mul, div, sqrt, max, abs, copysign, the lane selects keepFirst
-//     and keepGreater, a max reduction, round-to-nearest and 2^n;
+//   - doubles: zero, set1, load/store (whole, or the first n lanes), a
+//     strided gather of the first n lanes, add, sub, mul, div, sqrt, max,
+//     abs, copysign, the lane selects keepFirst and keepGreater, a max
+//     reduction, round-to-nearest and 2^n;
 //   - 64-bit integers (the batched parity kernel): load, store, and, xor
 //     and a logical right shift;
 // and contractExp<S> below builds the kernel exp from them.  Every
@@ -50,6 +51,11 @@ struct Lanes4 {
   static V loadFirst(const Real* p, Index n) { return _mm256_maskload_pd(p, mask(n)); }
   /// Store lanes [0, n) only.
   static void storeFirst(Real* p, V v, Index n) { _mm256_maskstore_pd(p, mask(n), v); }
+  /// Lane l < n from p[l * stride], the rest +0.0; nothing else is read.
+  static V gatherFirst(const Real* p, Index stride, Index n) {
+    const I idx = _mm256_setr_epi64x(0, stride, 2 * stride, 3 * stride);
+    return _mm256_mask_i64gather_pd(zero(), p, idx, _mm256_castsi256_pd(mask(n)), 8);
+  }
   static V add(V a, V b) { return _mm256_add_pd(a, b); }
   static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
   static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
@@ -114,6 +120,11 @@ struct Lanes8 {
   static void store(Real* p, V v) { _mm512_storeu_pd(p, v); }
   static V loadFirst(const Real* p, Index n) { return _mm512_maskz_loadu_pd(mask(n), p); }
   static void storeFirst(Real* p, V v, Index n) { _mm512_mask_storeu_pd(p, mask(n), v); }
+  static V gatherFirst(const Real* p, Index stride, Index n) {
+    const I idx = _mm512_mullo_epi64(_mm512_set1_epi64(stride),
+                                     _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
+    return _mm512_mask_i64gather_pd(zero(), mask(n), idx, p, 8);
+  }
   static V add(V a, V b) { return _mm512_add_pd(a, b); }
   static V sub(V a, V b) { return _mm512_sub_pd(a, b); }
   static V mul(V a, V b) { return _mm512_mul_pd(a, b); }

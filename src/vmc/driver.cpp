@@ -5,6 +5,8 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <optional>
+#include <string>
 
 #include "common/logging.hpp"
 #include "common/timer.hpp"
@@ -209,8 +211,9 @@ struct RankLoop {
 
   /// Stage 4: allreduce the weighted energy moments of the own samples.
   /// Reading them from the routed global array keeps the summation order
-  /// the per-rank local order.
-  void reduceEnergy() {
+  /// the per-rank local order.  A non-finite energy or variance stops the
+  /// run before Stage 5 turns it into loss seeds.
+  void reduceEnergy(int iter) {
     const Timer t;
     const Complex* eloc = globalEloc.data() + ownOffset;
     std::array<Real, 3> acc{0, 0, 0};  // sum w*Re(E), sum w*Im(E), sum w*|E|^2
@@ -223,7 +226,27 @@ struct RankLoop {
     comm.allReduceSum(std::span<Real>(acc));
     eMean = {acc[0] / wTot, acc[1] / wTot};
     res.variance = acc[2] / wTot - std::norm(eMean);
+    if (!std::isfinite(eMean.real()) || !std::isfinite(eMean.imag()) ||
+        !std::isfinite(res.variance))
+      throwNonFiniteEnergy(iter, eloc);
     phases.other += t.seconds();
+  }
+
+  /// Stage 4's guard: name the stage, the iteration, this rank and its first
+  /// own sample whose E_loc is not finite, found by a scan made only here.
+  [[noreturn]] void throwNonFiniteEnergy(int iter, const Complex* eloc) const {
+    std::optional<Bits128> bad;
+    for (std::size_t i = 0; i < local->nUnique() && !bad; ++i)
+      if (!std::isfinite(eloc[i].real()) || !std::isfinite(eloc[i].imag()))
+        bad = local->samples[i];
+    const std::string stage = "stage 4 (energy reduce)";
+    const std::string where = stage + ", iteration " + std::to_string(iter) + ", rank " +
+                              std::to_string(comm.rank());
+    throw NumericalError("runVmc: non-finite energy or variance at " + where + "; " +
+                             (bad ? "first own sample with a non-finite E_loc: " +
+                                        toBitString(*bad, hamiltonian.nQubits)
+                                  : std::string("no own sample has a non-finite E_loc")),
+                         stage, iter, comm.rank(), bad);
   }
 
   /// Stage 5: backward on the own samples.  The loss seeds depend only on
@@ -345,7 +368,7 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
       loop.sample(iter);
       loop.gather();
       loop.localEnergies();
-      loop.reduceEnergy();
+      loop.reduceEnergy(iter);
       loop.backward();
       loop.step(iter);
 

@@ -1,6 +1,10 @@
 #pragma once
 
 #include <functional>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "exec/policy.hpp"
 #include "nqs/sampler.hpp"
@@ -107,6 +111,25 @@ struct VmcResult {
   Index parameterCount = 0;
 };
 
+/// A non-finite value where the VMC loop needs a finite one: the run stops
+/// instead of feeding it to the loss seeds and the optimizer.  The checked
+/// values are allreduced, so every rank throws at the same stage and
+/// iteration, and none waits in a collective for a rank that left.
+class NumericalError : public std::runtime_error {
+ public:
+  NumericalError(const std::string& what, std::string stage_, int iteration_, int rank_,
+                 std::optional<Bits128> sample_)
+      : std::runtime_error(what), stage(std::move(stage_)), iteration(iteration_),
+        rank(rank_), sample(sample_) {}
+
+  std::string stage;  ///< the loop stage whose check failed
+  int iteration;
+  int rank;  ///< the rank that threw
+  /// That rank's first own sample with a non-finite value; empty when none
+  /// of its own samples has one.
+  std::optional<Bits128> sample;
+};
+
 /// Run the 6-stage data-centric VMC of the paper on the comm backend selected
 /// by opts.exec.comm (thread ranks by default; real MPI under NNQS_WITH_MPI):
 /// 1) parallel BAS (the sweep itself yields ln|Psi|, so only the phase MLP
@@ -128,8 +151,10 @@ struct VmcResult {
 /// Every rank returns an identical VmcResult (all collectives are
 /// rank-order-deterministic); under MPI each process returns its own copy.
 /// Throws std::invalid_argument for an empty run (iterations < 1 or
-/// nSamplesInitial < 1), which has no energy to report, and io::SchemaError
-/// for a resume checkpoint that would continue one (vmc.nsCurrent of 0).
+/// nSamplesInitial < 1), which has no energy to report, io::SchemaError
+/// for a resume checkpoint that would continue one (vmc.nsCurrent of 0), and
+/// NumericalError when Stage 4's allreduced energy or variance is not
+/// finite.
 VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
                  const nqs::QiankunNetConfig& netConfig, const VmcOptions& opts);
 

@@ -1,15 +1,20 @@
 // GEMM kernel backends: exact (tolerance-0) agreement between the naive
-// reference loop, the scalar packed path, and the SIMD/threaded blocked
-// backends of every ISA tier the host runs, over ragged/odd shapes, all
-// four operand layouts, bias /
-// accumulate init modes, empty rows, and the linalg::matmul / matmulTN and
-// Linear rewirings.
+// reference loop, the scalar blocked path, and the SIMD/threaded blocked
+// backends of every ISA tier the host runs, over ragged/odd shapes (few-row
+// ones, whose B is read in place, and packed ones), all four operand
+// layouts, bias / accumulate init modes, empty rows, and the linalg::matmul
+// / matmulTN and Linear rewirings.
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -27,11 +32,45 @@ using kernels::detail::KernelTable;
 
 namespace {
 
-/// A randomized GEMM problem owning its buffers; run() returns a fresh C.
+/// n Reals that end exactly where an unreadable page begins, so a kernel
+/// access past the last element faults in every build: ASan checks plain
+/// loads, but not the masked loads, stores and gathers of the SIMD tiers.
+class GuardedReals {
+ public:
+  explicit GuardedReals(std::size_t n) : n_(n) {
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    const std::size_t dataBytes = (n * sizeof(Real) + page - 1) / page * page;
+    bytes_ = dataBytes + page;
+    base_ = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base_ == MAP_FAILED) throw std::bad_alloc();
+    char* guard = static_cast<char*>(base_) + dataBytes;
+    if (mprotect(guard, page, PROT_NONE) != 0) throw std::bad_alloc();
+    p_ = reinterpret_cast<Real*>(guard) - n;
+  }
+  ~GuardedReals() { munmap(base_, bytes_); }
+  GuardedReals(const GuardedReals&) = delete;
+  GuardedReals& operator=(const GuardedReals&) = delete;
+
+  Real* data() { return p_; }
+  const Real* data() const { return p_; }
+  Real* begin() { return p_; }
+  Real* end() { return p_ + n_; }
+  Real operator[](std::size_t i) const { return p_[i]; }
+
+ private:
+  std::size_t n_;
+  std::size_t bytes_ = 0;
+  void* base_ = nullptr;
+  Real* p_ = nullptr;
+};
+
+/// A randomized GEMM problem owning exact-size operand buffers; run()
+/// returns a fresh C.
 struct Problem {
   Index m, n, k;
   bool transA, transB;
-  std::vector<Real> a, b, bias, c0;
+  GuardedReals a, b;
+  std::vector<Real> bias, c0;
 
   Problem(Index m_, Index n_, Index k_, bool ta, bool tb, Rng& rng)
       : m(m_), n(n_), k(k_), transA(ta), transB(tb),
@@ -47,7 +86,11 @@ struct Problem {
   [[nodiscard]] std::vector<Real> run(
       KernelPolicy policy, int mode,
       const KernelTable& tier = kernels::detail::hostKernels()) const {
-    std::vector<Real> c = mode == 2 ? c0 : std::vector<Real>(static_cast<std::size_t>(m * n), -7.0);
+    GuardedReals c(static_cast<std::size_t>(m * n));
+    if (mode == 2)
+      std::copy(c0.begin(), c0.end(), c.begin());
+    else
+      std::fill(c.begin(), c.end(), -7.0);
     GemmArgs g;
     g.m = m;
     g.n = n;
@@ -63,7 +106,7 @@ struct Problem {
     if (mode == 1) g.bias = bias.data();
     if (mode == 2) g.accumulate = true;
     kernels::detail::gemm(g, policy, tier);
-    return c;
+    return {c.begin(), c.end()};
   }
 
   /// Independent naive evaluation of the contract (not via the backend).
@@ -99,16 +142,23 @@ void expectSame(const std::vector<Real>& ref, const std::vector<Real>& got,
 TEST(Gemm, BackendsBitIdenticalOnRaggedShapes) {
   // Odd everything: panel tails (n mod 16 / mod 8), row-block and MR tails
   // (m mod 64 / mod 4), multi-strip k (> 384), and single rows/cols, on
-  // every ISA tier the host runs.
+  // every ISA tier the host runs.  Then the few-row problems on both sides
+  // of the in-place row cutoff (kInPlaceRows = 8 in gemm_dispatch.cpp): the
+  // phase MLP's 512-wide layers, its 512 -> 1 output and ragged panels, at
+  // one strip and across the strip boundary.  Every operand ends at an
+  // unreadable page, so a lane read past B's last column faults.
   Rng rng(2025);
   struct Shape {
     Index m, n, k;
   };
-  const Shape shapes[] = {
+  std::vector<Shape> shapes = {
       {1, 1, 1},    {1, 17, 5},   {4, 16, 8},    {5, 3, 7},
       {33, 21, 13}, {64, 192, 64}, {65, 15, 70}, {7, 130, 401},  // k > one strip
       {130, 7, 3},  {2, 8, 390},
   };
+  for (const Index m : {1, 3, 8, 9})
+    for (const Index n : {1, 17, 512})
+      for (const Index k : {14, 512}) shapes.push_back({m, n, k});
   for (const auto& s : shapes)
     for (const bool ta : {false, true})
       for (const bool tb : {false, true})

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <string>
 
 #include "chem/basis_set.hpp"
 #include "chem/geometry_library.hpp"
@@ -426,6 +428,39 @@ TEST(Vmc, ResumeRejectsAnEmptySampleCount) {
     ADD_FAILURE() << "expected SchemaError";
   } catch (const io::SchemaError& e) {
     EXPECT_NE(std::string(e.what()).find("vmc.nsCurrent"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Vmc, NonFiniteEnergyStopsTheRunAtStage4) {
+  // A NaN constant term makes every local energy NaN, so Stage 4's
+  // allreduced energy is NaN on every rank at iteration 0: every rank throws
+  // there, before any rank reaches a later collective, and the error names
+  // the stage, the iteration, the rank and a NaN sample of that rank.
+  System s = buildSystem("H2");
+  s.packed.constant = std::numeric_limits<Real>::quiet_NaN();
+  for (const int ranks : {1, 2}) {
+    VmcOptions opts;
+    opts.iterations = 3;
+    opts.nSamples = opts.nSamplesInitial = 1 << 10;
+    opts.nRanks = ranks;
+    int observed = 0;
+    opts.observer = [&](int, Real, std::size_t) { ++observed; };
+    try {
+      runVmc(s.packed, netCfg(s), opts);
+      ADD_FAILURE() << ranks << " rank(s): the run did not throw";
+    } catch (const NumericalError& e) {
+      EXPECT_EQ(e.stage, "stage 4 (energy reduce)");
+      EXPECT_EQ(e.iteration, 0);
+      EXPECT_GE(e.rank, 0);
+      EXPECT_LT(e.rank, ranks);
+      ASSERT_TRUE(e.sample.has_value()) << e.what();
+      EXPECT_EQ(e.sample->popcount(), s.nAlpha + s.nBeta);  // a sampled configuration
+      const std::string what = e.what();
+      EXPECT_NE(what.find("iteration 0, rank " + std::to_string(e.rank)), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(toBitString(*e.sample, s.nQubits)), std::string::npos) << what;
+    }
+    EXPECT_EQ(observed, 0) << ranks << " rank(s)";
   }
 }
 
