@@ -805,10 +805,11 @@ nqs::QiankunNetConfig stage6NetConfig() {
 }
 constexpr std::size_t kStage6Params = 290181;
 
-// The gradient allreduce on 4 thread ranks over 290,181 doubles.  Each
-// benchmark iteration runs one ThreadWorld and times kCalls successive
-// allReduceSum calls inside it on rank 0 (manual time, per call), so thread
-// start-up stays out of the figure.
+// The gradient allreduce (reduceScatterSum, then allGatherSlices) on 4
+// thread ranks over 290,181 doubles.  Each benchmark iteration runs one
+// ThreadWorld and times kCalls successive allReduceSum calls inside it on
+// rank 0 (manual time, per call), so thread start-up stays out of the
+// figure.
 void BM_AllReduceThreads(benchmark::State& state) {
   constexpr int kRanks = 4, kCalls = 8;
   parallel::ThreadWorld world(kRanks);

@@ -39,20 +39,22 @@ void SpinHamiltonian::applyDense(const std::vector<Real>& x, std::vector<Real>& 
   const std::size_t dim = std::size_t{1} << nQubits;
   if (x.size() != dim || y.size() != dim)
     throw std::invalid_argument("applyDense: dimension mismatch");
+  // A pull sweep: each bra b sums its own row, constant * x[b] and then
+  // c_i * <b|P_i|b ^ x_i> * x[b ^ x_i] in ascending i, and only its thread
+  // writes y[b], so the result does not depend on the OpenMP team.  Zero
+  // entries of x (all but one particle-number sector in Davidson) are
+  // skipped before the phase is formed.
 #pragma omp parallel for schedule(static)
-  for (std::size_t ket = 0; ket < dim; ++ket) {
-    const Real xv = x[ket];
-    if (xv == 0.0) continue;
-    const Bits128 ketBits{static_cast<std::uint64_t>(ket), 0};
-#pragma omp atomic
-    y[ket] += constant * xv;
+  for (std::size_t bra = 0; bra < dim; ++bra) {
+    const Bits128 braBits{static_cast<std::uint64_t>(bra), 0};
+    Real acc = constant * x[bra];
     for (std::size_t i = 0; i < strings.size(); ++i) {
-      const Bits128 braBits = ketBits ^ strings[i].x;
-      const Real amp = coeffs[i] * applyPhase(strings[i], ketBits).real();
-      if (amp == 0.0) continue;
-#pragma omp atomic
-      y[braBits.lo] += amp * xv;
+      const Bits128 ketBits = braBits ^ strings[i].x;
+      const Real xv = x[ketBits.lo];
+      if (xv == 0.0) continue;
+      acc += coeffs[i] * applyPhase(strings[i], ketBits).real() * xv;
     }
+    y[bra] += acc;
   }
 }
 

@@ -16,28 +16,31 @@ namespace nnqs::parallel {
 
 // ----------------------------------------------------------- ThreadComm ---
 
-std::size_t ThreadComm::allGatherCounts(std::size_t myBytes,
+void ThreadComm::barrier() {
+  state_->barrier->arrive_and_wait();
+  if (state_->stopped)
+    throw RankFailedError("ThreadComm: another rank failed; ThreadWorld::run rethrows its error");
+}
+
+std::size_t ThreadComm::allGatherCounts(const void* data, std::size_t myBytes,
                                         std::vector<std::size_t>& byteCounts) {
   auto& st = *state_;
-  st.contrib[static_cast<std::size_t>(rank_)] = {nullptr, myBytes};
-  barrier();  // all sizes posted
-  byteCounts.resize(st.size);
+  byteCounts.resize(st.size);  // sized before the post, so no allocation follows it
+  st.contrib[static_cast<std::size_t>(rank_)] = {data, myBytes};
+  barrier();  // every contribution posted; allGatherFill's barrier ends the call
   std::size_t total = 0;
   for (std::size_t r = 0; r < st.size; ++r) {
     byteCounts[r] = st.contrib[r].second;
     total += byteCounts[r];
   }
-  // All sizes read: without this a fast rank's next contrib post (e.g.
-  // allGatherFill's pointer) races a slow rank's read loop above.
-  barrier();
   return total;
 }
 
-void ThreadComm::allGatherFill(const void* data, std::size_t myBytes, void* out,
+void ThreadComm::allGatherFill(const void* /*data*/, std::size_t /*myBytes*/, void* out,
                                const std::vector<std::size_t>& byteCounts) {
+  // Copies from the pointers allGatherCounts posted, which no rank replaces
+  // before the barrier below.
   auto& st = *state_;
-  st.contrib[static_cast<std::size_t>(rank_)] = {data, myBytes};
-  barrier();  // all pointers posted
   std::size_t off = 0;
   for (std::size_t r = 0; r < st.size; ++r) {
     // Ranks may legitimately contribute nothing (e.g. no local samples);
@@ -63,14 +66,16 @@ Comm::Slice ThreadComm::postSlot(Real* data, std::size_t n, const char* collecti
   return slice(n);
 }
 
-namespace {
+// Rank q reads and writes slice q of every posted buffer and nothing else,
+// so the two legs need no lock between their two barriers.
 
-/// Sums `own` over every posted buffer, element by element in rank order
-/// starting from +0.0 (the Comm contract), one L1-sized block at a time, and
-/// hands each block's sums to write(first element, sums, length).
-template <typename Write>
-void sumSlice(const std::vector<std::pair<Real*, std::size_t>>& slots, Comm::Slice own,
-              Write&& write) {
+void ThreadComm::reduceScatterSumReal(Real* data, std::size_t n) {
+  // The slice's sums, element by element in rank order from +0.0 (the Comm
+  // contract), one L1-sized block at a time, go into this rank's buffer and
+  // +0.0 into the same block of the others; their owners zero the rest of
+  // this buffer.
+  const Slice own = postSlot(data, n, "reduceScatterSum");
+  const auto& slots = state_->reduceSlots;
   constexpr std::size_t kBlock = 512;
   Real acc[kBlock] = {};
   for (std::size_t lo = own.lo; lo < own.hi; lo += kBlock) {
@@ -81,35 +86,12 @@ void sumSlice(const std::vector<std::pair<Real*, std::size_t>>& slots, Comm::Sli
       const Real* src = slots[r].first + lo;
       for (std::size_t i = 0; i < len; ++i) acc[i] += src[i];
     }
-    write(lo, acc, len);
-  }
-}
-
-}  // namespace
-
-// Rank q reads and writes slice q of every posted buffer and nothing else,
-// so the three collectives below need no lock between their two barriers.
-
-void ThreadComm::allReduceSumReal(Real* data, std::size_t n) {
-  const Slice own = postSlot(data, n, "allReduceSum");
-  sumSlice(state_->reduceSlots, own, [&](std::size_t lo, const Real* sums, std::size_t len) {
-    for (const auto& slot : state_->reduceSlots)
-      std::memcpy(slot.first + lo, sums, len * sizeof(Real));
-  });
-  barrier();  // every slice written back
-}
-
-void ThreadComm::reduceScatterSumReal(Real* data, std::size_t n) {
-  // The other ranks' buffers get +0.0 in this slice, as they get this rank's
-  // sums in allReduceSum; their owners zero the rest of this buffer.
-  const Slice own = postSlot(data, n, "reduceScatterSum");
-  sumSlice(state_->reduceSlots, own, [&](std::size_t lo, const Real* sums, std::size_t len) {
-    for (const auto& slot : state_->reduceSlots)
+    for (const auto& slot : slots)
       if (slot.first == data)
-        std::memcpy(data + lo, sums, len * sizeof(Real));
+        std::memcpy(data + lo, acc, len * sizeof(Real));
       else
         std::fill(slot.first + lo, slot.first + lo + len, 0.0);
-  });
+  }
   barrier();  // every slice written back
 }
 
@@ -122,14 +104,6 @@ void ThreadComm::allGatherSlicesReal(Real* data, std::size_t n) {
   barrier();  // every slice copied out
 }
 
-void ThreadComm::bcastBytes(void* data, std::size_t nBytes, int root) {
-  auto& st = *state_;
-  if (rank_ == root) st.bcastSrc = data;
-  barrier();
-  if (rank_ != root && nBytes != 0) std::memcpy(data, st.bcastSrc, nBytes);
-  barrier();  // root may reuse its buffer after this
-}
-
 // ---------------------------------------------------------- ThreadWorld ---
 
 ThreadWorld::ThreadWorld(int size, int threadsPerRank)
@@ -140,7 +114,8 @@ ThreadWorld::ThreadWorld(int size, int threadsPerRank)
 void ThreadWorld::run(const std::function<void(Comm&)>& fn) {
   auto state = std::make_shared<ThreadComm::WorldState>();
   state->size = static_cast<std::size_t>(size_);
-  state->barrier = std::make_unique<std::barrier<>>(size_);
+  state->barrier = std::make_unique<std::barrier<ThreadComm::WorldState::OnPhase>>(
+      size_, ThreadComm::WorldState::OnPhase{state.get()});
   state->contrib.resize(state->size);
   state->reduceSlots.resize(state->size);
 
@@ -159,8 +134,11 @@ void ThreadWorld::run(const std::function<void(Comm&)>& fn) {
           std::lock_guard<std::mutex> lock(errMutex);
           if (!firstError) firstError = std::current_exception();
         }
-        // Leave the barrier so surviving ranks are not deadlocked; the
-        // exception is rethrown to the caller after join.
+        // Flag the failure, then leave the barrier: the survivors are not
+        // deadlocked, and each throws RankFailedError at its next barrier
+        // instead of touching this rank's posted buffers.  The first error
+        // is rethrown to the caller after join.
+        state->failed.store(true);
         state->barrier->arrive_and_drop();
       }
     });

@@ -32,8 +32,9 @@ using CommBackend = exec::CommBackend;
 /// contract: element i of allReduceSum's result is the sequential IEEE sum
 /// ((+0.0 + x_0[i]) + x_1[i]) + ... + x_{P-1}[i] of the per-rank
 /// contributions, bit-identically on every rank — never MPI_SUM, whose
-/// reduction tree is implementation-defined.  An allreduce has two legs, and
-/// the sharded optimizer step (vmc/driver.cpp, Stage 6) calls them apart:
+/// reduction tree is implementation-defined.  An allreduce is two legs on
+/// every backend: allReduceSum calls the one and then the other, and the
+/// sharded optimizer step (vmc/driver.cpp, Stage 6) calls them apart:
 ///
 ///  - reduceScatterSum: rank q sums its slice(n), [n·q/P, n·(q+1)/P), of
 ///    every rank's buffer in rank order from +0.0 and writes the sums into
@@ -41,23 +42,40 @@ using CommBackend = exec::CommBackend;
 ///  - allGatherSlices: every rank's slice(n) of its own buffer is copied
 ///    into every rank's buffer.
 ///
-/// ThreadComm runs all three on the posted buffers in place: rank q reads
+/// ThreadComm runs both legs on the posted buffers in place: rank q reads
 /// and writes slice q of every buffer, so no staging buffer exists and no
 /// rank waits while another sums.  MpiComm runs reduceScatterSum as an
-/// MPI_Alltoallv of the slices and a rank-ordered sum, allGatherSlices as
-/// MPI_Allgatherv in place, and allReduceSum as the one followed by the
-/// other.  allGatherV concatenates the contributions in rank order.  A run
-/// is therefore bit-identical across backends at a fixed rank count.
+/// MPI_Alltoallv of the slices and a rank-ordered sum, and allGatherSlices
+/// as MPI_Allgatherv in place.  allGatherV concatenates the contributions in
+/// rank order.  A run is therefore bit-identical across backends at a fixed
+/// rank count.
+///
+/// Every ThreadComm collective is one pattern: each rank posts its buffer
+/// (pointer and length) into its slot of the shared WorldState, meets the
+/// others at a barrier, does its local work on the posted buffers, and meets
+/// them at a second barrier, after which any rank may reuse its buffer and
+/// post again.  allGatherV spreads the pattern over its two virtuals:
+/// allGatherCounts posts the pointer with the byte count and waits,
+/// allGatherFill copies and waits.
+///
+/// Rank failure (ThreadComm): a rank whose function throws sets the world's
+/// failure flag and only then leaves the barrier.  Every barrier, inside a
+/// collective or the public barrier(), reads the flag as it stood when the
+/// barrier's phase completed, so all ranks leaving one phase agree; if it is
+/// set, the barrier throws RankFailedError before this rank touches another
+/// rank's slot.  No survivor reads a buffer the failed rank has freed, and
+/// ThreadWorld::run rethrows the failed rank's own error.  The rule assumes
+/// that local work between two barriers does not throw; the one exception is
+/// allGatherV's allocation of its result, and a rank that fails there leaves
+/// the others reading its contribution.  Under MPI a failing process ends
+/// the job the way MPI does.
 ///
 /// Byte accounting (the paper reports communication volume, §3.2): every
 /// collective charges the wire bytes this rank *receives*, matching the
 /// paper's counting, regardless of transport:
 ///   - allGatherV of n_r elements per rank: sum_r n_r * sizeof(T);
-///   - allReduceSum of n elements: 2 * n * sizeof(T) (reduce + bcast legs);
 ///   - reduceScatterSum and allGatherSlices of n elements: n * sizeof(T)
-///     each, one leg of the allreduce apiece, so the pair charges what one
-///     allReduceSum does;
-///   - bcast of n elements: n * sizeof(T);
+///     each, so allReduceSum, the two in turn, charges 2 * n * sizeof(T);
 ///   - barrier: 0.
 /// The counter is cumulative per rank; callers that want per-phase or
 /// per-iteration volumes snapshot bytesCommunicated() and resetByteCounter()
@@ -85,8 +103,7 @@ class Comm {
                             std::vector<std::size_t>* countsOut = nullptr) {
     static_assert(std::is_trivially_copyable_v<T>);
     std::vector<std::size_t> byteCounts;
-    const std::size_t totalBytes =
-        allGatherCounts(n * sizeof(T), byteCounts);
+    const std::size_t totalBytes = allGatherCounts(data, n * sizeof(T), byteCounts);
     std::vector<T> out(totalBytes / sizeof(T));
     allGatherFill(data, n * sizeof(T), out.data(), byteCounts);
     bytes_ += totalBytes;
@@ -109,12 +126,13 @@ class Comm {
   }
 
   /// In-place sum-All-reduce with bit-identical results on every rank: the
-  /// rank-ordered sequential sum of the per-rank contributions.  Every rank
-  /// must pass the same n; ThreadComm throws std::invalid_argument on every
-  /// rank when they differ.
+  /// rank-ordered sequential sum of the per-rank contributions, as
+  /// reduceScatterSum followed by allGatherSlices.  Every rank must pass the
+  /// same n; ThreadComm throws std::invalid_argument on every rank when they
+  /// differ.
   void allReduceSum(Real* data, std::size_t n) {
-    allReduceSumReal(data, n);
-    bytes_ += 2 * n * sizeof(Real);
+    reduceScatterSum(data, n);
+    allGatherSlices(data, n);
   }
 
   /// Typed-span overload: the natural spelling for fixed-size statistics
@@ -162,14 +180,6 @@ class Comm {
     bytes_ += n * sizeof(Real);
   }
 
-  /// Broadcast from `root` (every rank must pass the same root).
-  template <typename T>
-  void bcast(T* data, std::size_t n, int root = 0) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    bcastBytes(data, n * sizeof(T), root);
-    bytes_ += n * sizeof(T);
-  }
-
   /// Bytes this rank has received through collectives since the last reset
   /// (see the class comment for the per-collective accounting).
   [[nodiscard]] std::uint64_t bytesCommunicated() const { return bytes_; }
@@ -177,17 +187,16 @@ class Comm {
 
  protected:
   /// Exchange per-rank byte counts; returns the total.  Paired with
-  /// allGatherFill (always called in this order, on every rank).
-  virtual std::size_t allGatherCounts(std::size_t myBytes,
+  /// allGatherFill, which every rank calls next with the same `data` and
+  /// `myBytes`; `data` stays valid until that call returns.
+  virtual std::size_t allGatherCounts(const void* data, std::size_t myBytes,
                                       std::vector<std::size_t>& byteCounts) = 0;
   /// Write the rank-order concatenation of every rank's buffer into `out`
   /// (sized to the total from allGatherCounts).
   virtual void allGatherFill(const void* data, std::size_t myBytes, void* out,
                              const std::vector<std::size_t>& byteCounts) = 0;
-  virtual void allReduceSumReal(Real* data, std::size_t n) = 0;
   virtual void reduceScatterSumReal(Real* data, std::size_t n) = 0;
   virtual void allGatherSlicesReal(Real* data, std::size_t n) = 0;
-  virtual void bcastBytes(void* data, std::size_t nBytes, int root) = 0;
 
   std::uint64_t bytes_ = 0;
 };
@@ -206,6 +215,14 @@ class World {
   virtual void run(const std::function<void(Comm&)>& fn) = 0;
 };
 
+/// What a ThreadComm barrier throws once another rank of its world has
+/// thrown (see Comm's rank-failure rule); ThreadWorld::run rethrows that
+/// rank's own error instead.
+class RankFailedError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Thread-backend Comm: collectives rendezvous through a shared WorldState.
 class ThreadComm final : public Comm {
  public:
@@ -213,28 +230,38 @@ class ThreadComm final : public Comm {
   [[nodiscard]] int size() const override {
     return static_cast<int>(state_->size);
   }
-  void barrier() override { state_->barrier->arrive_and_wait(); }
+  /// Throws RankFailedError when another rank has failed.
+  void barrier() override;
 
  protected:
-  std::size_t allGatherCounts(std::size_t myBytes,
+  std::size_t allGatherCounts(const void* data, std::size_t myBytes,
                               std::vector<std::size_t>& byteCounts) override;
   void allGatherFill(const void* data, std::size_t myBytes, void* out,
                      const std::vector<std::size_t>& byteCounts) override;
-  void allReduceSumReal(Real* data, std::size_t n) override;
   void reduceScatterSumReal(Real* data, std::size_t n) override;
   void allGatherSlicesReal(Real* data, std::size_t n) override;
-  void bcastBytes(void* data, std::size_t nBytes, int root) override;
 
  private:
   friend class ThreadWorld;
   struct WorldState {
+    /// The barrier's completion step: latches `failed` into `stopped` as
+    /// each phase completes, so every rank leaving one phase reads the same
+    /// value, whatever a rank does after it left.
+    struct OnPhase {
+      WorldState* st;
+      void operator()() noexcept { st->stopped = st->failed.load(); }
+    };
     std::size_t size;
-    std::unique_ptr<std::barrier<>> barrier;
+    std::unique_ptr<std::barrier<OnPhase>> barrier;
+    /// Each rank's allGatherV contribution: pointer and byte count.
     std::vector<std::pair<const void*, std::size_t>> contrib;
-    /// Each rank's buffer and length in allReduceSum, reduceScatterSum and
+    /// Each rank's buffer and length in reduceScatterSum and
     /// allGatherSlices, which work on them in place.
     std::vector<std::pair<Real*, std::size_t>> reduceSlots;
-    const void* bcastSrc = nullptr;
+    /// Set by a rank whose function threw, before it leaves the barrier.
+    std::atomic<bool> failed{false};
+    /// `failed` as of the last completed phase; written only by OnPhase.
+    bool stopped = false;
   };
   ThreadComm(int rank, std::shared_ptr<WorldState> state)
       : rank_(rank), state_(std::move(state)) {}

@@ -67,7 +67,7 @@ class MpiComm final : public Comm {
   void barrier() override { MPI_Barrier(MPI_COMM_WORLD); }
 
  protected:
-  std::size_t allGatherCounts(std::size_t myBytes,
+  std::size_t allGatherCounts(const void* /*data*/, std::size_t myBytes,
                               std::vector<std::size_t>& byteCounts) override {
     byteCounts.resize(static_cast<std::size_t>(size_));
     const auto mine = static_cast<std::uint64_t>(myBytes);
@@ -96,14 +96,6 @@ class MpiComm final : public Comm {
                    checkedInt(myBytes, "allGatherV contribution"), MPI_BYTE,
                    out, recvCounts_.data(), displs_.data(), MPI_BYTE,
                    MPI_COMM_WORLD);
-  }
-
-  void allReduceSumReal(Real* data, std::size_t n) override {
-    // The rank-ordered sum of every slice on its owner, then every owned
-    // slice to every rank: ThreadComm's bits, and no rank receives more than
-    // n elements per leg.
-    reduceScatterSumReal(data, n);
-    allGatherSlicesReal(data, n);
   }
 
   void reduceScatterSumReal(Real* data, std::size_t n) override {
@@ -135,12 +127,6 @@ class MpiComm final : public Comm {
     sliceLayout(n);
     MPI_Allgatherv(MPI_IN_PLACE, 0, MPI_DATATYPE_NULL, data, sliceCounts_.data(),
                    sliceDispls_.data(), MPI_DOUBLE, MPI_COMM_WORLD);
-  }
-
-  void bcastBytes(void* data, std::size_t nBytes, int root) override {
-    if (nBytes == 0) return;
-    MPI_Bcast(data, checkedInt(nBytes, "bcast length"), MPI_BYTE, root,
-              MPI_COMM_WORLD);
   }
 
  private:

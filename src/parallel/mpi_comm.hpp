@@ -7,10 +7,11 @@
 //
 // Determinism contract (same as ThreadComm): reduceScatterSum exchanges the
 // slices with MPI_Alltoallv and sums each in rank order from +0.0 on its
-// owner, allGatherSlices is MPI_Allgatherv in place, and allReduceSum is the
-// one followed by the other — never MPI_SUM, whose reduction-tree
-// association is implementation-defined and would break bit-identity across
-// backends.
+// owner, and allGatherSlices is MPI_Allgatherv in place; Comm::allReduceSum
+// calls the one and then the other on this backend as on the thread one, so
+// no rank receives more than n elements per leg.  Never MPI_SUM, whose
+// reduction-tree association is implementation-defined and would break
+// bit-identity across backends.
 
 #ifdef NNQS_WITH_MPI
 

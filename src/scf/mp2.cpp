@@ -1,6 +1,7 @@
 #include "scf/mp2.hpp"
 
 #include <stdexcept>
+#include <vector>
 
 namespace nnqs::scf {
 
@@ -8,9 +9,12 @@ Real mp2CorrelationEnergy(const MoIntegrals& mo) {
   if (mo.nAlpha != mo.nBeta)
     throw std::invalid_argument("mp2: closed-shell only");
   const int nOcc = mo.nAlpha, nOrb = mo.nOrb;
-  Real e2 = 0;
-#pragma omp parallel for reduction(+ : e2) schedule(dynamic)
-  for (int i = 0; i < nOcc; ++i)
+  // One partial sum per occupied i, added in ascending i afterwards: the
+  // result does not depend on the OpenMP team or schedule.
+  std::vector<Real> perOcc(static_cast<std::size_t>(nOcc), 0.0);
+#pragma omp parallel for schedule(dynamic)
+  for (int i = 0; i < nOcc; ++i) {
+    Real e = 0;
     for (int j = 0; j < nOcc; ++j)
       for (int a = nOcc; a < nOrb; ++a)
         for (int b = nOcc; b < nOrb; ++b) {
@@ -20,8 +24,12 @@ Real mp2CorrelationEnergy(const MoIntegrals& mo) {
                              mo.orbitalEnergies[static_cast<std::size_t>(j)] -
                              mo.orbitalEnergies[static_cast<std::size_t>(a)] -
                              mo.orbitalEnergies[static_cast<std::size_t>(b)];
-          e2 += iajb * (2.0 * iajb - ibja) / denom;
+          e += iajb * (2.0 * iajb - ibja) / denom;
         }
+    perOcc[static_cast<std::size_t>(i)] = e;
+  }
+  Real e2 = 0;
+  for (const Real e : perOcc) e2 += e;
   return e2;
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -251,26 +252,10 @@ TEST_P(CommBackendTest, ScalarAndSpanAllReduce) {
   });
 }
 
-TEST_P(CommBackendTest, BroadcastDeliversRootPayload) {
-  const auto world = makeTestWorld();
-  world->run([](Comm& comm) {
-    std::vector<double> v(8, comm.rank() == 0 ? 2.5 : 0.0);
-    comm.bcast(v.data(), v.size());
-    for (double x : v) EXPECT_DOUBLE_EQ(x, 2.5);
-    // Non-zero root.
-    const int root = comm.size() - 1;
-    std::array<int, 2> w{comm.rank() == root ? 7 : -1,
-                         comm.rank() == root ? 9 : -1};
-    comm.bcast(w.data(), w.size(), root);
-    EXPECT_EQ(w[0], 7);
-    EXPECT_EQ(w[1], 9);
-  });
-}
-
 TEST_P(CommBackendTest, ByteAccountingAndReset) {
   // Accounting contract (parallel/comm.hpp): bytes each rank *receives* —
   // allgather of n doubles from p equal ranks = p*n*8, allreduce of m
-  // doubles = 2*m*8, bcast of m doubles = m*8; barriers are free.
+  // doubles = 2*m*8; barriers are free.
   const auto world = makeTestWorld();
   world->run([](Comm& comm) {
     const std::uint64_t p = static_cast<std::uint64_t>(comm.size());
@@ -278,9 +263,8 @@ TEST_P(CommBackendTest, ByteAccountingAndReset) {
     std::vector<Real> v(n, 1.0), w(m, 2.0);
     comm.allGather(v);
     comm.allReduceSum(w.data(), w.size());
-    comm.bcast(w.data(), w.size());
     comm.barrier();
-    EXPECT_EQ(comm.bytesCommunicated(), p * n * 8 + 2 * m * 8 + m * 8);
+    EXPECT_EQ(comm.bytesCommunicated(), p * n * 8 + 2 * m * 8);
     comm.resetByteCounter();
     EXPECT_EQ(comm.bytesCommunicated(), 0u);
     comm.allGather(v);
@@ -289,18 +273,53 @@ TEST_P(CommBackendTest, ByteAccountingAndReset) {
 }
 
 TEST_P(CommBackendTest, ManyRoundsStressNoDeadlock) {
+  // Back-to-back collectives reuse the same slots and buffers: a rank's next
+  // post, or its write into the buffer it just contributed, must not reach a
+  // slower rank that is still copying.  Each round runs two allgathers back
+  // to back, and each contributor overwrites its buffer as soon as its call
+  // returns; rank r contributes (r + k) % 5 blocks of a value naming r and
+  // the allgather k (none in some), and every rank checks every gathered
+  // element.  The slice legs and the scalar allreduce run between rounds.
+  // The checks only count, so every rank runs every collective and a wrong
+  // result fails the test instead of leaving the other ranks at a barrier.
   const auto world = makeTestWorld();
   world->run([](Comm& comm) {
+    constexpr std::size_t kBlock = 64;
+    const auto count = [](int rank, int k) {
+      return static_cast<std::size_t>((rank + k) % 5) * kBlock;
+    };
+    const auto tag = [](int rank, int k) {
+      return static_cast<std::uint64_t>(k) * 1000 + static_cast<std::uint64_t>(rank);
+    };
+    std::size_t wrong = 0;
     for (int round = 0; round < 200; ++round) {
-      std::vector<std::uint64_t> v(
-          static_cast<std::size_t>(1 + (comm.rank() + round) % 5),
-          static_cast<std::uint64_t>(round));
-      const auto all = comm.allGatherV(v.data(), v.size());
-      Real x = static_cast<Real>(all.size());
-      x = comm.allReduceSum(x);
-      EXPECT_GT(x, 0.0);
+      std::size_t gathered = 0;
+      for (const int k : {2 * round, 2 * round + 1}) {
+        std::vector<std::uint64_t> v(count(comm.rank(), k), tag(comm.rank(), k));
+        const auto all = comm.allGatherV(v.data(), v.size());
+        std::fill(v.begin(), v.end(), ~std::uint64_t{0});
+        std::vector<std::uint64_t> expect;
+        for (int r = 0; r < comm.size(); ++r) expect.insert(expect.end(), count(r, k), tag(r, k));
+        if (all != expect && wrong++ == 0) ADD_FAILURE() << "allgather " << k << " is wrong";
+        gathered += all.size();
+      }
+
+      const std::size_t n = static_cast<std::size_t>(3 + round % 7);
+      std::vector<Real> g(n, static_cast<Real>(comm.rank() + 1));
+      comm.reduceScatterSum(g.data(), n);
+      const Real p = static_cast<Real>(comm.size());
+      const Comm::Slice own = comm.slice(n);
+      for (std::size_t i = own.lo; i < own.hi; ++i) g[i] *= 2.0 / (p * (p + 1.0));
+      comm.allGatherSlices(g.data(), n);
+      if (std::count(g.begin(), g.end(), 1.0) != static_cast<std::ptrdiff_t>(n) && wrong++ == 0)
+        ADD_FAILURE() << "round " << round << ": the slice legs are wrong";
+
+      const Real x = comm.allReduceSum(static_cast<Real>(gathered));
+      if (x != p * static_cast<Real>(gathered) && wrong++ == 0)
+        ADD_FAILURE() << "round " << round << ": the allreduce is wrong";
       comm.barrier();
     }
+    EXPECT_EQ(wrong, 0u) << "rank " << comm.rank();
   });
 }
 
@@ -335,6 +354,59 @@ TEST(ThreadComm, PropagatesExceptions) {
     comm.barrier();
   }),
                std::runtime_error);
+
+  // Rank 1 takes part in one collective on a heap buffer, frees it and
+  // throws; rank 0 then enters the same collective again.  Rank 0 must throw
+  // RankFailedError at the collective's first barrier, before it reads or
+  // writes rank 1's freed buffer (ASan's use-after-free otherwise), and
+  // run() must rethrow rank 1's own error.
+  struct RankOneError : std::runtime_error {
+    RankOneError() : std::runtime_error("rank 1 failed") {}
+  };
+  using Collective = void (*)(Comm&);
+  const std::array<std::pair<const char*, Collective>, 5> cases{{
+      {"barrier", [](Comm& comm) { comm.barrier(); }},
+      {"allGatherV",
+       [](Comm& comm) {
+         const std::vector<Real> v(64, 1.0);
+         (void)comm.allGatherV(v.data(), v.size());
+       }},
+      {"reduceScatterSum",
+       [](Comm& comm) {
+         std::vector<Real> v(64, 1.0);
+         comm.reduceScatterSum(v.data(), v.size());
+       }},
+      {"allGatherSlices",
+       [](Comm& comm) {
+         std::vector<Real> v(64, 1.0);
+         comm.allGatherSlices(v.data(), v.size());
+       }},
+      {"allReduceSum",
+       [](Comm& comm) {
+         std::vector<Real> v(64, 1.0);
+         comm.allReduceSum(v.data(), v.size());
+       }},
+  }};
+  for (const auto& [name, collective] : cases) {
+    std::atomic<bool> rankZeroStopped{false};
+    try {
+      world.run([&, collective = collective](Comm& comm) {
+        collective(comm);
+        if (comm.rank() == 1) throw RankOneError();
+        try {
+          collective(comm);
+        } catch (const RankFailedError&) {
+          rankZeroStopped = true;
+          throw;
+        }
+      });
+      ADD_FAILURE() << name << ": run() returned";
+    } catch (const RankOneError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << name << ": run() rethrew '" << e.what() << "', not rank 1's error";
+    }
+    EXPECT_TRUE(rankZeroStopped) << name << ": rank 0 did not throw RankFailedError";
+  }
 }
 
 TEST(ThreadComm, AllReduceRejectsMismatchedLengths) {

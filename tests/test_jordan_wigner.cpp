@@ -105,6 +105,22 @@ TEST(JordanWigner, MatchesFciGroundState) {
   }
 }
 
+TEST(JordanWigner, ExactGroundStateIndependentOfThreadCount) {
+  // applyDense sums each row of H x in ascending term order and writes it
+  // from one thread, so the Davidson energy is the same bit for bit
+  // whatever OpenMP team runs it.
+  const SpinHamiltonian h = jordanWigner(moFor("LiH"));
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const Real one = exactGroundState(h);
+  omp_set_num_threads(4);
+  for (int call = 0; call < 3; ++call)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(exactGroundState(h)),
+              std::bit_cast<std::uint64_t>(one))
+        << "call " << call;
+  omp_set_num_threads(saved);
+}
+
 TEST(JordanWigner, TermCountScalesAsN4) {
   // N_h = O(N^4): crude growth check between H2 (4 qubits) and H2O (14).
   const SpinHamiltonian h2 = jordanWigner(moFor("H2"));

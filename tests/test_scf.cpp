@@ -1,4 +1,8 @@
 #include <gtest/gtest.h>
+#include <omp.h>
+
+#include <bit>
+#include <cstdint>
 
 #include "chem/basis_set.hpp"
 #include "chem/geometry_library.hpp"
@@ -104,4 +108,23 @@ TEST(Mp2, NegativeAndSizeReasonable) {
   const Real e2 = mp2CorrelationEnergy(mo);
   EXPECT_LT(e2, 0.0);
   EXPECT_NEAR(e2, -0.0356, 2e-3);  // H2O STO-3G MP2 correlation
+}
+
+TEST(Mp2, IndependentOfThreadCount) {
+  // The per-occupied partial sums are added in ascending order, so the
+  // energy is the same bit for bit whatever OpenMP team computes them.
+  const Molecule mol = makeMolecule("H2O");
+  const BasisSet basis = buildBasis(mol, "sto-3g");
+  const AoIntegrals ao = computeAoIntegrals(mol, basis);
+  const MoIntegrals mo = transformToMo(ao, runRhf(ao, mol));
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const Real one = mp2CorrelationEnergy(mo);
+  omp_set_num_threads(4);
+  // A schedule-dependent sum differs only in some calls, so make many.
+  for (int call = 0; call < 50; ++call)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(mp2CorrelationEnergy(mo)),
+              std::bit_cast<std::uint64_t>(one))
+        << "call " << call;
+  omp_set_num_threads(saved);
 }
