@@ -1,9 +1,8 @@
 // Hamiltonian inspection tool: builds the qubit Hamiltonian of any molecule
-// in the built-in library, prints structure statistics (the data behind
-// Fig. 6 / Fig. 9), and optionally saves it to a text file that
-// SpinHamiltonian::load can read back.
+// in the built-in library and prints structure statistics (the data behind
+// Fig. 6 / Fig. 9).
 //
-// Usage: hamiltonian_tools [molecule=LiH] [basis=sto-3g] [out.txt]
+// Usage: hamiltonian_tools [molecule=LiH] [basis=sto-3g]
 
 #include <algorithm>
 #include <cstdio>
@@ -18,6 +17,10 @@
 int main(int argc, char** argv) {
   using namespace nnqs;
   nnqs::log::setLevel(nnqs::log::Level::kWarn);
+  if (argc > 3) {
+    std::fprintf(stderr, "usage: %s [molecule=LiH] [basis=sto-3g]\n", argv[0]);
+    return 2;
+  }
   const std::string name = argc > 1 ? argv[1] : "LiH";
   const std::string basisName = argc > 2 ? argv[2] : "sto-3g";
 
@@ -53,10 +56,5 @@ int main(int argc, char** argv) {
               100.0 * (1.0 - static_cast<double>(packed.memoryBytes()) /
                                  static_cast<double>(made.memoryBytes())),
               packed.nGroups());
-
-  if (argc > 3) {
-    ham.save(argv[3]);
-    std::printf("saved to %s\n", argv[3]);
-  }
   return 0;
 }

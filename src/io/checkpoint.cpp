@@ -1,9 +1,14 @@
 #include "io/checkpoint.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cerrno>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -165,23 +170,48 @@ std::vector<std::uint8_t> CheckpointWriter::serialize() const {
   return out;
 }
 
+namespace {
+
+/// Writes all `n` bytes at `p` to `fd` and flushes them to the disk.
+bool writeAndSync(int fd, const std::uint8_t* p, std::size_t n) {
+  while (n > 0) {
+    const ssize_t k = ::write(fd, p, n);
+    if (k < 0 && errno == EINTR) continue;
+    if (k <= 0) return false;
+    p += k;
+    n -= static_cast<std::size_t>(k);
+  }
+  return ::fsync(fd) == 0;
+}
+
+}  // namespace
+
 void CheckpointWriter::save(const std::string& path) const {
   const std::vector<std::uint8_t> bytes = serialize();
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out)
-      throw CheckpointError("checkpoint save: cannot open " + tmp);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) throw CheckpointError("checkpoint save: short write to " + tmp);
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) throw CheckpointError("checkpoint save: cannot open " + tmp);
+  const bool written = writeAndSync(fd, bytes.data(), bytes.size());
+  if (::close(fd) != 0 || !written) {
+    std::remove(tmp.c_str());  // a failed save leaves nothing beside <path>
+    throw CheckpointError("checkpoint save: short write to " + tmp);
   }
   // The atomic publish: readers see either the old checkpoint or the
-  // complete new one, never a torn file.
-  if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    throw CheckpointError("checkpoint save: rename " + tmp + " -> " + path +
-                          " failed");
+  // complete new one, never a torn file.  The data is on disk before the
+  // rename, and the directory entry is flushed after it, so a power loss
+  // cannot publish an empty file either.
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw CheckpointError("checkpoint save: rename " + tmp + " -> " + path + " failed");
+  }
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  const int dirFd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  // EINVAL: a filesystem that cannot sync directories.
+  const bool synced = dirFd >= 0 && (::fsync(dirFd) == 0 || errno == EINVAL);
+  if (dirFd >= 0) ::close(dirFd);
+  if (!synced)
+    throw CheckpointError("checkpoint save: " + path +
+                          " is in place, but its directory could not be flushed to disk");
 }
 
 // ------------------------------------------------------------------ reader ---
@@ -288,6 +318,14 @@ std::vector<Bits128> CheckpointReader::getBitsArray(const std::string& name) con
   return out;
 }
 
+std::uint64_t CheckpointReader::tensorValuesBound(std::string_view prefix) const {
+  std::uint64_t n = 0;
+  for (auto it = sections_.lower_bound(std::string(prefix));
+       it != sections_.end() && it->first.starts_with(prefix); ++it)
+    if (it->second.kind == SectionKind::kTensor) n += it->second.size / 8;
+  return n;
+}
+
 void CheckpointReader::getTensor(const std::string& name, const std::vector<Index>& shape,
                                  Real* out) const {
   const Section& s = find(name, SectionKind::kTensor);
@@ -386,7 +424,16 @@ void loadNet(const CheckpointReader& r, nqs::QiankunNet& net) {
 }
 
 std::unique_ptr<nqs::QiankunNet> makeNet(const CheckpointReader& r) {
-  auto net = std::make_unique<nqs::QiankunNet>(readNetConfig(r));
+  const nqs::QiankunNetConfig cfg = readNetConfig(r);
+  // The net's store takes 16 bytes per parameter, so a crafted config could
+  // ask for terabytes: build it only when the image holds that many values.
+  const auto want = static_cast<std::uint64_t>(nqs::parameterCount(cfg));
+  const std::uint64_t held = r.tensorValuesBound("param.");
+  if (want > held)
+    throw SchemaError("net.cfg", "the architecture holds " + std::to_string(want) +
+                                     " parameters, the image's param.* tensors at most " +
+                                     std::to_string(held) + " values");
+  auto net = std::make_unique<nqs::QiankunNet>(cfg);
   loadNet(r, *net);
   return net;
 }

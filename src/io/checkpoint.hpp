@@ -34,9 +34,10 @@
 //    failure throws a typed error naming the offending field, and the
 //    higher-level loaders (loadNet/loadOptimizer) validate *everything*
 //    before mutating anything — a failed load has no partial side effects.
-//  - CheckpointWriter::save() writes "<path>.tmp" and atomically renames it
-//    over <path>, so a crash mid-write never corrupts the last good
-//    checkpoint.
+//  - CheckpointWriter::save() writes "<path>.tmp", flushes it to disk and
+//    atomically renames it over <path>, so a crash or power loss mid-write
+//    never corrupts the last good checkpoint; a failed save removes the
+//    temp file.
 
 #include <cstdint>
 #include <map>
@@ -44,6 +45,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -147,8 +149,11 @@ class CheckpointWriter {
   /// The full file image (magic + version + sections, each CRC-stamped).
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
 
-  /// Atomic save: serialize to "<path>.tmp", then rename over <path>.  A
-  /// crash between the two leaves the previous <path> intact.
+  /// Atomic save: serialize to "<path>.tmp", fsync it, rename it over
+  /// <path>, then fsync <path>'s directory.  A crash or power loss anywhere
+  /// leaves the previous <path> or the complete new one.  Throws
+  /// CheckpointError on any failure; a failure before the rename also
+  /// removes the temp file and leaves <path> as it was.
   void save(const std::string& path) const;
 
  private:
@@ -186,6 +191,10 @@ class CheckpointReader {
   /// Read kTensor section `name` into out[0, product of dims).  Throws
   /// SchemaError naming the section unless its stored shape is `shape`.
   void getTensor(const std::string& name, const std::vector<Index>& shape, Real* out) const;
+
+  /// An upper bound on the values the kTensor sections whose names start
+  /// with `prefix` hold: their payload bytes / 8.
+  [[nodiscard]] std::uint64_t tensorValuesBound(std::string_view prefix) const;
 
   /// Section names in file order.
   [[nodiscard]] const std::vector<std::string>& names() const { return names_; }
@@ -225,8 +234,10 @@ void loadNet(const CheckpointReader& r, nqs::QiankunNet& net);
 /// cannot represent (nqs::unrepresentableField).
 [[nodiscard]] nqs::QiankunNetConfig readNetConfig(const CheckpointReader& r);
 
-/// Construct a net with the stored architecture (validated as readNetConfig
-/// does, before anything is built) and load its parameters.
+/// Construct a net with the stored architecture and load its parameters.
+/// Before anything is built, the architecture is validated as readNetConfig
+/// does, and SchemaError is thrown when it holds more parameters than the
+/// image's param.* tensors hold values.
 /// Returned by pointer: QiankunNet's parameter registry holds addresses into
 /// its own submodules, so the object must never be moved once built.
 [[nodiscard]] std::unique_ptr<nqs::QiankunNet> makeNet(const CheckpointReader& r);

@@ -29,58 +29,38 @@ void DecodeState::begin(Index b, Index L, Index d, Index layers,
   std::iota(rowSlot.begin(), rowSlot.end(), Index{0});
   freeSlots.clear();
   for (Index s = b; s < capacity; ++s) freeSlots.push_back(s);
-  slotDetachedLen_.assign(static_cast<std::size_t>(capacity), 0);
   sweepStats = SweepStats{};
 }
 
-Index DecodeState::copySlotInto(kernels::HugeBuffer& dstBuf, Index dstCap,
-                                Index dst, Index src, Index length) {
-  const std::size_t liveK = static_cast<std::size_t>(length) * sizeof(Real);
-  const std::size_t liveV = static_cast<std::size_t>(length * dModel) * sizeof(Real);
-  const Index ss = slotStride();
-  Index copied = 0;
-  for (Index l = 0; l < nLayers; ++l) {
-    // K is position-transposed: each feature row holds `length` live positions.
-    const Real* ks = kSlot(l, src);
-    Real* kd = dstBuf.data() + (l * 2 * dstCap + dst) * ss;
-    for (Index t = 0; t < dModel; ++t)
-      std::memcpy(kd + t * maxLen, ks + t * maxLen, liveK);
-    // V: live positions are one contiguous prefix.
-    std::memcpy(dstBuf.data() + ((l * 2 + 1) * dstCap + dst) * ss, vSlot(l, src),
-                liveV);
-    copied += length * dModel + length * dModel;
-  }
-  return copied;
-}
-
 Index DecodeState::copySlot(Index dst, Index src) {
-  return copySlotInto(arena, capacity, dst, src, len);
+  const std::size_t liveK = static_cast<std::size_t>(len) * sizeof(Real);
+  const std::size_t liveV = static_cast<std::size_t>(len * dModel) * sizeof(Real);
+  for (Index l = 0; l < nLayers; ++l) {
+    // K is position-transposed: each feature row holds `len` live positions.
+    for (Index t = 0; t < dModel; ++t)
+      std::memcpy(kSlot(l, dst) + t * maxLen, kSlot(l, src) + t * maxLen, liveK);
+    // V: live positions are one contiguous prefix.
+    std::memcpy(vSlot(l, dst), vSlot(l, src), liveV);
+  }
+  return 2 * nLayers * len * dModel;
 }
 
-void DecodeState::growArena(Index neededFree, const std::vector<Index>& refs) {
+void DecodeState::growArena(Index neededFree) {
   Index newCap = capacity;
   const Index used = capacity - static_cast<Index>(freeSlots.size());
   while (newCap - used < neededFree) newCap *= 2;
 
   kernels::HugeBuffer next;
   next.assignZero(static_cast<std::size_t>(nLayers * 2 * newCap * slotStride()));
-  // Current-view rows: live prefix of `len` positions (pruned rows' slots are
-  // already free and their data dead, so they are not copied).
-  for (Index b = 0; b < batch; ++b) {
-    if (refs[static_cast<std::size_t>(b)] == 0) continue;
-    const Index slot = rowSlot[static_cast<std::size_t>(b)];
-    copySlotInto(next, newCap, slot, slot, len);
-  }
-  // Detached (parked-tile) rows are live too, at their recorded lengths —
-  // slot ids stay stable, so suspended frames resume untouched after a grow.
-  for (Index slot = 0; slot < capacity; ++slot) {
-    const Index dl = slotDetachedLen_[static_cast<std::size_t>(slot)];
-    if (dl > 0) copySlotInto(next, newCap, slot, slot, dl);
-  }
+  // Block kv (layer kv / 2's K or V) of `capacity` slots moves whole to the
+  // front of its `newCap`-slot block: slot ids and bytes stay as they were.
+  const Index block = capacity * slotStride();
+  for (Index kv = 0; kv < 2 * nLayers; ++kv)
+    std::memcpy(next.data() + kv * newCap * slotStride(), arena.data() + kv * block,
+                static_cast<std::size_t>(block) * sizeof(Real));
   for (Index s = capacity; s < newCap; ++s) freeSlots.push_back(s);
   arena.swap(next);
   capacity = newCap;
-  slotDetachedLen_.resize(static_cast<std::size_t>(capacity), 0);
   ++sweepStats.grows;
 }
 
@@ -100,7 +80,7 @@ void DecodeState::gather(const std::vector<Index>& rows) {
       ++distinct;
   }
   const Index dups = newBatch - distinct;
-  if (static_cast<Index>(freeSlots.size()) < dups) growArena(dups, gatherRefs_);
+  if (static_cast<Index>(freeSlots.size()) < dups) growArena(dups);
 
   gatherSlots_.resize(static_cast<std::size_t>(newBatch));
   gatherTaken_.assign(static_cast<std::size_t>(batch), 0);
@@ -134,11 +114,7 @@ void DecodeState::gather(const std::vector<Index>& rows) {
 void DecodeState::detachRows(Index lo, Index hi, std::vector<Index>& slotsOut) {
   if (lo < 0 || hi > batch || lo > hi)
     throw std::out_of_range("DecodeState::detachRows: range out of view");
-  for (Index r = lo; r < hi; ++r) {
-    const Index slot = rowSlot[static_cast<std::size_t>(r)];
-    slotDetachedLen_[static_cast<std::size_t>(slot)] = len;
-    slotsOut.push_back(slot);
-  }
+  slotsOut.insert(slotsOut.end(), rowSlot.begin() + lo, rowSlot.begin() + hi);
   ++sweepStats.detaches;
   sweepStats.slotsDetached += hi - lo;
 }
@@ -154,7 +130,6 @@ void DecodeState::attachRows(const std::vector<Index>& slots, Index newLen) {
   rowSlot.assign(slots.begin(), slots.end());
   batch = static_cast<Index>(slots.size());
   len = newLen;
-  for (Index s : slots) slotDetachedLen_[static_cast<std::size_t>(s)] = 0;
   ++sweepStats.attaches;
 }
 
@@ -162,13 +137,6 @@ void DecodeState::releaseRows() {
   for (Index s : rowSlot) freeSlots.push_back(s);
   rowSlot.clear();
   batch = 0;
-}
-
-Index DecodeState::detachedSlotCount() const {
-  Index n = 0;
-  for (const Index dl : slotDetachedLen_)
-    if (dl > 0) ++n;
-  return n;
 }
 
 }  // namespace nnqs::nn

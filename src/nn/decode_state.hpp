@@ -49,9 +49,9 @@ struct DecodeState {
   /// begin() calls, so a warm steady-state sweep performs zero heap
   /// allocations (tape.hpp).
   Tape ws;
-  /// The BOS token feed of a sweep's first step
-  /// (QiankunNet::stepConditionals): persists like ws, so a warm sweep's
-  /// first step re-uses its capacity instead of allocating.
+  /// The token feed of each step (QiankunNet::stepConditionals writes it
+  /// from the rows' prefix bits): persists like ws, so a warm sweep's steps
+  /// re-use its capacity instead of allocating.
   std::vector<int> tokenScratch;
 
   /// Cumulative since begin(): gather/detach/attach accounting of one whole
@@ -110,49 +110,36 @@ struct DecodeState {
   // --- Tile suspension (the BAS sweep engine's depth-first descent) --------
   //
   // A *detached* row keeps its arena slot and K/V bytes but leaves the live
-  // view: its slot id and live length go into a registry so growArena()
-  // preserves the parked cache, and the (slots, len) pair handed back to the
-  // caller re-attaches the rows later — O(rows) index work, zero K/V bytes
-  // moved, slot ids stable across arena growth.  Slots are position-
-  // independent physical blocks, so a parked tile costs nothing until it is
-  // resumed.
+  // view: the caller holds its slot id and re-attaches the rows later with
+  // the length they had.  Detach and attach are index moves, zero K/V bytes
+  // moved.  A grow copies every slot whole, so a parked slot keeps its id
+  // and its bytes across arena growth, and a parked tile costs nothing until
+  // it is resumed.
 
-  /// Park view rows [lo, hi): record each row's slot (appended to
-  /// `slotsOut`) and the current `len` in the detached registry.  The view
+  /// Park view rows [lo, hi): append each row's slot to `slotsOut`.  The view
   /// itself is left untouched — detach the tail chunks, then shrinkView().
   void detachRows(Index lo, Index hi, std::vector<Index>& slotsOut);
-  /// Drop view rows [keep, batch) from the view *without* freeing or parking
-  /// them — their slots must already be detached (or about to be abandoned).
+  /// Drop view rows [keep, batch) from the view *without* freeing them —
+  /// their slots must already be detached (or about to be abandoned).
   void shrinkView(Index keep);
   /// Resume a parked tile: the view becomes exactly `slots` at live length
-  /// `newLen`, and the slots leave the detached registry.  The previous view
-  /// must have been released, shrunk away or detached.
+  /// `newLen`.  The previous view must have been released, shrunk away or
+  /// detached.
   void attachRows(const std::vector<Index>& slots, Index newLen);
   /// Free every slot of the current view (the rows' data is dead — e.g. the
   /// final sweep layer after its leaves were emitted) and empty the view.
   void releaseRows();
-  /// Parked rows currently in the detached registry.
-  [[nodiscard]] Index detachedSlotCount() const;
 
  private:
-  /// Grow the arena until at least `neededFree` slots are free, re-laying
-  /// the surviving rows' slots (refs[b] > 0) out at the doubled capacity
-  /// (amortized O(1) per gather).  Pruned rows' slots are already free and
-  /// their data dead, so they are not copied.  Detached rows are live too:
-  /// their slots are copied at their *recorded* lengths (slotDetachedLen_),
-  /// which may differ from the view's `len` mid-descent.
-  void growArena(Index neededFree, const std::vector<Index>& refs);
-  /// Copy `length` live positions of slot `src` (all layers) into `dst`
-  /// inside `dstBuf` laid out at `dstCap` slots; returns Reals copied.
-  Index copySlotInto(kernels::HugeBuffer& dstBuf, Index dstCap, Index dst,
-                     Index src, Index length);
-  /// Copy slot `src`'s live positions (all layers) into `dst`; returns the
-  /// number of Real elements copied.
+  /// Grow the arena until at least `neededFree` slots are free (amortized
+  /// O(1) per gather): each of the 2 * nLayers old [capacity] slot blocks
+  /// moves whole to the front of its new block, so every slot, live, parked
+  /// or free, keeps its id and its bytes.
+  void growArena(Index neededFree);
+  /// Copy slot `src`'s `len` live positions (all layers) into `dst`; returns
+  /// the number of Real elements copied.
   Index copySlot(Index dst, Index src);
 
-  /// Per-slot live length of detached (parked) rows; 0 = not detached.
-  /// Sized to `capacity`, grown alongside the arena.
-  std::vector<Index> slotDetachedLen_;
   // Persistent gather() scratch (ref counts, new slot map, first-occurrence
   // marks): members so a warm sweep's gathers allocate nothing.
   std::vector<Index> gatherRefs_;

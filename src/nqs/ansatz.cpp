@@ -39,6 +39,20 @@ const char* unrepresentableField(const QiankunNetConfig& cfg) {
   return nullptr;
 }
 
+Index parameterCount(const QiankunNetConfig& cfg) {
+  using nn::TransformerAR;
+  const Index d = cfg.dModel;
+  // Amplitude: token and position embeddings, the decoder blocks, the final
+  // LayerNorm and the head.
+  Index n = (TransformerAR::kVocab + cfg.nQubits / 2) * d +
+            cfg.nDecoders * (12 * d * d + 13 * d) + 2 * d + (d + 1) * TransformerAR::kOutcomes;
+  // Phase: one weight and bias per layer, the last one to a single output.
+  Index in = cfg.nQubits;
+  for (Index l = 0; l < cfg.phaseHiddenLayers; ++l, in = cfg.phaseHidden)
+    n += (in + 1) * cfg.phaseHidden;
+  return n + in + 1;
+}
+
 namespace {
 const QiankunNetConfig& checked(const QiankunNetConfig& cfg) {
   if (const char* field = unrepresentableField(cfg))
@@ -76,28 +90,25 @@ void QiankunNet::beginDecode(nn::DecodeState& state, int batch,
 }
 
 void QiankunNet::stepConditionals(nn::DecodeState& state,
-                                  const std::vector<int>& prevTokens,
-                                  const std::vector<std::array<int, 2>>& counts,
+                                  const std::vector<Bits128>& prefixes,
                                   std::vector<Real>& probs) const {
   const int s = static_cast<int>(state.len);
   const auto batch = static_cast<std::size_t>(state.batch);
-  if (counts.size() != batch)
-    throw std::invalid_argument("stepConditionals: counts/batch mismatch");
-  // At s > 0 the previous tokens are fed as-is (no copy); the BOS step
-  // materializes its feed in the state-owned scratch so a warm sweep's first
-  // step allocates nothing.
-  const std::vector<int>* feed = &prevTokens;
-  if (s == 0) {
-    state.tokenScratch.assign(batch, nn::TransformerAR::kBos);
-    feed = &state.tokenScratch;
-  } else if (prevTokens.size() != batch) {
-    throw std::invalid_argument("stepConditionals: prevTokens/batch mismatch");
-  }
+  if (prefixes.size() != batch)
+    throw std::invalid_argument("stepConditionals: prefixes/batch mismatch");
+  // The feed lives in the state's scratch, so a warm sweep allocates nothing.
+  state.tokenScratch.resize(batch);
+  for (std::size_t b = 0; b < batch; ++b)
+    state.tokenScratch[b] = s == 0 ? nn::TransformerAR::kBos : tokenOf(prefixes[b], s - 1);
   // [B, 4], carved from the state's tape (zero-allocation decode path).
-  const Real* logits = amplitude_.decodeStep(state, *feed);
+  const Real* logits = amplitude_.decodeStep(state, state.tokenScratch);
   probs.resize(batch * 4);
+  // Up qubits are the even ones, down qubits the odd ones.
+  constexpr Bits128 kUp{0x5555555555555555ull, 0x5555555555555555ull};
+  constexpr Bits128 kDown{0xAAAAAAAAAAAAAAAAull, 0xAAAAAAAAAAAAAAAAull};
   for (std::size_t b = 0; b < batch; ++b) {
-    const auto mask = outcomeMask(s, counts[b][0], counts[b][1]);
+    const auto mask = outcomeMask(s, (prefixes[b] & kUp).popcount(),
+                                  (prefixes[b] & kDown).popcount());
     maskedSoftmax4(logits + b * 4, mask, probs.data() + b * 4);
   }
 }

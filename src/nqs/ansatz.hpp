@@ -41,6 +41,10 @@ struct QiankunNetConfig {
 /// std::invalid_argument on such a config.
 [[nodiscard]] const char* unrepresentableField(const QiankunNetConfig& cfg);
 
+/// The parameters QiankunNet(cfg) holds (its parameterCount()), computed
+/// without building it, for a config unrepresentableField accepts.
+[[nodiscard]] Index parameterCount(const QiankunNetConfig& cfg);
+
 /// QiankunNet: Psi(x) = |Psi(x)| e^{i phi(x)} with an autoregressive
 /// transformer amplitude (two qubits = one spatial orbital per step, sampled
 /// in reverse JW qubit order as in the paper) and an MLP phase.
@@ -89,21 +93,14 @@ class QiankunNet {
 
   /// One incremental step of the masked, renormalized conditionals: writes
   /// pi(x_s | prefix) [B, 4] into `probs` for step s = state.len, with O(1)
-  /// token work per step via the per-layer KV caches.  `prevTokens[b]` is row b's
-  /// outcome chosen at step s-1 (ignored at s = 0, where BOS is fed); counts
-  /// are the per-row (up, down) electron counts over the prefix.  Taking the
-  /// output buffer lets the BAS inner loop reuse one vector across the whole
-  /// sweep instead of allocating per step.
-  void stepConditionals(nn::DecodeState& state,
-                        const std::vector<int>& prevTokens,
-                        const std::vector<std::array<int, 2>>& counts,
+  /// token work per step via the per-layer KV caches.  `prefixes[b]` is row
+  /// b's prefix bits (the outcomes of steps 0..s-1, nothing else set): the
+  /// step feeds tokenOf(prefixes[b], s-1), or BOS at s = 0, and masks with
+  /// the prefix's electron counts (up: the even qubits' popcount, down: the
+  /// odd ones').  Taking the output buffer lets the BAS inner loop reuse one
+  /// vector across the whole sweep instead of allocating per step.
+  void stepConditionals(nn::DecodeState& state, const std::vector<Bits128>& prefixes,
                         std::vector<Real>& probs) const;
-
-  /// Re-index the decode batch rows after a sampling-tree split/prune: new
-  /// row r continues old row rows[r]'s prefix (rows may repeat or drop).
-  void gatherDecode(nn::DecodeState& state, const std::vector<Index>& rows) const {
-    state.gather(rows);
-  }
 
   /// Configure evaluate()/psi()/phases() and evaluateGrad() from an
   /// ExecutionPolicy (exec/policy.hpp): kernel picks the inference kernel

@@ -91,7 +91,6 @@ std::array<std::uint64_t, 4> multinomialSplit4(Rng& rng, std::uint64_t n,
 void BasSweepEngine::NodeBlock::clear() {
   bits.clear();
   weights.clear();
-  counts.clear();
   logp.clear();
   step = 0;
 }
@@ -103,53 +102,42 @@ void BasSweepEngine::armRoot(std::uint64_t nSamples) {
   stackTop_ = 0;
   cur_.bits.push_back(Bits128{});
   cur_.weights.push_back(nSamples);
-  cur_.counts.push_back({0, 0});
   cur_.logp.push_back(0.0);
 }
 
-void BasSweepEngine::stepProbs(NodeBlock& cur) {
-  const int s = cur.step;
-  // The step feed is the token each row chose at s-1, recovered from the
-  // incrementally-built bits — no per-node token storage (s = 0 feeds BOS
-  // inside stepConditionals).
-  feed_.clear();
-  if (s > 0) {
-    feed_.resize(cur.nodes());
-    for (std::size_t i = 0; i < cur.nodes(); ++i)
-      feed_[i] = net_.tokenOf(cur.bits[i], s - 1);
-  }
-  net_.stepConditionals(state_, feed_, cur.counts, probs_);
-}
-
-void BasSweepEngine::expandInto(const NodeBlock& cur, NodeBlock& next) {
-  const int s = cur.step;
-  const std::size_t n = cur.nodes();
-  next.clear();
-  next.step = s + 1;
+void BasSweepEngine::step() {
+  const int s = cur_.step;
+  const std::size_t n = cur_.nodes();
+  net_.stepConditionals(state_, cur_.bits, probs_);
+  next_.clear();
+  next_.step = s + 1;
   parentRows_.clear();
   for (std::size_t b = 0; b < n; ++b) {
-    Rng rng(nodeKey(seed_, cur.bits[b], s));
+    Rng rng(nodeKey(seed_, cur_.bits[b], s));
     const auto split =
-        multinomialSplit4(rng, cur.weights[b], probs_.data() + 4 * b);
+        multinomialSplit4(rng, cur_.weights[b], probs_.data() + 4 * b);
     for (int t = 0; t < 4; ++t) {
       if (split[static_cast<std::size_t>(t)] == 0) continue;  // pruned leaf
-      next.bits.push_back(net_.applyToken(cur.bits[b], s, t));
-      next.weights.push_back(split[static_cast<std::size_t>(t)]);
-      next.counts.push_back({cur.counts[b][0] + (t & 1),
-                             cur.counts[b][1] + ((t >> 1) & 1)});
+      next_.bits.push_back(net_.applyToken(cur_.bits[b], s, t));
+      next_.weights.push_back(split[static_cast<std::size_t>(t)]);
       // Fused ln|Psi|: exactly the evaluate() accumulation (ascending s,
       // la += 0.5*ln p_chosen over the same maskedSoftmax4 conditionals),
       // including the dead-branch sentinel — multinomialSplit4's remainder
       // can land weight on a zero-probability outcome, which evaluate()
       // reports as kLogZeroAmp, never as log(0).
       const Real p = probs_[4 * b + static_cast<std::size_t>(t)];
-      const Real parentLp = cur.logp[b];
-      next.logp.push_back(parentLp <= QiankunNet::kLogZeroAmp || p <= 0.0
-                              ? QiankunNet::kLogZeroAmp
-                              : parentLp + 0.5 * std::log(p));
+      const Real parentLp = cur_.logp[b];
+      next_.logp.push_back(parentLp <= QiankunNet::kLogZeroAmp || p <= 0.0
+                               ? QiankunNet::kLogZeroAmp
+                               : parentLp + 0.5 * std::log(p));
       parentRows_.push_back(static_cast<Index>(b));
     }
   }
+  if (next_.step < net_.nSteps())
+    state_.gather(parentRows_);
+  else
+    state_.releaseRows();  // leaves need no rows; parents' data is dead
+  std::swap(cur_, next_);
 }
 
 void BasSweepEngine::copyRange(const NodeBlock& src, std::size_t lo,
@@ -159,15 +147,12 @@ void BasSweepEngine::copyRange(const NodeBlock& src, std::size_t lo,
   dst.bits.insert(dst.bits.end(), src.bits.begin() + plo, src.bits.begin() + phi);
   dst.weights.insert(dst.weights.end(), src.weights.begin() + plo,
                      src.weights.begin() + phi);
-  dst.counts.insert(dst.counts.end(), src.counts.begin() + plo,
-                    src.counts.begin() + phi);
   dst.logp.insert(dst.logp.end(), src.logp.begin() + plo, src.logp.begin() + phi);
 }
 
 void BasSweepEngine::shrinkBlock(NodeBlock& block, std::size_t keep) {
   block.bits.resize(keep);
   block.weights.resize(keep);
-  block.counts.resize(keep);
   block.logp.resize(keep);
 }
 
@@ -216,18 +201,11 @@ void BasSweepEngine::emitLeaves(const NodeBlock& leaves) {
 }
 
 void BasSweepEngine::descend() {
-  const int L = net_.nSteps();
   if (cur_.nodes() == 0) return;  // a rank can own zero subtrees
   while (true) {
-    while (cur_.step < L) {
+    while (cur_.step < net_.nSteps()) {
       if (cur_.nodes() > tileCap_) deferExcess();
-      stepProbs(cur_);
-      expandInto(cur_, next_);
-      if (next_.step < L)
-        net_.gatherDecode(state_, parentRows_);
-      else
-        state_.releaseRows();  // leaves need no rows; parents' data is dead
-      std::swap(cur_, next_);
+      step();
     }
     emitLeaves(cur_);
     if (stackTop_ == 0) break;
@@ -282,15 +260,8 @@ const SampleSet& BasSweepEngine::sweep(const SamplerOptions& opts, int rank,
     // per-node substreams), so the partition below needs no communication.
     // Untiled by construction — the split layer must exist whole, in
     // canonical order, before it can be dealt out.
-    int s = 0;
-    for (; s < L; ++s) {
-      if (cur_.nodes() > uniqueThreshold) break;
-      stepProbs(cur_);
-      expandInto(cur_, next_);
-      if (s + 1 < L) net_.gatherDecode(state_, parentRows_);
-      std::swap(cur_, next_);
-    }
-    if (s >= L) {
+    while (cur_.step < L && cur_.nodes() <= uniqueThreshold) step();
+    if (cur_.step == L) {
       // Tree exhausted before the split threshold: deal leaves round-robin.
       for (std::size_t i = static_cast<std::size_t>(rank); i < cur_.nodes();
            i += static_cast<std::size_t>(nRanks))
@@ -298,7 +269,7 @@ const SampleSet& BasSweepEngine::sweep(const SamplerOptions& opts, int rank,
       return out_;
     }
     partitionLayer(rank, nRanks);
-    net_.gatherDecode(state_, ownedRows_);  // drop others' subtrees
+    state_.gather(ownedRows_);  // drop others' subtrees
   }
   descend();
   return out_;

@@ -54,11 +54,11 @@ std::array<std::uint64_t, 4> multinomialSplit4(Rng& rng, std::uint64_t n,
 /// each node's weight multinomially over the 4 outcomes and pruning
 /// zero-weight children.  Three structural properties:
 ///
-///  - **Incremental Bits128 prefixes.**  A node is its occupation bitstring
-///    (built token by token via applyToken) plus weight, electron counts and
-///    running ln|Psi| — O(Nu*L) storage per sweep.  The step feed is
-///    recovered from the bits (tokenOf at step s-1), so no token prefix is
-///    ever materialized.
+///  - **A node is its prefix bits.**  A node is its occupation bitstring
+///    (built token by token via applyToken), its weight and its running
+///    ln|Psi| — O(Nu*L) storage per sweep.  stepConditionals reads the step
+///    feed (tokenOf at step s-1) and the mask's electron counts from the
+///    bits, so no token prefix or count is ever stored.
 ///  - **Cache-resident slot-range tiles.**  The frontier is chunked into
 ///    tiles of at most `tileRows` rows, swept depth-first: a tile descends to
 ///    the final layer before the next tile starts, so its KV slots stay
@@ -116,10 +116,9 @@ class BasSweepEngine {
  private:
   /// One frontier block: SoA over nodes at a common step.
   struct NodeBlock {
-    std::vector<Bits128> bits;
+    std::vector<Bits128> bits;  ///< prefix bits: the outcomes of steps 0..step-1
     std::vector<std::uint64_t> weights;
-    std::vector<std::array<int, 2>> counts;  ///< (up, down) used so far
-    std::vector<Real> logp;                  ///< running ln|Psi| of the prefix
+    std::vector<Real> logp;     ///< running ln|Psi| of the prefix
     int step = 0;
 
     [[nodiscard]] std::size_t nodes() const { return weights.size(); }
@@ -133,11 +132,11 @@ class BasSweepEngine {
   };
 
   void armRoot(std::uint64_t nSamples);
-  /// Conditionals pi(x_s | prefix) of `cur` into probs_ ([nodes, 4]).
-  void stepProbs(NodeBlock& cur);
-  /// Split `cur` into `next` (children at step+1): per-node RNG substream
-  /// draws, fused logp accumulation, parentRows_ for the decode gather.
-  void expandInto(const NodeBlock& cur, NodeBlock& next);
+  /// Advance cur_ one step: its conditionals, the split into next_ (per-node
+  /// RNG substream draws, fused logp accumulation), the decode gather of the
+  /// children's rows (or the rows' release when the children are leaves),
+  /// and the swap that makes the children cur_.
+  void step();
   /// Defer all but the first tileCap_ rows of cur_ as stack frames (pushed
   /// in reverse so the leftmost chunk pops first, preserving the global
   /// left-to-right leaf order of the untiled sweep).
@@ -164,7 +163,6 @@ class BasSweepEngine {
   std::vector<Frame> stack_;      ///< frame pool; [0, stackTop_) live
   std::size_t stackTop_ = 0;
   std::vector<Real> probs_;       ///< [nodes, 4] conditionals buffer
-  std::vector<int> feed_;         ///< step feed recovered from bits
   std::vector<Index> parentRows_; ///< child -> parent row of the last split
   // Rank-partition scratch (multi-rank sweeps only).
   std::vector<std::size_t> order_;

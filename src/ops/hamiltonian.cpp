@@ -1,8 +1,6 @@
 #include "ops/hamiltonian.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <numeric>
 #include <stdexcept>
 
@@ -72,37 +70,6 @@ std::vector<Real> SpinHamiltonian::denseDiagonal() const {
     diag[ket] = d;
   }
   return diag;
-}
-
-void SpinHamiltonian::save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("SpinHamiltonian::save: cannot open " + path);
-  out << nQubits << " " << strings.size() << "\n";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", constant);
-  out << buf << "\n";
-  for (std::size_t i = 0; i < strings.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%.17g", coeffs[i]);
-    out << buf << " " << strings[i].toString(nQubits) << "\n";
-  }
-}
-
-SpinHamiltonian SpinHamiltonian::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("SpinHamiltonian::load: cannot open " + path);
-  SpinHamiltonian h;
-  std::size_t n = 0;
-  in >> h.nQubits >> n >> h.constant;
-  h.coeffs.reserve(n);
-  h.strings.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Real c;
-    std::string word;
-    in >> c >> word;
-    h.coeffs.push_back(c);
-    h.strings.push_back(PauliString::fromString(word));
-  }
-  return h;
 }
 
 Real exactGroundState(const SpinHamiltonian& h) {

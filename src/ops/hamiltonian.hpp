@@ -1,6 +1,5 @@
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "ops/pauli.hpp"
@@ -27,10 +26,6 @@ struct SpinHamiltonian {
   /// y += H x over the full 2^n space (n <= ~24; cross-validation with FCI).
   void applyDense(const std::vector<Real>& x, std::vector<Real>& y) const;
   [[nodiscard]] std::vector<Real> denseDiagonal() const;
-
-  /// Text round-trip ("coeff pauli-word" lines), for caching big Hamiltonians.
-  void save(const std::string& path) const;
-  static SpinHamiltonian load(const std::string& path);
 };
 
 /// Ground-state energy of a small Hamiltonian via Davidson on the dense

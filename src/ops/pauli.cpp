@@ -8,16 +8,6 @@ namespace {
 constexpr Complex kIPow[4] = {{1, 0}, {0, 1}, {-1, 0}, {0, -1}};
 }
 
-std::string PauliString::toString(int nQubits) const {
-  std::string s;
-  s.reserve(static_cast<std::size_t>(nQubits));
-  for (int j = 0; j < nQubits; ++j) {
-    const bool xb = x.get(j), zb = z.get(j);
-    s.push_back(xb ? (zb ? 'Y' : 'X') : (zb ? 'Z' : 'I'));
-  }
-  return s;
-}
-
 PauliString PauliString::fromString(const std::string& s) {
   PauliString p;
   int j = 0;

@@ -24,7 +24,6 @@ struct PauliString {
   }
 
   /// "XIZY..." (qubit 0 first).
-  [[nodiscard]] std::string toString(int nQubits) const;
   static PauliString fromString(const std::string& s);
 };
 

@@ -19,7 +19,8 @@ namespace nnqs::parallel {
 void ThreadComm::barrier() {
   state_->barrier->arrive_and_wait();
   if (state_->stopped)
-    throw RankFailedError("ThreadComm: another rank failed; ThreadWorld::run rethrows its error");
+    throw RankFailedError(
+        "ThreadComm: another rank failed or left; ThreadWorld::run rethrows the first error");
 }
 
 std::size_t ThreadComm::allGatherCounts(const void* data, std::size_t myBytes,
@@ -130,17 +131,16 @@ void ThreadWorld::run(const std::function<void(Comm&)>& fn) {
       try {
         fn(comm);
       } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(errMutex);
-          if (!firstError) firstError = std::current_exception();
-        }
-        // Flag the failure, then leave the barrier: the survivors are not
-        // deadlocked, and each throws RankFailedError at its next barrier
-        // instead of touching this rank's posted buffers.  The first error
-        // is rethrown to the caller after join.
-        state->failed.store(true);
-        state->barrier->arrive_and_drop();
+        std::lock_guard<std::mutex> lock(errMutex);
+        if (!firstError) firstError = std::current_exception();
       }
+      // Whether it threw or returned, this rank takes part in no further
+      // phase: flag it, then leave the barrier.  The others are not
+      // deadlocked, and each throws RankFailedError at its next barrier
+      // instead of touching this rank's posted buffers.  The first error is
+      // rethrown to the caller after join.
+      state->failed.store(true);
+      state->barrier->arrive_and_drop();
     });
   }
   for (auto& t : threads) t.join();

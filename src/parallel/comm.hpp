@@ -58,17 +58,19 @@ using CommBackend = exec::CommBackend;
 /// allGatherCounts posts the pointer with the byte count and waits,
 /// allGatherFill copies and waits.
 ///
-/// Rank failure (ThreadComm): a rank whose function throws sets the world's
-/// failure flag and only then leaves the barrier.  Every barrier, inside a
-/// collective or the public barrier(), reads the flag as it stood when the
-/// barrier's phase completed, so all ranks leaving one phase agree; if it is
-/// set, the barrier throws RankFailedError before this rank touches another
-/// rank's slot.  No survivor reads a buffer the failed rank has freed, and
-/// ThreadWorld::run rethrows the failed rank's own error.  The rule assumes
-/// that local work between two barriers does not throw; the one exception is
-/// allGatherV's allocation of its result, and a rank that fails there leaves
-/// the others reading its contribution.  Under MPI a failing process ends
-/// the job the way MPI does.
+/// Rank failure (ThreadComm): a rank whose function throws or returns sets
+/// the world's failure flag and only then leaves the barrier.  Every
+/// barrier, inside a collective or the public barrier(), reads the flag as it
+/// stood when the barrier's phase completed, so all ranks leaving one phase
+/// agree; if it is set, the barrier throws RankFailedError before this rank
+/// touches another rank's slot.  No survivor reads a buffer the failed rank
+/// has freed, none waits for a rank that left, and ThreadWorld::run rethrows
+/// the first error: the failed rank's own, or a survivor's RankFailedError
+/// when the rank that left had returned.  The rule assumes that local work
+/// between two barriers does not throw; the one exception is allGatherV's
+/// allocation of its result, and a rank that fails there leaves the others
+/// reading its contribution.  Under MPI a failing process ends the job the
+/// way MPI does.
 ///
 /// Byte accounting (the paper reports communication volume, §3.2): every
 /// collective charges the wire bytes this rank *receives*, matching the
@@ -216,8 +218,8 @@ class World {
 };
 
 /// What a ThreadComm barrier throws once another rank of its world has
-/// thrown (see Comm's rank-failure rule); ThreadWorld::run rethrows that
-/// rank's own error instead.
+/// thrown or returned (see Comm's rank-failure rule); ThreadWorld::run
+/// rethrows the first error, a thrown rank's own one.
 class RankFailedError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -258,7 +260,8 @@ class ThreadComm final : public Comm {
     /// Each rank's buffer and length in reduceScatterSum and
     /// allGatherSlices, which work on them in place.
     std::vector<std::pair<Real*, std::size_t>> reduceSlots;
-    /// Set by a rank whose function threw, before it leaves the barrier.
+    /// Set by a rank whose function threw or returned, before it leaves
+    /// the barrier.
     std::atomic<bool> failed{false};
     /// `failed` as of the last completed phase; written only by OnPhase.
     bool stopped = false;

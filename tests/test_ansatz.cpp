@@ -241,6 +241,39 @@ TEST(Ansatz, ParameterCountMatchesPaperScale) {
   EXPECT_LT(net.parameterCount(), 310000);
 }
 
+TEST(Ansatz, ParameterCountOfAConfigMatchesTheBuiltNet) {
+  // nqs::parameterCount(cfg) sizes a net without building it, so it must
+  // count exactly what the constructor packs, for every module shape.
+  std::vector<QiankunNetConfig> cfgs{smallConfig(8, 2, 2), smallConfig(20, 6, 6)};
+  cfgs[1].phaseHidden = 512;
+  QiankunNetConfig c = smallConfig(12, 3, 2);
+  c.dModel = 8;
+  c.nHeads = 2;
+  c.nDecoders = 3;
+  c.phaseHidden = 7;
+  c.phaseHiddenLayers = 1;
+  cfgs.push_back(c);
+  c.nDecoders = 0;
+  c.phaseHiddenLayers = 0;
+  cfgs.push_back(c);
+  c.nQubits = 2;
+  c.nAlpha = 1;
+  c.nBeta = 0;
+  c.dModel = 1;
+  c.nHeads = 1;
+  c.nDecoders = 1;
+  c.phaseHidden = 1;
+  c.phaseHiddenLayers = 3;
+  cfgs.push_back(c);
+  for (const QiankunNetConfig& cfg : cfgs) {
+    QiankunNet net(cfg);
+    EXPECT_EQ(parameterCount(cfg), net.parameterCount())
+        << "nQubits " << cfg.nQubits << " dModel " << cfg.dModel << " nDecoders "
+        << cfg.nDecoders << " phaseHidden " << cfg.phaseHidden << " phaseHiddenLayers "
+        << cfg.phaseHiddenLayers;
+  }
+}
+
 TEST(Ansatz, DeterministicAcrossInstancesWithSameSeed) {
   QiankunNet a(smallConfig(8, 2, 2, 99)), b(smallConfig(8, 2, 2, 99));
   const auto sector = numberSector(8, 2, 2);

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <span>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "nn/optimizer.hpp"
 #include "nqs/ansatz.hpp"
 #include "oracle.hpp"
+#include "serve/amplitude_server.hpp"
 
 using namespace nnqs;
 using namespace nnqs::io;
@@ -294,6 +298,43 @@ TEST(Checkpoint, AtomicSaveSurvivesSimulatedCrash) {
   EXPECT_FALSE(tmp.good()) << "save() must not leave its tmp file behind";
 }
 
+TEST(Checkpoint, FailedSaveKeepsThePreviousImageAndLeavesNoTempFile) {
+  // A short write (here: the file-size limit, under which write() fails with
+  // EFBIG once SIGXFSZ is ignored) must throw CheckpointError, leave the
+  // previous checkpoint byte for byte and remove the temp file.
+  const std::string path = ::testing::TempDir() + "/ckpt_short_write.bin";
+  nqs::QiankunNet a(smallConfig(63));
+  CheckpointWriter first;
+  addNet(first, a);
+  first.save(path);
+  const auto good = readFile(path);
+  nqs::QiankunNet b(smallConfig(64));
+  CheckpointWriter second;
+  addNet(second, b);
+
+  struct sigaction ignore {}, oldAction {};
+  ignore.sa_handler = SIG_IGN;
+  ASSERT_EQ(sigaction(SIGXFSZ, &ignore, &oldAction), 0);
+  rlimit oldLimit{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &oldLimit), 0);
+  rlimit small = oldLimit;
+  small.rlim_cur = std::min<rlim_t>(good.size() / 2, oldLimit.rlim_max);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &small), 0);
+  bool threw = false;
+  try {
+    second.save(path);
+  } catch (const CheckpointError&) {
+    threw = true;
+  } catch (...) {
+  }
+  setrlimit(RLIMIT_FSIZE, &oldLimit);
+  sigaction(SIGXFSZ, &oldAction, nullptr);
+
+  EXPECT_TRUE(threw) << "save() under the file-size limit did not throw CheckpointError";
+  EXPECT_EQ(readFile(path), good);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp")) << "save() left its temp file behind";
+}
+
 TEST(Checkpoint, BadMagicThrows) {
   nqs::QiankunNet a(smallConfig());
   auto bytes = netImage(a);
@@ -423,6 +464,26 @@ TEST(Checkpoint, MakeNetRejectsAStoredHeadCountOfZero) {
   } catch (const SchemaError& e) {
     EXPECT_NE(std::string(e.what()).find("net.cfg.nHeads"), std::string::npos) << e.what();
   }
+}
+
+TEST(Checkpoint, MakeNetRejectsAConfigLargerThanTheImage) {
+  // A crafted image with valid CRCs whose net.cfg asks for a 1024-layer,
+  // 16384-wide phase MLP (~2.7e11 parameters, ~4 TiB of store) is a
+  // SchemaError thrown before the net is built, not an allocation failure
+  // or the OOM killer.
+  nqs::QiankunNet a(smallConfig());
+  auto image = netImage(a);
+  patchU64(image, "net.cfg.phaseHidden", 16384);
+  patchU64(image, "net.cfg.phaseHiddenLayers", 1024);
+  const CheckpointReader r(image);
+  try {
+    (void)makeNet(r);
+    ADD_FAILURE() << "expected SchemaError";
+  } catch (const SchemaError& e) {
+    EXPECT_NE(std::string(e.what()).find("net.cfg"), std::string::npos) << e.what();
+  }
+  // The server builds its net with makeNet before it starts a worker.
+  EXPECT_THROW(serve::AmplitudeServer{r}, SchemaError);
 }
 
 TEST(Checkpoint, NetAndOptimizerImageIsPinned) {

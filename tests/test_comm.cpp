@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "parallel/comm.hpp"
@@ -354,12 +355,21 @@ TEST(ThreadComm, PropagatesExceptions) {
     comm.barrier();
   }),
                std::runtime_error);
+  // A rank whose function returns leaves the barrier as a failing one does:
+  // rank 0 throws instead of waiting for it forever.
+  EXPECT_THROW(world.run([&](Comm& comm) {
+    if (comm.rank() == 1) return;
+    std::vector<Real> v(8, 1.0);
+    comm.allReduceSum(v.data(), v.size());
+  }),
+               RankFailedError);
 
   // Rank 1 takes part in one collective on a heap buffer, frees it and
-  // throws; rank 0 then enters the same collective again.  Rank 0 must throw
-  // RankFailedError at the collective's first barrier, before it reads or
-  // writes rank 1's freed buffer (ASan's use-after-free otherwise), and
-  // run() must rethrow rank 1's own error.
+  // throws or returns; rank 0 then enters the same collective again.  Rank 0
+  // must throw RankFailedError at the collective's first barrier, before it
+  // reads or writes rank 1's freed buffer (ASan's use-after-free otherwise),
+  // and run() must rethrow the first error: rank 1's own when it threw, rank
+  // 0's RankFailedError when rank 1 returned.
   struct RankOneError : std::runtime_error {
     RankOneError() : std::runtime_error("rank 1 failed") {}
   };
@@ -387,25 +397,35 @@ TEST(ThreadComm, PropagatesExceptions) {
          comm.allReduceSum(v.data(), v.size());
        }},
   }};
-  for (const auto& [name, collective] : cases) {
-    std::atomic<bool> rankZeroStopped{false};
-    try {
-      world.run([&, collective = collective](Comm& comm) {
-        collective(comm);
-        if (comm.rank() == 1) throw RankOneError();
-        try {
+  for (const bool rankOneThrows : {true, false}) {
+    for (const auto& [name, collective] : cases) {
+      const std::string how =
+          std::string(name) + (rankOneThrows ? ", rank 1 throws" : ", rank 1 returns");
+      std::atomic<bool> rankZeroStopped{false};
+      try {
+        world.run([&, collective = collective](Comm& comm) {
           collective(comm);
-        } catch (const RankFailedError&) {
-          rankZeroStopped = true;
-          throw;
-        }
-      });
-      ADD_FAILURE() << name << ": run() returned";
-    } catch (const RankOneError&) {
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << name << ": run() rethrew '" << e.what() << "', not rank 1's error";
+          if (comm.rank() == 1) {
+            if (rankOneThrows) throw RankOneError();
+            return;
+          }
+          try {
+            collective(comm);
+          } catch (const RankFailedError&) {
+            rankZeroStopped = true;
+            throw;
+          }
+        });
+        ADD_FAILURE() << how << ": run() returned";
+      } catch (const RankOneError&) {
+        EXPECT_TRUE(rankOneThrows) << how;
+      } catch (const RankFailedError&) {
+        EXPECT_FALSE(rankOneThrows) << how << ": run() rethrew RankFailedError, not rank 1's error";
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << how << ": run() threw '" << e.what() << "'";
+      }
+      EXPECT_TRUE(rankZeroStopped) << how << ": rank 0 did not throw RankFailedError";
     }
-    EXPECT_TRUE(rankZeroStopped) << name << ": rank 0 did not throw RankFailedError";
   }
 }
 

@@ -64,9 +64,9 @@ TEST(Decode, StepConditionalsMatchesFullForwardUnderRandomGathers) {
   for (int trial = 0; trial < 3; ++trial) {
     std::vector<std::vector<int>> prefixes{{}};  // one root row
     std::vector<std::array<int, 2>> counts{{0, 0}};
+    std::vector<Bits128> bits{Bits128{}};  // the same prefixes as bits
     nn::DecodeState state;
     net.beginDecode(state, 1);
-    std::vector<int> lastTokens;  // token fed per row at this step
     std::vector<Real> inc;
 
     for (int s = 0; s < L; ++s) {
@@ -74,7 +74,7 @@ TEST(Decode, StepConditionalsMatchesFullForwardUnderRandomGathers) {
       std::vector<int> flat;
       for (const auto& p : prefixes) flat.insert(flat.end(), p.begin(), p.end());
       const std::vector<Real> ref = oracle::conditionals(net, flat, batch, s, counts);
-      net.stepConditionals(state, lastTokens, counts, inc);
+      net.stepConditionals(state, bits, inc);
       ASSERT_EQ(ref.size(), inc.size());
       for (std::size_t i = 0; i < ref.size(); ++i)
         EXPECT_EQ(ref[i], inc[i]) << "step " << s << " entry " << i;
@@ -110,7 +110,7 @@ TEST(Decode, StepConditionalsMatchesFullForwardUnderRandomGathers) {
       std::vector<Index> rows;
       std::vector<std::vector<int>> nextPrefixes;
       std::vector<std::array<int, 2>> nextCounts;
-      lastTokens.clear();
+      std::vector<Bits128> nextBits;
       for (const Child& c : children) {
         rows.push_back(c.parent);
         auto p = prefixes[static_cast<std::size_t>(c.parent)];
@@ -118,11 +118,12 @@ TEST(Decode, StepConditionalsMatchesFullForwardUnderRandomGathers) {
         nextPrefixes.push_back(std::move(p));
         nextCounts.push_back({counts[static_cast<std::size_t>(c.parent)][0] + (c.token & 1),
                               counts[static_cast<std::size_t>(c.parent)][1] + ((c.token >> 1) & 1)});
-        lastTokens.push_back(c.token);
+        nextBits.push_back(net.applyToken(bits[static_cast<std::size_t>(c.parent)], s, c.token));
       }
-      net.gatherDecode(state, rows);
+      state.gather(rows);
       prefixes = std::move(nextPrefixes);
       counts = std::move(nextCounts);
+      bits = std::move(nextBits);
     }
   }
 }
@@ -224,25 +225,16 @@ TEST(Decode, CapacityExhaustionThrows) {
   QiankunNet net(smallConfig(8, 2, 2));
   nn::DecodeState state;
   net.beginDecode(state, 1);
-  std::vector<int> prev;
-  std::vector<std::array<int, 2>> counts{{0, 0}};
+  std::vector<Bits128> prefix{Bits128{}};
   std::vector<Real> probs;
   for (int s = 0; s < net.nSteps(); ++s) {
-    net.stepConditionals(state, prev, counts, probs);
+    net.stepConditionals(state, prefix, probs);
     int chosen = 0;
     for (int t = 0; t < 4; ++t)
       if (probs[static_cast<std::size_t>(t)] > 0.0) chosen = t;
-    prev.assign(1, chosen);
-    counts[0] = {counts[0][0] + (chosen & 1), counts[0][1] + ((chosen >> 1) & 1)};
+    prefix[0] = net.applyToken(prefix[0], s, chosen);
   }
-  EXPECT_THROW(net.stepConditionals(state, prev, counts, probs), std::logic_error);
-}
-
-TEST(Decode, GatherRejectsOutOfRangeRows) {
-  QiankunNet net(smallConfig(8, 2, 2));
-  nn::DecodeState state;
-  net.beginDecode(state, 2);
-  EXPECT_THROW(net.gatherDecode(state, {0, 2}), std::out_of_range);
+  EXPECT_THROW(net.stepConditionals(state, prefix, probs), std::logic_error);
 }
 
 TEST(Decode, SamplerOptionsExecDefaults) {

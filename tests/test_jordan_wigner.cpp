@@ -140,21 +140,6 @@ TEST(JordanWigner, ParticleNumberConserved) {
     }
 }
 
-TEST(JordanWigner, SaveLoadRoundTrip) {
-  const auto mo = moFor("H2");
-  SpinHamiltonian h = jordanWigner(mo);
-  const std::string path = ::testing::TempDir() + "/h2_ham.txt";
-  h.save(path);
-  const SpinHamiltonian r = SpinHamiltonian::load(path);
-  ASSERT_EQ(r.nTerms(), h.nTerms());
-  EXPECT_EQ(r.nQubits, h.nQubits);
-  EXPECT_NEAR(r.constant, h.constant, 1e-14);
-  for (std::size_t i = 0; i < h.nTerms(); ++i) {
-    EXPECT_EQ(r.strings[i], h.strings[i]);
-    EXPECT_NEAR(r.coeffs[i], h.coeffs[i], 1e-14);
-  }
-}
-
 TEST(JordanWigner, CoefficientsIndependentOfThreadCount) {
   // Every coefficient is summed in one fixed order, so the Hamiltonian is
   // the same bit for bit whatever OpenMP team the build would get.

@@ -444,7 +444,8 @@ TEST(DecodeStateArena, DetachAttachRoundTripMovesNoBytes) {
   // The tile-suspension primitives of the BAS sweep engine: detaching rows
   // parks their slots (index work only), the shrunk view keeps decoding, and
   // attaching restores the parked rows untouched.  SweepStats separates this
-  // zero-byte bookkeeping from real split copies.
+  // zero-byte bookkeeping from real split copies.  Every slot is free, in
+  // the view or parked, at every point.
   const Index maxLen = 8, d = 4, layers = 2, len = 4;
   DecodeState st;
   st.begin(6, maxLen, d, layers);
@@ -455,7 +456,10 @@ TEST(DecodeStateArena, DetachAttachRoundTripMovesNoBytes) {
   ASSERT_EQ(parked.size(), 4u);
   st.shrinkView(2);
   EXPECT_EQ(st.batch, 2);
-  EXPECT_EQ(st.detachedSlotCount(), 4);
+  const auto slotsAccountedFor = [&](std::size_t nParked) {
+    return static_cast<Index>(st.freeSlots.size() + st.rowSlot.size() + nParked);
+  };
+  EXPECT_EQ(slotsAccountedFor(parked.size()), st.capacity);
   EXPECT_EQ(st.sweepStats.detaches, 1);
   EXPECT_EQ(st.sweepStats.slotsDetached, 4);
   EXPECT_EQ(st.sweepStats.realsCopied, 0);
@@ -466,23 +470,25 @@ TEST(DecodeStateArena, DetachAttachRoundTripMovesNoBytes) {
   EXPECT_EQ(st.sweepStats.rowsCopied, 1);
   EXPECT_EQ(st.sweepStats.realsCopied, 2 * layers * len * d);
   expectRows(st, {0, 1, 0});
+  EXPECT_EQ(slotsAccountedFor(parked.size()), st.capacity);
 
   // Tile done: release its rows, resume the parked tile where it left off.
   st.releaseRows();
   EXPECT_EQ(st.batch, 0);
+  EXPECT_EQ(slotsAccountedFor(parked.size()), st.capacity);
   st.attachRows(parked, len);
   EXPECT_EQ(st.batch, 4);
   EXPECT_EQ(st.len, len);
-  EXPECT_EQ(st.detachedSlotCount(), 0);
+  EXPECT_EQ(slotsAccountedFor(0), st.capacity);
   EXPECT_EQ(st.sweepStats.attaches, 1);
   EXPECT_EQ(st.sweepStats.realsCopied, 2 * layers * len * d);  // unchanged
   expectRows(st, {2, 3, 4, 5});
 }
 
 TEST(DecodeStateArena, GrowPreservesDetachedRows) {
-  // An arena grow while tiles are parked must carry the detached slots' live
-  // prefixes (at their recorded lengths) into the new arena, at stable slot
-  // ids — suspended frames must resume untouched.
+  // An arena grow while tiles are parked copies every old slot whole into
+  // the new arena at its old id, parked slots included — suspended frames
+  // must resume untouched, though the arena keeps no record of them.
   const Index maxLen = 8, d = 3, layers = 2, len = 3;
   DecodeState st;
   st.begin(2, maxLen, d, layers);
@@ -492,6 +498,8 @@ TEST(DecodeStateArena, GrowPreservesDetachedRows) {
   std::vector<Index> parked;
   st.detachRows(1, 2, parked);
   st.shrinkView(1);
+  // The live row decodes past the parked one's length before it splits.
+  fillState(st, {0}, len + 2);
   // Splitting the single live row needs a free slot: none exist (the parked
   // slot is not free), so the arena must grow — and keep the parked data.
   st.gather({0, 0, 0, 0});

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "ops/pauli.hpp"
 
 using namespace nnqs;
@@ -9,9 +11,13 @@ namespace {
 PauliString ps(const std::string& s) { return PauliString::fromString(s); }
 }  // namespace
 
-TEST(Pauli, StringRoundTrip) {
-  for (const char* s : {"IXYZ", "XXXX", "ZIZI", "YYII"})
-    EXPECT_EQ(ps(s).toString(4), s);
+TEST(Pauli, FromStringSetsTheMasks) {
+  // Qubit 0 first: X sets x, Z sets z, Y sets both.
+  const PauliString p = ps("IXYZ");
+  EXPECT_EQ(p.x, (Bits128{0b0110, 0}));
+  EXPECT_EQ(p.z, (Bits128{0b1100, 0}));
+  EXPECT_EQ(ps("YYII"), (PauliString{Bits128{0b0011, 0}, Bits128{0b0011, 0}}));
+  EXPECT_THROW(ps("IXQ"), std::invalid_argument);
 }
 
 TEST(Pauli, YCountAndWeight) {
