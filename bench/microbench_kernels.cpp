@@ -395,14 +395,17 @@ void BM_LinearGemm(benchmark::State& state) {
 // Args: impl (-1 = historical naive loop, 0 = scalar reference, 1 = SIMD,
 // 2 = SIMD + OpenMP row blocks), rows, in, out.  The decode shapes, then the
 // phase MLP's 512 -> 512 layer at the few rows of late training (N_u per
-// rank) up to a training tile: both sides of the GEMM's pack-free row cutoff.
+// rank) up to a 64-row tile: both sides of the GEMM's pack-free row cutoff.
+// 502 rows is the gradient tile QiankunNet::tapeTileRows gives the phase MLP
+// at train-c2h4o (Stage 5 at the paper shape); BM_LinearGemmDx and
+// BM_LinearGemmDw time that layer's two backward GEMMs at the same tile.
 BENCHMARK(BM_LinearGemm)
     ->Args({-1, 256, 64, 192})->Args({0, 256, 64, 192})->Args({1, 256, 64, 192})->Args({2, 256, 64, 192})
     ->Args({-1, 256, 64, 64})->Args({1, 256, 64, 64})
     ->Args({-1, 256, 64, 256})->Args({1, 256, 64, 256})
     ->Args({-1, 256, 256, 64})->Args({1, 256, 256, 64})
     ->Args({-1, 4096, 64, 192})->Args({1, 4096, 64, 192})->Args({2, 4096, 64, 192})
-    ->ArgsProduct({{1}, {1, 3, 8, 16, 64}, {512}, {512}});
+    ->ArgsProduct({{1}, {1, 3, 8, 16, 64, 502}, {512}, {512}});
 
 // Linear's input gradient dX = dY W (plain B: W [out, in] read row by row)
 // at the phase layer's shapes.  Args: impl (as BM_LinearGemm), rows, in, out.
@@ -435,13 +438,12 @@ void BM_LinearGemmDx(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * rows * in * out);
   state.SetLabel(nn::kernels::kernelPolicyName(policy));
 }
-BENCHMARK(BM_LinearGemmDx)->ArgsProduct({{1}, {1, 3, 8, 16, 64}, {512}, {512}});
+BENCHMARK(BM_LinearGemmDx)->ArgsProduct({{1}, {1, 3, 8, 16, 64, 502}, {512}, {512}});
 
 // Training-side GEMM: the dW += dY^T X accumulation (transA, accumulate),
-// which used to be a serial loop in Linear::backward.
-void BM_GemmAccumulateTN(benchmark::State& state) {
-  const auto policy = kernelArg(state.range(0));
-  const Index rows = 4096, in = 64, out = 192;
+// which used to be a serial loop in Linear::backward, over `rows` samples.
+void gemmAccumulateTN(benchmark::State& state, nn::kernels::KernelPolicy policy, Index rows,
+                      Index in, Index out) {
   Rng rng(29);
   std::vector<Real> dy(static_cast<std::size_t>(rows * out));
   std::vector<Real> x(static_cast<std::size_t>(rows * in));
@@ -472,7 +474,18 @@ void BM_GemmAccumulateTN(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * rows * in * out);
   state.SetLabel(nn::kernels::kernelPolicyName(policy));
 }
+// Arg: policy.  The decode-shape Linear (64 -> 192) over 4096 rows.
+void BM_GemmAccumulateTN(benchmark::State& state) {
+  gemmAccumulateTN(state, kernelArg(state.range(0)), 4096, 64, 192);
+}
 BENCHMARK(BM_GemmAccumulateTN)->Arg(0)->Arg(1)->Arg(2);
+// Linear's weight gradient at the phase layer's training tile.  Args: impl
+// (as BM_LinearGemm), rows, in, out.
+void BM_LinearGemmDw(benchmark::State& state) {
+  gemmAccumulateTN(state, kernelArg(state.range(0)), state.range(1), state.range(2),
+                   state.range(3));
+}
+BENCHMARK(BM_LinearGemmDw)->Args({1, 502, 512, 512});
 
 // End-to-end incremental decode: a full 32-step TransformerAR sweep at the
 // acceptance shape (includes the qkv/ff matmuls around the attention kernel

@@ -33,16 +33,19 @@ void DecodeState::begin(Index b, Index L, Index d, Index layers,
 }
 
 Index DecodeState::copySlot(Index dst, Index src) {
-  const std::size_t liveK = static_cast<std::size_t>(len) * sizeof(Real);
-  const std::size_t liveV = static_cast<std::size_t>(len * dModel) * sizeof(Real);
+  Index copied = 0;
+  const auto copy = [&copied](Real* to, const Real* from, Index n) {
+    std::memcpy(to, from, static_cast<std::size_t>(n) * sizeof(Real));
+    copied += n;
+  };
   for (Index l = 0; l < nLayers; ++l) {
     // K is position-transposed: each feature row holds `len` live positions.
     for (Index t = 0; t < dModel; ++t)
-      std::memcpy(kSlot(l, dst) + t * maxLen, kSlot(l, src) + t * maxLen, liveK);
+      copy(kSlot(l, dst) + t * maxLen, kSlot(l, src) + t * maxLen, len);
     // V: live positions are one contiguous prefix.
-    std::memcpy(vSlot(l, dst), vSlot(l, src), liveV);
+    copy(vSlot(l, dst), vSlot(l, src), len * dModel);
   }
-  return 2 * nLayers * len * dModel;
+  return copied;
 }
 
 void DecodeState::growArena(Index neededFree) {
@@ -106,8 +109,9 @@ void DecodeState::gather(const std::vector<Index>& rows) {
   sweepStats.realsCopied += realsCopied;
 
   // Regression guard (ROADMAP "single-allocation KV cache"): the arena path
-  // copies only duplicated rows, and only their live positions — a reworked
-  // copy that touches maxLen-sized blocks again would trip this.
+  // copies only duplicated rows, and only their live positions.  copySlot
+  // counts what its memcpys move, so a reworked copy that touches
+  // maxLen-sized blocks again trips this.
   assert(realsCopied == rowsCopied * 2 * nLayers * len * dModel);
 }
 

@@ -137,7 +137,7 @@ struct DecodeState {
   /// or free, keeps its id and its bytes.
   void growArena(Index neededFree);
   /// Copy slot `src`'s `len` live positions (all layers) into `dst`; returns
-  /// the number of Real elements copied.
+  /// the number of Real elements its copies moved.
   Index copySlot(Index dst, Index src);
 
   // Persistent gather() scratch (ref counts, new slot map, first-occurrence

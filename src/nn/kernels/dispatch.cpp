@@ -76,6 +76,7 @@ constexpr detail::KernelTable kScalarKernels{
     &detail::trainBackwardScalar,
     detail::kScalarNr,
     &detail::scalarPanel,
+    &detail::gemmReference<void>,
     &detail::tanhScalar,
     &detail::geluForwardScalar,
     &detail::geluBackwardScalar,

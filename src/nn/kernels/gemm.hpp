@@ -8,6 +8,7 @@ namespace nnqs::nn::kernels {
 ///
 ///   C[i,j] = init_ij + sum_{l = 0 .. k-1, ascending} A[i,l] * B[l,j]
 ///
+/// (each term fused into the running sum, as the contract below says),
 /// where init_ij is `bias[j]` when a bias row is given, the existing C[i,j]
 /// when `accumulate` is set, and 0 otherwise.  `transA`/`transB` select how
 /// the operand buffers are indexed (both buffers are row-major with the given
@@ -21,18 +22,25 @@ namespace nnqs::nn::kernels {
 ///   linalg::matmul    C = A B             (plain)
 ///   linalg::matmulTN  C = A^T B           (transA)
 ///
-/// The arithmetic contract (the GEMM extension of the decode-attention
-/// contract in attn_row.hpp): every output element is one IEEE-754 sum in a
-/// fixed sequential k-order starting from init_ij, with FP contraction off.
-/// Backends may vectorize and block only across *independent* output
-/// elements — lanes are distinct output columns j, register blocks are
-/// distinct output rows i, and the k-loop per accumulator stays sequential —
-/// so every KernelPolicy backend produces exactly the naive loop's bits.
-/// k-strip blocking is allowed: flushing a register accumulator to C and
-/// resuming from the stored value is exact, so strips preserve the per-element
-/// operation sequence.  B is either packed into panels (pure copies) or,
-/// for few-row problems, read in place, and both are pure reads of the same
-/// elements B[l,j], so the choice cannot perturb results either.
+/// The arithmetic contract: every output element is one chain of correctly
+/// rounded fused multiply-adds in ascending l from its init,
+///
+///   c = init_ij;  c = fma(A[i,l], B[l,j], c)  for l = 0, 1, .., k-1,
+///
+/// and nothing else is fused: the library builds with -ffp-contract=off, so
+/// the only FMAs are the explicit std::fma and lane fmadd calls.  (The
+/// attention, LayerNorm and elementwise kernels keep mul then add.)  A
+/// correctly rounded fma has one result, whether libm, a scalar instruction
+/// or a vector lane computes it.  Backends may vectorize and block only
+/// across *independent* output elements — lanes are distinct output columns
+/// j, register blocks are distinct output rows i, and the k-loop per
+/// accumulator stays sequential — so every KernelPolicy backend produces
+/// exactly the naive loop's bits.  k-strip blocking is allowed: flushing a
+/// register accumulator to C and resuming from the stored value is exact, so
+/// strips preserve the per-element operation sequence.  B is either packed
+/// into panels (pure copies) or, for few-row problems, read in place, and
+/// both are pure reads of the same elements B[l,j], so the choice cannot
+/// perturb results either.
 struct GemmArgs {
   Index m = 0, n = 0, k = 0;
   const Real* a = nullptr;
@@ -52,7 +60,8 @@ struct GemmArgs {
 };
 
 /// Run the GEMM under the given policy.  kScalar is the naive reference
-/// (ground truth); kSimd is the single-threaded register-blocked kernel
+/// (ground truth; built once per ISA tier, so std::fma is one instruction on
+/// an FMA host); kSimd is the single-threaded register-blocked kernel
 /// (AVX-512 > AVX2 > scalar panels by cpuid); kThreaded adds the OpenMP
 /// row-block driver; kAuto picks kThreaded past a work threshold.
 void gemm(const GemmArgs& args, KernelPolicy policy = KernelPolicy::kAuto);

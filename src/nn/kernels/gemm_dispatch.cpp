@@ -33,12 +33,13 @@ constexpr Index kKc = 384;
 constexpr Index kMc = 64;
 
 /// At or below this many rows, B is read in place instead of packed.  The
-/// sweep reads each B element once per MR = 4 row block, so for one or two
-/// blocks packing (a full copy of B, on the calling thread, every call)
-/// costs more than the strided loads or gathers it saves.  BM_LinearGemm
-/// and BM_LinearGemmDx at the phase MLP's 512 x 512 layer set the value:
-/// in place wins both at 1-8 rows, ties the gathered forward at 16 and
-/// loses it 1.9x at 64.
+/// sweep reads each B element once per register block (MR = 8 rows on
+/// AVX-512, so one block up to here; MR = 6 on AVX2, two), so packing (a
+/// full copy of B, on the calling thread, every call) costs more than the
+/// strided loads or gathers it saves.  BM_LinearGemm and BM_LinearGemmDx at
+/// the phase MLP's 512 x 512 layer set the value (measured with a 4-row
+/// mul-then-add block): in place wins both at 1-8 rows, ties the gathered
+/// forward at 16 and loses it 1.9x at 64.
 constexpr Index kInPlaceRows = 8;
 
 /// C[i,j] = init_ij: bias row, untouched accumulator, or zero.  cZeroed
@@ -124,7 +125,7 @@ void detail::gemm(const GemmArgs& g, KernelPolicy policy, const KernelTable& tie
 
   policy = resolveGemmPolicy(policy, g.m, g.n, g.k);
   if (policy == KernelPolicy::kScalar) {
-    detail::gemmScalarRef(g);
+    tier.gemmRef(g);
     return;
   }
   gemmBlocked(g, tier, policy == KernelPolicy::kThreaded);

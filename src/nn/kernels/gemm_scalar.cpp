@@ -1,24 +1,13 @@
-// Scalar GEMM backends: the naive reference loop that defines the arithmetic
-// contract (gemm.hpp), and the scalar panel micro-kernel used both as the
-// no-SIMD fallback of the blocked driver and as the ground truth for its
-// loop structure.  Compiled with -ffp-contract=off like the rest of
-// the library.
+// The scalar GEMM panel micro-kernel, used both as the no-SIMD fallback of
+// the blocked driver and as the ground truth for its loop structure.  The
+// naive reference that defines the arithmetic contract (gemm.hpp) is
+// gemmReference (gemm_micro.hpp).  Compiled with -ffp-contract=off like the
+// rest of the library; its only fused multiply-adds are the explicit
+// std::fma calls.
 
 #include "nn/kernels/gemm_micro.hpp"
 
 namespace nnqs::nn::kernels::detail {
-
-void gemmScalarRef(const GemmArgs& g) {
-  // C holds init_ij already (driver); one sequential ascending-l sum each.
-  for (Index i = 0; i < g.m; ++i) {
-    Real* ci = g.c + i * g.ldc;
-    for (Index j = 0; j < g.n; ++j) {
-      Real s = ci[j];
-      for (Index l = 0; l < g.k; ++l) s += gemmA(g, i, l) * gemmB(g, l, j);
-      ci[j] = s;
-    }
-  }
-}
 
 void scalarPanel(const GemmArgs& g, Index i0, Index mc, Index l0, Index lc,
                  PanelB b, Index j0, Index w) {
@@ -27,7 +16,7 @@ void scalarPanel(const GemmArgs& g, Index i0, Index mc, Index l0, Index lc,
     for (Index jj = 0; jj < w; ++jj) {
       Real s = ci[jj];
       for (Index l = 0; l < lc; ++l)
-        s += gemmA(g, i, l0 + l) * b.p[l * b.kStride + jj * b.laneStride];
+        s = std::fma(gemmA(g, i, l0 + l), b.p[l * b.kStride + jj * b.laneStride], s);
       ci[jj] = s;
     }
   }

@@ -7,12 +7,14 @@
 // Bit-identity with the naive reference (contract in gemm.hpp): the 2W
 // lanes of a panel row are 2W *independent* output columns; each
 // accumulator lane starts from its C element (init or earlier-strip partial)
-// and adds broadcast(A[i,l]) * B[l,j] in the same ascending-l order as the
-// scalar loop, mul then add, never an FMA.  The MR x 2W register block
-// exists purely to reuse each broadcast and each B row across independent
-// outputs — it reorders nothing within any one output's sum.  A B row is
-// two vector loads when its lanes are adjacent (a packed panel, or plain B
-// read in place) and two strided gathers otherwise (transB read in place).
+// and applies fmadd(broadcast(A[i,l]), B[l,j], acc) in the same ascending-l
+// order as the reference's std::fma chain, each a correctly rounded fused
+// multiply-add.  The MR x 2W register block exists to reuse each broadcast
+// and each B row across independent outputs, and to keep enough independent
+// chains in flight to cover the FMA latency — it reorders nothing within
+// any one output's chain.  A B row is two vector loads when its lanes are
+// adjacent (a packed panel, or plain B read in place) and two strided
+// gathers otherwise (transB read in place).
 // A partial final panel (w < 2W) loads and stores C, and loads or gathers
 // B, through lane masks: its lanes >= w accumulate terms from +0.0 and are
 // never stored, and nothing past column j0 + w is read.
@@ -27,11 +29,12 @@ struct GemmSimd {
   using V = typename S::V;
   static constexpr Index W = S::kWidth;
   static constexpr Index kNr = 2 * W;  ///< panel width: two vectors of columns
-
-  /// A[i, l] of the math problem (gemmA, ISA-local).
-  static Real aAt(const GemmArgs& g, Index i, Index l) {
-    return g.transA ? g.a[l * g.lda + i] : g.a[i * g.lda + l];
-  }
+  /// Register-block height: MR x 2 accumulators, two B vectors and one
+  /// broadcast fit the register file (19 of AVX-512's 32 zmm at MR = 8, 15
+  /// of AVX2's 16 ymm at MR = 6; AVX2's gathered block spills one, as the
+  /// gather's index and mask take two more), and 16 or 12 independent FMA
+  /// chains cover the FMA latency on two ports.
+  static constexpr Index kMr = W == 8 ? 8 : 6;
 
   /// A B row's lanes from p, `stride` apart when Strided: [0, n) on an
   /// Edge panel, all W otherwise.
@@ -48,12 +51,19 @@ struct GemmSimd {
   /// MR x 2W register block: C rows i..i+MR, columns j0..j0+w.  Edge
   /// instantiates the masked accesses of a partial final panel, Strided the
   /// gathers of a B whose lanes are not adjacent.
-  template <int MR, bool Edge, bool Strided>
+  template <Index MR, bool Edge, bool Strided>
   static void micro(const GemmArgs& g, Index i, Index l0, Index lc, PanelB b, Index j0,
                     Index w) {
+    // A[i + r, l0 + l] is arow[r][l * aStep] in either layout, so the k-loop
+    // holds no layout branch.  The row loops take compile-time indices
+    // (forEachIndex), which keeps acc in registers.
+    const Index aStep = g.transA ? g.lda : 1;
+    const Index aRowStride = g.transA ? 1 : g.lda;
+    const Real* arow[MR];
     Real* crow[MR];
     V acc[MR][2];
-    for (int r = 0; r < MR; ++r) {
+    forEachIndex<MR>([&](auto r) {
+      arow[r] = g.a + (i + r) * aRowStride + l0 * aStep;
       crow[r] = g.c + (i + r) * g.ldc + j0;
       if constexpr (Edge) {
         acc[r][0] = S::loadFirst(crow[r], w);
@@ -62,19 +72,19 @@ struct GemmSimd {
         acc[r][0] = S::load(crow[r]);
         acc[r][1] = S::load(crow[r] + W);
       }
-    }
+    });
     const Index half = W * b.laneStride;  // lane W of a B row
     for (Index l = 0; l < lc; ++l) {
       const Real* row = b.p + l * b.kStride;
       const V b0 = loadB<Edge, Strided>(row, b.laneStride, w);
       const V b1 = loadB<Edge, Strided>(row + half, b.laneStride, w - W);
-      for (int r = 0; r < MR; ++r) {
-        const V ar = S::set1(aAt(g, i + r, l0 + l));
-        acc[r][0] = S::add(acc[r][0], S::mul(ar, b0));
-        acc[r][1] = S::add(acc[r][1], S::mul(ar, b1));
-      }
+      forEachIndex<MR>([&](auto r) {
+        const V ar = S::set1(arow[r][l * aStep]);
+        acc[r][0] = S::fmadd(ar, b0, acc[r][0]);
+        acc[r][1] = S::fmadd(ar, b1, acc[r][1]);
+      });
     }
-    for (int r = 0; r < MR; ++r) {
+    forEachIndex<MR>([&](auto r) {
       if constexpr (Edge) {
         S::storeFirst(crow[r], acc[r][0], w);
         S::storeFirst(crow[r] + W, acc[r][1], w - W);
@@ -82,6 +92,17 @@ struct GemmSimd {
         S::store(crow[r], acc[r][0]);
         S::store(crow[r] + W, acc[r][1]);
       }
+    });
+  }
+
+  /// The last `rows` < kMr rows in one block of exactly that height, so a
+  /// problem of at most kMr rows reads B once.
+  template <bool Edge, bool Strided, Index MR = kMr - 1>
+  static void microTail(Index rows, const GemmArgs& g, Index i, Index l0, Index lc, PanelB b,
+                        Index j0, Index w) {
+    if constexpr (MR > 0) {
+      if (rows == MR) return micro<MR, Edge, Strided>(g, i, l0, lc, b, j0, w);
+      microTail<Edge, Strided, MR - 1>(rows, g, i, l0, lc, b, j0, w);
     }
   }
 
@@ -90,13 +111,8 @@ struct GemmSimd {
                         Index j0, Index w) {
     Index i = i0;
     const Index iEnd = i0 + mc;
-    for (; i + 4 <= iEnd; i += 4) micro<4, Edge, Strided>(g, i, l0, lc, b, j0, w);
-    switch (iEnd - i) {
-      case 3: micro<3, Edge, Strided>(g, i, l0, lc, b, j0, w); break;
-      case 2: micro<2, Edge, Strided>(g, i, l0, lc, b, j0, w); break;
-      case 1: micro<1, Edge, Strided>(g, i, l0, lc, b, j0, w); break;
-      default: break;
-    }
+    for (; i + kMr <= iEnd; i += kMr) micro<kMr, Edge, Strided>(g, i, l0, lc, b, j0, w);
+    microTail<Edge, Strided>(iEnd - i, g, i, l0, lc, b, j0, w);
   }
 
   /// The GemmPanelFn (gemm_micro.hpp) over kNr-wide panels.

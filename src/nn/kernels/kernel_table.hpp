@@ -26,6 +26,8 @@ struct KernelTable {
   TrainFn trainBackward;
   Index gemmNr;  ///< GEMM panel width, the B packing granularity
   GemmPanelFn gemmPanel;
+  /// The naive GEMM reference kScalar runs, compiled for this tier's ISA.
+  GemmReferenceFn gemmRef;
   /// Elementwise ranges; callable on any contiguous sub-range (the threaded
   /// driver chunks them; chunk boundaries cannot perturb elementwise results).
   void (*tanh)(const Real* x, Real* y, Index n);

@@ -23,6 +23,7 @@ constexpr KernelTable kSimdKernels{
     &AttnTrainSimd<S>::backward,
     GemmSimd<S>::kNr,
     &GemmSimd<S>::panel,
+    &gemmReference<S>,
     &ElementwiseSimd<S>::tanh,
     &ElementwiseSimd<S>::gelu,
     &ElementwiseSimd<S>::geluBackward,

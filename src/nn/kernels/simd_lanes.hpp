@@ -5,16 +5,18 @@
 // __m256i (AVX2, simd_avx2.cpp) and Lanes8 over __m512d / __m512i
 // (AVX-512F+DQ, simd_avx512.cpp).  Both expose the same static operations:
 //   - doubles: zero, set1, load/store (whole, or the first n lanes), a
-//     strided gather of the first n lanes, add, sub, mul, div, sqrt, max,
-//     abs, copysign, the lane selects keepFirst and keepGreater, a max
-//     reduction, round-to-nearest and 2^n;
+//     strided gather of the first n lanes, add, sub, mul, the fused
+//     multiply-add fmadd, div, sqrt, max, abs, copysign, the lane selects
+//     keepFirst and keepGreater, a max reduction, round-to-nearest and 2^n;
 //   - 64-bit integers (the batched parity kernel): load, store, and, xor
 //     and a logical right shift;
 // and contractExp<S> below builds the kernel exp from them.  Every
-// floating-point op is a single IEEE operation per lane and the ISA
+// floating-point op is a single IEEE operation per lane (fmadd one
+// correctly rounded fused multiply-add, as std::fma) and the ISA
 // translation units are built with FP contraction off, so lane l of a
 // templated body performs exactly the scalar reference's operation for
-// element l.  A new ISA costs one more lane type.
+// element l, and no product is fused unless the body calls fmadd.  A new
+// ISA costs one more lane type.
 //
 // Include only from the two ISA translation units; only the section
 // matching the TU's -m flags compiles.  The lane types live in an anonymous
@@ -34,7 +36,7 @@
 namespace nnqs::nn::kernels::detail {
 namespace {
 
-#if defined(__AVX2__)
+#if defined(__AVX2__) && defined(__FMA__)
 
 struct Lanes4 {
   using V = __m256d;
@@ -59,6 +61,8 @@ struct Lanes4 {
   static V add(V a, V b) { return _mm256_add_pd(a, b); }
   static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
   static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
+  /// a * b + c, rounded once.
+  static V fmadd(V a, V b, V c) { return _mm256_fmadd_pd(a, b, c); }
   static V div(V a, V b) { return _mm256_div_pd(a, b); }
   static V sqrt(V v) { return _mm256_sqrt_pd(v); }
   static V max(V a, V b) { return _mm256_max_pd(a, b); }
@@ -104,7 +108,7 @@ struct Lanes4 {
   }
 };
 
-#endif  // __AVX2__
+#endif  // __AVX2__ && __FMA__
 
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
 
@@ -128,6 +132,7 @@ struct Lanes8 {
   static V add(V a, V b) { return _mm512_add_pd(a, b); }
   static V sub(V a, V b) { return _mm512_sub_pd(a, b); }
   static V mul(V a, V b) { return _mm512_mul_pd(a, b); }
+  static V fmadd(V a, V b, V c) { return _mm512_fmadd_pd(a, b, c); }
   static V div(V a, V b) { return _mm512_div_pd(a, b); }
   static V sqrt(V v) { return _mm512_sqrt_pd(v); }
   static V max(V a, V b) { return _mm512_max_pd(a, b); }
@@ -229,13 +234,20 @@ struct PartIndex {
   constexpr operator Index() const { return K; }
 };
 
-/// f(k) for k = 0 .. 8 / W - 1, each k a PartIndex, so arrays of 8 / W
-/// vectors indexed by k stay in registers.
-template <class S, class F>
-void forEachPart(const F& f) {
+/// f(k) for k = 0 .. N - 1, each k a PartIndex, so arrays of vectors
+/// indexed by k stay in registers (a runtime-indexed loop, even one the
+/// compiler unrolls, can leave them in memory, stored on every pass).
+template <Index N, class F>
+void forEachIndex(const F& f) {
   [&]<Index... k>(std::integer_sequence<Index, k...>) {
     (f(PartIndex<k>{}), ...);
-  }(std::make_integer_sequence<Index, 8 / S::kWidth>{});
+  }(std::make_integer_sequence<Index, N>{});
+}
+
+/// f(k) for k = 0 .. 8 / W - 1 (forEachIndex).
+template <class S, class F>
+void forEachPart(const F& f) {
+  forEachIndex<8 / S::kWidth>(f);
 }
 
 /// body(i, block, k) for the lane blocks of [0, n) in groups of 8 elements:

@@ -22,14 +22,6 @@ struct SpinHamiltonian {
 
   /// <bra| H |ket> by scanning all strings — O(N_h), test/reference use only.
   [[nodiscard]] Real matrixElement(Bits128 bra, Bits128 ket) const;
-
-  /// y += H x over the full 2^n space (n <= ~24; cross-validation with FCI).
-  void applyDense(const std::vector<Real>& x, std::vector<Real>& y) const;
-  [[nodiscard]] std::vector<Real> denseDiagonal() const;
 };
-
-/// Ground-state energy of a small Hamiltonian via Davidson on the dense
-/// 2^n-dimensional space (optionally restricted to fixed particle numbers).
-Real exactGroundState(const SpinHamiltonian& h);
 
 }  // namespace nnqs::ops

@@ -415,7 +415,9 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
     std::array<double, 4> mx{};
     for (std::size_t k = 0; k < allPhases.size(); ++k)
       mx[k % 4] = std::max(mx[k % 4], allPhases[k]);
-    const Real n = static_cast<Real>(opts.iterations);
+    // The phase times cover this call's iterations only (a resume restores
+    // no times); a resume with none left reports zeros.
+    const Real n = std::max(1, opts.iterations - iterStart);
     res.secondsPerIteration = {mx[0] / n, mx[1] / n, mx[2] / n, mx[3] / n};
     res.commBytesPerIteration =
         loop.bytesAllIterations / static_cast<std::uint64_t>(opts.iterations);

@@ -96,7 +96,9 @@ struct VmcResult {
   Real energy = 0;                     ///< mean over the last averaging window
   Real variance = 0;                   ///< last-iteration local-energy variance
   std::size_t nUnique = 0;             ///< last-iteration global unique samples
-  PhaseBreakdown secondsPerIteration;  ///< averaged over iterations, max over ranks
+  /// Averaged over the iterations this call ran (a resumed call's own, zeros
+  /// when it had none left), max over ranks.
+  PhaseBreakdown secondsPerIteration;
   /// Exact per-iteration communication volume, summed across ranks and
   /// averaged over iterations: the byte counters are reset at the top of
   /// every iteration, so only Stage 1-6 collectives are counted (the

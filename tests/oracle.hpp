@@ -6,15 +6,19 @@
 // on a local Tape with no backward (the training kernels, every prefix re-read
 // in full); the masked conditionals and ln|Psi| derived from them repeat the
 // arithmetic of nqs/ansatz.cpp.  localEnergiesExact is the non-sample-aware
-// E_loc reference for the vmc engines, and adamwStep the optimizer update's.
+// E_loc reference for the vmc engines, adamwStep the optimizer update's, and
+// exactGroundState the dense-space energy that cross-checks Jordan-Wigner
+// against FCI.
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <vector>
 
+#include "linalg/davidson.hpp"
 #include "nn/optimizer.hpp"
 #include "nqs/ansatz.hpp"
+#include "ops/hamiltonian.hpp"
 #include "ops/packed_hamiltonian.hpp"
 
 namespace nnqs::oracle {
@@ -146,6 +150,53 @@ inline void adamwStep(const nn::AdamWOptions& o, Real lr, long t, std::size_t n,
     w[i] -= lr * (mhat / (std::sqrt(vhat) + o.eps) + o.weightDecay * w[i]);
     g[i] = 0.0;
   }
+}
+
+/// y += H x over the full 2^n space (n <= ~24).  A pull sweep: each bra b
+/// sums its own row, constant * x[b] and then c_i * <b|P_i|b ^ x_i> *
+/// x[b ^ x_i] in ascending i, and only its thread writes y[b], so the result
+/// does not depend on the OpenMP team.  Zero entries of x (all but one
+/// particle-number sector in Davidson) are skipped before the phase is
+/// formed.
+inline void applyDense(const ops::SpinHamiltonian& h, const std::vector<Real>& x,
+                       std::vector<Real>& y) {
+  const std::size_t dim = std::size_t{1} << h.nQubits;
+#pragma omp parallel for schedule(static)
+  for (std::size_t bra = 0; bra < dim; ++bra) {
+    const Bits128 braBits{static_cast<std::uint64_t>(bra), 0};
+    Real acc = h.constant * x[bra];
+    for (std::size_t i = 0; i < h.strings.size(); ++i) {
+      const Bits128 ketBits = braBits ^ h.strings[i].x;
+      const Real xv = x[ketBits.lo];
+      if (xv == 0.0) continue;
+      acc += h.coeffs[i] * ops::applyPhase(h.strings[i], ketBits).real() * xv;
+    }
+    y[bra] += acc;
+  }
+}
+
+/// Ground-state energy of a small Hamiltonian via Davidson on the dense
+/// 2^n-dimensional space, preconditioned by the dense diagonal.
+inline Real exactGroundState(const ops::SpinHamiltonian& h) {
+  const std::size_t dim = std::size_t{1} << h.nQubits;
+  std::vector<Real> diag(dim);
+#pragma omp parallel for schedule(static)
+  for (std::size_t ket = 0; ket < dim; ++ket) {
+    const Bits128 ketBits{static_cast<std::uint64_t>(ket), 0};
+    Real d = h.constant;
+    for (std::size_t i = 0; i < h.strings.size(); ++i) {
+      if (h.strings[i].x.any()) continue;  // off-diagonal
+      d += h.coeffs[i] * ops::applyPhase(h.strings[i], ketBits).real();
+    }
+    diag[ket] = d;
+  }
+  linalg::DavidsonOptions opts;
+  opts.residualTol = 1e-9;
+  opts.maxIterations = 400;
+  return linalg::davidsonLowest(
+             [&](const std::vector<Real>& x, std::vector<Real>& y) { applyDense(h, x, y); },
+             diag, opts)
+      .eigenvalue;
 }
 
 }  // namespace nnqs::oracle

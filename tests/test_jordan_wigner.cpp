@@ -8,6 +8,7 @@
 #include "chem/geometry_library.hpp"
 #include "fci/fci.hpp"
 #include "ops/jordan_wigner.hpp"
+#include "oracle.hpp"
 #include "scf/rhf.hpp"
 
 using namespace nnqs;
@@ -99,23 +100,23 @@ TEST(JordanWigner, MatchesFciGroundState) {
   for (const char* name : {"H2", "LiH"}) {
     const auto mo = moFor(name);
     const SpinHamiltonian h = jordanWigner(mo);
-    const Real eQubit = exactGroundState(h);
+    const Real eQubit = oracle::exactGroundState(h);
     const Real eFci = fci::runFci(mo).energy;
     EXPECT_NEAR(eQubit, eFci, 1e-7) << name;
   }
 }
 
 TEST(JordanWigner, ExactGroundStateIndependentOfThreadCount) {
-  // applyDense sums each row of H x in ascending term order and writes it
-  // from one thread, so the Davidson energy is the same bit for bit
-  // whatever OpenMP team runs it.
+  // oracle::applyDense sums each row of H x in ascending term order and
+  // writes it from one thread, so the Davidson energy is the same bit for
+  // bit whatever OpenMP team runs it.
   const SpinHamiltonian h = jordanWigner(moFor("LiH"));
   const int saved = omp_get_max_threads();
   omp_set_num_threads(1);
-  const Real one = exactGroundState(h);
+  const Real one = oracle::exactGroundState(h);
   omp_set_num_threads(4);
   for (int call = 0; call < 3; ++call)
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(exactGroundState(h)),
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(oracle::exactGroundState(h)),
               std::bit_cast<std::uint64_t>(one))
         << "call " << call;
   omp_set_num_threads(saved);

@@ -263,6 +263,43 @@ TEST(Vmc, PhaseTimingsPopulated) {
   EXPECT_GT(res.secondsPerIteration.gradient, 0.0);
 }
 
+TEST(Vmc, ResumedPhaseTimesAverageTheIterationsRun) {
+  // A resumed call times only the iterations it runs, so its per-iteration
+  // gradient time is a fresh call's of the same length, not that spread over
+  // the iterations before the checkpoint too (8x lower at 5 of 40).  With
+  // the learning rate at 0 the net, and so the sample distribution and the
+  // work per iteration, stay as they start.  A resume with no iterations
+  // left reports zeros.
+  const System s = buildSystem("LiH");
+  const std::string path = ::testing::TempDir() + "/vmc_resume_times.ckpt";
+  VmcOptions opts;
+  opts.nSamples = 1 << 12;
+  opts.nSamplesInitial = 1 << 12;
+  opts.learningRate = 0.0;
+  opts.pretrainIterations = 0;
+  opts.iterations = 35;
+  opts.checkpointEvery = 35;
+  opts.checkpointPath = path;
+  runVmc(s.packed, netCfg(s), opts);  // also warms the process for the two timed calls
+  opts.checkpointEvery = 0;
+  opts.checkpointPath.clear();
+  opts.iterations = 5;
+  const double fresh = runVmc(s.packed, netCfg(s), opts).secondsPerIteration.gradient;
+
+  opts.resumeFrom = path;
+  opts.iterations = 40;
+  const double resumed = runVmc(s.packed, netCfg(s), opts).secondsPerIteration.gradient;
+  EXPECT_GT(resumed, fresh / 4) << "fresh " << fresh << " s, resumed " << resumed << " s";
+  EXPECT_LT(resumed, fresh * 4) << "fresh " << fresh << " s, resumed " << resumed << " s";
+
+  opts.iterations = 35;
+  const PhaseBreakdown none = runVmc(s.packed, netCfg(s), opts).secondsPerIteration;
+  EXPECT_EQ(none.sampling, 0.0);
+  EXPECT_EQ(none.localEnergy, 0.0);
+  EXPECT_EQ(none.gradient, 0.0);
+  EXPECT_EQ(none.other, 0.0);
+}
+
 TEST(Vmc, RejectsBaselineEngine) {
   const System s = buildSystem("H2");
   VmcOptions opts;
