@@ -12,15 +12,19 @@ normalizes: for every gated benchmark it computes
 
     ratio_i = cpu_time_current_i / cpu_time_baseline_i
 
-and divides by the median ratio across all gated benchmarks (the host-speed
-factor — a uniformly 2x-slower runner moves every ratio by 2x and cancels
-out).  A benchmark fails when its normalized ratio exceeds 1 + --tolerance
-(default 0.25, i.e. a >25% slowdown relative to its peers).  A *uniform*
-regression (every timer slower, e.g. a lost compiler flag) would cancel out of
-the normalized check, so the median ratio itself is additionally gated by the
-wider 1 + --global-tolerance band (default 1.0: the whole suite may run up to
-2x slower than the baseline host before the gate trips — enough slack for
-runner variance, not for a broken build).
+and divides by a host-speed factor: a uniformly 2x-slower runner moves every
+ratio by 2x and cancels out.  The factor is the median ratio across all
+gated benchmarks, taken a second time over only the ratios at or above
+first_median / (1 + --tolerance).  A change that makes a minority of timers
+much faster (a new kernel) would otherwise drag the plain median down and
+push every untouched timer toward the band; the fast outliers are dropped,
+while slow ones always count.  A benchmark fails when its normalized ratio
+exceeds 1 + --tolerance (default 0.25, i.e. a >25% slowdown relative to its
+peers).  A *uniform* regression (every timer slower, e.g. a lost compiler
+flag) would cancel out of the normalized check, so the host factor itself is
+additionally gated by the wider 1 + --global-tolerance band (default 1.0: the
+whole suite may run up to 2x slower than the baseline host before the gate
+trips — enough slack for runner variance, not for a broken build).
 
 A gated benchmark that is present in the baseline but missing from the
 current run fails the gate too (a silently dropped timer is how a regression
@@ -115,6 +119,14 @@ def load_times(path):
     return {n: (t, errs.get(n, False)) for n, t in times.items()}, cpus
 
 
+def host_factor(ratios, tolerance):
+    """Median of the ratios that are not faster outliers: those at or above
+    the plain median divided by 1 + tolerance."""
+    ratios = list(ratios)
+    floor = statistics.median(ratios) / (1.0 + tolerance)
+    return statistics.median(r for r in ratios if r >= floor)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("current", help="fresh benchmark JSON (build/BENCH_kernels.json)")
@@ -122,7 +134,7 @@ def main():
     ap.add_argument("--tolerance", type=float, default=0.25,
                     help="per-benchmark normalized slowdown band (default 0.25)")
     ap.add_argument("--global-tolerance", type=float, default=1.0,
-                    help="band on the median raw ratio, catching uniform "
+                    help="band on the host-speed factor, catching uniform "
                          "regressions (default 1.0)")
     ap.add_argument("--filter", default=DEFAULT_FILTER,
                     help="regex selecting the gated benchmarks")
@@ -171,14 +183,15 @@ def main():
     ratios = {n: c / b for n, c, b in pairs}
     host = 1.0
     if not args.absolute and ratios:
-        host = statistics.median(ratios.values())
+        host = host_factor(ratios.values(), args.tolerance)
         if host > 1.0 + args.global_tolerance:
             failures.append(
-                f"median ratio {host:.2f} exceeds the global band "
+                f"host factor {host:.2f} exceeds the global band "
                 f"{1.0 + args.global_tolerance:.2f} (uniform regression?)")
 
     width = max((len(n) for n in gated), default=4)
-    print(f"host-speed factor (median current/baseline ratio): {host:.3f}")
+    print(f"host-speed factor (median current/baseline ratio, fast outliers "
+          f"dropped): {host:.3f}")
     print(f"{'benchmark':<{width}}  {'base':>10}  {'current':>10}  "
           f"{'ratio':>6}  {'norm':>6}")
     for n, c, b in pairs:

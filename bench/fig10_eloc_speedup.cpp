@@ -7,12 +7,15 @@
 // Per-sample runtimes are measured on BAS-generated unique samples of C2
 // (default) and, with --all, LiCl and C2H4O as in the paper.  The batched
 // engine's observability counters (prefilter rejects, index probes, hits,
-// per-tile term spread) are printed per molecule.
+// per-tile term spread) are printed per molecule.  The library runs +LUT
+// (kSaFuseLut) and the +BAT rows (kBatched); eloc_ablation.hpp builds the
+// other rows.  SA+FUSE, +PAR, +BAT1 and +BAT must reproduce +LUT bit for bit
+// on the samples they share: a mismatch is reported and the bench exits 1.
 
 #include <omp.h>
 
 #include "bench_common.hpp"
-#include "vmc/local_energy.hpp"
+#include "eloc_ablation.hpp"
 
 using namespace nnqs;
 using namespace nnqs::bench;
@@ -24,13 +27,25 @@ struct Measurement {
   double perSampleSec[6];  // baseline, SA+FUSE, +LUT, +threads, +BAT1, +BAT
   std::size_t nUnique;
   ElocStats stats;  // batched-engine counters
+  std::vector<std::string> mismatches;  // rows that differ from +LUT
 };
+
+/// Records `row` as a mismatch unless `got` equals the first got.size()
+/// local energies of +LUT bit for bit.
+void compareWithLut(Measurement& m, const char* row, const std::vector<Complex>& lutEloc,
+                    const std::vector<Complex>& got) {
+  for (std::size_t i = 0; i < got.size(); ++i)
+    if (got[i].real() != lutEloc[i].real() || got[i].imag() != lutEloc[i].imag()) {
+      m.mismatches.push_back(std::string(row) + " differs from +LUT at sample " +
+                             std::to_string(i));
+      return;
+    }
+}
 
 Measurement measure(const std::string& name, std::uint64_t nSamples,
                     std::size_t baselineSamples, std::size_t serialSamples) {
   Pipeline p = buildPipeline(name, "sto-3g");
   const auto packed = ops::PackedHamiltonian::fromHamiltonian(p.ham);
-  const auto made = ops::MadePackedHamiltonian::fromHamiltonian(p.ham);
   nqs::QiankunNet net(paperNetConfig(p));
 
   nqs::SamplerOptions sOpts;
@@ -53,20 +68,23 @@ Measurement measure(const std::string& name, std::uint64_t nSamples,
                                 std::min(serialSamples, set.nUnique())));
 
   Timer t;
-  localEnergies(packed, baseProbe, lut, ElocMode::kBaseline, &made, &net);
+  elocBaseline(p.ham, baseProbe, lut, net);
   m.perSampleSec[0] = t.seconds() / static_cast<double>(baseProbe.size());
 
   t.reset();
-  localEnergies(packed, serialProbe, lut, ElocMode::kSaFuse);
+  const std::vector<Complex> saFuse = elocSaFuse(packed, serialProbe, lut);
   m.perSampleSec[1] = t.seconds() / static_cast<double>(serialProbe.size());
 
   t.reset();
-  localEnergies(packed, set.samples, lut, ElocMode::kSaFuseLut);
+  const std::vector<Complex> lutEloc =
+      localEnergies(packed, set.samples, lut, ElocMode::kSaFuseLut);
   m.perSampleSec[2] = t.seconds() / static_cast<double>(set.nUnique());
+  compareWithLut(m, "SA+FUSE", lutEloc, saFuse);
 
   t.reset();
-  localEnergies(packed, set.samples, lut, ElocMode::kSaFuseLutParallel);
+  const std::vector<Complex> par = elocSaFuseLutParallel(packed, set.samples, lut);
   m.perSampleSec[3] = t.seconds() / static_cast<double>(set.nUnique());
+  compareWithLut(m, "+PAR", lutEloc, par);
 
   // Batched engine: warm call first so the timed runs measure the
   // steady-state (allocation-free) path, as in the VMC loop.
@@ -77,12 +95,14 @@ Measurement measure(const std::string& name, std::uint64_t nSamples,
   t.reset();
   localEnergiesBatched(packed, set.samples, lut, out.data(), bOpts, nullptr);
   m.perSampleSec[4] = t.seconds() / static_cast<double>(set.nUnique());
+  compareWithLut(m, "+BAT1", lutEloc, out);
 
   bOpts.maxThreads = 0;
   localEnergiesBatched(packed, set.samples, lut, out.data(), bOpts, nullptr);
   t.reset();
   localEnergiesBatched(packed, set.samples, lut, out.data(), bOpts, nullptr);
   m.perSampleSec[5] = t.seconds() / static_cast<double>(set.nUnique());
+  compareWithLut(m, "+BAT", lutEloc, out);
   return m;
 }
 
@@ -101,6 +121,7 @@ int main(int argc, char** argv) {
               "+BAT1 s/x", "+BAT s/x", "SA+FUSE", "+LUT", "+PAR", "+BAT1",
               "+BAT");
 
+  bool mismatch = false;
   for (const auto& name : molecules) {
     const Measurement m =
         measure(name, static_cast<std::uint64_t>(args.getInt("samples", 100000)),
@@ -126,8 +147,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(m.stats.tileTermsMin),
                 static_cast<unsigned long long>(m.stats.tileTermsMax));
     std::fflush(stdout);
+    for (const std::string& what : m.mismatches)
+      std::fprintf(stderr, "%s: %s\n", name.c_str(), what.c_str());
+    mismatch = mismatch || !m.mismatches.empty();
   }
   std::printf("\nPaper reference (A100 vs bare CPU): C2 24x/103x/3768x, "
               "LiCl 11x/34x/3348x, C2H4O 12x/38x/4097x.\n");
-  return 0;
+  return mismatch ? 1 : 0;
 }

@@ -15,6 +15,7 @@
 #include <optional>
 
 #include "bench_common.hpp"
+#include "eloc_ablation.hpp"
 #include "io/checkpoint.hpp"
 #include "nn/kernels/elementwise.hpp"
 #include "nn/kernels/gemm.hpp"
@@ -975,28 +976,10 @@ void BM_Stage6Threads(benchmark::State& state) {
 // Arg: 0 = replicated step, 1 = sharded step.
 BENCHMARK(BM_Stage6Threads)->Arg(0)->Arg(1)->UseManualTime()->Unit(benchmark::kMillisecond);
 
-void BM_LocalEnergySample(benchmark::State& state) {
-  const auto& p = c2Pipeline();
-  const auto packed = ops::PackedHamiltonian::fromHamiltonian(p.ham);
-  nqs::QiankunNet net(paperNetConfig(p));
-  nqs::SamplerOptions opts;
-  opts.nSamples = 1 << 14;
-  nqs::BasSweepEngine sampler(net);
-  const nqs::SampleSet& set = sampler.sweep(opts);
-  const auto psi = net.psi(set.samples);
-  const auto lut = vmc::WavefunctionLut::build(set.samples, psi);
-  for (auto _ : state) {
-    const auto eloc =
-        vmc::localEnergies(packed, set.samples, lut, vmc::ElocMode::kSaFuseLut);
-    benchmark::DoNotOptimize(eloc.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(set.nUnique()));
-}
-BENCHMARK(BM_LocalEnergySample);
-
 // The batched local-energy engine vs. the per-sample LUT engines at the
 // fig10 acceptance shape (C2, N_s = 2^14).  Impl 0/1 are the per-sample
-// binary-search engines (serial / OpenMP), 2/3 the batched hashed-probe engine
+// binary-search engines (serial kSaFuseLut / the OpenMP loop of
+// eloc_ablation.hpp), 2/3 the batched hashed-probe engine
 // (single-thread / threaded); the 0-vs-2 and 1-vs-3 time ratios are the
 // batched-engine speedups quoted in the README (>= 2x acceptance bar at
 // equal thread budget).  The warm-up run doubles as a correctness gate
@@ -1040,10 +1023,9 @@ void BM_ElocBatched(benchmark::State& state) {
       lastRunAllocs = allocationCount() - allocs0;
       benchmark::DoNotOptimize(out.data());
     } else {
-      const auto eloc = vmc::localEnergies(
-          packed, set.samples, lut,
-          impl == 0 ? vmc::ElocMode::kSaFuseLut
-                    : vmc::ElocMode::kSaFuseLutParallel);
+      const auto eloc =
+          impl == 0 ? vmc::localEnergies(packed, set.samples, lut, vmc::ElocMode::kSaFuseLut)
+                    : bench::elocSaFuseLutParallel(packed, set.samples, lut);
       benchmark::DoNotOptimize(eloc.data());
     }
   }
@@ -1064,7 +1046,7 @@ void BM_ElocBatched(benchmark::State& state) {
       state.SkipWithError("warm batched E_loc run heap-allocated");
   }
 }
-// Arg: 0 = kSaFuseLut (serial binary search), 1 = kSaFuseLutParallel,
+// Arg: 0 = kSaFuseLut (serial binary search), 1 = its OpenMP loop (+PAR),
 // 2 = batched engine pinned to one thread, 3 = batched engine threaded.
 BENCHMARK(BM_ElocBatched)->Arg(0)->Arg(1)->Arg(2)->Arg(3)
     ->Unit(benchmark::kMillisecond);

@@ -29,13 +29,13 @@ struct ScalingPoint {
 };
 
 /// `--eloc batched|lut` selects the local-energy engine: the batched
-/// hashed-probe engine (default) or the per-sample binary-search engine.
-/// Both produce bit-identical per-sample E_loc, so this only moves the
-/// local-energy phase's wall clock.
+/// hashed-probe engine (default) or the serial per-sample binary-search
+/// reference.  Both produce bit-identical per-sample E_loc, so this only
+/// moves the local-energy phase's wall clock.
 inline vmc::ElocMode elocMode(const Args& args) {
   const std::string mode = args.get("eloc", "batched");
   if (mode == "batched") return vmc::ElocMode::kBatched;
-  if (mode == "lut") return vmc::ElocMode::kSaFuseLutParallel;
+  if (mode == "lut") return vmc::ElocMode::kSaFuseLut;
   std::fprintf(stderr,
                "unknown --eloc mode '%s' (expected 'batched' or 'lut')\n",
                mode.c_str());

@@ -48,13 +48,13 @@ int main(int argc, char** argv) {
   for (std::size_t w = 0; w < byWeight.size(); ++w)
     if (byWeight[w] > 0) std::printf("  weight %2zu: %d strings\n", w, byWeight[w]);
 
-  const auto made = ops::MadePackedHamiltonian::fromHamiltonian(ham);
+  const std::size_t madeBytes = ops::madeLayoutBytes(ham);
   const auto packed = ops::PackedHamiltonian::fromHamiltonian(ham);
   std::printf("packed layouts: MADE %zu bytes, compressed %zu bytes (%.1f%% saved),"
               " %zu unique couplings\n",
-              made.memoryBytes(), packed.memoryBytes(),
+              madeBytes, packed.memoryBytes(),
               100.0 * (1.0 - static_cast<double>(packed.memoryBytes()) /
-                                 static_cast<double>(made.memoryBytes())),
+                                 static_cast<double>(madeBytes)),
               packed.nGroups());
   return 0;
 }

@@ -20,25 +20,20 @@ enum class KernelPolicy {
   kThreaded,  ///< SIMD kernel + OpenMP over (row, head) tiles
 };
 
-/// Local-energy engine variants benchmarked in Fig. 10.  All compute
-///   E_loc(x) = sum_{x'} <x|H|x'> psi(x') / psi(x):
-///  - kBaseline: per-Pauli-string (MADE layout), every coupled state's psi
-///    obtained by a fresh network inference; no fusion, no lookup table.
-///  - kSaFuse: compressed layout (Fig. 6c), fused coefficient evaluation,
-///    sample-aware (only x' in S), but S searched linearly as byte strings.
-///  - kSaFuseLut: + the sorted integer lookup table (binary search).
-///  - kSaFuseLutParallel: + thread parallelism over samples (Algorithm 2 with
-///    OpenMP threads standing in for the CUDA kernel).
-///  - kBatched: the batched engine (vmc/eloc_kernels.hpp) — sample tiles,
+/// Local-energy engine of the VMC loop.  Both compute the sample-aware
+///   E_loc(x) = sum_{x' in S} <x|H|x'> psi(x') / psi(x)
+/// over the compressed Hamiltonian layout (Fig. 6c), bit for bit alike:
+///  - kSaFuseLut: the serial reference — one fused pass over the unique XY
+///    groups per sample, each coupled state searched in the sorted lookup
+///    table (binary search).
+///  - kBatched: the production engine (vmc/eloc_kernels.hpp) — sample tiles,
 ///    an XOR-linear hash with a blocked Bloom prefilter and a hashed LUT
 ///    index (no sort), batched parity kernels for the coefficients, tiles
-///    dynamically scheduled by realized term work.  Per-sample results
-///    identical to kSaFuseLut.
+///    dynamically scheduled by realized term work.
+/// Fig. 10's other ablation rows (the bare baseline, the linear byte search,
+/// the OpenMP loop) are built in bench/eloc_ablation.hpp.
 enum class ElocMode {
-  kBaseline,
-  kSaFuse,
   kSaFuseLut,
-  kSaFuseLutParallel,
   kBatched,
 };
 

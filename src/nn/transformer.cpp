@@ -34,8 +34,6 @@ const Real* DecoderBlock::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
   const Real* f2 = ff2_.forwardTape(tape, f.ff2, g, rows, policy);
   Real* out = tape.alloc(n);
   for (Index i = 0; i < n; ++i) out[i] = f2[i] + h[i];
-  f.x = x;
-  f.h = h;
   f.f1 = f1;
   f.rows = rows;
   return out;

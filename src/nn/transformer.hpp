@@ -41,8 +41,6 @@ class DecoderBlock {
     LayerNorm::TapeFrame ln1, ln2;
     CausalSelfAttention::TapeFrame attn;
     Linear::TapeFrame ff1, ff2;
-    const Real* x = nullptr;   ///< block input [rows, d]
-    const Real* h = nullptr;   ///< post-attention residual stream [rows, d]
     const Real* f1 = nullptr;  ///< ff1 output, the GELU input [rows, ffDim]
     Index rows = 0;
   };

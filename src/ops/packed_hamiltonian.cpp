@@ -4,39 +4,8 @@
 
 namespace nnqs::ops {
 
-std::size_t MadePackedHamiltonian::memoryBytes() const {
-  // Per string: two boolean tuples of length N (1 byte/entry), one int32 for
-  // the Y count and one float64 coefficient.
-  return nTerms() * (2 * static_cast<std::size_t>(nQubits) + 4 + 8);
-}
-
-MadePackedHamiltonian MadePackedHamiltonian::fromHamiltonian(const SpinHamiltonian& h) {
-  MadePackedHamiltonian m;
-  m.nQubits = h.nQubits;
-  m.constant = h.constant;
-  m.xy.reserve(h.nTerms());
-  m.yz.reserve(h.nTerms());
-  m.yCount.reserve(h.nTerms());
-  m.coeff.reserve(h.nTerms());
-  for (std::size_t i = 0; i < h.nTerms(); ++i) {
-    const PauliString& p = h.strings[i];
-    m.xy.push_back(p.x);
-    m.yz.push_back(p.z);
-    m.yCount.push_back(p.yCount());
-    m.coeff.push_back(h.coeffs[i]);
-  }
-  return m;
-}
-
-Real MadePackedHamiltonian::matrixElement(Bits128 x, Bits128 xp) const {
-  Real sum = (x == xp) ? constant : 0.0;
-  for (std::size_t i = 0; i < nTerms(); ++i) {
-    if ((x ^ xy[i]) != xp) continue;
-    // i^{#Y} is +-1 (even #Y); sign from Z-or-Y positions of the input.
-    const Real phase = (yCount[i] % 4 == 2) ? -1.0 : 1.0;
-    sum += coeff[i] * phase * (parityAnd(x, yz[i]) ? -1.0 : 1.0);
-  }
-  return sum;
+std::size_t madeLayoutBytes(const SpinHamiltonian& h) {
+  return h.nTerms() * (2 * static_cast<std::size_t>(h.nQubits) + 4 + 8);
 }
 
 std::size_t PackedHamiltonian::memoryBytes() const {

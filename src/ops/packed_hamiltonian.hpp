@@ -6,25 +6,12 @@
 
 namespace nnqs::ops {
 
-/// Hamiltonian layout of Ref. 27 (MADE), paper Fig. 6(b): one XY mask, one YZ
-/// mask, the Y count and the coefficient per Pauli string.
-struct MadePackedHamiltonian {
-  int nQubits = 0;
-  Real constant = 0;
-  std::vector<Bits128> xy;   ///< occurrence of X or Y (couples x -> x')
-  std::vector<Bits128> yz;   ///< occurrence of Y or Z (sign)
-  std::vector<int> yCount;   ///< occurrence of Y (phase)
-  std::vector<Real> coeff;
-
-  [[nodiscard]] std::size_t nTerms() const { return xy.size(); }
-  /// Bytes with the paper's accounting: boolean tuples of length N stored as
-  /// one byte per entry (numpy-style), 4-byte int, 8-byte coefficient.
-  [[nodiscard]] std::size_t memoryBytes() const;
-
-  static MadePackedHamiltonian fromHamiltonian(const SpinHamiltonian& h);
-  /// <x|H|x'> via the packed data (reference implementation for tests).
-  [[nodiscard]] Real matrixElement(Bits128 x, Bits128 xp) const;
-};
+/// Bytes of the Hamiltonian layout of Ref. 27 (MADE), paper Fig. 6(b), with
+/// the paper's accounting: per Pauli string an XY and a YZ mask stored as
+/// boolean tuples of one byte per qubit (numpy-style), a 4-byte Y count and
+/// an 8-byte coefficient.  Fig. 9 compares PackedHamiltonian::memoryBytes
+/// with it.
+[[nodiscard]] std::size_t madeLayoutBytes(const SpinHamiltonian& h);
 
 /// The paper's compressed layout, Fig. 6(c) / Algorithm 1: unique XY masks
 /// with CSR-style ranges into the reorganized YZ masks and *premultiplied*

@@ -183,8 +183,8 @@ struct RankLoop {
                    allSamples.data() + std::min(nAll, (tile + 1) * tileSz));
     chunkTerms.assign(chunk.size(), 0);
     const std::vector<Complex> eloc =
-        vmc::localEnergies(hamiltonian, chunk, lut, opts.exec.eloc, /*made=*/nullptr,
-                           /*net=*/nullptr, &elocStats, chunkTerms.data());
+        vmc::localEnergies(hamiltonian, chunk, lut, opts.exec.eloc, &elocStats,
+                           chunkTerms.data());
     elocRecords.resize(chunk.size());
     for (std::size_t i = 0; i < chunk.size(); ++i) elocRecords[i] = {eloc[i], chunkTerms[i]};
     const std::vector<ElocRecord> gathered =
@@ -330,10 +330,6 @@ struct RankLoop {
 
 VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
                  const nqs::QiankunNetConfig& netConfig, const VmcOptions& opts) {
-  if (opts.exec.eloc == ElocMode::kBaseline)
-    throw std::invalid_argument(
-        "runVmc: the baseline local-energy engine exists for Fig. 10 "
-        "benchmarking only; use a sample-aware mode");
   // An empty run has no energy to report (an empty averaging window, or
   // sweeps of zero total weight), so it is an error, not NaN.
   if (opts.iterations < 1 || opts.nSamplesInitial < 1)
@@ -361,8 +357,8 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
 
     for (int iter = iterStart; iter < opts.iterations; ++iter) {
       // Per-iteration byte accounting: everything Stages 1-6 communicate
-      // lands in this window; the end-of-iteration bookkeeping gather below
-      // is snapshot *after* reading the counter and wiped by this reset, so
+      // lands in this window.  A checkpoint save's gathers come after the
+      // counter is read and are wiped by this reset, so
       // commBytesPerIteration counts exactly the algorithmic collectives.
       comm.resetByteCounter();
       loop.sample(iter);
@@ -379,10 +375,10 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
           (iter + 1 - opts.pretrainIterations) % std::max(1, opts.growEvery) == 0 &&
           (opts.maxUniqueSamples == 0 || 2 * loop.lut.size() <= opts.maxUniqueSamples))
         loop.nsCurrent = std::min(loop.nsCurrent * 2, opts.nSamples);
-      // The byte gather reads the counters *then* exchanges them, and the
-      // exchange is wiped by next iteration's reset.
-      const std::uint64_t myBytes = comm.bytesCommunicated();
-      for (const std::uint64_t b : comm.allGather(&myBytes, 1)) loop.bytesAllIterations += b;
+      // Every collective charges every rank the same bytes, so the ranks'
+      // sum is this rank's count times the world size.
+      loop.bytesAllIterations +=
+          comm.bytesCommunicated() * static_cast<std::uint64_t>(comm.size());
 
       res.energyHistory[static_cast<std::size_t>(iter)] = loop.eMean.real();
       res.nUnique = loop.lut.size();
@@ -391,7 +387,7 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
       // crash.
       if (opts.checkpointEvery > 0 && (iter + 1) % opts.checkpointEvery == 0)
         loop.save(iter + 1);
-      // The non-batched engines zero ElocStats, so their fields print 0.
+      // kSaFuseLut zeroes ElocStats, so its fields print 0.
       if (comm.rank() == 0 && opts.logEvery > 0 && iter % opts.logEvery == 0)
         log::info("vmc it=%4d E=%.8f var=%.3e Nu=%zu Ns=%llu "
                   "eloc[probes=%llu hits=%llu tileTerms=%llu..%llu] rankTerms=%llu..%llu",
@@ -406,9 +402,8 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
       if (comm.rank() == 0 && opts.observer) opts.observer(iter, loop.eMean.real(), res.nUnique);
     }
 
-    // End-of-run reductions (outside the per-iteration byte windows): the
-    // cross-rank phase maxima and the summed byte volume, so every rank's
-    // VmcResult is bit-identical.
+    // End-of-run reduction (outside the per-iteration byte windows): the
+    // cross-rank phase maxima, so every rank's VmcResult is bit-identical.
     const PhaseBreakdown& p = loop.phases;
     const std::array<double, 4> myPhases{p.sampling, p.localEnergy, p.gradient, p.other};
     const std::vector<double> allPhases = comm.allGather(myPhases.data(), 4);

@@ -273,6 +273,36 @@ TEST_P(CommBackendTest, ByteAccountingAndReset) {
   });
 }
 
+TEST_P(CommBackendTest, EveryRankCountsTheSameBytes) {
+  // runVmc sums the ranks' byte counts as this rank's count times the world
+  // size, which holds only while every collective charges every rank alike,
+  // even when the ranks contribute unequal amounts.  Each collective below is
+  // followed by an allgather of the counts; that gather charges every rank
+  // alike too, so the counts must stay equal at every step.
+  const auto world = makeTestWorld();
+  world->run([](Comm& comm) {
+    const auto expectEqualCounts = [&comm](const char* after) {
+      const std::uint64_t mine = comm.bytesCommunicated();
+      for (const std::uint64_t b : comm.allGather(&mine, 1))
+        EXPECT_EQ(b, mine) << "after " << after << ", rank " << comm.rank();
+    };
+    const std::vector<int> ragged(static_cast<std::size_t>(3 * comm.rank() + 1), 7);
+    comm.allGatherV(ragged.data(), ragged.size());
+    expectEqualCounts("allGatherV");
+    comm.allGatherV(ragged.data(), comm.rank() == 0 ? std::size_t{0} : ragged.size());
+    expectEqualCounts("allGatherV with an empty contribution");
+    std::vector<Real> v(13, static_cast<Real>(comm.rank()));
+    comm.reduceScatterSum(v.data(), v.size());
+    expectEqualCounts("reduceScatterSum");
+    comm.allGatherSlices(v.data(), v.size());
+    expectEqualCounts("allGatherSlices");
+    comm.allReduceSum(v.data(), v.size());
+    expectEqualCounts("allReduceSum");
+    comm.barrier();
+    expectEqualCounts("barrier");
+  });
+}
+
 TEST_P(CommBackendTest, ManyRoundsStressNoDeadlock) {
   // Back-to-back collectives reuse the same slots and buffers: a rank's next
   // post, or its write into the buffer it just contributed, must not reach a

@@ -300,13 +300,6 @@ TEST(Vmc, ResumedPhaseTimesAverageTheIterationsRun) {
   EXPECT_EQ(none.other, 0.0);
 }
 
-TEST(Vmc, RejectsBaselineEngine) {
-  const System s = buildSystem("H2");
-  VmcOptions opts;
-  opts.exec.eloc = ElocMode::kBaseline;
-  EXPECT_THROW(runVmc(s.packed, netCfg(s), opts), std::invalid_argument);
-}
-
 TEST(Vmc, RejectsEmptyRuns) {
   // An empty run has no energy: zero iterations average an empty window and
   // zero samples give every sweep zero total weight, so both would be NaN.
