@@ -58,7 +58,7 @@ Complex localEnergy(const ops::PackedHamiltonian& h, Bits128 x, Complex psiX,
 }
 
 /// Sample-aware local energies of `samples` (a chunk of S) given the lookup
-/// table of all of S.  The VMC driver fills the table from the BAS sweep's
+/// table of all of S.  runVmc fills the table from the BAS sweep's
 /// ln|Psi| and `QiankunNet::phases`, so no amplitude forward runs here.
 /// Every sample must be in the table; both engines throw
 /// std::invalid_argument otherwise.  `stats` (optional) receives the
