@@ -1,20 +1,23 @@
 #pragma once
 
 // The rows of the Fig. 10 local-energy ablation that the VMC loop does not
-// run.  The library keeps two engines (ElocMode: kSaFuseLut, the +LUT row,
-// and kBatched, the +BAT rows); the stages the paper stacks before them are
-// built here on the library's per-sample fused kernel, vmc::localEnergy:
+// run.  The library keeps one engine (the batched one, the +BAT rows); the
+// stages the paper stacks before it are built here on the library's
+// per-sample fused kernel, vmc::localEnergy:
 //  - elocBaseline: per Pauli string of the uncompressed Hamiltonian (the
 //    per-string data of Ref. 27's layout, Fig. 6b), psi of every coupled
 //    state by network inference; no fusion, no lookup table;
 //  - elocSaFuse: the compressed layout with fused group coefficients,
 //    sample-aware, but S searched linearly as byte strings;
-//  - elocSaFuseLutParallel: the +LUT engine with OpenMP threads over the
-//    samples (Algorithm 2, threads standing in for the CUDA kernel).
-// Every sample must be in the lookup table.  SA+FUSE and +PAR give +LUT's
-// bits; the baseline sums per string, so it agrees to rounding only.
+//  - elocSortedTable: S stored as ordered integers for binary search (+LUT),
+//    serially or with OpenMP threads over the samples (+PAR; Algorithm 2,
+//    threads standing in for the CUDA kernel).
+// Every sample must be in the lookup table.  SA+FUSE, +LUT and +PAR give the
+// engine's bits; the baseline sums per string, so it agrees to rounding only.
 
+#include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <vector>
 
 #include "nqs/ansatz.hpp"
@@ -66,7 +69,7 @@ inline std::vector<Complex> elocSaFuse(const ops::PackedHamiltonian& packed,
     for (std::size_t q = 0; q < n; ++q) out[q] = x.get(static_cast<int>(q)) ? 1 : 0;
   };
   std::vector<unsigned char> flat(lut.size() * n);
-  for (std::size_t i = 0; i < lut.size(); ++i) toBytes(lut.keys[i], flat.data() + i * n);
+  for (std::size_t i = 0; i < lut.size(); ++i) toBytes(lut.index.keys()[i], flat.data() + i * n);
   const auto findPsi = [&](Bits128 xp) -> const Complex* {
     unsigned char probe[128];
     toBytes(xp, probe);
@@ -80,14 +83,41 @@ inline std::vector<Complex> elocSaFuse(const ops::PackedHamiltonian& packed,
   return eloc;
 }
 
-inline std::vector<Complex> elocSaFuseLutParallel(const ops::PackedHamiltonian& packed,
-                                                  const std::vector<Bits128>& samples,
-                                                  const vmc::WavefunctionLut& lut) {
-  const auto findPsi = [&](Bits128 xp) { return lut.find(xp); };
+/// The lookup table's S as ordered integers for binary search: its keys
+/// sorted ascending, each with its psi.  Built once, outside any timing.
+struct SortedTable {
+  std::vector<Bits128> keys;  ///< ascending
+  std::vector<Complex> psi;   ///< aligned with keys
+
+  explicit SortedTable(const vmc::WavefunctionLut& lut) {
+    std::vector<std::size_t> order(lut.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    const std::vector<Bits128>& k = lut.index.keys();
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return k[a] < k[b]; });
+    for (const std::size_t i : order) {
+      keys.push_back(k[i]);
+      psi.push_back(lut.psi[i]);
+    }
+  }
+
+  [[nodiscard]] const Complex* find(Bits128 x) const {
+    const auto it = std::lower_bound(keys.begin(), keys.end(), x);
+    if (it == keys.end() || *it != x) return nullptr;
+    return &psi[static_cast<std::size_t>(it - keys.begin())];
+  }
+};
+
+/// +LUT (`threads` false) and +PAR (`threads` true): per sample one fused
+/// pass, every coupled state searched in the sorted table.
+inline std::vector<Complex> elocSortedTable(const ops::PackedHamiltonian& packed,
+                                            const std::vector<Bits128>& samples,
+                                            const SortedTable& table, bool threads) {
+  const auto findPsi = [&](Bits128 xp) { return table.find(xp); };
   std::vector<Complex> eloc(samples.size());
-#pragma omp parallel for schedule(dynamic, 16)
+#pragma omp parallel for schedule(dynamic, 16) if (threads)
   for (std::size_t i = 0; i < samples.size(); ++i)
-    eloc[i] = vmc::localEnergy(packed, samples[i], *lut.find(samples[i]), findPsi);
+    eloc[i] = vmc::localEnergy(packed, samples[i], *table.find(samples[i]), findPsi);
   return eloc;
 }
 

@@ -20,7 +20,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(args.getInt("samples", 1 << 14));
   exec::ExecutionPolicy ex;
   ex.kernel = kernelPolicy(args);
-  ex.eloc = elocMode(args);
   ex.comm = commBackend(args);
   // Under MPI every process executes this main; only the root prints.
   const bool root = parallel::processRank(ex.comm) == 0;

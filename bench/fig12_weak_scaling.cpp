@@ -18,7 +18,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(args.getInt("samples-per-rank", 1 << 12));
   exec::ExecutionPolicy ex;
   ex.kernel = kernelPolicy(args);
-  ex.eloc = elocMode(args);
   ex.comm = commBackend(args);
   const bool root = parallel::processRank(ex.comm) == 0;
 

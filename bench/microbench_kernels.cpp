@@ -89,7 +89,9 @@ void BM_PackedGroupCoefficient(benchmark::State& state) {
 }
 BENCHMARK(BM_PackedGroupCoefficient);
 
-void BM_LutBinarySearch(benchmark::State& state) {
+// One hash probe of the lookup table (SampleIndex::find behind
+// WavefunctionLut::find), keys in the order given.
+void BM_LutFind(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<Bits128> keys(n);
   std::vector<Complex> psi(n, Complex{1.0, 0.0});
@@ -102,7 +104,7 @@ void BM_LutBinarySearch(benchmark::State& state) {
     i = (i + 7919) % n;
   }
 }
-BENCHMARK(BM_LutBinarySearch)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
+BENCHMARK(BM_LutFind)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 
 void BM_TransformerForward(benchmark::State& state) {
   const auto& p = c2Pipeline();
@@ -976,15 +978,15 @@ void BM_Stage6Threads(benchmark::State& state) {
 // Arg: 0 = replicated step, 1 = sharded step.
 BENCHMARK(BM_Stage6Threads)->Arg(0)->Arg(1)->UseManualTime()->Unit(benchmark::kMillisecond);
 
-// The batched local-energy engine vs. the per-sample LUT engines at the
-// fig10 acceptance shape (C2, N_s = 2^14).  Impl 0/1 are the per-sample
-// binary-search engines (serial kSaFuseLut / the OpenMP loop of
-// eloc_ablation.hpp), 2/3 the batched hashed-probe engine
-// (single-thread / threaded); the 0-vs-2 and 1-vs-3 time ratios are the
-// batched-engine speedups quoted in the README (>= 2x acceptance bar at
-// equal thread budget).  The warm-up run doubles as a correctness gate
-// (tolerance-0 vs kSaFuseLut) and the timed batched runs assert the warm
-// path's zero-heap-allocation contract via the operator-new hook.
+// The batched local-energy engine vs. the per-sample sorted-table rows at
+// the fig10 acceptance shape (C2, N_s = 2^14).  Impl 0/1 are the
+// binary-search rows of eloc_ablation.hpp (serial +LUT / its OpenMP loop
+// +PAR, the table built outside the timed loop), 2/3 the batched
+// hashed-probe engine (single-thread / threaded); the 0-vs-2 and 1-vs-3 time
+// ratios are the batched-engine speedups quoted in the README (>= 2x
+// acceptance bar at equal thread budget).  The warm-up run doubles as a
+// correctness gate (tolerance-0 vs +LUT) and the timed batched runs assert
+// the warm path's zero-heap-allocation contract via the operator-new hook.
 void BM_ElocBatched(benchmark::State& state) {
   const std::int64_t impl = state.range(0);
   const auto& p = c2Pipeline();
@@ -996,6 +998,7 @@ void BM_ElocBatched(benchmark::State& state) {
   const nqs::SampleSet& set = sampler.sweep(opts);
   const auto psi = net.psi(set.samples);
   const auto lut = vmc::WavefunctionLut::build(set.samples, psi);
+  const bench::SortedTable table(lut);
 
   vmc::ElocBatchedOptions bOpts;
   bOpts.maxThreads = impl == 2 ? 1 : 0;
@@ -1005,11 +1008,10 @@ void BM_ElocBatched(benchmark::State& state) {
     // Warm-up: sizes every thread's tile workspace AND gates correctness.
     vmc::localEnergiesBatched(packed, set.samples, lut, out.data(), bOpts,
                               &stats);
-    const auto ref =
-        vmc::localEnergies(packed, set.samples, lut, vmc::ElocMode::kSaFuseLut);
+    const auto ref = bench::elocSortedTable(packed, set.samples, table, false);
     for (std::size_t i = 0; i < out.size(); ++i)
       if (out[i].real() != ref[i].real() || out[i].imag() != ref[i].imag()) {
-        state.SkipWithError("batched E_loc differs from kSaFuseLut");
+        state.SkipWithError("batched E_loc differs from +LUT");
         return;
       }
   }
@@ -1023,9 +1025,7 @@ void BM_ElocBatched(benchmark::State& state) {
       lastRunAllocs = allocationCount() - allocs0;
       benchmark::DoNotOptimize(out.data());
     } else {
-      const auto eloc =
-          impl == 0 ? vmc::localEnergies(packed, set.samples, lut, vmc::ElocMode::kSaFuseLut)
-                    : bench::elocSaFuseLutParallel(packed, set.samples, lut);
+      const auto eloc = bench::elocSortedTable(packed, set.samples, table, impl == 1);
       benchmark::DoNotOptimize(eloc.data());
     }
   }
@@ -1046,7 +1046,7 @@ void BM_ElocBatched(benchmark::State& state) {
       state.SkipWithError("warm batched E_loc run heap-allocated");
   }
 }
-// Arg: 0 = kSaFuseLut (serial binary search), 1 = its OpenMP loop (+PAR),
+// Arg: 0 = +LUT (serial binary search), 1 = its OpenMP loop (+PAR),
 // 2 = batched engine pinned to one thread, 3 = batched engine threaded.
 BENCHMARK(BM_ElocBatched)->Arg(0)->Arg(1)->Arg(2)->Arg(3)
     ->Unit(benchmark::kMillisecond);

@@ -10,10 +10,10 @@
 
 namespace nnqs::bench {
 
-/// The flags every scaling bench reads (kernelPolicy, elocMode, commBackend,
+/// The flags every scaling bench reads (kernelPolicy, commBackend,
 /// scalingPipeline, rankSweep), plus the bench's own `extra` ones.
 inline std::vector<std::string> scalingFlags(std::vector<std::string> extra) {
-  for (const char* k : {"kernel", "eloc", "backend", "molecule", "max-ranks"})
+  for (const char* k : {"kernel", "backend", "molecule", "max-ranks"})
     extra.emplace_back(k);
   return extra;
 }
@@ -27,20 +27,6 @@ struct ScalingPoint {
   double imbalance = 1.0;
   const char* kernel = "";  ///< decode-kernel backend that produced the row
 };
-
-/// `--eloc batched|lut` selects the local-energy engine: the batched
-/// hashed-probe engine (default) or the serial per-sample binary-search
-/// reference.  Both produce bit-identical per-sample E_loc, so this only
-/// moves the local-energy phase's wall clock.
-inline vmc::ElocMode elocMode(const Args& args) {
-  const std::string mode = args.get("eloc", "batched");
-  if (mode == "batched") return vmc::ElocMode::kBatched;
-  if (mode == "lut") return vmc::ElocMode::kSaFuseLut;
-  std::fprintf(stderr,
-               "unknown --eloc mode '%s' (expected 'batched' or 'lut')\n",
-               mode.c_str());
-  std::exit(2);
-}
 
 /// `--backend threads|mpi` selects the comm backend: in-process thread ranks
 /// (default) or real MPI processes (requires an NNQS_WITH_MPI build launched
@@ -84,8 +70,7 @@ inline nn::kernels::KernelPolicy kernelPolicy(const Args& args) {
 inline ScalingPoint scalingRun(const ops::PackedHamiltonian& packed,
                                const nqs::QiankunNetConfig& netCfg, int ranks,
                                std::uint64_t nSamples, int iterations,
-                               const exec::ExecutionPolicy& ex = {},
-                               vmc::RankSplit split = vmc::RankSplit::kTermBalanced) {
+                               const exec::ExecutionPolicy& ex = {}) {
   vmc::VmcOptions opts;
   opts.iterations = iterations;
   opts.nSamples = nSamples;
@@ -94,7 +79,6 @@ inline ScalingPoint scalingRun(const ops::PackedHamiltonian& packed,
   opts.nRanks = ranks;
   opts.threadsPerRank = 1;
   opts.exec = ex;
-  opts.rankSplit = split;
   // The paper uses N*_u = 16384 n; our node has far fewer ranks and smaller
   // N_u, so split the sampling tree earlier — the deep (quadratically more
   // expensive) layers are what must be partitioned for sampling to scale.

@@ -70,8 +70,9 @@ struct Bits128 {
   }
 
   friend constexpr bool operator==(Bits128 a, Bits128 b) = default;
-  /// Value order (hi word most significant) — used for the sorted sample
-  /// lookup table (paper §3.4, technique 5).
+  /// Value order (hi word most significant): the canonical order of Pauli
+  /// strings, and of the sorted sample table of the paper's Fig. 10 +LUT
+  /// stage (§3.4, technique 5), which bench/eloc_ablation.hpp builds.
   friend constexpr auto operator<=>(Bits128 a, Bits128 b) {
     if (auto c = a.hi <=> b.hi; c != 0) return c;
     return a.lo <=> b.lo;

@@ -20,20 +20,16 @@ enum class KernelPolicy {
   kThreaded,  ///< SIMD kernel + OpenMP over (row, head) tiles
 };
 
-/// Local-energy engine of the VMC loop.  Both compute the sample-aware
+/// Local-energy engine of the VMC loop.  There is one: the batched engine
+/// (vmc/eloc_kernels.hpp), computing the sample-aware
 ///   E_loc(x) = sum_{x' in S} <x|H|x'> psi(x') / psi(x)
-/// over the compressed Hamiltonian layout (Fig. 6c), bit for bit alike:
-///  - kSaFuseLut: the serial reference — one fused pass over the unique XY
-///    groups per sample, each coupled state searched in the sorted lookup
-///    table (binary search).
-///  - kBatched: the production engine (vmc/eloc_kernels.hpp) — sample tiles,
-///    an XOR-linear hash with a blocked Bloom prefilter and a hashed LUT
-///    index (no sort), batched parity kernels for the coefficients, tiles
-///    dynamically scheduled by realized term work.
-/// Fig. 10's other ablation rows (the bare baseline, the linear byte search,
-/// the OpenMP loop) are built in bench/eloc_ablation.hpp.
+/// over the compressed Hamiltonian layout (Fig. 6c) in sample tiles, every
+/// coupled state found through the lookup table's hash index, tiles
+/// dynamically scheduled by realized term work.  Fig. 10's other ablation
+/// rows are built in bench/eloc_ablation.hpp.  This one-value enum exists
+/// only as ExecutionPolicy::eloc, which the perfbench harness passes to
+/// vmc::localEnergies.
 enum class ElocMode {
-  kSaFuseLut,
   kBatched,
 };
 

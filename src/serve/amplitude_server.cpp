@@ -54,6 +54,11 @@ AmplitudeServer::AmplitudeServer(const io::CheckpointReader& checkpoint,
     throw std::invalid_argument("AmplitudeServer: maxDelayUs must be >= 0");
   if (opts_.queueCapacityRequests < 1 || opts_.queueCapacityRows < 1)
     throw std::invalid_argument("AmplitudeServer: queue capacities must be >= 1");
+  // A request of more rows than the queue holds but no more than maxBatch
+  // would pass the kTooLarge check and then be refused as kRejected ("retry
+  // later") forever.
+  if (opts_.queueCapacityRows < static_cast<std::size_t>(opts_.maxBatch))
+    throw std::invalid_argument("AmplitudeServer: queueCapacityRows must be >= maxBatch");
   net_ = io::makeNet(checkpoint);
   ring_.assign(opts_.queueCapacityRequests, nullptr);
   start();

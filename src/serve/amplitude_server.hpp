@@ -60,7 +60,7 @@ struct ServeOptions {
   int nWorkers = 2;          ///< evaluate worker threads
   Index maxBatch = 256;      ///< flush threshold: rows per evaluate batch
   long maxDelayUs = 200;     ///< deadline: max coalescing wait of the oldest request
-  std::size_t queueCapacityRows = 4096;      ///< bounded queue: max queued rows
+  std::size_t queueCapacityRows = 4096;      ///< bounded queue: max queued rows (>= maxBatch)
   std::size_t queueCapacityRequests = 1024;  ///< bounded queue: max queued requests
 };
 

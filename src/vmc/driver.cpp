@@ -83,8 +83,18 @@ struct RankLoop {
     if (hist.size() != iterNext)
       throw io::SchemaError("vmc.energyHistory", "length differs from vmc.iterNext");
     std::copy(hist.begin(), hist.end(), res.energyHistory.begin());
-    costModel.restore(ckpt.getBitsArray("vmc.costKeys"), ckpt.getU64Array("vmc.costCosts"),
-                      ckpt.getU64("vmc.costDefault"));
+    const std::vector<Bits128> costKeys = ckpt.getBitsArray("vmc.costKeys");
+    std::vector<std::uint64_t> costs = ckpt.getU64Array("vmc.costCosts");
+    const std::uint64_t costDefault = ckpt.getU64("vmc.costDefault");
+    if (costDefault < 1)
+      throw io::SchemaError("vmc.costDefault", "the default cost must be >= 1");
+    if (costs.size() != costKeys.size())
+      throw io::SchemaError("vmc.costCosts", "length differs from vmc.costKeys");
+    try {
+      costModel.restore(costKeys, std::move(costs), costDefault);
+    } catch (const std::invalid_argument& e) {  // the keys' own check: unique
+      throw io::SchemaError("vmc.costKeys", e.what());
+    }
     return static_cast<int>(iterNext);
   }
 
@@ -157,34 +167,29 @@ struct RankLoop {
   }
 
   /// Stage 3: local energies of a term-balanced chunk.  The gathered set is
-  /// tiled and the tiles are dealt to ranks — by last iteration's measured
-  /// per-sample term counts (LPT bin-packing) once a measurement exists, by
-  /// equal counts before that.  Every rank computes the same partition from
-  /// the same gathered data, so no coordination is needed; one AllgatherV
-  /// routes every sample's (E_loc, terms) back, re-ordered into the gathered
-  /// order.  Per-sample local energies are chunk-independent, so the
-  /// trajectory is bit-identical regardless of the split.
+  /// tiled and the tiles are bin-packed across ranks (LPT) by the cost
+  /// model's estimates: last iteration's measured per-sample term counts, or
+  /// 1 per sample before the first measurement.  Every rank computes the
+  /// same partition from the same gathered data, so no coordination is
+  /// needed; one AllgatherV routes every sample's (E_loc, terms) back,
+  /// re-ordered into the gathered order.  Per-sample local energies are
+  /// chunk-independent, so the trajectory is bit-identical for any split.
   void localEnergies() {
     const Timer t;
     const std::size_t nAll = allSamples.size();
     const std::size_t tileSz = std::max<std::size_t>(1, opts.rankTileSize);
     const std::size_t nTiles = (nAll + tileSz - 1) / tileSz;
-    if (opts.rankSplit == RankSplit::kTermBalanced && !costModel.empty()) {
-      tileCosts.assign(nTiles, 0);
-      for (std::size_t i = 0; i < nAll; ++i)
-        tileCosts[i / tileSz] += costModel.estimate(allSamples[i]);
-      part = partitionTilesByCost(tileCosts, comm.size());
-    } else {
-      part = partitionTilesEqual(nTiles, comm.size());
-    }
+    tileCosts.assign(nTiles, 0);
+    for (std::size_t i = 0; i < nAll; ++i)
+      tileCosts[i / tileSz] += costModel.estimate(allSamples[i]);
+    part = partitionTilesByCost(tileCosts, comm.size());
     chunk.clear();
     for (const std::uint32_t tile : part.tiles[static_cast<std::size_t>(comm.rank())])
       chunk.insert(chunk.end(), allSamples.data() + tile * tileSz,
                    allSamples.data() + std::min(nAll, (tile + 1) * tileSz));
     chunkTerms.assign(chunk.size(), 0);
     const std::vector<Complex> eloc =
-        vmc::localEnergies(hamiltonian, chunk, lut, opts.exec.eloc, &elocStats,
-                           chunkTerms.data());
+        vmc::localEnergies(hamiltonian, chunk, lut, &elocStats, chunkTerms.data());
     elocRecords.resize(chunk.size());
     for (std::size_t i = 0; i < chunk.size(); ++i) elocRecords[i] = {eloc[i], chunkTerms[i]};
     const std::vector<ElocRecord> gathered =
@@ -387,7 +392,6 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
       // crash.
       if (opts.checkpointEvery > 0 && (iter + 1) % opts.checkpointEvery == 0)
         loop.save(iter + 1);
-      // kSaFuseLut zeroes ElocStats, so its fields print 0.
       if (comm.rank() == 0 && opts.logEvery > 0 && iter % opts.logEvery == 0)
         log::info("vmc it=%4d E=%.8f var=%.3e Nu=%zu Ns=%llu "
                   "eloc[probes=%llu hits=%llu tileTerms=%llu..%llu] rankTerms=%llu..%llu",

@@ -13,18 +13,14 @@
 
 namespace nnqs::vmc {
 
-/// How Stage 3 splits the gathered sample set across ranks.
+/// Stage 3 deals tiles of the gathered sample set to ranks by their
+/// estimated term cost (vmc/repartition.hpp): last iteration's measured
+/// per-sample term counts, or 1 per sample before the first measurement,
+/// which deals equal tiles out evenly.  Per-sample local energies are
+/// chunk-independent, so the split moves only the per-rank wall clock, never
+/// a bit.  This one-value enum exists only as VmcOptions::rankSplit, which
+/// the perfbench harness spells out.
 enum class RankSplit {
-  /// Equal *sample counts* per rank (the pre-PR behaviour): contiguous blocks
-  /// of the gathered set, ignoring that equal-sample chunks carry wildly
-  /// unequal term work (ElocStats tileTermsMin..Max spreads of ~17x at C2).
-  kEqualCount,
-  /// Term-count-balanced: tiles of the gathered set are bin-packed across
-  /// ranks by their *measured* term cost of the previous iteration
-  /// (vmc/repartition.hpp).  Falls back to kEqualCount on the first
-  /// iteration, when no measurement exists yet.  Per-sample local energies
-  /// are chunk-independent, so the energy/gradient trajectory is bit-identical
-  /// to kEqualCount — only the per-rank wall clock moves.
   kTermBalanced,
 };
 
@@ -50,16 +46,18 @@ struct VmcOptions {
   Real learningRate = 1.0;  ///< multiplies the Eq.(13) schedule
   long warmupSteps = 200;
   Real weightDecay = 1e-4;
-  /// Consolidated engine selection (exec/policy.hpp): decode engine + kernel
-  /// backend of sampling and psi inference, local-energy engine, and the comm
-  /// backend (thread ranks in-process vs. real MPI, NNQS_WITH_MPI builds).
-  /// All choices are bit-identical; they move wall clock and deployment only.
+  /// Consolidated engine selection (exec/policy.hpp): the kernel backend
+  /// and tile geometries of sampling, psi inference and the gradient, and
+  /// the comm backend (thread ranks in-process vs. real MPI, NNQS_WITH_MPI
+  /// builds).  All choices are bit-identical; they move wall clock and
+  /// deployment only.  Its `eloc` names the one local-energy engine.
   exec::ExecutionPolicy exec;
-  /// Stage-3 partitioning of the gathered set (see RankSplit).
+  /// The one Stage-3 split (see RankSplit); runVmc does not read it.
   RankSplit rankSplit = RankSplit::kTermBalanced;
-  /// Repartitioning granularity: samples per tile of the gathered set.  The
-  /// default keeps per-tile bookkeeping negligible at production N_u; tests
-  /// shrink it so small systems still produce enough tiles to balance.
+  /// Stage-3 granularity: samples per tile of the gathered set.  The default
+  /// keeps per-tile bookkeeping negligible at production N_u; tests shrink
+  /// it so small systems still produce enough tiles to balance.  Every tile
+  /// size gives the same bits.
   std::size_t rankTileSize = 64;
 
   // --- Checkpointing (io/checkpoint.hpp) ------------------------------------
@@ -154,7 +152,9 @@ class NumericalError : public std::runtime_error {
 /// rank-order-deterministic); under MPI each process returns its own copy.
 /// Throws std::invalid_argument for an empty run (iterations < 1 or
 /// nSamplesInitial < 1), which has no energy to report, io::SchemaError
-/// for a resume checkpoint that would continue one (vmc.nsCurrent of 0), and
+/// naming the section for a resume checkpoint that would continue one
+/// (vmc.nsCurrent of 0) or whose cost model is corrupt (a vmc.costDefault
+/// of 0, vmc.costCosts sized unlike vmc.costKeys, a key twice), and
 /// NumericalError when Stage 4's allreduced energy or variance is not
 /// finite.
 VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,

@@ -3,31 +3,27 @@
 // Work decomposition: samples are cut into tiles of `sampleBlock` rows; each
 // tile walks the Hamiltonian's unique-XY groups in ascending order, and per
 // group k the tile's rows in ascending order.  Row r's coupled state is
-// x' = x_r ^ m_k (m_k = PackedHamiltonian::xyUnique[k]), searched in S in
-// two steps:
+// x' = x_r ^ m_k (m_k = PackedHamiltonian::xyUnique[k]), searched in S
+// through the lookup table's SampleIndex in two steps:
 //
-//   1. Prefilter — a blocked Bloom filter over S (16 bits per key; each key
-//      sets two bits of one 64-bit word).  A clear bit is a *guaranteed* miss
-//      (no false negatives), so the sample-aware regime's dominant
-//      population — coupled states outside S, typically >95% of the
+//   1. Prefilter — the index's blocked Bloom filter.  A clear bit is a
+//      *guaranteed* miss (no false negatives), so the sample-aware regime's
+//      dominant population — coupled states outside S, typically >95% of the
 //      enumerated terms — is retired with one L1 load each.  The test is
 //      branch-free and compacts the survivors (cand[n] = r; n += pass).
 //   2. Index probe — each survivor (hits plus the filter's ~1-2% false
-//      positives) probes an open-addressing table of LUT positions once
-//      (linear probing, at most half full).  Nothing is sorted.
+//      positives) probes the index's slot table once.
 //
-// Both steps need a hash of x', and the hash H is linear under XOR: H(k) is
-// the XOR of fixed pseudo-random words, one per set bit of k, so
-// H(x ^ m) = H(x) ^ H(m).  H is computed once per call for every LUT key and
-// group mask and once per tile for every sample, so a term's hash costs one
-// XOR, and its key is formed only when the filter passes.  The filter word,
-// its two bit positions and the index slot come from disjoint fields of H.
+// The hash is linear under XOR, so H(x ^ m) = H(x) ^ H(m): H is computed
+// once per call for every group mask and once per tile for every sample, so
+// a term's hash costs one XOR, and its key is formed only when the filter
+// passes.
 //
 //   3. Accumulation — the group's hit rows run through PackedHamiltonian::
 //      groupCoefficients in one batched sign-stream pass, and each row
 //      accumulates coef * psi(x') / psi(x).  Every sample receives its
-//      surviving terms in exactly the kSaFuseLut order, so per-sample E_loc
-//      is bit-identical to the scalar engine.
+//      surviving terms in exactly vmc::localEnergy's order, so per-sample
+//      E_loc is bit-identical to the per-sample kernel.
 //
 // Scheduling: tiles are an OpenMP loop under schedule(dynamic, 1) — the
 // Fugaku-identified imbalance is *term* work (hits per sample vary wildly
@@ -35,15 +31,13 @@
 // groups), so idle threads steal whole tiles as they drain instead of
 // owning a fixed sample range.  ElocStats records the realized per-tile
 // term counts (min/max) to expose residual imbalance; the same measured
-// term counts are what a rank-level repartitioner must balance (ROADMAP,
-// MPI direction).
+// term counts are what the rank-level repartitioner balances
+// (vmc/repartition.hpp).
 
 #include "vmc/eloc_kernels.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <bit>
 #include <limits>
 #include <stdexcept>
 
@@ -58,101 +52,6 @@ namespace nnqs::vmc {
 namespace {
 
 constexpr std::size_t kDefaultSampleBlock = 64;
-constexpr std::int32_t kEmpty = -1;
-/// Fields of H: bits [0, 6) and [6, 12) pick the filter bits inside a word,
-/// the index slot starts at bit 12, and the filter word is the top field.
-/// The slot and word fields stay disjoint up to ~2^25 LUT keys; beyond that
-/// they overlap, which costs filter selectivity, never correctness.
-constexpr unsigned kSlotShift = 12;
-
-/// The XOR-linear hash H, tabulated by byte: table b holds, for every byte
-/// value v, the XOR of the pseudo-random words of the set bits of v at bit
-/// offset 8b (so entry 0 of every table is 0).  Tables 8..15 cover the high
-/// word of keys wider than 64 qubits.
-class XorHash {
- public:
-  constexpr XorHash() {
-    std::uint64_t state = 0x243F6A8885A308D3ull;
-    for (auto& table : t_) {
-      std::array<std::uint64_t, 8> bitWord{};
-      for (auto& w : bitWord) w = splitmix64(state);
-      for (unsigned v = 1; v < 256; ++v)
-        table[v] = table[v & (v - 1)] ^ bitWord[std::countr_zero(v)];
-    }
-  }
-
-  [[nodiscard]] std::uint64_t operator()(Bits128 k) const {
-    std::uint64_t h = 0;
-    for (unsigned b = 0; b < 8; ++b) h ^= t_[b][(k.lo >> (8 * b)) & 0xFF];
-    if (k.hi != 0)
-      for (unsigned b = 0; b < 8; ++b) h ^= t_[8 + b][(k.hi >> (8 * b)) & 0xFF];
-    return h;
-  }
-
- private:
-  static constexpr std::uint64_t splitmix64(std::uint64_t& s) {
-    std::uint64_t z = (s += 0x9E3779B97F4A7C15ull);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  }
-
-  std::array<std::array<std::uint64_t, 256>, 16> t_{};
-};
-
-constexpr XorHash kHash;
-
-/// The search structures over S and the group-mask hashes, built once per
-/// call by the calling thread and read-only inside the parallel region.
-/// Persistent per calling thread, so the warm path stays allocation-free.
-struct LutSearch {
-  std::vector<std::uint64_t> maskHash;  ///< [nGroups] H(xyUnique[k])
-  std::vector<std::uint64_t> filter;    ///< blocked Bloom filter words
-  std::vector<std::int32_t> index;      ///< [slots] LUT position or kEmpty
-  unsigned wordShift = 0;               ///< h >> wordShift = filter word
-  std::size_t slotMask = 0;
-  const Bits128* keys = nullptr;
-
-  void build(const ops::PackedHamiltonian& packed, const WavefunctionLut& lut) {
-    const std::size_t nKeys = lut.size();
-    keys = lut.keys.data();
-    unsigned logBits = 10;
-    while ((std::size_t{1} << logBits) < 16 * nKeys) ++logBits;
-    wordShift = 64 - (logBits - 6);
-    const std::size_t nWords = std::size_t{1} << (logBits - 6);
-    const std::size_t nSlots = std::bit_ceil(std::max<std::size_t>(2 * nKeys, 2));
-    slotMask = nSlots - 1;
-    if (filter.size() < nWords) filter.resize(nWords);
-    if (index.size() < nSlots) index.resize(nSlots);
-    if (maskHash.size() < packed.nGroups()) maskHash.resize(packed.nGroups());
-    std::fill_n(filter.begin(), nWords, 0);
-    std::fill_n(index.begin(), nSlots, kEmpty);
-    for (std::size_t i = 0; i < nKeys; ++i) {
-      const std::uint64_t h = kHash(keys[i]);
-      filter[h >> wordShift] |= (std::uint64_t{1} << (h & 63)) |
-                                (std::uint64_t{1} << ((h >> 6) & 63));
-      std::size_t s = (h >> kSlotShift) & slotMask;
-      while (index[s] != kEmpty) s = (s + 1) & slotMask;
-      index[s] = static_cast<std::int32_t>(i);
-    }
-    for (std::size_t k = 0; k < packed.nGroups(); ++k)
-      maskHash[k] = kHash(packed.xyUnique[k]);
-  }
-
-  /// 0 = `h` is certainly not the hash of a key in S, 1 = maybe.
-  [[nodiscard]] std::size_t mayContain(std::uint64_t h) const {
-    const std::uint64_t w = filter[h >> wordShift];
-    return (w >> (h & 63)) & (w >> ((h >> 6) & 63)) & 1;
-  }
-
-  /// LUT position of `key` (whose hash is `h`), or kEmpty.
-  [[nodiscard]] std::int32_t find(Bits128 key, std::uint64_t h) const {
-    for (std::size_t s = (h >> kSlotShift) & slotMask;; s = (s + 1) & slotMask) {
-      const std::int32_t pos = index[s];
-      if (pos == kEmpty || keys[pos] == key) return pos;
-    }
-  }
-};
 
 /// Per-thread tile workspace.  All buffer sizes depend only on the tile
 /// size, so one warm call sizes every vector to its steady state and the
@@ -196,9 +95,6 @@ void localEnergiesBatched(const ops::PackedHamiltonian& packed,
   if (stats != nullptr) *stats = ElocStats{};
   const std::size_t n = samples.size();
   if (n == 0) return;
-  if (lut.size() >
-      static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()))
-    throw std::invalid_argument("localEnergiesBatched: LUT too large");
 
   const std::size_t nGroups = packed.nGroups();
   const std::size_t rowsCap =
@@ -211,9 +107,15 @@ void localEnergiesBatched(const ops::PackedHamiltonian& packed,
   nThreads = opts.maxThreads > 0 ? opts.maxThreads : omp_get_max_threads();
 #endif
 
-  static thread_local LutSearch searchStore;
-  searchStore.build(packed, lut);
-  const LutSearch& search = searchStore;
+  // The group masks' hashes, on the calling thread.  The team reads them
+  // through this reference: named inside the region, a thread_local would
+  // be each worker's own, empty vector.
+  static thread_local std::vector<std::uint64_t> maskHashStore;
+  maskHashStore.resize(nGroups);
+  for (std::size_t k = 0; k < nGroups; ++k)
+    maskHashStore[k] = SampleIndex::hash(packed.xyUnique[k]);
+  const std::vector<std::uint64_t>& maskHash = maskHashStore;
+  const SampleIndex& index = lut.index;
 
   ElocStats total;
   total.samples = n;
@@ -243,9 +145,9 @@ void localEnergiesBatched(const ops::PackedHamiltonian& packed,
 
       bool tileOk = true;
       for (std::size_t r = 0; r < rows; ++r) {
-        const std::uint64_t h = kHash(xs[r]);
-        const std::int32_t pos = search.find(xs[r], h);
-        if (pos == kEmpty) {
+        const std::uint64_t h = SampleIndex::hash(xs[r]);
+        const std::int32_t pos = index.find(xs[r], h);
+        if (pos == SampleIndex::kNone) {
           sampleMissing.store(true, std::memory_order_relaxed);
           tileOk = false;
           break;
@@ -260,11 +162,11 @@ void localEnergiesBatched(const ops::PackedHamiltonian& packed,
       std::uint64_t probes = 0, hits = 0, coeffTerms = 0;
       for (std::size_t k = 0; k < nGroups; ++k) {
         // 1. Prefilter: compact the rows whose coupled state may be in S.
-        const std::uint64_t hm = search.maskHash[k];
+        const std::uint64_t hm = maskHash[k];
         std::size_t nCand = 0;
         for (std::size_t r = 0; r < rows; ++r) {
           ws.cand[nCand] = static_cast<std::int32_t>(r);
-          nCand += search.mayContain(ws.hx[r] ^ hm);
+          nCand += index.mayContain(ws.hx[r] ^ hm);
         }
         probes += nCand;
 
@@ -273,8 +175,8 @@ void localEnergiesBatched(const ops::PackedHamiltonian& packed,
         std::size_t m = 0;
         for (std::size_t j = 0; j < nCand; ++j) {
           const auto r = static_cast<std::size_t>(ws.cand[j]);
-          const std::int32_t pos = search.find(xs[r] ^ mask, ws.hx[r] ^ hm);
-          if (pos == kEmpty) continue;
+          const std::int32_t pos = index.find(xs[r] ^ mask, ws.hx[r] ^ hm);
+          if (pos == SampleIndex::kNone) continue;
           ws.cand[m] = ws.cand[j];
           ws.xsHit[m] = xs[r];
           ws.psiIdxHit[m] = pos;

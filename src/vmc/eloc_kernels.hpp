@@ -1,18 +1,17 @@
 #pragma once
 
-// Batched local-energy engine (ElocMode::kBatched): the kernels-style backend
-// behind vmc::localEnergies.  Tiles the samples, walks the Hamiltonian's
-// unique-XY groups per tile, and searches each coupled state x' = x ^ m_k in
-// S without sorting: a hash that is linear under XOR makes H(x') one XOR of
-// two precomputed hashes, a blocked Bloom filter built from S retires the
-// bulk of the coupled states (definite misses), and each survivor costs one
-// probe of an open-addressing index of the WavefunctionLut positions.  The
-// found terms run through the batched sign-stream coefficients.
+// Batched local-energy engine, the one behind vmc::localEnergies.  Tiles the
+// samples, walks the Hamiltonian's unique-XY groups per tile, and searches
+// each coupled state x' = x ^ m_k in S through the lookup table's hash index
+// (vmc/sample_index.hpp), built once per table: H(x') is one XOR of two
+// hashes, the Bloom filter retires the bulk of the coupled states (definite
+// misses), and each survivor costs one probe of the index.  The found terms
+// run through the batched sign-stream coefficients.
 //
-// Numerical contract: per-sample E_loc is *identical* (tolerance 0) to
-// ElocMode::kSaFuseLut — each sample accumulates its surviving terms in the
-// same ascending-group order with the same arithmetic; only the search
-// strategy and the loop nesting change.
+// Numerical contract: per-sample E_loc is *identical* (tolerance 0) to the
+// per-sample kernel vmc::localEnergy over any exact lookup of S — each sample
+// accumulates its surviving terms in the same ascending-group order with the
+// same arithmetic; only the search strategy and the loop nesting differ.
 
 #include <cstddef>
 #include <cstdint>
@@ -64,11 +63,11 @@ struct ElocBatchedOptions {
 
 /// The batched engine core.  Writes E_loc of samples[i] to out[i] (out must
 /// hold samples.size() entries).  Every sample must be present in the LUT
-/// (sample-aware evaluation over a chunk of S, as in the other SA engines);
-/// throws std::invalid_argument otherwise.  After one warm call per thread
-/// with the same tile size and LUT/Hamiltonian sizes, subsequent calls
-/// perform zero heap allocations (persistent per-thread workspaces,
-/// caller-owned output) — asserted by BM_ElocBatched.
+/// (sample-aware evaluation over a chunk of S); throws std::invalid_argument
+/// otherwise.  After one warm call per thread with the same tile size and
+/// Hamiltonian size, subsequent calls perform zero heap allocations
+/// (persistent per-thread workspaces, caller-owned output) — asserted by
+/// BM_ElocBatched.
 /// `termsPerSample` (optional, samples.size() entries, caller-owned like
 /// `out`) receives each sample's realized term count (its share of
 /// ElocStats::coeffTerms) — deterministic across thread counts; the measured

@@ -7,29 +7,30 @@
 #include "exec/policy.hpp"
 #include "ops/packed_hamiltonian.hpp"
 #include "vmc/eloc_kernels.hpp"
+#include "vmc/sample_index.hpp"
 
 namespace nnqs::vmc {
 
-/// Sorted lookup table of the unique samples S with their wave-function
-/// values (paper §3.4, techniques 4+5: sample-aware evaluation with the
-/// samples stored as ordered integers for binary search).
+/// Lookup table of the unique samples S with their wave-function values
+/// (paper §3.4, techniques 4+5: sample-aware evaluation with a lookup table
+/// of S).  The samples are found through the hash index, in the order given.
 struct WavefunctionLut {
-  std::vector<Bits128> keys;  ///< ascending
-  std::vector<Complex> psi;   ///< aligned with keys
+  SampleIndex index;         ///< S, in the order given to build()
+  std::vector<Complex> psi;  ///< psi[i] belongs to index.keys()[i]
 
-  /// Sorts (sample, psi) pairs by sample.  The samples must be unique —
-  /// duplicate keys would make find() results (and hence E_loc) depend on
-  /// sort-order ties; throws std::invalid_argument on a duplicate, and when
-  /// the two vectors differ in length.
+  /// Indexes the samples with their psi.  The samples must be unique, since a
+  /// duplicate would count its terms once per copy toward <E>: throws
+  /// std::invalid_argument on a duplicate, and when the two vectors differ in
+  /// length.
   static WavefunctionLut build(const std::vector<Bits128>& samples,
                                const std::vector<Complex>& psiValues);
-  /// Binary search; nullptr when x is not in S.
+  /// psi of x, or nullptr when x is not in S.
   [[nodiscard]] const Complex* find(Bits128 x) const;
-  [[nodiscard]] std::size_t size() const { return keys.size(); }
+  [[nodiscard]] std::size_t size() const { return index.size(); }
 };
 
-/// The engine selector (enumerators in exec/policy.hpp, the consolidated
-/// ExecutionPolicy home; this alias keeps the vmc:: spelling).
+/// One local-energy engine, the batched one (eloc_kernels.hpp); the enum
+/// lives in exec/policy.hpp and this alias keeps the vmc:: spelling.
 using ElocMode = exec::ElocMode;
 
 /// Fused sample-aware local energy of one sample x with amplitude psiX
@@ -58,30 +59,30 @@ Complex localEnergy(const ops::PackedHamiltonian& h, Bits128 x, Complex psiX,
 }
 
 /// Sample-aware local energies of `samples` (a chunk of S) given the lookup
-/// table of all of S.  runVmc fills the table from the BAS sweep's
-/// ln|Psi| and `QiankunNet::phases`, so no amplitude forward runs here.
-/// Every sample must be in the table; both engines throw
-/// std::invalid_argument otherwise.  `stats` (optional) receives the
-/// batched engine's observability counters (zeroed for kSaFuseLut).
+/// table of all of S, on the batched engine (localEnergiesBatched with its
+/// default options).  runVmc fills the table from the BAS sweep's ln|Psi|
+/// and `QiankunNet::phases`, so no amplitude forward runs here.  Every
+/// sample must be in the table; throws std::invalid_argument otherwise.
+/// `stats` (optional) receives the engine's observability counters.
 /// `termsPerSample` (optional, samples.size() entries) receives each
 /// sample's realized term count (localEnergy's `terms`), the measured cost
 /// signal the rank-level repartitioner balances.
 std::vector<Complex> localEnergies(const ops::PackedHamiltonian& packed,
                                    const std::vector<Bits128>& samples,
-                                   const WavefunctionLut& lut, ElocMode mode,
-                                   ElocStats* stats = nullptr,
+                                   const WavefunctionLut& lut, ElocStats* stats = nullptr,
                                    std::uint64_t* termsPerSample = nullptr);
 
-/// The earlier 8-argument spelling, whose two removed arguments served the
-/// baseline engine; perfbench/train.cpp still passes them as nullptr.
-/// Delete it together with perfbench's replica of runVmc (ROADMAP G.3).
+/// The earlier 8-argument spelling, whose engine selector and two removed
+/// arguments (they served the baseline engine) perfbench/train.cpp still
+/// passes.  Delete it together with perfbench's replica of runVmc (ROADMAP
+/// G.3).
 inline std::vector<Complex> localEnergies(const ops::PackedHamiltonian& packed,
                                           const std::vector<Bits128>& samples,
-                                          const WavefunctionLut& lut, ElocMode mode,
+                                          const WavefunctionLut& lut, ElocMode,
                                           std::nullptr_t, std::nullptr_t,
                                           ElocStats* stats = nullptr,
                                           std::uint64_t* termsPerSample = nullptr) {
-  return localEnergies(packed, samples, lut, mode, stats, termsPerSample);
+  return localEnergies(packed, samples, lut, stats, termsPerSample);
 }
 
 }  // namespace nnqs::vmc

@@ -67,44 +67,30 @@ void TermCostModel::update(const std::vector<Bits128>& samples,
                            const std::vector<std::uint64_t>& costs) {
   if (samples.size() != costs.size())
     throw std::invalid_argument("TermCostModel::update: size mismatch");
-  std::vector<std::size_t> order(samples.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return samples[a] < samples[b];
-  });
-  keys_.resize(samples.size());
-  costs_.resize(samples.size());
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    keys_[i] = samples[order[i]];
-    costs_[i] = costs[order[i]];
-    total += costs_[i];
-  }
+  index_.assign(samples);
+  costs_ = costs;
+  const std::uint64_t total = std::accumulate(costs.begin(), costs.end(), std::uint64_t{0});
   defaultCost_ = samples.empty()
                      ? 1
                      : std::max<std::uint64_t>(1, total / samples.size());
 }
 
-void TermCostModel::restore(std::vector<Bits128> keys,
+void TermCostModel::restore(const std::vector<Bits128>& keys,
                             std::vector<std::uint64_t> costs,
                             std::uint64_t defaultCost) {
   if (keys.size() != costs.size())
     throw std::invalid_argument("TermCostModel::restore: size mismatch");
-  for (std::size_t i = 1; i < keys.size(); ++i)
-    if (!(keys[i - 1] < keys[i]))
-      throw std::invalid_argument("TermCostModel::restore: keys not ascending");
   if (defaultCost < 1)
     throw std::invalid_argument("TermCostModel::restore: defaultCost must be >= 1");
-  keys_ = std::move(keys);
+  index_.assign(keys);
   costs_ = std::move(costs);
   defaultCost_ = defaultCost;
 }
 
 std::uint64_t TermCostModel::estimate(const Bits128& sample) const {
-  const auto it = std::lower_bound(keys_.begin(), keys_.end(), sample);
-  if (it == keys_.end() || !(*it == sample)) return defaultCost_;
-  return std::max<std::uint64_t>(
-      1, costs_[static_cast<std::size_t>(it - keys_.begin())]);
+  const std::int32_t pos = index_.find(sample);
+  if (pos == SampleIndex::kNone) return defaultCost_;
+  return std::max<std::uint64_t>(1, costs_[static_cast<std::size_t>(pos)]);
 }
 
 }  // namespace nnqs::vmc

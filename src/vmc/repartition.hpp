@@ -14,11 +14,13 @@
 //  - TermCostModel: remembers each sample's realized term count from the
 //    last iteration it was evaluated (sample sets overlap heavily across
 //    iterations once the ansatz concentrates); unseen samples get the mean
-//    measured cost.
+//    measured cost, and before any measurement every sample costs 1, so the
+//    first packing deals equal tiles out evenly.
 //  - partitionTilesByCost: deterministic greedy bin-packing (LPT) of
 //    fixed-size sample tiles into ranks by estimated cost.
-//  - partitionTilesEqual: the equal-count reference split (contiguous tile
-//    blocks), the pre-balancing baseline.
+//  - partitionTilesEqual: the equal-count split (contiguous tile blocks),
+//    the pre-balancing baseline.  Only perfbench's replica of runVmc and the
+//    tests call it.
 //
 // Every rank computes the partition independently from identical gathered
 // inputs, so no extra coordination round is needed — determinism here IS the
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "common/bits.hpp"
+#include "vmc/sample_index.hpp"
 
 namespace nnqs::vmc {
 
@@ -59,30 +62,33 @@ std::vector<std::uint64_t> realizedRankCosts(
 /// the stored generation with (keys, costs) of the samples just evaluated;
 /// estimate() returns the stored cost for a known key and the mean stored
 /// cost (>= 1) for an unseen one, so brand-new samples neither vanish from
-/// nor dominate the packing.
+/// nor dominate the packing.  The keys are found through a SampleIndex, in
+/// the order they were given.
 class TermCostModel {
  public:
-  /// Record one generation of measured costs.  `samples` need not be sorted;
-  /// they must be unique (they come from the gathered unique set S).
+  /// Record one generation of measured costs.  The samples must be unique
+  /// (they come from the gathered unique set S): a duplicate throws
+  /// std::invalid_argument, as does a length mismatch.
   void update(const std::vector<Bits128>& samples,
               const std::vector<std::uint64_t>& costs);
   [[nodiscard]] std::uint64_t estimate(const Bits128& sample) const;
-  [[nodiscard]] bool empty() const { return keys_.empty(); }
+  [[nodiscard]] bool empty() const { return index_.size() == 0; }
 
   // Checkpoint access (the VMC driver serializes the model so a resumed run
   // computes the same Stage-3 partition as the uninterrupted one from its
   // first iteration on).
-  [[nodiscard]] const std::vector<Bits128>& keys() const { return keys_; }
+  [[nodiscard]] const std::vector<Bits128>& keys() const { return index_.keys(); }
   [[nodiscard]] const std::vector<std::uint64_t>& costs() const { return costs_; }
   [[nodiscard]] std::uint64_t defaultCost() const { return defaultCost_; }
-  /// Replace the stored generation wholesale.  `keys` must be strictly
-  /// ascending (the invariant update() establishes) and sized like `costs`.
-  void restore(std::vector<Bits128> keys, std::vector<std::uint64_t> costs,
+  /// Replace the stored generation wholesale.  `keys` must be unique and
+  /// sized like `costs`, and `defaultCost` >= 1; throws
+  /// std::invalid_argument otherwise.
+  void restore(const std::vector<Bits128>& keys, std::vector<std::uint64_t> costs,
                std::uint64_t defaultCost);
 
  private:
-  std::vector<Bits128> keys_;  ///< ascending
-  std::vector<std::uint64_t> costs_;
+  SampleIndex index_;  ///< the keys, in the order given
+  std::vector<std::uint64_t> costs_;  ///< costs_[i] belongs to index_.keys()[i]
   std::uint64_t defaultCost_ = 1;
 };
 

@@ -5,14 +5,17 @@
 // checked against at tolerance 0.  Logits come from TransformerAR::forwardTape
 // on a local Tape with no backward (the training kernels, every prefix re-read
 // in full); the masked conditionals and ln|Psi| derived from them repeat the
-// arithmetic of nqs/ansatz.cpp.  localEnergiesExact is the non-sample-aware
-// E_loc reference for the vmc engines, adamwStep the optimizer update's, and
-// exactGroundState the dense-space energy that cross-checks Jordan-Wigner
-// against FCI.
+// arithmetic of nqs/ansatz.cpp.  localEnergiesSampleAware is the
+// tolerance-0 reference of the vmc local-energy engine and
+// localEnergiesExact its non-sample-aware counterpart, adamwStep the
+// optimizer update's reference, and exactGroundState the dense-space energy
+// that cross-checks Jordan-Wigner against FCI.
 
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "linalg/davidson.hpp"
@@ -20,6 +23,7 @@
 #include "nqs/ansatz.hpp"
 #include "ops/hamiltonian.hpp"
 #include "ops/packed_hamiltonian.hpp"
+#include "vmc/local_energy.hpp"
 
 namespace nnqs::oracle {
 
@@ -103,6 +107,37 @@ inline std::vector<Real> logAmp(const nqs::QiankunNet& net,
     out.push_back(la);
   }
   return out;
+}
+
+/// Sample-aware local energies of `samples` over the lookup table's S, one
+/// sample at a time through the per-sample kernel vmc::localEnergy.  S is
+/// searched by binary search in a sorted copy of the table, so the result
+/// does not depend on the hash index it checks.  `terms` (optional,
+/// samples.size() entries) receives each sample's realized term count.
+/// Throws std::invalid_argument on a sample outside S, as the engine does.
+inline std::vector<Complex> localEnergiesSampleAware(const ops::PackedHamiltonian& packed,
+                                                     const std::vector<Bits128>& samples,
+                                                     const vmc::WavefunctionLut& lut,
+                                                     std::uint64_t* terms = nullptr) {
+  std::vector<std::pair<Bits128, Complex>> sorted;
+  for (std::size_t i = 0; i < lut.size(); ++i)
+    sorted.emplace_back(lut.index.keys()[i], lut.psi[i]);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const auto findPsi = [&](Bits128 x) -> const Complex* {
+    const auto it = std::lower_bound(sorted.begin(), sorted.end(), x,
+                                     [](const auto& e, Bits128 k) { return e.first < k; });
+    return it == sorted.end() || it->first != x ? nullptr : &it->second;
+  };
+  std::vector<Complex> eloc(samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const Complex* psiX = findPsi(samples[i]);
+    if (psiX == nullptr)
+      throw std::invalid_argument("oracle::localEnergiesSampleAware: sample outside S");
+    eloc[i] = vmc::localEnergy(packed, samples[i], *psiX, findPsi,
+                               terms == nullptr ? nullptr : terms + i);
+  }
+  return eloc;
 }
 
 /// Exact (not sample-aware) local energies: every coupled state's psi is

@@ -48,15 +48,15 @@ std::vector<Bits128> numberSector(int n, int na, int nb) {
   return out;
 }
 
-/// Runs the batched engine and kSaFuseLut over `samples` and asserts equal
-/// E_loc and term counts at tolerance 0; returns the batched counters.
-ElocStats expectBatchedEqualsLut(const ops::PackedHamiltonian& packed,
-                                 const std::vector<Bits128>& samples,
-                                 const WavefunctionLut& lut,
-                                 const ElocBatchedOptions& opts) {
+/// Runs the batched engine and the sample-aware oracle over `samples` and
+/// asserts equal E_loc and term counts at tolerance 0; returns the batched
+/// counters.
+ElocStats expectBatchedEqualsOracle(const ops::PackedHamiltonian& packed,
+                                    const std::vector<Bits128>& samples,
+                                    const WavefunctionLut& lut,
+                                    const ElocBatchedOptions& opts) {
   std::vector<std::uint64_t> refTerms(samples.size()), terms(samples.size());
-  const auto ref = localEnergies(packed, samples, lut, ElocMode::kSaFuseLut, nullptr,
-                                 refTerms.data());
+  const auto ref = oracle::localEnergiesSampleAware(packed, samples, lut, refTerms.data());
   std::vector<Complex> out(samples.size());
   ElocStats stats;
   localEnergiesBatched(packed, samples, lut, out.data(), opts, &stats,
@@ -87,14 +87,36 @@ nqs::QiankunNet netFor(const System& s, std::uint64_t seed = 9) {
 }  // namespace
 
 TEST(WavefunctionLut, BuildAndFind) {
+  // Nothing is sorted: the keys stay in the order given, and find() returns
+  // the psi at that position.
   std::vector<Bits128> keys = {Bits128{5, 0}, Bits128{1, 0}, Bits128{9, 0}};
   std::vector<Complex> psi = {{0.5, 0}, {0.1, 0}, {0.9, 0}};
   const auto lut = WavefunctionLut::build(keys, psi);
   EXPECT_EQ(lut.size(), 3u);
-  EXPECT_TRUE(std::is_sorted(lut.keys.begin(), lut.keys.end()));
-  ASSERT_NE(lut.find(Bits128{9, 0}), nullptr);
-  EXPECT_NEAR(lut.find(Bits128{9, 0})->real(), 0.9, 1e-15);
+  EXPECT_EQ(lut.index.keys(), keys);
+  for (std::size_t i = 0; i < keys.size(); ++i) EXPECT_EQ(lut.find(keys[i]), &lut.psi[i]);
   EXPECT_EQ(lut.find(Bits128{2, 0}), nullptr);
+}
+
+TEST(SampleIndex, FindsEachKeyAtItsPositionInTheOrderGiven) {
+  // Keys in both words of Bits128, in no order; every lookup returns the
+  // position the key was given at, and a key outside the set returns kNone.
+  std::vector<Bits128> keys;
+  for (std::uint64_t i = 0; i < 300; ++i)
+    keys.push_back(Bits128{(i * 0x9E3779B97F4A7C15ull) >> 3, i % 3 == 0 ? i : 0});
+  SampleIndex index;
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.find(keys[0]), SampleIndex::kNone);
+  index.assign(keys);
+  ASSERT_EQ(index.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    EXPECT_EQ(index.find(keys[i]), static_cast<std::int32_t>(i)) << "i=" << i;
+  EXPECT_EQ(index.find(Bits128{1, 1}), SampleIndex::kNone);
+  // A key given twice throws and leaves the index empty.
+  keys.push_back(keys[123]);
+  EXPECT_THROW(index.assign(keys), std::invalid_argument);
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.find(keys[0]), SampleIndex::kNone);
 }
 
 TEST(Lut, BuildRejectsMismatchedLengths) {
@@ -114,8 +136,7 @@ TEST(LocalEnergy, FullSupportAverageEqualsVariationalEnergy) {
   const auto sector = numberSector(4, 1, 1);
   const auto psi = net.psi(sector);
   const auto lut = WavefunctionLut::build(sector, psi);
-  const auto eloc =
-      localEnergies(s.packed, sector, lut, ElocMode::kSaFuseLut);
+  const auto eloc = localEnergies(s.packed, sector, lut);
 
   Complex num{0, 0};
   Real denom = 0;
@@ -134,7 +155,7 @@ TEST(LocalEnergy, FullSupportAverageEqualsVariationalEnergy) {
   EXPECT_NEAR(eVar, ref.real() / denom, 1e-8);
 }
 
-TEST(LocalEnergy, AllEnginesAgreeOnFullSupport) {
+TEST(LocalEnergy, EngineAgreesWithTheOraclesOnFullSupport) {
   const System s = buildSystem("LiH");
   nqs::QiankunNet net = netFor(s);
   const auto sector = numberSector(12, 2, 2);
@@ -142,15 +163,55 @@ TEST(LocalEnergy, AllEnginesAgreeOnFullSupport) {
   const auto lut = WavefunctionLut::build(sector, psi);
 
   const std::vector<Bits128> probe(sector.begin(), sector.begin() + 12);
-  const auto ref = localEnergies(s.packed, probe, lut, ElocMode::kSaFuseLut);
+  const auto ref = oracle::localEnergiesSampleAware(s.packed, probe, lut);
   const auto exact = oracle::localEnergiesExact(s.packed, probe, net);
-  const auto batched = localEnergies(s.packed, probe, lut, ElocMode::kBatched);
+  const auto batched = localEnergies(s.packed, probe, lut);
   for (std::size_t i = 0; i < probe.size(); ++i) {
     EXPECT_NEAR(std::abs(ref[i] - exact[i]), 0.0, 1e-8);
-    // The batched engine's contract is tolerance ZERO against kSaFuseLut.
+    // The engine's contract is tolerance ZERO against the sample-aware oracle.
     EXPECT_EQ(ref[i].real(), batched[i].real());
     EXPECT_EQ(ref[i].imag(), batched[i].imag());
   }
+}
+
+TEST(LocalEnergy, BatchedSameBitsForSortedAndShuffledLut) {
+  // The index keeps S in the order given, so the slot each key lands in
+  // depends on that order; the E_loc bits, the term counts and the counters
+  // must not.
+  const System s = buildSystem("LiH");
+  nqs::QiankunNet net = netFor(s);
+  const auto sector = numberSector(12, 2, 2);  // ascending
+  const auto psi = net.psi(sector);
+  std::vector<std::size_t> order(sector.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  Rng rng(17);
+  for (std::size_t i = order.size() - 1; i > 0; --i)
+    std::swap(order[i], order[static_cast<std::size_t>(rng.below(i + 1))]);
+  std::vector<Bits128> shuffled;
+  std::vector<Complex> shuffledPsi;
+  for (const std::size_t i : order) {
+    shuffled.push_back(sector[i]);
+    shuffledPsi.push_back(psi[i]);
+  }
+  ASSERT_NE(shuffled, sector);
+  const auto sortedLut = WavefunctionLut::build(sector, psi);
+  const auto shuffledLut = WavefunctionLut::build(shuffled, shuffledPsi);
+
+  std::vector<std::uint64_t> sortedTerms(sector.size()), shuffledTerms(sector.size());
+  ElocStats sortedStats, shuffledStats;
+  const auto a = localEnergies(s.packed, sector, sortedLut, &sortedStats, sortedTerms.data());
+  const auto b =
+      localEnergies(s.packed, sector, shuffledLut, &shuffledStats, shuffledTerms.data());
+  for (std::size_t i = 0; i < sector.size(); ++i) {
+    ASSERT_EQ(a[i].real(), b[i].real()) << "i=" << i;
+    ASSERT_EQ(a[i].imag(), b[i].imag()) << "i=" << i;
+    ASSERT_EQ(sortedTerms[i], shuffledTerms[i]) << "i=" << i;
+  }
+  EXPECT_EQ(sortedStats.lutProbes, shuffledStats.lutProbes);
+  EXPECT_EQ(sortedStats.lutHits, shuffledStats.lutHits);
+  EXPECT_EQ(sortedStats.coeffTerms, shuffledStats.coeffTerms);
+  // ... and both equal the oracle, which sorts its own copy of S.
+  expectBatchedEqualsOracle(s.packed, shuffled, shuffledLut, {});
 }
 
 TEST(LocalEnergy, BatchedBitIdenticalAcrossGeometriesAndThreads) {
@@ -163,7 +224,7 @@ TEST(LocalEnergy, BatchedBitIdenticalAcrossGeometriesAndThreads) {
   const auto sector = numberSector(12, 2, 2);
   const auto psi = net.psi(sector);
   const auto lut = WavefunctionLut::build(sector, psi);
-  const auto ref = localEnergies(s.packed, sector, lut, ElocMode::kSaFuseLut);
+  const auto ref = oracle::localEnergiesSampleAware(s.packed, sector, lut);
 
   std::vector<Complex> out(sector.size());
   for (const std::size_t sampleBlock : {std::size_t{1}, std::size_t{3},
@@ -224,12 +285,12 @@ TEST(LocalEnergy, BatchedStatsDeterministicWithoutDedup) {
 
 TEST(LocalEnergy, BatchedPartialSectorLutMissPath) {
   // With a partial S, the batched engine must skip exactly the coupled
-  // states outside S — same truncation as kSaFuseLut, bit for bit.
+  // states outside S — same truncation as the oracle, bit for bit.
   const System s = buildSystem("LiH");
   nqs::QiankunNet net = netFor(s);
   const auto sector = numberSector(12, 2, 2);
   const auto psi = net.psi(sector);
-  // S = every other state of the sector (stays sorted).
+  // S = every other state of the sector.
   std::vector<Bits128> partial;
   std::vector<Complex> partialPsi;
   for (std::size_t i = 0; i < sector.size(); i += 2) {
@@ -237,7 +298,7 @@ TEST(LocalEnergy, BatchedPartialSectorLutMissPath) {
     partialPsi.push_back(psi[i]);
   }
   const auto lut = WavefunctionLut::build(partial, partialPsi);
-  const auto ref = localEnergies(s.packed, partial, lut, ElocMode::kSaFuseLut);
+  const auto ref = oracle::localEnergiesSampleAware(s.packed, partial, lut);
   std::vector<Complex> out(partial.size());
   ElocBatchedOptions opts;
   opts.sampleBlock = 5;  // ragged tiles over the miss-heavy path
@@ -263,16 +324,16 @@ TEST(LocalEnergy, BatchedEmptyAndSingleSample) {
   EXPECT_EQ(stats.tileTermsMin, 0u);
 
   const std::vector<Bits128> one{sector[1]};
-  const auto ref = localEnergies(s.packed, one, lut, ElocMode::kSaFuseLut);
+  const auto ref = oracle::localEnergiesSampleAware(s.packed, one, lut);
   Complex out;
   localEnergiesBatched(s.packed, one, lut, &out, {}, nullptr);
   EXPECT_EQ(ref[0].real(), out.real());
   EXPECT_EQ(ref[0].imag(), out.imag());
 }
 
-TEST(LocalEnergy, EnginesThrowOnSampleOutsideS) {
-  // LUT without the last sector state; asking either engine for its E_loc
-  // must throw, not dereference the failed lookup.
+TEST(LocalEnergy, EngineThrowsOnSampleOutsideS) {
+  // LUT without the last sector state; asking the engine (or the oracle) for
+  // its E_loc must throw, not dereference the failed lookup.
   const System s = buildSystem("H2");
   nqs::QiankunNet net = netFor(s);
   const auto sector = numberSector(4, 1, 1);
@@ -280,10 +341,9 @@ TEST(LocalEnergy, EnginesThrowOnSampleOutsideS) {
   const std::vector<Bits128> partial(sector.begin(), sector.end() - 1);
   const std::vector<Complex> partialPsi(psi.begin(), psi.end() - 1);
   const auto lut = WavefunctionLut::build(partial, partialPsi);
-  for (const ElocMode mode : {ElocMode::kSaFuseLut, ElocMode::kBatched})
-    EXPECT_THROW(localEnergies(s.packed, {sector.front(), sector.back()}, lut, mode),
-                 std::invalid_argument)
-        << (mode == ElocMode::kBatched ? "kBatched" : "kSaFuseLut");
+  const std::vector<Bits128> probe{sector.front(), sector.back()};
+  EXPECT_THROW(localEnergies(s.packed, probe, lut), std::invalid_argument);
+  EXPECT_THROW(oracle::localEnergiesSampleAware(s.packed, probe, lut), std::invalid_argument);
 }
 
 TEST(LocalEnergy, BatchedSmallAndPowerOfTwoLuts) {
@@ -309,7 +369,7 @@ TEST(LocalEnergy, BatchedSmallAndPowerOfTwoLuts) {
         opts.maxThreads = maxThreads;
         SCOPED_TRACE(testing::Message() << "size=" << size << " offset="
                                         << offset << " threads=" << maxThreads);
-        const ElocStats st = expectBatchedEqualsLut(s.packed, keys, lut, opts);
+        const ElocStats st = expectBatchedEqualsOracle(s.packed, keys, lut, opts);
         EXPECT_EQ(st.samples, size);
       }
     }
@@ -380,7 +440,7 @@ TEST(LocalEnergy, BatchedWiderThan64Qubits) {
       opts.maxThreads = maxThreads;
       SCOPED_TRACE(testing::Message() << "sampleBlock=" << sampleBlock
                                       << " threads=" << maxThreads);
-      const ElocStats st = expectBatchedEqualsLut(packed, keys, lut, opts);
+      const ElocStats st = expectBatchedEqualsOracle(packed, keys, lut, opts);
       // Far more hits than the diagonal group alone supplies.
       EXPECT_GT(st.lutHits, 2 * keys.size());
     }
@@ -389,7 +449,7 @@ TEST(LocalEnergy, BatchedWiderThan64Qubits) {
 
 TEST(WavefunctionLut, BuildRejectsDuplicateKeys) {
   // Regression: build() used to silently accept duplicate samples, making
-  // find() results depend on sort tie-breaking.
+  // find() results depend on sort tie-breaking; a set holds each sample once.
   std::vector<Bits128> keys = {Bits128{5, 0}, Bits128{1, 0}, Bits128{5, 0}};
   std::vector<Complex> psi = {{0.5, 0}, {0.1, 0}, {0.7, 0}};
   EXPECT_THROW(WavefunctionLut::build(keys, psi), std::invalid_argument);
@@ -406,7 +466,7 @@ TEST(LocalEnergy, SampleAwareIsTruncationOfExact) {
   const std::vector<Bits128> partial(sector.begin(), sector.begin() + 2);
   const std::vector<Complex> partialPsi(psi.begin(), psi.begin() + 2);
   const auto lut = WavefunctionLut::build(partial, partialPsi);
-  const auto sa = localEnergies(s.packed, {partial[0]}, lut, ElocMode::kSaFuseLut);
+  const auto sa = localEnergies(s.packed, {partial[0]}, lut);
 
   Complex manual{s.packed.constant, 0};
   for (std::size_t k = 0; k < s.packed.nGroups(); ++k) {
@@ -424,7 +484,7 @@ TEST(LocalEnergy, HartreeFockStateGivesHfEnergy) {
   const System s = buildSystem("BeH2");
   const Bits128 hfDet = fci::hartreeFockDeterminant(s.mo.nAlpha, s.mo.nBeta);
   const auto lut = WavefunctionLut::build({hfDet}, {Complex{1.0, 0.0}});
-  const auto eloc = localEnergies(s.packed, {hfDet}, lut, ElocMode::kSaFuseLut);
+  const auto eloc = localEnergies(s.packed, {hfDet}, lut);
   EXPECT_NEAR(eloc[0].real(), s.eHf, 1e-8);
   EXPECT_NEAR(eloc[0].imag(), 0.0, 1e-10);
 }
@@ -438,7 +498,7 @@ TEST(LocalEnergy, FciStateGivesConstantLocalEnergy) {
   for (std::size_t i = 0; i < psi.size(); ++i)
     psi[i] = Complex{fciRes.groundState[i], 0.0};
   const auto lut = WavefunctionLut::build(fciRes.basis, psi);
-  const auto eloc = localEnergies(s.packed, fciRes.basis, lut, ElocMode::kSaFuseLut);
+  const auto eloc = localEnergies(s.packed, fciRes.basis, lut);
   for (std::size_t i = 0; i < eloc.size(); ++i) {
     if (std::abs(psi[i]) < 1e-6) continue;  // ratio ill-conditioned at nodes
     EXPECT_NEAR(eloc[i].real(), fciRes.energy, 1e-6);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 #include "vmc/repartition.hpp"
 
@@ -126,4 +127,66 @@ TEST(Repartition, TermCostModelAllZeroCostsStayPositive) {
   // Estimates are clamped >= 1 so LPT never sees an all-zero packing.
   EXPECT_GE(model.estimate(a), 1u);
   EXPECT_GE(model.estimate(b), 1u);
+}
+
+TEST(Repartition, TermCostModelIgnoresTheOrderOfItsSamples) {
+  // The keys stay in the order given (the gathered order); the estimates,
+  // the default included, must not depend on it.
+  std::vector<Bits128> keys;
+  std::vector<std::uint64_t> costs;
+  for (int i = 0; i < 40; ++i) {
+    Bits128 k;
+    k.set(i);
+    k.set((7 * i + 3) % 64);
+    keys.push_back(k);
+    costs.push_back(static_cast<std::uint64_t>(1 + (i * 37) % 11));
+  }
+  std::vector<Bits128> revKeys(keys.rbegin(), keys.rend());
+  std::vector<std::uint64_t> revCosts(costs.rbegin(), costs.rend());
+  TermCostModel fwd, rev;
+  fwd.update(keys, costs);
+  rev.update(revKeys, revCosts);
+  EXPECT_EQ(fwd.keys(), keys);
+  EXPECT_EQ(rev.keys(), revKeys);
+  EXPECT_EQ(fwd.defaultCost(), rev.defaultCost());
+  Bits128 unseen;
+  unseen.set(100);
+  for (const Bits128& k : keys) EXPECT_EQ(fwd.estimate(k), rev.estimate(k));
+  EXPECT_EQ(fwd.estimate(unseen), rev.estimate(unseen));
+}
+
+TEST(Repartition, TermCostModelRejectsDuplicateKeys) {
+  // A set holds each sample once, in update() and in restore() alike.
+  Bits128 a, b;
+  a.set(1);
+  b.set(2);
+  TermCostModel model;
+  EXPECT_THROW(model.update({a, b, a}, {1, 2, 3}), std::invalid_argument);
+  EXPECT_THROW(model.restore({b, a, b}, {1, 2, 3}, 2), std::invalid_argument);
+  EXPECT_THROW(model.restore({a, b}, {1}, 2), std::invalid_argument);
+  EXPECT_THROW(model.restore({a, b}, {1, 2}, 0), std::invalid_argument);
+  // Keys need not be ascending: a generation restores in the order saved.
+  model.restore({b, a}, {5, 9}, 7);
+  EXPECT_EQ(model.estimate(a), 9u);
+  EXPECT_EQ(model.estimate(b), 5u);
+}
+
+TEST(Repartition, DefaultEstimatesDealEqualTilesEvenly) {
+  // Before the first measurement every sample costs 1, so Stage 3's one
+  // packing deals equal tiles out evenly: rank tile counts differ by at
+  // most one, and the short tail tile goes to a lightest rank.
+  const TermCostModel empty;
+  ASSERT_TRUE(empty.empty());
+  const std::size_t nSamples = 10 * 64 + 17, tileSz = 64;
+  std::vector<std::uint64_t> tileCosts((nSamples + tileSz - 1) / tileSz, 0);
+  Bits128 x;
+  for (std::size_t i = 0; i < nSamples; ++i) tileCosts[i / tileSz] += empty.estimate(x);
+  const RankPartition part = partitionTilesByCost(tileCosts, 4);
+  expectValidPartition(part, tileCosts.size(), 4);
+  for (const auto& tiles : part.tiles) {
+    EXPECT_GE(tiles.size(), 2u);
+    EXPECT_LE(tiles.size(), 3u);
+  }
+  const auto [lo, hi] = std::minmax_element(part.plannedCost.begin(), part.plannedCost.end());
+  EXPECT_LE(*hi - *lo, tileSz);
 }

@@ -320,4 +320,10 @@ TEST(Serve, EmptyQueryAndDestructorShutdown) {
   ServeOptions bad;
   bad.nWorkers = 0;
   EXPECT_THROW(AmplitudeServer(ckpt, bad), std::invalid_argument);
+  // A queue smaller than one batch would refuse a request of maxBatch rows
+  // as "retry later" forever.
+  bad = ServeOptions{};
+  bad.maxBatch = 8;
+  bad.queueCapacityRows = 4;
+  EXPECT_THROW(AmplitudeServer(ckpt, bad), std::invalid_argument);
 }

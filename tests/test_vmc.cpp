@@ -5,6 +5,7 @@
 #include <iterator>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "chem/basis_set.hpp"
 #include "chem/geometry_library.hpp"
@@ -190,13 +191,13 @@ INSTANTIATE_TEST_SUITE_P(Backends, VmcBackendTest,
                                       : "mpi";
                          });
 
-TEST(Vmc, TermBalancedSplitIsBitIdenticalToEqualSplit) {
-  // The repartitioner only moves *where* each gathered sample's local energy
-  // is computed; per-sample values are chunk-independent and Stage 4 sums in
-  // the unchanged per-rank local order, so the whole trajectory must match
-  // the equal-count split bit for bit.  LiH (12 qubits) with a tiny tile
-  // size gives the LPT packing real freedom, so this exercises a genuinely
-  // different partition, not a no-op.
+TEST(Vmc, TermBalancedSplitIsBitIdenticalAcrossTileSizes) {
+  // The split only moves *where* each gathered sample's local energy is
+  // computed; per-sample values are chunk-independent and Stage 4 sums in
+  // the unchanged per-rank local order, so the whole trajectory must not
+  // depend on the tiles the split deals out.  LiH (12 qubits) at 4-sample
+  // tiles gives the LPT packing real freedom, and the default 64-sample
+  // tiles a genuinely different partition, not a no-op.
   const System s = buildSystem("LiH");
   VmcOptions opts;
   opts.iterations = 8;
@@ -205,18 +206,22 @@ TEST(Vmc, TermBalancedSplitIsBitIdenticalToEqualSplit) {
   opts.pretrainIterations = 0;
   opts.nRanks = 3;
   opts.uniqueThresholdPerRank = 1;
-  opts.rankTileSize = 4;
   opts.seed = 29;
-  opts.rankSplit = RankSplit::kEqualCount;
-  const VmcResult eq = runVmc(s.packed, netCfg(s, 15), opts);
-  opts.rankSplit = RankSplit::kTermBalanced;
-  const VmcResult bal = runVmc(s.packed, netCfg(s, 15), opts);
-  ASSERT_EQ(eq.energyHistory.size(), bal.energyHistory.size());
-  for (std::size_t i = 0; i < eq.energyHistory.size(); ++i)
-    EXPECT_EQ(eq.energyHistory[i], bal.energyHistory[i]) << "iteration " << i;
-  EXPECT_EQ(eq.energy, bal.energy);
-  EXPECT_EQ(eq.variance, bal.variance);
-  EXPECT_GT(bal.rankTermsMax, 0u);
+  opts.rankTileSize = 4;
+  const VmcResult fine = runVmc(s.packed, netCfg(s, 15), opts);
+  opts.rankTileSize = VmcOptions{}.rankTileSize;
+  ASSERT_EQ(opts.rankTileSize, 64u);
+  const VmcResult coarse = runVmc(s.packed, netCfg(s, 15), opts);
+  ASSERT_EQ(fine.energyHistory.size(), coarse.energyHistory.size());
+  for (std::size_t i = 0; i < fine.energyHistory.size(); ++i)
+    EXPECT_EQ(fine.energyHistory[i], coarse.energyHistory[i]) << "iteration " << i;
+  EXPECT_EQ(fine.energy, coarse.energy);
+  EXPECT_EQ(fine.variance, coarse.variance);
+  EXPECT_EQ(fine.nUnique, coarse.nUnique);
+  EXPECT_GT(fine.rankTermsMax, 0u);
+  // The partitions differ, so the ranks' realized term work does too.
+  EXPECT_NE(std::make_pair(fine.rankTermsMin, fine.rankTermsMax),
+            std::make_pair(coarse.rankTermsMin, coarse.rankTermsMax));
 }
 
 TEST(Vmc, FusedSweepAndTileGeometryLeaveTrajectoryBitIdentical) {
@@ -424,7 +429,9 @@ TEST(Vmc, CheckpointOptionValidation) {
 
 TEST(Vmc, ResumeRejectsAnEmptySampleCount) {
   // A stored N_s of 0 would make every sweep empty and every energy NaN,
-  // as nSamplesInitial = 0 would: resume rejects it as a schema error.
+  // as nSamplesInitial = 0 would, and a stored default term cost of 0 breaks
+  // the cost model's >= 1 contract: resume rejects each as a schema error
+  // naming the section.
   const System s = buildSystem("H2");
   const std::string path = ::testing::TempDir() + "/vmc_nscheck.ckpt";
   VmcOptions opts;
@@ -434,30 +441,35 @@ TEST(Vmc, ResumeRejectsAnEmptySampleCount) {
   opts.checkpointEvery = 1;
   opts.checkpointPath = path;
   runVmc(s.packed, netCfg(s), opts);
+  std::vector<std::uint8_t> written;
   {
     std::ifstream in(path, std::ios::binary);
-    std::vector<std::uint8_t> image{std::istreambuf_iterator<char>(in), {}};
-    // vmc.nsCurrent's u64 payload follows its name and its 8-byte length.
-    const std::string name = "vmc.nsCurrent";
-    const auto at = std::search(image.begin(), image.end(), name.begin(), name.end());
-    ASSERT_NE(at, image.end());
-    const auto payload = at + static_cast<std::ptrdiff_t>(name.size()) + 8;
-    std::fill(payload, payload + 8, std::uint8_t{0});
-    const std::uint32_t crc = io::crc32(&*payload, 8);
-    for (int i = 0; i < 4; ++i) payload[8 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(image.data()),
-              static_cast<std::streamsize>(image.size()));
+    written.assign(std::istreambuf_iterator<char>(in), {});
   }
   opts.checkpointEvery = 0;
   opts.checkpointPath.clear();
   opts.resumeFrom = path;
   opts.iterations = 3;
-  try {
-    runVmc(s.packed, netCfg(s), opts);
-    ADD_FAILURE() << "expected SchemaError";
-  } catch (const io::SchemaError& e) {
-    EXPECT_NE(std::string(e.what()).find("vmc.nsCurrent"), std::string::npos) << e.what();
+  for (const std::string name : {"vmc.nsCurrent", "vmc.costDefault"}) {
+    std::vector<std::uint8_t> image = written;
+    // The u64 payload follows the section name and its 8-byte length.
+    const auto at = std::search(image.begin(), image.end(), name.begin(), name.end());
+    ASSERT_NE(at, image.end()) << name;
+    const auto payload = at + static_cast<std::ptrdiff_t>(name.size()) + 8;
+    std::fill(payload, payload + 8, std::uint8_t{0});
+    const std::uint32_t crc = io::crc32(&*payload, 8);
+    for (int i = 0; i < 4; ++i) payload[8 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(image.data()),
+                static_cast<std::streamsize>(image.size()));
+    }
+    try {
+      runVmc(s.packed, netCfg(s), opts);
+      ADD_FAILURE() << "expected SchemaError for " << name;
+    } catch (const io::SchemaError& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
   }
 }
 
